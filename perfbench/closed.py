@@ -13,7 +13,6 @@ import hashlib
 import statistics
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -57,9 +56,9 @@ class Phase:
 
     latencies_ms: list[float] = field(default_factory=list)
     reference_ms: list[float] = field(default_factory=list)
-    """The reference loop's time (``ReferenceLoop.ms``) for each latency."""
-    busy_ref: float = 0.0
-    """Time the issuing thread spent on operations, in reference loops."""
+    """Timings of the reference loop taken through the phase."""
+    busy_ms: float = 0.0
+    """Time the issuing thread spent on operations."""
     attempted: int = 0
     failed: int = 0
     wall_s: float = 0.0
@@ -69,36 +68,36 @@ class Phase:
     extra: dict[str, float] = field(default_factory=dict)
     """Workload-specific per-layer values (already per operation)."""
 
+    def reference(self) -> float:
+        """The phase's unit of host speed: its median reference timing."""
+        return statistics.median(self.reference_ms)
+
 
 class ReferenceLoop:
     """A fixed piece of host work: the benchmark's unit of host speed.
 
-    The host this benchmark was tuned on runs the same code at one of two
-    speeds about 1.6x apart, switching every few seconds to every minute,
-    and its fast speed drifts by 10% more.  Dividing an operation's time by
-    this loop's time cancels that drift.  The loop touches no library code,
-    so a change to the library moves only the numerator.  It mixes
-    interpreted dictionary lookups with NumPy sorting over a few megabytes,
-    like the workloads, and :meth:`ms` is the median of the last few
-    timings, which follows the host's speed but not single-timing jitter.
+    The host this benchmark was tuned on runs the same code at speeds up to
+    2x apart, switching every second or so and staying slow for up to a
+    minute.  Dividing a run's times by the
+    median of this loop's timings through the run cancels most of that
+    drift; the median ignores single-timing jitter.  The loop touches no
+    library code, so a change to the library moves only the numerator.  It
+    mixes interpreted dictionary lookups with NumPy sorting over a few
+    megabytes, like the workloads.
     """
 
     def __init__(self) -> None:
         self._values = np.random.default_rng(0).random(200_000)
         self._keys = [f"tag-{i:06d}" for i in range(20_000)]
         self._table = {key: i for i, key in enumerate(self._keys)}
-        self._recent: deque[float] = deque(maxlen=5)
 
-    def measure(self) -> None:
+    def time_ms(self) -> float:
         tick = time.perf_counter()
         total = 0
         for key in self._keys[::2]:
             total += self._table[key]
         np.cumsum(np.sort(self._values)[::3])
-        self._recent.append((time.perf_counter() - tick) * 1e3)
-
-    def ms(self) -> float:
-        return statistics.median(self._recent)
+        return (time.perf_counter() - tick) * 1e3
 
 
 def percentile(values, q: float) -> float:
@@ -134,12 +133,11 @@ def closed_loop(
     while True:
         if tracer is None:
             item = prepare(index)
-            host.measure()
+            phase.reference_ms.append(host.time_ms())
         else:
             with tracer.span("bench.prepare"):
                 item = prepare(index)
-                host.measure()
-        reference = host.ms()
+                phase.reference_ms.append(host.time_ms())
         tick = time.perf_counter()
         try:
             if tracer is None:
@@ -157,8 +155,7 @@ def closed_loop(
                 with tracer.span("bench.check"):
                     failure = check(index, item, output)
         phase.latencies_ms.append(elapsed_ms)
-        phase.reference_ms.append(reference)
-        phase.busy_ref += elapsed_ms / reference
+        phase.busy_ms += elapsed_ms
         phase.attempted += 1
         if failure is not None:
             phase.failed += 1
@@ -200,7 +197,7 @@ class ScenarioMatrix:
 
     name = "scenario_matrix"
 
-    def setup(self, seed: int) -> dict:
+    def setup(self, seed: int, lap: Callable[[], None] = lambda: None) -> dict:
         # The same parse and validation default_registry() does, uncached.
         registry = ScenarioRegistry()
         registry.register_all(load_builtin_specs())
@@ -293,9 +290,10 @@ class DenseHall:
 
     name = "dense_hall"
 
-    def setup(self, seed: int) -> dict:
+    def setup(self, seed: int, lap: Callable[[], None] = lambda: None) -> dict:
         spec = {s.name: s for s in load_showcase_specs()}[DENSE_SPEC]
         positions = builders.scenario_positions(spec, seed)
+        lap()
         inputs = {"seed": seed, "spec": spec, "positions": positions}
         self.scene(inputs, 0)
         return inputs

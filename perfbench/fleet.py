@@ -1,18 +1,24 @@
-"""The open-loop portal workloads: ``portal_cold`` and ``portal_watched``.
+"""The portal workloads: ``portal_cold`` and ``portal_warm``.
 
-Portals arrive on a seeded Poisson schedule at a fixed rate and open on one
-:class:`~repro.service.FleetService` (``worker_count`` = the host's CPU
-count, every other setting at its default).  Each portal replays one of a
-small library of pre-simulated library, airport and warehouse streams at the
-stream's own read timestamps, sped up by :data:`REPLAY_SPEEDUP`.
+Both replay a small library of pre-simulated library, airport and warehouse
+streams in batches of :data:`BATCH_READS` reads.
 
-Two generator threads drive the fleet.  The ingest thread opens portals and
-issues every batch when it falls due.  The request thread issues the calls
-the fleet runs in the caller's thread, provisional and finalize, in due
-order.  A watched portal asks for a provisional ordering after every other
-batch; a cold portal only finalizes.  Every latency is measured from the
-moment the request fell due, not from when it was sent, so a stalled request
-thread shows up in the requests queued behind it.
+``portal_cold`` is an open loop.  Portals arrive on a seeded Poisson schedule
+at a fixed rate and open on one :class:`~repro.service.FleetService`
+(``worker_count`` = the host's CPU count, every other setting at its
+default).  Each portal replays one stream at the stream's own read
+timestamps, sped up by :data:`REPLAY_SPEEDUP`.  Two generator threads drive
+the fleet.  The ingest thread opens portals and issues every batch when it
+falls due.  The request thread issues each portal's finalize, which the
+fleet runs in the caller's thread, in due order.  Every latency is measured
+from the moment the request fell due, not from when it was sent, so a
+stalled request thread shows up in the requests queued behind it.
+
+``portal_warm`` is a closed loop over standalone
+:class:`~repro.service.LocalizationSession` objects, one per replayed stream.
+It asks for a provisional ordering after every other batch and then
+finalizes, so the provisionals extend the resumable DTW prefix and the
+finalize reuses it.
 """
 
 from __future__ import annotations
@@ -22,15 +28,21 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.core import BatchLocalizer
-from repro.service import FleetConfig, FleetService, LocalizationSession
+from repro.service import (
+    FleetConfig,
+    FleetService,
+    LocalizationSession,
+    ProfileCacheRegistry,
+)
 from repro.scenarios import SEED_STRIDE, ScenarioRegistry, builders, load_builtin_specs
 from repro.simulation.collector import profiles_from_read_log
 
-from closed import Phase, ReferenceLoop, percentile
+from closed import Phase, ReferenceLoop, closed_loop, percentile
 from tracer import Tracer
 
 TEMPLATES = ("library", "airport", "warehouse")
@@ -43,11 +55,11 @@ within a few seconds of the last arrival."""
 POLL_S = 0.0002
 """How often the request thread re-checks a portal's ingest progress."""
 STALL_S = 60.0
-"""A portal whose batches have not been ingested by then has failed."""
+"""A portal whose batches have not been enqueued by then has failed."""
 SAMPLE_EVERY_S = 0.05
 """Queue-depth sampling period of the traced run."""
 REFERENCE_EVERY_S = 0.1
-"""How often the request thread re-times the reference loop while idle."""
+"""How often the request thread tries to re-time the reference loop."""
 REFERENCE_SLACK_S = 0.01
 """Idle time before the next request that the reference loop may use."""
 
@@ -64,21 +76,74 @@ class Stream:
     log: object
 
 
-@dataclass
-class Portal:
-    index: int
-    stream: Stream
-    arrival_s: float
-    key: object = None
-    opened: threading.Event = field(default_factory=threading.Event)
-    failure: str | None = None
-    final: tuple | None = None
-    close_ms: float | None = None
-    wait_s: float = 0.0
+def simulate_streams(seed: int, lap: Callable[[], None] = lambda: None) -> dict:
+    """The portal workloads' inputs: :data:`STREAMS_PER_TEMPLATE` sweeps of
+    each template, repetition ``rep`` at the leaderboard's seed for it.
+    ``lap`` is called after each sweep."""
+    registry = ScenarioRegistry()
+    registry.register_all(load_builtin_specs())
+    streams = []
+    for template in TEMPLATES:
+        spec = registry.get(template)
+        index = registry.index_of(template)
+        for rep in range(STREAMS_PER_TEMPLATE):
+            experiment = builders.scenario_experiment(rep, seed + SEED_STRIDE * index + rep, spec)
+            log = experiment.read_log
+            batches = list(log.iter_batches(BATCH_READS))
+            first = batches[0].timestamps_s[0]
+            streams.append(
+                Stream(
+                    template=template,
+                    batches=batches,
+                    due_s=np.array(
+                        [(b.timestamps_s[-1] - first) / REPLAY_SPEEDUP for b in batches]
+                    ),
+                    reads_through=np.cumsum([len(b) for b in batches]),
+                    expected_ids=list(experiment.target_ids),
+                    log=log,
+                )
+            )
+            lap()
+    return {"seed": seed, "streams": streams}
 
-    def fail(self, note: str) -> None:
-        if self.failure is None:
-            self.failure = note
+
+def final_of(update) -> tuple:
+    """What an ordering is checked on: X and Y orderings and reads ingested."""
+    result = update.result
+    return (result.x_ordering.ordered_ids, result.y_ordering.ordered_ids, update.reads_ingested)
+
+
+def expected_final(stream: Stream) -> tuple | None:
+    """A standalone session's finalize on ``stream``, or ``None`` if it
+    disagrees with ``BatchLocalizer`` on the stream's profiles."""
+    session = LocalizationSession(expected_tag_ids=stream.expected_ids)
+    for batch in stream.batches:
+        session.ingest_batch(batch)
+    standalone = final_of(session.finalize())
+    batched = BatchLocalizer().localize(
+        profiles_from_read_log(stream.log), expected_tag_ids=stream.expected_ids
+    )
+    agrees = standalone == (
+        batched.x_ordering.ordered_ids,
+        batched.y_ordering.ordered_ids,
+        len(stream.log),
+    )
+    return standalone if agrees else None
+
+
+def check_finals(phase: Phase, finals, corrupt: bool) -> None:
+    """Each ``(label, stream, final)`` must match :func:`expected_final`."""
+    finals = list(finals)
+    if corrupt and finals:
+        label, stream, (xs, ys, reads) = finals[0]
+        finals[0] = (label, stream, (xs[1:2] + xs[:1] + xs[2:], ys, reads))
+    expected: dict[int, tuple | None] = {}
+    for label, stream, final in finals:
+        if id(stream) not in expected:
+            expected[id(stream)] = expected_final(stream)
+        if final != expected[id(stream)]:
+            phase.failed = min(phase.attempted, phase.failed + 1)
+            phase.notes.append(f"{label}: finalize differs from the standalone session")
 
 
 def _sleep_until(deadline: float) -> None:
@@ -94,50 +159,51 @@ def host_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class PortalFleet:
-    """One operation = one ordering request: a provisional or a finalize.
+# --------------------------------------------------------------------------
+# portal_cold
+# --------------------------------------------------------------------------
 
-    Its latency runs from the moment it fell due until the ordering is
-    returned.  A cold portal makes one request, its finalize.
+
+@dataclass
+class Portal:
+    index: int
+    stream: Stream
+    arrival_s: float
+    key: object = None
+    opened: threading.Event = field(default_factory=threading.Event)
+    failure: str | None = None
+    final: tuple | None = None
+    wait_s: float = 0.0
+
+    def fail(self, note: str) -> None:
+        if self.failure is None:
+            self.failure = note
+
+
+def fleet_activity(fleet: FleetService) -> tuple | None:
+    """Batches enqueued per portal, or ``None`` while any portal has a batch
+    queued or being ingested."""
+    portals = fleet.stats().portals
+    if any(s.batches_ingested < s.batches_enqueued for s in portals.values()):
+        return None
+    return tuple(sorted((str(key), s.batches_enqueued) for key, s in portals.items()))
+
+
+class PortalFleet:
+    """One operation = one portal's finalize on the shared fleet.
+
+    Its latency runs from the moment the portal's last batch fell due until
+    the ordering is returned.
     """
 
-    def __init__(self, name: str, watched: bool, rate_per_s: float) -> None:
-        self.name = name
-        self.watched = watched
+    name = "portal_cold"
+    finalize_span = "service.finalize_cold"
+
+    def __init__(self, rate_per_s: float) -> None:
         self.rate_per_s = rate_per_s
-        self.finalize_span = (
-            "service.finalize_warm" if watched else "service.finalize_cold"
-        )
 
-    # -- inputs ------------------------------------------------------------
-
-    def setup(self, seed: int) -> dict:
-        registry = ScenarioRegistry()
-        registry.register_all(load_builtin_specs())
-        streams = []
-        for template in TEMPLATES:
-            spec = registry.get(template)
-            index = registry.index_of(template)
-            for rep in range(STREAMS_PER_TEMPLATE):
-                experiment = builders.scenario_experiment(
-                    rep, seed + SEED_STRIDE * index + rep, spec
-                )
-                log = experiment.read_log
-                batches = list(log.iter_batches(BATCH_READS))
-                first = batches[0].timestamps_s[0]
-                streams.append(
-                    Stream(
-                        template=template,
-                        batches=batches,
-                        due_s=np.array(
-                            [(b.timestamps_s[-1] - first) / REPLAY_SPEEDUP for b in batches]
-                        ),
-                        reads_through=np.cumsum([len(b) for b in batches]),
-                        expected_ids=list(experiment.target_ids),
-                        log=log,
-                    )
-                )
-        return {"seed": seed, "streams": streams}
+    def setup(self, seed: int, lap: Callable[[], None] = lambda: None) -> dict:
+        return simulate_streams(seed, lap)
 
     def _portals(self, inputs: dict, seconds: float) -> list[Portal]:
         """A Poisson arrival schedule: ``rate * seconds`` arrivals placed
@@ -155,22 +221,6 @@ class PortalFleet:
             for i in range(count)
         ]
 
-    def _requests(self, portals: list[Portal]) -> list[tuple[float, int, int]]:
-        """``(due, portal, batches needed)`` in due order; the request that
-        needs every batch of its portal is the finalize."""
-        requests = []
-        for portal in portals:
-            due = portal.arrival_s + portal.stream.due_s
-            last = len(due) - 1
-            if self.watched:
-                for batch in range(1, last, 2):
-                    requests.append((float(due[batch]), portal.index, batch + 1))
-            requests.append((float(due[last]), portal.index, last + 1))
-        requests.sort()
-        return requests
-
-    # -- the run -------------------------------------------------------------
-
     def measure(self, inputs: dict, seconds: float, tracer: Tracer | None):
         portals = self._portals(inputs, seconds)
         ingests = sorted(
@@ -178,16 +228,16 @@ class PortalFleet:
             for portal in portals
             for batch, due in enumerate(portal.stream.due_s)
         )
-        requests = self._requests(portals)
+        closes = sorted(
+            (portal.arrival_s + float(portal.stream.due_s[-1]), portal.index)
+            for portal in portals
+        )
         fleet = FleetService(FleetConfig(worker_count=host_cpus()))
         lags: list[float] = []
-        provisional_ms: list[float] = []
         failed_requests = [0]
         depth_max = [0]
-        busy = [0.0]
         host = ReferenceLoop()
-        host.measure()
-        phase = Phase()
+        phase = Phase(reference_ms=[host.time_ms()])
 
         def span(name):
             return tracer.span(name) if tracer is not None else nullcontext()
@@ -213,54 +263,46 @@ class PortalFleet:
                     portal.fail(f"portal {index}: ingest raised {exc!r}")
                     portal.opened.set()
 
-        def await_batches(portal: Portal, needed: int, counter: str) -> None:
-            """Wait until the portal's ``counter`` reaches ``needed``."""
+        def close(portal: Portal) -> None:
+            # The ingest thread may issue the last batch a moment after it
+            # fell due; finalize drains only what was already enqueued.
             if not portal.opened.wait(STALL_S):
                 raise TimeoutError("portal never opened")
+            needed = len(portal.stream.batches)
             give_up = time.perf_counter() + STALL_S
-            with span("loadgen.coverage_wait"):
-                while getattr(fleet.portal_stats(portal.key), counter) < needed:
+            with span("loadgen.enqueue_wait"):
+                while fleet.portal_stats(portal.key).batches_enqueued < needed:
                     if portal.failure is not None:
                         raise RuntimeError(portal.failure)
                     if time.perf_counter() > give_up:
-                        raise TimeoutError(f"{needed} batches not ingested")
+                        raise TimeoutError(f"{needed} batches not enqueued")
                     time.sleep(POLL_S)
-
-        def handle(portal: Portal, needed: int, due_at: float) -> None:
-            stream = portal.stream
-            if needed < len(stream.batches):
-                # Counts only once every read due before it is ingested.
-                await_batches(portal, needed, "batches_ingested")
-                update = fleet.provisional(portal.key)
-                if update.reads_ingested < stream.reads_through[needed - 1]:
-                    raise RuntimeError("provisional missed reads that were due")
-                provisional_ms.append((time.perf_counter() - due_at) * 1e3)
-                return
-            # The ingest thread may issue the last batch a moment after it
-            # fell due; finalize drains only what was already enqueued.
-            await_batches(portal, needed, "batches_enqueued")
-            update = fleet.finalize(portal.key)
-            portal.close_ms = (time.perf_counter() - due_at) * 1e3
-            result = update.result
-            portal.final = (
-                result.x_ordering.ordered_ids,
-                result.y_ordering.ordered_ids,
-                update.reads_ingested,
-            )
-            if fleet.portal_stats(portal.key).shed_batches:
-                raise RuntimeError("batches were shed")
+            portal.final = final_of(fleet.finalize(portal.key))
+            stats = fleet.portal_stats(portal.key)
+            if stats.shed_batches or stats.state != "finalized":
+                raise RuntimeError(f"portal ended {stats.state}, {stats.shed_batches} batches shed")
             fleet.evict(portal.key)
+
+        def retime_reference() -> None:
+            """Time the reference loop only while no worker has a batch, so
+            the divisor holds no library work."""
+            before = fleet_activity(fleet)
+            if before is None:
+                return
+            ms = host.time_ms()
+            if fleet_activity(fleet) == before:
+                phase.reference_ms.append(ms)
 
         def request_loop(start: float) -> None:
             last_reference = last_sample = time.perf_counter()
-            for due, index, needed in requests:
+            for due, index in closes:
                 due_at = start + due
                 with span("loadgen.idle"):
                     now = time.perf_counter()
                     slack = due_at - now
                     if slack > REFERENCE_SLACK_S and now - last_reference >= REFERENCE_EVERY_S:
                         last_reference = now
-                        host.measure()
+                        retime_reference()
                     if tracer is not None and slack > 0 and now - last_sample >= SAMPLE_EVERY_S:
                         last_sample = now
                         depth_max[0] = max(depth_max[0], fleet.stats().queue_depth)
@@ -272,16 +314,13 @@ class PortalFleet:
                     if portal.failure is not None:
                         raise RuntimeError(portal.failure)
                     with span("loadgen.request"):
-                        handle(portal, needed, due_at)
+                        close(portal)
                 except Exception as exc:  # the request fails; the run goes on
                     portal.fail(f"portal {index}: request raised {exc!r}")
                     failed_requests[0] += 1
                 else:
                     phase.latencies_ms.append((time.perf_counter() - due_at) * 1e3)
-                    phase.reference_ms.append(host.ms())
-                elapsed = time.perf_counter() - begin
-                busy[0] += elapsed
-                phase.busy_ref += elapsed * 1e3 / host.ms()
+                phase.busy_ms += (time.perf_counter() - begin) * 1e3
 
         begun = time.perf_counter()
         start = begun + 0.05
@@ -295,56 +334,142 @@ class PortalFleet:
             phase.wall_s = time.perf_counter() - begun
             fleet.close()
 
-        phase.attempted = len(requests)
+        phase.attempted = len(closes)
         phase.failed = failed_requests[0]
         phase.notes.extend(p.failure for p in portals if p.failure is not None)
-        closes_ms = [p.close_ms for p in portals if p.close_ms is not None]
         phase.extra.update(
             {
                 "service.request_wait_ms": 1e3 * sum(p.wait_s for p in portals) / len(portals),
                 "service.queue_depth_max": float(depth_max[0]),
                 "loadgen.ingest_lag_p95_ms": 1e3 * percentile(lags, 95),
-                "loadgen.close_p50_ms": percentile(closes_ms, 50),
-                "loadgen.close_p90_ms": percentile(closes_ms, 90),
-                "loadgen.provisional_p50_ms": percentile(provisional_ms, 50),
-                "loadgen.provisional_p95_ms": percentile(provisional_ms, 95),
-                "loadgen.request_busy_share": busy[0] / phase.wall_s,
+                "loadgen.close_p50_ms": percentile(phase.latencies_ms, 50),
+                "loadgen.close_p90_ms": percentile(phase.latencies_ms, 90),
+                "loadgen.request_busy_share": phase.busy_ms / (phase.wall_s * 1e3),
             }
         )
         return phase, portals
 
-    # -- output checks -------------------------------------------------------
-
     def verify(self, inputs: dict, phase: Phase, portals: list[Portal], corrupt=False) -> None:
         """Every fleet finalize must equal a standalone session fed the same
         batches, and ``BatchLocalizer`` on the stream's profiles."""
-        closed = [p for p in portals if p.final is not None]
-        if corrupt and closed:
-            xs, ys, reads = closed[0].final
-            closed[0].final = (xs[1:2] + xs[:1] + xs[2:], ys, reads)
-        expected = {}
-        for stream in {id(p.stream): p.stream for p in closed}.values():
-            session = LocalizationSession(expected_tag_ids=stream.expected_ids)
-            for batch in stream.batches:
-                session.ingest_batch(batch)
-            standalone = session.finalize()
-            batched = BatchLocalizer().localize(
-                profiles_from_read_log(stream.log), expected_tag_ids=stream.expected_ids
-            )
-            reference = (
-                standalone.result.x_ordering.ordered_ids,
-                standalone.result.y_ordering.ordered_ids,
-                standalone.reads_ingested,
-            )
-            agrees = reference == (
-                batched.x_ordering.ordered_ids,
-                batched.y_ordering.ordered_ids,
-                len(stream.log),
-            )
-            expected[id(stream)] = reference if agrees else None
-        for portal in closed:
-            if portal.final != expected[id(portal.stream)]:
-                phase.failed += 1
-                phase.notes.append(
-                    f"portal {portal.index}: finalize differs from the standalone session"
+        check_finals(
+            phase,
+            ((f"portal {p.index}", p.stream, p.final) for p in portals if p.final is not None),
+            corrupt,
+        )
+
+
+# --------------------------------------------------------------------------
+# portal_warm
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Step:
+    portal: int
+    stream: Stream
+    batches: range
+    """The batches this step ingests before it asks for an ordering."""
+
+    @property
+    def final(self) -> bool:
+        return self.batches.stop == len(self.stream.batches)
+
+
+def portal_steps(portal: int, stream: Stream) -> list[Step]:
+    """Two batches and a provisional at a time; the rest and the finalize last."""
+    count = len(stream.batches)
+    asks = list(range(2, count, 2)) + [count]
+    return [
+        Step(portal, stream, range(begin, end)) for begin, end in zip([0] + asks[:-1], asks)
+    ]
+
+
+class PortalWarm:
+    """One operation = one step of a watched portal.
+
+    A step ingests the batches that fell due since the portal's previous
+    request into the portal's standalone session, then asks for an ordering:
+    a provisional after every other batch, the finalize after the last one.
+    Portals replay the streams one after another in a seeded shuffle.  Each
+    opens a new session, untimed, and the sessions share one profile cache,
+    as a fleet's do.
+    """
+
+    name = "portal_warm"
+    finalize_span = "service.finalize_warm"
+
+    def setup(self, seed: int, lap: Callable[[], None] = lambda: None) -> dict:
+        return simulate_streams(seed, lap)
+
+    def measure(self, inputs: dict, seconds: float, tracer: Tracer | None):
+        streams = inputs["streams"]
+        rng = np.random.default_rng([inputs["seed"], len(streams)])
+        cache = ProfileCacheRegistry()
+        order: list[int] = []
+        steps: list[Step] = []
+        session: list[LocalizationSession | None] = [None]
+
+        def prepare(index: int):
+            while index >= len(steps):
+                if not order:
+                    order.extend(rng.permutation(len(streams)).tolist())
+                portal = steps[-1].portal + 1 if steps else 0
+                steps.extend(portal_steps(portal, streams[order.pop(0)]))
+            step = steps[index]
+            if step.batches.start == 0:
+                session[0] = LocalizationSession(
+                    expected_tag_ids=step.stream.expected_ids,
+                    profile_cache=cache,
+                    facility_id=step.stream.template,
                 )
+            return step, session[0]
+
+        def operate(item) -> tuple:
+            step, open_session = item
+            for batch in step.batches:
+                open_session.ingest_batch(step.stream.batches[batch])
+            if step.final:
+                return final_of(open_session.finalize())
+            return final_of(open_session.provisional())
+
+        phase, outputs = closed_loop(seconds, prepare, operate, self.check, tracer)
+        done = list(zip(steps, outputs))
+        closes_ms = [ms for ms, (step, _) in zip(phase.latencies_ms, done) if step.final]
+        provisional_ms = [ms for ms, (step, _) in zip(phase.latencies_ms, done) if not step.final]
+        phase.extra.update(
+            {
+                "loadgen.close_p50_ms": percentile(closes_ms, 50),
+                "loadgen.close_p90_ms": percentile(closes_ms, 90),
+                "loadgen.provisional_p50_ms": percentile(provisional_ms, 50),
+                "loadgen.provisional_p95_ms": percentile(provisional_ms, 95),
+            }
+        )
+        return phase, done
+
+    @staticmethod
+    def check(index: int, item, output: tuple) -> str | None:
+        """An ordering must rank the portal's tags and cover every read due."""
+        step, _ = item
+        xs, ys, reads = output
+        expected = set(step.stream.expected_ids)
+        for axis, ids in (("x", xs), ("y", ys)):
+            if len(set(ids)) != len(ids) or not set(ids) <= expected:
+                return f"op {index}: {axis}-ordering is not a ranking of the portal's tags"
+        due = int(step.stream.reads_through[step.batches.stop - 1])
+        if reads != due:
+            return f"op {index}: the ordering covers {reads} reads, {due} were due"
+        return None
+
+    def verify(self, inputs: dict, phase: Phase, done: list, corrupt=False) -> None:
+        """Every finalize must equal a standalone session that asked for no
+        provisional, and ``BatchLocalizer`` on the stream's profiles."""
+        check_finals(
+            phase,
+            (
+                (f"portal {step.portal}", step.stream, output)
+                for step, output in done
+                if step.final and output is not None
+            ),
+            corrupt,
+        )

@@ -93,7 +93,7 @@ _SELF_TIME = {
     "service.checkpoint": "service.checkpoint_ms",
     "service.enqueue": "service.enqueue_ms",
     "service.fleet_finalize": "service.drain_wait_ms",
-    "loadgen.coverage_wait": "service.drain_wait_ms",
+    "loadgen.enqueue_wait": "service.drain_wait_ms",
     "bench.op": "bench.glue_ms",
     "loadgen.request": "bench.glue_ms",
 }

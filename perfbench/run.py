@@ -7,7 +7,9 @@ Usage, from the root of a checkout::
         --seconds 20 --trace 0
 
 The workload's inputs are generated from ``--seed`` and timed separately as
-``setup_s`` (the median of several set-ups).  ``--trace 0`` measures for
+``setup_s``: the median of the set-ups made for :data:`SETUP_SECONDS` before
+measuring and as long again after it, at least :data:`SETUP_MIN_EACH` each
+time, each scaled to the reference speed (see :class:`SetupClock`).  ``--trace 0`` measures for
 ``--seconds`` with the library untouched and reports the end-to-end metrics;
 ``--trace 1`` measures half the time untraced and half with every layer
 boundary wrapped (``layers.py``), and reports the per-layer metrics plus the
@@ -20,6 +22,7 @@ line is the JSON result.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import resource
@@ -29,59 +32,87 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 3
-WORKLOAD_NAMES = ("scenario_matrix", "dense_hall", "portal_cold", "portal_watched")
+SETUP_SECONDS = 0.5
+SETUP_MIN_EACH = 2
+REFERENCE_SCALE_MS = 2.5
+"""The reference loop's time that ``setup_s`` is scaled to: about its time
+on the 2-CPU x86-64 host the benchmark was tuned on, at that host's fast
+speed.  It is a fixed unit, so ``setup_s`` reads as seconds on that host;
+no result is compared with it."""
+WORKLOAD_NAMES = ("scenario_matrix", "dense_hall", "portal_cold", "portal_warm")
+OPERATION_SPANS = {"bench.op", "loadgen.request"}
+"""The spans that wrap one operation on the issuing thread."""
 
 
 def workloads():
     from closed import DenseHall, ScenarioMatrix
-    from fleet import PortalFleet
+    from fleet import PortalFleet, PortalWarm
 
-    # The fleet rates leave the request thread headroom for the host's slow
+    # The fleet's rate leaves the request thread headroom for the host's slow
     # periods (see README.md).
     return {
         "scenario_matrix": ScenarioMatrix(),
         "dense_hall": DenseHall(),
-        "portal_cold": PortalFleet("portal_cold", watched=False, rate_per_s=6.0),
-        "portal_watched": PortalFleet("portal_watched", watched=True, rate_per_s=1.0),
+        "portal_cold": PortalFleet(rate_per_s=6.0),
+        "portal_warm": PortalWarm(),
     }
 
 
 def end_to_end(phase) -> dict[str, tuple[float, str]]:
     """Every end-to-end metric except ``setup_s``.
 
-    Times are in reference loops (see ``closed.ReferenceLoop``), so
-    the metrics move with the library's code and not with the host's speed.
+    Times are in reference loops: divided by the phase's median timing of
+    ``closed.ReferenceLoop``, so the metrics move with the library's code
+    and not with the host's speed.
     Open loops time each request from when it fell due, and their
     throughput is per unit of request-thread busy time.
     """
     from closed import percentile
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    latencies = normalized(phase)
+    reference = phase.reference()
+    busy_ref = phase.busy_ms / reference
     return {
         "peak_rss_mb": (peak_kb / 1024.0, "MB"),
-        "ops_per_kref": (1e3 * (phase.attempted - phase.failed) / phase.busy_ref, "1/kref"),
-        "op_p50_ref": (percentile(latencies, 50), "ref"),
-        "op_p75_ref": (percentile(latencies, 75), "ref"),
+        "ops_per_kref": (1e3 * (phase.attempted - phase.failed) / busy_ref, "1/kref"),
+        "op_p50_ref": (percentile(phase.latencies_ms, 50) / reference, "ref"),
+        "op_p75_ref": (percentile(phase.latencies_ms, 75) / reference, "ref"),
     }
 
 
-def normalized(phase) -> list[float]:
-    """Each latency divided by the reference loop's time just before it."""
-    return [
-        latency / reference
-        for latency, reference in zip(phase.latencies_ms, phase.reference_ms)
-    ]
+class SetupClock:
+    """Times one set-up at the reference speed.
+
+    The set-up calls :meth:`lap` between pieces of its work.  Each piece's
+    seconds are scaled by :data:`REFERENCE_SCALE_MS` over the reference
+    loop's time around it.  Like the ``ref`` metrics, this cancels the
+    host's speed, which on a shared host moves plain set-up seconds by up to
+    60% between runs.  The reference timings themselves are not counted.
+    """
+
+    def __init__(self, host) -> None:
+        self.scaled_s = 0.0
+        self._host = host
+        self._reference_ms = self._host.time_ms()
+        self._tick = time.perf_counter()
+
+    def lap(self) -> None:
+        elapsed = time.perf_counter() - self._tick
+        reference_ms = self._host.time_ms()
+        mean_ms = (self._reference_ms + reference_ms) / 2
+        self.scaled_s += elapsed * REFERENCE_SCALE_MS / mean_ms
+        self._reference_ms = reference_ms
+        self._tick = time.perf_counter()
 
 
 def overhead_pct(untraced, traced) -> float:
     """Traced minus untraced time over the operations both phases ran."""
-    base, with_tracing = normalized(untraced), normalized(traced)
-    n = min(len(base), len(with_tracing))
+    n = min(len(untraced.latencies_ms), len(traced.latencies_ms))
     if n == 0:
         return 0.0
-    return 100.0 * (sum(with_tracing[:n]) / sum(base[:n]) - 1.0)
+    base = sum(untraced.latencies_ms[:n]) / untraced.reference()
+    with_tracing = sum(traced.latencies_ms[:n]) / traced.reference()
+    return 100.0 * (with_tracing / base - 1.0)
 
 
 def main(argv=None) -> int:
@@ -104,7 +135,7 @@ def main(argv=None) -> int:
     import numpy
 
     import layers
-    from closed import percentile
+    from closed import ReferenceLoop, percentile
     from fleet import host_cpus
     from tracer import Tracer
 
@@ -122,16 +153,30 @@ def main(argv=None) -> int:
     }
     print("# host " + json.dumps(stamp), flush=True)
 
-    def timed_setup():
-        tick = time.perf_counter()
-        inputs = workload.setup(args.seed)
-        setup_times.append(time.perf_counter() - tick)
+    host = ReferenceLoop()
+
+    def timed_setups(count: int):
+        """Set up ``count`` times and for SETUP_SECONDS; return the inputs."""
+        started = time.perf_counter()
+        made = 0
+        while made < count or time.perf_counter() - started < SETUP_SECONDS:
+            inputs = None
+            # Time only the set-up's own garbage collection, not that of
+            # what the run already holds.
+            gc.collect()
+            gc.freeze()
+            clock = SetupClock(host)
+            inputs = workload.setup(args.seed, clock.lap)
+            clock.lap()
+            gc.unfreeze()
+            setup_times.append(clock.scaled_s)
+            made += 1
         return inputs
 
-    # One set-up before measuring and the rest after it, so the median
-    # samples the host at different moments of the run.
+    # Set-ups before measuring and after it, so the median samples the host
+    # at two moments of the run.
     setup_times: list[float] = []
-    inputs = timed_setup()
+    inputs = timed_setups(SETUP_MIN_EACH if args.trace == 0 else 1)
 
     if args.trace == 0:
         phase, outputs = workload.measure(inputs, args.seconds, None)
@@ -150,15 +195,17 @@ def main(argv=None) -> int:
         workload.verify(inputs, traced, outputs, args.corrupt)
         extra = dict(traced.extra)
         extra["bench.op_p50_ms"] = percentile(traced.latencies_ms, 50)
-        extra["bench.reference_ms"] = percentile(traced.reference_ms, 50)
-        extra["trace.coverage"] = tracer.thread_self_ms(traced.thread) / (traced.wall_s * 1e3)
+        extra["bench.reference_ms"] = traced.reference()
+        extra["trace.coverage"] = tracer.coverage(OPERATION_SPANS)
         extra["trace.overhead_pct"] = overhead_pct(untraced, traced)
         values = layers.layer_metrics(tracer, traced.attempted, extra)
         metrics = {name: (values[name], unit) for name, unit, _ in layers.PER_LAYER}
         phases = [untraced, traced]
+        # Checks the tracer's bookkeeping: the issuing thread's span self
+        # times add up to its wall time.
+        span_wall_ratio = tracer.thread_self_ms(traced.thread) / (traced.wall_s * 1e3)
     if args.trace == 0:
-        for _ in range(SETUP_REPEATS - 1):
-            timed_setup()
+        timed_setups(SETUP_MIN_EACH)
         metrics["setup_s"] = (statistics.median(setup_times), "s")
 
     attempted = sum(p.attempted for p in phases)
@@ -166,8 +213,11 @@ def main(argv=None) -> int:
     detail = {
         "failed_fraction": failed / attempted,
         "samples": [len(p.latencies_ms) for p in phases],
+        "setups": len(setup_times),
         "notes": [note for p in phases for note in p.notes][:10],
     }
+    if args.trace == 1:
+        detail["span_wall_ratio"] = span_wall_ratio
     print("# detail " + json.dumps(detail), flush=True)
     result = {
         "correct": failed == 0,

@@ -7,9 +7,11 @@ Run from the root of a checkout::
 
 For every workload it checks that an untraced run emits exactly the
 ``end_to_end`` metrics of ``BENCHMARK.json`` with their units and no failed
-operation; that a traced run emits exactly the ``per_layer`` metrics and that
-the issuing thread's span self-times add up to its wall time within 3%; and
-that a deliberately corrupted output raises the failed count above 0.  It
+operation; that a traced run emits exactly the ``per_layer`` metrics, that
+the traced layers account for at least :data:`COVERAGE_FLOOR` of the
+operations' time, and that the issuing thread's span self-times add up to
+its wall time within 3%; and that a deliberately corrupted output raises the
+failed count above 0.  It
 also checks that the benchmark fails without printing a result in a
 directory that holds only ``BENCHMARK.json`` and ``perfbench/``.
 """
@@ -25,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SCRATCH = ROOT / ".perfbench_tmp"
+COVERAGE_FLOOR = 0.9
 
 
 def run(workload: str, seconds: float, trace: int, *extra: str, cwd: Path = ROOT):
@@ -44,6 +47,11 @@ def result_of(done) -> dict:
     return result
 
 
+def detail_of(done) -> dict:
+    line = next(l for l in done.stdout.splitlines() if l.startswith("# detail "))
+    return json.loads(line[len("# detail "):])
+
+
 def expect_metrics(result: dict, declared: list[dict]) -> None:
     units = {name: value["unit"] for name, value in result["metrics"].items()}
     assert units == {m["name"]: m["unit"] for m in declared}, units
@@ -57,11 +65,14 @@ def main() -> int:
         for name, value in untraced["metrics"].items():
             assert value["value"] > 0, (workload, name, value)
 
-        traced = result_of(run(workload, 2, 1))
+        done = run(workload, 2, 1)
+        traced = result_of(done)
         expect_metrics(traced, SPEC["per_layer"])
         assert traced["failed"] == 0, traced
         coverage = traced["metrics"]["trace.coverage"]["value"]
-        assert 0.97 <= coverage <= 1.03, (workload, coverage)
+        assert COVERAGE_FLOOR <= coverage <= 1.0, (workload, coverage)
+        ratio = detail_of(done)["span_wall_ratio"]
+        assert 0.97 <= ratio <= 1.03, (workload, ratio)
 
         corrupted = result_of(run(workload, 1, 0, "--corrupt"))
         assert corrupted["failed"] > 0 and not corrupted["correct"], corrupted

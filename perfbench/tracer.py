@@ -33,8 +33,6 @@ class Span:
     span_id: int
     parent_id: int
     """``span_id`` of the enclosing span on the same thread, -1 for a root."""
-    root_id: int
-    """``span_id`` of the root span: shared by every span of one request."""
     name: str
     thread: int
     start_ns: int
@@ -52,12 +50,11 @@ class Span:
 
 
 class _Open:
-    __slots__ = ("span_id", "parent_id", "root_id", "name", "start_ns", "child_ns")
+    __slots__ = ("span_id", "parent_id", "name", "start_ns", "child_ns")
 
     def __init__(self, span_id: int, parent: "_Open | None", name: str) -> None:
         self.span_id = span_id
         self.parent_id = -1 if parent is None else parent.span_id
-        self.root_id = span_id if parent is None else parent.root_id
         self.name = name
         self.child_ns = 0
         self.start_ns = time.perf_counter_ns()
@@ -104,7 +101,6 @@ class Tracer:
             Span(
                 span_id=span.span_id,
                 parent_id=span.parent_id,
-                root_id=span.root_id,
                 name=span.name,
                 thread=threading.get_ident(),
                 start_ns=span.start_ns,
@@ -179,3 +175,17 @@ class Tracer:
     def thread_self_ms(self, thread: int) -> float:
         """Summed self time of every span recorded on ``thread``."""
         return sum(s.self_ns for s in self.spans if s.thread == thread) / 1e6
+
+    def coverage(self, operations: set[str]) -> float:
+        """Share of the ``operations`` spans' time spent in traced children.
+
+        An operation span's self time is the benchmark's own code plus any
+        library call left unwrapped, so a layer missing from the
+        instrumentation plan lowers this share.
+        """
+        total = untraced = 0
+        for span in self.spans:
+            if span.name in operations:
+                total += span.duration_ns
+                untraced += span.self_ns
+        return 1.0 - untraced / total if total else 0.0
