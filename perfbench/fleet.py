@@ -1,18 +1,14 @@
 """The portal workloads: ``portal_cold`` and ``portal_warm``.
 
 Both replay a small library of pre-simulated library, airport and warehouse
-streams in batches of :data:`BATCH_READS` reads.
+streams in batches of :data:`BATCH_READS` reads, in a closed loop.
 
-``portal_cold`` is an open loop.  Portals arrive on a seeded Poisson schedule
-at a fixed rate and open on one :class:`~repro.service.FleetService`
+``portal_cold`` drives one :class:`~repro.service.FleetService`
 (``worker_count`` = the host's CPU count, every other setting at its
-default).  Each portal replays one stream at the stream's own read
-timestamps, sped up by :data:`REPLAY_SPEEDUP`.  Two generator threads drive
-the fleet.  The ingest thread opens portals and issues every batch when it
-falls due.  The request thread issues each portal's finalize, which the
-fleet runs in the caller's thread, in due order.  Every latency is measured
-from the moment the request fell due, not from when it was sent, so a
-stalled request thread shows up in the requests queued behind it.
+default) with waves of :data:`WAVE_PORTALS` portals.  A wave opens its
+portals, enqueues their batches interleaved, then finalizes them in turn
+while the fleet's workers drain the queues, so every close runs the full
+streaming DTW once.
 
 ``portal_warm`` is a closed loop over standalone
 :class:`~repro.service.LocalizationSession` objects, one per replayed stream.
@@ -24,10 +20,8 @@ finalize reuses it.
 from __future__ import annotations
 
 import os
-import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,34 +36,21 @@ from repro.service import (
 from repro.scenarios import SEED_STRIDE, ScenarioRegistry, builders, load_builtin_specs
 from repro.simulation.collector import profiles_from_read_log
 
-from closed import Phase, ReferenceLoop, closed_loop, percentile
+from closed import Phase, closed_loop, percentile
 from tracer import Tracer
 
 TEMPLATES = ("library", "airport", "warehouse")
 STREAMS_PER_TEMPLATE = 6
 BATCH_READS = 64
 """Reads per ingested batch, about a third of a second of reader time."""
-REPLAY_SPEEDUP = 2.0
-"""Streams replay at twice the reader's clock, so a run's portals close
-within a few seconds of the last arrival."""
-POLL_S = 0.0002
-"""How often the request thread re-checks a portal's ingest progress."""
-STALL_S = 60.0
-"""A portal whose batches have not been enqueued by then has failed."""
-SAMPLE_EVERY_S = 0.05
-"""Queue-depth sampling period of the traced run."""
-REFERENCE_EVERY_S = 0.1
-"""How often the request thread tries to re-time the reference loop."""
-REFERENCE_SLACK_S = 0.01
-"""Idle time before the next request that the reference loop may use."""
+WAVE_PORTALS = 3
+"""Portals open on the fleet at once in ``portal_cold``."""
 
 
 @dataclass
 class Stream:
     template: str
     batches: list
-    due_s: np.ndarray
-    """Due time of each batch after the portal's arrival (its last read)."""
     reads_through: np.ndarray
     """Reads in batches ``0..i`` for each batch ``i``."""
     expected_ids: list[str]
@@ -90,14 +71,10 @@ def simulate_streams(seed: int, lap: Callable[[], None] = lambda: None) -> dict:
             experiment = builders.scenario_experiment(rep, seed + SEED_STRIDE * index + rep, spec)
             log = experiment.read_log
             batches = list(log.iter_batches(BATCH_READS))
-            first = batches[0].timestamps_s[0]
             streams.append(
                 Stream(
                     template=template,
                     batches=batches,
-                    due_s=np.array(
-                        [(b.timestamps_s[-1] - first) / REPLAY_SPEEDUP for b in batches]
-                    ),
                     reads_through=np.cumsum([len(b) for b in batches]),
                     expected_ids=list(experiment.target_ids),
                     log=log,
@@ -107,10 +84,31 @@ def simulate_streams(seed: int, lap: Callable[[], None] = lambda: None) -> dict:
     return {"seed": seed, "streams": streams}
 
 
+def shuffled(streams: list, seed: int):
+    """Stream indices in passes: each pass a seeded permutation of all."""
+    rng = np.random.default_rng([seed, len(streams)])
+    while True:
+        yield from rng.permutation(len(streams)).tolist()
+
+
 def final_of(update) -> tuple:
     """What an ordering is checked on: X and Y orderings and reads ingested."""
     result = update.result
     return (result.x_ordering.ordered_ids, result.y_ordering.ordered_ids, update.reads_ingested)
+
+
+def ordering_problem(stream: Stream, batches: int, output: tuple) -> str | None:
+    """An ordering must rank the stream's tags and cover the reads of its
+    first ``batches`` batches."""
+    xs, ys, reads = output
+    expected = set(stream.expected_ids)
+    for axis, ids in (("x", xs), ("y", ys)):
+        if len(set(ids)) != len(ids) or not set(ids) <= expected:
+            return f"{axis}-ordering is not a ranking of the portal's tags"
+    due = int(stream.reads_through[batches - 1])
+    if reads != due:
+        return f"the ordering covers {reads} reads, {due} were due"
+    return None
 
 
 def expected_final(stream: Stream) -> tuple | None:
@@ -146,12 +144,6 @@ def check_finals(phase: Phase, finals, corrupt: bool) -> None:
             phase.notes.append(f"{label}: finalize differs from the standalone session")
 
 
-def _sleep_until(deadline: float) -> None:
-    delay = deadline - time.perf_counter()
-    if delay > 0:
-        time.sleep(delay)
-
-
 def host_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -164,197 +156,95 @@ def host_cpus() -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Portal:
-    index: int
-    stream: Stream
-    arrival_s: float
-    key: object = None
-    opened: threading.Event = field(default_factory=threading.Event)
-    failure: str | None = None
-    final: tuple | None = None
-    wait_s: float = 0.0
-
-    def fail(self, note: str) -> None:
-        if self.failure is None:
-            self.failure = note
-
-
-def fleet_activity(fleet: FleetService) -> tuple | None:
-    """Batches enqueued per portal, or ``None`` while any portal has a batch
-    queued or being ingested."""
-    portals = fleet.stats().portals
-    if any(s.batches_ingested < s.batches_enqueued for s in portals.values()):
-        return None
-    return tuple(sorted((str(key), s.batches_enqueued) for key, s in portals.items()))
-
-
 class PortalFleet:
-    """One operation = one portal's finalize on the shared fleet.
+    """One operation = one wave of :data:`WAVE_PORTALS` cold portals on the
+    shared fleet.
 
-    Its latency runs from the moment the portal's last batch fell due until
-    the ordering is returned.
+    The wave opens a portal per stream (the next streams of a seeded
+    shuffle), enqueues the streams' batches interleaved, as portals that read
+    at once would, then finalizes each portal in turn and evicts it.  The
+    fleet's workers ingest while the caller enqueues and finalizes, and each
+    finalize first waits for its portal's queue to drain.
     """
 
     name = "portal_cold"
     finalize_span = "service.finalize_cold"
 
-    def __init__(self, rate_per_s: float) -> None:
-        self.rate_per_s = rate_per_s
-
     def setup(self, seed: int, lap: Callable[[], None] = lambda: None) -> dict:
         return simulate_streams(seed, lap)
 
-    def _portals(self, inputs: dict, seconds: float) -> list[Portal]:
-        """A Poisson arrival schedule: ``rate * seconds`` arrivals placed
-        uniformly over the window (a Poisson process conditioned on its
-        count), each replaying the next stream of a seeded shuffle."""
-        streams = inputs["streams"]
-        rng = np.random.default_rng([inputs["seed"], len(streams)])
-        count = max(1, int(round(self.rate_per_s * seconds)))
-        arrivals = np.sort(rng.uniform(0.0, seconds, count))
-        order: list[int] = []
-        while len(order) < count:
-            order.extend(rng.permutation(len(streams)).tolist())
-        return [
-            Portal(index=i, stream=streams[order[i]], arrival_s=float(arrivals[i]))
-            for i in range(count)
-        ]
-
     def measure(self, inputs: dict, seconds: float, tracer: Tracer | None):
-        portals = self._portals(inputs, seconds)
-        ingests = sorted(
-            (portal.arrival_s + float(due), portal.index, batch)
-            for portal in portals
-            for batch, due in enumerate(portal.stream.due_s)
-        )
-        closes = sorted(
-            (portal.arrival_s + float(portal.stream.due_s[-1]), portal.index)
-            for portal in portals
-        )
+        streams = inputs["streams"]
+        order = shuffled(streams, inputs["seed"])
         fleet = FleetService(FleetConfig(worker_count=host_cpus()))
-        lags: list[float] = []
-        failed_requests = [0]
+        closes_ms: list[float] = []
         depth_max = [0]
-        host = ReferenceLoop()
-        phase = Phase(reference_ms=[host.time_ms()])
+        waves: list[list[tuple[str, Stream]]] = []
 
-        def span(name):
-            return tracer.span(name) if tracer is not None else nullcontext()
+        def prepare(index: int) -> list[tuple[str, Stream]]:
+            waves.append(
+                [(f"portal-{index}-{slot}", streams[next(order)]) for slot in range(WAVE_PORTALS)]
+            )
+            return waves[index]
 
-        def ingest_loop(start: float) -> None:
-            for due, index, batch in ingests:
-                _sleep_until(start + due)
-                lags.append(time.perf_counter() - start - due)
-                portal = portals[index]
-                if portal.failure is not None:
-                    continue
-                stream = portal.stream
-                try:
-                    if batch == 0:
-                        portal.key = fleet.open_portal(
-                            stream.template,
-                            f"portal-{index}",
-                            expected_tag_ids=stream.expected_ids,
-                        )
-                        portal.opened.set()
-                    fleet.ingest(portal.key, stream.batches[batch])
-                except Exception as exc:  # the portal fails; the run goes on
-                    portal.fail(f"portal {index}: ingest raised {exc!r}")
-                    portal.opened.set()
+        def operate(wave) -> list[tuple]:
+            keys = [
+                fleet.open_portal(stream.template, name, expected_tag_ids=stream.expected_ids)
+                for name, stream in wave
+            ]
+            for batch in range(max(len(stream.batches) for _, stream in wave)):
+                for key, (_, stream) in zip(keys, wave):
+                    if batch < len(stream.batches):
+                        fleet.ingest(key, stream.batches[batch])
+            if tracer is not None:
+                depth_max[0] = max(depth_max[0], fleet.stats().queue_depth)
+            finals = []
+            for key in keys:
+                tick = time.perf_counter()
+                finals.append(final_of(fleet.finalize(key)))
+                closes_ms.append((time.perf_counter() - tick) * 1e3)
+                stats = fleet.portal_stats(key)
+                if stats.shed_batches or stats.state != "finalized":
+                    raise RuntimeError(
+                        f"portal {key} ended {stats.state}, {stats.shed_batches} batches shed"
+                    )
+                fleet.evict(key)
+            return finals
 
-        def close(portal: Portal) -> None:
-            # The ingest thread may issue the last batch a moment after it
-            # fell due; finalize drains only what was already enqueued.
-            if not portal.opened.wait(STALL_S):
-                raise TimeoutError("portal never opened")
-            needed = len(portal.stream.batches)
-            give_up = time.perf_counter() + STALL_S
-            with span("loadgen.enqueue_wait"):
-                while fleet.portal_stats(portal.key).batches_enqueued < needed:
-                    if portal.failure is not None:
-                        raise RuntimeError(portal.failure)
-                    if time.perf_counter() > give_up:
-                        raise TimeoutError(f"{needed} batches not enqueued")
-                    time.sleep(POLL_S)
-            portal.final = final_of(fleet.finalize(portal.key))
-            stats = fleet.portal_stats(portal.key)
-            if stats.shed_batches or stats.state != "finalized":
-                raise RuntimeError(f"portal ended {stats.state}, {stats.shed_batches} batches shed")
-            fleet.evict(portal.key)
+        def check(index: int, wave, finals) -> str | None:
+            for (name, stream), final in zip(wave, finals):
+                problem = ordering_problem(stream, len(stream.batches), final)
+                if problem is not None:
+                    return f"op {index}, {name}: {problem}"
+            return None
 
-        def retime_reference() -> None:
-            """Time the reference loop only while no worker has a batch, so
-            the divisor holds no library work."""
-            before = fleet_activity(fleet)
-            if before is None:
-                return
-            ms = host.time_ms()
-            if fleet_activity(fleet) == before:
-                phase.reference_ms.append(ms)
-
-        def request_loop(start: float) -> None:
-            last_reference = last_sample = time.perf_counter()
-            for due, index in closes:
-                due_at = start + due
-                with span("loadgen.idle"):
-                    now = time.perf_counter()
-                    slack = due_at - now
-                    if slack > REFERENCE_SLACK_S and now - last_reference >= REFERENCE_EVERY_S:
-                        last_reference = now
-                        retime_reference()
-                    if tracer is not None and slack > 0 and now - last_sample >= SAMPLE_EVERY_S:
-                        last_sample = now
-                        depth_max[0] = max(depth_max[0], fleet.stats().queue_depth)
-                    _sleep_until(due_at)
-                portal = portals[index]
-                begin = time.perf_counter()
-                portal.wait_s += begin - due_at
-                try:
-                    if portal.failure is not None:
-                        raise RuntimeError(portal.failure)
-                    with span("loadgen.request"):
-                        close(portal)
-                except Exception as exc:  # the request fails; the run goes on
-                    portal.fail(f"portal {index}: request raised {exc!r}")
-                    failed_requests[0] += 1
-                else:
-                    phase.latencies_ms.append((time.perf_counter() - due_at) * 1e3)
-                phase.busy_ms += (time.perf_counter() - begin) * 1e3
-
-        begun = time.perf_counter()
-        start = begun + 0.05
-        ingest = threading.Thread(target=ingest_loop, args=(start,), name="loadgen-ingest")
-        ingest.start()
-        phase.thread = threading.get_ident()
         try:
-            request_loop(start)
+            phase, outputs = closed_loop(seconds, prepare, operate, check, tracer)
         finally:
-            ingest.join()
-            phase.wall_s = time.perf_counter() - begun
             fleet.close()
-
-        phase.attempted = len(closes)
-        phase.failed = failed_requests[0]
-        phase.notes.extend(p.failure for p in portals if p.failure is not None)
+        # Waves differ in cost with their mix of templates; a pass over the
+        # shuffle has the same mix at every seed.
+        phase.pass_size = len(streams) // WAVE_PORTALS
         phase.extra.update(
             {
-                "service.request_wait_ms": 1e3 * sum(p.wait_s for p in portals) / len(portals),
                 "service.queue_depth_max": float(depth_max[0]),
-                "loadgen.ingest_lag_p95_ms": 1e3 * percentile(lags, 95),
-                "loadgen.close_p50_ms": percentile(phase.latencies_ms, 50),
-                "loadgen.close_p90_ms": percentile(phase.latencies_ms, 90),
-                "loadgen.request_busy_share": phase.busy_ms / (phase.wall_s * 1e3),
+                "loadgen.close_p50_ms": percentile(closes_ms, 50),
+                "loadgen.close_p90_ms": percentile(closes_ms, 90),
             }
         )
-        return phase, portals
+        return phase, list(zip(waves, outputs))
 
-    def verify(self, inputs: dict, phase: Phase, portals: list[Portal], corrupt=False) -> None:
+    def verify(self, inputs: dict, phase: Phase, done: list, corrupt=False) -> None:
         """Every fleet finalize must equal a standalone session fed the same
         batches, and ``BatchLocalizer`` on the stream's profiles."""
         check_finals(
             phase,
-            ((f"portal {p.index}", p.stream, p.final) for p in portals if p.final is not None),
+            (
+                (f"op {index}, {name}", stream, final)
+                for index, (wave, finals) in enumerate(done)
+                if finals is not None
+                for (name, stream), final in zip(wave, finals)
+            ),
             corrupt,
         )
 
@@ -404,18 +294,15 @@ class PortalWarm:
 
     def measure(self, inputs: dict, seconds: float, tracer: Tracer | None):
         streams = inputs["streams"]
-        rng = np.random.default_rng([inputs["seed"], len(streams)])
+        order = shuffled(streams, inputs["seed"])
         cache = ProfileCacheRegistry()
-        order: list[int] = []
         steps: list[Step] = []
         session: list[LocalizationSession | None] = [None]
 
         def prepare(index: int):
             while index >= len(steps):
-                if not order:
-                    order.extend(rng.permutation(len(streams)).tolist())
                 portal = steps[-1].portal + 1 if steps else 0
-                steps.extend(portal_steps(portal, streams[order.pop(0)]))
+                steps.extend(portal_steps(portal, streams[next(order)]))
             step = steps[index]
             if step.batches.start == 0:
                 session[0] = LocalizationSession(
@@ -451,15 +338,8 @@ class PortalWarm:
     def check(index: int, item, output: tuple) -> str | None:
         """An ordering must rank the portal's tags and cover every read due."""
         step, _ = item
-        xs, ys, reads = output
-        expected = set(step.stream.expected_ids)
-        for axis, ids in (("x", xs), ("y", ys)):
-            if len(set(ids)) != len(ids) or not set(ids) <= expected:
-                return f"op {index}: {axis}-ordering is not a ranking of the portal's tags"
-        due = int(step.stream.reads_through[step.batches.stop - 1])
-        if reads != due:
-            return f"op {index}: the ordering covers {reads} reads, {due} were due"
-        return None
+        problem = ordering_problem(step.stream, step.batches.stop, output)
+        return None if problem is None else f"op {index}: {problem}"
 
     def verify(self, inputs: dict, phase: Phase, done: list, corrupt=False) -> None:
         """Every finalize must equal a standalone session that asked for no

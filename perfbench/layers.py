@@ -52,14 +52,11 @@ PER_LAYER: tuple[tuple[str, str, str], ...] = (
     ("service.enqueue_ms", "ms", "lower"),
     ("service.reads_ingested", "count", "higher"),
     ("service.drain_wait_ms", "ms", "lower"),
-    ("service.request_wait_ms", "ms", "lower"),
     ("service.queue_depth_max", "count", "lower"),
-    ("loadgen.ingest_lag_p95_ms", "ms", "lower"),
     ("loadgen.close_p50_ms", "ms", "lower"),
     ("loadgen.close_p90_ms", "ms", "lower"),
     ("loadgen.provisional_p50_ms", "ms", "lower"),
     ("loadgen.provisional_p95_ms", "ms", "lower"),
-    ("loadgen.request_busy_share", "fraction", "lower"),
     ("bench.op_p50_ms", "ms", "lower"),
     ("bench.reference_ms", "ms", "lower"),
     ("bench.glue_ms", "ms", "lower"),
@@ -93,9 +90,7 @@ _SELF_TIME = {
     "service.checkpoint": "service.checkpoint_ms",
     "service.enqueue": "service.enqueue_ms",
     "service.fleet_finalize": "service.drain_wait_ms",
-    "loadgen.enqueue_wait": "service.drain_wait_ms",
     "bench.op": "bench.glue_ms",
-    "loadgen.request": "bench.glue_ms",
 }
 
 _SCHEME_SPANS = {

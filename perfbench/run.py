@@ -40,7 +40,7 @@ on the 2-CPU x86-64 host the benchmark was tuned on, at that host's fast
 speed.  It is a fixed unit, so ``setup_s`` reads as seconds on that host;
 no result is compared with it."""
 WORKLOAD_NAMES = ("scenario_matrix", "dense_hall", "portal_cold", "portal_warm")
-OPERATION_SPANS = {"bench.op", "loadgen.request"}
+OPERATION_SPANS = {"bench.op"}
 """The spans that wrap one operation on the issuing thread."""
 
 
@@ -48,12 +48,10 @@ def workloads():
     from closed import DenseHall, ScenarioMatrix
     from fleet import PortalFleet, PortalWarm
 
-    # The fleet's rate leaves the request thread headroom for the host's slow
-    # periods (see README.md).
     return {
         "scenario_matrix": ScenarioMatrix(),
         "dense_hall": DenseHall(),
-        "portal_cold": PortalFleet(rate_per_s=6.0),
+        "portal_cold": PortalFleet(),
         "portal_warm": PortalWarm(),
     }
 
@@ -61,22 +59,21 @@ def workloads():
 def end_to_end(phase) -> dict[str, tuple[float, str]]:
     """Every end-to-end metric except ``setup_s``.
 
-    Times are in reference loops: divided by the phase's median timing of
-    ``closed.ReferenceLoop``, so the metrics move with the library's code
-    and not with the host's speed.
-    Open loops time each request from when it fell due, and their
-    throughput is per unit of request-thread busy time.
+    Times are in reference loops: each operation's latency is divided by
+    the timing of ``closed.ReferenceLoop`` taken just before it, so the
+    metrics move with the library's code and not with the host's speed.
+    Percentiles are taken over ``Phase.samples_ref``.
     """
     from closed import percentile
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    reference = phase.reference()
-    busy_ref = phase.busy_ms / reference
+    busy_ref = sum(phase.latencies_ref)
+    samples = phase.samples_ref()
     return {
         "peak_rss_mb": (peak_kb / 1024.0, "MB"),
         "ops_per_kref": (1e3 * (phase.attempted - phase.failed) / busy_ref, "1/kref"),
-        "op_p50_ref": (percentile(phase.latencies_ms, 50) / reference, "ref"),
-        "op_p75_ref": (percentile(phase.latencies_ms, 75) / reference, "ref"),
+        "op_p50_ref": (percentile(samples, 50), "ref"),
+        "op_p75_ref": (percentile(samples, 75), "ref"),
     }
 
 
@@ -107,11 +104,11 @@ class SetupClock:
 
 def overhead_pct(untraced, traced) -> float:
     """Traced minus untraced time over the operations both phases ran."""
-    n = min(len(untraced.latencies_ms), len(traced.latencies_ms))
+    n = min(len(untraced.latencies_ref), len(traced.latencies_ref))
     if n == 0:
         return 0.0
-    base = sum(untraced.latencies_ms[:n]) / untraced.reference()
-    with_tracing = sum(traced.latencies_ms[:n]) / traced.reference()
+    base = sum(untraced.latencies_ref[:n])
+    with_tracing = sum(traced.latencies_ref[:n])
     return 100.0 * (with_tracing / base - 1.0)
 
 
