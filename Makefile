@@ -46,6 +46,10 @@
 #                     tables in docs/figures.md
 #   make examples     run every example under examples/ (CI runs this so
 #                     docs-adjacent code cannot rot)
+#   make perfbench-selftest
+#                     tiny-scale self-test of the repository benchmark
+#                     (perfbench/): every workload's metrics, the traced
+#                     per-layer split and its wrapped layer functions (~75 s)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -53,7 +57,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: test unit bench-smoke bench-dtw bench-experiments bench-sweep \
 	bench-streaming bench-service check-speedups bench-accuracy \
 	check-accuracy bench-robustness check-robustness check-scenarios \
-	scenario-smoke bench-report examples
+	scenario-smoke bench-report examples perfbench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -114,3 +118,8 @@ examples:
 		echo "== $$example"; \
 		$(PYTHON) "$$example"; \
 	done
+
+# The tracer wraps library functions by name, so renaming one (e.g.
+# NeighborGrid.packed_neighbors) breaks the traced run; this catches it.
+perfbench-selftest:
+	python3 perfbench/selftest.py

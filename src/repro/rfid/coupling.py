@@ -2,50 +2,45 @@
 
 The reader models mutual coupling by treating every tag within
 ``ReaderConfig.tag_coupling_radius_m`` of the observed tag as a weak
-scatterer.  The scalar reference path discovers those neighbours by scanning
-the whole population per read — O(N) distance checks per decoded reply,
-which is the dominant cost for dense scenes.  :class:`NeighborGrid` replaces
-the scan with a uniform spatial hash whose cell edge equals the coupling
-radius: any point within the radius of a query point lives in one of the 27
-cells surrounding the query's cell, so a bucket lookup plus an exact distance
-filter finds the same neighbour set the scan does.
-
-For static tag layouts (the antenna-moving case) the grid — and each tag's
-exact neighbour list — is built once per sweep and reused for every round.
-When tags move, positions change at every read timestamp, so the reader
-instead evaluates the exact vectorized distance filter per round (the
-moral equivalent of rebuilding the grid at each position change; for the
-populations the workloads use, the dense NumPy filter is already faster than
-rebuilding buckets per event).
-
-The exact filter compares ``distance <= radius`` with the same naive
-``sqrt(dx²+dy²+dz²)`` arithmetic as the scalar scan, so the neighbour sets —
-and therefore the simulated RF observations — are bit-identical.
+scatterer.  The scalar reference path finds those neighbours by scanning the
+whole population per read.  :class:`NeighborGrid` instead keeps one stably
+sorted array of int64 cell codes over a uniform grid whose cell edge is just
+over the radius, so every neighbour of a point lies in the 27 cells around
+its own.  A batch of query rows finds its candidates with ``np.searchsorted``
+over those 27 codes, keeps the ones within ``distance <= radius`` (the scan's
+own ``sqrt(dx²+dy²+dz²)`` arithmetic, so neighbour sets and RF observations
+stay bit-identical), and sorts each row ascending — no Python loop over points.
+Rows are built on demand: a sweep packs only the tags its event table
+observed, a small fraction of a dense hall.  The grid serves static layouts
+(built once per sweep); moving tags use the reader's per-round dense filter.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ..rf.geometry import euclidean_distances
 
-_NEIGHBOR_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-]
+_ROW_CHUNK = 128
+"""Rows packed per pass.  A dense hall offers ~200 candidates per row, so a
+chunk's candidate temporaries stay near 4 MB however many rows are asked for."""
+
+
+def _expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(range_index, value)`` of the concatenated ``arange(start, start + size)``."""
+    range_index = np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
+    first_entry = np.cumsum(sizes) - sizes
+    return range_index, (starts - first_entry)[range_index] + np.arange(range_index.size)
 
 
 class NeighborGrid:
-    """Uniform spatial hash over a fixed set of positions.
+    """Uniform grid over a fixed set of positions, searched by cell code.
 
-    Parameters
-    ----------
-    positions:
-        ``(N, 3)`` array of point positions (metres).
-    radius:
-        Neighbour radius; also the cell edge length.
+    ``positions`` is an ``(N, 3)`` array (metres); ``radius`` is the
+    neighbour radius and, up to a rounding margin, the cell edge.  Raises
+    ``ValueError`` for a layout too large for exact int64 cell codes.
     """
 
     def __init__(self, positions: np.ndarray, radius: float) -> None:
@@ -56,40 +51,42 @@ class NeighborGrid:
             raise ValueError(
                 f"positions must have shape (N, 3), got {self._positions.shape}"
             )
+        if not np.isfinite(self._positions).all():
+            raise ValueError("positions must be finite")
         self._radius = float(radius)
-        self._keys = np.floor(self._positions / self._radius).astype(np.int64)
-        buckets: dict[tuple[int, int, int], list[int]] = {}
-        for index, key in enumerate(map(tuple, self._keys)):
-            buckets.setdefault(key, []).append(index)
-        self._buckets = {
-            key: np.array(indices, dtype=np.intp) for key, indices in buckets.items()
-        }
+        # Cells a hair wider than the radius: a pair whose rounded distance
+        # is <= radius may be a few ulps farther apart exactly, and the
+        # division below rounds too.  While |cell| < 2**31 both errors stay
+        # under 2**-21 of a cell, so such pairs never sit two cells apart.
+        cells = np.floor(self._positions / (self._radius * (1 + 2**-20)))
+        low, high = (cells.min(0), cells.max(0)) if len(cells) else (np.zeros(3),) * 2
+        # One empty cell of padding on each side keeps every neighbour code
+        # of every point inside the packed range, so codes never alias.
+        spans = [int(h) - int(l) + 3 for l, h in zip(low, high)]
+        too_many = math.prod(spans) > np.iinfo(np.int64).max
+        if too_many or np.abs(cells).max(initial=0) >= 2**31:
+            raise ValueError(
+                f"layout extent {((high - low + 1) * self._radius).tolist()} m is too "
+                f"large for a grid of {self._radius} m cells: {spans} cells per axis"
+            )
+        keys = cells.astype(np.int64) - low.astype(np.int64) + 1
+        self._codes = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
+        self._order = np.argsort(self._codes, kind="stable")
+        self._sorted_codes = self._codes[self._order]
+        step = np.arange(-1, 2, dtype=np.int64)
+        self._cell_deltas = (
+            (step[:, None, None] * spans[1] + step[:, None]) * spans[2] + step
+        ).reshape(-1)
         self._neighbor_cache: dict[int, np.ndarray] = {}
         self._packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def radius(self) -> float:
-        """The neighbour radius (== cell edge), metres."""
+        """The neighbour radius (the cell edge, up to a rounding margin), metres."""
         return self._radius
 
     def __len__(self) -> int:
         return int(self._positions.shape[0])
-
-    def candidates(self, index: int) -> np.ndarray:
-        """Indices in the 27-cell neighbourhood of point ``index`` (sorted).
-
-        A superset of the true neighbours within the radius; includes
-        ``index`` itself.
-        """
-        cx, cy, cz = (int(c) for c in self._keys[index])
-        found = []
-        for dx, dy, dz in _NEIGHBOR_OFFSETS:
-            bucket = self._buckets.get((cx + dx, cy + dy, cz + dz))
-            if bucket is not None:
-                found.append(bucket)
-        if not found:
-            return np.empty(0, dtype=np.intp)
-        return np.sort(np.concatenate(found))
 
     def neighbors_of(self, index: int) -> np.ndarray:
         """Indices within ``radius`` of point ``index`` (excluding itself).
@@ -98,59 +95,61 @@ class NeighborGrid:
         whole-population scan visits them in — and cached, since the grid is
         only used for static layouts.
         """
-        cached = self._neighbor_cache.get(index)
-        if cached is not None:
-            return cached
-        candidates = self.candidates(index)
-        candidates = candidates[candidates != index]
-        if candidates.size:
-            distances = euclidean_distances(
-                self._positions[index], self._positions[candidates]
-            )
-            candidates = candidates[distances <= self._radius]
-        self._neighbor_cache[index] = candidates
-        return candidates
+        if index not in self._neighbor_cache:
+            self._neighbor_cache[index] = self.packed_neighbors(np.array([index]))[2]
+        return self._neighbor_cache[index]
 
-    def packed_neighbors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR packing of every point's neighbour list (cached).
+    def packed_neighbors(
+        self, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR packing of the neighbour lists of ``rows`` (default: every point).
 
-        Returns ``(counts, offsets, flat)``: point ``i``'s neighbours are
-        ``flat[offsets[i] : offsets[i] + counts[i]]``, sorted ascending — the
-        same order :meth:`neighbors_of` returns.  The fused sweep engine uses
-        this to expand a whole event table's coupling scatterers in a few
-        NumPy calls instead of one Python lookup per decoded reply.
+        Returns ``(counts, offsets, flat)``: the neighbours of ``rows[k]``
+        are ``flat[offsets[k] : offsets[k] + counts[k]]``, sorted ascending —
+        the same order :meth:`neighbors_of` returns.  The all-rows packing is
+        cached; a packing of selected rows is built fresh on each call.
         """
-        if self._packed is None:
-            lists = [self.neighbors_of(i) for i in range(len(self))]
-            counts = np.array([len(n) for n in lists], dtype=np.intp)
-            offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-            flat = (
-                np.concatenate(lists) if lists and counts.sum() else np.empty(0, dtype=np.intp)
+        every_row = rows is None
+        if every_row and self._packed is not None:
+            return self._packed
+        rows = np.arange(len(self)) if every_row else np.asarray(rows, dtype=np.intp)
+        counts, flat = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for start in range(0, rows.size, _ROW_CHUNK):
+            chunk = rows[start : start + _ROW_CHUNK]
+            # Each row's candidates: the slots of its 27 surrounding cells in
+            # the sorted code array.
+            cells = (self._codes[chunk][:, None] + self._cell_deltas).reshape(-1)
+            first = np.searchsorted(self._sorted_codes, cells, side="left")
+            sizes = np.searchsorted(self._sorted_codes, cells, side="right") - first
+            cell_index, slots = _expand_ranges(first, sizes)
+            owners = cell_index // self._cell_deltas.size
+            candidates = self._order[slots]
+            queries = chunk[owners]
+            within = (candidates != queries) & (
+                euclidean_distances(self._positions[queries], self._positions[candidates])
+                <= self._radius
             )
-            self._packed = (counts, offsets, flat.astype(np.intp, copy=False))
-        return self._packed
+            candidates, owners = candidates[within], owners[within]
+            # Owners arrive grouped row by row; order each row ascending.
+            flat.append(candidates[np.lexsort((candidates, owners))])
+            counts.append(np.bincount(owners, minlength=chunk.size))
+        counts, flat = np.concatenate(counts).astype(np.intp), np.concatenate(flat)
+        offsets = np.cumsum(counts) - counts
+        if every_row:
+            self._packed = (counts, offsets, flat)
+        return counts, offsets, flat
 
-    def neighbors_for_events(
-        self, tag_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def neighbors_for_events(self, tag_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-event neighbour pairs for a batch of observed tags.
 
         ``tag_indices`` names the observed point of each event.  Returns
         ``(event_index, neighbor_index)`` — one row per (event, neighbour)
         pair, grouped by event in event order with each event's neighbours
-        ascending — exactly the flattening the per-round engine builds from
-        repeated :meth:`neighbors_of` calls, computed via the CSR arrays.
+        ascending — exactly the flattening of repeated :meth:`neighbors_of`
+        calls, packing one row per distinct observed point.
         """
-        counts, offsets, flat = self.packed_neighbors()
         tag_indices = np.asarray(tag_indices, dtype=np.intp)
-        event_counts = counts[tag_indices]
-        total = int(event_counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        event_index = np.repeat(np.arange(tag_indices.size, dtype=np.intp), event_counts)
-        # Position of each pair inside ``flat``: the event's CSR offset plus
-        # the pair's rank within its event.
-        pair_starts = np.concatenate(([0], np.cumsum(event_counts)))[:-1]
-        within_event = np.arange(total, dtype=np.intp) - np.repeat(pair_starts, event_counts)
-        flat_position = np.repeat(offsets[tag_indices], event_counts) + within_event
-        return event_index, flat[flat_position]
+        rows, row_of_event = np.unique(tag_indices, return_inverse=True)
+        counts, offsets, flat = self.packed_neighbors(rows)
+        event_index, pairs = _expand_ranges(offsets[row_of_event], counts[row_of_event])
+        return event_index, flat[pairs]

@@ -58,7 +58,7 @@ from .backends import resolve_physics_backend
 from .coupling import NeighborGrid
 from .event_table import SweepEventTable
 from .reading import ReadBatch, ReadLog, TagRead
-from .tag import Tag, TagCollection
+from .tag import Tag, TagCollection, TagModel
 
 AntennaPositionFn = Callable[[float], Point3D]
 """Maps time (seconds) to the antenna position."""
@@ -429,12 +429,12 @@ class RFIDReader:
         physics backend and its chunk count, and the scheduling-vs-physics
         wall-time split."""
 
-    def _device_offsets_for(self, tag: Tag) -> DeviceOffsets:
-        """Eq. (1) ``mu`` components for one tag behind this reader."""
+    def _device_offsets_for(self, model: TagModel) -> DeviceOffsets:
+        """Eq. (1) ``mu`` components for a tag of ``model`` behind this reader."""
         return DeviceOffsets(
             theta_tx=self.config.reader_tx_phase_rad,
             theta_rx=self.config.reader_rx_phase_rad,
-            theta_tag=tag.model.reflection_phase_rad,
+            theta_tag=model.reflection_phase_rad,
         )
 
     def _channel_for(self, tag: Tag) -> BackscatterChannel:
@@ -443,7 +443,7 @@ class RFIDReader:
         if existing is not None:
             return existing
         channel = dataclasses.replace(
-            self.config.channel, device_offsets=self._device_offsets_for(tag)
+            self.config.channel, device_offsets=self._device_offsets_for(tag.model)
         )
         self._per_tag_channels[tag.tag_id] = channel
         return channel
@@ -634,10 +634,14 @@ class RFIDReader:
         index_of = {tag_id: i for i, tag_id in enumerate(ids)}
         population = len(ids)
         # Hoist the per-tag Eq. (1) offsets: theta_TAG varies per tag model,
-        # everything else about the channel is shared.
-        mu_by_tag = np.array(
-            [self._device_offsets_for(tag).total for tag in tag_list], dtype=float
-        )
+        # everything else about the channel is shared, so ``mu`` is worked
+        # out once per model (keyed by identity: hashing the frozen model
+        # costs more than the lookup saves).
+        models = {id(tag.model): tag.model for tag in tag_list}
+        mu_by_model = {
+            key: self._device_offsets_for(model).total for key, model in models.items()
+        }
+        mu_by_tag = np.array([mu_by_model[id(tag.model)] for tag in tag_list], dtype=float)
 
         provider = self._resolve_tag_positions(tag_position, tags)
         static_layout = bool(getattr(provider, "is_static", False))
@@ -868,14 +872,11 @@ class RFIDReader:
             # the sweep-lifetime spatial hash.
             event_tag_positions = setup.base_positions[tag_indices]
             if setup.coupling_on and setup.grid is not None:
-                neighbor_lists = [setup.grid.neighbors_of(int(i)) for i in tag_indices]
-                total = sum(len(n) for n in neighbor_lists)
-                if total:
-                    extra_index = np.repeat(
-                        _event_indices(count),
-                        [len(n) for n in neighbor_lists],
-                    )
-                    flat_neighbors = np.concatenate(neighbor_lists)
+                event_index, flat_neighbors = setup.grid.neighbors_for_events(
+                    tag_indices
+                )
+                if event_index.size:
+                    extra_index = event_index
                     extra_positions = setup.base_positions[flat_neighbors]
         elif not setup.coupling_on:
             # Moving tags without coupling: only the observed tags' own

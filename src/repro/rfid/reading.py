@@ -312,6 +312,21 @@ class ReadLog:
         """Distinct tag ids in first-seen order."""
         return list(dict.fromkeys(self._tag_ids))
 
+    def tag_codes(self) -> tuple[list[str], np.ndarray]:
+        """Distinct tag ids in first-seen order, and each read's index into them.
+
+        Not cached: a caller grouping the whole log once (see
+        :func:`~repro.simulation.collector.profiles_from_read_log`) keeps no
+        per-tag index arrays alive on the log.
+        """
+        code_of: dict[str, int] = {}
+        codes = np.fromiter(
+            (code_of.setdefault(tag_id, len(code_of)) for tag_id in self._tag_ids),
+            dtype=np.intp,
+            count=len(self._tag_ids),
+        )
+        return list(code_of), codes
+
     def for_tag(self, tag_id: str) -> list[TagRead]:
         """All reads of ``tag_id`` in timestamp order."""
         reads = self.reads

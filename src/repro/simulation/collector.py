@@ -46,15 +46,23 @@ def profiles_from_read_log(
                 f"({sorted(seen)}); pass channel_index explicitly"
             )
         channel_index = seen.pop() if seen else None
+    # One stable sort groups the log by tag (first-seen order) and orders
+    # each tag's reads by time, ties in append order; each profile is then a
+    # slice of the sorted columns, with no per-read objects.
+    tag_ids, codes = read_log.tag_codes()
+    columns = read_log.columns()
+    order = np.lexsort((columns["timestamp_s"], codes))
+    timestamps, phases, rssis = (
+        columns[name][order] for name in ("timestamp_s", "phase_rad", "rssi_dbm")
+    )
+    stops = np.cumsum(np.bincount(codes, minlength=len(tag_ids))).tolist()
     profile_set = ProfileSet()
-    for tag_id in read_log.tag_ids():
-        # The columnar log slices each tag's reads straight out of its cached
-        # arrays — no per-read object materialisation.
+    for tag_id, start, stop in zip(tag_ids, [0] + stops, stops):
         profile = PhaseProfile.from_reads(
             tag_id=tag_id,
-            timestamps_s=read_log.timestamps(tag_id),
-            phases_rad=read_log.phases(tag_id),
-            rssi_dbm=read_log.rssis(tag_id),
+            timestamps_s=timestamps[start:stop],
+            phases_rad=phases[start:stop],
+            rssi_dbm=rssis[start:stop],
             channel_index=channel_index,
         )
         profile_set.add(profile)

@@ -8,8 +8,12 @@ DTW engine.  A seeded golden trace additionally tripwires the sweep output
 independently of the batched-vs-scalar comparison.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.motion.scenarios import (
     BeltTagPositions,
@@ -31,6 +35,8 @@ from repro.rf.phase_model import wrap_phase
 from repro.rfid.coupling import NeighborGrid
 from repro.rfid.reading import ReadLog, TagRead
 from repro.rfid.tag import make_tags
+from repro.scenarios import showcase_registry
+from repro.scenarios.builders import noise_model, scenario_positions, sweep_geometry
 from repro.simulation.collector import collect_sweep
 from repro.simulation.presets import (
     standard_antenna_moving_scene,
@@ -288,6 +294,164 @@ class TestNeighborGrid:
             NeighborGrid(np.zeros((2, 3)), 0.0)
         with pytest.raises(ValueError):
             NeighborGrid(np.zeros((2, 2)), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            NeighborGrid(np.array([[0.0, np.nan, 0.0]]), 0.1)
+
+
+def brute_force_neighbors(positions: np.ndarray, radius: float) -> list[list[int]]:
+    """The O(N²) oracle: every other point with ``distance <= radius``."""
+    distances = euclidean_distances(positions[:, None, :], positions[None, :, :])
+    return [
+        [j for j in np.flatnonzero(distances[i] <= radius).tolist() if j != i]
+        for i in range(len(positions))
+    ]
+
+
+def unpack(packed, size: int) -> list[list[int]]:
+    counts, offsets, flat = packed
+    return [flat[offsets[k] : offsets[k] + counts[k]].tolist() for k in range(size)]
+
+
+@st.composite
+def grid_layouts(draw, max_points: int = 40):
+    """``(positions, radius, rows, events)`` for the neighbour-grid oracle test.
+
+    Coordinates mix exact multiples of the radius (points on cell edges,
+    negative ones included) with arbitrary values; some points duplicate an
+    earlier one and some sit exactly one radius from an earlier one along
+    an axis.  ``rows`` and ``events`` index the points with repeats, in no
+    particular order.
+    """
+    radius = draw(st.sampled_from([0.05, 0.1, 0.15, 0.3, 1.0]))
+    coordinate = st.one_of(
+        st.integers(-4, 4).map(lambda k: k * radius),
+        st.floats(-1.0, 1.0, allow_nan=False),
+    )
+    points: list[list[float]] = []
+    for _ in range(draw(st.integers(0, max_points))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "at_radius"]))
+        if kind == "fresh" or not points:
+            points.append([draw(coordinate) for _ in range(3)])
+            continue
+        point = list(points[draw(st.integers(0, len(points) - 1))])
+        if kind == "at_radius":
+            point[draw(st.integers(0, 2))] += draw(st.sampled_from([-radius, radius]))
+        points.append(point)
+    positions = np.array(points, dtype=float).reshape(-1, 3)
+    index = st.integers(0, max(len(points) - 1, 0))
+    indices = st.lists(index, max_size=3 * len(points)) if points else st.just([])
+    return positions, radius, draw(indices), draw(indices)
+
+
+class TestNeighborGridOracle:
+    """Every grid query equals the brute-force scan, on generated layouts."""
+
+    @staticmethod
+    def check_against_oracle(positions, radius, rows, events):
+        expected = brute_force_neighbors(positions, radius)
+        grid = NeighborGrid(positions, radius)
+        assert unpack(grid.packed_neighbors(), len(positions)) == expected
+        assert unpack(grid.packed_neighbors(np.array(rows, dtype=np.intp)), len(rows)) == [
+            expected[row] for row in rows
+        ]
+        event_index, neighbor_index = grid.neighbors_for_events(
+            np.array(events, dtype=np.intp)
+        )
+        pairs = [(e, n) for e, tag in enumerate(events) for n in expected[tag]]
+        assert list(zip(event_index.tolist(), neighbor_index.tolist())) == pairs
+        for index in range(len(positions)):
+            assert grid.neighbors_of(index).tolist() == expected[index]
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout=grid_layouts())
+    def test_matches_brute_force(self, layout):
+        self.check_against_oracle(*layout)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[], [[0.3, -0.2, 0.0]], [[0.0, 0.0, 0.0], [0.15, 0.0, 0.0]], [[-0.1] * 3] * 2],
+    )
+    def test_tiny_populations(self, points):
+        positions = np.array(points, dtype=float).reshape(-1, 3)
+        rows = list(range(len(points)))[::-1] * 2
+        self.check_against_oracle(positions, 0.15, rows, rows)
+
+    def test_rounded_distance_spanning_two_cell_edges(self):
+        # -1e-300 floors into cell -1 and 0.15 into cell 1 of an exact 0.15
+        # grid, yet their distance rounds to exactly the radius.
+        positions = np.array([[-1e-300, 0.0, 0.0], [0.15, 0.0, 0.0]])
+        self.check_against_oracle(positions, 0.15, [0, 1], [1, 0])
+
+    def test_rows_spanning_several_chunks(self):
+        # More rows than one packing pass takes, in shuffled order.
+        rng = np.random.default_rng(6)
+        positions = rng.uniform(-0.4, 0.4, size=(300, 3))
+        rows = rng.permutation(np.tile(np.arange(300), 2)).tolist()
+        self.check_against_oracle(positions, 0.15, rows, rows[::-1])
+
+    def test_far_outlier_codes_do_not_alias(self):
+        # A 1 km outlier at a 1 mm radius spans ~10^18 cells: still inside
+        # int64 cell codes, and the padding keeps neighbour codes distinct.
+        rng = np.random.default_rng(5)
+        cluster = rng.uniform(-0.004, 0.004, size=(30, 3))
+        positions = np.vstack([cluster, [[1000.0, 1000.0, 1000.0]]])
+        self.check_against_oracle(positions, 0.001, [30, 0, 30], [30, 3, 3])
+
+    def test_extent_beyond_int64_codes_raises(self):
+        positions = np.array([[-1000.0, -1000.0, -1000.0], [1000.0, 1000.0, 1000.0]])
+        with pytest.raises(ValueError, match="extent"):
+            NeighborGrid(positions, 0.0001)
+
+
+def dense_hall_slice_sweep(tag_count: int, seed: int = 2015):
+    """One sweep of the first ``tag_count`` tags of the ``dense_hall_10k`` grid."""
+    spec = showcase_registry().get("dense_hall_10k")
+    tags = make_tags(scenario_positions(spec, seed)[:tag_count], seed=seed)
+    scene = standard_antenna_moving_scene(
+        tags,
+        speed_mps=spec.motion.speed_mps,
+        jitter_fraction=spec.motion.jitter_fraction,
+        geometry=sweep_geometry(spec),
+        noise=noise_model(spec),
+        reflector_count=spec.channel.reflector_count,
+        seed=seed,
+    )
+    return collect_sweep(scene)
+
+
+def sha256_of(parts) -> str:
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part if isinstance(part, bytes) else repr(part).encode())
+    return sha.hexdigest()
+
+
+class TestDenseHallCouplingPin:
+    """Pins the coupling-heavy dense hall at the CI smoke's 400-tag slice.
+
+    Every one of the 400 tags has coupling neighbours within the radius, so
+    a change to the neighbour grid's sets or order moves these digests.
+    """
+
+    LOG_DIGEST = "b056a3d9d0dbb96b212046a2826ede7b9e49a7c85d39a4fb7679889312fbedf5"
+    PROFILE_DIGEST = "9482575146d28dd3fa646c0b3bef572920eb135481e44999d5cc1be9911d859c"
+
+    def test_read_log_and_profiles_pinned(self):
+        result = dense_hall_slice_sweep(400)
+        columns = result.read_log.columns()
+        log_parts = [np.ascontiguousarray(columns[k]).tobytes() for k in sorted(columns)]
+        log_parts.append(tuple(read.tag_id for read in result.read_log.reads))
+        assert sha256_of(log_parts) == self.LOG_DIGEST
+        assert sha256_of(
+            (
+                profile.tag_id,
+                profile.channel_index,
+                profile.timestamps_s.tobytes(),
+                profile.phases_rad.tobytes(),
+                profile.rssi_dbm.tobytes(),
+            )
+            for profile in result.profiles
+        ) == self.PROFILE_DIGEST
 
 
 class TestArrayNativeMotion:
