@@ -11,8 +11,8 @@
 #                     time the experiment engine serial vs sharded (with a
 #                     simulate/localize/metrics stage breakdown) and write
 #                     BENCH_experiments.json
-#   make bench-sweep  time the sweep simulation batched vs scalar and write
-#                     BENCH_sweep.json
+#   make bench-sweep  time the fused sweep engine vs the scalar oracle and
+#                     write BENCH_sweep.json
 #   make bench-streaming
 #                     time streaming ingest throughput + provisional-ordering
 #                     latency and write BENCH_streaming.json

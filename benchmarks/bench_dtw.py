@@ -4,8 +4,8 @@ Compares three implementations of the V-zone detection hot path on the same
 fleet of simulated tag profiles:
 
 * ``python_loop``  — the seed repository's pure-Python double-loop DTW
-  accumulation (``repro.core.dtw._accumulate_python``), run per tag.  This is
-  the *before* baseline.
+  accumulation (kept as the test oracle in ``tests/oracles/dtw.py``), run per
+  tag.  This is the *before* baseline.
 * ``vectorized``   — the anti-diagonal NumPy kernel, run per tag.
 * ``batched``      — the same kernel sweeping whole chunks of cost matrices
   at once through ``accumulate_cost_batch``; the batch aligners behind
@@ -23,16 +23,22 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_REPO_ROOT / "src", _REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from oracles.dtw import accumulate_python
 from repro.bench.store import record_run
 from repro.core.dtw import (
     MAX_BATCH_CELLS,
-    _accumulate_python,
     _backtrack,
     _result_from_cost,
     _weighted_matrix,
@@ -124,7 +130,7 @@ def main() -> None:
 
     def run_python_loop():
         for matrix in weighted:
-            cost = _accumulate_python(matrix, None, True)
+            cost = accumulate_python(matrix, None, True)
             _result_from_cost(cost, subsequence=True)
 
     def run_vectorized():

@@ -8,10 +8,7 @@ per spacing, STPP scored on each) through the
 * ``serial``  — the in-process fallback (one repetition after another), the
   cost profile of the pre-engine per-figure ``for rep in range(...)`` loops;
 * ``sharded`` — repetitions sharded across a ``ProcessPoolExecutor`` with one
-  worker per available core;
-* ``pipeline`` — the double-buffered serial path (``SweepService(pipeline=
-  True)``): repetition N+1's Python scheduling overlaps repetition N's
-  GIL-releasing NumPy physics on a second thread.
+  worker per available core.
 
 Both paths execute the identical shard function with identical per-repetition
 seeds, so the results are bit-identical (asserted here); only the wall clock
@@ -218,28 +215,6 @@ def main() -> None:
         f"({equivalence_repetitions} repetition(s) compared)"
     )
 
-    # Pipelined serial path (PR 8): overlap rep N+1's Python scheduling with
-    # rep N's GIL-releasing physics.  Same single-core rule as sharding: the
-    # timing is only conclusive with >1 core, but bit-identity is always
-    # verified.
-    if conclusive:
-        pipeline_service = SweepService(parallel=False, pipeline=True)
-        pipeline_s, pipeline_outcomes = run_once(pipeline_service, args.repetitions)
-        print(f"pipeline: {pipeline_s:7.2f} s  (double-buffered serial path)")
-        pipeline_speedup = serial_s / max(pipeline_s, 1e-9)
-        print(f"pipeline speedup vs serial: {pipeline_speedup:.2f}x")
-        pipeline_reference = serial_outcomes
-    else:
-        print("pipeline: timing skipped (single-core host — overlap impossible)")
-        pipeline_s = None
-        pipeline_speedup = None
-        pipeline_service = SweepService(parallel=False, pipeline=True)
-        _, pipeline_outcomes = run_once(pipeline_service, equivalence_repetitions)
-        pipeline_reference = serial_outcomes
-    if evaluations_of(pipeline_reference) != evaluations_of(pipeline_outcomes):
-        raise AssertionError("serial and pipelined results diverged — engine bug")
-    print("serial/pipelined results: bit-identical")
-
     stages = stage_breakdown(args.repetitions)
     for stage in ("simulate", "localize", "metrics"):
         share = stages[stage] / max(stages["total"], 1e-9)
@@ -272,9 +247,7 @@ def main() -> None:
         "timings_s": {
             "serial": serial_s,
             "sharded": sharded_s,
-            "pipeline": pipeline_s,
         },
-        "physics_backend": os.environ.get("REPRO_PHYSICS_BACKEND", "serial"),
         "stage_breakdown_s": stages,
         "simulate_baseline_pr4_s": PR4_SIMULATE_BASELINE_S,
         "simulate_baseline_comparable": baseline_comparable,
@@ -283,8 +256,6 @@ def main() -> None:
         "speedup_sharded_vs_serial": speedup,
         "sharded_skipped": not conclusive,
         "sharded_comparison_conclusive": conclusive,
-        "speedup_pipeline_vs_serial": pipeline_speedup,
-        "pipeline_skipped": not conclusive,
         "results_bit_identical": True,
         "equivalence_repetitions": equivalence_repetitions,
     }
@@ -299,7 +270,6 @@ def main() -> None:
                 "stage_breakdown_s": payload["stage_breakdown_s"],
                 "speedup_simulate_vs_pr4": payload["speedup_simulate_vs_pr4"],
                 "speedup_sharded_vs_serial": payload["speedup_sharded_vs_serial"],
-                "speedup_pipeline_vs_serial": payload["speedup_pipeline_vs_serial"],
                 "results_bit_identical": payload["results_bit_identical"],
             },
             scale={

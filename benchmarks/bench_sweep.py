@@ -1,44 +1,30 @@
-"""Sweep-simulation timing harness: fused vs per-round vs scalar engines.
+"""Sweep-simulation timing harness: the fused engine vs the scalar oracle.
 
-Simulates the same scenes through all three :class:`~repro.rfid.reader.RFIDReader`
-sweep engines:
+Simulates the same scenes twice, both on this host:
 
-* ``scalar`` — the read-at-a-time reference loop (one ``observe`` per
-  decoded reply, whole-population coupling scan per read);
-* ``round``  — the per-round batched engine (structure-of-arrays RF kernel
-  per inventory round, spatial-hash coupling lookups, array-native motion
-  sampling, columnar read log);
-* ``fused``  — the two-phase engine (PR 5): a scheduling pass owns every rng
-  draw and emits a whole-sweep event table, then one fused NumPy pass
-  evaluates all rounds' physics together.
+* ``scalar`` — the read-at-a-time reference loop kept as the test oracle
+  (``tests/oracles/scalar_sweep.py``: one ``observe`` per decoded reply,
+  whole-population coupling scan per read);
+* ``fused``  — :class:`~repro.rfid.reader.RFIDReader`'s two-phase engine: a
+  scheduling pass owns every rng draw and emits a whole-sweep event table,
+  then one fused NumPy pass evaluates all rounds' physics together.
 
-All engines consume the shared random generator in the identical order, so
-the read logs are **bit-identical** (asserted here and pinned by
+Both consume the shared random generator in the identical order, so the read
+logs are **bit-identical** (asserted here and pinned by
 ``tests/test_fused_sweep.py``); only the wall clock differs.  Two scenes are
-timed: the headline **static** 200-tag library-style shelf and a **moving**
-warehouse-style conveyor batch that exercises the per-round dense coupling
-filter.
+compared: the headline **static** 200-tag library-style shelf and a
+**moving** warehouse-style conveyor batch that exercises the dense coupling
+filter.  The ``dense_hall_10k`` showcase is timed through the fused engine
+alone: the oracle's per-read population scan would take hours there.
 
-On top of the engine comparison, the harness times the fused engine's
-**physics backends** (``serial`` / ``threads`` / ``process`` — see
-:mod:`repro.rfid.backends`) on three scenes: static, moving, and the
-``dense_hall_10k`` scaling showcase from the scenario catalog.  Physics is
-rng-free and order-free, so every backend must produce bit-identical read
-logs (asserted per scene).  Backend speedups are only meaningful on
-multi-core hosts: on a single-core host the matrix records the timings but
-leaves every ``speedup_*_vs_serial`` field ``null`` and marks
-``parallel_comparison_conclusive: false`` — a ~1x "speedup" measured on one
-core is noise, not evidence.
-
-Baseline caveat: the scalar reference loop shares the batched kernels (one
+Baseline caveat: the scalar oracle shares the batched kernels (one
 ``observe_batch`` call per read), which makes it ~2x slower than the pure
-scalar arithmetic the pre-batching engine used — so scalar-relative speedups
-overstate the win over the pre-PR-3 engine by about that factor.  The
-``speedup_fused_vs_round`` field has no such caveat: both engines are real
-shipped paths, and the ratio isolates the whole-sweep fusion win.
+scalar arithmetic the pre-batching engine used — so the speedup overstates
+the win over that engine by about that factor.
 
-Results are written to ``BENCH_sweep.json`` so the speedups are tracked PR
-over PR; CI asserts floors on the recorded speedup fields.
+Results are written to ``BENCH_sweep.json`` with the host they ran on, so the
+speedup is tracked PR over PR; CI asserts a floor on
+``speedup_fused_vs_scalar``.
 
 Run with:
   PYTHONPATH=src python benchmarks/bench_sweep.py [--tags 200] [--out BENCH_sweep.json]
@@ -50,13 +36,19 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_REPO_ROOT / "src", _REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from oracles.scalar_sweep import scalar_scene_log
 from repro.bench.store import record_run
 from repro.rf.geometry import Point3D
-from repro.rfid.backends import PHYSICS_BACKENDS, resolve_physics_backend
 from repro.rfid.tag import make_tags
 from repro.scenarios import showcase_registry
 from repro.scenarios.builders import noise_model, scenario_positions, sweep_geometry
@@ -65,8 +57,6 @@ from repro.simulation.presets import standard_antenna_moving_scene
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
 SEED = 2015
-
-ENGINES = ("scalar", "round", "fused")
 
 DENSE_SPEC_NAME = "dense_hall_10k"
 
@@ -108,87 +98,34 @@ def dense_hall_scene(tag_count: int):
     )
 
 
-def time_sweep(scene_factory, engine: str, physics_backend: str | None = None):
-    """Build a fresh scene (the protocol is stateful) and time one sweep."""
+def fused_scene_log(scene):
+    return collect_sweep(scene).read_log
+
+
+def time_sweep(sweep, scene_factory):
+    """Build a fresh scene (the protocol is stateful) and time one ``sweep``."""
     scene = scene_factory()
     started = time.perf_counter()
-    result = collect_sweep(scene, engine=engine, physics_backend=physics_backend)
-    return time.perf_counter() - started, result.read_log
+    log = sweep(scene)
+    return time.perf_counter() - started, log
 
 
 def bench_case(name: str, scene_factory) -> dict:
-    """Time all three engines on one scene; assert bit-identical logs."""
-    timings = {}
-    logs = {}
-    for engine in ENGINES:
-        timings[engine], logs[engine] = time_sweep(scene_factory, engine)
-    for engine in ("round", "fused"):
-        if logs[engine].reads != logs["scalar"].reads:
-            raise AssertionError(
-                f"{name}: {engine} and scalar read logs diverged — engine bug"
-            )
-    round_vs_scalar = timings["scalar"] / max(timings["round"], 1e-9)
-    fused_vs_scalar = timings["scalar"] / max(timings["fused"], 1e-9)
-    fused_vs_round = timings["round"] / max(timings["fused"], 1e-9)
+    """Time fused and scalar on one scene; assert bit-identical logs."""
+    scalar_s, scalar_log = time_sweep(scalar_scene_log, scene_factory)
+    fused_s, fused_log = time_sweep(fused_scene_log, scene_factory)
+    if fused_log.reads != scalar_log.reads:
+        raise AssertionError(f"{name}: fused and scalar read logs diverged — engine bug")
+    speedup = scalar_s / max(fused_s, 1e-9)
     print(
-        f"{name:>8}: scalar {timings['scalar']:7.2f} s | "
-        f"round {timings['round']:7.2f} s | fused {timings['fused']:7.2f} s | "
-        f"fused/round {fused_vs_round:5.1f}x | "
-        f"{len(logs['fused'])} reads, bit-identical"
+        f"{name:>8}: scalar {scalar_s:7.2f} s | fused {fused_s:7.2f} s | "
+        f"fused/scalar {speedup:5.1f}x | {len(fused_log)} reads, bit-identical"
     )
     return {
-        "scalar_s": timings["scalar"],
-        "round_s": timings["round"],
-        "fused_s": timings["fused"],
-        # Back-compat name: "batched" is the per-round engine.
-        "batched_s": timings["round"],
-        "speedup_batched_vs_scalar": round_vs_scalar,
-        "speedup_fused_vs_scalar": fused_vs_scalar,
-        "speedup_fused_vs_round": fused_vs_round,
-        "reads": len(logs["fused"]),
-        "results_bit_identical": True,
-    }
-
-
-def bench_backend_case(name: str, scene_factory, conclusive: bool) -> dict:
-    """Time the fused engine under every physics backend on one scene.
-
-    Bit-identity across backends is always asserted; the speedup ratios are
-    recorded only when ``conclusive`` (multi-core host) — otherwise they are
-    ``null``, never a misleading ~1x.
-    """
-    timings = {}
-    logs = {}
-    for backend in PHYSICS_BACKENDS:
-        timings[backend], logs[backend] = time_sweep(
-            scene_factory, "fused", physics_backend=backend
-        )
-    for backend in PHYSICS_BACKENDS[1:]:
-        if logs[backend].reads != logs["serial"].reads:
-            raise AssertionError(
-                f"{name}: {backend} and serial backend read logs diverged — "
-                "physics is no longer order-free"
-            )
-
-    def ratio(backend: str) -> float | None:
-        if not conclusive:
-            return None
-        return timings["serial"] / max(timings[backend], 1e-9)
-
-    verdict = "conclusive" if conclusive else "single-core, inconclusive"
-    print(
-        f"{name:>10}: serial {timings['serial']:7.2f} s | "
-        f"threads {timings['threads']:7.2f} s | "
-        f"process {timings['process']:7.2f} s | "
-        f"{len(logs['serial'])} reads, bit-identical ({verdict})"
-    )
-    return {
-        "serial_s": timings["serial"],
-        "threads_s": timings["threads"],
-        "process_s": timings["process"],
-        "speedup_threads_vs_serial": ratio("threads"),
-        "speedup_process_vs_serial": ratio("process"),
-        "reads": len(logs["serial"]),
+        "scalar_s": scalar_s,
+        "fused_s": fused_s,
+        "speedup_fused_vs_scalar": speedup,
+        "reads": len(fused_log),
         "results_bit_identical": True,
     }
 
@@ -205,8 +142,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--dense-tags", type=int, default=10_000,
-        help="tags sliced from the dense_hall_10k showcase grid "
-        "(default 10000; CI smoke passes a few hundred)",
+        help="tags sliced from the dense_hall_10k showcase grid, timed through "
+        "the fused engine only (default 10000; CI smoke passes a few hundred)",
     )
     parser.add_argument("--out", type=Path, default=Path("BENCH_sweep.json"))
     parser.add_argument(
@@ -216,66 +153,39 @@ def main() -> None:
     parser.add_argument("--no-history", action="store_true")
     args = parser.parse_args()
 
-    # Warm all code paths (imports, numpy kernels) outside the timed region.
-    for engine in ENGINES:
-        time_sweep(lambda: static_scene(8), engine)
+    # Warm both code paths (imports, numpy kernels) outside the timed region.
+    for sweep in (scalar_scene_log, fused_scene_log):
+        time_sweep(sweep, lambda: static_scene(8))
 
     print(f"static scene: {args.tags} tags | moving scene: ~{args.moving_tags} cartons")
     static = bench_case("static", lambda: static_scene(args.tags))
     moving = bench_case("moving", lambda: moving_scene(args.moving_tags))
-
-    cpu_count = os.cpu_count() or 1
-    conclusive = cpu_count > 1
-    print(
-        f"physics backends ({cpu_count} core(s), "
-        f"{'conclusive' if conclusive else 'speedups inconclusive'}) | "
-        f"dense hall: {args.dense_tags} tags"
+    dense_s, dense_log = time_sweep(
+        fused_scene_log, lambda: dense_hall_scene(args.dense_tags)
     )
-    backends = {
-        "static": {
-            "tag_count": args.tags,
-            **bench_backend_case("static", lambda: static_scene(args.tags), conclusive),
-        },
-        "moving": {
-            "carton_count": args.moving_tags,
-            **bench_backend_case(
-                "moving", lambda: moving_scene(args.moving_tags), conclusive
-            ),
-        },
-        "dense_hall": {
-            "tag_count": args.dense_tags,
-            "spec": DENSE_SPEC_NAME,
-            **bench_backend_case(
-                "dense_hall", lambda: dense_hall_scene(args.dense_tags), conclusive
-            ),
-        },
-    }
+    print(f"dense hall: {args.dense_tags} tags | fused {dense_s:7.2f} s | {len(dense_log)} reads")
 
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count() or 1,
         "seed": SEED,
-        "cpu_count": cpu_count,
-        "parallel_comparison_conclusive": conclusive,
-        "physics_chunk_events": {
-            backend: getattr(resolve_physics_backend(backend), "chunk_events", None)
-            for backend in PHYSICS_BACKENDS
-        },
         "scenes": {
             "static": {"tag_count": args.tags, **static},
             "moving": {"carton_count": args.moving_tags, **moving},
         },
-        "backends": backends,
-        # Headline fields for the static scene: the per-round engine's win
-        # over the scalar loop, and the fused engine's win over per-round.
-        "speedup_batched_vs_scalar": static["speedup_batched_vs_scalar"],
-        "speedup_fused_vs_round": static["speedup_fused_vs_round"],
+        "dense_hall": {
+            "tag_count": args.dense_tags,
+            "spec": DENSE_SPEC_NAME,
+            "fused_s": dense_s,
+            "reads": len(dense_log),
+        },
+        # Headline field: the static scene's fused-vs-oracle ratio.
+        "speedup_fused_vs_scalar": static["speedup_fused_vs_scalar"],
         "baseline_note": (
-            "scalar = the in-tree reference loop (one observe_batch call per "
-            "read); it is ~2x slower than the pre-batching pure-scalar "
-            "engine, so scalar-relative speedups overstate the win over the "
-            "pre-PR-3 engine by roughly that factor.  fused-vs-round has no "
-            "such caveat: both are shipped engines."
+            "scalar = the test oracle (one observe_batch call per read); it is "
+            "~2x slower than the pre-batching pure-scalar engine, so the "
+            "speedup overstates the win over that engine by roughly that factor."
         ),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -286,13 +196,8 @@ def main() -> None:
             source="bench_sweep",
             metrics={
                 "scenes": payload["scenes"],
-                # None speedups (single-core hosts) are skipped by the
-                # flattener — the ledger records timings, never ~1x noise.
-                "backends": payload["backends"],
-                "cpu_count": cpu_count,
-                "parallel_comparison_conclusive": conclusive,
-                "speedup_batched_vs_scalar": payload["speedup_batched_vs_scalar"],
-                "speedup_fused_vs_round": payload["speedup_fused_vs_round"],
+                "dense_hall": {"fused_s": dense_s},
+                "speedup_fused_vs_scalar": payload["speedup_fused_vs_scalar"],
             },
             scale={
                 "static_tags": args.tags,

@@ -3,14 +3,9 @@
 CI runs this after the benchmark passes so a regression that erodes an
 engine's recorded win fails the build instead of silently shipping:
 
-* ``BENCH_sweep.json``        — the round-batched RF sweep kernel must beat
-                                the scalar per-read path on the static scene,
-                                and the fused two-phase engine must beat the
-                                per-round engine; the physics-backend matrix
-                                must be bit-identical on every host, and the
-                                threads/process backends must hold their
-                                floor only when the record marks the
-                                comparison conclusive (multi-core host);
+* ``BENCH_sweep.json``        — the fused sweep engine must beat the scalar
+                                read-at-a-time oracle, timed on the same
+                                host, on the static scene;
 * ``BENCH_dtw.json``          — the batched DTW engine must beat the seed's
                                 pure-Python per-tag loop, and the end-to-end
                                 localize overhead must stay under the ceiling
@@ -43,7 +38,7 @@ Run with:
 
 Missing files are skipped with a note (each benchmark is recorded by its own
 ``make bench-*`` target), so the check degrades gracefully on fresh clones.
-Fields introduced by later PRs (e.g. the fused-sweep speedup) are only
+Fields introduced by later PRs (e.g. the localize-overhead ceiling) are only
 enforced when present, so the checker still validates pre-upgrade records.
 Every present file is first validated against its snapshot schema
 (``repro.bench.schema``, shared with ``check_accuracy.py``): a floor check
@@ -86,60 +81,22 @@ def _require(condition: bool, message: str) -> None:
         FAILURES.append(message)
 
 
-def check_sweep(path: Path, floor: float, fused_floor: float, backend_floor: float) -> None:
+def check_sweep(path: Path, floor: float) -> None:
     print(f"sweep kernel ({path}):")
     payload = _load(path, "sweep")
     if payload is None:
         return
     static = payload["scenes"]["static"]
-    speedup = float(static["speedup_batched_vs_scalar"])
+    speedup = float(static["speedup_fused_vs_scalar"])
     _require(
         speedup >= floor,
-        f"static-scene batched-vs-scalar speedup {speedup:.2f}x >= {floor}x",
+        f"static-scene fused-vs-scalar speedup {speedup:.2f}x >= {floor}x",
     )
-    if "speedup_fused_vs_round" in static:
-        fused = float(static["speedup_fused_vs_round"])
-        _require(
-            fused >= fused_floor,
-            f"static-scene fused-vs-round speedup {fused:.2f}x >= {fused_floor}x",
-        )
-    else:
-        print("  skip: no fused-engine record (pre-PR-5 file) — no fused floor applied")
     for scene_name, scene in payload["scenes"].items():
         _require(
             bool(scene.get("results_bit_identical")),
-            f"{scene_name} scene: all engines' logs bit-identical",
+            f"{scene_name} scene: fused and scalar logs bit-identical",
         )
-
-    backends = payload.get("backends")
-    if backends is None:
-        print("  skip: no physics-backend matrix (pre-PR-8 file)")
-        return
-    # Bit-identity across physics backends is unconditional — it holds on
-    # any host.  Speedup floors only apply when the record says the host
-    # could measure parallelism at all (never on single-core runners, where
-    # a ~1x "speedup" would be noise).
-    for scene_name, scene in backends.items():
-        _require(
-            bool(scene.get("results_bit_identical")),
-            f"{scene_name} scene: all physics backends' logs bit-identical",
-        )
-    if not payload.get("parallel_comparison_conclusive", payload.get("cpu_count", 1) > 1):
-        print(
-            "  skip: backend speedups inconclusive "
-            f"(cpu_count={payload.get('cpu_count')}) — no backend floor applied"
-        )
-        return
-    for scene_name, scene in backends.items():
-        for field in ("speedup_threads_vs_serial", "speedup_process_vs_serial"):
-            value = scene.get(field)
-            if value is None:
-                print(f"  skip: {scene_name} {field} not recorded")
-                continue
-            _require(
-                float(value) >= backend_floor,
-                f"{scene_name} {field} {float(value):.2f}x >= {backend_floor}x",
-            )
 
 
 def check_dtw(path: Path, floor: float, overhead_ceiling: float) -> None:
@@ -260,20 +217,9 @@ def main() -> None:
     )
     parser.add_argument(
         "--sweep-floor", type=float, default=5.0,
-        help="minimum static-scene sweep speedup (default 5.0; the acceptance "
-        "floor for the recorded 200-tag scene — smoke runs pass a lower one)",
-    )
-    parser.add_argument(
-        "--sweep-fused-floor", type=float, default=1.5,
-        help="minimum static-scene fused-vs-round speedup (default 1.5; the "
-        "recorded 200-tag scene sits above 2x — smoke scenes are smaller, so "
-        "the default floor is conservative)",
-    )
-    parser.add_argument(
-        "--sweep-backend-floor", type=float, default=1.0,
-        help="minimum threads/process-vs-serial physics-backend speedup, "
-        "applied only when the record marks the comparison conclusive "
-        "(multi-core host); bit-identity is checked on every host",
+        help="minimum static-scene fused-vs-scalar sweep speedup (default 5.0; "
+        "the acceptance floor for the recorded 200-tag scene — smoke runs pass "
+        "a lower one)",
     )
     parser.add_argument("--dtw-floor", type=float, default=5.0)
     parser.add_argument(
@@ -318,10 +264,7 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.only in (None, "sweep"):
-        check_sweep(
-            args.sweep, args.sweep_floor, args.sweep_fused_floor,
-            args.sweep_backend_floor,
-        )
+        check_sweep(args.sweep, args.sweep_floor)
     if args.only in (None, "dtw"):
         check_dtw(args.dtw, args.dtw_floor, args.dtw_overhead_ceiling)
     if args.only in (None, "experiments"):

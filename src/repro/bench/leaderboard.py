@@ -26,14 +26,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..evaluation.runner import standard_experiment
 from ..evaluation.sweep import SweepService, run_plans
-from ..rf.geometry import Point3D
 from ..scenarios import default_registry
 from ..scenarios.registry import DEFAULT_SEED
-from ..workloads.airport import PAPER_PERIODS, baggage_batch
-from ..workloads.layouts import reference_tag_grid
-from ..workloads.library import generate_bookshelf
 
 DEFAULT_REPETITIONS = 2
 """Sweeps per scenario in the recorded leaderboard (CI smoke uses 1)."""
@@ -53,55 +48,6 @@ def scenario_names() -> tuple[str, ...]:
 # (bench report, tests) keep working; equals scenario_names() because the
 # built-in registry is loaded once and never mutated by the leaderboard.
 SCENARIOS: tuple[str, ...] = scenario_names()
-
-
-def _sparse_reference_grid(positions: list[Point3D]) -> list[Point3D]:
-    """The legacy sparse Landmarc grid (see ``scenarios.builders``)."""
-    xs = [p.x for p in positions]
-    ys = [p.y for p in positions]
-    span_x = max(xs) - min(xs) + 0.2
-    span_y = max(ys) - min(ys) + 0.2
-    return reference_tag_grid(
-        span_x,
-        span_y,
-        spacing_m=max(0.25, span_x / 4.0),
-        origin=Point3D(min(xs) - 0.1, min(ys) - 0.1, 0.0),
-    )
-
-
-def library_experiment(rep_index: int, seed: int, books_per_level: int = 12):
-    """Reference implementation of the library workload (pre-registry).
-
-    The leaderboard itself now builds this scenario from the committed
-    ``library.json`` spec; this function is kept verbatim as the ground truth
-    ``tests/test_scenario_equivalence.py`` pins the spec-built experiment
-    against, bit for bit.
-    """
-    shelf = generate_bookshelf(levels=1, books_per_level=books_per_level, seed=seed)
-    positions = [shelf.spine_positions()[book.call_number] for book in shelf.books]
-    return standard_experiment(
-        positions,
-        seed=seed,
-        tag_moving=False,
-        reference_grid=_sparse_reference_grid(positions),
-    )
-
-
-def airport_experiment(rep_index: int, seed: int, bag_count: int = 10):
-    """Reference implementation of the airport workload (pre-registry).
-
-    Kept verbatim as the bit-identity ground truth for the committed
-    ``airport.json`` spec — see :func:`library_experiment`.
-    """
-    period = PAPER_PERIODS[rep_index % len(PAPER_PERIODS)]
-    batch = baggage_batch(period, bag_count, batch_index=rep_index, seed=seed)
-    positions = [tag.position for tag in batch.tags]
-    return standard_experiment(
-        positions,
-        seed=seed,
-        tag_moving=True,
-        reference_grid=_sparse_reference_grid(positions),
-    )
 
 
 def scenario_plans(repetitions: int = DEFAULT_REPETITIONS, seed: int = DEFAULT_SEED):

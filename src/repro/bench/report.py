@@ -32,7 +32,7 @@ DOC_END = "<!-- END GENERATED STATUS TABLES -->"
 
 HEADLINE_METRICS: tuple[tuple[str, str], ...] = (
     ("bench_sweep", "scenes.static.fused_s"),
-    ("bench_sweep", "speedup_fused_vs_round"),
+    ("bench_sweep", "speedup_fused_vs_scalar"),
     ("bench_dtw", "speedup_vs_python_loop.batched"),
     ("bench_dtw", "localize_overhead_vs_kernel"),
     ("bench_experiments", "stage_breakdown_s.simulate"),

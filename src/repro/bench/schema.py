@@ -69,7 +69,7 @@ class BenchRecord:
     source:
         The producing harness, e.g. ``"bench_sweep"`` or ``"bench_accuracy"``.
     metric:
-        Dotted metric name, e.g. ``"static.speedup_fused_vs_round"`` or
+        Dotted metric name, e.g. ``"static.speedup_fused_vs_scalar"`` or
         ``"library.STPP.combined"``.
     value:
         The measurement (finite float; bools are recorded as 0.0/1.0).
@@ -135,7 +135,7 @@ class SnapshotSchema:
     """Required top-level keys of one ``BENCH_*.json`` file.
 
     Only fields every version of the file carries are required — optional
-    fields introduced by later PRs (e.g. the fused-sweep speedup) stay
+    fields introduced by later PRs (e.g. the localize-overhead ratio) stay
     optional so the checkers keep validating pre-upgrade records.
     ``numeric_paths`` lists dotted paths that, **when present**, must be
     finite numbers (a timing recorded as a string or NaN is corruption, not
@@ -153,30 +153,19 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
             "platform": str,
             "seed": _NUMBER,
             "scenes": dict,
-            "speedup_batched_vs_scalar": _NUMBER,
+            "speedup_fused_vs_scalar": _NUMBER,
         },
         numeric_paths=(
-            "speedup_batched_vs_scalar",
-            "speedup_fused_vs_round",
+            "speedup_fused_vs_scalar",
+            "cpu_count",
             "scenes.static.scalar_s",
             "scenes.static.fused_s",
-            "scenes.static.speedup_batched_vs_scalar",
-            # Physics-backend matrix (PR 8); optional so pre-upgrade
-            # snapshots keep validating.  Speedup fields are null on
-            # single-core hosts ("not measured", never ~1x noise).
-            "cpu_count",
-            "backends.static.serial_s",
-            "backends.static.threads_s",
-            "backends.static.process_s",
-            "backends.static.speedup_threads_vs_serial",
-            "backends.static.speedup_process_vs_serial",
-            "backends.moving.serial_s",
-            "backends.moving.threads_s",
-            "backends.moving.process_s",
-            "backends.dense_hall.serial_s",
-            "backends.dense_hall.threads_s",
-            "backends.dense_hall.process_s",
-            "backends.dense_hall.tag_count",
+            "scenes.static.speedup_fused_vs_scalar",
+            "scenes.moving.scalar_s",
+            "scenes.moving.fused_s",
+            "scenes.moving.speedup_fused_vs_scalar",
+            "dense_hall.tag_count",
+            "dense_hall.fused_s",
         ),
     ),
     "dtw": SnapshotSchema(
@@ -205,11 +194,9 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
         },
         numeric_paths=(
             "timings_s.serial",
-            "timings_s.pipeline",
             "stage_breakdown_s.simulate",
             "speedup_simulate_vs_pr4",
             "speedup_sharded_vs_serial",
-            "speedup_pipeline_vs_serial",
         ),
     ),
     "streaming": SnapshotSchema(

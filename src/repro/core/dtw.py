@@ -153,39 +153,6 @@ def _backtrack(
     return tuple(path)
 
 
-def _accumulate_python(
-    distance: np.ndarray,
-    weights: np.ndarray | None = None,
-    free_query_start: bool = False,
-) -> np.ndarray:
-    """The seed repository's pure-Python DTW accumulation (double loop).
-
-    Kept as the reference implementation: the equivalence tests assert that
-    :func:`accumulate_cost` reproduces it bit for bit, and
-    ``benchmarks/bench_dtw.py`` uses it as the before-optimisation baseline.
-    """
-    rows, cols = distance.shape
-    if weights is None:
-        weighted = distance
-    else:
-        weighted = distance * weights
-    cost = np.full((rows, cols), np.inf, dtype=float)
-    cost[0, 0] = weighted[0, 0]
-    if free_query_start:
-        cost[0, :] = weighted[0, :]
-    else:
-        for j in range(1, cols):
-            cost[0, j] = cost[0, j - 1] + weighted[0, j]
-    for i in range(1, rows):
-        cost[i, 0] = cost[i - 1, 0] + weighted[i, 0]
-        row_prev = cost[i - 1]
-        row_curr = cost[i]
-        for j in range(1, cols):
-            best_prev = min(row_prev[j - 1], row_prev[j], row_curr[j - 1])
-            row_curr[j] = weighted[i, j] + best_prev
-    return cost
-
-
 def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
     """Run the DTW recurrence over a ``(rows, cols, batch)`` weighted stack.
 
@@ -198,9 +165,10 @@ def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
     contiguous run of batch lanes — no index arrays, no copies, and the inner
     ufunc loops stream over contiguous memory.
 
-    Cell values match :func:`_accumulate_python` bit for bit: the first
-    row/column use ``np.add.accumulate`` (a strictly sequential sum, like the
-    seed loop) and interior cells add the same operands in the same order.
+    Cell values match the seed's pure-Python double loop (kept as the oracle
+    in ``tests/oracles/dtw.py``) bit for bit: the first row/column use
+    ``np.add.accumulate`` (a strictly sequential sum, like the seed loop) and
+    interior cells add the same operands in the same order.
     """
     rows, cols, batch = stack.shape
     cost = np.empty_like(stack)
@@ -249,8 +217,8 @@ def accumulate_cost(
 
     The single shared kernel behind :func:`dtw_align`,
     :func:`subsequence_dtw`, and :func:`segmented_dtw_align`.  Produces the
-    same matrix as the seed's pure-Python double loop
-    (:func:`_accumulate_python`), evaluated along anti-diagonals.
+    same matrix as the seed's pure-Python double loop, evaluated along
+    anti-diagonals.
     """
     weighted = _weighted_matrix(distance, weights)
     return _accumulate_stack(weighted[:, :, None], free_query_start)[:, :, 0]

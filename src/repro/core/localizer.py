@@ -103,11 +103,6 @@ class STPPLocalizer:
     reference: ReferenceProfile | None = None
     """Optional explicit reference profile; built from the config when None."""
 
-    batched: bool = True
-    """Run V-zone detection through the batched DTW engine.  The batched and
-    per-tag paths produce identical results (the vectorized kernel is
-    bit-exact); set False to force the per-tag loop, e.g. for A/B timing."""
-
     def __post_init__(self) -> None:
         if self.reference is None:
             self.reference = shared_canonical_reference(
@@ -162,7 +157,7 @@ class STPPLocalizer:
             expected = list(profile_map)
 
         started = time.perf_counter()
-        vzones = self._detector.detect_all(profile_map, batched=self.batched)
+        vzones = self._detector.detect_all(profile_map)
         x_ordering = order_tags_x(vzones, all_tag_ids=expected)
         y_ordering = order_tags_y(
             profile_map,
@@ -183,7 +178,6 @@ class STPPLocalizer:
                 "y_value_mode": self.config.y_value_mode,
                 "elapsed_s": elapsed,
                 "profile_count": len(profile_map),
-                "batched": self.batched,
             },
         )
 

@@ -174,19 +174,17 @@ class VZoneDetector:
     def detect_all(
         self,
         profiles: "dict[str, PhaseProfile] | list[PhaseProfile]",
-        batched: bool = True,
     ) -> dict[str, VZone]:
         """Detect V-zones for many profiles; tags without a detection are omitted.
 
-        With ``batched=True`` (the default) the DTW strategies align every
-        usable profile against the reference in one batched accumulation
-        (:func:`~repro.core.dtw.accumulate_cost_batch`) instead of running a
-        per-tag Python loop.  The detections are identical to the sequential
-        path — the batched kernel is bit-exact — so this is purely a
-        throughput optimisation.
+        The DTW strategies align every usable profile against the reference
+        in one batched accumulation
+        (:func:`~repro.core.dtw.accumulate_cost_batch`); the detections are
+        bit-identical to calling :meth:`detect` per profile, which is what a
+        single profile and the ``longest_run`` method do.
         """
         items = list(profiles.values()) if isinstance(profiles, dict) else list(profiles)
-        if batched and self.method != "longest_run" and len(items) > 1:
+        if self.method != "longest_run" and len(items) > 1:
             return self._detect_all_batched(items)
         detections: dict[str, VZone] = {}
         for profile in items:

@@ -28,16 +28,13 @@ Everything a plan carries must be picklable: tasks are module-level functions
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..rfid.backends import PHYSICS_BACKEND_ENV
 from .metrics import OrderingEvaluation
 from .runner import SweepExperiment
 
@@ -260,36 +257,6 @@ def _run_shard(plan: SweepPlan, shard: _Shard) -> list[RepetitionResult]:
     return results
 
 
-def _apply_backend_env(backend: str | None) -> None:
-    """Pool-worker initializer: point fresh workers at ``backend``.
-
-    Tasks construct their own :class:`~repro.rfid.reader.RFIDReader` deep
-    inside picklable factories, so the only seam that reaches every reader
-    without threading a parameter through each experiment is the
-    ``REPRO_PHYSICS_BACKEND`` environment variable that
-    :func:`~repro.rfid.backends.resolve_physics_backend` consults.
-    """
-    if backend is not None:
-        os.environ[PHYSICS_BACKEND_ENV] = backend
-
-
-@contextmanager
-def _scoped_backend_env(backend: str | None):
-    """Temporarily apply ``backend`` via the environment (serial path)."""
-    if backend is None:
-        yield
-        return
-    previous = os.environ.get(PHYSICS_BACKEND_ENV)
-    os.environ[PHYSICS_BACKEND_ENV] = backend
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(PHYSICS_BACKEND_ENV, None)
-        else:
-            os.environ[PHYSICS_BACKEND_ENV] = previous
-
-
 def default_worker_count() -> int:
     """Worker count: ``REPRO_SWEEP_WORKERS`` env var, else the CPU count."""
     env = os.environ.get(_WORKERS_ENV)
@@ -317,27 +284,11 @@ class SweepService:
     parallel:
         ``True``/``False`` forces the pool / the serial path; ``None`` uses
         the pool only when more than one worker is available.
-    physics_backend:
-        Physics backend name (``"serial"``/``"threads"``/``"process"``)
-        applied to every repetition this service runs — scoped through the
-        ``REPRO_PHYSICS_BACKEND`` environment variable (restored afterwards
-        on the serial path; set via the pool initializer for workers).
-        ``None`` leaves whatever the environment already says.
-    pipeline:
-        Overlap consecutive repetitions on the serial path: a two-thread
-        double buffer keeps at most two shards in flight, so sweep *N+1*'s
-        sequential (rng-owning) scheduling runs while sweep *N*'s order-free
-        NumPy physics holds the released GIL.  Results are keyed per shard
-        and re-ordered by repetition index, and every repetition is a pure
-        function of ``(rep_index, seed)`` — so pipelining is bit-identical
-        to the plain serial loop (pinned by ``tests/test_sweep_service.py``).
     """
 
     max_workers: int | None = None
     shard_size: int = 1
     parallel: bool | None = None
-    physics_backend: str | None = None
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.shard_size < 1:
@@ -381,55 +332,23 @@ class SweepService:
 
         per_plan: dict[int, list[RepetitionResult]] = {i: [] for i in range(len(plans))}
         if self._use_pool() and len(shards) > 1:
-            with ProcessPoolExecutor(
-                max_workers=self.worker_count(),
-                initializer=_apply_backend_env,
-                initargs=(self.physics_backend,),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=self.worker_count()) as pool:
                 shard_results = pool.map(
                     _run_shard, [plans[s.plan_index] for s in shards], shards
                 )
                 for shard, results in zip(shards, shard_results):
                     per_plan[shard.plan_index].extend(results)
-        elif self.pipeline and len(shards) > 1:
-            with _scoped_backend_env(self.physics_backend):
-                for shard, results in self._run_pipelined(plans, shards):
-                    per_plan[shard.plan_index].extend(results)
         else:
-            with _scoped_backend_env(self.physics_backend):
-                for shard in shards:
-                    per_plan[shard.plan_index].extend(
-                        _run_shard(plans[shard.plan_index], shard)
-                    )
+            for shard in shards:
+                per_plan[shard.plan_index].extend(
+                    _run_shard(plans[shard.plan_index], shard)
+                )
 
         outcomes = []
         for plan_index, plan in enumerate(plans):
             ordered = sorted(per_plan[plan_index], key=lambda r: r.rep_index)
             outcomes.append(SweepOutcome(plan=plan.name, results=tuple(ordered)))
         return outcomes
-
-    def _run_pipelined(
-        self, plans: Sequence[SweepPlan], shards: Sequence[_Shard]
-    ) -> Iterable[tuple[_Shard, list[RepetitionResult]]]:
-        """Double-buffered serial execution: at most two shards in flight.
-
-        While shard *N*'s physics phase sits in GIL-releasing NumPy kernels,
-        shard *N+1*'s pure-Python scheduling makes progress on the second
-        thread.  The window never exceeds two shards, so memory stays flat
-        and results drain in submission order.
-        """
-        with ThreadPoolExecutor(max_workers=2, thread_name_prefix="sweep-pipeline") as pool:
-            window: deque[tuple[_Shard, object]] = deque()
-            for shard in shards:
-                window.append(
-                    (shard, pool.submit(_run_shard, plans[shard.plan_index], shard))
-                )
-                if len(window) == 2:
-                    done_shard, future = window.popleft()
-                    yield done_shard, future.result()
-            while window:
-                done_shard, future = window.popleft()
-                yield done_shard, future.result()
 
 
 _default_service: SweepService | None = None

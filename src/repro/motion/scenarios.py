@@ -102,10 +102,6 @@ class _TagPositionsBase:
                 ],
                 dtype=float,
             ).reshape(len(key), 3)
-            # Publish the value before the key: concurrent chunk kernels (the
-            # parallel physics backends) that observe the new key then always
-            # read the matching array.  The reader also pre-warms this cache
-            # before fan-out, so the racy double-compute is cold-path only.
             self._array_value = value
             self._array_key = key
         return self._array_value

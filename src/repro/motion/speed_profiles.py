@@ -23,9 +23,6 @@ DEFAULT_BELT_SPEED_MPS = 0.3
 
 Matches the micro-benchmark sweep speed (paper §4.3) and is the default of
 every scenario-spec motion kind (:data:`repro.scenarios.spec.MOTION_KINDS`).
-``workloads.airport.BELT_SPEED_MPS`` and
-``workloads.warehouse.NOMINAL_BELT_SPEED_MPS`` are deprecated aliases of
-this constant.
 """
 
 

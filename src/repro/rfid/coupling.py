@@ -2,8 +2,8 @@
 
 The reader models mutual coupling by treating every tag within
 ``ReaderConfig.tag_coupling_radius_m`` of the observed tag as a weak
-scatterer.  The scalar reference path finds those neighbours by scanning the
-whole population per read.  :class:`NeighborGrid` instead keeps one stably
+scatterer.  The read-at-a-time test oracle finds those neighbours by scanning
+the whole population per read.  :class:`NeighborGrid` instead keeps one stably
 sorted array of int64 cell codes over a uniform grid whose cell edge is just
 over the radius, so every neighbour of a point lies in the 27 cells around
 its own.  A batch of query rows finds its candidates with ``np.searchsorted``
@@ -12,7 +12,7 @@ own ``sqrt(dx²+dy²+dz²)`` arithmetic, so neighbour sets and RF observations
 stay bit-identical), and sorts each row ascending — no Python loop over points.
 Rows are built on demand: a sweep packs only the tags its event table
 observed, a small fraction of a dense hall.  The grid serves static layouts
-(built once per sweep); moving tags use the reader's per-round dense filter.
+(built once per sweep); moving tags use the reader's dense per-event filter.
 """
 
 from __future__ import annotations

@@ -114,9 +114,8 @@ class SweepEventTable:
     def to_read_log(self) -> ReadLog:
         """The readable events as a time-sorted columnar :class:`ReadLog`.
 
-        Applies the same stable timestamp sort the per-round batched engine
-        applies after concatenating its rounds, so the log is bit-identical
-        to that engine's output.
+        Applies the same stable timestamp sort the read-at-a-time oracle
+        applies to its log, so the two logs are bit-identical.
         """
         self._require_observed()
         keep = np.nonzero(self.readable)[0]

@@ -12,38 +12,26 @@ callables mapping time to antenna position and to tag positions, so the same
 reader serves the antenna-moving case (librarian pushing a cart) and the
 tag-moving case (baggage on a conveyor belt).
 
-Three sweep implementations share one RF kernel:
+A sweep runs in two phases: a scheduling pass runs the sequential round loop
+(zone membership, MAC slotting, per-event noise draws) and emits the whole
+sweep as a structure-of-arrays :class:`~repro.rfid.event_table.SweepEventTable`;
+a physics pass then evaluates every round's events in one fused NumPy call
+(:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).  Because the
+dropout draw is conditional on deep multipath fades, the scheduler draws
+optimistically and the physics pass verifies, rolling the generator back on
+the (rare) mis-guess — see :meth:`RFIDReader.sweep_events`.
 
-* the **fused** two-phase engine (default): a scheduling pass runs the
-  sequential round loop (zone membership, MAC slotting, per-event noise
-  draws) and emits the whole sweep as a structure-of-arrays
-  :class:`~repro.rfid.event_table.SweepEventTable`; a physics pass then
-  evaluates every round's events in one fused NumPy call
-  (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).  Because the
-  dropout draw is conditional on deep multipath fades, the scheduler draws
-  optimistically and the physics pass verifies, rolling the generator back on
-  the (rare) mis-guess — see :meth:`RFIDReader.sweep_events`;
-* the **per-round batched** path (``engine="round"``) gathers each round's
-  successful slots into per-round batches through
-  :meth:`~repro.rf.channel.BackscatterChannel.observe_batch`, with coupling
-  neighbours found via a spatial hash
-  (:class:`~repro.rfid.coupling.NeighborGrid`) for static layouts;
-* the **scalar** path (``batched=False`` / ``engine="scalar"``) is the
-  original read-at-a-time reference loop.
-
-All three consume the shared random generator in the identical order (one
-``rng.integers`` per round, then the fixed per-event noise-draw sequence), so
-their read logs are **bit-identical** — pinned by
-``tests/test_batch_sweep.py`` and ``tests/test_fused_sweep.py``.
+The read log is **bit-identical** to the read-at-a-time reference loop kept
+in ``tests/oracles/scalar_sweep.py``, which consumes the random generator in
+the same order (one ``rng.integers`` per round, then the fixed per-event
+noise-draw sequence) — pinned by ``tests/test_fused_sweep.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,23 +39,18 @@ from ..motion.scenarios import StaticTagPositions
 from ..rf.antenna import ReadingZone
 from ..rf.channel import BackscatterChannel
 from ..rf.geometry import Point3D, euclidean_distances
-from ..rf.multipath import Reflector
 from ..rf.phase_model import DeviceOffsets
-from .aloha import FrameSlottedAloha, SlotOutcome
-from .backends import resolve_physics_backend
+from .aloha import FrameSlottedAloha
 from .coupling import NeighborGrid
 from .event_table import SweepEventTable
-from .reading import ReadBatch, ReadLog, TagRead
-from .tag import Tag, TagCollection, TagModel
+from .reading import ReadLog
+from .tag import TagCollection, TagModel
 
 AntennaPositionFn = Callable[[float], Point3D]
 """Maps time (seconds) to the antenna position."""
 
 TagPositionFn = Callable[[str, float], Point3D]
 """Maps (tag id, time in seconds) to that tag's position."""
-
-_SWEEP_ENGINES = ("fused", "round", "scalar")
-"""The three sweep implementations; all bit-identical from the same seed."""
 
 _MAX_FUSED_ATTEMPTS = 16
 """Optimistic schedule/verify iterations before the exact per-round fallback.
@@ -83,60 +66,11 @@ _COUPLING_CHUNK_CELLS = 262_144
 _PAIRED_FALLBACK_CHUNK = 512
 """Event chunk for the cross-product diagonal of paired-query-less providers."""
 
-_EVENT_INDEX_CACHE = np.arange(64, dtype=np.intp)
-_EVENT_INDEX_CACHE.setflags(write=False)
-
-
-def _event_indices(count: int) -> np.ndarray:
-    """``np.arange(count)`` served from a shared grow-only read-only cache.
-
-    The per-round RF kernel used to allocate the same small index ranges
-    three times per inventory round; every consumer only reads them, so one
-    cached buffer (doubled on demand) serves every round of every sweep.
-    """
-    global _EVENT_INDEX_CACHE
-    if count > _EVENT_INDEX_CACHE.size:
-        size = _EVENT_INDEX_CACHE.size
-        while size < count:
-            size *= 2
-        cache = np.arange(size, dtype=np.intp)
-        cache.setflags(write=False)
-        _EVENT_INDEX_CACHE = cache
-    return _EVENT_INDEX_CACHE[:count]
-
-
-class _CouplingScratch:
-    """Per-sweep scratch buffers for the per-round dense coupling filter."""
-
-    __slots__ = ("_within",)
-
-    def __init__(self) -> None:
-        self._within: np.ndarray | None = None
-
-    def within_mask(self, distances: np.ndarray, radius: float) -> np.ndarray:
-        """``distances <= radius`` written into a reused per-sweep buffer.
-
-        The buffer grows to the largest (events x population) round seen so
-        far; every cell of the returned view is overwritten, so stale values
-        from previous rounds cannot leak.
-        """
-        rows, cols = distances.shape
-        buffer = self._within
-        if buffer is None or buffer.shape[0] < rows or buffer.shape[1] < cols:
-            self._within = buffer = np.empty(
-                (max(rows, 16), cols), dtype=bool
-            )
-        view = buffer[:rows, :cols]
-        np.less_equal(distances, radius, out=view)
-        return view
-
-
 @dataclass(slots=True)
 class _SweepSetup:
-    """Per-sweep invariants shared by the batched and fused engines."""
+    """Per-sweep invariants shared by the scheduling and physics passes."""
 
     ids: list[str]
-    index_of: dict[str, int]
     mu_by_tag: np.ndarray
     provider: object
     static_layout: bool
@@ -412,22 +346,13 @@ class RFIDReader:
         self,
         config: ReaderConfig | None = None,
         protocol: FrameSlottedAloha | None = None,
-        physics_backend: object | None = None,
     ) -> None:
         self.config = config if config is not None else ReaderConfig()
         self.protocol = protocol if protocol is not None else FrameSlottedAloha()
-        self.physics_backend = resolve_physics_backend(physics_backend)
-        """How the fused engine's physics pass executes: ``serial`` (default),
-        ``threads``, ``process``, or a custom backend instance — see
-        :mod:`repro.rfid.backends`.  All backends are bit-identical; the
-        default honours the ``REPRO_PHYSICS_BACKEND`` environment variable."""
-
-        self._per_tag_channels: dict[str, BackscatterChannel] = {}
         self.last_sweep_stats: dict = {}
-        """Diagnostics of the most recent fused sweep: optimistic attempts,
-        rolled-back rounds, whether the per-round fallback engaged, the
-        physics backend and its chunk count, and the scheduling-vs-physics
-        wall-time split."""
+        """Diagnostics of the most recent sweep: optimistic attempts,
+        rolled-back rounds, whether the per-round fallback engaged, and the
+        scheduling-vs-physics wall-time split."""
 
     def _device_offsets_for(self, model: TagModel) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for a tag of ``model`` behind this reader."""
@@ -436,17 +361,6 @@ class RFIDReader:
             theta_rx=self.config.reader_rx_phase_rad,
             theta_tag=model.reflection_phase_rad,
         )
-
-    def _channel_for(self, tag: Tag) -> BackscatterChannel:
-        """A channel whose device offsets include this tag's reflection phase."""
-        existing = self._per_tag_channels.get(tag.tag_id)
-        if existing is not None:
-            return existing
-        channel = dataclasses.replace(
-            self.config.channel, device_offsets=self._device_offsets_for(tag.model)
-        )
-        self._per_tag_channels[tag.tag_id] = channel
-        return channel
 
     def _resolve_tag_positions(
         self, tag_position: TagPositionFn | None, tags: TagCollection
@@ -465,9 +379,6 @@ class RFIDReader:
         duration_s: float,
         tag_position: TagPositionFn | None = None,
         rng: np.random.Generator | None = None,
-        batched: bool = True,
-        engine: str | None = None,
-        physics_backend: object | None = None,
     ) -> ReadLog:
         """Run inventory rounds for ``duration_s`` seconds and return the read log.
 
@@ -485,137 +396,10 @@ class RFIDReader:
             the static positions stored in ``tags`` (antenna-moving case).
         rng:
             Random generator controlling slot choices, noise, and dropouts.
-        batched:
-            Back-compat switch: ``False`` forces the scalar reference loop.
-        engine:
-            Which sweep engine to run — ``"fused"`` (default: two-phase
-            scheduling + whole-sweep physics), ``"round"`` (the per-round
-            batched kernel), or ``"scalar"`` (the read-at-a-time reference
-            loop).  All three produce bit-identical logs from the same seed;
-            an explicit ``engine`` overrides ``batched``.
-        physics_backend:
-            Per-sweep override of the reader's physics backend (name or
-            instance, see :mod:`repro.rfid.backends`); only the fused engine
-            has a parallelisable physics phase, the other engines ignore it.
-            All backends produce bit-identical logs.
         """
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
-        if engine is None:
-            engine = "fused" if batched else "scalar"
-        if engine not in _SWEEP_ENGINES:
-            raise ValueError(
-                f"engine must be one of {_SWEEP_ENGINES}, got {engine!r}"
-            )
-        rng = rng if rng is not None else np.random.default_rng()
-        if engine == "fused":
-            return self.sweep_events(
-                tags, antenna_position, duration_s, tag_position, rng,
-                physics_backend=physics_backend,
-            ).to_read_log()
-        if engine == "round":
-            return self._sweep_batched(tags, antenna_position, duration_s, tag_position, rng)
-        return self._sweep_scalar(tags, antenna_position, duration_s, tag_position, rng)
-
-    # ------------------------------------------------------------------
-    # Scalar reference path
-    # ------------------------------------------------------------------
-
-    def _sweep_scalar(
-        self,
-        tags: TagCollection,
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        tag_position: TagPositionFn | None,
-        rng: np.random.Generator,
-    ) -> ReadLog:
-        """The original read-at-a-time loop, kept as the reference semantics."""
-        static_positions: Mapping[str, Point3D] = tags.positions()
-
-        def position_of(tag_id: str, time_s: float) -> Point3D:
-            if tag_position is not None:
-                return tag_position(tag_id, time_s)
-            return static_positions[tag_id]
-
-        log = ReadLog()
-        clock = 0.0
-        tags_by_id = {tag.tag_id: tag for tag in tags}
-
-        while clock < duration_s:
-            antenna_pos = antenna_position(clock)
-            in_zone = [
-                tag_id
-                for tag_id in tags_by_id
-                if self.config.reading_zone.contains(
-                    antenna_pos, position_of(tag_id, clock)
-                )
-            ]
-            events = self.protocol.run_round(in_zone, clock, rng)
-            for event in events:
-                if event.outcome is not SlotOutcome.SUCCESS or event.tag_id is None:
-                    continue
-                read_time = event.end_time_s
-                if read_time > duration_s:
-                    break
-                tag = tags_by_id[event.tag_id]
-                channel = self._channel_for(tag)
-                tag_pos_now = position_of(tag.tag_id, read_time)
-                coupling = self._coupling_scatterers(
-                    tag.tag_id, tag_pos_now, tags_by_id, position_of, read_time
-                )
-                observation = channel.observe(
-                    antenna_position(read_time),
-                    tag_pos_now,
-                    rng,
-                    extra_reflectors=coupling,
-                )
-                if not observation.readable:
-                    continue
-                log.append(
-                    TagRead(
-                        timestamp_s=read_time,
-                        tag_id=tag.tag_id,
-                        phase_rad=observation.phase_rad,
-                        rssi_dbm=observation.rssi_dbm,
-                        channel_index=channel.channel_index,
-                        antenna_port=self.config.antenna_port,
-                    )
-                )
-            round_time = self.protocol.round_duration_s(events)
-            if round_time <= 0:
-                raise RuntimeError("inventory round produced non-positive duration")
-            clock += round_time
-
-        return log.sorted_by_time()
-
-    def _coupling_scatterers(
-        self,
-        tag_id: str,
-        tag_pos: Point3D,
-        tags_by_id: Mapping[str, Tag],
-        position_of: Callable[[str, float], Point3D],
-        time_s: float,
-    ) -> tuple[Reflector, ...]:
-        """Scatterers representing nearby tags at this instant of the sweep."""
-        coefficient = self.config.tag_coupling_coefficient
-        if coefficient <= 0.0:
-            return ()
-        radius = self.config.tag_coupling_radius_m
-        scatterers: list[Reflector] = []
-        for other_id in tags_by_id:
-            if other_id == tag_id:
-                continue
-            other_pos = position_of(other_id, time_s)
-            if tag_pos.distance_to(other_pos) > radius:
-                continue
-            scatterers.append(
-                Reflector(
-                    position=other_pos,
-                    reflection_coefficient=coefficient,
-                    scattering_decay_m=self.config.tag_coupling_decay_m,
-                )
-            )
-        return tuple(scatterers)
+        return self.sweep_events(
+            tags, antenna_position, duration_s, tag_position, rng
+        ).to_read_log()
 
     # ------------------------------------------------------------------
     # Shared sweep setup
@@ -627,11 +411,10 @@ class RFIDReader:
         tag_position: TagPositionFn | None,
         antenna_position: AntennaPositionFn,
     ) -> "_SweepSetup":
-        """Resolve the per-sweep invariants shared by the batched engines."""
+        """Resolve the per-sweep invariants of the scheduling and physics passes."""
         config = self.config
         tag_list = list(tags)
         ids = [tag.tag_id for tag in tag_list]
-        index_of = {tag_id: i for i, tag_id in enumerate(ids)}
         population = len(ids)
         # Hoist the per-tag Eq. (1) offsets: theta_TAG varies per tag model,
         # everything else about the channel is shared, so ``mu`` is worked
@@ -661,7 +444,6 @@ class RFIDReader:
 
         return _SweepSetup(
             ids=ids,
-            index_of=index_of,
             mu_by_tag=mu_by_tag,
             provider=provider,
             static_layout=static_layout,
@@ -698,51 +480,6 @@ class RFIDReader:
             round_positions = setup.provider.positions_at(setup.ids, clock_buffer)[0]
         return antenna_row, round_positions
 
-    # ------------------------------------------------------------------
-    # Per-round batched path (engine="round")
-    # ------------------------------------------------------------------
-
-    def _sweep_batched(
-        self,
-        tags: TagCollection,
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        tag_position: TagPositionFn | None,
-        rng: np.random.Generator,
-    ) -> ReadLog:
-        """Round-batched sweep: vectorized geometry, RF kernel, and logging."""
-        # Column accumulators for the read log.
-        out_times: list[np.ndarray] = []
-        out_ids: list[str] = []
-        out_phases: list[np.ndarray] = []
-        out_rssis: list[np.ndarray] = []
-
-        for times, ids, phases, rssis in self._batched_rounds(
-            tags, antenna_position, duration_s, tag_position, rng
-        ):
-            out_times.append(times)
-            out_ids.extend(ids)
-            out_phases.append(phases)
-            out_rssis.append(rssis)
-
-        if out_times:
-            timestamps = np.concatenate(out_times)
-            phases = np.concatenate(out_phases)
-            rssis = np.concatenate(out_rssis)
-        else:
-            timestamps = phases = rssis = np.empty(0)
-        order = np.argsort(timestamps, kind="stable")
-        log = ReadLog()
-        log.extend_columns(
-            timestamps[order],
-            [out_ids[i] for i in order],
-            phases[order],
-            rssis[order],
-            channel_index=self.config.channel.channel_index,
-            antenna_port=self.config.antenna_port,
-        )
-        return log
-
     def sweep_stream(
         self,
         tags: TagCollection,
@@ -751,7 +488,7 @@ class RFIDReader:
         tag_position: TagPositionFn | None = None,
         rng: np.random.Generator | None = None,
     ):
-        """Run a sweep and yield one :class:`ReadBatch` per inventory round.
+        """Run a sweep and yield one :class:`~repro.rfid.reading.ReadBatch` per inventory round.
 
         The streaming entry point: instead of returning the finished
         :class:`ReadLog`, reads are emitted round by round — in a real
@@ -773,175 +510,8 @@ class RFIDReader:
         table = self.sweep_events(tags, antenna_position, duration_s, tag_position, rng)
         yield from table.iter_round_batches()
 
-    def _batched_rounds(
-        self,
-        tags: TagCollection,
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        tag_position: TagPositionFn | None,
-        rng: np.random.Generator,
-    ):
-        """The round-batched sweep loop, one ``(times, ids, phases, rssis)``
-        tuple per inventory round with at least one readable reply.
-
-        The per-round reference engine (``engine="round"``): the fused
-        two-phase engine must stay bit-identical to this loop, which in turn
-        is pinned against the scalar loop.
-        """
-        setup = self._sweep_setup(tags, tag_position, antenna_position)
-        zone = self.config.reading_zone
-        ids = setup.ids
-        scratch = _CouplingScratch()
-        clock_buffer = np.empty(1)
-
-        clock = 0.0
-        while clock < duration_s:
-            antenna_row, round_positions = self._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
-            )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
-            in_zone = [ids[i] for i in np.nonzero(in_zone_mask)[0]]
-
-            events = self.protocol.run_round(in_zone, clock, rng)
-            success_ids: list[str] = []
-            success_times: list[float] = []
-            for event in events:
-                if event.outcome is not SlotOutcome.SUCCESS or event.tag_id is None:
-                    continue
-                read_time = event.end_time_s
-                if read_time > duration_s:
-                    break
-                success_ids.append(event.tag_id)
-                success_times.append(read_time)
-
-            if success_ids:
-                observed = self._observe_round(
-                    rng=rng,
-                    setup=setup,
-                    antenna_position=antenna_position,
-                    success_ids=success_ids,
-                    success_times=success_times,
-                    scratch=scratch,
-                )
-                if observed is not None:
-                    yield observed
-
-            round_time = self.protocol.round_duration_s(events)
-            if round_time <= 0:
-                raise RuntimeError("inventory round produced non-positive duration")
-            clock += round_time
-
-    def _observe_round(
-        self,
-        rng: np.random.Generator,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        success_ids: list[str],
-        success_times: list[float],
-        scratch: "_CouplingScratch",
-    ) -> "tuple[np.ndarray, list[str], np.ndarray, np.ndarray] | None":
-        """Observe one round's successful slots as a single vectorized batch.
-
-        Returns the round's readable reads as ``(times, ids, phases, rssis)``
-        columns in slot order, or ``None`` when nothing was readable.  The
-        per-event index arrays come from the shared grow-only cache
-        (:func:`_event_indices`) and the dense coupling filter reuses
-        ``scratch``'s mask buffer — the same (tag index, timestamp) event
-        schema the fused engine's phase 1 emits as a whole-sweep table.
-        """
-        count = len(success_ids)
-        tag_indices = np.array(
-            [setup.index_of[tag_id] for tag_id in success_ids], dtype=np.intp
-        )
-        times = np.array(success_times, dtype=float)
-
-        if setup.antenna_positions_at is not None:
-            antenna_rows = np.asarray(setup.antenna_positions_at(times), dtype=float)
-        else:
-            antenna_rows = np.array(
-                [
-                    (p.x, p.y, p.z)
-                    for p in (antenna_position(t) for t in success_times)
-                ],
-                dtype=float,
-            )
-
-        extra_positions = extra_index = None
-        if setup.base_positions is not None:
-            # Static layout: positions never change; neighbour sets come from
-            # the sweep-lifetime spatial hash.
-            event_tag_positions = setup.base_positions[tag_indices]
-            if setup.coupling_on and setup.grid is not None:
-                event_index, flat_neighbors = setup.grid.neighbors_for_events(
-                    tag_indices
-                )
-                if event_index.size:
-                    extra_index = event_index
-                    extra_positions = setup.base_positions[flat_neighbors]
-        elif not setup.coupling_on:
-            # Moving tags without coupling: only the observed tags' own
-            # positions matter.  Providers evaluate each (tag, time) cell
-            # independently, so a pairwise query equals the corresponding
-            # cells of the full-population query bitwise.
-            paired = getattr(setup.provider, "positions_paired", None)
-            if paired is not None:
-                event_tag_positions = paired(success_ids, times)
-            else:
-                rows = setup.provider.positions_at(success_ids, times)
-                indices = _event_indices(count)
-                event_tag_positions = rows[indices, indices]
-        else:
-            # Moving tags with coupling: evaluate every tag's position at
-            # every read time in one array pass, then apply the exact radius
-            # filter (the positions change each event, so the spatial hash
-            # would have to be rebuilt per event anyway — the dense filter IS
-            # that rebuild).
-            all_positions = setup.provider.positions_at(setup.ids, times)
-            indices = _event_indices(count)
-            event_tag_positions = all_positions[indices, tag_indices]
-            distances = euclidean_distances(
-                event_tag_positions[:, None, :], all_positions
-            )
-            within = scratch.within_mask(distances, setup.radius)
-            within[indices, tag_indices] = False
-            event_index, neighbor_index = np.nonzero(within)
-            if event_index.size:
-                extra_index = event_index.astype(np.intp)
-                extra_positions = all_positions[event_index, neighbor_index]
-
-        extra_coefficients = extra_decays = None
-        if extra_positions is not None:
-            extra_coefficients = np.full(
-                len(extra_positions), self.config.tag_coupling_coefficient
-            )
-            extra_decays = np.full(
-                len(extra_positions), self.config.tag_coupling_decay_m
-            )
-
-        observation = self.config.channel.observe_batch(
-            antenna_rows,
-            event_tag_positions,
-            rng,
-            device_offsets_total=setup.mu_by_tag[tag_indices],
-            extra_positions=extra_positions,
-            extra_coefficients=extra_coefficients,
-            extra_decays=extra_decays,
-            extra_event_index=extra_index,
-        )
-
-        keep = observation.readable
-        if not np.any(keep):
-            return None
-        kept = np.nonzero(keep)[0]
-        return (
-            times[kept],
-            [success_ids[i] for i in kept],
-            observation.phase_rad[kept],
-            observation.rssi_dbm[kept],
-        )
-
     # ------------------------------------------------------------------
-    # Fused two-phase path (engine="fused", the default)
+    # Two-phase sweep
     # ------------------------------------------------------------------
 
     def sweep_events(
@@ -951,41 +521,35 @@ class RFIDReader:
         duration_s: float,
         tag_position: TagPositionFn | None = None,
         rng: np.random.Generator | None = None,
-        physics_backend: object | None = None,
     ) -> SweepEventTable:
-        """Run the fused two-phase sweep and return its completed event table.
+        """Run the two-phase sweep and return its completed event table.
 
         **Phase 1 (scheduling)** runs the sequential round loop — zone
         membership, MAC slotting, per-event noise draws, clock advance — and
         emits the whole sweep's reply attempts as a structure-of-arrays
         :class:`~repro.rfid.event_table.SweepEventTable`.  All rng
-        consumption happens here, in the same order as the per-round and
-        scalar engines.  **Phase 2 (physics)** evaluates every event's
+        consumption happens here, in the same order as the scalar reference
+        loop.  **Phase 2 (physics)** evaluates every event's
         geometry, link budget, multipath, Eq. (1) phase, quantisation, and
         RSSI in one fused NumPy pass
         (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).
 
         The one place physics feeds back into the rng order is the dropout
-        draw, which the scalar path skips for events in a deep multipath
+        draw, which the scalar loop skips for events in a deep multipath
         fade.  Phase 1 therefore draws *optimistically* (assuming no deep
         fades — overwhelmingly the common case) and phase 2 verifies; on a
         mis-guess the generator and protocol state are rolled back to the
         nearest per-round checkpoint and only the schedule tail replays,
         with the exact booleans for the offending round (each retry fixes at
         least one round, so the loop terminates).  Pathological
-        configurations that keep
-        mis-guessing fall back to an exact per-round mode.  Either way the
+        configurations that keep mis-guessing fall back to an exact
+        per-round mode.  Either way the
         read log is bit-identical to the scalar reference — pinned by
         ``tests/test_fused_sweep.py``.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
         rng = rng if rng is not None else np.random.default_rng()
-        backend = (
-            self.physics_backend
-            if physics_backend is None
-            else resolve_physics_backend(physics_backend)
-        )
         setup = self._sweep_setup(tags, tag_position, antenna_position)
         noise = self.config.channel.noise
 
@@ -996,8 +560,6 @@ class RFIDReader:
             "attempts": 0,
             "rolled_back_rounds": 0,
             "per_round_fallback": False,
-            "backend": backend.name,
-            "physics_chunks": 0,
             "scheduling_s": 0.0,
             "physics_s": 0.0,
         }
@@ -1016,9 +578,7 @@ class RFIDReader:
                 candidate = scheduler.resume(resume_round, corrections)
             tock = time.perf_counter()
             stats["scheduling_s"] += tock - tick
-            stats["physics_chunks"] += self._observe_events(
-                setup, antenna_position, candidate, backend
-            )
+            self._observe_events(setup, antenna_position, candidate)
             stats["physics_s"] += time.perf_counter() - tock
             stats["attempts"] = attempt + 1
             if noise.random_dropout_probability == 0.0:
@@ -1070,9 +630,8 @@ class RFIDReader:
 
         Returns ``(antenna_rows, event_tag_positions, extra_positions,
         extra_coefficients, extra_decays, extra_event_index)``.  Shared by
-        the fused physics pass (one call per sweep) and the exact per-round
-        fallback (one call per round); every per-event value is evaluated by
-        the same elementwise arithmetic as :meth:`_observe_round`.
+        the physics pass (one call per sweep) and the exact per-round
+        fallback (one call per round).
         """
         count = int(times.size)
         if setup.antenna_positions_at is not None:
@@ -1111,7 +670,7 @@ class RFIDReader:
                     rows = setup.provider.positions_at(
                         event_ids[start:stop], times[start:stop]
                     )
-                    indices = _event_indices(stop - start)
+                    indices = np.arange(stop - start)
                     event_tag_positions[start:stop] = rows[indices, indices]
         else:
             # Moving tags with coupling: the dense per-event radius filter,
@@ -1127,7 +686,7 @@ class RFIDReader:
                 all_positions = setup.provider.positions_at(
                     setup.ids, times[start:stop]
                 )
-                indices = _event_indices(stop - start)
+                indices = np.arange(stop - start)
                 chunk_tags = tag_indices[start:stop]
                 chunk_positions = all_positions[indices, chunk_tags]
                 event_tag_positions[start:stop] = chunk_positions
@@ -1161,24 +720,19 @@ class RFIDReader:
             extra_index,
         )
 
-    def _observe_event_range(
+    def _observe_events(
         self,
         setup: "_SweepSetup",
         antenna_position: AntennaPositionFn,
         table: SweepEventTable,
-        start: int,
-        stop: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Physics of event rows ``[start, stop)``: the backend chunk kernel.
-
-        Every per-event observable depends only on that event's own row, so
-        evaluating any row range yields exactly the rows the whole-table pass
-        would — the invariant that makes the parallel backends bit-identical
-        (pinned by the chunk-boundary property tests).  Returns the chunk's
-        ``(phase, rssi, readable, deep_fade)`` columns.
-        """
-        times = table.times_s[start:stop]
-        tag_indices = table.tag_indices[start:stop]
+    ) -> None:
+        """Phase 2: physics over the whole event table, in place."""
+        if len(table) == 0:
+            table.phase_rad = np.empty(0)
+            table.rssi_dbm = np.empty(0)
+            table.readable = np.empty(0, dtype=bool)
+            table.deep_fade = np.empty(0, dtype=bool)
+            return
         (
             antenna_rows,
             event_tag_positions,
@@ -1186,66 +740,25 @@ class RFIDReader:
             extra_coefficients,
             extra_decays,
             extra_index,
-        ) = self._event_geometry(setup, antenna_position, times, tag_indices)
+        ) = self._event_geometry(
+            setup, antenna_position, table.times_s, table.tag_indices
+        )
         observation, deep_fade = self.config.channel.observe_sweep(
             antenna_rows,
             event_tag_positions,
-            dropped=table.dropped[start:stop],
-            phase_noise=table.phase_noise_rad[start:stop],
-            rssi_noise=table.rssi_noise_db[start:stop],
-            device_offsets_total=setup.mu_by_tag[tag_indices],
+            dropped=table.dropped,
+            phase_noise=table.phase_noise_rad,
+            rssi_noise=table.rssi_noise_db,
+            device_offsets_total=setup.mu_by_tag[table.tag_indices],
             extra_positions=extra_positions,
             extra_coefficients=extra_coefficients,
             extra_decays=extra_decays,
             extra_event_index=extra_index,
         )
-        return observation.phase_rad, observation.rssi_dbm, observation.readable, deep_fade
-
-    def _observe_events(
-        self,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        table: SweepEventTable,
-        backend: object,
-    ) -> int:
-        """Phase 2: physics over the whole event table, in place.
-
-        The table's rows are split into the backend's chunk bounds, each chunk
-        evaluated by :meth:`_observe_event_range`, and the results stitched
-        back in chunk order — bitwise the single fused pass, whatever the
-        chunking.  Returns the number of chunks dispatched.
-        """
-        count = len(table)
-        if count == 0:
-            table.phase_rad = np.empty(0)
-            table.rssi_dbm = np.empty(0)
-            table.readable = np.empty(0, dtype=bool)
-            table.deep_fade = np.empty(0, dtype=bool)
-            return 0
-        bounds = backend.chunk_bounds(count)
-        if len(bounds) <= 1:
-            results = [self._observe_event_range(setup, antenna_position, table, 0, count)]
-        else:
-            # Populate the providers' lazily-filled caches before fan-out so
-            # parallel chunk kernels only ever read them.
-            warm = getattr(setup.provider, "initial_array", None)
-            if warm is not None:
-                warm(setup.ids)
-            _event_indices(min(max(stop - start for start, stop in bounds), count))
-            kernel = partial(_physics_chunk, self, setup, antenna_position, table)
-            results = backend.map_chunks(kernel, bounds)
-        if len(results) == 1:
-            phase, rssi, readable, deep_fade = results[0]
-        else:
-            phase = np.concatenate([chunk[0] for chunk in results])
-            rssi = np.concatenate([chunk[1] for chunk in results])
-            readable = np.concatenate([chunk[2] for chunk in results])
-            deep_fade = np.concatenate([chunk[3] for chunk in results])
-        table.phase_rad = phase
-        table.rssi_dbm = rssi
-        table.readable = readable
+        table.phase_rad = observation.phase_rad
+        table.rssi_dbm = observation.rssi_dbm
+        table.readable = observation.readable
         table.deep_fade = deep_fade
-        return len(bounds)
 
     def _sweep_table_per_round(
         self,
@@ -1352,20 +865,3 @@ class RFIDReader:
             rssi_dbm=_column(8),
             readable=_column(9, dtype=bool),
         )
-
-
-def _physics_chunk(
-    reader: RFIDReader,
-    setup: _SweepSetup,
-    antenna_position: AntennaPositionFn,
-    table: SweepEventTable,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Module-level chunk kernel the backends dispatch (picklable via partial).
-
-    Thread backends call it in-process; the process backend pickles the bound
-    arguments (reader, setup, antenna provider, event table) to its workers.
-    Either way it is a pure function of the chunk's rows.
-    """
-    return reader._observe_event_range(setup, antenna_position, table, start, stop)

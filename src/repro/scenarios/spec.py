@@ -383,11 +383,10 @@ MOTION_KINDS: dict[str, dict[str, _Field]] = {
 }
 """Motion kind -> its parameter schema.
 
-This table is the home of the repository's conveyor speed defaults:
-``workloads.airport.BELT_SPEED_MPS`` and
-``workloads.warehouse.NOMINAL_BELT_SPEED_MPS`` are deprecated aliases of
-:data:`repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS`, which every
-motion kind above uses as its default speed.
+This table is the home of the repository's conveyor speed defaults: every
+motion kind above uses
+:data:`repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS` as its default
+speed.
 """
 
 ANTENNA_MOTIONS = ("handheld", "robot")

@@ -69,43 +69,21 @@ def profiles_from_read_log(
     return profile_set
 
 
-def collect_sweep(
-    scene: Scene,
-    batched: bool = True,
-    engine: str | None = None,
-    physics_backend: object | None = None,
-) -> SweepResult:
+def collect_sweep(scene: Scene) -> SweepResult:
     """Simulate ``scene`` and return profiles plus the raw read log.
 
     Tags that were never successfully read during the sweep have no entry in
     the resulting :class:`ProfileSet`; callers that must account for every tag
     (e.g. the ordering accuracy metric) should compare against
     ``scene.tags.ids()``.
-
-    ``engine`` selects the sweep implementation (``"fused"`` two-phase
-    engine by default, ``"round"`` for the per-round batched kernel,
-    ``"scalar"`` for the read-at-a-time reference loop); ``batched=False`` is
-    the back-compat spelling of ``engine="scalar"``.  ``physics_backend``
-    selects how the fused engine's physics phase executes (``"serial"``,
-    ``"threads"``, ``"process"``, or an instance — see
-    :mod:`repro.rfid.backends`); ``None`` defers to the
-    ``REPRO_PHYSICS_BACKEND`` environment variable.  All engines and all
-    backends produce bit-identical results — the knobs exist for
-    benchmarking and equivalence testing.
     """
-    reader = RFIDReader(
-        config=scene.reader_config,
-        protocol=scene.protocol,
-        physics_backend=physics_backend,
-    )
+    reader = RFIDReader(config=scene.reader_config, protocol=scene.protocol)
     read_log = reader.sweep(
         tags=scene.tags,
         antenna_position=scene.scenario.antenna_position,
         duration_s=scene.scenario.duration_s,
         tag_position=scene.scenario.tag_position,
         rng=scene.rng(),
-        batched=batched,
-        engine=engine,
     )
     profiles = profiles_from_read_log(
         read_log, channel_index=scene.reader_config.channel.channel_index

@@ -39,21 +39,7 @@ from .library import (
 )
 
 
-def __getattr__(name: str):
-    # Deprecated belt-speed aliases: resolved lazily so importing the package
-    # does not emit the DeprecationWarning, only actually touching the names.
-    if name == "BELT_SPEED_MPS":
-        from . import airport
-
-        return airport.BELT_SPEED_MPS
-    if name == "NOMINAL_BELT_SPEED_MPS":
-        from . import warehouse
-
-        return warehouse.NOMINAL_BELT_SPEED_MPS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "BELT_SPEED_MPS",
     "BaggageBatch",
     "Book",
     "Bookshelf",
@@ -62,7 +48,6 @@ __all__ = [
     "EVENING_PEAK",
     "MIDDAY_OFF_PEAK",
     "MORNING_PEAK",
-    "NOMINAL_BELT_SPEED_MPS",
     "PAPER_PERIODS",
     "TrafficPeriod",
     "baggage_batch",

@@ -18,22 +18,6 @@ from ..rf.geometry import Point3D
 from ..rfid.tag import TagCollection, make_tags
 
 
-def __getattr__(name: str):
-    if name == "BELT_SPEED_MPS":
-        # Deprecated alias: the belt speed now lives with the scenario spec's
-        # motion config (repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS).
-        import warnings
-
-        warnings.warn(
-            "repro.workloads.airport.BELT_SPEED_MPS is deprecated; use "
-            "repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BELT_SPEED_MPS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class TrafficPeriod:
     """One of the three measurement periods of Table 3."""

@@ -43,21 +43,6 @@ from ..rfid.tag import TagCollection, make_tags
 from ..simulation.presets import SweepGeometry, standard_reader_config
 from ..simulation.scene import Scene
 
-def __getattr__(name: str):
-    if name == "NOMINAL_BELT_SPEED_MPS":
-        # Deprecated alias: the belt speed now lives with the scenario spec's
-        # motion config (repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS).
-        import warnings
-
-        warnings.warn(
-            "repro.workloads.warehouse.NOMINAL_BELT_SPEED_MPS is deprecated; "
-            "use repro.motion.speed_profiles.DEFAULT_BELT_SPEED_MPS",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BELT_SPEED_MPS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class ConveyorConfig:

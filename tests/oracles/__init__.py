@@ -1,0 +1,6 @@
+"""Reference implementations the equivalence tests compare production code to.
+
+Each oracle is the simple, slow form of a production path: the read-at-a-time
+sweep loop, the pure-Python DTW accumulation, and the pre-registry scenario
+factories.  None of them is imported by ``src/``.
+"""

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.dtw import (
     DTWResult,
-    _accumulate_python,
     _backtrack,
     accumulate_cost,
     accumulate_cost_batch,
@@ -27,6 +26,9 @@ from repro.core.dtw import (
     subsequence_dtw_batch,
 )
 from repro.core.localizer import BatchLocalizer, STPPConfig, STPPLocalizer
+from repro.core.vzone import DETECTION_METHODS
+from repro.core.ordering_x import order_tags_x
+from repro.core.ordering_y import order_tags_y
 from repro.core.reference import shared_canonical_reference
 from repro.core.segmentation import segment_profile
 from repro.evaluation.runner import standard_experiment
@@ -34,6 +36,8 @@ from repro.simulation.collector import profiles_from_read_log
 from repro.workloads.airport import MORNING_PEAK, baggage_batch, order_bags
 from repro.workloads.layouts import random_spacing_row
 from repro.workloads.library import audit_shelf, generate_bookshelf, misplace_books
+
+from oracles.dtw import accumulate_python
 
 
 class TestVectorizedKernelEquivalence:
@@ -45,7 +49,7 @@ class TestVectorizedKernelEquivalence:
             distance = rng.random((rows, cols))
             weights = rng.random((rows, cols)) + 0.1 if trial % 2 else None
             for free_start in (False, True):
-                expected = _accumulate_python(distance, weights, free_start)
+                expected = accumulate_python(distance, weights, free_start)
                 actual = accumulate_cost(distance, weights, free_start)
                 assert np.array_equal(expected, actual)
 
@@ -97,6 +101,38 @@ class TestVectorizedKernelEquivalence:
             segmented_dtw_align_batch(ref_segments, [[]])
         with pytest.raises(ValueError):
             segmented_dtw_align_batch([], [ref_segments])
+
+
+class TestKernelMatchesOracleOnEdgeShapes:
+    """Single rows/columns and ties stress the anti-diagonal bookkeeping."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 12), (12, 1), (2, 37), (37, 2), (16, 16)]
+    )
+    def test_single_and_batched_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        distance = rng.random(shape)
+        weights = rng.random(shape) + 0.1
+        for free_start in (False, True):
+            for w in (None, weights):
+                expected = accumulate_python(distance, w, free_start)
+                assert np.array_equal(accumulate_cost(distance, w, free_start), expected)
+            weighted = distance * weights
+            (batched,) = accumulate_cost_batch([weighted], free_query_start=free_start)
+            assert np.array_equal(
+                batched, accumulate_python(weighted, None, free_start)
+            )
+
+    def test_tied_costs_match_oracle(self):
+        # Small integer distances make every min() over predecessors a tie.
+        rng = np.random.default_rng(17)
+        matrices = [rng.integers(0, 3, size=(9, 14)).astype(float) for _ in range(4)]
+        for free_start in (False, True):
+            batched = accumulate_cost_batch(matrices, free_query_start=free_start)
+            for matrix, cost in zip(matrices, batched):
+                expected = accumulate_python(matrix, None, free_start)
+                assert np.array_equal(cost, expected)
+                assert np.array_equal(accumulate_cost(matrix, None, free_start), expected)
 
 
 class TestBacktrackDegenerateShapes:
@@ -167,32 +203,61 @@ class TestBatchLocalizerEquivalence:
         experiment = standard_experiment(positions, seed=3)
         profiles = profiles_from_read_log(experiment.read_log)
         config = STPPConfig(detection_method=method)
+        localizer = BatchLocalizer(config)
+        batched = localizer.localize(profiles, expected_tag_ids=experiment.target_ids)
 
-        sequential = STPPLocalizer(config, batched=False).localize(
-            profiles, expected_tag_ids=experiment.target_ids
+        expected = experiment.target_ids
+        profile_map = {p.tag_id: p for p in profiles if p.tag_id in set(expected)}
+        sequential = {
+            p.tag_id: vzone
+            for p in profile_map.values()
+            if (vzone := localizer.detector.detect(p)) is not None
+        }
+        x_ordering = order_tags_x(sequential, all_tag_ids=expected)
+        y_ordering = order_tags_y(
+            profile_map, sequential, config=config.y_config(), all_tag_ids=expected
         )
-        batched = BatchLocalizer(config).localize(
-            profiles, expected_tag_ids=experiment.target_ids
-        )
 
-        assert sequential.x_ordering.ordered_ids == batched.x_ordering.ordered_ids
-        assert sequential.y_ordering.ordered_ids == batched.y_ordering.ordered_ids
-        assert sequential.x_ordering.unordered_ids == batched.x_ordering.unordered_ids
-        _assert_vzones_equal(sequential.vzones, batched.vzones)
-        assert batched.metadata["batched"] is True
-        assert sequential.metadata["batched"] is False
+        _assert_vzones_equal(sequential, batched.vzones)
+        assert x_ordering.ordered_ids == batched.x_ordering.ordered_ids
+        assert y_ordering.ordered_ids == batched.y_ordering.ordered_ids
+        assert x_ordering.unordered_ids == batched.x_ordering.unordered_ids
 
-    def test_detector_batched_flag_is_pure_throughput(self):
+    def test_detect_all_matches_per_profile_detect(self):
         rng = np.random.default_rng(9)
         positions = random_spacing_row(5, 0.06, 0.15, rng=rng)
         experiment = standard_experiment(positions, seed=9)
         profiles = profiles_from_read_log(experiment.read_log)
         detector = STPPLocalizer(STPPConfig()).detector
         profile_map = dict(profiles.profiles)
-        _assert_vzones_equal(
-            detector.detect_all(profile_map, batched=False),
-            detector.detect_all(profile_map, batched=True),
-        )
+        sequential = {
+            p.tag_id: vzone
+            for p in profiles
+            if (vzone := detector.detect(p)) is not None
+        }
+        _assert_vzones_equal(sequential, detector.detect_all(profile_map))
+
+    @pytest.mark.parametrize("method", DETECTION_METHODS)
+    def test_detect_all_matches_detect_for_every_method(self, method):
+        # The DTW methods take the batched path, longest_run the per-profile
+        # one; both must equal detect() called profile by profile.
+        rng = np.random.default_rng(12)
+        positions = random_spacing_row(6, 0.05, 0.18, rng=rng)
+        experiment = standard_experiment(positions, seed=12)
+        profiles = list(profiles_from_read_log(experiment.read_log))
+        detector = STPPLocalizer(STPPConfig(detection_method=method)).detector
+        sequential = {
+            p.tag_id: vzone
+            for p in profiles
+            if (vzone := detector.detect(p)) is not None
+        }
+        assert sequential
+        _assert_vzones_equal(sequential, detector.detect_all(profiles))
+
+    def test_detect_all_of_no_profiles_is_empty(self):
+        detector = STPPLocalizer(STPPConfig()).detector
+        assert detector.detect_all([]) == {}
+        assert detector.detect_all({}) == {}
 
     def test_localize_many_matches_individual_calls(self):
         engine = BatchLocalizer(STPPConfig())

@@ -1,11 +1,10 @@
-"""Equivalence and regression tests for the round-batched sweep engine.
+"""Regression tests for the sweep's vectorized building blocks.
 
-The batched reader path (structure-of-arrays RF kernel, spatial-hash coupling
-lookups, array-native motion sampling, columnar read log) must be
-**bit-identical** to the scalar read-at-a-time reference loop for every
-workload — same discipline as ``tests/test_batch_localizer.py`` pins for the
-DTW engine.  A seeded golden trace additionally tripwires the sweep output
-independently of the batched-vs-scalar comparison.
+The structure-of-arrays RF kernel, the spatial-hash coupling lookups, the
+array-native motion sampling and the columnar read log are each pinned
+against their scalar forms here; the whole sweep is pinned against the
+read-at-a-time oracle in ``tests/test_fused_sweep.py``.  The dense-hall
+digests additionally tripwire the coupling-heavy sweep output.
 """
 
 import hashlib
@@ -43,135 +42,7 @@ from repro.simulation.presets import (
     standard_tag_moving_scene,
 )
 from repro.workloads.airport import MORNING_PEAK, baggage_batch
-from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
-
-
-def assert_logs_identical(batched: ReadLog, scalar: ReadLog) -> None:
-    """Field-by-field exact equality of two read logs."""
-    assert len(batched) == len(scalar)
-    for index, (a, b) in enumerate(zip(batched.reads, scalar.reads)):
-        assert a == b, f"read {index} diverged: {a} vs {b}"
-
-
-class TestBatchedScalarEquivalence:
-    """Batched sweeps are bit-identical to the scalar loop on all workloads."""
-
-    def test_library_workload(self):
-        # The librarian case: hand-pushed antenna over a static bookshelf.
-        shelf = generate_bookshelf(levels=2, books_per_level=6, seed=21)
-        tags = shelf.to_tags(seed=21)
-        batched = collect_sweep(
-            standard_antenna_moving_scene(tags, seed=21), batched=True
-        )
-        scalar = collect_sweep(
-            standard_antenna_moving_scene(tags, seed=21), batched=False
-        )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
-
-    def test_airport_workload(self):
-        # The baggage case: static antenna, bags riding a constant-speed belt.
-        batch = baggage_batch(MORNING_PEAK, bag_count=6, seed=22)
-        batched = collect_sweep(
-            standard_tag_moving_scene(batch.tags, seed=22), batched=True
-        )
-        scalar = collect_sweep(
-            standard_tag_moving_scene(batch.tags, seed=22), batched=False
-        )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
-
-    def test_warehouse_workload(self):
-        # The sortation case: multi-lane cartons on a surging/crawling belt.
-        config = ConveyorConfig(lanes=2, cartons_per_lane=3)
-        batched = collect_sweep(
-            conveyor_scene(conveyor_batch(config, seed=23), seed=23), batched=True
-        )
-        scalar = collect_sweep(
-            conveyor_scene(conveyor_batch(config, seed=23), seed=23), batched=False
-        )
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
-
-    def test_moving_tags_with_coupling_disabled(self):
-        # Coupling off on a moving layout takes the diagonal-only position
-        # query (no full-population cross product); must stay bit-identical.
-        import dataclasses
-
-        from repro.simulation.presets import standard_tag_moving_scene
-
-        batch = baggage_batch(MORNING_PEAK, bag_count=5, seed=31)
-
-        def make_scene():
-            scene = standard_tag_moving_scene(batch.tags, seed=31)
-            return dataclasses.replace(
-                scene,
-                reader_config=dataclasses.replace(
-                    scene.reader_config, tag_coupling_coefficient=0.0
-                ),
-            )
-
-        batched = collect_sweep(make_scene(), batched=True)
-        scalar = collect_sweep(make_scene(), batched=False)
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
-
-    def test_plain_callable_positions_fall_back_correctly(self):
-        # A caller-supplied closure (no array-native provider) must still be
-        # simulated identically by both paths.
-        from repro.motion.scenarios import SweepScenario
-        from repro.simulation.presets import standard_reader_config
-        from repro.simulation.scene import Scene
-
-        tags = make_tags([Point3D(i * 0.07, 0.0, 0.0) for i in range(4)], seed=4)
-        starts = tags.positions()
-
-        def wobble(tag_id, t):
-            start = starts[tag_id]
-            return Point3D(start.x - 0.25 * t, start.y + 0.01 * np.sin(t), start.z)
-
-        def make_scene():
-            scenario = SweepScenario(
-                antenna_position=StaticAntennaPosition(Point3D(-0.2, -0.15, 0.3)),
-                tag_position=wobble,
-                duration_s=3.0,
-                description="custom closure",
-            )
-            return Scene(
-                tags=tags,
-                scenario=scenario,
-                reader_config=standard_reader_config(tags, seed=4),
-                seed=4,
-            )
-
-        batched = collect_sweep(make_scene(), batched=True)
-        scalar = collect_sweep(make_scene(), batched=False)
-        assert len(batched.read_log) > 0
-        assert_logs_identical(batched.read_log, scalar.read_log)
-
-
-class TestSweepGoldenTrace:
-    """Seeded golden trace: a tripwire independent of the equivalence tests."""
-
-    def test_standard_scene_trace(self):
-        positions = [Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(8)]
-        tags = make_tags(positions, seed=2015)
-        scene = standard_antenna_moving_scene(tags, seed=2015)
-        log = collect_sweep(scene).read_log
-        columns = log.columns()
-        assert len(log) == 807
-        assert len(log.tag_ids()) == 8
-        assert columns["timestamp_s"][0] == pytest.approx(0.00565, abs=1e-12)
-        assert columns["timestamp_s"][-1] == pytest.approx(3.79815, abs=1e-9)
-        # A checksum over every reported phase pins the whole RF pipeline
-        # (geometry, multipath, noise draws, quantisation) for this seed.
-        assert float(np.sum(columns["phase_rad"])) == pytest.approx(
-            2705.4266922855413, rel=1e-9
-        )
-        assert float(np.mean(columns["rssi_dbm"])) == pytest.approx(
-            -52.325700729690084, rel=1e-9
-        )
 
 
 class TestObserveBatchKernel:
@@ -452,6 +323,51 @@ class TestDenseHallCouplingPin:
             )
             for profile in result.profiles
         ) == self.PROFILE_DIGEST
+
+
+def _trace_summary(scene):
+    log = collect_sweep(scene).read_log
+    columns = log.columns()
+    return (
+        len(log),
+        len(log.tag_ids()),
+        columns["timestamp_s"],
+        float(np.sum(columns["phase_rad"])),
+        float(np.mean(columns["rssi_dbm"])),
+    )
+
+
+class TestSweepGoldenTrace:
+    """Seeded golden traces of the moving-tag scenes at seed 2015.
+
+    The antenna-moving trace is pinned in ``tests/test_fused_sweep.py``;
+    these cover the belt paths (constant-speed and jittered multi-lane),
+    whose positions are sampled per event time.
+    """
+
+    def test_tag_moving_scene_trace(self):
+        batch = baggage_batch(MORNING_PEAK, bag_count=6, seed=2015)
+        count, tags, times, phase_sum, rssi_mean = _trace_summary(
+            standard_tag_moving_scene(batch.tags, seed=2015)
+        )
+        assert count == 1119
+        assert tags == 6
+        assert times[0] == pytest.approx(0.00455, abs=1e-12)
+        assert times[-1] == pytest.approx(5.1435, abs=1e-9)
+        assert phase_sum == pytest.approx(3833.6020666207633, rel=1e-9)
+        assert rssi_mean == pytest.approx(-51.883640245433156, rel=1e-9)
+
+    def test_conveyor_scene_trace(self):
+        config = ConveyorConfig(lanes=2, cartons_per_lane=3)
+        count, tags, times, phase_sum, rssi_mean = _trace_summary(
+            conveyor_scene(conveyor_batch(config, seed=2015), seed=2015)
+        )
+        assert count == 953
+        assert tags == 6
+        assert times[0] == pytest.approx(0.00455, abs=1e-12)
+        assert times[-1] == pytest.approx(4.31555, abs=1e-9)
+        assert phase_sum == pytest.approx(2938.7436361421596, rel=1e-9)
+        assert rssi_mean == pytest.approx(-55.723983739283504, rel=1e-9)
 
 
 class TestArrayNativeMotion:

@@ -67,8 +67,8 @@ MINIMAL_SNAPSHOTS: dict[str, dict] = {
         "generated_at": "2026-08-08T00:00:00+00:00",
         "platform": "test",
         "seed": 2015,
-        "scenes": {"static": {"speedup_batched_vs_scalar": 10.0}},
-        "speedup_batched_vs_scalar": 10.0,
+        "scenes": {"static": {"speedup_fused_vs_scalar": 10.0}},
+        "speedup_fused_vs_scalar": 10.0,
     },
     "dtw": {
         "generated_at": "2026-08-08T00:00:00+00:00",

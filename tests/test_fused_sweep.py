@@ -2,15 +2,16 @@
 
 The fused engine (phase 1: rng-owning scheduling loop emitting a whole-sweep
 event table; phase 2: one fused physics pass) must be **bit-identical** to
-both the per-round batched engine and the scalar reference loop on every
-workload — including channels whose deep fades force the optimistic noise
-schedule to roll back, and pathological ones that push it into the exact
-per-round fallback.  A seeded golden trace pins the fused output
-independently, and a property test pins the ``sweep_stream`` ↔ event-table
-replay contract.
+the read-at-a-time oracle (``tests/oracles/scalar_sweep.py``) on every
+workload — including the leaderboard scenarios at their leaderboard seeds,
+channels whose deep fades force the optimistic noise schedule to roll back,
+and pathological ones that push it into the exact per-round fallback.  A
+seeded golden trace pins the fused output independently, and a property test
+pins the ``sweep_stream`` ↔ event-table replay contract.
 """
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from repro.rfid.coupling import NeighborGrid
 from repro.rfid.reader import RFIDReader
 from repro.rfid.reading import ReadLog
 from repro.rfid.tag import make_tags
-from repro.simulation.collector import collect_sweep
+from repro.scenarios import DEFAULT_SEED, SEED_STRIDE, default_registry
+from repro.scenarios.builders import scenario_experiment
+from repro.simulation.collector import collect_sweep, profiles_from_read_log
 from repro.simulation.presets import (
     standard_antenna_moving_scene,
     standard_reader_config,
@@ -34,48 +37,37 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
-ENGINES = ("fused", "round", "scalar")
+from oracles.scalar_sweep import scalar_scene_log
 
 
-def sweep_logs(make_scene) -> dict[str, ReadLog]:
-    """One read log per engine, each from an identically seeded fresh scene."""
-    return {
-        engine: collect_sweep(make_scene(), engine=engine).read_log
-        for engine in ENGINES
-    }
+def assert_identical(fused: ReadLog, oracle: ReadLog) -> None:
+    assert len(oracle) > 0
+    assert len(fused) == len(oracle)
+    for index, (a, b) in enumerate(zip(fused.reads, oracle.reads)):
+        assert a == b, f"read {index} diverged: {a} vs {b}"
 
 
-def assert_all_identical(logs: dict[str, ReadLog]) -> None:
-    reference = logs["scalar"]
-    assert len(reference) > 0
-    for engine in ("fused", "round"):
-        assert len(logs[engine]) == len(reference), engine
-        for index, (a, b) in enumerate(zip(logs[engine].reads, reference.reads)):
-            assert a == b, f"{engine} read {index} diverged: {a} vs {b}"
+def assert_matches_oracle(make_scene) -> None:
+    """The fused sweep of a fresh scene equals the oracle's, read for read."""
+    assert_identical(collect_sweep(make_scene()).read_log, scalar_scene_log(make_scene()))
 
 
-class TestThreeWayEquivalence:
-    """fused == round == scalar, field for field, on every workload."""
+class TestFusedOracleEquivalence:
+    """fused == scalar oracle, field for field, on every workload."""
 
     def test_library_workload(self):
         shelf = generate_bookshelf(levels=2, books_per_level=6, seed=21)
         tags = shelf.to_tags(seed=21)
-        assert_all_identical(
-            sweep_logs(lambda: standard_antenna_moving_scene(tags, seed=21))
-        )
+        assert_matches_oracle(lambda: standard_antenna_moving_scene(tags, seed=21))
 
     def test_airport_workload(self):
         batch = baggage_batch(MORNING_PEAK, bag_count=6, seed=22)
-        assert_all_identical(
-            sweep_logs(lambda: standard_tag_moving_scene(batch.tags, seed=22))
-        )
+        assert_matches_oracle(lambda: standard_tag_moving_scene(batch.tags, seed=22))
 
     def test_warehouse_workload(self):
         config = ConveyorConfig(lanes=2, cartons_per_lane=3)
-        assert_all_identical(
-            sweep_logs(
-                lambda: conveyor_scene(conveyor_batch(config, seed=23), seed=23)
-            )
+        assert_matches_oracle(
+            lambda: conveyor_scene(conveyor_batch(config, seed=23), seed=23)
         )
 
     def test_moving_tags_with_coupling_disabled(self):
@@ -90,7 +82,7 @@ class TestThreeWayEquivalence:
                 ),
             )
 
-        assert_all_identical(sweep_logs(make_scene))
+        assert_matches_oracle(make_scene)
 
     def test_plain_callable_positions(self):
         tags = make_tags([Point3D(i * 0.07, 0.0, 0.0) for i in range(4)], seed=4)
@@ -114,22 +106,167 @@ class TestThreeWayEquivalence:
                 seed=4,
             )
 
-        assert_all_identical(sweep_logs(make_scene))
+        assert_matches_oracle(make_scene)
+
+
+class TestLeaderboardSeedsMatchOracle:
+    """fused == oracle on the leaderboard's legacy trio at its exact seeds."""
+
+    @pytest.mark.parametrize("scenario", ["library", "airport", "warehouse"])
+    def test_leaderboard_scenario(self, scenario):
+        registry = default_registry()
+        seed = DEFAULT_SEED + SEED_STRIDE * registry.index_of(scenario)
+        experiment = scenario_experiment(0, seed, registry.get(scenario))
+        assert_identical(experiment.read_log, scalar_scene_log(experiment.scene))
+
+
+def shortened(scene: Scene, duration_s: float) -> Scene:
+    """``scene`` with its sweep cut to at most ``duration_s`` seconds."""
+    scenario = dataclasses.replace(
+        scene.scenario, duration_s=min(duration_s, scene.scenario.duration_s)
+    )
+    return dataclasses.replace(scene, scenario=scenario)
+
+
+def _matrix_library() -> Scene:
+    tags = generate_bookshelf(levels=1, books_per_level=5, seed=41).to_tags(seed=41)
+    return shortened(standard_antenna_moving_scene(tags, seed=41), 1.2)
+
+
+def _matrix_airport() -> Scene:
+    batch = baggage_batch(MORNING_PEAK, bag_count=4, seed=42)
+    return shortened(standard_tag_moving_scene(batch.tags, seed=42), 1.2)
+
+
+def _matrix_warehouse() -> Scene:
+    config = ConveyorConfig(lanes=2, cartons_per_lane=2)
+    return shortened(conveyor_scene(conveyor_batch(config, seed=43), seed=43), 1.2)
+
+
+def _matrix_coupling_off_moving() -> Scene:
+    scene = _matrix_airport()
+    config = dataclasses.replace(scene.reader_config, tag_coupling_coefficient=0.0)
+    return dataclasses.replace(scene, reader_config=config)
+
+
+def _matrix_deep_fades() -> Scene:
+    return shortened(fused_reader_and_scene(threshold_db=-2.0)[1], 1.2)
+
+
+MATRIX_SCENES = {
+    "library": _matrix_library,
+    "airport": _matrix_airport,
+    "warehouse": _matrix_warehouse,
+    "coupling_off_moving": _matrix_coupling_off_moving,
+    "deep_fades": _matrix_deep_fades,
+}
+
+
+@lru_cache(maxsize=None)
+def matrix_oracle_log(name: str) -> ReadLog:
+    return scalar_scene_log(MATRIX_SCENES[name]())
+
+
+def _sweep_args(scene: Scene) -> tuple:
+    scenario = scene.scenario
+    return (
+        scene.tags,
+        scenario.antenna_position,
+        scenario.duration_s,
+        scenario.tag_position,
+        scene.rng(),
+    )
+
+
+def _reader(scene: Scene) -> RFIDReader:
+    return RFIDReader(config=scene.reader_config, protocol=scene.protocol)
+
+
+def _log_via_sweep(scene: Scene) -> ReadLog:
+    return _reader(scene).sweep(*_sweep_args(scene))
+
+
+def _log_via_sweep_events(scene: Scene) -> ReadLog:
+    return _reader(scene).sweep_events(*_sweep_args(scene)).to_read_log()
+
+
+def _log_via_sweep_stream(scene: Scene) -> ReadLog:
+    log = ReadLog()
+    for batch in _reader(scene).sweep_stream(*_sweep_args(scene)):
+        log.extend_batch(batch)
+    return log
+
+
+def _log_via_collect_sweep(scene: Scene) -> ReadLog:
+    result = collect_sweep(scene)
+    # The profiles are the per-tag view of the same reads.
+    expected = profiles_from_read_log(result.read_log)
+    assert sorted(result.profiles.profiles) == sorted(expected.profiles)
+    for tag_id, profile in result.profiles.profiles.items():
+        other = expected.profiles[tag_id]
+        assert profile.timestamps_s.tolist() == other.timestamps_s.tolist()
+        assert profile.phases_rad.tolist() == other.phases_rad.tolist()
+    return result.read_log
+
+
+ENTRY_POINTS = {
+    "sweep": _log_via_sweep,
+    "sweep_events": _log_via_sweep_events,
+    "sweep_stream": _log_via_sweep_stream,
+    "collect_sweep": _log_via_collect_sweep,
+}
+
+
+class TestEntryPointsMatchOracle:
+    """Every public way into the fused engine yields the oracle's read log."""
+
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("scene_name", list(MATRIX_SCENES))
+    def test_entry_point(self, scene_name, entry_point):
+        log = ENTRY_POINTS[entry_point](MATRIX_SCENES[scene_name]())
+        assert_identical(log, matrix_oracle_log(scene_name))
+
+
+def random_scene(seed: int) -> Scene:
+    """A small seeded scene with random layout, motion, noise and coupling."""
+    rng = np.random.default_rng(1000 + seed)
+    count = int(rng.integers(2, 7))
+    xs = np.cumsum(rng.uniform(0.03, 0.15, size=count))
+    ys = rng.uniform(-0.08, 0.08, size=count)
+    tags = make_tags([Point3D(float(x), float(y), 0.0) for x, y in zip(xs, ys)], seed=seed)
+    noise = NoiseModel(
+        phase_noise_std_rad=float(rng.uniform(0.05, 0.3)),
+        rssi_noise_std_db=float(rng.uniform(0.5, 2.5)),
+        random_dropout_probability=float(rng.uniform(0.0, 0.15)),
+        fade_dropout_threshold_db=float(rng.uniform(-12.0, -1.0)),
+    )
+    make_scene = (
+        standard_tag_moving_scene if rng.integers(2) else standard_antenna_moving_scene
+    )
+    coefficient = float(rng.choice([0.0, 0.4, 0.75, 1.0]))
+    scene = make_scene(tags, seed=seed, noise=noise)
+    config = dataclasses.replace(
+        scene.reader_config, tag_coupling_coefficient=coefficient
+    )
+    return shortened(dataclasses.replace(scene, reader_config=config), 1.2)
+
+
+class TestRandomScenesMatchOracle:
+    """Property: fused == oracle on randomly drawn small scenes."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scene(self, seed):
+        assert_matches_oracle(lambda: random_scene(seed))
 
 
 class TestFusedGoldenTrace:
-    """Seeded golden trace through the fused (default) engine.
-
-    Same numbers as the per-round engine's golden trace in
-    ``tests/test_batch_sweep.py`` — the point of pinning them here too is
-    that a divergence report names the engine that moved.
-    """
+    """Seeded golden trace through the fused engine."""
 
     def test_standard_scene_trace(self):
         positions = [Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(8)]
         tags = make_tags(positions, seed=2015)
         scene = standard_antenna_moving_scene(tags, seed=2015)
-        log = collect_sweep(scene, engine="fused").read_log
+        log = collect_sweep(scene).read_log
         columns = log.columns()
         assert len(log) == 807
         assert len(log.tag_ids()) == 8
@@ -165,7 +302,6 @@ def run_fused(reader: RFIDReader, scene: Scene) -> ReadLog:
         scene.scenario.duration_s,
         scene.scenario.tag_position,
         scene.rng(),
-        engine="fused",
     )
 
 
@@ -180,11 +316,6 @@ class TestOptimisticScheduleRollback:
         assert stats["attempts"] == 1
         assert stats["rolled_back_rounds"] == 0
         assert stats["per_round_fallback"] is False
-        # PR 8: the stats also name the physics backend and the wall split.
-        # The backend may come from REPRO_PHYSICS_BACKEND (CI forces threads),
-        # so pin against the reader's resolved backend, not a literal.
-        assert stats["backend"] == reader.physics_backend.name
-        assert stats["physics_chunks"] >= 1
         assert stats["scheduling_s"] > 0.0
         assert stats["physics_s"] > 0.0
 
@@ -193,7 +324,7 @@ class TestOptimisticScheduleRollback:
         reader, scene = fused_reader_and_scene(threshold_db)
         fused = run_fused(reader, scene)
         _, scalar_scene = fused_reader_and_scene(threshold_db)
-        scalar = collect_sweep(scalar_scene, engine="scalar").read_log
+        scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
         # The thresholds are deep enough into the fade distribution that the
         # optimistic first attempt cannot have been clean.
@@ -206,7 +337,7 @@ class TestOptimisticScheduleRollback:
         fused = run_fused(reader, scene)
         assert reader.last_sweep_stats["per_round_fallback"]
         _, scalar_scene = fused_reader_and_scene(threshold_db=3.0)
-        scalar = collect_sweep(scalar_scene, engine="scalar").read_log
+        scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
 
     def test_deep_fades_without_dropouts_never_roll_back(self):
@@ -220,16 +351,15 @@ class TestOptimisticScheduleRollback:
         assert stats["rolled_back_rounds"] == 0
         assert stats["per_round_fallback"] is False
         _, scalar_scene = fused_reader_and_scene(threshold_db=0.0, dropout_p=0.0)
-        scalar = collect_sweep(scalar_scene, engine="scalar").read_log
+        scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
 
     def test_noiseless_channel(self):
         positions = [Point3D(i * 0.08, 0.0, 0.0) for i in range(6)]
         tags = make_tags(positions, seed=11)
-        logs = sweep_logs(
+        assert_matches_oracle(
             lambda: standard_antenna_moving_scene(tags, seed=11, noise=NOISELESS)
         )
-        assert_all_identical(logs)
 
 
 class TestEventTableContract:
@@ -305,7 +435,7 @@ class TestEventTableContract:
 
     def test_to_read_log_matches_sweep(self):
         table = self._table()
-        log = collect_sweep(self._scene(), engine="fused").read_log
+        log = collect_sweep(self._scene()).read_log
         assert table.to_read_log() == log
         assert table.event_tag_ids()[:3] == [
             table.tag_ids[i] for i in table.tag_indices[:3]

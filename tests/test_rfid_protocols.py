@@ -16,6 +16,8 @@ from repro.rfid.reader import ReaderConfig, RFIDReader
 from repro.rfid.tag import PAPER_TAG_MODELS, Tag, TagCollection, make_tags
 from repro.rfid.tree_walking import identification_order, query_overhead, tree_walk
 
+from oracles.scalar_sweep import coupling_scatterers
+
 
 class TestEPC:
     def test_roundtrip_hex(self):
@@ -179,10 +181,10 @@ class TestReader:
 
     def test_coupling_disabled_returns_no_scatterers(self):
         config = ReaderConfig(tag_coupling_coefficient=0.0)
-        reader = RFIDReader(config)
         tags = make_tags([Point3D(0, 0, 0), Point3D(0.01, 0, 0)], seed=0)
         tags_by_id = {t.tag_id: t for t in tags}
-        scatterers = reader._coupling_scatterers(
+        scatterers = coupling_scatterers(
+            config,
             tags.ids()[0],
             Point3D(0, 0, 0),
             tags_by_id,
@@ -193,12 +195,12 @@ class TestReader:
 
     def test_coupling_includes_only_nearby_tags(self):
         config = ReaderConfig(tag_coupling_radius_m=0.05)
-        reader = RFIDReader(config)
         tags = make_tags(
             [Point3D(0, 0, 0), Point3D(0.02, 0, 0), Point3D(0.5, 0, 0)], seed=0
         )
         tags_by_id = {t.tag_id: t for t in tags}
-        scatterers = reader._coupling_scatterers(
+        scatterers = coupling_scatterers(
+            config,
             tags.ids()[0],
             Point3D(0, 0, 0),
             tags_by_id,

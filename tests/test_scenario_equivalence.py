@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.leaderboard import airport_experiment, library_experiment
 from repro.scenarios import DEFAULT_SEED, default_registry, scenario_experiment
 from repro.scenarios.registry import SEED_STRIDE
 from repro.workloads.warehouse import ConveyorConfig, conveyor_experiment
+
+from oracles.legacy_scenarios import airport_experiment, library_experiment
 
 REPS = (0, 1)
 

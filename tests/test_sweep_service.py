@@ -128,55 +128,6 @@ class TestSerialShardedEquivalence:
             assert _evaluations(a) == _evaluations(b)
 
 
-class TestPipelinedExecution:
-    """The double-buffered serial path is bit-identical to the plain loop."""
-
-    def test_pipeline_matches_serial(self):
-        plan = _small_plan(repetitions=5)
-        serial = SweepService(parallel=False).run(plan)
-        pipelined = SweepService(parallel=False, pipeline=True).run(plan)
-        assert _evaluations(serial) == _evaluations(pipelined)
-
-    def test_pipeline_across_plans(self):
-        plans = [_small_plan(name=f"p{i}", repetitions=2, base_seed=i) for i in range(3)]
-        serial = SweepService(parallel=False).run_many(plans)
-        pipelined = SweepService(parallel=False, pipeline=True).run_many(plans)
-        assert [o.plan for o in pipelined] == ["p0", "p1", "p2"]
-        for a, b in zip(serial, pipelined):
-            assert _evaluations(a) == _evaluations(b)
-
-    def test_pipeline_single_shard_degenerates(self):
-        plan = _small_plan(repetitions=1)
-        serial = SweepService(parallel=False).run(plan)
-        pipelined = SweepService(parallel=False, pipeline=True).run(plan)
-        assert _evaluations(serial) == _evaluations(pipelined)
-
-
-class TestServiceBackendScoping:
-    """The service's physics_backend reaches readers via the environment."""
-
-    def test_serial_path_scopes_env(self, monkeypatch):
-        import os
-
-        from repro.rfid.backends import PHYSICS_BACKEND_ENV
-
-        monkeypatch.delenv(PHYSICS_BACKEND_ENV, raising=False)
-        plan = _small_plan(repetitions=2)
-        default = SweepService(parallel=False).run(plan)
-        threaded = SweepService(parallel=False, physics_backend="threads").run(plan)
-        # Backends are bit-identical, and the env var is restored afterwards.
-        assert _evaluations(default) == _evaluations(threaded)
-        assert PHYSICS_BACKEND_ENV not in os.environ
-
-    def test_pool_workers_receive_backend(self):
-        plan = _small_plan(repetitions=2)
-        default = SweepService(max_workers=2, parallel=True).run(plan)
-        threaded = SweepService(
-            max_workers=2, parallel=True, physics_backend="threads"
-        ).run(plan)
-        assert _evaluations(default) == _evaluations(threaded)
-
-
 class TestOutcomeAccessors:
     def test_metric_samples_roundtrip(self):
         plan = SweepPlan(name="metrics", repetitions=3, task=_metric_task, seeds=(1, 2, 3))
