@@ -50,6 +50,11 @@
 #                     tiny-scale self-test of the repository benchmark
 #                     (perfbench/): every workload's metrics, the traced
 #                     per-layer split and its wrapped layer functions (~75 s)
+#   make perfbench-ab [WORKLOAD=portal_cold] [BASE=HEAD] [SEEDS="2015 7"]
+#                     same-host A/B of one repository-benchmark workload:
+#                     checks BASE out into a temporary git worktree, runs
+#                     perfbench/run.py --trace 0 there and on the working tree
+#                     in turn for each seed, and prints the results side by side
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -57,7 +62,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: test unit bench-smoke bench-dtw bench-experiments bench-sweep \
 	bench-streaming bench-service check-speedups bench-accuracy \
 	check-accuracy bench-robustness check-robustness check-scenarios \
-	scenario-smoke bench-report examples perfbench-selftest
+	scenario-smoke bench-report examples perfbench-selftest perfbench-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -123,3 +128,10 @@ examples:
 # NeighborGrid.packed_neighbors) breaks the traced run; this catches it.
 perfbench-selftest:
 	python3 perfbench/selftest.py
+
+WORKLOAD ?= portal_cold
+BASE ?= HEAD
+SEEDS ?= 2015 7
+
+perfbench-ab:
+	python3 benchmarks/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) --seeds $(SEEDS)

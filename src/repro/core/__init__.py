@@ -10,6 +10,7 @@ from .dtw import (
     ResumableSegmentAligner,
     accumulate_cost,
     accumulate_cost_batch,
+    align_resumable_batch,
     dtw_align,
     segmented_dtw_align,
     segmented_dtw_align_batch,
@@ -71,6 +72,7 @@ __all__ = [
     "YOrderingConfig",
     "accumulate_cost",
     "accumulate_cost_batch",
+    "align_resumable_batch",
     "bottom_time_gaps",
     "build_representations",
     "canonical_reference",

@@ -22,6 +22,13 @@ a whole diagonal per step instead of one cell per step.  The batched kernel
 :func:`accumulate_cost_batch` stacks many (padded) distance matrices and runs
 the same diagonal sweep across all of them at once; this is what lets the
 localization engine align every tag of a sweep in one pass.
+
+Streaming alignment goes through the same sweep.  A
+:class:`ResumableSegmentAligner` holds one tag's cached accumulation prefix,
+and :func:`align_resumable_batch` resumes any number of them in one batched
+resume across all tags: each lane is seeded with its last cached column (or
+starts fresh) and contributes only the columns that grew.
+:meth:`ResumableSegmentAligner.align` is a batch of one.
 """
 
 from __future__ import annotations
@@ -129,8 +136,18 @@ def _backtrack(
     None the path ends at the bottom-right corner.  Degenerate matrices are
     handled naturally: a 1×N matrix yields a purely horizontal path (or a
     single cell under a free start) and an N×1 matrix a purely vertical one.
+
+    The walk reads only the cells it visits, as plain Python floats through a
+    flat memoryview of the matrix.  A C-contiguous matrix is viewed as is; any
+    other (such as a resumed aligner's slice of its wider buffer) is first
+    copied once into contiguous memory.
+    Each step compares diagonal, up and left with the same ``<`` tests as
+    ``min((diag, up, left), key=...)``: the first minimum wins a tie, so the
+    diagonal beats up and up beats left (the ``min`` form is kept as the
+    oracle in ``tests/oracles/dtw.py``).
     """
     rows, cols = cost.shape
+    flat = memoryview(np.ascontiguousarray(cost).reshape(-1))
     i = rows - 1
     j = cols - 1 if start_col is None else start_col
     path = [(i, j)]
@@ -142,19 +159,34 @@ def _backtrack(
         elif j == 0:
             i -= 1
         else:
-            candidates = (
-                (cost[i - 1, j - 1], i - 1, j - 1),
-                (cost[i - 1, j], i - 1, j),
-                (cost[i, j - 1], i, j - 1),
-            )
-            _, i, j = min(candidates, key=lambda item: item[0])
+            cell = i * cols + j
+            best = flat[cell - cols - 1]  # diag
+            step_i, step_j = i - 1, j - 1
+            value = flat[cell - cols]  # up
+            if value < best:
+                best = value
+                step_j = j
+            value = flat[cell - 1]  # left
+            if value < best:
+                step_i, step_j = i, j - 1
+            i, j = step_i, step_j
         path.append((i, j))
     path.reverse()
     return tuple(path)
 
 
-def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
+def _accumulate_stack(
+    stack: np.ndarray,
+    free_query_start: bool,
+    first_column: np.ndarray | None = None,
+) -> np.ndarray:
     """Run the DTW recurrence over a ``(rows, cols, batch)`` weighted stack.
+
+    ``first_column`` (``(rows, batch)``), when given, is the already
+    accumulated cost of column 0 — a resumed alignment's last cached column —
+    and the sweep continues from it; by default column 0 is accumulated from
+    the stack like every other column.  Only subsequence alignments resume,
+    so a fixed-start first row never has to continue from a seed.
 
     The recurrence's row-major data dependency is broken by sweeping
     anti-diagonals: every cell on diagonal ``d = i + j`` depends only on
@@ -172,13 +204,15 @@ def _accumulate_stack(stack: np.ndarray, free_query_start: bool) -> np.ndarray:
     """
     rows, cols, batch = stack.shape
     cost = np.empty_like(stack)
+    if first_column is None:
+        # cost[i, 0] = cost[i-1, 0] + w[i, 0]; cost[0, 0] = w[0, 0] in both
+        # modes, so the running sum covers it.
+        first_column = np.add.accumulate(stack[:, 0], axis=0)
     if free_query_start:
         cost[0] = stack[0]
     else:
         cost[0] = np.add.accumulate(stack[0], axis=0)
-    # First column: cost[i, 0] = cost[i-1, 0] + w[i, 0]; cost[0, 0] = w[0, 0]
-    # in both modes, so the running sum covers it.
-    cost[:, 0] = np.add.accumulate(stack[:, 0], axis=0)
+    cost[:, 0] = first_column
     if rows == 1 or cols == 1:
         return cost
 
@@ -255,12 +289,15 @@ def _accumulate_chunk(
     shapes: list[tuple[int, int]],
     make_weighted,
     free_query_start: bool,
+    seeds: "list[np.ndarray | None] | None" = None,
 ) -> np.ndarray:
     """Stack one chunk's weighted matrices (zero-padded) and accumulate it.
 
     Padding cannot leak into a matrix's own cells because the DTW recurrence
     only ever reads up/left/up-left neighbours, which all lie inside the
-    unpadded region.
+    unpadded region.  ``seeds[k]``, when not None, replaces item ``k``'s
+    column 0 with an already accumulated column (a resumed lane); the other
+    lanes start fresh.
     """
     rows = max(shapes[k][0] for k in chunk)
     cols = max(shapes[k][1] for k in chunk)
@@ -268,7 +305,13 @@ def _accumulate_chunk(
     for slot, k in enumerate(chunk):
         r, c = shapes[k]
         stack[:r, :c, slot] = make_weighted(k)
-    return _accumulate_stack(stack, free_query_start)
+    first_column = None
+    if seeds is not None:
+        first_column = np.add.accumulate(stack[:, 0], axis=0)
+        for slot, k in enumerate(chunk):
+            if seeds[k] is not None:
+                first_column[: shapes[k][0], slot] = seeds[k]
+    return _accumulate_stack(stack, free_query_start, first_column)
 
 
 def accumulate_cost_batch(
@@ -469,18 +512,21 @@ class ResumableSegmentAligner:
 
     * the columns of segments that became stable since the last refresh, which
       are appended to the cache, and
-    * the (at most one, usually) volatile tail columns, recomputed into
-      scratch space.
+    * the (at most one, usually) volatile tail columns, recomputed past the
+      cached prefix.
 
     Per refresh that is O(rows × new_columns) instead of O(rows × columns),
     which is what makes per-round provisional orderings cheap.
 
-    **Bit-identity contract**: every cell is computed with the same operations
-    on the same operands as :func:`accumulate_cost` (column 0 via the same
-    strictly sequential ``np.add.accumulate``; interior cells as
-    ``weighted + min(diag, up, left)``), and the path comes from the shared
-    :func:`_backtrack`.  The result of :meth:`align` is therefore bit-identical
-    to ``segmented_dtw_align(reference_segments, query_segments)`` — pinned by
+    The aligner only holds state; :func:`align_resumable_batch` advances any
+    number of aligners in one batched anti-diagonal sweep, and :meth:`align`
+    is a batch of one.
+
+    **Bit-identity contract**: the new columns come from the same kernel as
+    :func:`accumulate_cost`, seeded with the last cached column, and the path
+    from the shared :func:`_backtrack`.  The result of :meth:`align` is
+    therefore bit-identical to
+    ``segmented_dtw_align(reference_segments, query_segments)`` — pinned by
     ``tests/test_streaming.py``.
     """
 
@@ -502,47 +548,6 @@ class ResumableSegmentAligner:
         """Drop the cached prefix (used when a tag's stream is rebuilt)."""
         self._cached_cols = 0
 
-    def _weighted_column(self, segment: Segment) -> np.ndarray:
-        """Weighted distance of every reference segment against ``segment``.
-
-        Built from the same :func:`range_gap_matrix` /
-        :func:`duration_weight_matrix` helpers the batch aligner uses (as
-        one-column matrices), so the two paths share a single source of
-        truth for the paper's distance and weight formulas.
-        """
-        distance = range_gap_matrix(
-            self._ref_min,
-            self._ref_max,
-            np.array([segment.min_phase_rad]),
-            np.array([segment.max_phase_rad]),
-        )[:, 0]
-        weights = duration_weight_matrix(
-            self._ref_durations, np.array([max(segment.duration_s, 1e-6)])
-        )[:, 0]
-        return distance * weights
-
-    def _accumulate_column(
-        self, weighted: np.ndarray, previous: np.ndarray | None
-    ) -> np.ndarray:
-        """One column of the subsequence-DTW recurrence.
-
-        ``previous`` is the accumulated column to the left (None for the
-        first column, which is a plain running sum in both start modes).
-        """
-        if previous is None:
-            return np.add.accumulate(weighted)
-        column = np.empty(self._rows, dtype=float)
-        # Free query start: the first reference row restarts the match.
-        column[0] = weighted[0]
-        prev = previous.tolist()
-        w = weighted.tolist()
-        up = w[0]
-        for i in range(1, self._rows):
-            best = min(prev[i - 1], up, prev[i])  # diag, up, left
-            up = w[i] + best
-            column[i] = up
-        return column
-
     def _ensure_capacity(self, columns: int) -> None:
         if self._cost.shape[1] >= columns:
             return
@@ -553,10 +558,25 @@ class ResumableSegmentAligner:
         grown[:, : self._cached_cols] = self._cost[:, : self._cached_cols]
         self._cost = grown
 
+    def _weighted(self, segments: list[Segment]) -> np.ndarray:
+        """Weighted distances of every reference segment against ``segments``.
+
+        The same :func:`range_gap_matrix` / :func:`duration_weight_matrix`
+        product the batch aligner builds, so both paths share one source of
+        truth for the paper's distance and weight formulas.
+        """
+        q_min, q_max = segment_bounds(segments)
+        distance = range_gap_matrix(self._ref_min, self._ref_max, q_min, q_max)
+        return distance * duration_weight_matrix(
+            self._ref_durations, segment_durations(segments)
+        )
+
     def align(
         self, query_segments: list[Segment], stable_count: int | None = None
     ) -> DTWResult:
         """Align the reference against the current query segmentation.
+
+        A batch of one through :func:`align_resumable_batch`.
 
         Parameters
         ----------
@@ -569,30 +589,86 @@ class ResumableSegmentAligner:
             calls — a shrinking prefix means the stream was rebuilt, in which
             case call :meth:`reset` first.
         """
-        columns = len(query_segments)
+        return align_resumable_batch([self], [query_segments], [stable_count])[0]
+
+
+def align_resumable_batch(
+    aligners: "list[ResumableSegmentAligner]",
+    query_segmentations: "list[list[Segment]]",
+    stable_counts: "list[int | None] | None" = None,
+) -> list[DTWResult]:
+    """Resume many :class:`ResumableSegmentAligner` states in one batch.
+
+    Lane ``k`` aligns ``aligners[k]`` against ``query_segmentations[k]``,
+    whose leading ``stable_counts[k]`` segments are stable (default: all but
+    the last), exactly as :meth:`ResumableSegmentAligner.align` would.  Each
+    lane only contributes the columns past its cached prefix: a lane with a
+    cache is seeded with its last cached column, a lane without one starts
+    fresh, and all of them run through the same chunked anti-diagonal sweep
+    as :func:`segmented_dtw_align_batch` (where every lane is fresh).  The new
+    columns land in each aligner's buffer, whose cached prefix then advances
+    to the stable count, and every lane is backtracked over its whole matrix.
+
+    Raises ``ValueError`` before touching any aligner if a segmentation is
+    empty or a stable prefix shrank below its aligner's cache.
+    """
+    if stable_counts is None:
+        stable_counts = [None] * len(aligners)
+    if not len(aligners) == len(query_segmentations) == len(stable_counts):
+        raise ValueError("aligners, segmentations and stable counts must pair up")
+    lanes = []
+    for aligner, segments, stable_count in zip(
+        aligners, query_segmentations, stable_counts
+    ):
+        columns = len(segments)
         if columns == 0:
             raise ValueError("query segmentation must be non-empty")
-        if stable_count is None:
-            stable_count = columns - 1
-        stable = min(stable_count, columns)
-        if stable < self._cached_cols:
+        stable = columns - 1 if stable_count is None else min(stable_count, columns)
+        if stable < aligner._cached_cols:
             raise ValueError(
-                f"stable prefix shrank from {self._cached_cols} to {stable} "
+                f"stable prefix shrank from {aligner._cached_cols} to {stable} "
                 "columns; call reset() after rebuilding a stream"
             )
+        lanes.append((aligner, segments, columns, stable))
 
-        # Volatile tail columns are written into the same buffer past the
-        # cached prefix (no scratch matrix, no prefix copy — the per-refresh
-        # cost really is O(rows × new columns)); they are overwritten on the
-        # next refresh because _cached_cols does not advance past `stable`.
-        self._ensure_capacity(columns)
-        for j in range(self._cached_cols, columns):
-            previous = self._cost[:, j - 1] if j > 0 else None
-            self._cost[:, j] = self._accumulate_column(
-                self._weighted_column(query_segments[j]), previous
-            )
-        self._cached_cols = stable
-        return _result_from_cost(self._cost[:, :columns], subsequence=True)
+    # A lane recomputes from its last cached column on (the seed of its
+    # sweep), or from column 0 when it has no cache; lanes with no new
+    # column skip the sweep.  The volatile tail lands past the cached prefix
+    # and is overwritten on the next refresh.
+    growing = [
+        (aligner, segments, columns, stable)
+        for aligner, segments, columns, stable in lanes
+        if aligner._cached_cols < columns
+    ]
+    starts: list[int] = []
+    shapes: list[tuple[int, int]] = []
+    seeds: list[np.ndarray | None] = []
+    for aligner, _, columns, _ in growing:
+        aligner._ensure_capacity(columns)
+        cached = aligner._cached_cols
+        starts.append(max(cached - 1, 0))
+        shapes.append((aligner._rows, columns - starts[-1]))
+        seeds.append(aligner._cost[:, cached - 1] if cached else None)
+
+    def make_weighted(k: int) -> np.ndarray:
+        aligner, segments, columns, _ = growing[k]
+        return aligner._weighted(segments[starts[k] : columns])
+
+    for chunk in _plan_chunks(shapes, MAX_BATCH_CELLS):
+        cost = _accumulate_chunk(chunk, shapes, make_weighted, True, seeds)
+        for slot, k in enumerate(chunk):
+            aligner, _, columns, _ = growing[k]
+            rows, width = shapes[k]
+            skip = 0 if seeds[k] is None else 1
+            aligner._cost[:, starts[k] + skip : columns] = cost[:rows, skip:width, slot]
+
+    results = []
+    for aligner, _, columns, stable in lanes:
+        aligner._cached_cols = stable
+        results.append(
+            _result_from_cost(aligner._cost[:, :columns], subsequence=True)
+        )
+    return results
 
 
 def warp_query_to_reference(result: DTWResult, query_values: np.ndarray) -> np.ndarray:

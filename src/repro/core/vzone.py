@@ -123,6 +123,7 @@ class VZoneDetector:
         if self.expand_fraction < 0:
             raise ValueError("expand fraction must be non-negative")
         self._reference_segments: list[Segment] | None = None
+        self._reference_vzone_range: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ API
 
@@ -264,18 +265,23 @@ class VZoneDetector:
             )
         return self._reference_segments
 
-    def _reference_vzone_segment_range(self, segments: list[Segment]) -> tuple[int, int]:
-        """Indices of the reference segments overlapping the reference V-zone."""
-        start = self.reference.vzone_start_index
-        end = self.reference.vzone_end_index
-        overlapping = [
-            i
-            for i, seg in enumerate(segments)
-            if seg.end_index > start and seg.start_index < end
-        ]
-        if not overlapping:
-            raise RuntimeError("reference segmentation does not cover its own V-zone")
-        return min(overlapping), max(overlapping)
+    def _reference_vzone_segment_range(self) -> tuple[int, int]:
+        """Indices of the reference segments overlapping the reference V-zone.
+
+        Computed once, next to the cached :meth:`reference_segmentation`.
+        """
+        if self._reference_vzone_range is None:
+            start = self.reference.vzone_start_index
+            end = self.reference.vzone_end_index
+            overlapping = [
+                i
+                for i, seg in enumerate(self.reference_segmentation())
+                if seg.end_index > start and seg.start_index < end
+            ]
+            if not overlapping:
+                raise RuntimeError("reference segmentation does not cover its own V-zone")
+            self._reference_vzone_range = (min(overlapping), max(overlapping))
+        return self._reference_vzone_range
 
     def _detect_segmented_dtw(self, profile: PhaseProfile) -> VZone | None:
         measured_segments = segment_profile(profile, self.window_size)
@@ -298,8 +304,7 @@ class VZoneDetector:
         detector's column-form ``SegmentArrays`` — only indexed access to the
         matched segments' sample ranges is needed.
         """
-        reference_segments = self.reference_segmentation()
-        ref_vz_start, ref_vz_end = self._reference_vzone_segment_range(reference_segments)
+        ref_vz_start, ref_vz_end = self._reference_vzone_segment_range()
         try:
             q_start_seg, q_end_seg = result.query_indices_for_reference_range(
                 ref_vz_start, ref_vz_end

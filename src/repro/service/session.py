@@ -14,7 +14,8 @@ engines make a refresh cheap:
   the coarse segmentation as samples arrive instead of recomputing it;
 * a :class:`~repro.core.dtw.ResumableSegmentAligner` per tag reuses the
   cached DTW accumulation prefix over the segments that can no longer change,
-  so each refresh pays only for the columns that grew.
+  so each refresh pays only for the columns that grew — and every tag of a
+  refresh resumes in one :func:`~repro.core.dtw.align_resumable_batch` call.
 
 **Convergence guarantee**: every engine above is bit-identical to its batch
 counterpart, so once the stream ends, :meth:`LocalizationSession.finalize`
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.dtw import ResumableSegmentAligner
+from ..core.dtw import ResumableSegmentAligner, align_resumable_batch
 from ..core.localizer import STPPConfig, STPPLocalizer
 from ..core.ordering_x import order_tags_x
 from ..core.ordering_y import order_tags_y
@@ -255,8 +256,8 @@ class LocalizationSession:
             self._pipelines[tag_id] = pipeline
         return pipeline
 
-    def _detect(self, tag_id: str, profile: PhaseProfile) -> VZone | None:
-        """Incremental V-zone detection for one tag's current profile."""
+    def _advance(self, tag_id: str, profile: PhaseProfile) -> _TagPipeline:
+        """Feed one tag's new samples to its segmenter; return its pipeline."""
         stream = self.collector.stream(tag_id)
         pipeline = self._pipeline_for(tag_id)
         if pipeline.generation != stream.reorders:
@@ -275,21 +276,40 @@ class LocalizationSession:
                 profile.phases_rad[pipeline.consumed :],
             )
             pipeline.consumed = total
-        if pipeline.vzone_sample_count == total:
-            return pipeline.vzone
-        segments = pipeline.segmenter.segments()
-        if segments:
-            result = pipeline.aligner.align(
-                segments, pipeline.segmenter.stable_count()
-            )
-            vzone = self._detector.detect_from_segmented_alignment(
+        return pipeline
+
+    def _detect_all(self, profile_map: dict[str, PhaseProfile]) -> dict[str, VZone]:
+        """Incremental V-zone detection for every usable profile.
+
+        Every tag whose sample count moved since its last detection is
+        re-aligned, and all of them resume in one
+        :func:`~repro.core.dtw.align_resumable_batch` call — provisionals
+        and finalize alike; the others keep their detection.
+        """
+        usable: list[tuple[str, _TagPipeline]] = []
+        stale: list[tuple[_TagPipeline, PhaseProfile, list]] = []
+        for tag_id, profile in profile_map.items():
+            if len(profile) < self.config.min_profile_samples:
+                continue
+            pipeline = self._advance(tag_id, profile)
+            usable.append((tag_id, pipeline))
+            if pipeline.vzone_sample_count != len(profile):
+                stale.append((pipeline, profile, pipeline.segmenter.segments()))
+        results = align_resumable_batch(
+            [pipeline.aligner for pipeline, _, _ in stale],
+            [segments for _, _, segments in stale],
+            [pipeline.segmenter.stable_count() for pipeline, _, _ in stale],
+        )
+        for (pipeline, profile, segments), result in zip(stale, results):
+            pipeline.vzone = self._detector.detect_from_segmented_alignment(
                 profile, segments, result
             )
-        else:
-            vzone = self._detector.detect(profile)
-        pipeline.vzone = vzone
-        pipeline.vzone_sample_count = total
-        return vzone
+            pipeline.vzone_sample_count = len(profile)
+        return {
+            tag_id: pipeline.vzone
+            for tag_id, pipeline in usable
+            if pipeline.vzone is not None
+        }
 
     def _localize(self) -> LocalizationResult:
         """Run the ordering stages over the current incremental detections.
@@ -306,14 +326,7 @@ class LocalizationSession:
             profile_map[tag_id] = self.collector.profile(tag_id)
         expected = self._expected if self._expected is not None else list(profile_map)
 
-        vzones: dict[str, VZone] = {}
-        for tag_id, profile in profile_map.items():
-            if len(profile) < self.config.min_profile_samples:
-                continue
-            vzone = self._detect(tag_id, profile)
-            if vzone is not None:
-                vzones[tag_id] = vzone
-
+        vzones = self._detect_all(profile_map)
         x_ordering = order_tags_x(vzones, all_tag_ids=expected)
         y_ordering = order_tags_y(
             profile_map,
