@@ -10,12 +10,22 @@ runs ``perfbench/run.py --trace 0`` on that checkout and on the working tree,
 one right after the other and with the first side alternating from seed to
 seed, so a drift in the host's speed lands on both sides alike.  It prints
 the two result lines' metrics side by side and removes the worktree.
+
+Given two or more seeds, it then prints a summary over all pairs: for each
+metric the base and working-tree medians with their quartiles, the pairs
+the working tree won (ties count for neither side), the base's
+interquartile range, and whether that clears the bar for claiming a gain:
+at least ten pairs, the working tree wins at least nine in ten, and its
+median is better than the base's by more than the base's interquartile
+range (``n/a`` with fewer pairs).  Which direction is better comes from
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +46,14 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def table(rows: list[tuple[str, ...]]) -> str:
+    widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    )
+
+
 def side_by_side(seed: int, base_label: str, base: dict, work: dict) -> str:
     rows = [(f"seed {seed}", base_label, "working tree", "change")]
     for key in ("attempted", "failed"):
@@ -44,11 +62,42 @@ def side_by_side(seed: int, base_label: str, base: dict, work: dict) -> str:
         before, after = metric["value"], work["metrics"][name]["value"]
         change = f"{(after - before) / before:+.1%}" if before else ""
         rows.append((f"{name} ({metric['unit']})", f"{before:.4g}", f"{after:.4g}", change))
-    widths = [max(len(row[k]) for row in rows) for k in range(4)]
-    return "\n".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    return table(rows)
+
+
+def summary(pairs: list[tuple[dict, dict]], base_label: str) -> str:
+    """Every metric over all ``(base, work)`` pairs: the numbers a gain claim needs."""
+    better = {
+        metric["name"]: metric["better"]
+        for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    }
+    rows = [(
+        f"{len(pairs)} pairs", f"{base_label} [q1, q3]", "working tree [q1, q3]",
+        "change", "won", "base IQR", "gain",
+    )]
+    failed = [sum(side["failed"] for side in sides) for sides in zip(*pairs)]
+    attempted = [sum(side["attempted"] for side in sides) for sides in zip(*pairs)]
+    rows.append(("failed / attempted", f"{failed[0]} / {attempted[0]}",
+                 f"{failed[1]} / {attempted[1]}", "", "", "", ""))
+    for name, metric in pairs[0][0]["metrics"].items():
+        before = [base["metrics"][name]["value"] for base, _ in pairs]
+        after = [work["metrics"][name]["value"] for _, work in pairs]
+        b1, base_median, b3 = statistics.quantiles(before, n=4, method="inclusive")
+        w1, work_median, w3 = statistics.quantiles(after, n=4, method="inclusive")
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        won = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+        gain = won >= 0.9 * len(pairs) and sign * (work_median - base_median) > b3 - b1
+        verdict = ("yes" if gain else "no") if len(pairs) >= 10 else "n/a"
+        rows.append((
+            f"{name} ({metric['unit']})",
+            f"{base_median:.4g} [{b1:.4g}, {b3:.4g}]",
+            f"{work_median:.4g} [{w1:.4g}, {w3:.4g}]",
+            f"{(work_median - base_median) / base_median:+.1%}" if base_median else "",
+            f"{won}/{len(pairs)}",
+            f"{b3 - b1:.4g}",
+            verdict,
+        ))
+    return table(rows)
 
 
 def main() -> int:
@@ -65,6 +114,7 @@ def main() -> int:
             cwd=ROOT, check=True,
         )
         try:
+            pairs = []
             for index, seed in enumerate(args.seeds):
                 # The side that runs first alternates from seed to seed.
                 if index % 2:
@@ -73,8 +123,11 @@ def main() -> int:
                 else:
                     base = run(tree, args.workload, seed)
                     work = run(ROOT, args.workload, seed)
+                pairs.append((base, work))
                 print(side_by_side(seed, f"base {args.base}", base, work), flush=True)
                 print(flush=True)
+            if len(pairs) >= 2:
+                print(summary(pairs, f"base {args.base}"), flush=True)
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True

@@ -7,6 +7,7 @@ substrates) or to compare it against prior schemes (the baselines).
 
 from .dtw import (
     DTWResult,
+    ReferenceColumns,
     ResumableSegmentAligner,
     accumulate_cost,
     accumulate_cost_batch,
@@ -78,6 +79,7 @@ __all__ = [
     "canonical_reference",
     "coarse_representation",
     "IncrementalSegmenter",
+    "ReferenceColumns",
     "ResumableSegmentAligner",
     "dtw_align",
     "fit_vzone",

@@ -63,6 +63,32 @@ def _segmentation_columns(
     mins, maxs = segment_bounds(segments)
     return mins, maxs, segment_durations(segments)
 
+
+@dataclass(frozen=True, slots=True)
+class ReferenceColumns:
+    """A reference segmentation's ``(mins, maxs, durations)``, read-only.
+
+    Extracted once and shared by every :class:`ResumableSegmentAligner` of a
+    detector (see :meth:`~repro.core.vzone.VZoneDetector.reference_columns`),
+    instead of once per tag.
+    """
+
+    mins: np.ndarray
+    maxs: np.ndarray
+    durations: np.ndarray
+
+    @classmethod
+    def of(cls, segments: list[Segment]) -> "ReferenceColumns":
+        """The columns of ``segments``, which must be non-empty."""
+        if not segments:
+            raise ValueError("reference segmentation must be non-empty")
+        mins, maxs = segment_bounds(segments)
+        columns = (mins, maxs, segment_durations(segments))
+        for column in columns:
+            column.setflags(write=False)
+        return cls(*columns)
+
+
 MAX_BATCH_CELLS = 250_000
 """Padded-cell budget per batched accumulation chunk.
 
@@ -530,12 +556,11 @@ class ResumableSegmentAligner:
     ``tests/test_streaming.py``.
     """
 
-    def __init__(self, reference_segments: list[Segment]) -> None:
-        if not reference_segments:
-            raise ValueError("reference segmentation must be non-empty")
-        self._ref_min, self._ref_max = segment_bounds(reference_segments)
-        self._ref_durations = segment_durations(reference_segments)
-        self._rows = len(reference_segments)
+    def __init__(self, reference: "list[Segment] | ReferenceColumns") -> None:
+        if not isinstance(reference, ReferenceColumns):
+            reference = ReferenceColumns.of(reference)
+        self._reference = reference
+        self._rows = len(reference.mins)
         self._cost = np.empty((self._rows, 8), dtype=float)
         self._cached_cols = 0
 
@@ -565,10 +590,11 @@ class ResumableSegmentAligner:
         product the batch aligner builds, so both paths share one source of
         truth for the paper's distance and weight formulas.
         """
+        reference = self._reference
         q_min, q_max = segment_bounds(segments)
-        distance = range_gap_matrix(self._ref_min, self._ref_max, q_min, q_max)
+        distance = range_gap_matrix(reference.mins, reference.maxs, q_min, q_max)
         return distance * duration_weight_matrix(
-            self._ref_durations, segment_durations(segments)
+            reference.durations, segment_durations(segments)
         )
 
     def align(

@@ -46,22 +46,11 @@ class PhaseProfile:
         phases = np.asarray(self.phases_rad, dtype=float)
         object.__setattr__(self, "timestamps_s", timestamps)
         object.__setattr__(self, "phases_rad", phases)
-        if timestamps.ndim != 1 or phases.ndim != 1:
-            raise ValueError("timestamps and phases must be one-dimensional")
-        if timestamps.shape != phases.shape:
-            raise ValueError(
-                f"timestamps and phases must have equal length, got "
-                f"{timestamps.shape} vs {phases.shape}"
-            )
-        if timestamps.size > 1 and np.any(np.diff(timestamps) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-        if phases.size and (np.any(phases < 0) or np.any(phases >= TWO_PI + 1e-9)):
-            raise ValueError("phases must lie in [0, 2*pi)")
+        rssi = None
         if self.rssi_dbm is not None:
             rssi = np.asarray(self.rssi_dbm, dtype=float)
             object.__setattr__(self, "rssi_dbm", rssi)
-            if rssi.shape != timestamps.shape:
-                raise ValueError("rssi must have the same length as timestamps")
+        _validate_columns(timestamps, phases, rssi)
 
     def __len__(self) -> int:
         return int(self.timestamps_s.size)
@@ -184,6 +173,37 @@ class PhaseProfile:
         )
 
 
+def _validate_columns(
+    timestamps: np.ndarray,
+    phases: np.ndarray,
+    rssi: np.ndarray | None,
+    starts: np.ndarray | None = None,
+) -> None:
+    """Raise ``ValueError`` unless the columns satisfy the profile invariants.
+
+    ``starts`` (increasing indices, the first 0) lets the columns hold several
+    profiles back to back; time may then step back only where a profile
+    starts.
+    """
+    if timestamps.ndim != 1 or phases.ndim != 1:
+        raise ValueError("timestamps and phases must be one-dimensional")
+    if timestamps.shape != phases.shape:
+        raise ValueError(
+            f"timestamps and phases must have equal length, got "
+            f"{timestamps.shape} vs {phases.shape}"
+        )
+    if timestamps.size > 1:
+        backwards = np.diff(timestamps) < 0
+        if starts is not None:
+            backwards[starts[1:] - 1] = False
+        if np.any(backwards):
+            raise ValueError("timestamps must be non-decreasing")
+    if phases.size and (np.any(phases < 0) or np.any(phases >= TWO_PI + 1e-9)):
+        raise ValueError("phases must lie in [0, 2*pi)")
+    if rssi is not None and rssi.shape != timestamps.shape:
+        raise ValueError("rssi must have the same length as timestamps")
+
+
 def _profile_from_validated(
     tag_id: str,
     timestamps_s: np.ndarray,
@@ -195,8 +215,9 @@ def _profile_from_validated(
     """Build a :class:`PhaseProfile` from columns known to satisfy the
     invariants, bypassing ``__post_init__``'s validation scans.
 
-    Only for columns sliced from an already validated profile; arbitrary
-    inputs must go through the regular constructor.
+    Only for slices of float columns already passed through
+    :func:`_validate_columns`; arbitrary inputs must go through the regular
+    constructor.
     """
     profile = object.__new__(PhaseProfile)
     object.__setattr__(profile, "tag_id", tag_id)
@@ -206,6 +227,35 @@ def _profile_from_validated(
     object.__setattr__(profile, "channel_index", channel_index)
     object.__setattr__(profile, "metadata", metadata)
     return profile
+
+
+def profiles_from_grouped_columns(
+    tag_ids: list[str],
+    timestamps_s: np.ndarray,
+    phases_rad: np.ndarray,
+    rssi_dbm: np.ndarray,
+    stops: np.ndarray,
+    channel_index: int,
+) -> list[PhaseProfile]:
+    """One profile per tag from float columns holding the tags back to back.
+
+    Tag ``k`` owns rows ``stops[k - 1]:stops[k]`` (from 0 for the first),
+    already in time order.  The columns are validated once as a whole, then
+    every profile is a slice of them, built without validating it again.
+    """
+    starts = np.concatenate(([0], stops[:-1]))
+    _validate_columns(timestamps_s, phases_rad, rssi_dbm, starts)
+    return [
+        _profile_from_validated(
+            tag_id=tag_id,
+            timestamps_s=timestamps_s[start:stop],
+            phases_rad=phases_rad[start:stop],
+            rssi_dbm=rssi_dbm[start:stop],
+            channel_index=channel_index,
+            metadata={},
+        )
+        for tag_id, start, stop in zip(tag_ids, starts.tolist(), stops.tolist())
+    ]
 
 
 @dataclass

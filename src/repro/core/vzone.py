@@ -32,6 +32,7 @@ import numpy as np
 from ..rf.constants import TWO_PI
 from .dtw import (
     DTWResult,
+    ReferenceColumns,
     segmented_dtw_align,
     segmented_dtw_align_batch,
     subsequence_dtw,
@@ -123,6 +124,7 @@ class VZoneDetector:
         if self.expand_fraction < 0:
             raise ValueError("expand fraction must be non-negative")
         self._reference_segments: list[Segment] | None = None
+        self._reference_columns: ReferenceColumns | None = None
         self._reference_vzone_range: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ API
@@ -264,6 +266,14 @@ class VZoneDetector:
                 self.reference.profile, self.window_size
             )
         return self._reference_segments
+
+    def reference_columns(self) -> ReferenceColumns:
+        """:meth:`reference_segmentation`'s bounds and durations (computed
+        once, cached, read-only), shared by the streaming session's per-tag
+        resumable aligners."""
+        if self._reference_columns is None:
+            self._reference_columns = ReferenceColumns.of(self.reference_segmentation())
+        return self._reference_columns
 
     def _reference_vzone_segment_range(self) -> tuple[int, int]:
         """Indices of the reference segments overlapping the reference V-zone.

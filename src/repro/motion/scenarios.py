@@ -15,6 +15,7 @@ actually moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +25,8 @@ from .trajectory import LinearTrajectory
 
 AntennaPositionFn = Callable[[float], Point3D]
 TagPositionFn = Callable[[str, float], Point3D]
+
+_COORDINATES = (attrgetter("x"), attrgetter("y"), attrgetter("z"))
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +98,23 @@ class _TagPositionsBase:
         """Initial positions of ``tag_ids`` as an ``(N, 3)`` array (cached)."""
         key = tuple(tag_ids)
         if key != self._array_key:
-            value = np.array(
-                [
-                    (p.x, p.y, p.z)
-                    for p in (self._positions[tag_id] for tag_id in key)
-                ],
-                dtype=float,
-            ).reshape(len(key), 3)
-            self._array_value = value
+            self._array_value = self._start_rows(key)
             self._array_key = key
         return self._array_value
+
+    def _start_rows(self, tag_ids: Sequence[str]) -> np.ndarray:
+        """Initial positions of ``tag_ids`` (repeats allowed) as a new ``(N, 3)``.
+
+        Filled one coordinate column at a time, so a 10k-tag population
+        builds no tuple per tag.  Paired queries call this directly rather
+        than :meth:`initial_array`: their per-event id lists would evict the
+        full-population entry the per-round zone checks rely on.
+        """
+        points = list(map(self._positions.__getitem__, tag_ids))
+        rows = np.empty((len(points), 3))
+        for axis, coordinate in enumerate(_COORDINATES):
+            rows[:, axis] = np.fromiter(map(coordinate, points), dtype=float, count=len(points))
+        return rows
 
     def positions_paired(
         self, tag_ids: Sequence[str], times_s: np.ndarray
@@ -123,21 +133,6 @@ class _TagPositionsBase:
         count = len(tag_ids)
         rows = self.positions_at(tag_ids, times)
         return rows[np.arange(count), np.arange(count)]
-
-    def _paired_start_rows(self, tag_ids: Sequence[str]) -> np.ndarray:
-        """Initial positions of ``tag_ids`` (repeats allowed) as ``(M, 3)``.
-
-        Unlike :meth:`initial_array` this does not touch the single-slot
-        cache: paired queries use per-event id lists that would evict the
-        full-population entry the per-round zone checks rely on.
-        """
-        return np.array(
-            [
-                (p.x, p.y, p.z)
-                for p in (self._positions[tag_id] for tag_id in tag_ids)
-            ],
-            dtype=float,
-        ).reshape(len(tag_ids), 3)
 
 
 class StaticTagPositions(_TagPositionsBase):
@@ -158,7 +153,7 @@ class StaticTagPositions(_TagPositionsBase):
         self, tag_ids: Sequence[str], times_s: np.ndarray
     ) -> np.ndarray:
         """Static layout: the paired positions are just the stored rows."""
-        return self._paired_start_rows(tag_ids)
+        return self._start_rows(tag_ids)
 
 
 class ConstantVelocityTagPositions(_TagPositionsBase):
@@ -196,7 +191,7 @@ class ConstantVelocityTagPositions(_TagPositionsBase):
     ) -> np.ndarray:
         """O(M) paired query: the same ``start + velocity * t`` per pair."""
         times = np.asarray(times_s, dtype=float)
-        base = self._paired_start_rows(tag_ids)
+        base = self._start_rows(tag_ids)
         displacement = np.empty((times.size, 3))
         displacement[:, 0] = self.velocity[0] * times
         displacement[:, 1] = self.velocity[1] * times
@@ -244,7 +239,7 @@ class BeltTagPositions(_TagPositionsBase):
             distances = profile.distances_at(times)
         else:
             distances = np.array([profile.distance_at(float(t)) for t in times])
-        out = self._paired_start_rows(tag_ids)
+        out = self._start_rows(tag_ids)
         out[:, 0] = out[:, 0] - distances
         return out
 

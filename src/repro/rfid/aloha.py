@@ -85,6 +85,15 @@ class QAlgorithm:
     q_min: float = 0.0
     q_max: float = 15.0
 
+    def __post_init__(self) -> None:
+        # A negative step would walk away from the clamp on empty slots, which
+        # the run-skipping walk of FrameSlottedAloha.run_round_schedule
+        # assumes never happens.
+        if not self.c >= 0:
+            raise ValueError(f"c must be non-negative, got {self.c}")
+        if self.q_min > self.q_max:
+            raise ValueError(f"q_min must not exceed q_max, got {self.q_min} > {self.q_max}")
+
     def on_slot(self, outcome: SlotOutcome) -> None:
         """Update the floating-point Q after one slot."""
         if outcome is SlotOutcome.COLLISION:
@@ -203,8 +212,11 @@ class FrameSlottedAloha:
           left-to-right adds replicate the scalar loop's ``clock += duration``
           float-for-float;
         * the adaptive Q walk replays :meth:`QAlgorithm.on_slot`'s exact
-          ``min``/``max`` arithmetic per slot (on outcome codes, not event
-          objects), leaving the protocol state bit-identical.
+          ``min``/``max`` arithmetic (on outcome codes, not event objects),
+          leaving the protocol state bit-identical.  It steps over runs of
+          empty slots rather than slots: once ``q_fp`` sits at ``q_min`` the
+          rest of a run cannot move it, so a run costs at most about
+          ``(q_max - q_min) / c`` steps however long it is.
 
         ``tests/test_fused_sweep.py`` pins the equivalence against
         :meth:`run_round`.
@@ -227,7 +239,10 @@ class FrameSlottedAloha:
             self._duration_lut = np.array(
                 [timings.empty_slot_s, timings.success_slot_s, timings.collision_slot_s]
             )
-        durations = self._duration_lut[np.minimum(counts, 2)]
+        # One byte per slot: the class indexes the duration table and, as
+        # bytes, splits into the Q walk's runs below.
+        classes = np.minimum(counts, 2, out=np.empty(frame_size, np.uint8), casting="unsafe")
+        durations = self._duration_lut[classes]
         # ends[0] is the first slot's start; ends[k + 1] is slot k's end.
         # In-place left-to-right accumulate == the scalar loop's sequential
         # ``clock += duration`` float-for-float.  The buffer is reused across
@@ -245,13 +260,18 @@ class FrameSlottedAloha:
             c = algorithm.c
             q_min = algorithm.q_min
             q_max = algorithm.q_max
-            # Successful slots never move Q, so replaying only the empty and
-            # collision slots (in slot order) walks the same clamped path.
-            for occupancy in counts[counts != 1].tolist():
-                if occupancy == 0:
-                    q_fp = max(q_min, q_fp - c)
-                else:
+            # Successful slots never move Q, so dropping them leaves the empty
+            # and collision slots in slot order; splitting at the collisions
+            # leaves the runs of empty slots between them.  An empty slot at
+            # q_min leaves q_fp at q_min (c >= 0), so each run stops there.
+            runs = classes.tobytes().replace(b"\x01", b"").split(b"\x02")
+            for index, run in enumerate(runs):
+                if index:
                     q_fp = min(q_max, q_fp + c)
+                for _ in range(len(run)):
+                    if q_fp == q_min:
+                        break
+                    q_fp = max(q_min, q_fp - c)
             algorithm.q_fp = q_fp
 
         winners = np.nonzero(counts[chosen] == 1)[0]

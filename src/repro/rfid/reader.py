@@ -418,13 +418,19 @@ class RFIDReader:
         population = len(ids)
         # Hoist the per-tag Eq. (1) offsets: theta_TAG varies per tag model,
         # everything else about the channel is shared, so ``mu`` is worked
-        # out once per model (keyed by identity: hashing the frozen model
-        # costs more than the lookup saves).
-        models = {id(tag.model): tag.model for tag in tag_list}
-        mu_by_model = {
-            key: self._device_offsets_for(model).total for key, model in models.items()
-        }
-        mu_by_tag = np.array([mu_by_model[id(tag.model)] for tag in tag_list], dtype=float)
+        # out once per distinct model and scattered back by index.  Models
+        # are told apart by identity: hashing the frozen model costs more
+        # than it saves.
+        models = [tag.model for tag in tag_list]
+        model_keys = np.fromiter(map(id, models), dtype=np.intp, count=population)
+        _, first_of_model, model_of_tag = np.unique(
+            model_keys, return_index=True, return_inverse=True
+        )
+        mu_by_model = np.array(
+            [self._device_offsets_for(models[i]).total for i in first_of_model.tolist()],
+            dtype=float,
+        )
+        mu_by_tag = mu_by_model[model_of_tag]
 
         provider = self._resolve_tag_positions(tag_position, tags)
         static_layout = bool(getattr(provider, "is_static", False))

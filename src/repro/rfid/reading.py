@@ -5,12 +5,12 @@ fields the ImpinJ LLRP API exposes and the paper consumes: EPC, a timestamp,
 the RF phase, the RSSI, and the channel index.  A :class:`ReadLog` groups the
 reads of one sweep and offers the per-tag views STPP and the baselines use.
 
-:class:`ReadLog` stores reads **columnar** (one sequence per field) rather
-than as a list of per-read objects: the batched reader simulator assembles a
-sweep's time-sorted reads via :meth:`ReadLog.extend_columns`, and profile
-assembly slices the cached NumPy columns instead of list-comprehending over
-objects.  :class:`TagRead` objects are materialised lazily, only for callers
-that iterate the log read-by-read.
+:class:`ReadLog` stores reads **columnar** (a NumPy column per numeric
+field, a list of tag ids) rather than as a list of per-read objects: the
+batched reader simulator hands a sweep's time-sorted reads over as arrays via
+:meth:`ReadLog.extend_columns`, and profile assembly slices the NumPy columns
+instead of list-comprehending over objects.  :class:`TagRead` objects are
+materialised lazily, only for callers that iterate the log read-by-read.
 """
 
 from __future__ import annotations
@@ -84,28 +84,40 @@ class ReadBatch:
         return len(self.tag_ids)
 
 
+_COLUMNS: tuple[tuple[str, type], ...] = (
+    ("timestamp_s", float),
+    ("phase_rad", float),
+    ("rssi_dbm", float),
+    ("channel_index", np.int64),
+    ("antenna_port", np.int64),
+)
+"""The numeric columns of a :class:`ReadLog`, in :class:`TagRead` field order."""
+
+
 class ReadLog:
-    """An append-only, columnar log of reads from one sweep."""
+    """An append-only, columnar log of reads from one sweep.
+
+    The numeric fields live in NumPy columns (8 bytes a read, against ~32 for
+    a list of Python floats) and the tag ids in a list.  Whole batches arrive
+    as column chunks; reads appended one at a time wait as pending rows.
+    :meth:`columns` joins both into one chunk, once per mutation.
+    """
 
     __slots__ = (
-        "_timestamps",
         "_tag_ids",
-        "_phases",
-        "_rssis",
-        "_channels",
-        "_ports",
+        "_chunks",
+        "_pending",
         "_arrays",
         "_reads",
         "_tag_indices",
     )
 
     def __init__(self, reads: Iterable[TagRead] | None = None) -> None:
-        self._timestamps: list[float] = []
         self._tag_ids: list[str] = []
-        self._phases: list[float] = []
-        self._rssis: list[float] = []
-        self._channels: list[int] = []
-        self._ports: list[int] = []
+        # Column chunks in append order, one array per _COLUMNS entry, and
+        # the rows appended read by read since the last chunk.
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._pending: list[tuple] = []
         self._invalidate()
         if reads is not None:
             self.extend(reads)
@@ -115,16 +127,32 @@ class ReadLog:
         self._reads: list[TagRead] | None = None
         self._tag_indices: dict[str, np.ndarray] | None = None
 
+    def _flush(self) -> None:
+        """Turn the pending rows into a chunk, behind every earlier chunk."""
+        if self._pending:
+            fields = zip(*self._pending)
+            self._pending = []
+            self._chunks.append(
+                tuple(
+                    np.array(values, dtype=dtype)
+                    for values, (_, dtype) in zip(fields, _COLUMNS)
+                )
+            )
+
     # -- ingestion ---------------------------------------------------------
 
     def append(self, read: TagRead) -> None:
         """Append one read to the log."""
-        self._timestamps.append(read.timestamp_s)
         self._tag_ids.append(read.tag_id)
-        self._phases.append(read.phase_rad)
-        self._rssis.append(read.rssi_dbm)
-        self._channels.append(read.channel_index)
-        self._ports.append(read.antenna_port)
+        self._pending.append(
+            (
+                read.timestamp_s,
+                read.phase_rad,
+                read.rssi_dbm,
+                read.channel_index,
+                read.antenna_port,
+            )
+        )
         self._invalidate()
 
     def extend(self, reads: Iterable[TagRead]) -> None:
@@ -143,21 +171,27 @@ class ReadLog:
     ) -> None:
         """Append a batch of reads given as parallel columns (one channel/port)."""
         count = len(tag_ids)
-        timestamps = np.asarray(timestamps_s, dtype=float)
-        phases = np.asarray(phases_rad, dtype=float)
-        rssis = np.asarray(rssi_dbm, dtype=float)
+        # Copies: the log must not share memory with the caller's arrays.
+        timestamps = np.array(timestamps_s, dtype=float)
+        phases = np.array(phases_rad, dtype=float)
+        rssis = np.array(rssi_dbm, dtype=float)
         if timestamps.shape != (count,) or phases.shape != (count,) or rssis.shape != (count,):
             raise ValueError(
                 "column lengths disagree: "
                 f"{count} ids vs {timestamps.shape} timestamps, "
                 f"{phases.shape} phases, {rssis.shape} rssis"
             )
-        self._timestamps.extend(timestamps.tolist())
+        self._flush()
         self._tag_ids.extend(tag_ids)
-        self._phases.extend(phases.tolist())
-        self._rssis.extend(rssis.tolist())
-        self._channels.extend([int(channel_index)] * count)
-        self._ports.extend([int(antenna_port)] * count)
+        self._chunks.append(
+            (
+                timestamps,
+                phases,
+                rssis,
+                np.full(count, int(channel_index), dtype=np.int64),
+                np.full(count, int(antenna_port), dtype=np.int64),
+            )
+        )
         self._invalidate()
 
     def extend_batch(self, batch: ReadBatch) -> None:
@@ -182,14 +216,16 @@ class ReadLog:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         columns = self.columns()
+        channels = columns["channel_index"].tolist()
+        ports = columns["antenna_port"].tolist()
         total = len(self)
         start = 0
         while start < total:
             stop = min(start + batch_size, total)
-            channel = self._channels[start]
-            port = self._ports[start]
+            channel = channels[start]
+            port = ports[start]
             for index in range(start + 1, stop):
-                if self._channels[index] != channel or self._ports[index] != port:
+                if channels[index] != channel or ports[index] != port:
                     stop = index
                     break
             yield ReadBatch(
@@ -214,51 +250,51 @@ class ReadLog:
     ) -> "ReadLog":
         """Build a log directly from full parallel columns."""
         log = cls()
-        log._timestamps = [float(t) for t in timestamps_s]
         log._tag_ids = list(tag_ids)
-        log._phases = [float(p) for p in phases_rad]
-        log._rssis = [float(r) for r in rssi_dbm]
-        log._channels = [int(c) for c in channel_indices]
-        log._ports = [int(p) for p in antenna_ports]
-        lengths = {
-            len(log._timestamps),
-            len(log._tag_ids),
-            len(log._phases),
-            len(log._rssis),
-            len(log._channels),
-            len(log._ports),
-        }
+        chunk = tuple(
+            np.array(values, dtype=dtype)
+            for values, (_, dtype) in zip(
+                (timestamps_s, phases_rad, rssi_dbm, channel_indices, antenna_ports), _COLUMNS
+            )
+        )
+        lengths = {len(log._tag_ids), *(column.shape[0] for column in chunk)}
         if len(lengths) != 1:
             raise ValueError(f"column lengths disagree: {sorted(lengths)}")
+        log._chunks.append(chunk)
         return log
 
     # -- cached views ------------------------------------------------------
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The log's fields as NumPy columns (cached; do not mutate)."""
+        """The log's fields as NumPy columns (cached, read-only: they are the
+        log's own storage, and batches and slices handed out are views)."""
         if self._arrays is None:
-            self._arrays = {
-                "timestamp_s": np.array(self._timestamps, dtype=float),
-                "phase_rad": np.array(self._phases, dtype=float),
-                "rssi_dbm": np.array(self._rssis, dtype=float),
-                "channel_index": np.array(self._channels, dtype=np.int64),
-                "antenna_port": np.array(self._ports, dtype=np.int64),
-            }
+            self._flush()
+            if len(self._chunks) != 1:
+                empty = tuple(np.empty(0, dtype=dtype) for _, dtype in _COLUMNS)
+                self._chunks = [
+                    tuple(np.concatenate(parts) for parts in zip(empty, *self._chunks))
+                ]
+            self._arrays = {}
+            for (name, _), column in zip(_COLUMNS, self._chunks[0]):
+                column.setflags(write=False)
+                self._arrays[name] = column
         return self._arrays
 
     @property
     def reads(self) -> list[TagRead]:
         """The log as :class:`TagRead` objects (materialised lazily, cached)."""
         if self._reads is None:
+            columns = self.columns()
             self._reads = [
                 TagRead(t, tid, ph, rs, ch, po)
                 for t, tid, ph, rs, ch, po in zip(
-                    self._timestamps,
+                    columns["timestamp_s"].tolist(),
                     self._tag_ids,
-                    self._phases,
-                    self._rssis,
-                    self._channels,
-                    self._ports,
+                    columns["phase_rad"].tolist(),
+                    columns["rssi_dbm"].tolist(),
+                    columns["channel_index"].tolist(),
+                    columns["antenna_port"].tolist(),
                 )
             ]
         return self._reads
@@ -286,7 +322,7 @@ class ReadLog:
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._timestamps)
+        return len(self._tag_ids)
 
     def __iter__(self) -> Iterator[TagRead]:
         return iter(self.reads)
@@ -294,14 +330,10 @@ class ReadLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReadLog):
             return NotImplemented
-        return (
-            self._timestamps == other._timestamps
-            and self._tag_ids == other._tag_ids
-            and self._phases == other._phases
-            and self._rssis == other._rssis
-            and self._channels == other._channels
-            and self._ports == other._ports
-        )
+        if self._tag_ids != other._tag_ids:
+            return False
+        mine, theirs = self.columns(), other.columns()
+        return all(np.array_equal(mine[name], theirs[name]) for name, _ in _COLUMNS)
 
     def __repr__(self) -> str:
         return f"ReadLog({len(self)} reads, {len(self.tag_ids())} tags)"
@@ -332,17 +364,21 @@ class ReadLog:
         reads = self.reads
         return [reads[i] for i in self._time_sorted_indices_for(tag_id)]
 
+    def _subset(self, indices: np.ndarray) -> "ReadLog":
+        """A new log of the reads at ``indices``, in that order."""
+        columns = self.columns()
+        return ReadLog.from_columns(
+            columns["timestamp_s"][indices],
+            [self._tag_ids[i] for i in indices.tolist()],
+            columns["phase_rad"][indices],
+            columns["rssi_dbm"][indices],
+            columns["channel_index"][indices],
+            columns["antenna_port"][indices],
+        )
+
     def for_antenna(self, antenna_port: int) -> "ReadLog":
         """A new log containing only reads from ``antenna_port``."""
-        keep = [i for i, port in enumerate(self._ports) if port == antenna_port]
-        return ReadLog.from_columns(
-            [self._timestamps[i] for i in keep],
-            [self._tag_ids[i] for i in keep],
-            [self._phases[i] for i in keep],
-            [self._rssis[i] for i in keep],
-            [self._channels[i] for i in keep],
-            [self._ports[i] for i in keep],
-        )
+        return self._subset(np.flatnonzero(self.columns()["antenna_port"] == antenna_port))
 
     def timestamps(self, tag_id: str) -> np.ndarray:
         """Timestamps of ``tag_id``'s reads as a float array (seconds)."""
@@ -358,7 +394,7 @@ class ReadLog:
 
     def channel_indices(self) -> set[int]:
         """The distinct reader channels present in the log."""
-        return set(self._channels)
+        return set(self.columns()["channel_index"].tolist())
 
     def read_counts(self) -> dict[str, int]:
         """Number of reads per tag id."""
@@ -369,18 +405,11 @@ class ReadLog:
 
     def duration_s(self) -> float:
         """Span between first and last read, in seconds (0 when empty)."""
-        if not self._timestamps:
+        if not self._tag_ids:
             return 0.0
-        return max(self._timestamps) - min(self._timestamps)
+        timestamps = self.columns()["timestamp_s"]
+        return float(timestamps.max() - timestamps.min())
 
     def sorted_by_time(self) -> "ReadLog":
         """A new log with reads stable-sorted by timestamp."""
-        order = np.argsort(np.array(self._timestamps, dtype=float), kind="stable")
-        return ReadLog.from_columns(
-            [self._timestamps[i] for i in order],
-            [self._tag_ids[i] for i in order],
-            [self._phases[i] for i in order],
-            [self._rssis[i] for i in order],
-            [self._channels[i] for i in order],
-            [self._ports[i] for i in order],
-        )
+        return self._subset(np.argsort(self.columns()["timestamp_s"], kind="stable"))

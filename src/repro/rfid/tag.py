@@ -57,10 +57,14 @@ class Tag:
     label: str = ""
     """Optional human-readable label (e.g. a book call number or bag id)."""
 
-    @property
-    def tag_id(self) -> str:
-        """A short unique string identifier derived from the EPC."""
-        return str(self.epc)
+    tag_id: str = field(init=False, compare=False, repr=False)
+    """A short unique string identifier derived from the EPC.
+
+    Formatted once here: sweeps, id lookups and uniqueness checks read it
+    for every tag of a population, often more than once."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tag_id", str(self.epc))
 
 
 @dataclass

@@ -249,9 +249,7 @@ class LocalizationSession:
         if pipeline is None:
             pipeline = _TagPipeline(
                 segmenter=IncrementalSegmenter(self.config.window_size),
-                aligner=ResumableSegmentAligner(
-                    self._detector.reference_segmentation()
-                ),
+                aligner=ResumableSegmentAligner(self._detector.reference_columns()),
             )
             self._pipelines[tag_id] = pipeline
         return pipeline

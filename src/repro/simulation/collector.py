@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.phase_profile import PhaseProfile, ProfileSet
+from ..core.phase_profile import ProfileSet, profiles_from_grouped_columns
+from ..rf.constants import TWO_PI
 from ..rfid.reader import RFIDReader
 from ..rfid.reading import ReadLog
 from .scene import Scene
@@ -47,26 +48,22 @@ def profiles_from_read_log(
             )
         channel_index = seen.pop() if seen else None
     # One stable sort groups the log by tag (first-seen order) and orders
-    # each tag's reads by time, ties in append order; each profile is then a
-    # slice of the sorted columns, with no per-read objects.
+    # each tag's reads by time, ties in append order: the order
+    # PhaseProfile.from_reads' own stable sort gives each tag's reads, so its
+    # wrap runs once over the sorted columns and each profile is a slice of
+    # them, with no per-read objects.
     tag_ids, codes = read_log.tag_codes()
     columns = read_log.columns()
     order = np.lexsort((columns["timestamp_s"], codes))
-    timestamps, phases, rssis = (
-        columns[name][order] for name in ("timestamp_s", "phase_rad", "rssi_dbm")
+    profiles = profiles_from_grouped_columns(
+        tag_ids,
+        columns["timestamp_s"][order],
+        np.mod(columns["phase_rad"][order], TWO_PI),
+        columns["rssi_dbm"][order],
+        np.cumsum(np.bincount(codes, minlength=len(tag_ids))),
+        channel_index,
     )
-    stops = np.cumsum(np.bincount(codes, minlength=len(tag_ids))).tolist()
-    profile_set = ProfileSet()
-    for tag_id, start, stop in zip(tag_ids, [0] + stops, stops):
-        profile = PhaseProfile.from_reads(
-            tag_id=tag_id,
-            timestamps_s=timestamps[start:stop],
-            phases_rad=phases[start:stop],
-            rssi_dbm=rssis[start:stop],
-            channel_index=channel_index,
-        )
-        profile_set.add(profile)
-    return profile_set
+    return ProfileSet({profile.tag_id: profile for profile in profiles})
 
 
 def collect_sweep(scene: Scene) -> SweepResult:

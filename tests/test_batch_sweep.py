@@ -499,3 +499,34 @@ class TestColumnarReadLog:
         assert len(log.reads) == 2
         assert log.timestamps("a").tolist() == [0.1, 0.2]
         assert log.channel_indices() == {6}
+
+    def test_appends_and_batches_keep_arrival_order(self):
+        # Reads appended one at a time and column batches interleave in the
+        # order they arrived, whatever mix of the two built the log.
+        batched = {2, 3, 4, 6, 7}
+        reads = [
+            TagRead(0.1 * i, f"t{i % 3}", 0.5 * i, -50.0 - i, channel_index=6 if i in batched else 7)
+            for i in range(9)
+        ]
+        log = ReadLog(reads[:2])
+        for start, stop in ((2, 5), (6, 8)):
+            chunk = reads[start:stop]
+            log.extend_columns(
+                [r.timestamp_s for r in chunk],
+                [r.tag_id for r in chunk],
+                [r.phase_rad for r in chunk],
+                [r.rssi_dbm for r in chunk],
+                channel_index=6,
+                antenna_port=1,
+            )
+            log.append(reads[stop])
+        assert log == ReadLog(reads)
+        assert log.reads == reads
+        columns = log.columns()
+        assert columns["channel_index"].tolist() == [r.channel_index for r in reads]
+        assert not any(column.flags.writeable for column in columns.values())
+        empty = ReadLog().columns()
+        assert [empty[name].dtype for name in ("timestamp_s", "channel_index")] == [
+            np.float64,
+            np.int64,
+        ]

@@ -19,7 +19,7 @@ import pytest
 from repro.motion.scenarios import StaticAntennaPosition, SweepScenario
 from repro.rf.geometry import Point3D
 from repro.rf.noise import NOISELESS, NoiseModel
-from repro.rfid.aloha import FrameSlottedAloha, SlotOutcome
+from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm, SlotOutcome
 from repro.rfid.coupling import NeighborGrid
 from repro.rfid.reader import RFIDReader
 from repro.rfid.reading import ReadLog
@@ -503,6 +503,57 @@ class TestRunRoundSchedule:
                 == via_schedule.scheduling_checkpoint()
             )
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    # (population, starting q_fp, rounds, QAlgorithm overrides, pins to the
+    # floor and collides there).  Populations and frames reach the dense
+    # hall's last rounds: ~1,500 tags over up to 2**15 slots.
+    DENSE_WALKS = {
+        "q15-floor-then-collisions": (1540, 15.0, 2, {}, True),
+        "q15-multi-round": (400, 15.0, 5, {}, True),
+        "q0-climb": (2000, 0.0, 40, {}, True),
+        "q11.6": (2000, 11.6, 3, {}, True),
+        "q10.6-short-runs": (1500, 10.6, 3, {}, True),
+        "balanced-off-the-clamps": (1174, 10.0, 2, {"c": 0.1}, False),
+        "q7.4-ceiling-then-floor": (1000, 7.4, 3, {}, True),
+        "narrow-range-small-step": (1200, 13.0, 3, {"c": 0.1, "q_min": 2.0, "q_max": 13.0}, True),
+        "zero-step": (300, 9.0, 2, {"c": 0.0}, False),
+        "start-below-floor": (50, 0.0, 6, {"c": 0.45, "q_min": 3.0}, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DENSE_WALKS))
+    def test_dense_hall_scale_walk(self, case):
+        # run_round walks QAlgorithm.on_slot slot by slot; run_round_schedule
+        # steps over runs of empty slots.  Every round of both must agree
+        # exactly: winners, end times, duration, q_fp and rng state.
+        population, q_fp, rounds, overrides, pins_floor = self.DENSE_WALKS[case]
+        tag_ids = [f"tag-{i:04d}" for i in range(population)]
+        via_events = FrameSlottedAloha()
+        via_schedule = FrameSlottedAloha()
+        for protocol in (via_events, via_schedule):
+            protocol._q_algorithm = QAlgorithm(q_fp=q_fp, **overrides)
+        rng_a = np.random.default_rng(2015)
+        rng_b = np.random.default_rng(2015)
+        clock = 3.25
+        floor_then_collision = False
+        for _ in range(rounds):
+            replay = dataclasses.replace(via_events._q_algorithm)
+            events = via_events.run_round(tag_ids, clock, rng_a)
+            success_ids, success_ends, duration = via_schedule.run_round_schedule(
+                tag_ids, clock, rng_b
+            )
+            successes = [e for e in events if e.outcome is SlotOutcome.SUCCESS]
+            assert list(success_ids) == [e.tag_id for e in successes]
+            assert success_ends.tolist() == [e.end_time_s for e in successes]
+            assert duration == via_events.round_duration_s(events)
+            expected_q = via_events.scheduling_checkpoint()
+            assert via_schedule.scheduling_checkpoint().hex() == float(expected_q).hex()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            for event in events:
+                if event.outcome is SlotOutcome.COLLISION and replay.q_fp == replay.q_min:
+                    floor_then_collision = True
+                replay.on_slot(event.outcome)
+            clock += duration
+        assert floor_then_collision == pins_floor
 
 
 class TestNeighborCSR:

@@ -13,8 +13,11 @@ from repro.motion.speed_profiles import (
     PiecewiseSpeedProfile,
     jittered_speed_profile,
 )
+from repro.core.phase_profile import PhaseProfile, profiles_from_grouped_columns
 from repro.motion.trajectory import LinearTrajectory, WaypointTrajectory
+from repro.rf.constants import TWO_PI
 from repro.rf.geometry import Point3D
+from repro.rfid.reading import ReadLog, TagRead
 from repro.rfid.tag import make_tags
 from repro.simulation.collector import collect_sweep, profiles_from_read_log
 from repro.simulation.presets import (
@@ -203,3 +206,98 @@ class TestSceneAndCollector:
     def test_indoor_channel_requires_positions(self):
         with pytest.raises(ValueError):
             indoor_channel([])
+
+
+def _assembly_log(seed: int, channel_index: int) -> ReadLog:
+    """A read log that stresses profile assembly.
+
+    Tags interleave, each tag's reads arrive out of time order with tied
+    timestamps, and half the phases are edge values: below 0, exactly 0 and
+    -0, at 2*pi and above, just under 2*pi, and one that wraps to 2*pi.
+    """
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 80))
+    tags = [f"tag-{k}" for k in range(int(rng.integers(1, 8)))]
+    times = rng.choice(np.linspace(0.0, 1.0, 9), size=count)
+    edges = np.array(
+        [0.0, -0.0, -0.5, -1e-300, TWO_PI, np.nextafter(TWO_PI, 0.0), 7.0, 3 * TWO_PI, -TWO_PI]
+    )
+    phases = np.where(
+        rng.random(count) < 0.5,
+        rng.choice(edges, size=count),
+        rng.uniform(-10.0, 20.0, size=count),
+    )
+    return ReadLog(
+        [
+            TagRead(float(t), tags[int(k)], float(p), float(r), channel_index=channel_index)
+            for t, k, p, r in zip(
+                times, rng.integers(0, len(tags), size=count), phases, rng.normal(-55, 5, count)
+            )
+        ]
+    )
+
+
+def _per_tag_from_reads(log: ReadLog, channel_index: int) -> dict[str, PhaseProfile]:
+    """The reference: one ``PhaseProfile.from_reads`` per tag, reads in log order."""
+    grouped: dict[str, list[TagRead]] = {}
+    for read in log.reads:
+        grouped.setdefault(read.tag_id, []).append(read)
+    return {
+        tag_id: PhaseProfile.from_reads(
+            tag_id,
+            [read.timestamp_s for read in reads],
+            [read.phase_rad for read in reads],
+            [read.rssi_dbm for read in reads],
+            channel_index=channel_index,
+        )
+        for tag_id, reads in grouped.items()
+    }
+
+
+class TestProfileAssembly:
+    """``profiles_from_read_log`` equals per-tag ``PhaseProfile.from_reads``."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_from_reads(self, seed, explicit):
+        log = _assembly_log(seed, channel_index=11)
+        channel_index = 3 if explicit else 11
+        built = profiles_from_read_log(log, channel_index=3 if explicit else None)
+        expected = _per_tag_from_reads(log, channel_index)
+        assert list(built.profiles) == list(expected)
+        for tag_id, reference in expected.items():
+            profile = built[tag_id]
+            assert profile.tag_id == tag_id
+            assert profile.channel_index == channel_index
+            assert profile.metadata == {}
+            for field in ("timestamps_s", "phases_rad", "rssi_dbm"):
+                mine, theirs = getattr(profile, field), getattr(reference, field)
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes(), field
+
+    def test_edge_phases_present(self):
+        # The generated logs do reach the wrap edges they are meant to cover.
+        phases = np.concatenate(
+            [_assembly_log(seed, 11).columns()["phase_rad"] for seed in range(30)]
+        )
+        assert np.any(phases < 0) and np.any(phases >= TWO_PI)
+        assert np.any(phases == np.nextafter(TWO_PI, 0.0))
+        assert np.any(np.mod(phases, TWO_PI) == TWO_PI)
+
+    def test_grouped_columns_validated_once(self):
+        # Time may step back only where the next tag's rows start.
+        def build(times, phases=(1.0, 1.0, 1.0, 1.0)):
+            return profiles_from_grouped_columns(
+                ["a", "b"], np.array(times), np.array(phases), np.zeros(4), np.array([2, 4]), 6
+            )
+
+        a, b = build([0.1, 0.2, 0.0, 0.5])
+        assert a.timestamps_s.tolist() == [0.1, 0.2] and b.timestamps_s.tolist() == [0.0, 0.5]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            build([0.2, 0.1, 0.3, 0.5])
+        with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+            build([0.1, 0.2, 0.0, 0.5], phases=(1.0, 1.0, 7.0, 1.0))
+
+    @pytest.mark.parametrize("channel_index", [None, 3])
+    def test_empty_log(self, channel_index):
+        assert len(profiles_from_read_log(ReadLog(), channel_index=channel_index)) == 0

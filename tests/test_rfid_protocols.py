@@ -54,6 +54,22 @@ class TestTags:
         assert tags[0].label == "a"
         assert tags.positions()[tags[1].tag_id] == positions[1]
 
+    def test_tag_id_is_a_stored_field(self):
+        import dataclasses
+        import pickle
+
+        tag = make_tags([Point3D(0, 0, 0)], seed=0)[0]
+        assert tag.tag_id == str(tag.epc)
+        # Derived from the EPC: not a constructor argument, not part of
+        # equality or the repr, and recomputed by replace() and unpickling.
+        assert tag == Tag(epc=tag.epc, position=tag.position, model=tag.model)
+        assert "tag_id" not in repr(tag)
+        other = EPC(tag.epc.value + 1)
+        assert dataclasses.replace(tag, epc=other).tag_id == str(other)
+        assert pickle.loads(pickle.dumps(tag)).tag_id == tag.tag_id
+        with pytest.raises(TypeError):
+            Tag(epc=tag.epc, position=tag.position, tag_id="x")
+
     def test_duplicate_epc_rejected(self):
         tags = make_tags([Point3D(0, 0, 0)], seed=0)
         with pytest.raises(ValueError):
@@ -130,6 +146,17 @@ class TestAloha:
     def test_timings_validation(self):
         with pytest.raises(ValueError):
             AlohaTimings(empty_slot_s=0.0)
+
+    def test_q_algorithm_validation(self):
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            QAlgorithm(c=-0.1)
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            QAlgorithm(c=float("nan"))
+        with pytest.raises(ValueError, match="q_min must not exceed q_max"):
+            QAlgorithm(q_min=6.0, q_max=5.0)
+        # The boundaries themselves are valid: a frozen Q, a single Q.
+        QAlgorithm(c=0.0)
+        QAlgorithm(q_fp=5.0, q_min=5.0, q_max=5.0)
 
 
 class TestTreeWalking:

@@ -22,6 +22,7 @@ from repro.core import (
     segment_profile,
     segmented_dtw_align,
 )
+from repro.core.dtw import ReferenceColumns
 from repro.core.reference import shared_canonical_reference
 from repro.evaluation.metrics import ordering_agreement
 from repro.rf.geometry import Point3D
@@ -133,13 +134,15 @@ class TestIncrementalSegmenter:
 
 
 class TestResumableSegmentAligner:
-    def test_matches_batch_at_every_growth_step(self, small_row_sweep):
+    @pytest.mark.parametrize("shared", [False, True], ids=["segments", "shared-columns"])
+    def test_matches_batch_at_every_growth_step(self, small_row_sweep, shared):
         _, _, sweep = small_row_sweep
         reference_segments = segment_profile(shared_canonical_reference().profile, 5)
+        reference = ReferenceColumns.of(reference_segments) if shared else reference_segments
         rng = np.random.default_rng(11)
         for tag_id in sweep.profiles.tag_ids():
             profile = sweep.profiles[tag_id]
-            aligner = ResumableSegmentAligner(reference_segments)
+            aligner = ResumableSegmentAligner(reference)
             segmenter = IncrementalSegmenter(5)
             index = 0
             while index < len(profile):
@@ -192,6 +195,24 @@ class TestResumableSegmentAligner:
             aligner.align(segmenter.segments()[:1], 0)
         aligner.reset()
         aligner.align(segmenter.segments()[:1], 0)  # fine after reset
+
+    def test_session_aligners_share_the_detector_reference(self, small_row_sweep):
+        # One read-only copy of the reference columns per detector, however
+        # many tags the session aligns, before and after a checkpoint.
+        _, scene, sweep = small_row_sweep
+        session = LocalizationSession(channel_index=scene.reader_config.channel.channel_index)
+        for batch in sweep.read_log.iter_batches(64):
+            session.ingest_batch(batch)
+        session.provisional()
+        restored = LocalizationSession.restore(session.checkpoint())
+        restored.provisional()
+        for live in (session, restored):
+            shared = live._detector.reference_columns()
+            assert shared is live._detector.reference_columns()
+            assert len(live._pipelines) > 1
+            assert all(p.aligner._reference is shared for p in live._pipelines.values())
+            for column in (shared.mins, shared.maxs, shared.durations):
+                assert not column.flags.writeable
 
     def test_rejects_empty_inputs(self):
         reference_segments = segment_profile(shared_canonical_reference().profile, 5)
