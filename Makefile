@@ -127,11 +127,11 @@ examples:
 # The tracer wraps library functions by name, so renaming one (e.g.
 # NeighborGrid.packed_neighbors) breaks the traced run; this catches it.
 perfbench-selftest:
-	python3 perfbench/selftest.py
+	$(PYTHON) perfbench/selftest.py
 
 WORKLOAD ?= portal_cold
 BASE ?= HEAD
 SEEDS ?= 2015 7
 
 perfbench-ab:
-	python3 benchmarks/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) --seeds $(SEEDS)
+	$(PYTHON) benchmarks/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) --seeds $(SEEDS)

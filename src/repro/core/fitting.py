@@ -81,7 +81,8 @@ def fit_vzone(
 
     The phases are locally unwrapped before fitting so a nadir that dips below
     0 (and wraps to just under 2π) does not corrupt the parabola.  The fit is
-    flagged invalid when there are fewer than ``min_samples`` samples or the
+    flagged invalid when there are fewer than ``min_samples`` samples, when
+    they all share one timestamp (no time axis to fit along), or when the
     fitted curvature is not positive; callers should then fall back to the
     time of the minimum observed phase.
     """
@@ -103,7 +104,7 @@ def fit_vzone(
     fallback_time = float(times[int(np.argmin(unwrapped))])
     fallback_phase = float(np.min(unwrapped))
 
-    if times.size < max(3, min_samples):
+    if times.size < max(3, min_samples) or times.min() == times.max():
         return QuadraticFit(
             curvature=0.0,
             bottom_time_s=fallback_time,

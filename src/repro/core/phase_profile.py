@@ -258,6 +258,35 @@ def profiles_from_grouped_columns(
     ]
 
 
+def profiles_from_coded_columns(
+    tag_ids: list[str],
+    codes: np.ndarray,
+    timestamps_s: np.ndarray,
+    phases_rad: np.ndarray,
+    rssi_dbm: np.ndarray,
+    channel_index: int,
+) -> "ProfileSet":
+    """One profile per tag from read columns in arrival order.
+
+    Row ``i`` is a read of ``tag_ids[codes[i]]``; every tag has at least one
+    row and its phases are already wrapped into [0, 2π).  One stable sort
+    groups the rows by tag (first-seen order) and orders each tag's reads by
+    time, ties in arrival order: the order :meth:`PhaseProfile.from_reads`'
+    own stable sort gives each tag's reads.  Each profile is then a slice of
+    the sorted columns, with no per-read objects.
+    """
+    order = np.lexsort((timestamps_s, codes))
+    profiles = profiles_from_grouped_columns(
+        tag_ids,
+        timestamps_s[order],
+        phases_rad[order],
+        rssi_dbm[order],
+        np.cumsum(np.bincount(codes, minlength=len(tag_ids))),
+        channel_index,
+    )
+    return ProfileSet({profile.tag_id: profile for profile in profiles})
+
+
 @dataclass
 class ProfileSet:
     """The phase profiles of all tags collected during one sweep."""

@@ -8,8 +8,9 @@ and at any instant the session can emit a **provisional** ordering of the
 tags seen so far, together with a confidence grade.  Three incremental
 engines make a refresh cheap:
 
-* the :class:`~repro.simulation.streaming.StreamingCollector` maintains
-  per-tag sample buffers with amortized O(1) appends;
+* the :class:`~repro.simulation.streaming.StreamingCollector` keeps every
+  read in one columnar store with amortized O(1) appends, and snapshots it
+  through the batch path's lexsort-and-slice;
 * an :class:`~repro.core.segmentation.IncrementalSegmenter` per tag extends
   the coarse segmentation as samples arrive instead of recomputing it;
 * a :class:`~repro.core.dtw.ResumableSegmentAligner` per tag reuses the
@@ -44,10 +45,10 @@ from ..core.segmentation import IncrementalSegmenter
 from ..core.vzone import VZone
 from ..evaluation.metrics import ordering_agreement
 from ..rfid.reading import ReadBatch, TagRead
-from ..simulation.streaming import StreamingCollector, TagStreamBuffer
+from ..simulation.streaming import StreamingCollector
 from .cache import ProfileCacheRegistry
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 """Format version stamped into every :meth:`LocalizationSession.checkpoint`."""
 
 GAP_FACTOR = 16.0
@@ -140,10 +141,12 @@ class LocalizationSession:
     channel_index:
         Channel label for profiles; derived from the reads when omitted.
     out_of_order:
-        ``"reorder"`` (default) or ``"raise"`` — what to do with a read whose
-        timestamp precedes its tag's latest.  Reordering is deterministic
-        (stable sort by timestamp, matching the batch path) but rebuilds the
-        affected tag's incremental state.
+        ``"reorder"`` (default), ``"dedupe"`` or ``"raise"`` — what to do
+        with a read whose timestamp precedes its tag's latest.  Reordering is
+        deterministic (stable sort by timestamp, matching the batch path) but
+        rebuilds the affected tag's incremental state; ``"dedupe"`` reorders
+        too and also drops exact duplicate reads (see
+        :class:`~repro.simulation.streaming.StreamingCollector`).
     profile_cache:
         Optional shared :class:`~repro.service.cache.ProfileCacheRegistry`.
         When given, the session's reference profile comes from the registry
@@ -254,18 +257,22 @@ class LocalizationSession:
             self._pipelines[tag_id] = pipeline
         return pipeline
 
-    def _advance(self, tag_id: str, profile: PhaseProfile) -> _TagPipeline:
-        """Feed one tag's new samples to its segmenter; return its pipeline."""
-        stream = self.collector.stream(tag_id)
+    def _advance(
+        self, tag_id: str, profile: PhaseProfile, generation: int
+    ) -> _TagPipeline:
+        """Feed one tag's new samples to its segmenter; return its pipeline.
+
+        ``generation`` is the tag's reorder count in the collector.
+        """
         pipeline = self._pipeline_for(tag_id)
-        if pipeline.generation != stream.reorders:
+        if pipeline.generation != generation:
             # A late read re-sorted this tag's samples: the incremental
             # prefix is void, rebuild it from the (deterministically
             # re-sorted) stream.
             pipeline.segmenter = IncrementalSegmenter(self.config.window_size)
             pipeline.aligner.reset()
             pipeline.consumed = 0
-            pipeline.generation = stream.reorders
+            pipeline.generation = generation
             pipeline.vzone_sample_count = -1
         total = len(profile)
         if pipeline.consumed < total:
@@ -276,7 +283,9 @@ class LocalizationSession:
             pipeline.consumed = total
         return pipeline
 
-    def _detect_all(self, profile_map: dict[str, PhaseProfile]) -> dict[str, VZone]:
+    def _detect_all(
+        self, profile_map: dict[str, PhaseProfile], generations: dict[str, int]
+    ) -> dict[str, VZone]:
         """Incremental V-zone detection for every usable profile.
 
         Every tag whose sample count moved since its last detection is
@@ -289,7 +298,7 @@ class LocalizationSession:
         for tag_id, profile in profile_map.items():
             if len(profile) < self.config.min_profile_samples:
                 continue
-            pipeline = self._advance(tag_id, profile)
+            pipeline = self._advance(tag_id, profile, generations[tag_id])
             usable.append((tag_id, pipeline))
             if pipeline.vzone_sample_count != len(profile):
                 stale.append((pipeline, profile, pipeline.segmenter.segments()))
@@ -317,14 +326,18 @@ class LocalizationSession:
         detection served from the per-tag incremental pipelines.
         """
         expected_set = None if self._expected is None else set(self._expected)
-        profile_map: dict[str, PhaseProfile] = {}
-        for tag_id in self.collector.tag_ids():
-            if expected_set is not None and tag_id not in expected_set:
-                continue
-            profile_map[tag_id] = self.collector.profile(tag_id)
+        profiles = self.collector.profiles()
+        profile_map = {
+            tag_id: profile
+            for tag_id, profile in profiles.profiles.items()
+            if expected_set is None or tag_id in expected_set
+        }
         expected = self._expected if self._expected is not None else list(profile_map)
 
-        vzones = self._detect_all(profile_map)
+        generations = dict(
+            zip(self.collector.tag_ids(), self.collector.reorders_by_tag().tolist())
+        )
+        vzones = self._detect_all(profile_map, generations)
         x_ordering = order_tags_x(vzones, all_tag_ids=expected)
         y_ordering = order_tags_y(
             profile_map,
@@ -369,32 +382,31 @@ class LocalizationSession:
         every term is identically zero and quality is **exactly** 1.0, which
         keeps the zero-fault confidence bit-identical.
         """
+        collector = self.collector
         expected_set = None if self._expected is None else set(self._expected)
-        reads = 0
-        duplicates = 0
-        reorders = 0
+        expected_tags = np.array(
+            [
+                expected_set is None or tag_id in expected_set
+                for tag_id in collector.tag_ids()
+            ],
+            dtype=bool,
+        )
+        columns = collector.columns()
+        expected_rows = expected_tags[columns["tag_code"]]
+        reads = int(np.count_nonzero(expected_rows))
+        duplicates = int(collector.duplicates_dropped_by_tag()[expected_tags].sum())
+        reorders = int(collector.reorders_by_tag()[expected_tags].sum())
         gap_seconds = 0.0
         span_seconds = 0.0
-        timelines = []
-        for tag_id in self.collector.tag_ids():
-            if expected_set is not None and tag_id not in expected_set:
-                continue
-            stream = self.collector.stream(tag_id)
-            reads += len(stream)
-            duplicates += stream.duplicates_dropped
-            reorders += stream.reorders
-            times, _, _ = stream.sorted_arrays()
-            timelines.append(times)
-        if timelines:
-            pooled = np.sort(np.concatenate(timelines))
-            if pooled.shape[0] >= _MIN_GAP_SAMPLES:
-                diffs = np.diff(pooled)
-                median = float(np.median(diffs))
-                if median > 0.0:
-                    span_seconds = float(pooled[-1] - pooled[0])
-                    holes = diffs[diffs > GAP_FACTOR * median]
-                    if holes.size:
-                        gap_seconds = float(np.sum(holes - median))
+        pooled = np.sort(columns["timestamp_s"][expected_rows])
+        if pooled.shape[0] >= _MIN_GAP_SAMPLES:
+            diffs = np.diff(pooled)
+            median = float(np.median(diffs))
+            if median > 0.0:
+                span_seconds = float(pooled[-1] - pooled[0])
+                holes = diffs[diffs > GAP_FACTOR * median]
+                if holes.size:
+                    gap_seconds = float(np.sum(holes - median))
         anomalous = duplicates + reorders
         anomaly_fraction = (
             anomalous / (reads + anomalous) if (reads + anomalous) else 0.0
@@ -473,11 +485,11 @@ class LocalizationSession:
         """Serialize the session's resumable state to bytes.
 
         The payload captures everything the incremental engines have built —
-        per-tag sample buffers, segmenter state (closed segments and the open
-        tail), the resumable aligner's cached DTW accumulation prefix, and
-        the session's update history — but *not* the localizer or reference
-        profile, which :meth:`restore` rebuilds deterministically from the
-        config.  **Contract** (pinned by ``tests/test_checkpoint.py``): a
+        the collector's read columns and per-tag counters, segmenter state
+        (closed segments and the open tail), the resumable aligner's cached
+        DTW accumulation prefix, and the session's update history — but *not*
+        the localizer or reference profile, which :meth:`restore` rebuilds
+        deterministically from the config.  **Contract** (pinned by ``tests/test_checkpoint.py``): a
         session restored from a checkpoint and fed the remaining batches
         finalizes bit-identically to the uninterrupted session.
 
@@ -487,23 +499,6 @@ class LocalizationSession:
         if self._finalized is not None:
             raise RuntimeError("session already finalized; nothing left to resume")
         collector = self.collector
-        streams = []
-        for stream in collector.streams():
-            count = len(stream)
-            streams.append(
-                {
-                    "tag_id": stream.tag_id,
-                    "times": stream._times[:count].copy(),
-                    "phases": stream._phases[:count].copy(),
-                    "rssis": stream._rssis[:count].copy(),
-                    "last_time": stream._last_time,
-                    "disordered": stream._disordered,
-                    "reorders": stream.reorders,
-                    "duplicates_dropped": stream.duplicates_dropped,
-                    "seen": None if stream._seen is None else set(stream._seen),
-                    "channel_index": stream._channel_index,
-                }
-            )
         pipelines = {}
         for tag_id, pipeline in self._pipelines.items():
             segmenter = pipeline.segmenter
@@ -537,9 +532,7 @@ class LocalizationSession:
             "channel_index": collector._explicit_channel,
             "out_of_order": collector.out_of_order,
             "facility_id": self.facility_id,
-            "channels_seen": set(collector._channels_seen),
-            "read_count": collector._read_count,
-            "streams": streams,
+            "collector": collector.state(),
             "pipelines": pipelines,
             "batches": self._batches,
             "updates": self._updates,
@@ -582,24 +575,7 @@ class LocalizationSession:
             profile_cache=profile_cache,
             facility_id=state["facility_id"],
         )
-        collector = session.collector
-        collector._channels_seen = set(state["channels_seen"])
-        collector._read_count = state["read_count"]
-        for entry in state["streams"]:
-            stream = TagStreamBuffer(entry["tag_id"])
-            count = entry["times"].shape[0]
-            stream._ensure_capacity(count)
-            stream._times[:count] = entry["times"]
-            stream._phases[:count] = entry["phases"]
-            stream._rssis[:count] = entry["rssis"]
-            stream._count = count
-            stream._last_time = entry["last_time"]
-            stream._disordered = entry["disordered"]
-            stream.reorders = entry["reorders"]
-            stream.duplicates_dropped = entry["duplicates_dropped"]
-            stream._seen = entry["seen"]
-            stream._channel_index = entry["channel_index"]
-            collector._streams[stream.tag_id] = stream
+        session.collector.load_state(state["collector"])
         for tag_id, saved in state["pipelines"].items():
             pipeline = session._pipeline_for(tag_id)
             seg_state = saved["segmenter"]

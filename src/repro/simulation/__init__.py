@@ -13,7 +13,7 @@ from .presets import (
     standard_tag_moving_scene,
 )
 from .scene import Scene
-from .streaming import StreamingCollector, TagStreamBuffer
+from .streaming import StreamingCollector
 
 __all__ = [
     "DEFAULT_ANTENNA_SPEED_MPS",
@@ -23,7 +23,6 @@ __all__ = [
     "SweepGeometry",
     "StreamingCollector",
     "SweepResult",
-    "TagStreamBuffer",
     "clean_channel",
     "collect_sweep",
     "indoor_channel",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.phase_profile import ProfileSet, profiles_from_grouped_columns
+from ..core.phase_profile import ProfileSet, profiles_from_coded_columns
 from ..rf.constants import TWO_PI
 from ..rfid.reader import RFIDReader
 from ..rfid.reading import ReadLog
@@ -47,23 +47,16 @@ def profiles_from_read_log(
                 f"({sorted(seen)}); pass channel_index explicitly"
             )
         channel_index = seen.pop() if seen else None
-    # One stable sort groups the log by tag (first-seen order) and orders
-    # each tag's reads by time, ties in append order: the order
-    # PhaseProfile.from_reads' own stable sort gives each tag's reads, so its
-    # wrap runs once over the sorted columns and each profile is a slice of
-    # them, with no per-read objects.
     tag_ids, codes = read_log.tag_codes()
     columns = read_log.columns()
-    order = np.lexsort((columns["timestamp_s"], codes))
-    profiles = profiles_from_grouped_columns(
+    return profiles_from_coded_columns(
         tag_ids,
-        columns["timestamp_s"][order],
-        np.mod(columns["phase_rad"][order], TWO_PI),
-        columns["rssi_dbm"][order],
-        np.cumsum(np.bincount(codes, minlength=len(tag_ids))),
+        codes,
+        columns["timestamp_s"],
+        np.mod(columns["phase_rad"], TWO_PI),
+        columns["rssi_dbm"],
         channel_index,
     )
-    return ProfileSet({profile.tag_id: profile for profile in profiles})
 
 
 def collect_sweep(scene: Scene) -> SweepResult:

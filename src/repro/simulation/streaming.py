@@ -6,37 +6,43 @@ converting a *finished* :class:`~repro.rfid.reading.ReadLog` into a
 :class:`~repro.core.phase_profile.ProfileSet`, it ingests reads (single
 :class:`~repro.rfid.reading.TagRead` objects or columnar
 :class:`~repro.rfid.reading.ReadBatch` batches from the round-batched reader)
-as they arrive and maintains one growing per-tag sample buffer with amortized
-O(1) appends.  Snapshots taken at any instant are bit-identical to what the
-batch converter would produce from the reads ingested so far — same stable
-timestamp sort, same phase wrapping — which is the foundation of the
+as they arrive into one columnar read store.  Each read is a row — the tag's
+code (its index in first-seen order), timestamp, phase wrapped into
+[0, 2π), RSSI and channel — appended with amortized O(1) growth.  Snapshots
+go through :func:`~repro.core.phase_profile.profiles_from_coded_columns`, the
+lexsort-and-slice the batch converter itself uses, so they are bit-identical
+to what it produces from the reads ingested so far: the foundation of the
 streaming session's batch-convergence guarantee.
 
 Out-of-order reads (a late LLRP report, a replayed log that was never
-sorted) are handled by policy, chosen at construction:
+sorted) are handled by policy, chosen at construction.  A chunk carries a
+tag out of order when one of the tag's rows precedes the row before it, or
+the tag's latest timestamp stored so far for its first row.
 
-* ``"reorder"`` (default): the late read is accepted and the tag's samples
-  are deterministically stable-sorted by timestamp at the next snapshot —
-  exactly the sort :meth:`PhaseProfile.from_reads` applies, so the result is
-  independent of arrival order.  Consumers that maintain incremental state
-  over the sample sequence (the streaming session) detect the reorder via
-  :attr:`TagStreamBuffer.reorders` and rebuild that tag's state.
+* ``"reorder"`` (default): the late read is accepted; snapshots sort each
+  tag by timestamp anyway, so the result is independent of arrival order.
+  Each disordered chunk adds 1 to the tag's count in
+  :meth:`StreamingCollector.reorders_by_tag`, which consumers that keep
+  incremental state over the sample sequence (the streaming session) watch
+  to rebuild that tag's state.
 * ``"dedupe"``: like ``"reorder"``, but an **exact duplicate** read (same
-  tag, timestamp, channel, and wrapped phase — an LLRP report retry) is
-  dropped instead of corrupting the profile; drops are counted per tag in
-  :attr:`TagStreamBuffer.duplicates_dropped`, surfaced exactly like
-  :attr:`TagStreamBuffer.reorders`.
-* ``"raise"``: ingestion raises ``ValueError`` at the offending read, for
-  deployments where a timestamp regression means a broken reader clock.
+  tag, timestamp, wrapped phase and channel — an LLRP report retry) of a
+  stored read or of an earlier row of the same chunk is dropped instead of
+  corrupting the profile; drops are counted per tag in
+  :meth:`StreamingCollector.duplicates_dropped_by_tag`.
+* ``"raise"``: ingestion raises ``ValueError`` for a chunk with an
+  out-of-order read, for deployments where a timestamp regression means a
+  broken reader clock.  The chunk is refused whole: the collector is left
+  unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from ..core.phase_profile import PhaseProfile, ProfileSet
+from ..core.phase_profile import PhaseProfile, ProfileSet, profiles_from_coded_columns
 from ..rf.constants import TWO_PI
 from ..rfid.reading import ReadBatch, TagRead
 
@@ -44,201 +50,25 @@ OUT_OF_ORDER_POLICIES = ("reorder", "dedupe", "raise")
 """Supported responses to a read whose timestamp precedes its tag's last one.
 ``"dedupe"`` additionally drops exact duplicate reads at ingest."""
 
-_INITIAL_CAPACITY = 16
+_COLUMNS = (
+    ("tag_code", np.int32),
+    ("timestamp_s", np.float64),
+    ("phase_rad", np.float64),
+    ("rssi_dbm", np.float64),
+    ("channel_index", np.int32),
+)
+
+_DEDUPE_KEY = np.dtype(
+    [(name, dtype) for name, dtype in _COLUMNS if name != "rssi_dbm"]
+)
+"""The fields two exact duplicate reads share (RSSI is not one of them)."""
 
 
-class TagStreamBuffer:
-    """The growing sample columns of one tag (append order preserved).
-
-    Appends are amortized O(1): columns live in NumPy buffers that double in
-    capacity when full, and phases are wrapped into [0, 2π) chunk-wise at
-    ingest time.  :meth:`sorted_arrays` / :meth:`profile` return snapshots in
-    timestamp order — bit-identical to
-    :meth:`PhaseProfile.from_reads` on the same reads in the same arrival
-    order (stable sort, so equal timestamps keep arrival order).
-    """
-
-    __slots__ = (
-        "tag_id",
-        "_times",
-        "_phases",
-        "_rssis",
-        "_count",
-        "_last_time",
-        "_disordered",
-        "reorders",
-        "duplicates_dropped",
-        "_seen",
-        "_profile_cache",
-        "_profile_cache_count",
-        "_channel_index",
-    )
-
-    def __init__(self, tag_id: str) -> None:
-        self.tag_id = tag_id
-        self._times = np.empty(_INITIAL_CAPACITY, dtype=float)
-        self._phases = np.empty(_INITIAL_CAPACITY, dtype=float)
-        self._rssis = np.empty(_INITIAL_CAPACITY, dtype=float)
-        self._count = 0
-        self._last_time = float("-inf")
-        self._disordered = False
-        self.reorders = 0
-        """Incremented whenever an out-of-order read is accepted; incremental
-        consumers rebuild their per-tag state when this changes."""
-        self.duplicates_dropped = 0
-        """Exact duplicate reads dropped at ingest (``"dedupe"`` policy only)."""
-        self._seen: set[tuple[float, float, int]] | None = None
-        self._profile_cache: PhaseProfile | None = None
-        self._profile_cache_count = -1
-        self._channel_index = 6
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def last_timestamp_s(self) -> float:
-        """Largest timestamp ingested so far (-inf when empty).
-
-        ``_last_time`` is maintained as the global high-water mark on every
-        append (disordered chunks included), so this is O(1).
-        """
-        return self._last_time
-
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._count + extra
-        capacity = self._times.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_times", "_phases", "_rssis"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=float)
-            grown[: self._count] = old[: self._count]
-            setattr(self, name, grown)
-
-    def append_columns(
-        self,
-        timestamps_s: np.ndarray,
-        phases_rad: np.ndarray,
-        rssi_dbm: np.ndarray,
-        channel_index: int,
-        out_of_order: str,
-    ) -> int:
-        """Append a chunk of this tag's reads (arrival order).
-
-        Returns the number of exact duplicates dropped (always 0 unless the
-        policy is ``"dedupe"``), so the collector can keep its read count an
-        ingested-reads count.
-        """
-        count = timestamps_s.shape[0]
-        if count == 0:
-            return 0
-        if out_of_order == "dedupe":
-            timestamps_s, phases_rad, rssi_dbm, dropped = self._dedupe_chunk(
-                timestamps_s, phases_rad, rssi_dbm, channel_index
-            )
-            count = timestamps_s.shape[0]
-            if count == 0:
-                return dropped
-        else:
-            dropped = 0
-        in_order = timestamps_s[0] >= self._last_time and (
-            count == 1 or bool(np.all(np.diff(timestamps_s) >= 0.0))
-        )
-        if not in_order:
-            if out_of_order == "raise":
-                raise ValueError(
-                    f"tag {self.tag_id}: out-of-order timestamp "
-                    f"(new read at {float(np.min(timestamps_s)):.6f} s after "
-                    f"{self._last_time:.6f} s); collector policy is 'raise'"
-                )
-            if not self._disordered:
-                self._disordered = True
-            self.reorders += 1
-        self._ensure_capacity(count)
-        start = self._count
-        self._times[start : start + count] = timestamps_s
-        self._phases[start : start + count] = np.mod(phases_rad, TWO_PI)
-        self._rssis[start : start + count] = rssi_dbm
-        self._count += count
-        # The chunk max, not the chunk's last element: after an internally
-        # disordered chunk the next reads must be compared against the true
-        # high-water mark, or a read between the two would dodge the reorder
-        # detection (and the consumer's incremental-state rebuild).
-        self._last_time = max(self._last_time, float(np.max(timestamps_s)))
-        self._channel_index = int(channel_index)
-        self._profile_cache = None
-        return dropped
-
-    def _dedupe_chunk(
-        self,
-        timestamps_s: np.ndarray,
-        phases_rad: np.ndarray,
-        rssi_dbm: np.ndarray,
-        channel_index: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Filter exact duplicates out of one chunk (``"dedupe"`` policy).
-
-        A duplicate is a read identical to an already-ingested one in
-        (timestamp, wrapped phase, channel) — this tag's buffer, so the tag
-        id is implicit.  Phases are wrapped before comparison so the dropped
-        read is exactly the one whose ingestion would be a no-op signal-wise;
-        wrapping is idempotent, so passing wrapped phases onward changes
-        nothing downstream.
-        """
-        if self._seen is None:
-            self._seen = set()
-        seen = self._seen
-        channel = int(channel_index)
-        wrapped = np.mod(phases_rad, TWO_PI)
-        count = timestamps_s.shape[0]
-        keep = np.ones(count, dtype=bool)
-        for index in range(count):
-            key = (float(timestamps_s[index]), float(wrapped[index]), channel)
-            if key in seen:
-                keep[index] = False
-            else:
-                seen.add(key)
-        dropped = count - int(np.count_nonzero(keep))
-        if dropped == 0:
-            return timestamps_s, wrapped, rssi_dbm, 0
-        self.duplicates_dropped += dropped
-        return timestamps_s[keep], wrapped[keep], rssi_dbm[keep], dropped
-
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(timestamps, wrapped phases, rssis)`` in stable timestamp order.
-
-        The returned arrays are views/copies the caller must not mutate.
-        """
-        times = self._times[: self._count]
-        phases = self._phases[: self._count]
-        rssis = self._rssis[: self._count]
-        if not self._disordered:
-            return times, phases, rssis
-        order = np.argsort(times, kind="stable")
-        return times[order], phases[order], rssis[order]
-
-    def profile(self, channel_index: int | None = None) -> PhaseProfile:
-        """Snapshot of this tag's profile over the reads ingested so far."""
-        channel = self._channel_index if channel_index is None else channel_index
-        if (
-            self._profile_cache is not None
-            and self._profile_cache_count == self._count
-            and self._profile_cache.channel_index == channel
-        ):
-            return self._profile_cache
-        times, phases, rssis = self.sorted_arrays()
-        profile = PhaseProfile(
-            tag_id=self.tag_id,
-            timestamps_s=times,
-            phases_rad=phases,
-            rssi_dbm=rssis,
-            channel_index=channel,
-        )
-        self._profile_cache = profile
-        self._profile_cache_count = self._count
-        return profile
+def _dedupe_keys(columns: dict[str, np.ndarray]) -> np.ndarray:
+    keys = np.empty(columns["tag_code"].shape[0], dtype=_DEDUPE_KEY)
+    for name in _DEDUPE_KEY.names:
+        keys[name] = columns[name]
+    return keys
 
 
 class StreamingCollector:
@@ -269,49 +99,59 @@ class StreamingCollector:
             )
         self.out_of_order = out_of_order
         self._explicit_channel = channel_index
-        self._channels_seen: set[int] = set()
-        self._streams: dict[str, TagStreamBuffer] = {}
-        self._read_count = 0
+        self.load_state(
+            {
+                "tag_ids": [],
+                "columns": {name: np.empty(0, dtype) for name, dtype in _COLUMNS},
+                "reorders": np.zeros(0, dtype=np.int64),
+                "duplicates_dropped": np.zeros(0, dtype=np.int64),
+            }
+        )
 
     def __len__(self) -> int:
-        return self._read_count
+        return self._count
 
     @property
     def read_count(self) -> int:
         """Total reads ingested so far (duplicates dropped at ingest under
         the ``"dedupe"`` policy are not counted)."""
-        return self._read_count
+        return self._count
 
     @property
     def duplicates_dropped(self) -> int:
         """Exact duplicate reads dropped across all tags (``"dedupe"`` only)."""
-        return sum(stream.duplicates_dropped for stream in self._streams.values())
+        return int(self._duplicates.sum())
 
     @property
     def reorders(self) -> int:
         """Out-of-order acceptances across all tags (any policy but ``"raise"``)."""
-        return sum(stream.reorders for stream in self._streams.values())
+        return int(self._reorders.sum())
 
     def tag_ids(self) -> list[str]:
-        """Distinct tag ids in first-seen order (matches ``ReadLog.tag_ids``)."""
-        return list(self._streams)
+        """Distinct tag ids in first-seen order (matches ``ReadLog.tag_ids``);
+        a tag's position is its code in :meth:`columns`."""
+        return list(self._code_of)
 
-    def stream(self, tag_id: str) -> TagStreamBuffer:
-        """The growing buffer of one tag (raises ``KeyError`` if never seen)."""
-        return self._streams[tag_id]
+    def reorders_by_tag(self) -> np.ndarray:
+        """Disordered chunks accepted per tag, aligned with :meth:`tag_ids`."""
+        return self._reorders[: len(self._code_of)].copy()
 
-    def streams(self) -> Iterator[TagStreamBuffer]:
-        """All tag buffers in first-seen order."""
-        return iter(self._streams.values())
+    def duplicates_dropped_by_tag(self) -> np.ndarray:
+        """Exact duplicates dropped per tag, aligned with :meth:`tag_ids`."""
+        return self._duplicates[: len(self._code_of)].copy()
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The stored reads in arrival order, one read-only view per field:
+        ``tag_code``, ``timestamp_s``, ``phase_rad`` (wrapped), ``rssi_dbm``
+        and ``channel_index``."""
+        views = {}
+        for name, column in self._store.items():
+            view = column[: self._count]
+            view.flags.writeable = False
+            views[name] = view
+        return views
 
     # -- ingestion ---------------------------------------------------------
-
-    def _stream_for(self, tag_id: str) -> TagStreamBuffer:
-        stream = self._streams.get(tag_id)
-        if stream is None:
-            stream = TagStreamBuffer(tag_id)
-            self._streams[tag_id] = stream
-        return stream
 
     def ingest_read(self, read: TagRead) -> None:
         """Ingest one decoded reply."""
@@ -363,9 +203,8 @@ class StreamingCollector:
     ) -> None:
         """Ingest parallel read columns sharing one reader channel.
 
-        The batch is split per tag and appended to each tag's buffer in
-        column order, so ingesting a log's batches reproduces ingesting its
-        reads one by one.
+        The rows are appended in column order, so ingesting a log's batches
+        reproduces ingesting its reads one by one.
         """
         timestamps = np.asarray(timestamps_s, dtype=float)
         phases = np.asarray(phases_rad, dtype=float)
@@ -379,26 +218,130 @@ class StreamingCollector:
             )
         if count == 0:
             return
-        self._channels_seen.add(int(channel_index))
-        dropped = 0
-        if len(set(tag_ids)) == 1:
-            dropped = self._stream_for(tag_ids[0]).append_columns(
-                timestamps, phases, rssis, channel_index, self.out_of_order
-            )
-        else:
-            by_tag: dict[str, list[int]] = {}
-            for index, tag_id in enumerate(tag_ids):
-                by_tag.setdefault(tag_id, []).append(index)
-            for tag_id, indices in by_tag.items():
-                rows = np.array(indices, dtype=np.intp)
-                dropped += self._stream_for(tag_id).append_columns(
-                    timestamps[rows],
-                    phases[rows],
-                    rssis[rows],
-                    channel_index,
-                    self.out_of_order,
+        code_of = self._code_of
+        fresh = {}
+        for tag_id in dict.fromkeys(tag_ids):
+            if tag_id not in code_of:
+                fresh[tag_id] = len(code_of) + len(fresh)
+        lookup = {**code_of, **fresh} if fresh else code_of
+        chunk = {
+            "tag_code": np.fromiter(map(lookup.__getitem__, tag_ids), np.int32, count),
+            "timestamp_s": timestamps,
+            "phase_rad": np.mod(phases, TWO_PI),
+            "rssi_dbm": rssis,
+            "channel_index": np.full(count, channel_index, dtype=np.int32),
+        }
+        self._grow_tags(len(lookup))
+        if self.out_of_order == "dedupe":
+            keep = self._drop_duplicates(chunk)
+            if not keep.all():
+                chunk = {name: column[keep] for name, column in chunk.items()}
+        codes = chunk["tag_code"]
+        times = chunk["timestamp_s"]
+        late, previous = self._late_rows(codes, times)
+        if late.any():
+            if self.out_of_order == "raise":
+                row = int(np.argmax(late))
+                tag_id = list(lookup)[codes[row]]
+                raise ValueError(
+                    f"tag {tag_id}: out-of-order timestamp (new read at "
+                    f"{times[row]:.6f} s after {previous[row]:.6f} s); "
+                    "collector policy is 'raise'"
                 )
-        self._read_count += count - dropped
+            self._reorders[np.unique(codes[late])] += 1
+        code_of.update(fresh)
+        np.maximum.at(self._high_water, codes, times)
+        self._channels_seen.add(int(channel_index))
+        self._append(chunk)
+
+    def _grow_tags(self, tags: int) -> None:
+        """Give the per-tag arrays room for ``tags`` tags.  The new entries
+        are pristine, so a refused chunk that grew them leaves no trace."""
+        extra = tags - self._high_water.shape[0]
+        if extra > 0:
+            zeros = np.zeros(extra, dtype=np.int64)
+            self._high_water = np.concatenate((self._high_water, np.full(extra, -np.inf)))
+            self._reorders = np.concatenate((self._reorders, zeros))
+            self._duplicates = np.concatenate((self._duplicates, zeros))
+
+    def _drop_duplicates(self, chunk: dict[str, np.ndarray]) -> np.ndarray:
+        """Mask of the chunk rows that are no exact duplicate of a stored read
+        or of an earlier chunk row; counts and remembers the verdicts."""
+        if self._dedupe_keys is None:
+            self._dedupe_keys = np.sort(_dedupe_keys(self.columns()))
+        stored = self._dedupe_keys
+        unique, first = np.unique(_dedupe_keys(chunk), return_index=True)
+        at = np.searchsorted(stored, unique)
+        new = np.ones(unique.shape[0], dtype=bool)
+        if stored.size:
+            new = stored[np.minimum(at, stored.size - 1)] != unique
+        keep = np.zeros(chunk["tag_code"].shape[0], dtype=bool)
+        keep[first[new]] = True
+        np.add.at(self._duplicates, chunk["tag_code"][~keep], 1)
+        self._dedupe_keys = np.insert(stored, at[new], unique[new])
+        return keep
+
+    def _late_rows(
+        self, codes: np.ndarray, times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which chunk rows precede the tag's previous read, and that read's
+        time: the row before in the chunk, else the tag's stored maximum.
+
+        The maximum, not the last stored read: after an internally disordered
+        chunk the next reads must be compared against the true high-water
+        mark, or a read between the two would dodge the reorder detection
+        (and the consumer's incremental-state rebuild).
+        """
+        order = np.argsort(codes, kind="stable")
+        grouped_codes = codes[order]
+        previous = np.empty_like(times)
+        previous[order[1:]] = times[order[:-1]]
+        firsts = order[np.flatnonzero(np.diff(grouped_codes, prepend=-1))]
+        previous[firsts] = self._high_water[codes[firsts]]
+        return ~(times >= previous), previous
+
+    def _append(self, chunk: dict[str, np.ndarray]) -> None:
+        start = self._count
+        stop = start + chunk["tag_code"].shape[0]
+        for name, column in self._store.items():
+            if stop > column.shape[0]:
+                grown = np.empty(max(stop, 2 * column.shape[0]), dtype=column.dtype)
+                grown[:start] = column[:start]
+                self._store[name] = column = grown
+            column[start:stop] = chunk[name]
+        self._count = stop
+
+    # -- checkpoint state --------------------------------------------------
+
+    def state(self) -> dict:
+        """The stored reads and per-tag counters, as plain arrays (what a
+        session checkpoint keeps of its collector)."""
+        return {
+            "tag_ids": self.tag_ids(),
+            "columns": {name: column.copy() for name, column in self.columns().items()},
+            "reorders": self.reorders_by_tag(),
+            "duplicates_dropped": self.duplicates_dropped_by_tag(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Replace the stored reads and counters with a :meth:`state`.
+
+        Everything else is derived from the columns: each tag's high-water
+        mark, the channels seen, the read count and (on first use) the
+        dedupe keys.
+        """
+        self._code_of = {tag_id: code for code, tag_id in enumerate(state["tag_ids"])}
+        store = {
+            name: np.array(state["columns"][name], dtype=dtype) for name, dtype in _COLUMNS
+        }
+        self._store = store
+        self._count = store["tag_code"].shape[0]
+        self._reorders = np.array(state["reorders"], dtype=np.int64)
+        self._duplicates = np.array(state["duplicates_dropped"], dtype=np.int64)
+        self._high_water = np.full(len(self._code_of), -np.inf)
+        np.maximum.at(self._high_water, store["tag_code"], store["timestamp_s"])
+        self._channels_seen = set(np.unique(store["channel_index"]).tolist())
+        self._dedupe_keys: np.ndarray | None = None
 
     # -- snapshots ---------------------------------------------------------
 
@@ -413,12 +356,26 @@ class StreamingCollector:
             )
         return next(iter(self._channels_seen)) if self._channels_seen else None
 
-    def profile(self, tag_id: str) -> PhaseProfile:
-        """Snapshot profile of one tag over the reads ingested so far."""
+    def _snapshot(
+        self, tag_ids: list[str], codes: np.ndarray, rows: "np.ndarray | slice"
+    ) -> ProfileSet:
         channel = self.resolved_channel_index()
-        return self._streams[tag_id].profile(
-            channel_index=6 if channel is None else channel
+        columns = self.columns()
+        return profiles_from_coded_columns(
+            tag_ids,
+            codes,
+            columns["timestamp_s"][rows],
+            columns["phase_rad"][rows],
+            columns["rssi_dbm"][rows],
+            6 if channel is None else channel,
         )
+
+    def profile(self, tag_id: str) -> PhaseProfile:
+        """Snapshot profile of one tag over the reads ingested so far
+        (raises ``KeyError`` for a tag never seen)."""
+        rows = np.flatnonzero(self.columns()["tag_code"] == self._code_of[tag_id])
+        codes = np.zeros(rows.shape[0], dtype=np.int32)
+        return self._snapshot([tag_id], codes, rows)[tag_id]
 
     def profiles(self) -> ProfileSet:
         """Snapshot of every tag's profile, in first-seen order.
@@ -426,12 +383,5 @@ class StreamingCollector:
         Bit-identical to ``profiles_from_read_log(log_so_far)`` where
         ``log_so_far`` holds the same reads in the same arrival order.
         """
-        channel = self.resolved_channel_index()
-        profile_set = ProfileSet()
-        for tag_id in self._streams:
-            profile_set.add(
-                self._streams[tag_id].profile(
-                    channel_index=6 if channel is None else channel
-                )
-            )
-        return profile_set
+        codes = self.columns()["tag_code"]
+        return self._snapshot(self.tag_ids(), codes, slice(None))

@@ -1,6 +1,7 @@
 """Reference implementations the equivalence tests compare production code to.
 
 Each oracle is the simple, slow form of a production path: the read-at-a-time
-sweep loop, the pure-Python DTW accumulation, and the pre-registry scenario
-factories.  None of them is imported by ``src/``.
+sweep loop, the pure-Python DTW accumulation, the pre-registry scenario
+factories, and the read-at-a-time replay of the streaming ingest policies.
+None of them is imported by ``src/``.
 """

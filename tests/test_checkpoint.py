@@ -212,6 +212,44 @@ class TestCheckpointEdges:
         with pytest.raises(ValueError, match="checkpoint version"):
             LocalizationSession.restore(pickle.dumps(state))
 
+    def test_version_one_payload_is_refused(self):
+        """A version-1 checkpoint kept one dict of buffer fields per tag
+        instead of the collector's columns; restore names the version and
+        refuses it whole rather than resuming from part of it."""
+        import pickle
+
+        stream = {
+            "tag_id": "t",
+            "times": np.array([0.1, 0.2]),
+            "phases": np.array([1.0, 1.1]),
+            "rssis": np.array([-60.0, -60.0]),
+            "last_time": 0.2,
+            "disordered": False,
+            "reorders": 0,
+            "duplicates_dropped": 0,
+            "seen": None,
+            "channel_index": 6,
+        }
+        payload = {
+            "version": 1,
+            "config": STPPConfig(),
+            "expected": None,
+            "pivot": None,
+            "channel_index": 6,
+            "out_of_order": "reorder",
+            "facility_id": "default",
+            "channels_seen": {6},
+            "read_count": 2,
+            "streams": [stream],
+            "pipelines": {},
+            "batches": 1,
+            "updates": 0,
+            "previous_x": None,
+        }
+        assert CHECKPOINT_VERSION == 2
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1 "):
+            LocalizationSession.restore(pickle.dumps(payload))
+
     def test_restore_flattens_subclasses(self):
         class Wrapper(LocalizationSession):
             pass

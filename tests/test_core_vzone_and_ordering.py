@@ -108,6 +108,14 @@ class TestQuadraticFitting:
         fit = fit_vzone(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         assert not fit.valid
 
+    def test_fit_without_time_span_is_invalid(self):
+        # Regression: twelve reads at one timestamp made polyfit's SVD fail
+        # (LinAlgError) instead of yielding an invalid fit.
+        fit = fit_vzone(np.zeros(12), np.linspace(1.0, 2.0, 12))
+        assert not fit.valid
+        assert fit.bottom_time_s == 0.0
+        assert fit.bottom_phase_rad == 1.0
+
     def test_empty_input(self):
         fit = fit_vzone(np.array([]), np.array([]))
         assert not fit.valid

@@ -258,8 +258,9 @@ class TestStreamingCollector:
         np.random.default_rng(3).shuffle(shuffled)
         collector = StreamingCollector(channel_index=channel)
         collector.ingest(shuffled)
-        for stream in collector.streams():
-            assert stream.reorders > 0 or len(stream) < 2
+        reorders = collector.reorders_by_tag()
+        reads = np.bincount(collector.columns()["tag_code"], minlength=reorders.size)
+        assert np.all((reorders > 0) | (reads < 2))
         # Snapshots are timestamp-sorted, so each tag's profile is identical
         # whatever the arrival order (only the first-seen *tag* order shifts).
         batch = profiles_from_read_log(sweep.read_log, channel_index=channel)
@@ -286,14 +287,16 @@ class TestStreamingCollector:
         collector.ingest_columns(
             times, ["t"] * 4, np.full(4, 0.5), np.full(4, -60.0)
         )
-        stream = collector.stream("t")
-        assert stream.reorders == 1
-        assert stream.last_timestamp_s == 20.0
+        assert collector.reorders_by_tag().tolist() == [1]
         # 14.0 precedes the already-seen 20.0: it must register as a reorder.
         collector.ingest_read(TagRead(14.0, "t", 0.5, -60.0))
-        assert stream.reorders == 2
+        assert collector.reorders_by_tag().tolist() == [2]
+        # The high-water mark is exactly 20.0: a read at it is in order.
+        collector.ingest_read(TagRead(20.0, "t", 0.5, -60.0))
+        assert collector.reorders_by_tag().tolist() == [2]
         assert np.array_equal(
-            stream.sorted_arrays()[0], np.array([0.0, 1.0, 13.0, 14.0, 20.0])
+            collector.profile("t").timestamps_s,
+            np.array([0.0, 1.0, 13.0, 14.0, 20.0, 20.0]),
         )
 
     def test_session_converges_after_internally_disordered_chunk(self):
@@ -335,6 +338,32 @@ class TestStreamingCollector:
             collector.ingest_read(TagRead(0.5, "tag", 0.6, -61.0))
         with pytest.raises(ValueError, match="out_of_order"):
             StreamingCollector(out_of_order="banana")
+
+    def test_refused_raise_batch_leaves_collector_unchanged(self):
+        """Regression: a batch refused under "raise" used to keep the reads
+        of the tags checked before the offending one (here ``a@2.0``) while
+        ``read_count`` skipped them all."""
+        collector = StreamingCollector(channel_index=6, out_of_order="raise")
+        collector.ingest_columns(
+            np.array([1.0, 1.0]), ["a", "b"], np.full(2, 0.5), np.full(2, -60.0)
+        )
+        before = collector.profiles()
+        with pytest.raises(ValueError, match="tag b: out-of-order"):
+            collector.ingest_columns(
+                np.array([2.0, 0.5, 3.0]), ["a", "b", "c"],
+                np.full(3, 0.5), np.full(3, -60.0),
+            )
+        assert collector.read_count == 2
+        assert collector.tag_ids() == ["a", "b"]
+        assert collector.reorders == 0
+        _assert_profiles_identical(collector.profiles(), before)
+        # The collector carries on as if the refused batch never came.
+        collector.ingest_columns(
+            np.array([2.0, 3.0]), ["c", "a"], np.full(2, 0.5), np.full(2, -60.0)
+        )
+        assert collector.tag_ids() == ["a", "b", "c"]
+        assert collector.profile("a").timestamps_s.tolist() == [1.0, 3.0]
+        assert collector.read_count == 4
 
     def test_mixed_channels_require_explicit_label(self):
         collector = StreamingCollector()
@@ -475,7 +504,7 @@ class TestLocalizationSession:
         tags, scene, sweep = small_row_sweep
         channel = scene.reader_config.channel.channel_index
         reads = sweep.read_log.reads
-        # Split at an uneven index so per-tag buffers pause mid-segment.
+        # Split at an uneven index so tags pause mid-segment.
         split = len(reads) // 2 + 3
         session = LocalizationSession(
             expected_tag_ids=tags.ids(), channel_index=channel
@@ -536,7 +565,7 @@ class TestDedupePolicy:
         collector.ingest_read(TagRead(1.0, "tag", 0.6, -60.0, channel_index=6))
         assert collector.read_count == 2
         assert collector.duplicates_dropped == 1
-        assert collector.stream("tag").duplicates_dropped == 1
+        assert collector.duplicates_dropped_by_tag().tolist() == [1]
 
     def test_signal_bearing_differences_are_kept(self):
         # The duplicate key is (timestamp, wrapped phase, channel): a read
@@ -679,14 +708,18 @@ class TestConveyorPortal:
         # The final update equals the batch pipeline over the session's reads
         # (the portal's convergence guarantee, on live-streamed data).
         channel = portal.scene.reader_config.channel.channel_index
+        collector = portal.session.collector
+        tag_ids = collector.tag_ids()
+        columns = collector.columns()
         log = ReadLog()
-        for tag_id in portal.session.collector.tag_ids():
-            stream = portal.session.collector.stream(tag_id)
-            times, phases, rssis = stream.sorted_arrays()
-            log.extend_columns(
-                times, [tag_id] * len(stream), phases, rssis,
-                channel_index=channel, antenna_port=1,
-            )
+        log.extend_columns(
+            columns["timestamp_s"],
+            [tag_ids[code] for code in columns["tag_code"].tolist()],
+            columns["phase_rad"],
+            columns["rssi_dbm"],
+            channel_index=channel,
+            antenna_port=1,
+        )
         batch = BatchLocalizer(STPPConfig()).localize(
             profiles_from_read_log(log, channel_index=channel),
             expected_tag_ids=portal.batch.tags.ids(),
