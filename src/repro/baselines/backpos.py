@@ -56,7 +56,15 @@ class BackPosScheme(OrderingScheme):
         ys = np.arange(self.region_min.y, self.region_max.y + 1e-9, self.grid_resolution_m)
         if xs.size == 0 or ys.size == 0:
             raise ValueError("empty candidate region")
-        grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+        # Every candidate's score is built in these buffers, in place.  The
+        # squared distances come from the 1-D axes: (x - ax)^2 + (y - ay)^2
+        # + dz^2 is the same adds, in the same order, as on a meshgrid.
+        shape = (xs.size, ys.size)
+        distance = np.empty(shape)
+        term = np.empty(shape, dtype=complex)
+        score = np.empty(shape, dtype=complex)
+        magnitude = np.empty(shape)
+        four_pi = TWO_PI * 2.0
 
         estimated_x: dict[str, float] = {}
         estimated_y: dict[str, float] = {}
@@ -68,17 +76,28 @@ class BackPosScheme(OrderingScheme):
             # when one constant offset (the unknown device offset mu) explains
             # every residual, i.e. when only phase *differences* are matched —
             # exactly the hyperbolic constraint BackPos uses.
-            score = np.zeros_like(grid_x, dtype=complex)
+            score.fill(0.0)
             for antenna_pos, phase in measurements:
-                dx = grid_x - antenna_pos.x
-                dy = grid_y - antenna_pos.y
+                dx = xs - antenna_pos.x
+                dx *= dx
+                dy = ys - antenna_pos.y
+                dy *= dy
                 dz = -antenna_pos.z
-                distance = np.sqrt(dx * dx + dy * dy + dz * dz)
-                predicted = np.mod(TWO_PI * 2.0 * distance / wavelength, TWO_PI)
-                score += np.exp(1j * (predicted - phase))
-            best = np.unravel_index(int(np.argmax(np.abs(score))), score.shape)
-            estimated_x[tag_id] = float(grid_x[best])
-            estimated_y[tag_id] = float(grid_y[best])
+                np.add(dx[:, None], dy[None, :], out=distance)
+                distance += dz * dz
+                np.sqrt(distance, out=distance)
+                # predicted = (4 pi d / wavelength) mod 2 pi, minus the phase.
+                distance *= four_pi
+                distance /= wavelength
+                np.mod(distance, TWO_PI, out=distance)
+                distance -= phase
+                np.multiply(1j, distance, out=term)
+                score += np.exp(term, out=term)
+            best = np.unravel_index(
+                int(np.argmax(np.abs(score, out=magnitude))), shape
+            )
+            estimated_x[tag_id] = float(xs[best[0]])
+            estimated_y[tag_id] = float(ys[best[1]])
 
         ordered_x = sorted(estimated_x, key=lambda tid: estimated_x[tid])
         ordered_y = sorted(estimated_y, key=lambda tid: estimated_y[tid])

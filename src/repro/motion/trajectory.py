@@ -99,9 +99,8 @@ class LinearTrajectory:
             distances = profile.distances_at(times)
         else:
             distances = np.array([profile.distance_at(float(t)) for t in times])
-        fraction = np.minimum(1.0, np.maximum(0.0, distances / self.path_length_m))
-        start = self.start.as_array()
-        end = self.end.as_array()
+        start, end, path_length = _endpoint_arrays(self.start, self.end)
+        fraction = np.minimum(1.0, np.maximum(0.0, distances / path_length))
         return start[None, :] + fraction[:, None] * (end[None, :] - start[None, :])
 
     def sample_positions(self, times_s: Sequence[float]) -> list[Point3D]:

@@ -47,6 +47,17 @@ def _cosine_exponent_for(beamwidth_deg: float) -> float:
     return -3.0 / (10.0 * math.log10(cos_half))
 
 
+@lru_cache(maxsize=None)
+def _beam_constants(
+    boresight: tuple[float, float, float], beamwidth_deg: float
+) -> tuple[np.ndarray, float]:
+    """A zone's beam-test constants: the unit boresight as a read-only
+    ``(3,)`` row and the beam limit in radians (cached per antenna)."""
+    row = np.array(_unit_boresight_components(boresight))
+    row.setflags(write=False)
+    return row, math.radians(beamwidth_deg)
+
+
 @dataclass(frozen=True, slots=True)
 class DirectionalAntenna:
     """A panel antenna with a cosine-power gain pattern.
@@ -153,33 +164,54 @@ class ReadingZone:
             raise ValueError(f"max_range_m must be positive, got {self.max_range_m}")
 
     def contains_many(self, antenna_pos: np.ndarray, tag_positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains`: a boolean mask over ``(N, 3)`` positions.
+        """Vectorized :meth:`contains`: a boolean mask over ``(..., 3)`` positions.
 
-        The range and beam tests share one displacement/norm computation —
-        the zone check runs once per inventory round, so this is a sweep hot
-        path.  ``sqrt((t−a)²) == sqrt((a−t)²)`` exactly (IEEE negation), so
-        the shared norm equals both :func:`euclidean_distances`' distance and
+        ``antenna_pos`` broadcasts against ``tag_positions``, so one call can
+        evaluate a whole population at many clocks (``(T, 1, 3)`` against
+        ``(T, N, 3)``); every cell depends only on its own pair, so the mask
+        equals per-clock calls bit for bit.  The range and beam tests share
+        one displacement/norm computation, and every step after the
+        subtraction runs in place.  ``sqrt((t−a)²) == sqrt((a−t)²)`` exactly
+        (IEEE negation), so the shared norm equals both
+        :func:`euclidean_distances`' distance and
         :meth:`DirectionalAntenna.off_boresight_angles`' normalisation
         bit-for-bit, and the mask matches the scalar method's decisions.
         """
         antenna_pos = np.asarray(antenna_pos, dtype=float)
         tag_positions = np.asarray(tag_positions, dtype=float)
-        dx = tag_positions[..., 0] - antenna_pos[..., 0]
-        dy = tag_positions[..., 1] - antenna_pos[..., 1]
-        dz = tag_positions[..., 2] - antenna_pos[..., 2]
-        norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if tag_positions.ndim == 1 and antenna_pos.ndim == 1:
+            # One pair: the steps below run in place, which needs arrays.
+            return self.contains_many(antenna_pos, tag_positions[None])[0]
+        # Columns 0, 1, 2 of ``delta`` are dx, dy, dz; each whole-array step
+        # below applies one scalar operation per element, so the columns
+        # carry exactly the per-axis expressions spelled out in comments.
+        delta = tag_positions - antenna_pos
+        squares = delta * delta
+        # norm = sqrt(dx*dx + dy*dy + dz*dz), added left to right.
+        norm = squares[..., 0] + squares[..., 1]
+        norm += squares[..., 2]
+        np.sqrt(norm, out=norm)
         mask = norm <= self.max_range_m
         if self.beam_limited:
-            antenna = self.antenna
+            boresight, beam_rad = _beam_constants(
+                self.antenna.boresight, self.antenna.beamwidth_deg
+            )
             degenerate = norm == 0.0
-            safe_norm = np.where(degenerate, 1.0, norm)
-            bx, by, bz = _unit_boresight_components(antenna.boresight)
-            cos_angle = (dx / safe_norm) * bx + (dy / safe_norm) * by + (dz / safe_norm) * bz
-            # np.clip(lo, hi) evaluates min(max(x, lo), hi) elementwise — the
-            # exact expression off_boresight_angles spells out.
-            cos_angle = np.clip(cos_angle, -1.0, 1.0)
-            angles = np.where(degenerate, 0.0, np.arccos(cos_angle))
-            mask = mask & (angles <= math.radians(antenna.beamwidth_deg))
+            # norm + 1 where the tag sits on the antenna, norm + 0 (== norm)
+            # elsewhere: np.where(degenerate, 1.0, norm) without the select.
+            norm += degenerate
+            # cos = (dx/n)*bx + (dy/n)*by + (dz/n)*bz, added left to right.
+            delta /= norm[..., None]
+            delta *= boresight
+            cos_angle = delta[..., 0] + delta[..., 1]
+            cos_angle += delta[..., 2]
+            # min(max(cos, -1), 1): the clamp off_boresight_angles spells out.
+            np.maximum(cos_angle, -1.0, out=cos_angle)
+            np.minimum(cos_angle, 1.0, out=cos_angle)
+            in_beam = np.arccos(cos_angle, out=cos_angle) <= beam_rad
+            # A tag on the antenna has angle 0, inside any beam.
+            in_beam |= degenerate
+            mask &= in_beam
         return mask
 
     def contains(self, antenna_pos: Point3D, tag_pos: Point3D) -> bool:

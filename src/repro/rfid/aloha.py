@@ -26,6 +26,13 @@ from typing import Sequence
 import numpy as np
 
 
+_SLOT_DTYPE = np.int32
+"""Dtype of the per-round slot draw.  Frames never exceed ``2**15`` slots, and
+for a range that fits 32 bits ``Generator.integers`` draws int32 and its
+default int64 through the same 32-bit bounded sampler: the same values from
+the same generator words.  The int32 form only costs less per call."""
+
+
 class SlotOutcome(Enum):
     """What happened in a single ALOHA slot."""
 
@@ -123,8 +130,15 @@ class FrameSlottedAloha:
 
     def __post_init__(self) -> None:
         self._q_algorithm = QAlgorithm(q_fp=self.initial_q)
-        self._duration_lut: np.ndarray | None = None
-        self._ends_buffer: np.ndarray | None = None
+        # Slot duration by occupancy class: 0 empty, 1 success, 2+ collision.
+        self._duration_lut = np.array(
+            [
+                self.timings.empty_slot_s,
+                self.timings.success_slot_s,
+                self.timings.collision_slot_s,
+            ]
+        )
+        self._round_buffers: dict[int, tuple[np.ndarray, ...]] = {}
 
     @property
     def current_q(self) -> int:
@@ -166,7 +180,7 @@ class FrameSlottedAloha:
             events.append(SlotEvent(clock, self.timings.empty_slot_s, SlotOutcome.EMPTY))
             return events
 
-        chosen_slots = rng.integers(0, frame_size, size=len(tag_ids))
+        chosen_slots = rng.integers(0, frame_size, size=len(tag_ids), dtype=_SLOT_DTYPE)
         slot_to_tags: dict[int, list[str]] = {}
         for tag_id, slot in zip(tag_ids, chosen_slots):
             slot_to_tags.setdefault(int(slot), []).append(tag_id)
@@ -232,26 +246,32 @@ class FrameSlottedAloha:
             duration = (end - first_slot_start) + timings.round_overhead_s
             return [], np.empty(0), duration
 
-        chosen = rng.integers(0, frame_size, size=len(tag_ids))
-        counts = np.bincount(chosen, minlength=frame_size)
-        if self._duration_lut is None:
-            # Slot duration by occupancy class: 0 empty, 1 success, 2+ collision.
-            self._duration_lut = np.array(
-                [timings.empty_slot_s, timings.success_slot_s, timings.collision_slot_s]
+        chosen = rng.integers(0, frame_size, size=len(tag_ids), dtype=_SLOT_DTYPE)
+        buffers = self._round_buffers.get(frame_size)
+        if buffers is None:
+            # Per frame size (at most 16 while Q walks): the slot classes,
+            # the slot clock (and its view from the first slot's end) and
+            # the slot -> owner map.  Nothing below escapes them except
+            # fancy-indexed copies.
+            ends = np.empty(frame_size + 1)
+            buffers = self._round_buffers[frame_size] = (
+                np.empty(frame_size, np.uint8),
+                ends,
+                ends[1:],
+                np.empty(frame_size, np.intp),
             )
-        # One byte per slot: the class indexes the duration table and, as
-        # bytes, splits into the Q walk's runs below.
-        classes = np.minimum(counts, 2, out=np.empty(frame_size, np.uint8), casting="unsafe")
-        durations = self._duration_lut[classes]
+        classes, ends, slot_ends, owners = buffers
+        # One byte per slot: 0 empty, 1 success, 2+ collision.  The class
+        # indexes the duration table and, as bytes, splits into the Q walk's
+        # runs below.
+        np.minimum(
+            np.bincount(chosen, minlength=frame_size), 2, out=classes, casting="unsafe"
+        )
         # ends[0] is the first slot's start; ends[k + 1] is slot k's end.
         # In-place left-to-right accumulate == the scalar loop's sequential
-        # ``clock += duration`` float-for-float.  The buffer is reused across
-        # rounds: nothing below escapes except fancy-indexed copies.
-        ends = self._ends_buffer
-        if ends is None or ends.size != frame_size + 1:
-            self._ends_buffer = ends = np.empty(frame_size + 1)
+        # ``clock += duration`` float-for-float.
         ends[0] = first_slot_start
-        ends[1:] = durations
+        np.take(self._duration_lut, classes, out=slot_ends)
         np.add.accumulate(ends, out=ends)
 
         if self.adaptive:
@@ -274,18 +294,19 @@ class FrameSlottedAloha:
                     q_fp = max(q_min, q_fp - c)
             algorithm.q_fp = q_fp
 
-        winners = np.nonzero(counts[chosen] == 1)[0]
-        winner_slots = chosen[winners]
-        order = np.argsort(winner_slots)
-        winners = winners[order]
+        # Winners in slot order: a success slot has exactly one writer in the
+        # slot -> owner scatter, so reading it back names the winner.
+        win_slots = (classes == 1).nonzero()[0]
         if isinstance(tag_ids, np.ndarray):
             # Index-array form (the fused scheduler): winners gather in one
             # fancy index, no per-winner Python objects.
-            success_ids = tag_ids[winners]
+            owners[chosen] = tag_ids
+            success_ids = owners[win_slots]
         else:
-            success_ids = [tag_ids[i] for i in winners]
-        success_ends = ends[winner_slots[order] + 1]
-        duration = (float(ends[-1]) - float(ends[0])) + timings.round_overhead_s
+            owners[chosen] = np.arange(len(tag_ids))
+            success_ids = [tag_ids[i] for i in owners[win_slots].tolist()]
+        success_ends = slot_ends[win_slots]
+        duration = (float(ends[-1]) - first_slot_start) + timings.round_overhead_s
         return success_ids, success_ends, duration
 
     def round_duration_s(self, events: Sequence[SlotEvent]) -> float:

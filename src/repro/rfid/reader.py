@@ -21,6 +21,19 @@ dropout draw is conditional on deep multipath fades, the scheduler draws
 optimistically and the physics pass verifies, rolling the generator back on
 the (rare) mis-guess — see :meth:`RFIDReader.sweep_events`.
 
+Zone membership is not re-evaluated from geometry every round.  After the
+first checkpoint block, the scheduler reads it off a **membership calendar**:
+one batched evaluation samples every tag's exact membership about once per
+elapsed round, over a look-ahead as long as the sweep so far, and the
+calendar is extended whenever the round clock runs past its end.  Between
+two samples, a tag with the same membership at both is predicted to keep it;
+a tag whose membership differs is evaluated exactly at the round's clock.
+After each scheduling attempt one batched exact evaluation verifies every
+predicted (round, tag) cell; a wrong cell is demoted to exact evaluation and
+the schedule resumes from that round's checkpoint, as for a deep-fade
+mis-guess.  ``last_sweep_stats["zone_corrections"]`` counts these
+membership corrections.
+
 The read log is **bit-identical** to the read-at-a-time reference loop kept
 in ``tests/oracles/scalar_sweep.py``, which consumes the random generator in
 the same order (one ``rng.integers`` per round, then the fixed per-event
@@ -29,7 +42,9 @@ noise-draw sequence) — pinned by ``tests/test_fused_sweep.py``.
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,11 +75,13 @@ fused physics pass, so attempts are cheap; the cap exists to bound the truly
 pathological channels (deep fades on more rounds than this), which drop to
 the exact per-round mode instead."""
 
-_COUPLING_CHUNK_CELLS = 262_144
-"""Cell budget (events x population) per chunk of the dense coupling filter."""
+_CHUNK_CELLS = 262_144
+"""Cell budget (rows x population) per chunk of the dense evaluations: the
+moving-tag coupling filter and the zone-calendar verification."""
 
 _PAIRED_FALLBACK_CHUNK = 512
 """Event chunk for the cross-product diagonal of paired-query-less providers."""
+
 
 @dataclass(slots=True)
 class _SweepSetup:
@@ -82,6 +99,36 @@ class _SweepSetup:
     grid: NeighborGrid | None
 
 
+@dataclass(slots=True)
+class _Calendar:
+    """One stretch of the zone-membership calendar.
+
+    ``members[k]`` is the exact membership of every tag at ``clocks[k]``;
+    the clocks run evenly from the round that opened the stretch to its
+    look-ahead ``clocks[-1]``.  Within one interval between samples, a tag
+    whose membership is the same at both ends is predicted to keep it
+    (``agree``); the others are evaluated exactly at each round's clock.  A
+    membership correction clears ``agree`` for the cells that were wrong.
+    """
+
+    clocks: list[float]
+    members: np.ndarray
+    agree: np.ndarray
+    clean: list[bool]
+    """Per interval: every tag is predicted."""
+    run_start: list[int]
+    """Per interval: the first interval of its run of equal member rows,
+    which keys :attr:`in_zone`."""
+    in_zone: tuple[int, np.ndarray | None] = (-1, None)
+    """The last clean run's members, as (run start, indices)."""
+
+    def demote(self, intervals: np.ndarray, tags: np.ndarray) -> None:
+        """Evaluate ``tags[i]`` exactly in ``intervals[i]`` from now on."""
+        self.agree[intervals, tags] = False
+        for interval in intervals.tolist():
+            self.clean[interval] = False
+
+
 class _SweepScheduler:
     """Phase 1 of the fused sweep: the rng-owning round loop, resumable.
 
@@ -96,13 +143,23 @@ class _SweepScheduler:
     :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
     mis-guessed round the schedule is :meth:`resume`-d from the nearest
     snapshot — the long unchanged prefix is kept, not replayed.
+
+    Zone membership comes from a calendar (:class:`_Calendar`) rather than a
+    geometry evaluation per round.  The first checkpoint block is evaluated
+    exactly, round by round; after it, whenever the round clock runs past the
+    calendar's end, :meth:`_open_calendar` extends it with one batched
+    evaluation.  :meth:`verify_calendar` then checks every predicted cell
+    exactly; a wrong one is demoted to exact evaluation and the schedule
+    resumes from that round's checkpoint.
     """
 
     CHECKPOINT_STRIDE = 8
-    """Rounds between state snapshots.  A resume replays forward from the
+    """Rounds between state snapshots, and the rounds evaluated exactly
+    before the zone calendar opens.  A resume replays forward from the
     nearest snapshot at or before the corrected round — replayed rounds
     consume the generator identically, so the stride only trades a few
-    microseconds of capture per round against a bounded replay on rollback."""
+    microseconds of capture per round against a bounded replay on
+    rollback."""
 
     def __init__(
         self,
@@ -120,15 +177,37 @@ class _SweepScheduler:
         # One entry per event-bearing round: (round id, times, tag indices,
         # dropped, phase noise, rssi noise, assumed deep).
         self._parts: list[tuple] = []
-        # Snapshot per CHECKPOINT_STRIDE-th round:
-        # round index -> (clock, protocol q_fp, rng state).
-        self._checkpoints: dict[int, tuple[float, float, dict]] = {}
+        # Snapshot per CHECKPOINT_STRIDE-th round: round index -> (clock,
+        # protocol q_fp, rng state, the calendar in force).
+        self._checkpoints: dict[int, tuple[float, float, dict, _Calendar | None]] = {}
+        # Calendars by the round that opened them.  A replay reopens the same
+        # round at the same clock, and reuses the calendar with its demotions.
+        self._calendars: dict[int, _Calendar] = {}
+        # The rounds that used the calendar's predictions: (round index,
+        # clock, calendar, interval), in round order.
+        self._predicted: list[tuple[int, float, _Calendar, int]] = []
+        # Predicted rounds below this index are verified.
+        self._verified_through = 0
 
     def run(self, corrections: "dict[int, np.ndarray]") -> SweepEventTable:
         """Schedule the whole sweep from the beginning."""
         self._parts.clear()
         self._checkpoints.clear()
-        return self._run_from(0, 0.0, corrections)
+        self._calendars.clear()
+        self._predicted.clear()
+        return self._run_from(0, 0.0, None, corrections)
+
+    def restore(self, round_index: int) -> tuple[int, float, _Calendar | None]:
+        """Restore the generator and protocol to ``round_index``'s checkpoint.
+
+        Returns the checkpointed round (the last snapshot at or before
+        ``round_index``), its clock and the calendar in force there.
+        """
+        base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
+        clock, q_fp, rng_state, calendar = self._checkpoints[base]
+        self._rng.bit_generator.state = rng_state
+        self._reader.protocol.restore_scheduling_checkpoint(q_fp)
+        return base, clock, calendar
 
     def resume(
         self, round_index: int, corrections: "dict[int, np.ndarray]"
@@ -138,32 +217,110 @@ class _SweepScheduler:
         Restores the generator and protocol state captured at the last
         snapshot at or before the corrected round; the replayed rounds
         consume the generator exactly as before (corrections included), so
-        only the mis-guessed round's noise actually changes.
+        only the corrected round's draws actually change.
         """
-        base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
-        clock, q_fp, rng_state = self._checkpoints[base]
-        self._rng.bit_generator.state = rng_state
-        self._reader.protocol.restore_scheduling_checkpoint(q_fp)
+        base, clock, calendar = self.restore(round_index)
         for stale in [key for key in self._checkpoints if key >= base]:
             del self._checkpoints[stale]
         while self._parts and self._parts[-1][0] >= base:
             self._parts.pop()
-        return self._run_from(base, clock, corrections)
+        while self._predicted and self._predicted[-1][0] >= base:
+            self._predicted.pop()
+        return self._run_from(base, clock, calendar, corrections)
+
+    def verify_calendar(self) -> int | None:
+        """Check every unverified predicted cell; the first wrong round, or None.
+
+        One batched exact evaluation over the predicted rounds' clocks; the
+        wrong cells are demoted to exact evaluation, so resuming from the
+        returned round replays identically up to it and exactly from it.
+        """
+        predicted = self._predicted
+        start = len(predicted)
+        while start and predicted[start - 1][0] >= self._verified_through:
+            start -= 1
+        pending = predicted[start:]
+        if not pending:
+            return None
+        exact = self._reader._zone_members(
+            self._setup,
+            self._antenna_position,
+            np.fromiter((entry[1] for entry in pending), dtype=float, count=len(pending)),
+        )
+        first = 0
+        while first < len(pending):
+            calendar = pending[first][2]
+            stop = first + 1
+            while stop < len(pending) and pending[stop][2] is calendar:
+                stop += 1
+            intervals = np.fromiter(
+                (entry[3] for entry in pending[first:stop]), dtype=np.intp, count=stop - first
+            )
+            wrong = exact[first:stop] != calendar.members[intervals]
+            wrong &= calendar.agree[intervals]
+            rows, tags = wrong.nonzero()
+            if rows.size:
+                calendar.demote(intervals[rows], tags)
+                wrong_round = pending[first + int(rows[0])][0]
+                # Rounds up to the wrong one replay identically, and the
+                # wrong one is exact once its cells are demoted.
+                self._verified_through = wrong_round + 1
+                return wrong_round
+            first = stop
+        self._verified_through = pending[-1][0] + 1
+        return None
+
+    def mark_verified(self, round_index: int) -> None:
+        """Rounds up to ``round_index`` replay identically from here on."""
+        self._verified_through = min(self._verified_through, round_index + 1)
+
+    def _open_calendar(self, round_index: int, clock: float) -> _Calendar:
+        """Extend the calendar from the round ``round_index`` at ``clock``.
+
+        The look-ahead is as long as the sweep so far (capped at its end),
+        sampled about once per elapsed round, so a sweep opens a handful of
+        stretches in all.  Every tag's exact membership is evaluated at every
+        sample in one batched call; the first sample is this round's.
+        """
+        calendar = self._calendars.get(round_index)
+        if calendar is not None and calendar.clocks[0] == clock:
+            return calendar
+        span = min(clock, self._duration_s - clock)
+        count = max(1, math.ceil(round_index * span / clock))
+        clocks = span * (np.arange(count + 1) / count)
+        clocks += clock
+        members = self._reader._zone_members(self._setup, self._antenna_position, clocks)
+        agree = members[:-1] == members[1:]
+        changed = np.ones(count, dtype=bool)
+        changed[1:] = (members[1:-1] != members[:-2]).any(axis=1)
+        run_start = np.maximum.accumulate(np.where(changed, np.arange(count), 0))
+        calendar = self._calendars[round_index] = _Calendar(
+            clocks=clocks.tolist(),
+            members=members,
+            agree=agree,
+            clean=agree.all(axis=1).tolist(),
+            run_start=run_start.tolist(),
+        )
+        return calendar
 
     def _run_from(
-        self, round_index: int, clock: float, corrections: "dict[int, np.ndarray]"
+        self,
+        round_index: int,
+        clock: float,
+        calendar: _Calendar | None,
+        corrections: "dict[int, np.ndarray]",
     ) -> SweepEventTable:
         reader = self._reader
         setup = self._setup
         antenna_position = self._antenna_position
         duration_s = self._duration_s
         rng = self._rng
-        zone = reader.config.reading_zone
         noise = reader.config.channel.noise
         protocol = reader.protocol
         parts = self._parts
         checkpoints = self._checkpoints
-        clock_buffer = np.empty(1)
+        predicted_rounds = self._predicted
+        zone_members_at = reader._zone_members_at
 
         stride = self.CHECKPOINT_STRIDE
         while clock < duration_s:
@@ -172,24 +329,44 @@ class _SweepScheduler:
                     clock,
                     protocol.scheduling_checkpoint(),
                     rng.bit_generator.state,
+                    calendar,
                 )
-            antenna_row, round_positions = reader._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
-            )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
+            if round_index < stride:
+                in_zone = zone_members_at(setup, antenna_position, clock).nonzero()[0]
+            elif calendar is None or clock > calendar.clocks[-1]:
+                calendar = self._open_calendar(round_index, clock)
+                in_zone = calendar.members[0].nonzero()[0]
+            else:
+                interval = min(bisect_right(calendar.clocks, clock), len(calendar.clean)) - 1
+                if calendar.clean[interval]:
+                    run = calendar.run_start[interval]
+                    if calendar.in_zone[0] != run:
+                        calendar.in_zone = (run, calendar.members[run].nonzero()[0])
+                    in_zone = calendar.in_zone[1]
+                    predicted_rounds.append((round_index, clock, calendar, interval))
+                else:
+                    agree = calendar.agree[interval]
+                    mask = calendar.members[interval] & agree
+                    unstable = (~agree).nonzero()[0]
+                    mask[unstable] = zone_members_at(setup, antenna_position, clock, unstable)
+                    in_zone = mask.nonzero()[0]
+                    if unstable.size < mask.size:
+                        predicted_rounds.append((round_index, clock, calendar, interval))
+
             # Population indices stand in for the id strings: run_round's rng
             # draw depends only on the participant count, and the winners come
             # back as positions into this array.
-            in_zone = np.nonzero(in_zone_mask)[0]
-
             success_ids, success_ends, round_time = protocol.run_round_schedule(
                 in_zone, clock, rng
             )
             if len(success_ids):
                 # Slot end times are monotone, so this prefix filter equals
                 # the scalar loop's "first read past the deadline breaks".
-                count = int(np.searchsorted(success_ends, duration_s, side="right"))
+                count = int(success_ends.searchsorted(duration_s, side="right"))
                 if count:
+                    if count < success_ends.size:
+                        success_ends = success_ends[:count]
+                        success_ids = success_ids[:count]
                     assumed = corrections.get(round_index)
                     if assumed is None:
                         assumed = np.zeros(count, dtype=bool)
@@ -199,8 +376,8 @@ class _SweepScheduler:
                     parts.append(
                         (
                             round_index,
-                            success_ends[:count],
-                            np.asarray(success_ids[:count], dtype=np.intp),
+                            success_ends,
+                            success_ids,
                             dropped,
                             phase_noise,
                             rssi_noise,
@@ -218,8 +395,9 @@ class _SweepScheduler:
     def _build_table(self, round_count: int) -> SweepEventTable:
         parts = self._parts
         if parts:
-            round_ids = np.concatenate(
-                [np.full(part[1].size, part[0], dtype=np.intp) for part in parts]
+            round_ids = np.repeat(
+                np.array([part[0] for part in parts], dtype=np.intp),
+                [part[1].size for part in parts],
             )
             columns = tuple(
                 np.concatenate([part[position] for part in parts])
@@ -350,9 +528,10 @@ class RFIDReader:
         self.config = config if config is not None else ReaderConfig()
         self.protocol = protocol if protocol is not None else FrameSlottedAloha()
         self.last_sweep_stats: dict = {}
-        """Diagnostics of the most recent sweep: optimistic attempts,
-        rolled-back rounds, whether the per-round fallback engaged, and the
-        scheduling-vs-physics wall-time split."""
+        """Diagnostics of the most recent sweep: optimistic whole-sweep
+        attempts, rolled-back rounds, zone-calendar corrections, whether the
+        exact per-round fallback engaged, and the scheduling-vs-physics
+        wall-time split (fallback included)."""
 
     def _device_offsets_for(self, model: TagModel) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for a tag of ``model`` behind this reader."""
@@ -461,30 +640,79 @@ class RFIDReader:
             grid=grid,
         )
 
-    def _round_start_geometry(
+    def _antenna_rows(
+        self,
+        setup: "_SweepSetup",
+        antenna_position: AntennaPositionFn,
+        times: np.ndarray,
+    ) -> np.ndarray:
+        """Antenna positions at ``times`` as ``(T, 3)``."""
+        if setup.antenna_positions_at is not None:
+            return np.asarray(setup.antenna_positions_at(times), dtype=float)
+        return np.array(
+            [(p.x, p.y, p.z) for p in (antenna_position(t) for t in times.tolist())],
+            dtype=float,
+        ).reshape(times.size, 3)
+
+    def _zone_members(
+        self,
+        setup: "_SweepSetup",
+        antenna_position: AntennaPositionFn,
+        clocks: np.ndarray,
+    ) -> np.ndarray:
+        """Exact zone membership of every tag at each clock, as ``(T, N)``.
+
+        The calendar's kernel: each cell depends only on its own (clock,
+        tag) pair, so any batch of clocks gives the rows one-clock calls
+        would.  Evaluated in chunks of :data:`_CHUNK_CELLS` cells.
+        """
+        zone = self.config.reading_zone
+        members = np.empty((clocks.size, len(setup.ids)), dtype=bool)
+        chunk = max(1, _CHUNK_CELLS // max(len(setup.ids), 1))
+        for start in range(0, clocks.size, chunk):
+            times = clocks[start : start + chunk]
+            antenna_rows = self._antenna_rows(setup, antenna_position, times)
+            if setup.static_layout:
+                positions = setup.base_positions
+            else:
+                positions = setup.provider.positions_at(setup.ids, times)
+            members[start : start + times.size] = zone.contains_many(
+                antenna_rows[:, None, :], positions
+            )
+        return members
+
+    def _zone_members_at(
         self,
         setup: "_SweepSetup",
         antenna_position: AntennaPositionFn,
         clock: float,
-        clock_buffer: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(antenna row, tag rows) at a round's start — the zone-check inputs.
+        subset: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Exact membership at one clock: of every tag, or of ``subset``.
 
-        Shared by every round loop.  Uses the providers' row-level queries
-        when available (identical arithmetic to the ``Point3D`` forms) and a
-        caller-owned one-element time buffer, so the per-round geometry costs
-        no wrapper objects or allocations beyond the providers' own outputs.
+        Uses the providers' row-level queries where they exist (identical
+        arithmetic to their batched forms).  A partial check of moving tags
+        goes through the paired query, so it leaves the provider's
+        full-population cache in place.
         """
         if setup.antenna_position_row is not None:
             antenna_row = setup.antenna_position_row(clock)
         else:
             antenna_row = antenna_position(clock).as_array()
         if setup.static_layout:
-            round_positions = setup.base_positions
+            positions = setup.base_positions
+            if subset is not None:
+                positions = positions[subset]
+        elif subset is None:
+            positions = setup.provider.positions_at(setup.ids, np.full(1, clock))[0]
         else:
-            clock_buffer[0] = clock
-            round_positions = setup.provider.positions_at(setup.ids, clock_buffer)[0]
-        return antenna_row, round_positions
+            times = np.full(subset.size, clock)
+            paired = getattr(setup.provider, "positions_paired", None)
+            if paired is not None:
+                positions = paired([setup.ids[i] for i in subset.tolist()], times)
+            else:
+                positions = setup.provider.positions_at(setup.ids, times[:1])[0][subset]
+        return self.config.reading_zone.contains_many(antenna_row, positions)
 
     def sweep_stream(
         self,
@@ -535,9 +763,12 @@ class RFIDReader:
         emits the whole sweep's reply attempts as a structure-of-arrays
         :class:`~repro.rfid.event_table.SweepEventTable`.  All rng
         consumption happens here, in the same order as the scalar reference
-        loop.  **Phase 2 (physics)** evaluates every event's
-        geometry, link budget, multipath, Eq. (1) phase, quantisation, and
-        RSSI in one fused NumPy pass
+        loop.  Zone membership comes from the scheduler's calendar, which is
+        verified exactly before any physics runs; a wrong cell is corrected
+        and the schedule resumes from that round's checkpoint
+        (``last_sweep_stats["zone_corrections"]`` counts them).  **Phase 2
+        (physics)** evaluates every event's geometry, link budget, multipath,
+        Eq. (1) phase, quantisation, and RSSI in one fused NumPy pass
         (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).
 
         The one place physics feeds back into the rng order is the dropout
@@ -549,9 +780,9 @@ class RFIDReader:
         with the exact booleans for the offending round (each retry fixes at
         least one round, so the loop terminates).  Pathological
         configurations that keep mis-guessing fall back to an exact
-        per-round mode.  Either way the
-        read log is bit-identical to the scalar reference — pinned by
-        ``tests/test_fused_sweep.py``.
+        per-round mode from the first mis-guessed round's checkpoint on.
+        Either way the read log is bit-identical to the scalar reference —
+        pinned by ``tests/test_fused_sweep.py``.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
@@ -559,12 +790,11 @@ class RFIDReader:
         setup = self._sweep_setup(tags, tag_position, antenna_position)
         noise = self.config.channel.noise
 
-        rng_checkpoint = rng.bit_generator.state
-        protocol_checkpoint = self.protocol.scheduling_checkpoint()
         corrections: dict[int, np.ndarray] = {}
         stats = {
             "attempts": 0,
             "rolled_back_rounds": 0,
+            "zone_corrections": 0,
             "per_round_fallback": False,
             "scheduling_s": 0.0,
             "physics_s": 0.0,
@@ -582,6 +812,11 @@ class RFIDReader:
                 # generator correctly — replay only the tail from that
                 # round's checkpoint.
                 candidate = scheduler.resume(resume_round, corrections)
+            # Verify the zone calendar before any physics runs on the
+            # schedule: a wrong membership invalidates everything after it.
+            while (wrong_round := scheduler.verify_calendar()) is not None:
+                stats["zone_corrections"] += 1
+                candidate = scheduler.resume(wrong_round, corrections)
             tock = time.perf_counter()
             stats["scheduling_s"] += tock - tick
             self._observe_events(setup, antenna_position, candidate)
@@ -596,30 +831,31 @@ class RFIDReader:
             if not mistaken.any():
                 table = candidate
                 break
+            # The first mis-guessed round: its own events are fixed by its
+            # (pre-noise) slotting draw, so its exact booleans stay valid
+            # across the replay — and so do its membership and everything
+            # before it.
+            resume_round = int(candidate.round_ids[int(np.argmax(mistaken))])
             # Each retry pins down one more round; if more rounds are wrong
             # than retries remain, optimism cannot converge — go straight to
             # the exact per-round mode instead of burning the attempts.
             mistaken_rounds = np.unique(candidate.round_ids[mistaken]).size
             if mistaken_rounds > _MAX_FUSED_ATTEMPTS - attempt - 1:
                 break
-            # The first mis-guessed round: its own events are fixed by its
-            # (pre-noise) slotting draw, so its exact booleans stay valid
-            # across the replay.
-            first_round = int(candidate.round_ids[int(np.argmax(mistaken))])
-            round_rows = candidate.round_ids == first_round
-            corrections[first_round] = candidate.deep_fade[round_rows].copy()
-            resume_round = first_round
+            corrections[resume_round] = candidate.deep_fade[candidate.round_ids == resume_round]
+            scheduler.mark_verified(resume_round)
             stats["rolled_back_rounds"] += 1
 
         if table is None:
-            # Pathological channel (deep fades on most rounds): replay once
-            # more in exact per-round mode — physics before noise, round by
-            # round — which can never mis-guess.
-            rng.bit_generator.state = rng_checkpoint
-            self.protocol.restore_scheduling_checkpoint(protocol_checkpoint)
+            # Pathological channel (deep fades on most rounds): replay the
+            # tail in exact per-round mode — physics before noise, round by
+            # round — which can never mis-guess.  Rows before the first
+            # mis-guessed round's checkpoint are exact already, physics
+            # included, so they are kept.
+            base, clock, _ = scheduler.restore(resume_round)
             stats["per_round_fallback"] = True
             table = self._sweep_table_per_round(
-                setup, antenna_position, duration_s, rng
+                setup, antenna_position, duration_s, rng, candidate, base, clock, stats
             )
 
         self.last_sweep_stats = stats
@@ -640,16 +876,7 @@ class RFIDReader:
         fallback (one call per round).
         """
         count = int(times.size)
-        if setup.antenna_positions_at is not None:
-            antenna_rows = np.asarray(setup.antenna_positions_at(times), dtype=float)
-        else:
-            antenna_rows = np.array(
-                [
-                    (p.x, p.y, p.z)
-                    for p in (antenna_position(t) for t in times.tolist())
-                ],
-                dtype=float,
-            ).reshape(count, 3)
+        antenna_rows = self._antenna_rows(setup, antenna_position, times)
 
         extra_positions = extra_index = None
         if setup.base_positions is not None:
@@ -683,7 +910,7 @@ class RFIDReader:
             # evaluated in event-count chunks sized to bound the (events x
             # population) distance matrix.
             population = len(setup.ids)
-            chunk = max(1, _COUPLING_CHUNK_CELLS // max(population, 1))
+            chunk = max(1, _CHUNK_CELLS // max(population, 1))
             event_tag_positions = np.empty((count, 3))
             index_chunks: list[np.ndarray] = []
             position_chunks: list[np.ndarray] = []
@@ -772,39 +999,54 @@ class RFIDReader:
         antenna_position: AntennaPositionFn,
         duration_s: float,
         rng: np.random.Generator,
+        candidate: SweepEventTable,
+        round_index: int,
+        clock: float,
+        stats: dict,
     ) -> SweepEventTable:
-        """Exact per-round mode: physics before noise, round by round.
+        """Exact per-round mode from ``round_index`` on: physics before noise.
 
         The last-resort path for channels whose deep fades keep invalidating
         the optimistic schedule: within each round the physics runs first, so
         the noise draws always use the exact booleans — the same draw order as
         the scalar loop, with none of the fused pass's whole-sweep batching.
+        ``candidate``'s rows before ``round_index`` (observed, and exact) are
+        kept; the generator and protocol must already be at that round's
+        checkpoint, whose clock is ``clock``.  The time spent is added to
+        ``stats``' scheduling and physics counters.
         """
-        zone = self.config.reading_zone
+        tick = time.perf_counter()
+        physics_s = 0.0
         channel = self.config.channel
         noise = channel.noise
         protocol = self.protocol
-        ids = setup.ids
-        clock_buffer = np.empty(1)
 
-        parts: list[tuple] = []
-        round_index = 0
-        clock = 0.0
-        while clock < duration_s:
-            antenna_row, round_positions = self._round_start_geometry(
-                setup, antenna_position, clock, clock_buffer
+        kept = int(np.searchsorted(candidate.round_ids, round_index, side="left"))
+        parts: list[tuple] = [
+            (
+                candidate.times_s[:kept],
+                candidate.tag_indices[:kept],
+                candidate.round_ids[:kept],
+                candidate.dropped[:kept],
+                candidate.phase_noise_rad[:kept],
+                candidate.rssi_noise_db[:kept],
+                candidate.deep_fade[:kept],
+                candidate.phase_rad[:kept],
+                candidate.rssi_dbm[:kept],
+                candidate.readable[:kept],
             )
-            in_zone_mask = zone.contains_many(antenna_row, round_positions)
-            in_zone = np.nonzero(in_zone_mask)[0]
-
+        ]
+        while clock < duration_s:
+            in_zone = self._zone_members_at(setup, antenna_position, clock).nonzero()[0]
             success_ids, success_ends, round_time = protocol.run_round_schedule(
                 in_zone, clock, rng
             )
             if len(success_ids):
-                count = int(np.searchsorted(success_ends, duration_s, side="right"))
+                count = int(success_ends.searchsorted(duration_s, side="right"))
                 if count:
+                    physics_tick = time.perf_counter()
                     times = success_ends[:count]
-                    tag_indices = np.asarray(success_ids[:count], dtype=np.intp)
+                    tag_indices = success_ids[:count]
                     (
                         antenna_rows,
                         event_tag_positions,
@@ -822,11 +1064,16 @@ class RFIDReader:
                         extra_decays=extra_decays,
                         extra_event_index=extra_index,
                     )
+                    physics_tock = time.perf_counter()
                     dropped, phase_noise, rssi_noise = (
                         noise.draw_event_noise_scheduled(physics.deep_fade, rng)
                     )
+                    observe_tick = time.perf_counter()
                     observation = channel.observe_scheduled(
                         physics, dropped, phase_noise, rssi_noise
+                    )
+                    physics_s += (physics_tock - physics_tick) + (
+                        time.perf_counter() - observe_tick
                     )
                     parts.append(
                         (
@@ -848,26 +1095,23 @@ class RFIDReader:
             clock += round_time
             round_index += 1
 
-        def _column(position: int, dtype=None, default_dtype=float) -> np.ndarray:
-            if parts:
-                return np.concatenate([part[position] for part in parts])
-            return np.empty(0, dtype=dtype if dtype is not None else default_dtype)
-
-        deep = _column(6, dtype=bool)
+        columns = [np.concatenate([part[position] for part in parts]) for position in range(10)]
+        stats["physics_s"] += physics_s
+        stats["scheduling_s"] += (time.perf_counter() - tick) - physics_s
         return SweepEventTable(
-            tag_ids=list(ids),
+            tag_ids=list(setup.ids),
             channel_index=channel.channel_index,
             antenna_port=self.config.antenna_port,
             round_count=round_index,
-            times_s=_column(0),
-            tag_indices=_column(1, dtype=np.intp),
-            round_ids=_column(2, dtype=np.intp),
-            dropped=_column(3, dtype=bool),
-            phase_noise_rad=_column(4),
-            rssi_noise_db=_column(5),
-            assumed_deep=deep,
-            deep_fade=deep,
-            phase_rad=_column(7),
-            rssi_dbm=_column(8),
-            readable=_column(9, dtype=bool),
+            times_s=columns[0],
+            tag_indices=columns[1],
+            round_ids=columns[2],
+            dropped=columns[3],
+            phase_noise_rad=columns[4],
+            rssi_noise_db=columns[5],
+            assumed_deep=columns[6],
+            deep_fade=columns[6],
+            phase_rad=columns[7],
+            rssi_dbm=columns[8],
+            readable=columns[9],
         )

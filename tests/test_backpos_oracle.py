@@ -1,0 +1,64 @@
+"""``BackPosScheme.order`` against the meshgrid scoring loop it replaced.
+
+``order`` builds each snapshot's squared distances from the 1-D grid axes
+and scores in reused buffers; the oracle in ``tests/oracles/backpos.py``
+scores on a full meshgrid with fresh arrays.  The estimated coordinates must
+agree float for float, on the leaderboard's scenes and on random snapshots.
+"""
+
+import numpy as np
+import pytest
+
+from repro.baselines import BackPosScheme
+from repro.evaluation.runner import standard_scheme_suite
+from repro.motion.scenarios import TrajectoryAntennaPosition
+from repro.motion.trajectory import LinearTrajectory
+from repro.rf.geometry import Point3D
+from repro.rfid.reading import ReadLog
+from repro.scenarios import DEFAULT_SEED, SEED_STRIDE, default_registry
+from repro.scenarios.builders import scenario_experiment
+
+from oracles.backpos import backpos_estimates
+
+
+def assert_matches_oracle(scheme: BackPosScheme, log: ReadLog, tag_ids: list[str]) -> None:
+    result = scheme.order(log, tag_ids)
+    oracle_x, oracle_y = backpos_estimates(scheme, log, tag_ids)
+    assert oracle_x, "no tag had enough snapshots to be scored"
+    assert result.x_ordering.scores == oracle_x
+    assert result.y_ordering.scores == oracle_y
+
+
+@pytest.mark.parametrize("index", [0, 1, 4])
+def test_leaderboard_scenes(index):
+    spec = default_registry().specs()[index]
+    experiment = scenario_experiment(0, DEFAULT_SEED + SEED_STRIDE * index, spec)
+    (scheme,) = [s for s in standard_scheme_suite(experiment) if isinstance(s, BackPosScheme)]
+    assert_matches_oracle(scheme, experiment.read_log, list(experiment.target_ids))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_snapshots(seed):
+    rng = np.random.default_rng(seed)
+    tag_ids = [f"tag-{i}" for i in range(4)]
+    count = 240
+    times = np.sort(rng.uniform(0.0, 4.0, count))
+    log = ReadLog()
+    log.extend_columns(
+        times,
+        [tag_ids[i] for i in rng.integers(0, len(tag_ids), count)],
+        rng.uniform(0.0, 2.0 * np.pi, count),
+        rng.uniform(-70.0, -40.0, count),
+        channel_index=6,
+        antenna_port=1,
+    )
+    start = Point3D(*rng.uniform(-0.5, 0.0, 2), float(rng.uniform(0.2, 0.6)))
+    end = Point3D(start.x + float(rng.uniform(0.8, 1.6)), start.y, start.z)
+    low = rng.uniform(-0.6, -0.2, 2)
+    scheme = BackPosScheme(
+        antenna_position_at=TrajectoryAntennaPosition(LinearTrajectory(start, end)),
+        region_min=Point3D(float(low[0]), float(low[1]), 0.0),
+        region_max=Point3D(float(low[0]) + 1.3, float(low[1]) + 0.7, 0.0),
+        grid_resolution_m=float(rng.choice([0.01, 0.013, 0.02])),
+    )
+    assert_matches_oracle(scheme, log, tag_ids)

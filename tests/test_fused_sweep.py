@@ -295,6 +295,50 @@ def fused_reader_and_scene(threshold_db: float, dropout_p: float = 0.10):
     return reader, scene
 
 
+def late_fades_reader_and_scene():
+    """A seeded scene whose first deep fade comes late in the sweep.
+
+    No reflectors and a short reading range: the lone tag read first sees
+    no fade at all, and the fades only start once the antenna reaches the
+    closely coupled cluster at the far end — often enough to exhaust the
+    optimistic attempts.
+    """
+    noise = NoiseModel(
+        phase_noise_std_rad=0.25,
+        rssi_noise_std_db=2.0,
+        random_dropout_probability=0.10,
+        fade_dropout_threshold_db=-1.0,
+    )
+    positions = [Point3D(0.0, 0.0, 0.0)] + [
+        Point3D(0.8 + 0.03 * i, 0.02 * (i % 2), 0.0) for i in range(6)
+    ]
+    tags = make_tags(positions, seed=2015)
+    scene = standard_antenna_moving_scene(tags, seed=2015, noise=noise)
+    config = standard_reader_config(
+        tags, seed=2015, noise=noise, reflector_count=0, max_range_m=0.5
+    )
+    scene = dataclasses.replace(scene, reader_config=config)
+    reader = RFIDReader(config=scene.reader_config, protocol=scene.protocol)
+    return reader, scene
+
+
+def record_fallback_entry(reader: RFIDReader) -> dict:
+    """Wrap ``reader``'s per-round mode to record how it was entered."""
+    entry: dict = {}
+    per_round = reader._sweep_table_per_round
+
+    def recording(setup, antenna_position, duration_s, rng, candidate, round_index, clock, stats):
+        entry["round"] = round_index
+        entry["kept_rows"] = int(np.searchsorted(candidate.round_ids, round_index))
+        entry["stats"] = dict(stats)
+        return per_round(
+            setup, antenna_position, duration_s, rng, candidate, round_index, clock, stats
+        )
+
+    reader._sweep_table_per_round = recording
+    return entry
+
+
 def run_fused(reader: RFIDReader, scene: Scene) -> ReadLog:
     return reader.sweep(
         scene.tags,
@@ -339,6 +383,27 @@ class TestOptimisticScheduleRollback:
         _, scalar_scene = fused_reader_and_scene(threshold_db=3.0)
         scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
+
+    def test_per_round_fallback_time_is_split_into_the_counters(self):
+        reader, scene = fused_reader_and_scene(threshold_db=3.0)
+        entry = record_fallback_entry(reader)
+        run_fused(reader, scene)
+        stats = reader.last_sweep_stats
+        assert stats["per_round_fallback"]
+        assert stats["scheduling_s"] > entry["stats"]["scheduling_s"]
+        assert stats["physics_s"] > entry["stats"]["physics_s"]
+
+    def test_late_first_misguess_keeps_the_exact_prefix(self):
+        reader, scene = late_fades_reader_and_scene()
+        entry = record_fallback_entry(reader)
+        fused = run_fused(reader, scene)
+        assert reader.last_sweep_stats["per_round_fallback"]
+        # The per-round mode starts at the first mis-guessed round's
+        # checkpoint, far into the sweep, on top of the exact rows before it.
+        assert entry["round"] >= 100
+        assert entry["kept_rows"] > 0
+        _, scalar_scene = late_fades_reader_and_scene()
+        assert fused.reads == scalar_scene_log(scalar_scene).reads
 
     def test_deep_fades_without_dropouts_never_roll_back(self):
         # With p == 0 no dropout uniform is ever drawn, so deep fades cannot

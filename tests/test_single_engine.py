@@ -112,6 +112,7 @@ class TestNoBackendSelection:
             "physics_s",
             "attempts",
             "rolled_back_rounds",
+            "zone_corrections",
             "per_round_fallback",
         }
 
