@@ -20,7 +20,10 @@ Three detection strategies are provided:
 
 Whatever the strategy, the detected window is refined with the quadratic fit
 of :mod:`repro.core.fitting`, which supplies the bottom time (X ordering), the
-curvature (Y ordering), and a validity flag.
+curvature (Y ordering), and a validity flag.  One detection call fits the
+windows of all its profiles together, in at most four
+:func:`~repro.core.fitting.fit_windows` calls (see
+:meth:`VZoneDetector._detect_windows`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .dtw import (
     subsequence_dtw,
     subsequence_dtw_batch,
 )
-from .fitting import QuadraticFit, fit_vzone
+# ``fit_vzone`` stays bound here, although detection fits through
+# ``fit_windows``: perfbench's traced run looks it up in this module by name.
+from .fitting import QuadraticFit, fit_vzone, fit_windows  # noqa: F401
 from .phase_profile import PhaseProfile
 from .reference import ReferenceProfile, shared_canonical_reference
 from .segmentation import Segment, segment_profile, segment_profile_arrays
@@ -133,29 +138,7 @@ class VZoneDetector:
         """Locate the V-zone of ``profile``; returns None for unusable profiles."""
         if len(profile) < self.min_profile_samples:
             return None
-
-        if self.method == "segmented_dtw":
-            vzone = self._detect_segmented_dtw(profile)
-        elif self.method == "full_dtw":
-            vzone = self._detect_full_dtw(profile)
-        else:
-            vzone = self._detect_longest_run(profile)
-
-        if self.fallback_to_longest_run and self.method != "longest_run":
-            vzone = self._apply_fallback(vzone, profile)
-        return vzone
-
-    def _apply_fallback(self, vzone: VZone | None, profile: PhaseProfile) -> VZone | None:
-        """Run the longest-run fallback only when it could change the outcome.
-
-        :meth:`_better_of` keeps the primary whenever its fit is valid, so
-        computing the fallback (three candidate windows, a quadratic fit
-        each) for a valid primary is pure waste — the detections are
-        identical either way, this just skips the discarded work.
-        """
-        if vzone is not None and vzone.fit.valid:
-            return vzone
-        return self._better_of(vzone, self._detect_longest_run(profile))
+        return self._detect_windows([profile], [self._primary_window(profile)])[0]
 
     @staticmethod
     def _better_of(primary: VZone | None, secondary: VZone | None) -> VZone | None:
@@ -182,78 +165,241 @@ class VZoneDetector:
 
         The DTW strategies align every usable profile against the reference
         in one batched accumulation
-        (:func:`~repro.core.dtw.accumulate_cost_batch`); the detections are
-        bit-identical to calling :meth:`detect` per profile, which is what a
-        single profile and the ``longest_run`` method do.
+        (:func:`~repro.core.dtw.accumulate_cost_batch`), and every strategy
+        fits all the windows in the staged batch of :meth:`_detect_windows`;
+        the detections are bit-identical to calling :meth:`detect` per
+        profile.
         """
         items = list(profiles.values()) if isinstance(profiles, dict) else list(profiles)
-        if self.method != "longest_run" and len(items) > 1:
-            return self._detect_all_batched(items)
-        detections: dict[str, VZone] = {}
-        for profile in items:
-            vzone = self.detect(profile)
-            if vzone is not None:
-                detections[profile.tag_id] = vzone
-        return detections
+        usable = [p for p in items if len(p) >= self.min_profile_samples]
+        if self.method != "longest_run" and len(usable) > 1:
+            windows = self._primary_windows_batched(usable)
+        else:
+            windows = [self._primary_window(p) for p in usable]
+        vzones = self._detect_windows(usable, windows)
+        return {p.tag_id: vz for p, vz in zip(usable, vzones) if vz is not None}
 
-    def detect_from_segmented_alignment(
+    def detect_from_segmented_alignments(
         self,
-        profile: PhaseProfile,
-        measured_segments: list[Segment],
-        result: DTWResult,
-    ) -> VZone | None:
-        """Build a V-zone from an externally computed segmented-DTW alignment.
+        profiles: "list[PhaseProfile]",
+        segmentations: "list[list[Segment]]",
+        results: "list[DTWResult]",
+    ) -> list[VZone | None]:
+        """Build V-zones from externally computed segmented-DTW alignments.
 
         The streaming session computes alignments with the resumable aligner
         (:class:`~repro.core.dtw.ResumableSegmentAligner`) as profiles grow;
-        this method turns such an alignment into a detection through exactly
-        the same window/fit/fallback path as :meth:`detect_all` — including
-        the longest-run fallback — so a streaming detection from the final
+        this method turns them into detections through exactly the same
+        window/fit/fallback stages as :meth:`detect_all` — including the
+        longest-run fallback — so a streaming detection from the final
         alignment is bit-identical to the batch detection.
         """
-        vzone = self._vzone_from_segmented(profile, measured_segments, result)
-        if self.fallback_to_longest_run:
-            vzone = self._apply_fallback(vzone, profile)
-        return vzone
+        windows = [
+            self._segmented_window(segments, result)
+            for segments, result in zip(segmentations, results)
+        ]
+        return self._detect_windows(list(profiles), windows)
 
-    def _detect_all_batched(self, items: "list[PhaseProfile]") -> dict[str, VZone]:
-        """Batched DTW detection over every usable profile at once."""
-        usable = [p for p in items if len(p) >= self.min_profile_samples]
-        primaries: dict[int, VZone | None] = {}
-        if self.method == "segmented_dtw":
-            # Column-form segmentations: the aligner reads bounds/durations
-            # straight off the arrays, with no per-segment objects built.
-            segmentations = [
-                segment_profile_arrays(p, self.window_size) for p in usable
-            ]
-            indices = [k for k, segs in enumerate(segmentations) if segs]
-            if indices:
-                results = segmented_dtw_align_batch(
-                    self.reference_segmentation(),
-                    [segmentations[k] for k in indices],
-                    subsequence=True,
-                )
-                for k, result in zip(indices, results):
-                    primaries[k] = self._vzone_from_segmented(
-                        usable[k], segmentations[k], result
-                    )
-        else:  # full_dtw
-            results = subsequence_dtw_batch(
-                self.reference.profile.phases_rad, [p.phases_rad for p in usable]
+    # ------------------------------------------------------- staged fitting
+
+    def _detect_windows(
+        self, profiles: "list[PhaseProfile]", windows: "list[_Window | None]"
+    ) -> list[VZone | None]:
+        """Turn primary windows into detections, every profile at once.
+
+        Four :func:`~repro.core.fitting.fit_windows` calls at most, whatever
+        the number of profiles: (1) fit every primary window, (2) refit the
+        centred windows of the valid primaries, then, for the profiles still
+        without a valid fit, (3) fit their longest-run candidates and (4)
+        refit those candidates' centred windows.  The kernel fits each window
+        independently of the others in its call, so detecting a profile
+        alone or among any others gives the same result.
+        """
+        if not profiles:
+            return []
+        columns = _Columns.of(profiles)
+        owners = [k for k, window in enumerate(windows) if window is not None]
+        primaries = [windows[k] for k in owners]
+        vzones: list[VZone | None] = [None] * len(profiles)
+        built = self._build_vzones(
+            columns,
+            np.array(owners, dtype=np.intp),
+            np.array([w[0] for w in primaries], dtype=np.intp),
+            np.array([w[1] for w in primaries], dtype=np.intp),
+            self.method,
+            [w[2] for w in primaries],
+        )
+        for k, vzone in zip(owners, built):
+            vzones[k] = vzone
+        if self.fallback_to_longest_run or self.method == "longest_run":
+            # The fallback can only replace a missing or invalid primary.
+            needy = [k for k, vzone in enumerate(vzones) if vzone is None or not vzone.fit.valid]
+            if needy:
+                fallbacks = self._longest_run_vzones(columns, np.array(needy, dtype=np.intp))
+                for k, fallback in zip(needy, fallbacks):
+                    vzones[k] = self._better_of(vzones[k], fallback)
+        return vzones
+
+    def _build_vzones(
+        self,
+        columns: "_Columns",
+        owners: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        method: str,
+        dtw_costs: "list[float]",
+    ) -> list[VZone | None]:
+        """Expand, fit, recentre and refit windows: two kernel calls.
+
+        Window ``j`` spans samples ``[starts[j], ends[j])`` of profile
+        ``owners[j]``; its detection is None when fewer than three of those
+        samples exist.
+        """
+        lengths = columns.lengths[owners]
+        starts = np.maximum(starts, 0)
+        ends = np.minimum(ends, lengths)
+        kept = np.flatnonzero(ends - starts >= 3)
+        owners, starts, ends, lengths = owners[kept], starts[kept], ends[kept], lengths[kept]
+        expansion = np.rint((ends - starts) * self.expand_fraction).astype(np.intp)
+        starts = np.maximum(starts - expansion, 0)
+        ends = np.minimum(ends + expansion, lengths)
+        base = columns.offsets[owners]
+        fits = fit_windows(columns.times, columns.phases, base + starts, base + ends)
+        chosen = [fits.fit(j) for j in range(len(fits))]
+
+        # Recentre-and-refit: DTW (or the heuristic) only needs to land a
+        # window that overlaps the true V-zone; the quadratic fit then tells
+        # us where the bottom really is, and refitting on a window centred
+        # there (with the half-width implied by the curvature) symmetrises the
+        # window and sharpens both the bottom-time and curvature estimates.
+        valid = np.flatnonzero(fits.valid)
+        halfwidth = np.sqrt(TWO_PI / fits.curvature[valid])
+        finite = np.isfinite(halfwidth)
+        valid = valid[finite]
+        halfwidth = np.clip(halfwidth[finite], 0.15, 3.0)
+        bottom = fits.bottom_time_s[valid]
+        owner_list = owners.tolist()
+        refit_rows: list[int] = []
+        refit_starts: list[int] = []
+        refit_ends: list[int] = []
+        for row, low, high in zip(
+            valid.tolist(), (bottom - halfwidth).tolist(), (bottom + halfwidth).tolist()
+        ):
+            times = columns.profiles[owner_list[row]].timestamps_s
+            start = int(np.searchsorted(times, low, side="left"))
+            end = int(np.searchsorted(times, high, side="right"))
+            if end - start >= 5:
+                refit_rows.append(row)
+                refit_starts.append(start)
+                refit_ends.append(end)
+        if refit_rows:
+            rows = np.array(refit_rows, dtype=np.intp)
+            refits = fit_windows(
+                columns.times,
+                columns.phases,
+                base[rows] + refit_starts,
+                base[rows] + refit_ends,
             )
-            for k, result in enumerate(results):
-                primaries[k] = self._vzone_from_full(usable[k], result)
+            for j in np.flatnonzero(refits.valid).tolist():
+                row = refit_rows[j]
+                starts[row], ends[row] = refit_starts[j], refit_ends[j]
+                chosen[row] = refits.fit(j)
 
-        detections: dict[str, VZone] = {}
-        for k, profile in enumerate(usable):
-            vzone = primaries.get(k)
-            if self.fallback_to_longest_run:
-                vzone = self._apply_fallback(vzone, profile)
+        vzones: list[VZone | None] = [None] * len(dtw_costs)
+        for j, (k, owner, start, end) in enumerate(
+            zip(kept.tolist(), owner_list, starts.tolist(), ends.tolist())
+        ):
+            profile = columns.profiles[owner]
+            vzones[k] = VZone(
+                tag_id=profile.tag_id,
+                start_index=start,
+                end_index=end,
+                start_time_s=float(profile.timestamps_s[start]),
+                end_time_s=float(profile.timestamps_s[end - 1]),
+                fit=chosen[j],
+                method=method,
+                dtw_cost=dtw_costs[k],
+            )
+        return vzones
+
+    def _longest_run_vzones(
+        self, columns: "_Columns", owners: np.ndarray
+    ) -> list[VZone | None]:
+        """The longest-run detection of each profile ``owners[i]``.
+
+        Near the perpendicular point the phase changes slowest, so the
+        wrap-free run containing it spans the most time.  Among the three
+        longest runs of a profile (by duration; equal durations keep run
+        order) the one whose quadratic fit is best (valid, lowest residual
+        per unit curvature) wins; this guards against long flat runs produced
+        by an antenna dwelling at the end of its sweep.
+        """
+        run_owner, run_start, run_end = longest_run_candidates(
+            columns.times, columns.phases, columns.offsets[owners], columns.offsets[owners + 1]
+        )
+        local = columns.offsets[owners[run_owner]]
+        candidates = self._build_vzones(
+            columns,
+            owners[run_owner],
+            run_start - local,
+            run_end - local,
+            "longest_run",
+            [float("nan")] * run_owner.size,
+        )
+        grouped: list[list[VZone]] = [[] for _ in range(owners.size)]
+        for i, vzone in zip(run_owner.tolist(), candidates):
             if vzone is not None:
-                detections[profile.tag_id] = vzone
+                grouped[i].append(vzone)
+        detections: list[VZone | None] = []
+        for group in grouped:
+            valid = [vz for vz in group if vz.fit.valid]
+            if valid:
+                detections.append(
+                    min(valid, key=lambda vz: vz.fit.residual_rms_rad / max(vz.fit.curvature, 1e-6))
+                )
+            else:
+                detections.append(group[0] if group else None)
         return detections
 
     # ------------------------------------------------------- DTW strategies
+
+    def _primary_window(self, profile: PhaseProfile) -> "_Window | None":
+        """The configured DTW strategy's window for one profile."""
+        if self.method == "segmented_dtw":
+            measured_segments = segment_profile(profile, self.window_size)
+            if not measured_segments:
+                return None
+            result = segmented_dtw_align(
+                self.reference_segmentation(), measured_segments, subsequence=True
+            )
+            return self._segmented_window(measured_segments, result)
+        if self.method == "full_dtw":
+            return self._full_window(
+                subsequence_dtw(self.reference.profile.phases_rad, profile.phases_rad)
+            )
+        return None
+
+    def _primary_windows_batched(self, profiles: "list[PhaseProfile]") -> "list[_Window | None]":
+        """Batched DTW alignment of every profile at once."""
+        if self.method == "full_dtw":
+            results = subsequence_dtw_batch(
+                self.reference.profile.phases_rad, [p.phases_rad for p in profiles]
+            )
+            return [self._full_window(result) for result in results]
+        # Column-form segmentations: the aligner reads bounds/durations
+        # straight off the arrays, with no per-segment objects built.
+        segmentations = [segment_profile_arrays(p, self.window_size) for p in profiles]
+        indices = [k for k, segs in enumerate(segmentations) if segs]
+        windows: list[_Window | None] = [None] * len(profiles)
+        if indices:
+            results = segmented_dtw_align_batch(
+                self.reference_segmentation(),
+                [segmentations[k] for k in indices],
+                subsequence=True,
+            )
+            for k, result in zip(indices, results):
+                windows[k] = self._segmented_window(segmentations[k], result)
+        return windows
 
     def reference_segmentation(self) -> list[Segment]:
         """The reference profile's segmentation (computed once, cached).
@@ -293,22 +439,10 @@ class VZoneDetector:
             self._reference_vzone_range = (min(overlapping), max(overlapping))
         return self._reference_vzone_range
 
-    def _detect_segmented_dtw(self, profile: PhaseProfile) -> VZone | None:
-        measured_segments = segment_profile(profile, self.window_size)
-        if not measured_segments:
-            return None
-        result = segmented_dtw_align(
-            self.reference_segmentation(), measured_segments, subsequence=True
-        )
-        return self._vzone_from_segmented(profile, measured_segments, result)
-
-    def _vzone_from_segmented(
-        self,
-        profile: PhaseProfile,
-        measured_segments: "list[Segment] | object",
-        result: DTWResult,
-    ) -> VZone | None:
-        """Turn a segmented-DTW alignment into a V-zone window.
+    def _segmented_window(
+        self, measured_segments: "list[Segment] | object", result: DTWResult
+    ) -> "_Window | None":
+        """The V-zone window of a segmented-DTW alignment.
 
         ``measured_segments`` may be a ``list[Segment]`` or the batched
         detector's column-form ``SegmentArrays`` — only indexed access to the
@@ -321,16 +455,14 @@ class VZoneDetector:
             )
         except ValueError:
             return None
-        start_index = measured_segments[q_start_seg].start_index
-        end_index = measured_segments[q_end_seg].end_index
-        return self._build_vzone(profile, start_index, end_index, "segmented_dtw", result.cost)
+        return (
+            int(measured_segments[q_start_seg].start_index),
+            int(measured_segments[q_end_seg].end_index),
+            result.cost,
+        )
 
-    def _detect_full_dtw(self, profile: PhaseProfile) -> VZone | None:
-        result = subsequence_dtw(self.reference.profile.phases_rad, profile.phases_rad)
-        return self._vzone_from_full(profile, result)
-
-    def _vzone_from_full(self, profile: PhaseProfile, result: DTWResult) -> VZone | None:
-        """Turn a raw-sample alignment into a V-zone window."""
+    def _full_window(self, result: DTWResult) -> "_Window | None":
+        """The V-zone window of a raw-sample alignment."""
         try:
             q_start, q_end = result.query_indices_for_reference_range(
                 self.reference.vzone_start_index,
@@ -338,106 +470,73 @@ class VZoneDetector:
             )
         except ValueError:
             return None
-        return self._build_vzone(profile, q_start, q_end + 1, "full_dtw", result.cost)
+        return (int(q_start), int(q_end) + 1, result.cost)
 
-    # -------------------------------------------------- heuristic strategy
 
-    def _detect_longest_run(self, profile: PhaseProfile) -> VZone | None:
-        """Pick the best wrap-free run as the V-zone candidate.
+_Window = tuple[int, int, float]
+"""A primary detection window ``(start, end, dtw_cost)`` before fitting."""
 
-        Near the perpendicular point the phase changes slowest, so the
-        wrap-free run containing it spans the most time.  Among the three
-        longest runs (by duration) the one whose quadratic fit is best (valid,
-        lowest residual) wins; this guards against long flat runs produced by
-        an antenna dwelling at the end of its sweep.
-        """
-        phases = profile.phases_rad
-        times = profile.timestamps_s
-        if phases.size < 3:
-            return None
-        jump_threshold = 0.75 * TWO_PI
-        jumps = np.nonzero(np.abs(np.diff(phases)) > jump_threshold)[0] + 1
-        boundaries = [0, *jumps.tolist(), phases.size]
-        runs: list[tuple[float, int, int]] = []
-        for run_start, run_end in zip(boundaries[:-1], boundaries[1:]):
-            if run_end - run_start < 3:
-                continue
-            duration = float(times[run_end - 1] - times[run_start])
-            runs.append((duration, run_start, run_end))
-        if not runs:
-            return None
-        runs.sort(key=lambda item: item[0], reverse=True)
-        candidates = []
-        for _, start_index, end_index in runs[:3]:
-            vzone = self._build_vzone(profile, start_index, end_index, "longest_run", float("nan"))
-            if vzone is not None:
-                candidates.append(vzone)
-        if not candidates:
-            return None
-        valid = [vz for vz in candidates if vz.fit.valid]
-        if valid:
-            return min(valid, key=lambda vz: vz.fit.residual_rms_rad / max(vz.fit.curvature, 1e-6))
-        return candidates[0]
 
-    # -------------------------------------------------------------- helpers
+@dataclass(frozen=True, slots=True)
+class _Columns:
+    """The samples of one detection call's profiles, back to back."""
 
-    def _build_vzone(
-        self,
-        profile: PhaseProfile,
-        start_index: int,
-        end_index: int,
-        method: str,
-        dtw_cost: float,
-    ) -> VZone | None:
-        start_index = max(0, start_index)
-        end_index = min(len(profile), end_index)
-        if end_index - start_index < 3:
-            return None
-        if self.expand_fraction > 0:
-            expansion = int(round((end_index - start_index) * self.expand_fraction))
-            start_index = max(0, start_index - expansion)
-            end_index = min(len(profile), end_index + expansion)
-        window = profile.slice_index(start_index, end_index)
-        fit = fit_vzone(window.timestamps_s, window.phases_rad)
+    profiles: "list[PhaseProfile]"
+    times: np.ndarray
+    phases: np.ndarray
+    offsets: np.ndarray
+    """Profile ``k`` owns samples ``[offsets[k], offsets[k + 1])``."""
 
-        # Recentre-and-refit: DTW (or the heuristic) only needs to land a
-        # window that overlaps the true V-zone; the quadratic fit then tells
-        # us where the bottom really is, and refitting on a window centred
-        # there (with the half-width implied by the curvature) symmetrises the
-        # window and sharpens both the bottom-time and curvature estimates.
-        if fit.valid:
-            refined = self._refit_centred(profile, fit)
-            if refined is not None:
-                start_index, end_index, fit = refined
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
-        return VZone(
-            tag_id=profile.tag_id,
-            start_index=start_index,
-            end_index=end_index,
-            start_time_s=float(profile.timestamps_s[start_index]),
-            end_time_s=float(profile.timestamps_s[end_index - 1]),
-            fit=fit,
-            method=method,
-            dtw_cost=dtw_cost,
+    @classmethod
+    def of(cls, profiles: "list[PhaseProfile]") -> "_Columns":
+        offsets = np.zeros(len(profiles) + 1, dtype=np.intp)
+        np.cumsum([len(p) for p in profiles], out=offsets[1:])
+        return cls(
+            profiles=profiles,
+            times=np.concatenate([p.timestamps_s for p in profiles]),
+            phases=np.concatenate([p.phases_rad for p in profiles]),
+            offsets=offsets,
         )
 
-    def _refit_centred(
-        self, profile: PhaseProfile, fit: QuadraticFit
-    ) -> tuple[int, int, QuadraticFit] | None:
-        """Refit the quadratic on a window centred at the fitted bottom."""
-        halfwidth = fit.vzone_halfwidth_s()
-        if not np.isfinite(halfwidth):
-            return None
-        halfwidth = float(np.clip(halfwidth, 0.15, 3.0))
-        times = profile.timestamps_s
-        start_time = fit.bottom_time_s - halfwidth
-        end_time = fit.bottom_time_s + halfwidth
-        start_index = int(np.searchsorted(times, start_time, side="left"))
-        end_index = int(np.searchsorted(times, end_time, side="right"))
-        if end_index - start_index < 5:
-            return None
-        window = profile.slice_index(start_index, end_index)
-        refined = fit_vzone(window.timestamps_s, window.phases_rad)
-        if not refined.valid:
-            return None
-        return start_index, end_index, refined
+
+def longest_run_candidates(
+    times_s: np.ndarray,
+    phases_rad: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three longest wrap-free runs of each profile ``[starts[i], stops[i])``.
+
+    A run ends where the phase jumps by more than 0.75·2π; runs of fewer than
+    three samples are dropped.  Returns ``(owner, run_start, run_end)`` as
+    indices into the columns, grouped by owner ``i`` in ascending order and,
+    within a profile, by descending duration ``times[run_end − 1] −
+    times[run_start]``, equal durations keeping their order in time (a
+    stable sort).
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    stops = np.asarray(stops, dtype=np.intp)
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    first = ends - lengths
+    total = int(ends[-1]) if ends.size else 0
+    source = np.arange(total) + np.repeat(starts - first, lengths)
+    phases = phases_rad[source]
+    opens = np.zeros(total, dtype=bool)
+    opens[1:] = np.abs(np.diff(phases)) > 0.75 * TWO_PI
+    opens[first[lengths > 0]] = True
+    run_start = np.flatnonzero(opens)
+    run_end = np.append(run_start[1:], total)
+    long_enough = run_end - run_start >= 3
+    run_start, run_end = run_start[long_enough], run_end[long_enough]
+    owner = np.searchsorted(first, run_start, side="right") - 1
+    duration = times_s[source[run_end - 1]] - times_s[source[run_start]]
+    order = np.lexsort((-duration, owner))
+    owner, run_start, run_end = owner[order], run_start[order], run_end[order]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner, side="left")
+    top = rank < 3
+    return owner[top], source[run_start[top]], source[run_end[top] - 1] + 1

@@ -290,8 +290,10 @@ class LocalizationSession:
 
         Every tag whose sample count moved since its last detection is
         re-aligned, and all of them resume in one
-        :func:`~repro.core.dtw.align_resumable_batch` call — provisionals
-        and finalize alike; the others keep their detection.
+        :func:`~repro.core.dtw.align_resumable_batch` call and are fitted in
+        one staged :meth:`~repro.core.vzone.VZoneDetector.detect_from_segmented_alignments`
+        call — provisionals and finalize alike; the others keep their
+        detection.
         """
         usable: list[tuple[str, _TagPipeline]] = []
         stale: list[tuple[_TagPipeline, PhaseProfile, list]] = []
@@ -307,10 +309,13 @@ class LocalizationSession:
             [segments for _, _, segments in stale],
             [pipeline.segmenter.stable_count() for pipeline, _, _ in stale],
         )
-        for (pipeline, profile, segments), result in zip(stale, results):
-            pipeline.vzone = self._detector.detect_from_segmented_alignment(
-                profile, segments, result
-            )
+        vzones = self._detector.detect_from_segmented_alignments(
+            [profile for _, profile, _ in stale],
+            [segments for _, _, segments in stale],
+            results,
+        )
+        for (pipeline, profile, _), vzone in zip(stale, vzones):
+            pipeline.vzone = vzone
             pipeline.vzone_sample_count = len(profile)
         return {
             tag_id: pipeline.vzone

@@ -2,7 +2,7 @@
 
 Each oracle is the simple, slow form of a production path: the read-at-a-time
 sweep loop, the pure-Python DTW accumulation, the pre-registry scenario
-factories, the read-at-a-time replay of the streaming ingest policies, and
-the meshgrid BackPos scoring loop.
+factories, the read-at-a-time replay of the streaming ingest policies, the
+meshgrid BackPos scoring loop, and the per-window ``np.polyfit`` V-zone fit.
 None of them is imported by ``src/``.
 """

@@ -190,6 +190,7 @@ def _assert_vzones_equal(left, right):
             b.method,
         )
         assert a.bottom_time_s == b.bottom_time_s
+        assert a.fit == b.fit
         assert a.dtw_cost == b.dtw_cost or (
             math.isnan(a.dtw_cost) and math.isnan(b.dtw_cost)
         )
@@ -239,8 +240,9 @@ class TestBatchLocalizerEquivalence:
 
     @pytest.mark.parametrize("method", DETECTION_METHODS)
     def test_detect_all_matches_detect_for_every_method(self, method):
-        # The DTW methods take the batched path, longest_run the per-profile
-        # one; both must equal detect() called profile by profile.
+        # The DTW methods align in one batch, longest_run has no alignment;
+        # every method fits all windows in one staged batch, and must equal
+        # detect() called profile by profile.
         rng = np.random.default_rng(12)
         positions = random_spacing_row(6, 0.05, 0.18, rng=rng)
         experiment = standard_experiment(positions, seed=12)

@@ -1,5 +1,7 @@
 """Unit tests for reference profiles, fitting, V-zone detection, and ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,49 @@ class TestQuadraticFitting:
         assert fit.bottom_time_s == 0.0
         assert fit.bottom_phase_rad == 1.0
 
+    def test_two_timestamps_are_rank_deficient_without_warning(self):
+        # Six reads at only two instants admit many parabolas; polyfit used
+        # to warn (RankWarning) and return one of them.
+        times = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 1.5])
+        phases = np.array([2.0, 1.0, 3.0, 0.5, 2.5, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_vzone(times, phases)
+        assert not fit.valid
+        assert fit.failure == "rank_deficient"
+        assert fit.bottom_time_s == 1.5
+        assert fit.bottom_phase_rad == 0.5
+        assert fit.curvature == 0.0
+        assert fit.residual_rms_rad == float("inf")
+
+    def test_valid_fit_has_no_failure(self):
+        fit = fit_vzone(*_window(synthetic_profile(2.0, 0.35)))
+        assert fit.valid and fit.failure is None
+
+    def test_failure_too_few_samples(self):
+        fit = fit_vzone(np.array([0.0, 0.1, 0.2, 0.3]), np.array([1.0, 0.5, 0.4, 0.6]))
+        assert fit.failure == "too_few_samples"
+        assert fit.bottom_time_s == 0.2
+
+    def test_failure_rank_deficient(self):
+        fit = fit_vzone(np.zeros(12), np.linspace(1.0, 2.0, 12))
+        assert fit.failure == "rank_deficient"
+
+    def test_failure_curvature_not_positive(self):
+        times = np.linspace(0.0, 1.0, 20)
+        fit = fit_vzone(times, 3.0 - (times - 0.5) ** 2)
+        assert fit.failure == "curvature_not_positive"
+        assert fit.curvature < 0
+        assert fit.bottom_time_s == 0.0  # the lowest sample
+
+    def test_failure_bottom_outside_window(self):
+        times = np.linspace(0.0, 1.0, 20)
+        fit = fit_vzone(times, 0.5 + (times - 2.0) ** 2)
+        assert fit.failure == "bottom_outside_window"
+        assert fit.curvature == pytest.approx(1.0)
+        assert fit.bottom_time_s == 1.0  # clamped to the window
+        assert fit.bottom_phase_rad == pytest.approx(0.5)
+
     def test_empty_input(self):
         fit = fit_vzone(np.array([]), np.array([]))
         assert not fit.valid
@@ -179,7 +224,7 @@ def _vzone_with_fit(valid: bool, tag_id: str = "t", residual: float = 0.1) -> VZ
         bottom_phase_rad=0.5,
         residual_rms_rad=residual,
         sample_count=30,
-        valid=valid,
+        failure=None if valid else "curvature_not_positive",
     )
     return VZone(
         tag_id=tag_id,
