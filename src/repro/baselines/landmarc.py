@@ -67,8 +67,8 @@ class LandmarcScheme(OrderingScheme):
             empty_y = self._axis("y", [], {}, expected_tag_ids)
             return SchemeResult(self.name, empty_x, empty_y)
 
-        all_times = [r.timestamp_s for r in read_log]
-        start, end = min(all_times), max(all_times)
+        timestamps = read_log.columns()["timestamp_s"]
+        start, end = float(timestamps.min()), float(timestamps.max())
         bin_edges = np.linspace(start, end + 1e-9, self.virtual_reader_count + 1)
 
         reference_ids = list(self.reference_positions)
@@ -79,7 +79,7 @@ class LandmarcScheme(OrderingScheme):
         estimated_x: dict[str, float] = {}
         estimated_y: dict[str, float] = {}
         for tag_id in expected_tag_ids:
-            if not read_log.for_tag(tag_id):
+            if read_log.timestamps(tag_id).size == 0:
                 continue
             signature = rssi_signature(read_log, tag_id, bin_edges)
             distances = np.linalg.norm(reference_signatures - signature[None, :], axis=1)

@@ -1,9 +1,12 @@
 """``BackPosScheme.order`` against the meshgrid scoring loop it replaced.
 
-``order`` builds each snapshot's squared distances from the 1-D grid axes
-and scores in reused buffers; the oracle in ``tests/oracles/backpos.py``
-scores on a full meshgrid with fresh arrays.  The estimated coordinates must
-agree float for float, on the leaderboard's scenes and on random snapshots.
+``order`` screens each tag's hologram in float32 and re-scores exactly only
+the cells near the screened peak (every cell, for a static antenna's flat
+hologram); the oracle in ``tests/oracles/backpos.py`` scores every cell on a
+full meshgrid with fresh arrays, from snapshots taken one boolean mask at a
+time.  The snapshots and the estimated coordinates must agree float for
+float, on the leaderboard's scenes and on random snapshots from a moving and
+from a static antenna.
 """
 
 import numpy as np
@@ -11,25 +14,31 @@ import pytest
 
 from repro.baselines import BackPosScheme
 from repro.evaluation.runner import standard_scheme_suite
-from repro.motion.scenarios import TrajectoryAntennaPosition
+from repro.motion.scenarios import StaticAntennaPosition, TrajectoryAntennaPosition
 from repro.motion.trajectory import LinearTrajectory
 from repro.rf.geometry import Point3D
 from repro.rfid.reading import ReadLog
 from repro.scenarios import DEFAULT_SEED, SEED_STRIDE, default_registry
 from repro.scenarios.builders import scenario_experiment
 
-from oracles.backpos import backpos_estimates
+from oracles.backpos import backpos_estimates, oracle_snapshots
 
 
-def assert_matches_oracle(scheme: BackPosScheme, log: ReadLog, tag_ids: list[str]) -> None:
+def assert_matches_oracle(scheme: BackPosScheme, log: ReadLog, tag_ids: list[str]) -> dict:
+    for tag_id in tag_ids:
+        assert scheme._snapshots(log, tag_id) == oracle_snapshots(scheme, log, tag_id)
     result = scheme.order(log, tag_ids)
     oracle_x, oracle_y = backpos_estimates(scheme, log, tag_ids)
     assert oracle_x, "no tag had enough snapshots to be scored"
     assert result.x_ordering.scores == oracle_x
     assert result.y_ordering.scores == oracle_y
+    assert result.metadata["screen_misses"] == 0
+    return result.metadata
 
 
-@pytest.mark.parametrize("index", [0, 1, 4])
+# library, airport, multipath_hall, smart_shelf_wall (24 tags) and
+# tollway_lanes (static antenna, the largest grid).
+@pytest.mark.parametrize("index", [0, 1, 4, 6, 7])
 def test_leaderboard_scenes(index):
     spec = default_registry().specs()[index]
     experiment = scenario_experiment(0, DEFAULT_SEED + SEED_STRIDE * index, spec)
@@ -37,10 +46,7 @@ def test_leaderboard_scenes(index):
     assert_matches_oracle(scheme, experiment.read_log, list(experiment.target_ids))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_snapshots(seed):
-    rng = np.random.default_rng(seed)
-    tag_ids = [f"tag-{i}" for i in range(4)]
+def random_log(rng: np.random.Generator, tag_ids: list[str]) -> ReadLog:
     count = 240
     times = np.sort(rng.uniform(0.0, 4.0, count))
     log = ReadLog()
@@ -52,13 +58,41 @@ def test_random_snapshots(seed):
         channel_index=6,
         antenna_port=1,
     )
-    start = Point3D(*rng.uniform(-0.5, 0.0, 2), float(rng.uniform(0.2, 0.6)))
-    end = Point3D(start.x + float(rng.uniform(0.8, 1.6)), start.y, start.z)
+    return log
+
+
+def random_scheme(rng: np.random.Generator, antenna_position_at) -> BackPosScheme:
     low = rng.uniform(-0.6, -0.2, 2)
-    scheme = BackPosScheme(
-        antenna_position_at=TrajectoryAntennaPosition(LinearTrajectory(start, end)),
+    return BackPosScheme(
+        antenna_position_at=antenna_position_at,
         region_min=Point3D(float(low[0]), float(low[1]), 0.0),
         region_max=Point3D(float(low[0]) + 1.3, float(low[1]) + 0.7, 0.0),
         grid_resolution_m=float(rng.choice([0.01, 0.013, 0.02])),
     )
-    assert_matches_oracle(scheme, log, tag_ids)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_snapshots(seed):
+    rng = np.random.default_rng(seed)
+    tag_ids = [f"tag-{i}" for i in range(4)]
+    log = random_log(rng, tag_ids)
+    start = Point3D(*rng.uniform(-0.5, 0.0, 2), float(rng.uniform(0.2, 0.6)))
+    end = Point3D(start.x + float(rng.uniform(0.8, 1.6)), start.y, start.z)
+    scheme = random_scheme(
+        rng, TrajectoryAntennaPosition(LinearTrajectory(start, end))
+    )
+    metadata = assert_matches_oracle(scheme, log, tag_ids)
+    assert metadata["flat_hologram_tags"] == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_snapshots_static_antenna(seed):
+    # Every snapshot at one position: a flat hologram, scored cell by cell.
+    rng = np.random.default_rng(seed)
+    tag_ids = [f"tag-{i}" for i in range(4)]
+    log = random_log(rng, tag_ids)
+    antenna = Point3D(*rng.uniform(-0.5, 1.0, 2), float(rng.uniform(0.2, 0.6)))
+    scheme = random_scheme(rng, StaticAntennaPosition(antenna))
+    metadata = assert_matches_oracle(scheme, log, tag_ids)
+    assert metadata["flat_hologram_tags"] == len(tag_ids)
+    assert metadata["cells_screened"] == 0
