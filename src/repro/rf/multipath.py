@@ -176,16 +176,20 @@ class MultipathChannel:
                 gain += contribution
         if extra_positions is not None and len(extra_positions):
             event_index = np.asarray(extra_event_index, dtype=np.intp)
-            ant = antenna_pos if antenna_pos.ndim == 1 else antenna_pos[event_index]
+            ant = (
+                antenna_pos
+                if antenna_pos.ndim == 1
+                else antenna_pos.take(event_index, axis=0)
+            )
             tags = (
                 tag_positions
                 if tag_positions.ndim == 1
-                else tag_positions[event_index]
+                else tag_positions.take(event_index, axis=0)
             )
             direct = (
                 direct_round_trip
                 if np.ndim(direct_round_trip) == 0
-                else direct_round_trip[event_index]
+                else direct_round_trip.take(event_index)
             )
             to_tag = euclidean_distances(extra_positions, tags)
             reflected = 2.0 * (euclidean_distances(ant, extra_positions) + to_tag)

@@ -6,13 +6,18 @@ scatterer.  The read-at-a-time test oracle finds those neighbours by scanning
 the whole population per read.  :class:`NeighborGrid` instead keeps one stably
 sorted array of int64 cell codes over a uniform grid whose cell edge is just
 over the radius, so every neighbour of a point lies in the 27 cells around
-its own.  A batch of query rows finds its candidates with ``np.searchsorted``
-over those 27 codes, keeps the ones within ``distance <= radius`` (the scan's
-own ``sqrt(dx²+dy²+dz²)`` arithmetic, so neighbour sets and RF observations
-stay bit-identical), and sorts each row ascending — no Python loop over points.
-Rows are built on demand: a sweep packs only the tags its event table
-observed, a small fraction of a dense hall.  The grid serves static layouts
-(built once per sweep); moving tags use the reader's dense per-event filter.
+its own.  The three cells stacked along z in one (x, y) column have
+consecutive codes, so a batch of query rows finds its candidates with
+``np.searchsorted`` over 9 contiguous code ranges per row.  The filter works
+on three contiguous x/y/z position columns, gathered with ``take``: it keeps
+the candidates within ``distance <= radius`` (the scan's own
+``sqrt((dx²+dy²)+dz²)`` arithmetic, so neighbour sets and RF observations
+stay bit-identical) and drops the rest with ``compress``.  Each row is put in
+ascending order by one sort of the int64 key ``row * N + candidate`` — no
+Python loop over points.  Rows are built on demand: a sweep packs only the
+tags its event table observed, a small fraction of a dense hall.  The grid
+serves static layouts (built once per sweep); moving tags use the reader's
+dense per-event filter.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ..rf.geometry import euclidean_distances
 
 _ROW_CHUNK = 128
 """Rows packed per pass.  A dense hall offers ~200 candidates per row, so a
@@ -32,7 +35,7 @@ def _expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, n
     """``(range_index, value)`` of the concatenated ``arange(start, start + size)``."""
     range_index = np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
     first_entry = np.cumsum(sizes) - sizes
-    return range_index, (starts - first_entry)[range_index] + np.arange(range_index.size)
+    return range_index, np.repeat(starts - first_entry, sizes) + np.arange(range_index.size)
 
 
 class NeighborGrid:
@@ -54,6 +57,7 @@ class NeighborGrid:
         if not np.isfinite(self._positions).all():
             raise ValueError("positions must be finite")
         self._radius = float(radius)
+        self._columns = tuple(np.ascontiguousarray(self._positions[:, k]) for k in range(3))
         # Cells a hair wider than the radius: a pair whose rounded distance
         # is <= radius may be a few ulps farther apart exactly, and the
         # division below rounds too.  While |cell| < 2**31 both errors stay
@@ -73,10 +77,10 @@ class NeighborGrid:
         self._codes = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
         self._order = np.argsort(self._codes, kind="stable")
         self._sorted_codes = self._codes[self._order]
+        # The z-cells of one (x, y) column have consecutive codes, so the 27
+        # neighbouring cells are 9 code ranges [centre - 1, centre + 1].
         step = np.arange(-1, 2, dtype=np.int64)
-        self._cell_deltas = (
-            (step[:, None, None] * spans[1] + step[:, None]) * spans[2] + step
-        ).reshape(-1)
+        self._column_deltas = ((step[:, None] * spans[1] + step) * spans[2]).reshape(-1)
         self._neighbor_cache: dict[int, np.ndarray] = {}
         self._packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -114,24 +118,31 @@ class NeighborGrid:
             return self._packed
         rows = np.arange(len(self)) if every_row else np.asarray(rows, dtype=np.intp)
         counts, flat = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        x, y, z = self._columns
         for start in range(0, rows.size, _ROW_CHUNK):
             chunk = rows[start : start + _ROW_CHUNK]
-            # Each row's candidates: the slots of its 27 surrounding cells in
-            # the sorted code array.
-            cells = (self._codes[chunk][:, None] + self._cell_deltas).reshape(-1)
-            first = np.searchsorted(self._sorted_codes, cells, side="left")
-            sizes = np.searchsorted(self._sorted_codes, cells, side="right") - first
-            cell_index, slots = _expand_ranges(first, sizes)
-            owners = cell_index // self._cell_deltas.size
-            candidates = self._order[slots]
-            queries = chunk[owners]
-            within = (candidates != queries) & (
-                euclidean_distances(self._positions[queries], self._positions[candidates])
-                <= self._radius
+            # Each row's candidates: the slots of its 9 surrounding (x, y)
+            # columns, three z-cells each, in the sorted code array.
+            centres = (self._codes.take(chunk)[:, None] + self._column_deltas).reshape(-1)
+            first = np.searchsorted(self._sorted_codes, centres - 1, side="left")
+            sizes = np.searchsorted(self._sorted_codes, centres + 1, side="right") - first
+            range_index, slots = _expand_ranges(first, sizes)
+            owners = range_index // self._column_deltas.size
+            candidates = self._order.take(slots)
+            queries = chunk.take(owners)
+            dx = x.take(queries) - x.take(candidates)
+            dy = y.take(queries) - y.take(candidates)
+            dz = z.take(queries) - z.take(candidates)
+            within = (np.sqrt((dx * dx + dy * dy) + dz * dz) <= self._radius) & (
+                candidates != queries
             )
-            candidates, owners = candidates[within], owners[within]
-            # Owners arrive grouped row by row; order each row ascending.
-            flat.append(candidates[np.lexsort((candidates, owners))])
+            candidates, owners = candidates.compress(within), owners.compress(within)
+            # Owners arrive grouped row by row; one sort of the row-major key
+            # orders each row ascending and leaves the grouping as it is.
+            base = owners * len(self)
+            key = base + candidates
+            key.sort()
+            flat.append(key - base)
             counts.append(np.bincount(owners, minlength=chunk.size))
         counts, flat = np.concatenate(counts).astype(np.intp), np.concatenate(flat)
         offsets = np.cumsum(counts) - counts
@@ -151,5 +162,7 @@ class NeighborGrid:
         tag_indices = np.asarray(tag_indices, dtype=np.intp)
         rows, row_of_event = np.unique(tag_indices, return_inverse=True)
         counts, offsets, flat = self.packed_neighbors(rows)
-        event_index, pairs = _expand_ranges(offsets[row_of_event], counts[row_of_event])
-        return event_index, flat[pairs]
+        event_index, pairs = _expand_ranges(
+            offsets.take(row_of_event), counts.take(row_of_event)
+        )
+        return event_index, flat.take(pairs)

@@ -880,14 +880,14 @@ class RFIDReader:
 
         extra_positions = extra_index = None
         if setup.base_positions is not None:
-            event_tag_positions = setup.base_positions[tag_indices]
+            event_tag_positions = setup.base_positions.take(tag_indices, axis=0)
             if setup.coupling_on and setup.grid is not None:
                 event_index, flat_neighbors = setup.grid.neighbors_for_events(
                     tag_indices
                 )
                 if event_index.size:
                     extra_index = event_index
-                    extra_positions = setup.base_positions[flat_neighbors]
+                    extra_positions = setup.base_positions.take(flat_neighbors, axis=0)
         elif not setup.coupling_on:
             event_ids = [setup.ids[i] for i in tag_indices]
             paired = getattr(setup.provider, "positions_paired", None)

@@ -31,7 +31,7 @@ from repro.rf.geometry import Point3D, euclidean_distances
 from repro.rf.multipath import Reflector
 from repro.rf.noise import NoiseModel
 from repro.rf.phase_model import wrap_phase
-from repro.rfid.coupling import NeighborGrid
+from repro.rfid.coupling import _ROW_CHUNK, NeighborGrid
 from repro.rfid.reading import ReadLog, TagRead
 from repro.rfid.tag import make_tags
 from repro.scenarios import showcase_registry
@@ -191,13 +191,17 @@ def grid_layouts(draw, max_points: int = 40):
     negative ones included) with arbitrary values; some points duplicate an
     earlier one and some sit exactly one radius from an earlier one along
     an axis.  ``rows`` and ``events`` index the points with repeats, in no
-    particular order.
+    particular order.  About half the layouts are planar, as the dense hall
+    is: one shared coordinate (on any axis) and a lattice in the other two,
+    queried half the time by more rows than one packing pass takes.
     """
     radius = draw(st.sampled_from([0.05, 0.1, 0.15, 0.3, 1.0]))
     coordinate = st.one_of(
         st.integers(-4, 4).map(lambda k: k * radius),
         st.floats(-1.0, 1.0, allow_nan=False),
     )
+    if draw(st.booleans()):
+        return draw(planar_layouts(radius, coordinate, max_points))
     points: list[list[float]] = []
     for _ in range(draw(st.integers(0, max_points))):
         kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "at_radius"]))
@@ -212,6 +216,27 @@ def grid_layouts(draw, max_points: int = 40):
     index = st.integers(0, max(len(points) - 1, 0))
     indices = st.lists(index, max_size=3 * len(points)) if points else st.just([])
     return positions, radius, draw(indices), draw(indices)
+
+
+@st.composite
+def planar_layouts(draw, radius: float, coordinate, max_points: int):
+    """A planar branch of :func:`grid_layouts`: lattice points in one plane."""
+    axis = draw(st.integers(0, 2))
+    level = draw(coordinate)
+    spacing = draw(st.sampled_from([0.01, 0.03, radius / 3, radius / 2, radius]))
+    lattice = st.integers(-6, 6).map(lambda k: k * spacing)
+    points = []
+    for _ in range(draw(st.integers(0, max_points))):
+        point = [draw(lattice), draw(lattice)]
+        point.insert(axis, level)
+        points.append(point)
+    positions = np.array(points, dtype=float).reshape(-1, 3)
+    if not points:
+        return positions, radius, [], []
+    index = st.integers(0, len(points) - 1)
+    row_count = draw(st.sampled_from([0, _ROW_CHUNK + 1]))
+    rows = draw(st.lists(index, min_size=row_count, max_size=row_count + 2 * _ROW_CHUNK))
+    return positions, radius, rows, draw(st.lists(index, max_size=len(points)))
 
 
 class TestNeighborGridOracle:
@@ -260,6 +285,20 @@ class TestNeighborGridOracle:
         rows = rng.permutation(np.tile(np.arange(300), 2)).tolist()
         self.check_against_oracle(positions, 0.15, rows, rows[::-1])
 
+    @pytest.mark.parametrize("axis", [2, 0, 1])
+    def test_planar_lattice_rows_spanning_several_chunks(self, axis):
+        # The dense hall's shape: a 3 cm lattice in one plane (z shared, as
+        # in the hall, or x or y), points in shuffled order, queried by more
+        # rows than one packing pass takes, repeated and shuffled.
+        rng = np.random.default_rng(11)
+        steps = np.arange(-10, 10) * 0.03
+        u, v = np.meshgrid(steps, steps, indexing="ij")
+        plane = np.column_stack([u.ravel(), v.ravel()])
+        positions = np.insert(plane, axis, 0.9, axis=1)[rng.permutation(len(plane))]
+        rows = rng.permutation(np.tile(np.arange(len(positions)), 2))[:300].tolist()
+        assert len(rows) > _ROW_CHUNK
+        self.check_against_oracle(positions, 0.15, rows, rows[::-1])
+
     def test_far_outlier_codes_do_not_alias(self):
         # A 1 km outlier at a 1 mm radius spans ~10^18 cells: still inside
         # int64 cell codes, and the padding keeps neighbour codes distinct.
@@ -302,6 +341,14 @@ class TestDenseHallCouplingPin:
 
     Every one of the 400 tags has coupling neighbours within the radius, so
     a change to the neighbour grid's sets or order moves these digests.
+
+    The pin holds only under numpy's AVX-512 dispatch, as does the full
+    hall's ``DENSE_DIGEST`` (``tests/test_dense_digest.py``): float64
+    ``np.exp``, ``np.log``, ``np.log10`` and ``np.arctan2``/``np.angle`` give
+    other bits under the AVX2 kernels, and they feed RSSI and the multipath
+    phase perturbation (``sin``, ``cos``, ``sqrt`` and ``mod`` do not
+    change).  The third such pin is the leaderboard's ``MATRIX_DIGEST``
+    (``tests/test_matrix_digest.py``), through BackPos and Landmarc ties.
     """
 
     LOG_DIGEST = "b056a3d9d0dbb96b212046a2826ede7b9e49a7c85d39a4fb7679889312fbedf5"
