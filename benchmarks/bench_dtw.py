@@ -8,9 +8,8 @@ fleet of simulated tag profiles:
   tag.  This is the *before* baseline.
 * ``vectorized``   — the anti-diagonal NumPy kernel, run per tag.
 * ``batched``      — the same kernel sweeping whole chunks of cost matrices
-  at once through ``accumulate_cost_batch``; the batch aligners behind
-  ``BatchLocalizer`` use the same chunked sweep (streaming each chunk's
-  results instead of materialising every cost matrix).
+  at once and backtracking each chunk as it completes (``_backtracked_batch``,
+  the chunked sweep behind the batch aligners ``BatchLocalizer`` uses).
 
 Results (plus the end-to-end batched localization time) are written to
 ``BENCH_dtw.json`` so the performance trajectory is tracked PR over PR.
@@ -39,11 +38,9 @@ from oracles.dtw import accumulate_python
 from repro.bench.store import record_run
 from repro.core.dtw import (
     MAX_BATCH_CELLS,
-    _backtrack,
+    _backtracked_batch,
     _result_from_cost,
-    _weighted_matrix,
     accumulate_cost,
-    accumulate_cost_batch,
 )
 from repro.core.localizer import BatchLocalizer, STPPConfig
 from repro.core.phase_profile import ProfileSet
@@ -96,7 +93,7 @@ def build_weighted_matrices(profiles: ProfileSet, window_size: int = 5):
         segments = segment_profile(profile, window_size)
         distance = segment_distance_matrix(ref_segments, segments)
         weights = segment_duration_weights(ref_segments, segments)
-        weighted.append(_weighted_matrix(distance, weights))
+        weighted.append(np.ascontiguousarray(distance * weights, dtype=float))
     return weighted
 
 
@@ -130,17 +127,16 @@ def main() -> None:
 
     def run_python_loop():
         for matrix in weighted:
-            cost = accumulate_python(matrix, None, True)
-            _result_from_cost(cost, subsequence=True)
+            _result_from_cost(accumulate_python(matrix, None, True))
 
     def run_vectorized():
         for matrix in weighted:
-            cost = accumulate_cost(matrix, None, True)
-            _result_from_cost(cost, subsequence=True)
+            _result_from_cost(accumulate_cost(matrix))
+
+    shapes = [matrix.shape for matrix in weighted]
 
     def run_batched():
-        for cost in accumulate_cost_batch(weighted, free_query_start=True):
-            _result_from_cost(cost, subsequence=True)
+        _backtracked_batch(shapes, weighted.__getitem__)
 
     print("timing the per-tag pure-Python loop (seed baseline) ...")
     python_s = time_call(run_python_loop, repeats=args.repeats)

@@ -18,7 +18,7 @@ filter.  The ``dense_hall_10k`` showcase is timed through the fused engine
 alone: the oracle's per-read population scan would take hours there.
 
 Baseline caveat: the scalar oracle shares the batched kernels (one
-``observe_batch`` call per read), which makes it ~2x slower than the pure
+``sweep_physics`` + ``observe_scheduled`` pass per read), which makes it ~2x slower than the pure
 scalar arithmetic the pre-batching engine used — so the speedup overstates
 the win over that engine by about that factor.
 
@@ -183,7 +183,7 @@ def main() -> None:
         # Headline field: the static scene's fused-vs-oracle ratio.
         "speedup_fused_vs_scalar": static["speedup_fused_vs_scalar"],
         "baseline_note": (
-            "scalar = the test oracle (one observe_batch call per read); it is "
+            "scalar = the test oracle (one batched-kernel pass per read); it is "
             "~2x slower than the pre-batching pure-scalar engine, so the "
             "speedup overstates the win over that engine by roughly that factor."
         ),

@@ -120,14 +120,6 @@ class BenchHistory:
                     raise HistoryError(f"{self.path}:{line_number}: {exc}") from exc
         return records
 
-    def rows_for(self, source: str, metric: str | None = None) -> list[BenchRecord]:
-        """The rows of one harness (optionally one metric), in append order."""
-        return [
-            record
-            for record in self.read()
-            if record.source == source and (metric is None or record.metric == metric)
-        ]
-
 
 def flatten_metrics(tree: Mapping[str, Any], prefix: str = "") -> dict[str, float]:
     """Flatten a nested mapping into dotted ``metric → float`` pairs.

@@ -1,4 +1,4 @@
-"""Dynamic Time Warping: classic, subsequence, segmented, and batched variants.
+"""Segmented subsequence DTW: V-zone location, batched and resumable.
 
 STPP matches a *reference* phase profile (computed from nominal geometry)
 against the *measured* profile of each tag to locate the V-zone (paper
@@ -7,21 +7,16 @@ stretched and compressed; DTW absorbs those warps.  The paper's efficiency
 optimisation (§3.1.2) runs DTW on the coarse segment representation instead of
 raw samples, with a range-gap distance and a duration-weighted cost.
 
-Two alignment modes are provided:
+Every alignment is a **subsequence** alignment: the start and end of the
+*measured* side are free, i.e. it finds the measured subrange that best
+matches the whole reference, because a measured profile usually contains
+more periods than the 4-period reference.
 
-* **full** alignment maps the entire reference onto the entire measured
-  profile (the textbook DTW recurrence);
-* **subsequence** alignment leaves the start and end of the *measured* side
-  free, i.e. it finds the measured subrange that best matches the whole
-  reference.  This is the mode V-zone detection uses, because a measured
-  profile usually contains more periods than the 4-period reference.
-
-All variants share one accumulated-cost kernel, :func:`accumulate_cost`,
-which evaluates the DTW recurrence along anti-diagonals so NumPy can process
-a whole diagonal per step instead of one cell per step.  The batched kernel
-:func:`accumulate_cost_batch` stacks many (padded) distance matrices and runs
-the same diagonal sweep across all of them at once; this is what lets the
-localization engine align every tag of a sweep in one pass.
+All aligners share one accumulated-cost kernel, :func:`_accumulate_stack`,
+which evaluates the DTW recurrence along anti-diagonals across a stack of
+(padded) cost matrices at once, so NumPy processes a whole diagonal of a
+whole chunk per step; this is what lets the localization engine align every
+tag of a sweep in one pass.
 
 Streaming alignment goes through the same sweep.  A
 :class:`ResumableSegmentAligner` holds one tag's cached accumulation prefix,
@@ -153,15 +148,13 @@ class DTWResult:
         return min(matched), max(matched)
 
 
-def _backtrack(
-    cost: np.ndarray, start_col: int | None = None
-) -> tuple[tuple[int, int], ...]:
+def _backtrack(cost: np.ndarray, end_col: int) -> tuple[tuple[int, int], ...]:
     """Backtrack the optimal path through an accumulated cost matrix.
 
-    ``start_col`` selects the ending column (used by subsequence DTW); when
-    None the path ends at the bottom-right corner.  Degenerate matrices are
-    handled naturally: a 1×N matrix yields a purely horizontal path (or a
-    single cell under a free start) and an N×1 matrix a purely vertical one.
+    The path ends at ``end_col`` of the last reference row and, the query
+    start being free, stops as soon as it reaches the first reference row.
+    Degenerate matrices are handled naturally: a 1×N matrix yields a single
+    cell and an N×1 matrix a purely vertical path.
 
     The walk reads only the cells it visits, as plain Python floats through a
     flat memoryview of the matrix.  A C-contiguous matrix is viewed as is; any
@@ -175,14 +168,10 @@ def _backtrack(
     rows, cols = cost.shape
     flat = memoryview(np.ascontiguousarray(cost).reshape(-1))
     i = rows - 1
-    j = cols - 1 if start_col is None else start_col
+    j = end_col
     path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            if start_col is not None:
-                break  # free start: stop as soon as the first reference row is reached
-            j -= 1
-        elif j == 0:
+    while i > 0:
+        if j == 0:
             i -= 1
         else:
             cell = i * cols + j
@@ -202,17 +191,15 @@ def _backtrack(
 
 
 def _accumulate_stack(
-    stack: np.ndarray,
-    free_query_start: bool,
-    first_column: np.ndarray | None = None,
+    stack: np.ndarray, first_column: np.ndarray | None = None
 ) -> np.ndarray:
     """Run the DTW recurrence over a ``(rows, cols, batch)`` weighted stack.
 
+    The query start is free, so the first row is the stack's own first row.
     ``first_column`` (``(rows, batch)``), when given, is the already
     accumulated cost of column 0 — a resumed alignment's last cached column —
     and the sweep continues from it; by default column 0 is accumulated from
-    the stack like every other column.  Only subsequence alignments resume,
-    so a fixed-start first row never has to continue from a seed.
+    the stack like every other column.
 
     The recurrence's row-major data dependency is broken by sweeping
     anti-diagonals: every cell on diagonal ``d = i + j`` depends only on
@@ -231,13 +218,10 @@ def _accumulate_stack(
     rows, cols, batch = stack.shape
     cost = np.empty_like(stack)
     if first_column is None:
-        # cost[i, 0] = cost[i-1, 0] + w[i, 0]; cost[0, 0] = w[0, 0] in both
-        # modes, so the running sum covers it.
+        # cost[i, 0] = cost[i-1, 0] + w[i, 0]; cost[0, 0] = w[0, 0], so the
+        # running sum covers it.
         first_column = np.add.accumulate(stack[:, 0], axis=0)
-    if free_query_start:
-        cost[0] = stack[0]
-    else:
-        cost[0] = np.add.accumulate(stack[0], axis=0)
+    cost[0] = stack[0]
     cost[:, 0] = first_column
     if rows == 1 or cols == 1:
         return cost
@@ -263,25 +247,17 @@ def _accumulate_stack(
     return cost
 
 
-def _weighted_matrix(distance: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    weighted = distance if weights is None else distance * weights
-    return np.ascontiguousarray(weighted, dtype=float)
-
-
 def accumulate_cost(
-    distance: np.ndarray,
-    weights: np.ndarray | None = None,
-    free_query_start: bool = False,
+    distance: np.ndarray, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Accumulated cost matrix for (optionally weighted) DTW, vectorized.
+    """Accumulated cost matrix of one (optionally weighted) alignment.
 
-    The single shared kernel behind :func:`dtw_align`,
-    :func:`subsequence_dtw`, and :func:`segmented_dtw_align`.  Produces the
-    same matrix as the seed's pure-Python double loop, evaluated along
-    anti-diagonals.
+    :func:`_accumulate_stack` on a batch of one.  Produces the same matrix as
+    the seed's pure-Python double loop, evaluated along anti-diagonals.
     """
-    weighted = _weighted_matrix(distance, weights)
-    return _accumulate_stack(weighted[:, :, None], free_query_start)[:, :, 0]
+    weighted = distance if weights is None else distance * weights
+    weighted = np.ascontiguousarray(weighted, dtype=float)
+    return _accumulate_stack(weighted[:, :, None])[:, :, 0]
 
 
 def _plan_chunks(
@@ -314,7 +290,6 @@ def _accumulate_chunk(
     chunk: list[int],
     shapes: list[tuple[int, int]],
     make_weighted,
-    free_query_start: bool,
     seeds: "list[np.ndarray | None] | None" = None,
 ) -> np.ndarray:
     """Stack one chunk's weighted matrices (zero-padded) and accumulate it.
@@ -337,44 +312,12 @@ def _accumulate_chunk(
         for slot, k in enumerate(chunk):
             if seeds[k] is not None:
                 first_column[: shapes[k][0], slot] = seeds[k]
-    return _accumulate_stack(stack, free_query_start, first_column)
-
-
-def accumulate_cost_batch(
-    weighted: list[np.ndarray],
-    free_query_start: bool = False,
-    max_cells: int = MAX_BATCH_CELLS,
-) -> list[np.ndarray]:
-    """Accumulate many weighted distance matrices in batched diagonal sweeps.
-
-    Matrices of different shapes are zero-padded to a common shape and swept
-    together, at most ``max_cells`` padded cells per chunk (a cache-residency
-    knob, see :data:`MAX_BATCH_CELLS`).  Returns the accumulated cost matrix
-    of each input, in input order, each identical to what
-    :func:`accumulate_cost` would produce on its own.
-
-    Note that the *returned* matrices dominate memory here — all of them are
-    materialised.  The batch aligners (:func:`subsequence_dtw_batch`,
-    :func:`segmented_dtw_align_batch`) avoid that by backtracking each chunk
-    as soon as it is accumulated and discarding its cost matrices.
-    """
-    shapes = [m.shape for m in weighted]
-    results: list[np.ndarray | None] = [None] * len(weighted)
-    for chunk in _plan_chunks(shapes, max_cells):
-        cost = _accumulate_chunk(
-            chunk, shapes, lambda k: weighted[k], free_query_start
-        )
-        for slot, k in enumerate(chunk):
-            r, c = shapes[k]
-            results[k] = np.ascontiguousarray(cost[:r, :c, slot])
-    return results  # type: ignore[return-value]
+    return _accumulate_stack(stack, first_column)
 
 
 def _backtracked_batch(
     shapes: list[tuple[int, int]],
     make_weighted,
-    free_query_start: bool,
-    subsequence: bool,
     max_cells: int = MAX_BATCH_CELLS,
 ) -> list[DTWResult]:
     """Accumulate-and-backtrack many alignments, one padded chunk at a time.
@@ -385,24 +328,18 @@ def _backtracked_batch(
     """
     results: list[DTWResult | None] = [None] * len(shapes)
     for chunk in _plan_chunks(shapes, max_cells):
-        cost = _accumulate_chunk(chunk, shapes, make_weighted, free_query_start)
+        cost = _accumulate_chunk(chunk, shapes, make_weighted)
         for slot, k in enumerate(chunk):
             r, c = shapes[k]
-            results[k] = _result_from_cost(
-                np.ascontiguousarray(cost[:r, :c, slot]), subsequence
-            )
+            results[k] = _result_from_cost(np.ascontiguousarray(cost[:r, :c, slot]))
     return results  # type: ignore[return-value]
 
 
-def _result_from_cost(cost: np.ndarray, subsequence: bool) -> DTWResult:
-    """Backtrack ``cost`` and package the alignment as a :class:`DTWResult`."""
-    if subsequence:
-        end_col = int(np.argmin(cost[-1]))
-        path = _backtrack(cost, start_col=end_col)
-        total = float(cost[-1, end_col])
-    else:
-        path = _backtrack(cost)
-        total = float(cost[-1, -1])
+def _result_from_cost(cost: np.ndarray) -> DTWResult:
+    """Backtrack ``cost`` from the cheapest end column of the last row."""
+    end_col = int(np.argmin(cost[-1]))
+    path = _backtrack(cost, end_col)
+    total = float(cost[-1, end_col])
     return DTWResult(
         cost=total,
         path=path,
@@ -418,19 +355,6 @@ def _as_nonempty_sequence(values: np.ndarray, label: str) -> np.ndarray:
     return array
 
 
-def dtw_align(reference: np.ndarray, query: np.ndarray) -> DTWResult:
-    """Full DTW alignment of two 1-D value sequences (paper §3.1.1).
-
-    The element distance is the absolute difference of values, matching the
-    Euclidean distance the paper uses on scalar phase samples.
-    """
-    reference = _as_nonempty_sequence(reference, "reference")
-    query = _as_nonempty_sequence(query, "query")
-    distance = np.abs(reference[:, None] - query[None, :])
-    cost = accumulate_cost(distance, weights=None, free_query_start=False)
-    return _result_from_cost(cost, subsequence=False)
-
-
 def subsequence_dtw(reference: np.ndarray, query: np.ndarray) -> DTWResult:
     """Match the whole ``reference`` to the best subrange of ``query``.
 
@@ -440,8 +364,7 @@ def subsequence_dtw(reference: np.ndarray, query: np.ndarray) -> DTWResult:
     reference = _as_nonempty_sequence(reference, "reference")
     query = _as_nonempty_sequence(query, "query")
     distance = np.abs(reference[:, None] - query[None, :])
-    cost = accumulate_cost(distance, weights=None, free_query_start=True)
-    return _result_from_cost(cost, subsequence=True)
+    return _result_from_cost(accumulate_cost(distance))
 
 
 def subsequence_dtw_batch(
@@ -460,36 +383,30 @@ def subsequence_dtw_batch(
     return _backtracked_batch(
         shapes,
         lambda k: np.abs(reference[:, None] - cleaned[k][None, :]),
-        free_query_start=True,
-        subsequence=True,
     )
 
 
 def segmented_dtw_align(
-    reference_segments: list[Segment],
-    query_segments: list[Segment],
-    subsequence: bool = True,
+    reference_segments: list[Segment], query_segments: list[Segment]
 ) -> DTWResult:
     """Segmented DTW (paper §3.1.2) between two segmentations.
 
     The per-cell distance is the gap between segment phase ranges; the cost of
     matching two segments is that distance weighted by the shorter of the two
-    segment durations — both exactly as defined in the paper.  With
-    ``subsequence=True`` the query's start and end are free, which is how the
-    V-zone of a short reference is located inside a long measured profile.
+    segment durations — both exactly as defined in the paper.  The query's
+    start and end are free, which is how the V-zone of a short reference is
+    located inside a long measured profile.
     """
     if not reference_segments or not query_segments:
         raise ValueError("both segmentations must be non-empty")
     distance = segment_distance_matrix(reference_segments, query_segments)
     weights = segment_duration_weights(reference_segments, query_segments)
-    cost = accumulate_cost(distance, weights=weights, free_query_start=subsequence)
-    return _result_from_cost(cost, subsequence=subsequence)
+    return _result_from_cost(accumulate_cost(distance, weights))
 
 
 def segmented_dtw_align_batch(
     reference_segments: "list[Segment] | SegmentArrays",
     query_segmentations: "list[list[Segment] | SegmentArrays]",
-    subsequence: bool = True,
 ) -> list[DTWResult]:
     """Segmented DTW of one reference segmentation against many queries.
 
@@ -521,9 +438,7 @@ def segmented_dtw_align_batch(
         distance = range_gap_matrix(ref_min, ref_max, q_min, q_max)
         return distance * duration_weight_matrix(ref_durations, q_durations)
 
-    return _backtracked_batch(
-        shapes, make_weighted, free_query_start=subsequence, subsequence=subsequence
-    )
+    return _backtracked_batch(shapes, make_weighted)
 
 
 class ResumableSegmentAligner:
@@ -563,11 +478,6 @@ class ResumableSegmentAligner:
         self._rows = len(reference.mins)
         self._cost = np.empty((self._rows, 8), dtype=float)
         self._cached_cols = 0
-
-    @property
-    def cached_columns(self) -> int:
-        """Number of stable query columns whose accumulation is cached."""
-        return self._cached_cols
 
     def reset(self) -> None:
         """Drop the cached prefix (used when a tag's stream is rebuilt)."""
@@ -681,7 +591,7 @@ def align_resumable_batch(
         return aligner._weighted(segments[starts[k] : columns])
 
     for chunk in _plan_chunks(shapes, MAX_BATCH_CELLS):
-        cost = _accumulate_chunk(chunk, shapes, make_weighted, True, seeds)
+        cost = _accumulate_chunk(chunk, shapes, make_weighted, seeds)
         for slot, k in enumerate(chunk):
             aligner, _, columns, _ = growing[k]
             rows, width = shapes[k]
@@ -692,23 +602,6 @@ def align_resumable_batch(
     for aligner, _, columns, stable in lanes:
         aligner._cached_cols = stable
         results.append(
-            _result_from_cost(aligner._cost[:, :columns], subsequence=True)
+            _result_from_cost(aligner._cost[:, :columns])
         )
     return results
-
-
-def warp_query_to_reference(result: DTWResult, query_values: np.ndarray) -> np.ndarray:
-    """Re-sample ``query_values`` onto the reference index axis along the path.
-
-    For each reference index the matched query values are averaged; used to
-    visualise the "after warping" alignment of Figure 7.
-    """
-    query_values = np.asarray(query_values, dtype=float)
-    ref_length = max(r for r, _ in result.path) + 1
-    sums = np.zeros(ref_length, dtype=float)
-    counts = np.zeros(ref_length, dtype=float)
-    for ref_index, query_index in result.path:
-        sums[ref_index] += query_values[query_index]
-        counts[ref_index] += 1.0
-    counts[counts == 0] = 1.0
-    return sums / counts

@@ -65,24 +65,6 @@ class QuadraticFit:
         """True when the data supported a V-shaped fit."""
         return self.failure is None
 
-    def evaluate(self, times_s: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted parabola at ``times_s``."""
-        times = np.asarray(times_s, dtype=float)
-        return self.curvature * (times - self.bottom_time_s) ** 2 + self.bottom_phase_rad
-
-    def depth_at(self, offset_s: float) -> float:
-        """Fitted phase rise ``a·offset²`` at ``offset_s`` away from the bottom."""
-        return self.curvature * offset_s * offset_s
-
-    def vzone_halfwidth_s(self) -> float:
-        """Half-width of the V-zone implied by the fit (phase rise of 2π).
-
-        Returns ``inf`` for non-positive curvature.
-        """
-        if self.curvature <= 0:
-            return float("inf")
-        return float(np.sqrt(TWO_PI / self.curvature))
-
 
 @dataclass(frozen=True, slots=True)
 class WindowFits:

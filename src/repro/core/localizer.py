@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .ordering_x import order_tags_x
 from .ordering_y import YOrderingConfig, order_tags_y
@@ -97,7 +97,21 @@ class STPPConfig:
 
 @dataclass
 class STPPLocalizer:
-    """Relative localization of RFID tags from their phase profiles."""
+    """Relative localization of RFID tags from their phase profiles.
+
+    One call localizes every tag of a sweep:
+
+    * V-zone detection aligns **all** tags at once through the batch
+      aligners (``core.dtw.segmented_dtw_align_batch`` /
+      ``subsequence_dtw_batch``), which sweep whole padded chunks of cost
+      matrices per NumPy step instead of a per-tag Python loop;
+    * the reference profile comes from the process-wide cache
+      (:func:`~repro.core.reference.shared_canonical_reference`), and its
+      segmentation is derived once and reused across every call, so one
+      engine serves a stream of sweeps.
+
+    The detections are bit-identical to detecting each tag on its own.
+    """
 
     config: STPPConfig = field(default_factory=STPPConfig)
     reference: ReferenceProfile | None = None
@@ -181,22 +195,6 @@ class STPPLocalizer:
             },
         )
 
-    def order_x(
-        self,
-        profiles: "ProfileSet | Mapping[str, PhaseProfile]",
-        expected_tag_ids: "list[str] | None" = None,
-    ):
-        """Convenience wrapper returning only the X-axis ordering."""
-        return self.localize(profiles, expected_tag_ids).x_ordering
-
-    def order_y(
-        self,
-        profiles: "ProfileSet | Mapping[str, PhaseProfile]",
-        expected_tag_ids: "list[str] | None" = None,
-    ):
-        """Convenience wrapper returning only the Y-axis ordering."""
-        return self.localize(profiles, expected_tag_ids).y_ordering
-
     @staticmethod
     def _as_mapping(
         profiles: "ProfileSet | Mapping[str, PhaseProfile]",
@@ -206,64 +204,5 @@ class STPPLocalizer:
         return dict(profiles)
 
 
-@dataclass
-class BatchLocalizer(STPPLocalizer):
-    """The batched localization engine: many tags (and many sweeps) per call.
-
-    Where :class:`STPPLocalizer` is the paper-shaped pipeline object, a
-    ``BatchLocalizer`` is the serving-oriented entry point the evaluation
-    harness, the baselines adapter, and the workload scenarios go through:
-
-    * V-zone detection for **all** tags of a sweep runs through the batch
-      aligners (``core.dtw.segmented_dtw_align_batch`` /
-      ``subsequence_dtw_batch``), which sweep whole padded chunks of cost
-      matrices per NumPy step instead of a per-tag Python loop;
-    * the reference profile comes from the process-wide cache
-      (:func:`~repro.core.reference.shared_canonical_reference`), and its
-      segmentation is derived once and reused across every call;
-    * :meth:`localize_many` amortises both across a stream of sweeps, e.g.
-      one per conveyor batch in the airport workload.
-
-    Results are identical to the sequential per-tag path — the vectorized
-    kernel matches the seed implementation bit for bit — so swapping one in
-    never changes orderings, only latency.
-    """
-
-    def localize_many(
-        self,
-        profile_sets: "Iterable[ProfileSet | Mapping[str, PhaseProfile]]",
-        expected_tag_ids: "list[list[str] | None] | None" = None,
-        pivot_tag_ids: "list[str | None] | None" = None,
-    ) -> list[LocalizationResult]:
-        """Localize several independent sweeps with one shared engine.
-
-        Parameters
-        ----------
-        profile_sets:
-            One profile collection per sweep (e.g. per conveyor batch).
-        expected_tag_ids:
-            Optional per-sweep tag populations, aligned with ``profile_sets``.
-        pivot_tag_ids:
-            Optional per-sweep Y-comparison pivots, aligned likewise.
-        """
-        profile_sets = list(profile_sets)
-        if expected_tag_ids is not None and len(expected_tag_ids) != len(profile_sets):
-            raise ValueError(
-                "expected_tag_ids must have one entry per profile set "
-                f"({len(expected_tag_ids)} != {len(profile_sets)})"
-            )
-        if pivot_tag_ids is not None and len(pivot_tag_ids) != len(profile_sets):
-            raise ValueError(
-                "pivot_tag_ids must have one entry per profile set "
-                f"({len(pivot_tag_ids)} != {len(profile_sets)})"
-            )
-        results: list[LocalizationResult] = []
-        for index, profiles in enumerate(profile_sets):
-            results.append(
-                self.localize(
-                    profiles,
-                    expected_tag_ids=None if expected_tag_ids is None else expected_tag_ids[index],
-                    pivot_tag_id=None if pivot_tag_ids is None else pivot_tag_ids[index],
-                )
-            )
-        return results
+# perfbench/fleet.py and the docs know the engine by this name.
+BatchLocalizer = STPPLocalizer

@@ -54,18 +54,5 @@ def order_tags_x(
     )
 
 
-def bottom_time_gaps(ordering: AxisOrdering) -> dict[tuple[str, str], float]:
-    """Time gaps between consecutive tags' V-zone bottoms.
-
-    The paper notes the gap grows with the physical spacing between adjacent
-    tags (Figure 3); exposed for tests and for the spacing experiments.
-    """
-    gaps: dict[tuple[str, str], float] = {}
-    ids = ordering.ordered_ids
-    for left, right in zip(ids[:-1], ids[1:]):
-        gaps[(left, right)] = ordering.scores[right] - ordering.scores[left]
-    return gaps
-
-
 def _is_nan(value: float) -> bool:
     return value != value

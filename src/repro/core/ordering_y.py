@@ -39,30 +39,6 @@ VALUE_MODES = ("depth", "raw", "curvature")
 """Supported ways of summarising a V-zone for Y-axis comparison."""
 
 
-def order_metric(p: CoarseRepresentation, q: CoarseRepresentation) -> float:
-    """The paper's O(P,Q): sums (s_P,i − s_Q,i) / s_P,i over segments.
-
-    Values near ``k`` mean P's segment values dominate Q's; values near 0 mean
-    the opposite.  Requires both representations to share the segment count.
-    """
-    if p.segment_count != q.segment_count:
-        raise ValueError("representations must have the same segment count")
-    p_vals = p.segment_means_rad
-    q_vals = q.segment_means_rad
-    safe_p = np.where(np.abs(p_vals) < 1e-9, 1e-9, p_vals)
-    return float(np.sum((p_vals - q_vals) / safe_p))
-
-
-def gap_metric(p: CoarseRepresentation, q: CoarseRepresentation) -> float:
-    """The paper's G(P,Q): sum of per-segment absolute differences.
-
-    Proportional to the physical spacing between the two tags along Y.
-    """
-    if p.segment_count != q.segment_count:
-        raise ValueError("representations must have the same segment count")
-    return float(np.sum(np.abs(p.segment_means_rad - q.segment_means_rad)))
-
-
 def signed_gap(p: CoarseRepresentation, q: CoarseRepresentation) -> float:
     """Signed version of the gap metric: positive when P's values dominate Q's."""
     if p.segment_count != q.segment_count:
@@ -296,18 +272,3 @@ def _scores_from_representations(
             scores[tag_a] += farther_sign * gap
             scores[tag_b] -= farther_sign * gap
     return scores
-
-
-def pairwise_gaps(
-    representations: Mapping[str, CoarseRepresentation],
-    pivot_tag_id: str,
-) -> dict[str, float]:
-    """G(P,Q) of every tag against the pivot — a relative-distance estimate (§3.2.2)."""
-    if pivot_tag_id not in representations:
-        raise KeyError(f"pivot {pivot_tag_id} has no representation")
-    pivot = representations[pivot_tag_id]
-    return {
-        tag_id: gap_metric(rep, pivot)
-        for tag_id, rep in representations.items()
-        if tag_id != pivot_tag_id
-    }

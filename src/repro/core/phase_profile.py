@@ -81,12 +81,6 @@ class PhaseProfile:
             raise ValueError("empty profile has no end time")
         return float(self.timestamps_s[-1])
 
-    def mean_sample_rate_hz(self) -> float:
-        """Average number of samples per second over the profile's duration."""
-        if len(self) < 2 or self.duration_s == 0.0:
-            return 0.0
-        return (len(self) - 1) / self.duration_s
-
     def slice_time(self, start_s: float, end_s: float) -> "PhaseProfile":
         """Samples with timestamps in ``[start_s, end_s]`` as a new profile.
 
@@ -118,20 +112,6 @@ class PhaseProfile:
             metadata=dict(self.metadata),
         )
 
-    def _masked(self, mask: np.ndarray) -> "PhaseProfile":
-        return PhaseProfile(
-            tag_id=self.tag_id,
-            timestamps_s=self.timestamps_s[mask],
-            phases_rad=self.phases_rad[mask],
-            rssi_dbm=None if self.rssi_dbm is None else self.rssi_dbm[mask],
-            channel_index=self.channel_index,
-            metadata=dict(self.metadata),
-        )
-
-    def unwrapped_phases(self) -> np.ndarray:
-        """The phase sequence unwrapped into a continuous curve."""
-        return np.unwrap(self.phases_rad)
-
     def timestamps_ms(self) -> np.ndarray:
         """Timestamps in milliseconds (matching the paper's figures)."""
         return self.timestamps_s * 1000.0
@@ -147,29 +127,6 @@ class PhaseProfile:
             rssi_dbm=self.rssi_dbm,
             channel_index=self.channel_index,
             metadata=merged,
-        )
-
-    @staticmethod
-    def from_reads(
-        tag_id: str,
-        timestamps_s: "np.ndarray | list[float]",
-        phases_rad: "np.ndarray | list[float]",
-        rssi_dbm: "np.ndarray | list[float] | None" = None,
-        channel_index: int = 6,
-    ) -> "PhaseProfile":
-        """Build a profile from parallel timestamp/phase (and RSSI) sequences."""
-        order = np.argsort(np.asarray(timestamps_s, dtype=float), kind="stable")
-        timestamps = np.asarray(timestamps_s, dtype=float)[order]
-        phases = np.mod(np.asarray(phases_rad, dtype=float), TWO_PI)[order]
-        rssi = None
-        if rssi_dbm is not None:
-            rssi = np.asarray(rssi_dbm, dtype=float)[order]
-        return PhaseProfile(
-            tag_id=tag_id,
-            timestamps_s=timestamps,
-            phases_rad=phases,
-            rssi_dbm=rssi,
-            channel_index=channel_index,
         )
 
 
@@ -271,8 +228,7 @@ def profiles_from_coded_columns(
     Row ``i`` is a read of ``tag_ids[codes[i]]``; every tag has at least one
     row and its phases are already wrapped into [0, 2π).  One stable sort
     groups the rows by tag (first-seen order) and orders each tag's reads by
-    time, ties in arrival order: the order :meth:`PhaseProfile.from_reads`'
-    own stable sort gives each tag's reads.  Each profile is then a slice of
+    time, ties in arrival order.  Each profile is then a slice of
     the sorted columns, with no per-read objects.
     """
     order = np.lexsort((timestamps_s, codes))
@@ -312,11 +268,6 @@ class ProfileSet:
     def tag_ids(self) -> list[str]:
         """All tag ids with a profile, in insertion order."""
         return list(self.profiles)
-
-    def non_empty(self) -> "ProfileSet":
-        """A new set containing only profiles with at least one sample."""
-        kept = {tid: p for tid, p in self.profiles.items() if not p.is_empty}
-        return ProfileSet(kept)
 
     def min_samples(self) -> int:
         """The smallest sample count across profiles (0 when the set is empty)."""

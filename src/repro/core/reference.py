@@ -52,12 +52,6 @@ class ReferenceProfile:
         """Just the V-zone part of the reference profile."""
         return self.profile.slice_index(self.vzone_start_index, self.vzone_end_index)
 
-    @property
-    def vzone_duration_s(self) -> float:
-        """Duration of the V-zone, seconds."""
-        vzone = self.vzone_profile
-        return vzone.duration_s
-
 
 def _vzone_bounds_around(phases: np.ndarray, centre_index: int) -> tuple[int, int]:
     """Find the wrap-free region of ``phases`` containing ``centre_index``.
@@ -246,8 +240,3 @@ def shared_canonical_reference(
         None if wavelength_m is None else float(wavelength_m),
         float(bottom_phase_rad),
     )
-
-
-def clear_reference_cache() -> None:
-    """Drop all cached reference profiles (mainly for tests)."""
-    _cached_canonical_reference.cache_clear()

@@ -23,16 +23,6 @@ class AxisOrdering:
     unordered_ids: tuple[str, ...] = ()
     """Tags that could not be ordered (no usable profile / V-zone)."""
 
-    def position_of(self, tag_id: str) -> int:
-        """Zero-based rank of ``tag_id`` along this axis.
-
-        Raises ``KeyError`` for tags that were not ordered.
-        """
-        try:
-            return self.ordered_ids.index(tag_id)
-        except ValueError as exc:
-            raise KeyError(f"tag {tag_id} was not ordered along {self.axis}") from exc
-
     def __len__(self) -> int:
         return len(self.ordered_ids)
 
@@ -47,15 +37,3 @@ class LocalizationResult:
     """Detected V-zone per tag (only tags with a successful detection)."""
 
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def ordered_tag_count(self) -> int:
-        """Number of tags that received an X-axis rank."""
-        return len(self.x_ordering.ordered_ids)
-
-    def relative_position(self, tag_id: str) -> tuple[int, int]:
-        """(x rank, y rank) of ``tag_id``; raises KeyError if unordered."""
-        return (
-            self.x_ordering.position_of(tag_id),
-            self.y_ordering.position_of(tag_id),
-        )

@@ -56,11 +56,6 @@ class Segment:
         """Time interval ``s^T`` of the segment, in seconds."""
         return self.end_time_s - self.start_time_s
 
-    @property
-    def phase_range_rad(self) -> float:
-        """Height of the segment's phase range."""
-        return self.max_phase_rad - self.min_phase_rad
-
 
 def _phase_jump_indices(phases: np.ndarray, jump_threshold_rad: float) -> np.ndarray:
     """Indices ``i`` such that a 0/2π wrap occurs between samples ``i-1`` and ``i``."""
@@ -339,19 +334,6 @@ class IncrementalSegmenter:
         return [*self._closed, tail]
 
 
-def segment_range_distance(a: Segment, b: Segment) -> float:
-    """Distance between two segments: the gap between their phase ranges.
-
-    This is the paper's ``D_{i,j}``: zero when the ranges overlap, otherwise
-    the distance between the two closest points of the ranges.
-    """
-    if a.min_phase_rad > b.max_phase_rad:
-        return a.min_phase_rad - b.max_phase_rad
-    if b.min_phase_rad > a.max_phase_rad:
-        return b.min_phase_rad - a.max_phase_rad
-    return 0.0
-
-
 def segment_bounds(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
     """The ``(min_phase, max_phase)`` arrays of a segmentation.
 
@@ -378,8 +360,8 @@ def range_gap_matrix(
     """Pairwise range-gap distances (the paper's ``D_{i,j}``), vectorized.
 
     Zero where the two phase ranges overlap, otherwise the distance between
-    the closest points of the ranges — identical to applying
-    :func:`segment_range_distance` to every pair.
+    the closest points of the ranges.  ``tests/oracles/dtw.py`` keeps the
+    pair-at-a-time form.
     """
     gap = np.maximum(
         left_min[:, None] - right_max[None, :],
@@ -396,7 +378,7 @@ def duration_weight_matrix(
 
 
 def segment_distance_matrix(left: list[Segment], right: list[Segment]) -> np.ndarray:
-    """Matrix of :func:`segment_range_distance` values between two segmentations."""
+    """Matrix of range-gap distances (``D_{i,j}``) between two segmentations."""
     left_min, left_max = segment_bounds(left)
     right_min, right_max = segment_bounds(right)
     return range_gap_matrix(left_min, left_max, right_min, right_max)

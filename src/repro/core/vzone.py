@@ -164,8 +164,9 @@ class VZoneDetector:
         """Detect V-zones for many profiles; tags without a detection are omitted.
 
         The DTW strategies align every usable profile against the reference
-        in one batched accumulation
-        (:func:`~repro.core.dtw.accumulate_cost_batch`), and every strategy
+        in one batched alignment
+        (:func:`~repro.core.dtw.segmented_dtw_align_batch` or
+        :func:`~repro.core.dtw.subsequence_dtw_batch`), and every strategy
         fits all the windows in the staged batch of :meth:`_detect_windows`;
         the detections are bit-identical to calling :meth:`detect` per
         profile.
@@ -369,9 +370,7 @@ class VZoneDetector:
             measured_segments = segment_profile(profile, self.window_size)
             if not measured_segments:
                 return None
-            result = segmented_dtw_align(
-                self.reference_segmentation(), measured_segments, subsequence=True
-            )
+            result = segmented_dtw_align(self.reference_segmentation(), measured_segments)
             return self._segmented_window(measured_segments, result)
         if self.method == "full_dtw":
             return self._full_window(
@@ -393,9 +392,7 @@ class VZoneDetector:
         windows: list[_Window | None] = [None] * len(profiles)
         if indices:
             results = segmented_dtw_align_batch(
-                self.reference_segmentation(),
-                [segmentations[k] for k in indices],
-                subsequence=True,
+                self.reference_segmentation(), [segmentations[k] for k in indices]
             )
             for k, result in zip(indices, results):
                 windows[k] = self._segmented_window(segmentations[k], result)

@@ -10,8 +10,8 @@ as data: a seed plus an ordered list of injector descriptions, each a
 Being data, fault profiles compose with the rest of the repository's
 declarative machinery:
 
-* the scenario matrix can expand **degraded variants** of any registered
-  scenario (:meth:`repro.scenarios.registry.ScenarioRegistry.degraded_variants`),
+* any scenario spec has **degraded variants**
+  (:meth:`repro.scenarios.spec.ScenarioSpec.degraded`),
 * the fleet service can arm a portal with a per-portal injector pipeline
   (``FleetService.open_portal(..., fault_spec=...)``),
 * and the robustness benchmark sweeps a fault-rate ladder by constructing

@@ -8,7 +8,6 @@ from .scenarios import (
     SweepScenario,
     TrajectoryAntennaPosition,
     antenna_moving_scenario,
-    equivalent_antenna_motion,
     tag_moving_scenario,
 )
 from .speed_profiles import (
@@ -18,7 +17,7 @@ from .speed_profiles import (
     SpeedProfile,
     jittered_speed_profile,
 )
-from .trajectory import LinearTrajectory, WaypointTrajectory
+from .trajectory import LinearTrajectory
 
 __all__ = [
     "BeltTagPositions",
@@ -32,9 +31,7 @@ __all__ = [
     "StaticTagPositions",
     "SweepScenario",
     "TrajectoryAntennaPosition",
-    "WaypointTrajectory",
     "antenna_moving_scenario",
-    "equivalent_antenna_motion",
     "jittered_speed_profile",
     "tag_moving_scenario",
 ]

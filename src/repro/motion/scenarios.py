@@ -305,28 +305,3 @@ def tag_moving_scenario(
         duration_s=duration_s,
         description="tag moving",
     )
-
-
-def equivalent_antenna_motion(
-    scenario: SweepScenario, reference_tag_id: str
-) -> Callable[[float], Point3D]:
-    """Express a tag-moving scenario as relative antenna motion.
-
-    Returns a callable giving the antenna position *in the moving frame of the
-    tags* (anchored at ``reference_tag_id``'s initial position).  Used by
-    tests to verify the antenna-moving / tag-moving equivalence the paper
-    asserts: the relative geometry — and therefore the phase profile — is the
-    same in both descriptions.
-    """
-    initial_tag = scenario.tag_position(reference_tag_id, 0.0)
-
-    def relative_antenna(time_s: float) -> Point3D:
-        tag_now = scenario.tag_position(reference_tag_id, time_s)
-        antenna_now = scenario.antenna_position(time_s)
-        return Point3D(
-            antenna_now.x - (tag_now.x - initial_tag.x),
-            antenna_now.y - (tag_now.y - initial_tag.y),
-            antenna_now.z - (tag_now.z - initial_tag.z),
-        )
-
-    return relative_antenna

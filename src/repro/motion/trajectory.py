@@ -2,9 +2,7 @@
 
 A trajectory combines a geometric path with a :class:`~repro.motion.speed_profiles.SpeedProfile`.
 The paper's sweeps are straight lines parallel to the tag arrangement (the X
-axis of our frame), so :class:`LinearTrajectory` is the workhorse;
-:class:`WaypointTrajectory` supports the "irregular reader motion" discussed
-in the paper's future-work section and is used by robustness tests.
+axis of our frame), so :class:`LinearTrajectory` is the only path.
 """
 
 from __future__ import annotations
@@ -74,17 +72,6 @@ class LinearTrajectory:
         fraction = min(1.0, max(0.0, distance / path_length))
         return start + fraction * (end - start)
 
-    def progress(self, time_s: float) -> float:
-        """Fraction of the path covered at ``time_s``, clamped to [0, 1]."""
-        distance = self.speed_profile.distance_at(time_s)
-        return min(1.0, max(0.0, distance / self.path_length_m))
-
-    def time_at_progress(self, fraction: float) -> float:
-        """Time at which the given fraction of the path has been covered."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        return self.speed_profile.time_to_cover(fraction * self.path_length_m)
-
     def positions_at(self, times_s: "Sequence[float] | np.ndarray") -> np.ndarray:
         """Positions at each time as a ``(T, 3)`` array — vectorized sampling.
 
@@ -102,92 +89,3 @@ class LinearTrajectory:
         start, end, path_length = _endpoint_arrays(self.start, self.end)
         fraction = np.minimum(1.0, np.maximum(0.0, distances / path_length))
         return start[None, :] + fraction[:, None] * (end[None, :] - start[None, :])
-
-    def sample_positions(self, times_s: Sequence[float]) -> list[Point3D]:
-        """Positions at each time in ``times_s``."""
-        return [self.position(t) for t in times_s]
-
-
-class WaypointTrajectory:
-    """Piecewise-linear motion through a sequence of waypoints.
-
-    Used to model imperfect sweeps (the cart drifting towards/away from the
-    shelf) when studying robustness to irregular reader motion.
-    """
-
-    def __init__(
-        self,
-        waypoints: Sequence[Point3D],
-        speed_profile: SpeedProfile | None = None,
-    ) -> None:
-        if len(waypoints) < 2:
-            raise ValueError("a waypoint trajectory needs at least two waypoints")
-        self._waypoints = list(waypoints)
-        self.speed_profile = (
-            speed_profile if speed_profile is not None else ConstantSpeedProfile(0.1)
-        )
-        lengths = [
-            self._waypoints[i].distance_to(self._waypoints[i + 1])
-            for i in range(len(self._waypoints) - 1)
-        ]
-        if any(length == 0.0 for length in lengths):
-            raise ValueError("consecutive waypoints must be distinct")
-        self._segment_lengths = np.array(lengths, dtype=float)
-        self._cumulative = np.concatenate([[0.0], np.cumsum(self._segment_lengths)])
-
-    @property
-    def waypoints(self) -> list[Point3D]:
-        """The waypoints defining the path."""
-        return list(self._waypoints)
-
-    @property
-    def path_length_m(self) -> float:
-        """Total length of the path in metres."""
-        return float(self._cumulative[-1])
-
-    @property
-    def duration_s(self) -> float:
-        """Time needed to traverse the whole path."""
-        return self.speed_profile.time_to_cover(self.path_length_m)
-
-    def position(self, time_s: float) -> Point3D:
-        """Position at ``time_s``; clamped to the endpoints outside [0, duration]."""
-        distance = self.speed_profile.distance_at(time_s)
-        distance = min(self.path_length_m, max(0.0, distance))
-        segment = int(np.searchsorted(self._cumulative, distance, side="right")) - 1
-        segment = min(segment, len(self._segment_lengths) - 1)
-        segment = max(segment, 0)
-        seg_start = self._waypoints[segment].as_array()
-        seg_end = self._waypoints[segment + 1].as_array()
-        seg_length = float(self._segment_lengths[segment])
-        local = distance - float(self._cumulative[segment])
-        fraction = 0.0 if seg_length == 0 else local / seg_length
-        return Point3D(*(seg_start + fraction * (seg_end - seg_start)))
-
-    def positions_at(self, times_s: "Sequence[float] | np.ndarray") -> np.ndarray:
-        """Positions at each time as a ``(T, 3)`` array — vectorized sampling.
-
-        Elementwise-identical arithmetic to :meth:`position` (same segment
-        lookup via ``searchsorted``, same interpolation expression).
-        """
-        times = np.asarray(times_s, dtype=float)
-        profile = self.speed_profile
-        if hasattr(profile, "distances_at"):
-            distances = profile.distances_at(times)
-        else:
-            distances = np.array([profile.distance_at(float(t)) for t in times])
-        distances = np.minimum(self.path_length_m, np.maximum(0.0, distances))
-        segment = np.searchsorted(self._cumulative, distances, side="right") - 1
-        segment = np.minimum(segment, len(self._segment_lengths) - 1)
-        segment = np.maximum(segment, 0)
-        waypoint_array = np.array([w.as_array() for w in self._waypoints])
-        seg_start = waypoint_array[segment]
-        seg_end = waypoint_array[segment + 1]
-        seg_length = self._segment_lengths[segment]
-        local = distances - self._cumulative[segment]
-        fraction = np.where(seg_length == 0, 0.0, local / seg_length)
-        return seg_start + fraction[:, None] * (seg_end - seg_start)
-
-    def sample_positions(self, times_s: Sequence[float]) -> list[Point3D]:
-        """Positions at each time in ``times_s``."""
-        return [self.position(t) for t in times_s]

@@ -7,7 +7,7 @@ success/failure.
 """
 
 from .antenna import DirectionalAntenna, ReadingZone
-from .channel import BackscatterChannel, BatchObservation, ChannelObservation
+from .channel import BackscatterChannel, BatchObservation
 from .constants import (
     DEFAULT_CHANNEL_INDEX,
     SPEED_OF_LIGHT,
@@ -18,33 +18,24 @@ from .constants import (
 )
 from .geometry import (
     Point3D,
-    distance_point_to_segment,
     euclidean_distances,
-    pairwise_distances,
-    perpendicular_foot_parameter,
-    points_to_array,
 )
 from .multipath import MultipathChannel, Reflector, typical_indoor_reflectors
 from .noise import NOISELESS, NoiseModel
 from .phase_model import (
     DeviceOffsets,
-    phase_distance,
     quantise_phase,
     round_trip_phase,
-    unwrap_phase_series,
     wrap_phase,
 )
 from .propagation import (
     LinkBudget,
-    dbm_to_milliwatts,
     free_space_path_loss_db,
-    milliwatts_to_dbm,
 )
 
 __all__ = [
     "BackscatterChannel",
     "BatchObservation",
-    "ChannelObservation",
     "DEFAULT_CHANNEL_INDEX",
     "DeviceOffsets",
     "DirectionalAntenna",
@@ -59,19 +50,11 @@ __all__ = [
     "TWO_PI",
     "channel_frequency_hz",
     "channel_wavelength_m",
-    "dbm_to_milliwatts",
-    "distance_point_to_segment",
     "euclidean_distances",
     "free_space_path_loss_db",
-    "milliwatts_to_dbm",
-    "pairwise_distances",
-    "points_to_array",
-    "perpendicular_foot_parameter",
-    "phase_distance",
     "quantise_phase",
     "round_trip_phase",
     "typical_indoor_reflectors",
-    "unwrap_phase_series",
     "wavelength_m",
     "wrap_phase",
 ]

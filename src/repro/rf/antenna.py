@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Point3D, euclidean_distances
+from .geometry import euclidean_distances
 
 
 @lru_cache(maxsize=None)
@@ -92,19 +92,15 @@ class DirectionalAntenna:
         """Exponent ``n`` such that the pattern is −3 dB at half the beamwidth."""
         return _cosine_exponent_for(self.beamwidth_deg)
 
-    def _unit_boresight(self) -> np.ndarray:
-        return np.array(_unit_boresight_components(self.boresight), dtype=float)
-
     def off_boresight_angles(
         self, antenna_pos: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
         """Angles between the boresight and each target direction.
 
         ``antenna_pos`` and ``targets`` are broadcastable ``(..., 3)`` arrays.
-        This is the vectorized kernel behind :meth:`off_boresight_angle_rad`;
-        both evaluate the identical operation sequence (normalise the
-        direction component-wise, then an explicit 3-term dot product), so the
-        scalar and batched simulation paths agree bit-for-bit.
+        The direction is normalised component-wise, then dotted with the
+        boresight in an explicit 3-term sum, so a value depends only on its
+        own row.
         """
         antenna_pos = np.asarray(antenna_pos, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -118,10 +114,6 @@ class DirectionalAntenna:
         cos_angle = np.minimum(1.0, np.maximum(-1.0, cos_angle))
         return np.where(norm == 0.0, 0.0, np.arccos(cos_angle))
 
-    def off_boresight_angle_rad(self, antenna_pos: Point3D, target: Point3D) -> float:
-        """Angle between the boresight and the direction to ``target``."""
-        return float(self.off_boresight_angles(antenna_pos.as_array(), target.as_array()))
-
     def gains_dbi_towards(self, antenna_pos: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Antenna gains (dBi) towards each target — vectorized pattern lookup.
 
@@ -134,10 +126,6 @@ class DirectionalAntenna:
         )
         in_front = self.gain_dbi + np.maximum(pattern_db, -20.0)
         return np.where(angle >= math.pi / 2.0, self.gain_dbi - 20.0, in_front)
-
-    def gain_dbi_towards(self, antenna_pos: Point3D, target: Point3D) -> float:
-        """Antenna gain (dBi) in the direction of ``target``."""
-        return float(self.gains_dbi_towards(antenna_pos.as_array(), target.as_array()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +152,7 @@ class ReadingZone:
             raise ValueError(f"max_range_m must be positive, got {self.max_range_m}")
 
     def contains_many(self, antenna_pos: np.ndarray, tag_positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains`: a boolean mask over ``(..., 3)`` positions.
+        """Which tags are readable from the antenna: a mask over ``(..., N, 3)``.
 
         ``antenna_pos`` broadcasts against ``tag_positions``, so one call can
         evaluate a whole population at many clocks (``(T, 1, 3)`` against
@@ -175,13 +163,10 @@ class ReadingZone:
         (IEEE negation), so the shared norm equals both
         :func:`euclidean_distances`' distance and
         :meth:`DirectionalAntenna.off_boresight_angles`' normalisation
-        bit-for-bit, and the mask matches the scalar method's decisions.
+        bit-for-bit.
         """
         antenna_pos = np.asarray(antenna_pos, dtype=float)
         tag_positions = np.asarray(tag_positions, dtype=float)
-        if tag_positions.ndim == 1 and antenna_pos.ndim == 1:
-            # One pair: the steps below run in place, which needs arrays.
-            return self.contains_many(antenna_pos, tag_positions[None])[0]
         # Columns 0, 1, 2 of ``delta`` are dx, dy, dz; each whole-array step
         # below applies one scalar operation per element, so the columns
         # carry exactly the per-axis expressions spelled out in comments.
@@ -213,17 +198,3 @@ class ReadingZone:
             in_beam |= degenerate
             mask &= in_beam
         return mask
-
-    def contains(self, antenna_pos: Point3D, tag_pos: Point3D) -> bool:
-        """Return True if a tag at ``tag_pos`` is readable from ``antenna_pos``."""
-        return bool(self.contains_many(antenna_pos.as_array(), tag_pos.as_array()))
-
-    def tags_in_zone(
-        self, antenna_pos: Point3D, tag_positions: dict[str, Point3D]
-    ) -> list[str]:
-        """Return the identifiers of all tags readable from ``antenna_pos``."""
-        return [
-            tag_id
-            for tag_id, pos in tag_positions.items()
-            if self.contains(antenna_pos, pos)
-        ]

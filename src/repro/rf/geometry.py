@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,35 +46,6 @@ class Point3D:
         dz = self.z - other.z
         return math.sqrt(dx * dx + dy * dy + dz * dz)
 
-    def translate(self, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> "Point3D":
-        """Return a new point translated by the given offsets."""
-        return Point3D(self.x + dx, self.y + dy, self.z + dz)
-
-    def midpoint(self, other: "Point3D") -> "Point3D":
-        """Return the midpoint between this point and ``other``."""
-        return Point3D(
-            (self.x + other.x) / 2.0,
-            (self.y + other.y) / 2.0,
-            (self.z + other.z) / 2.0,
-        )
-
-    @staticmethod
-    def from_sequence(values: Sequence[float]) -> "Point3D":
-        """Build a point from any length-2 or length-3 sequence."""
-        if len(values) == 2:
-            return Point3D(float(values[0]), float(values[1]), 0.0)
-        if len(values) == 3:
-            return Point3D(float(values[0]), float(values[1]), float(values[2]))
-        raise ValueError(f"expected 2 or 3 coordinates, got {len(values)}")
-
-
-def points_to_array(points: Iterable[Point3D]) -> np.ndarray:
-    """Stack points into a ``float64`` array of shape ``(N, 3)``."""
-    rows = [(p.x, p.y, p.z) for p in points]
-    if not rows:
-        return np.zeros((0, 3))
-    return np.array(rows, dtype=float)
-
 
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between broadcastable ``(..., 3)`` point arrays.
@@ -91,50 +61,3 @@ def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dy = a[..., 1] - b[..., 1]
     dz = a[..., 2] - b[..., 2]
     return np.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def pairwise_distances(points: Iterable[Point3D]) -> np.ndarray:
-    """Return the symmetric matrix of pairwise distances between ``points``."""
-    arr = np.array([p.as_array() for p in points], dtype=float)
-    if arr.size == 0:
-        return np.zeros((0, 0))
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def distance_point_to_segment(point: Point3D, seg_a: Point3D, seg_b: Point3D) -> float:
-    """Shortest distance from ``point`` to the segment ``seg_a``--``seg_b``.
-
-    Used to compute the distance between a tag and the antenna trajectory,
-    which governs the depth of the tag's V-zone (Section 3.2 of the paper).
-    """
-    p = point.as_array()
-    a = seg_a.as_array()
-    b = seg_b.as_array()
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.dot(p - a, ab)) / denom
-    t = min(1.0, max(0.0, t))
-    closest = a + t * ab
-    return float(np.linalg.norm(p - closest))
-
-
-def perpendicular_foot_parameter(point: Point3D, seg_a: Point3D, seg_b: Point3D) -> float:
-    """Return the parameter ``t`` of the perpendicular foot of ``point``.
-
-    ``t`` parameterises the infinite line through ``seg_a`` and ``seg_b`` as
-    ``a + t * (b - a)``; ``t`` is *not* clamped to [0, 1].  For an antenna
-    sweeping from ``seg_a`` to ``seg_b`` at constant speed, ``t`` is the
-    fraction of the sweep at which the antenna is perpendicular to the tag —
-    i.e. the location of the tag's V-zone bottom.
-    """
-    p = point.as_array()
-    a = seg_a.as_array()
-    b = seg_b.as_array()
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        raise ValueError("segment endpoints coincide; direction is undefined")
-    return float(np.dot(p - a, ab)) / denom

@@ -124,19 +124,3 @@ def quantise_phase(
     if _is_scalar_like(theta):
         return float(quantised)
     return quantised
-
-
-def unwrap_phase_series(phases: np.ndarray) -> np.ndarray:
-    """Unwrap a wrapped phase series into a continuous series.
-
-    Thin wrapper over :func:`numpy.unwrap` kept here so that callers depend on
-    the phase model module rather than on numpy directly; unwrapping is used
-    when building reference profiles and when analysing V-zones.
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))
-
-
-def phase_distance(theta_a: float, theta_b: float) -> float:
-    """Smallest angular distance between two wrapped phases, in [0, pi]."""
-    diff = abs(wrap_phase(theta_a) - wrap_phase(theta_b))
-    return float(min(diff, TWO_PI - diff))

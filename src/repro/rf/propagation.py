@@ -26,7 +26,6 @@ from .constants import (
     DEFAULT_TX_POWER_DBM,
     SPEED_OF_LIGHT,
 )
-from .geometry import Point3D, euclidean_distances
 
 
 def free_space_path_loss_db(distance_m: "float | np.ndarray", frequency_hz: float) -> "float | np.ndarray":
@@ -42,22 +41,6 @@ def free_space_path_loss_db(distance_m: "float | np.ndarray", frequency_hz: floa
     if np.isscalar(distance_m):
         return float(loss)
     return loss
-
-
-def dbm_to_milliwatts(power_dbm: "float | np.ndarray") -> "float | np.ndarray":
-    """Convert dBm to milliwatts."""
-    return np.power(10.0, np.asarray(power_dbm, dtype=float) / 10.0)
-
-
-def milliwatts_to_dbm(power_mw: "float | np.ndarray") -> "float | np.ndarray":
-    """Convert milliwatts to dBm.  Raises on non-positive power."""
-    power = np.asarray(power_mw, dtype=float)
-    if np.any(power <= 0):
-        raise ValueError("power must be positive to convert to dBm")
-    result = 10.0 * np.log10(power)
-    if np.isscalar(power_mw):
-        return float(result)
-    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,32 +59,31 @@ class LinkBudget:
     cable_loss_db: float = 1.0
     """Loss of the coaxial cable between reader and antenna, applied twice."""
 
-    def _link_terms(
+    def link_observables(
         self,
         antenna_pos: np.ndarray,
         tag_positions: np.ndarray,
         frequency_hz: float,
-        distances: np.ndarray | None = None,
+        distances: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(antenna gain dBi, one-way path loss dB) — the shared geometry."""
-        if distances is None:
-            distances = euclidean_distances(antenna_pos, tag_positions)
-        gain = self.antenna.gains_dbi_towards(antenna_pos, tag_positions)
-        return gain, free_space_path_loss_db(distances, frequency_hz)
+        """(reverse-link power dBm, decodable mask) with geometry evaluated once.
 
-    def _forward_dbm(self, gain: np.ndarray, path_loss: np.ndarray) -> np.ndarray:
-        """The forward-link power expression (single source of truth)."""
-        return (
+        The reverse-link power is the RSSI before fading and noise.  A reply
+        is decodable when the forward-link power reaches the tag's
+        sensitivity (the passive tag energises) and the reverse-link power
+        reaches the reader's.  ``distances`` are the antenna-to-tag
+        distances, ``euclidean_distances(antenna_pos, tag_positions)``.
+        """
+        gain = self.antenna.gains_dbi_towards(antenna_pos, tag_positions)
+        path_loss = free_space_path_loss_db(distances, frequency_hz)
+        forward = (
             self.tx_power_dbm
             - self.cable_loss_db
             + gain
             + self.tag_gain_dbi
             - path_loss
         )
-
-    def _reverse_dbm(self, gain: np.ndarray, path_loss: np.ndarray) -> np.ndarray:
-        """The reverse-link power expression (single source of truth)."""
-        return (
+        reverse = (
             self.tx_power_dbm
             - 2.0 * self.cable_loss_db
             + 2.0 * gain
@@ -109,108 +91,7 @@ class LinkBudget:
             - 2.0 * path_loss
             - self.backscatter_loss_db
         )
-
-    def forward_powers_dbm(
-        self, antenna_pos: np.ndarray, tag_positions: np.ndarray, frequency_hz: float
-    ) -> np.ndarray:
-        """Vectorized forward-link power over broadcastable ``(..., 3)`` arrays."""
-        return self._forward_dbm(
-            *self._link_terms(antenna_pos, tag_positions, frequency_hz)
-        )
-
-    def forward_power_dbm(
-        self, antenna_pos: Point3D, tag_pos: Point3D, frequency_hz: float
-    ) -> float:
-        """Power arriving at the tag on the forward link, in dBm."""
-        return float(
-            self.forward_powers_dbm(antenna_pos.as_array(), tag_pos.as_array(), frequency_hz)
-        )
-
-    def reverse_powers_dbm(
-        self, antenna_pos: np.ndarray, tag_positions: np.ndarray, frequency_hz: float
-    ) -> np.ndarray:
-        """Vectorized reverse-link power (the RSSI) over ``(..., 3)`` arrays."""
-        return self._reverse_dbm(
-            *self._link_terms(antenna_pos, tag_positions, frequency_hz)
-        )
-
-    def reverse_power_dbm(
-        self, antenna_pos: Point3D, tag_pos: Point3D, frequency_hz: float
-    ) -> float:
-        """Backscattered power arriving back at the reader (the RSSI), in dBm."""
-        return float(
-            self.reverse_powers_dbm(antenna_pos.as_array(), tag_pos.as_array(), frequency_hz)
-        )
-
-    def link_observables(
-        self,
-        antenna_pos: np.ndarray,
-        tag_positions: np.ndarray,
-        frequency_hz: float,
-        distances: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(reverse-link power dBm, decodable mask) with geometry evaluated once.
-
-        ``forward_powers_dbm``/``reverse_powers_dbm``/``replies_decodable``
-        each re-derive the same distances, antenna gains, and path losses;
-        the per-round RF kernel needs both the RSSI and the decodable mask,
-        so this computes the shared geometry a single time.  Each output is
-        produced by the identical per-element expression the standalone
-        methods use, so results are bit-identical to calling them separately.
-
-        ``distances`` accepts precomputed antenna-to-tag distances (the
-        caller usually already has them) and must equal
-        ``euclidean_distances(antenna_pos, tag_positions)``.
-        """
-        gain, path_loss = self._link_terms(
-            antenna_pos, tag_positions, frequency_hz, distances
-        )
-        forward = self._forward_dbm(gain, path_loss)
-        reverse = self._reverse_dbm(gain, path_loss)
         decodable = (forward >= self.tag_sensitivity_dbm) & (
             reverse >= self.reader_sensitivity_dbm
         )
         return reverse, decodable
-
-    def replies_decodable(
-        self, antenna_pos: np.ndarray, tag_positions: np.ndarray, frequency_hz: float
-    ) -> np.ndarray:
-        """Vectorized :meth:`reply_decodable`: energised AND decodable masks."""
-        _, decodable = self.link_observables(antenna_pos, tag_positions, frequency_hz)
-        return decodable
-
-    def tag_energised(
-        self, antenna_pos: Point3D, tag_pos: Point3D, frequency_hz: float
-    ) -> bool:
-        """True if the forward-link power exceeds the tag's sensitivity."""
-        return (
-            self.forward_power_dbm(antenna_pos, tag_pos, frequency_hz)
-            >= self.tag_sensitivity_dbm
-        )
-
-    def reply_decodable(
-        self, antenna_pos: Point3D, tag_pos: Point3D, frequency_hz: float
-    ) -> bool:
-        """True if the tag can both energise and be decoded by the reader."""
-        return bool(
-            self.replies_decodable(antenna_pos.as_array(), tag_pos.as_array(), frequency_hz)
-        )
-
-    def max_read_range_m(self, frequency_hz: float, resolution_m: float = 0.01) -> float:
-        """Estimate the boresight read range by scanning distance outward.
-
-        The range is forward-link limited for passive tags under normal
-        reader sensitivity; we scan rather than invert the link equations so
-        the estimate stays valid if either constraint binds.
-        """
-        antenna_pos = Point3D(0.0, 0.0, 0.0)
-        distance = resolution_m
-        last_good = 0.0
-        while distance < 50.0:
-            tag_pos = Point3D(0.0, 0.0, distance)
-            if self.reply_decodable(antenna_pos, tag_pos, frequency_hz):
-                last_good = distance
-            elif last_good > 0.0:
-                break
-            distance += resolution_m
-        return last_good

@@ -2,7 +2,7 @@
 
 This subpackage simulates the parts of the EPC Class-1 Generation-2 air
 interface that determine *when* each tag is read during a sweep: frame-slotted
-ALOHA (with the adaptive Q algorithm), tree walking, and a reader that glues
+ALOHA (with the adaptive Q algorithm) and a reader that glues
 the protocol to the RF channel and produces the (timestamp, phase, RSSI)
 read records the paper's algorithms consume.
 """
@@ -11,9 +11,6 @@ from .aloha import (
     AlohaTimings,
     FrameSlottedAloha,
     QAlgorithm,
-    SlotEvent,
-    SlotOutcome,
-    expected_success_rate,
 )
 from .coupling import NeighborGrid
 from .epc import EPC, EPC_BITS, generate_epcs
@@ -29,13 +26,6 @@ from .tag import (
     TagCollection,
     TagModel,
     make_tags,
-)
-from .tree_walking import (
-    TreeWalkQuery,
-    TreeWalkResult,
-    identification_order,
-    query_overhead,
-    tree_walk,
 )
 
 __all__ = [
@@ -54,18 +44,10 @@ __all__ = [
     "ReadBatch",
     "ReadLog",
     "ReaderConfig",
-    "SlotEvent",
-    "SlotOutcome",
     "Tag",
     "TagCollection",
     "TagModel",
     "TagRead",
-    "TreeWalkQuery",
-    "TreeWalkResult",
-    "expected_success_rate",
     "generate_epcs",
-    "identification_order",
     "make_tags",
-    "query_overhead",
-    "tree_walk",
 ]

@@ -20,7 +20,6 @@ Two consequences matter for the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -31,30 +30,6 @@ _SLOT_DTYPE = np.int32
 for a range that fits 32 bits ``Generator.integers`` draws int32 and its
 default int64 through the same 32-bit bounded sampler: the same values from
 the same generator words.  The int32 form only costs less per call."""
-
-
-class SlotOutcome(Enum):
-    """What happened in a single ALOHA slot."""
-
-    EMPTY = "empty"
-    SUCCESS = "success"
-    COLLISION = "collision"
-
-
-@dataclass(frozen=True, slots=True)
-class SlotEvent:
-    """The outcome of one slot within an inventory round."""
-
-    start_time_s: float
-    duration_s: float
-    outcome: SlotOutcome
-    tag_id: str | None = None
-    """The replying tag for SUCCESS slots, None otherwise."""
-
-    @property
-    def end_time_s(self) -> float:
-        """Time at which the slot ends."""
-        return self.start_time_s + self.duration_s
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,13 +76,6 @@ class QAlgorithm:
         if self.q_min > self.q_max:
             raise ValueError(f"q_min must not exceed q_max, got {self.q_min} > {self.q_max}")
 
-    def on_slot(self, outcome: SlotOutcome) -> None:
-        """Update the floating-point Q after one slot."""
-        if outcome is SlotOutcome.COLLISION:
-            self.q_fp = min(self.q_max, self.q_fp + self.c)
-        elif outcome is SlotOutcome.EMPTY:
-            self.q_fp = max(self.q_min, self.q_fp - self.c)
-
     @property
     def q(self) -> int:
         """The integer Q for the next round."""
@@ -140,11 +108,6 @@ class FrameSlottedAloha:
         )
         self._round_buffers: dict[int, tuple[np.ndarray, ...]] = {}
 
-    @property
-    def current_q(self) -> int:
-        """The frame-size exponent that the next round will use."""
-        return self._q_algorithm.q
-
     def scheduling_checkpoint(self) -> float:
         """The protocol's mutable state (the floating-point Q) as a snapshot.
 
@@ -157,91 +120,43 @@ class FrameSlottedAloha:
         """Restore the state captured by :meth:`scheduling_checkpoint`."""
         self._q_algorithm.q_fp = q_fp
 
-    def run_round(
-        self,
-        tag_ids: Sequence[str],
-        start_time_s: float,
-        rng: np.random.Generator,
-    ) -> list[SlotEvent]:
-        """Simulate one inventory round over ``tag_ids`` starting at ``start_time_s``.
-
-        Returns the slot events of the round in time order.  Tags that
-        collide or pick later slots simply do not produce a read this round;
-        the C1G2 session/inventoried-flag machinery is not modelled because
-        the paper's readers run in a mode where tags keep replying every
-        round (required to accumulate a phase profile).
-        """
-        events: list[SlotEvent] = []
-        clock = start_time_s + self.timings.round_overhead_s
-        frame_size = self._q_algorithm.frame_size
-
-        if not tag_ids:
-            # An empty round still burns one empty slot of air time.
-            events.append(SlotEvent(clock, self.timings.empty_slot_s, SlotOutcome.EMPTY))
-            return events
-
-        chosen_slots = rng.integers(0, frame_size, size=len(tag_ids), dtype=_SLOT_DTYPE)
-        slot_to_tags: dict[int, list[str]] = {}
-        for tag_id, slot in zip(tag_ids, chosen_slots):
-            slot_to_tags.setdefault(int(slot), []).append(tag_id)
-
-        for slot_index in range(frame_size):
-            occupants = slot_to_tags.get(slot_index, [])
-            if not occupants:
-                outcome = SlotOutcome.EMPTY
-                duration = self.timings.empty_slot_s
-                tag_id = None
-            elif len(occupants) == 1:
-                outcome = SlotOutcome.SUCCESS
-                duration = self.timings.success_slot_s
-                tag_id = occupants[0]
-            else:
-                outcome = SlotOutcome.COLLISION
-                duration = self.timings.collision_slot_s
-                tag_id = None
-            events.append(SlotEvent(clock, duration, outcome, tag_id))
-            clock += duration
-            if self.adaptive:
-                self._q_algorithm.on_slot(outcome)
-        return events
-
     def run_round_schedule(
         self,
         tag_ids: Sequence[str],
         start_time_s: float,
         rng: np.random.Generator,
     ) -> "tuple[list[str] | np.ndarray, np.ndarray, float]":
-        """Scheduling-only round: the array-native twin of :meth:`run_round`.
+        """Simulate one inventory round over ``tag_ids`` from ``start_time_s``.
 
-        Returns ``(success_tag_ids, success_end_times, round_duration_s)``
-        without materialising a :class:`SlotEvent` per slot; when ``tag_ids``
-        is an index array (the fused scheduler's form) the winners come back
-        as an array too.  The fused
-        two-phase sweep engine runs hundreds of rounds per sweep, and the
-        per-slot dataclass construction of :meth:`run_round` dominates its
-        scheduling cost; this path computes the identical outcome from the
-        same single ``rng.integers`` draw:
+        Returns ``(success_tag_ids, success_end_times, round_duration_s)``:
+        the tags that replied alone in their slot, in slot order, and the end
+        time of each winning slot.  When ``tag_ids`` is an index array (the
+        fused scheduler's form) the winners come back as an array too.  Tags
+        that collide do not produce a read this round; the C1G2
+        session/inventoried-flag machinery is not modelled because the
+        paper's readers run in a mode where tags keep replying every round
+        (required to accumulate a phase profile).  The round draws one
+        ``rng.integers`` slot per tag:
 
-        * slot end times accumulate through ``np.cumsum``, whose sequential
-          left-to-right adds replicate the scalar loop's ``clock += duration``
-          float-for-float;
-        * the adaptive Q walk replays :meth:`QAlgorithm.on_slot`'s exact
-          ``min``/``max`` arithmetic (on outcome codes, not event objects),
-          leaving the protocol state bit-identical.  It steps over runs of
-          empty slots rather than slots: once ``q_fp`` sits at ``q_min`` the
-          rest of a run cannot move it, so a run costs at most about
-          ``(q_max - q_min) / c`` steps however long it is.
+        * slot end times accumulate left to right, the same float adds as a
+          slot-by-slot ``clock += duration`` loop;
+        * the adaptive Q walk applies the C1G2 rule per slot
+          (collision: ``q_fp = min(q_max, q_fp + c)``; empty:
+          ``q_fp = max(q_min, q_fp - c)``) on outcome codes.  It steps over
+          runs of empty slots rather than slots: once ``q_fp`` sits at
+          ``q_min`` the rest of a run cannot move it, so a run costs at most
+          about ``(q_max - q_min) / c`` steps however long it is.
 
-        ``tests/test_fused_sweep.py`` pins the equivalence against
-        :meth:`run_round`.
+        ``tests/test_fused_sweep.py`` pins the equivalence against the
+        slot-by-slot oracle in ``tests/oracles/scalar_sweep.py``.
         """
         timings = self.timings
         first_slot_start = start_time_s + timings.round_overhead_s
         frame_size = self._q_algorithm.frame_size
 
         if len(tag_ids) == 0:
-            # An empty round still burns one empty slot of air time (and,
-            # like run_round, skips the Q update).
+            # An empty round still burns one empty slot of air time and
+            # skips the Q update.
             end = first_slot_start + timings.empty_slot_s
             duration = (end - first_slot_start) + timings.round_overhead_s
             return [], np.empty(0), duration
@@ -308,21 +223,3 @@ class FrameSlottedAloha:
         success_ends = slot_ends[win_slots]
         duration = (float(ends[-1]) - first_slot_start) + timings.round_overhead_s
         return success_ids, success_ends, duration
-
-    def round_duration_s(self, events: Sequence[SlotEvent]) -> float:
-        """Total air time of a round produced by :meth:`run_round`."""
-        if not events:
-            return self.timings.round_overhead_s
-        return (events[-1].end_time_s - events[0].start_time_s) + self.timings.round_overhead_s
-
-
-def expected_success_rate(tag_count: int, frame_size: int) -> float:
-    """Expected successful reads per slot for ``tag_count`` tags and ``frame_size`` slots.
-
-    This is the classic slotted-ALOHA throughput ``n/F * (1 - 1/F)**(n-1)``;
-    exposed for tests and for documentation of the undersampling effect.
-    """
-    if tag_count <= 0 or frame_size <= 0:
-        return 0.0
-    p_slot = 1.0 / frame_size
-    return tag_count * p_slot * (1.0 - p_slot) ** (tag_count - 1)

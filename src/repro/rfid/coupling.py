@@ -81,7 +81,6 @@ class NeighborGrid:
         # neighbouring cells are 9 code ranges [centre - 1, centre + 1].
         step = np.arange(-1, 2, dtype=np.int64)
         self._column_deltas = ((step[:, None] * spans[1] + step) * spans[2]).reshape(-1)
-        self._neighbor_cache: dict[int, np.ndarray] = {}
         self._packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
@@ -92,17 +91,6 @@ class NeighborGrid:
     def __len__(self) -> int:
         return int(self._positions.shape[0])
 
-    def neighbors_of(self, index: int) -> np.ndarray:
-        """Indices within ``radius`` of point ``index`` (excluding itself).
-
-        Returned sorted ascending — the insertion order the scalar
-        whole-population scan visits them in — and cached, since the grid is
-        only used for static layouts.
-        """
-        if index not in self._neighbor_cache:
-            self._neighbor_cache[index] = self.packed_neighbors(np.array([index]))[2]
-        return self._neighbor_cache[index]
-
     def packed_neighbors(
         self, rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +98,7 @@ class NeighborGrid:
 
         Returns ``(counts, offsets, flat)``: the neighbours of ``rows[k]``
         are ``flat[offsets[k] : offsets[k] + counts[k]]``, sorted ascending —
-        the same order :meth:`neighbors_of` returns.  The all-rows packing is
+        the order a whole-population scan visits them in.  The all-rows packing is
         cached; a packing of selected rows is built fresh on each call.
         """
         every_row = rows is None
@@ -156,8 +144,8 @@ class NeighborGrid:
         ``tag_indices`` names the observed point of each event.  Returns
         ``(event_index, neighbor_index)`` — one row per (event, neighbour)
         pair, grouped by event in event order with each event's neighbours
-        ascending — exactly the flattening of repeated :meth:`neighbors_of`
-        calls, packing one row per distinct observed point.
+        ascending — the flattening of each event's row of
+        :meth:`packed_neighbors`, packing one row per distinct observed point.
         """
         tag_indices = np.asarray(tag_indices, dtype=np.intp)
         rows, row_of_event = np.unique(tag_indices, return_inverse=True)

@@ -1,9 +1,9 @@
 """EPC-96 identifier handling.
 
 EPC Class-1 Generation-2 tags carry a 96-bit Electronic Product Code.  The
-library only needs identifiers that are unique, comparable, and convertible to
-the bit strings the tree-walking protocol descends over, so we implement the
-SGTIN-96-like framing rather than the full GS1 coding tables.
+library only needs identifiers that are unique, comparable and printable as
+tag ids, so we implement the SGTIN-96-like framing rather than the full GS1
+coding tables.
 """
 
 from __future__ import annotations
@@ -34,31 +34,9 @@ class EPC:
         return f"{self.value:024x}"
 
     @property
-    def header(self) -> int:
-        """The 8-bit header field (scheme identifier)."""
-        return (self.value >> (EPC_BITS - 8)) & 0xFF
-
-    @property
     def serial(self) -> int:
         """The low 38 bits, the per-item serial number in SGTIN-96."""
         return self.value & ((1 << 38) - 1)
-
-    def bits(self) -> str:
-        """The identifier as a 96-character bit string (MSB first).
-
-        Tree walking descends over this representation.
-        """
-        return format(self.value, f"0{EPC_BITS}b")
-
-    @staticmethod
-    def from_hex(text: str) -> "EPC":
-        """Parse a 24-hex-digit EPC string."""
-        cleaned = text.strip().lower().replace(" ", "")
-        if len(cleaned) != EPC_BITS // 4:
-            raise ValueError(
-                f"EPC hex string must have {EPC_BITS // 4} digits, got {len(cleaned)}"
-            )
-        return EPC(int(cleaned, 16))
 
     @staticmethod
     def from_fields(company_prefix: int, item_reference: int, serial: int) -> "EPC":
@@ -86,8 +64,8 @@ def generate_epcs(
     """Generate ``count`` unique EPCs sharing a company prefix.
 
     Serial numbers are drawn randomly (without replacement) so that the
-    identification order under tree walking does not correlate with spatial
-    placement — the property the paper points out makes identification order
+    identification order of an ID-ordered protocol does not correlate with
+    spatial placement — the property the paper points out makes identification order
     useless for relative localization (Section 2.1).
     """
     if count < 0:

@@ -90,11 +90,6 @@ class SweepEventTable:
         return int(self.times_s.size)
 
     @property
-    def event_count(self) -> int:
-        """Number of scheduled reply attempts (readable or not)."""
-        return len(self)
-
-    @property
     def observed(self) -> bool:
         """True once the physics phase has filled the observable columns."""
         return self.phase_rad is not None
@@ -105,11 +100,6 @@ class SweepEventTable:
                 "event table has no observables yet; run the physics phase "
                 "(RFIDReader.sweep_events returns a completed table)"
             )
-
-    def event_tag_ids(self) -> list[str]:
-        """Tag id of each event, resolved through :attr:`tag_indices`."""
-        ids = self.tag_ids
-        return [ids[i] for i in self.tag_indices]
 
     def to_read_log(self) -> ReadLog:
         """The readable events as a time-sorted columnar :class:`ReadLog`.

@@ -353,7 +353,7 @@ class _SweepScheduler:
                     if unstable.size < mask.size:
                         predicted_rounds.append((round_index, clock, calendar, interval))
 
-            # Population indices stand in for the id strings: run_round's rng
+            # Population indices stand in for the id strings: the round's rng
             # draw depends only on the participant count, and the winners come
             # back as positions into this array.
             success_ids, success_ends, round_time = protocol.run_round_schedule(
@@ -871,7 +871,8 @@ class RFIDReader:
         """Geometry and coupling scatterers for a batch of events.
 
         Returns ``(antenna_rows, event_tag_positions, extra_positions,
-        extra_coefficients, extra_decays, extra_event_index)``.  Shared by
+        extra_event_index)``; every coupling scatterer shares the config's
+        coefficient and decay.  Shared by
         the physics pass (one call per sweep) and the exact per-round
         fallback (one call per round).
         """
@@ -936,22 +937,7 @@ class RFIDReader:
                 extra_index = np.concatenate(index_chunks)
                 extra_positions = np.concatenate(position_chunks)
 
-        extra_coefficients = extra_decays = None
-        if extra_positions is not None:
-            extra_coefficients = np.full(
-                len(extra_positions), self.config.tag_coupling_coefficient
-            )
-            extra_decays = np.full(
-                len(extra_positions), self.config.tag_coupling_decay_m
-            )
-        return (
-            antenna_rows,
-            event_tag_positions,
-            extra_positions,
-            extra_coefficients,
-            extra_decays,
-            extra_index,
-        )
+        return antenna_rows, event_tag_positions, extra_positions, extra_index
 
     def _observe_events(
         self,
@@ -966,15 +952,10 @@ class RFIDReader:
             table.readable = np.empty(0, dtype=bool)
             table.deep_fade = np.empty(0, dtype=bool)
             return
-        (
-            antenna_rows,
-            event_tag_positions,
-            extra_positions,
-            extra_coefficients,
-            extra_decays,
-            extra_index,
-        ) = self._event_geometry(
-            setup, antenna_position, table.times_s, table.tag_indices
+        antenna_rows, event_tag_positions, extra_positions, extra_index = (
+            self._event_geometry(
+                setup, antenna_position, table.times_s, table.tag_indices
+            )
         )
         observation, deep_fade = self.config.channel.observe_sweep(
             antenna_rows,
@@ -984,9 +965,9 @@ class RFIDReader:
             rssi_noise=table.rssi_noise_db,
             device_offsets_total=setup.mu_by_tag[table.tag_indices],
             extra_positions=extra_positions,
-            extra_coefficients=extra_coefficients,
-            extra_decays=extra_decays,
             extra_event_index=extra_index,
+            tag_coupling_coefficient=self.config.tag_coupling_coefficient,
+            tag_coupling_decay_m=self.config.tag_coupling_decay_m,
         )
         table.phase_rad = observation.phase_rad
         table.rssi_dbm = observation.rssi_dbm
@@ -1047,22 +1028,17 @@ class RFIDReader:
                     physics_tick = time.perf_counter()
                     times = success_ends[:count]
                     tag_indices = success_ids[:count]
-                    (
-                        antenna_rows,
-                        event_tag_positions,
-                        extra_positions,
-                        extra_coefficients,
-                        extra_decays,
-                        extra_index,
-                    ) = self._event_geometry(setup, antenna_position, times, tag_indices)
+                    antenna_rows, event_tag_positions, extra_positions, extra_index = (
+                        self._event_geometry(setup, antenna_position, times, tag_indices)
+                    )
                     physics = channel.sweep_physics(
                         antenna_rows,
                         event_tag_positions,
                         device_offsets_total=setup.mu_by_tag[tag_indices],
                         extra_positions=extra_positions,
-                        extra_coefficients=extra_coefficients,
-                        extra_decays=extra_decays,
                         extra_event_index=extra_index,
+                        tag_coupling_coefficient=self.config.tag_coupling_coefficient,
+                        tag_coupling_decay_m=self.config.tag_coupling_decay_m,
                     )
                     physics_tock = time.perf_counter()
                     dropped, phase_noise, rssi_noise = (

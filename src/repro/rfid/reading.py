@@ -238,31 +238,6 @@ class ReadLog:
             )
             start = stop
 
-    @classmethod
-    def from_columns(
-        cls,
-        timestamps_s: Sequence[float],
-        tag_ids: Sequence[str],
-        phases_rad: Sequence[float],
-        rssi_dbm: Sequence[float],
-        channel_indices: Sequence[int],
-        antenna_ports: Sequence[int],
-    ) -> "ReadLog":
-        """Build a log directly from full parallel columns."""
-        log = cls()
-        log._tag_ids = list(tag_ids)
-        chunk = tuple(
-            np.array(values, dtype=dtype)
-            for values, (_, dtype) in zip(
-                (timestamps_s, phases_rad, rssi_dbm, channel_indices, antenna_ports), _COLUMNS
-            )
-        )
-        lengths = {len(log._tag_ids), *(column.shape[0] for column in chunk)}
-        if len(lengths) != 1:
-            raise ValueError(f"column lengths disagree: {sorted(lengths)}")
-        log._chunks.append(chunk)
-        return log
-
     # -- cached views ------------------------------------------------------
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -359,27 +334,6 @@ class ReadLog:
         )
         return list(code_of), codes
 
-    def for_tag(self, tag_id: str) -> list[TagRead]:
-        """All reads of ``tag_id`` in timestamp order."""
-        reads = self.reads
-        return [reads[i] for i in self._time_sorted_indices_for(tag_id)]
-
-    def _subset(self, indices: np.ndarray) -> "ReadLog":
-        """A new log of the reads at ``indices``, in that order."""
-        columns = self.columns()
-        return ReadLog.from_columns(
-            columns["timestamp_s"][indices],
-            [self._tag_ids[i] for i in indices.tolist()],
-            columns["phase_rad"][indices],
-            columns["rssi_dbm"][indices],
-            columns["channel_index"][indices],
-            columns["antenna_port"][indices],
-        )
-
-    def for_antenna(self, antenna_port: int) -> "ReadLog":
-        """A new log containing only reads from ``antenna_port``."""
-        return self._subset(np.flatnonzero(self.columns()["antenna_port"] == antenna_port))
-
     def timestamps(self, tag_id: str) -> np.ndarray:
         """Timestamps of ``tag_id``'s reads as a float array (seconds)."""
         return self.columns()["timestamp_s"][self._time_sorted_indices_for(tag_id)]
@@ -396,20 +350,9 @@ class ReadLog:
         """The distinct reader channels present in the log."""
         return set(self.columns()["channel_index"].tolist())
 
-    def read_counts(self) -> dict[str, int]:
-        """Number of reads per tag id."""
-        counts: dict[str, int] = {}
-        for tag_id in self._tag_ids:
-            counts[tag_id] = counts.get(tag_id, 0) + 1
-        return counts
-
     def duration_s(self) -> float:
         """Span between first and last read, in seconds (0 when empty)."""
         if not self._tag_ids:
             return 0.0
         timestamps = self.columns()["timestamp_s"]
         return float(timestamps.max() - timestamps.min())
-
-    def sorted_by_time(self) -> "ReadLog":
-        """A new log with reads stable-sorted by timestamp."""
-        return self._subset(np.argsort(self.columns()["timestamp_s"], kind="stable"))

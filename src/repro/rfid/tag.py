@@ -106,13 +106,6 @@ class TagCollection:
         """Mapping of tag id to position."""
         return {tag.tag_id: tag.position for tag in self.tags}
 
-    def by_id(self, tag_id: str) -> Tag:
-        """Look up a tag by identifier."""
-        for tag in self.tags:
-            if tag.tag_id == tag_id:
-                return tag
-        raise KeyError(f"no tag with id {tag_id}")
-
     def order_along(self, axis: str) -> list[str]:
         """Ground-truth tag order along ``axis`` ('x', 'y', or 'z').
 

@@ -20,7 +20,6 @@ import sys
 
 from .catalog import (
     default_registry,
-    load_builtin_specs,
     showcase_registry,
     showcase_spec_files,
     spec_files,

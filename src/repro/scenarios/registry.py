@@ -127,41 +127,6 @@ class ScenarioRegistry:
             )
         return plans
 
-    def degraded_variants(
-        self,
-        faults: "FaultSpec | Sequence[FaultSpec]",
-        names: Sequence[str] | None = None,
-        register: bool = False,
-    ) -> list[ScenarioSpec]:
-        """Degraded variants of registered scenarios: one per (scenario,
-        fault profile) pair, in registration order.
-
-        ``faults`` is one :class:`~repro.faults.spec.FaultSpec` or a sequence
-        of them; ``names`` restricts the scenarios expanded.  Each variant is
-        ``spec.degraded(fault_spec)`` — the same deployment with the fault
-        profile attached, named ``base[faults=<label>]``.  With ``register``
-        set the variants are appended to this registry (after every existing
-        entry, so legacy seed indices never move).
-        """
-        from ..faults.spec import FaultSpec
-
-        profiles = (faults,) if isinstance(faults, FaultSpec) else tuple(faults)
-        for index, profile in enumerate(profiles):
-            if not isinstance(profile, FaultSpec):
-                raise SpecError(
-                    f"faults[{index}]",
-                    f"must be a FaultSpec, got {profile!r}",
-                )
-        selected = self.names() if names is None else tuple(names)
-        variants = [
-            self.get(name).degraded(profile)
-            for name in selected
-            for profile in profiles
-        ]
-        if register:
-            self.register_all(variants)
-        return variants
-
 
 def expand_grid(
     spec: ScenarioSpec, axes: Mapping[str, Sequence[Any]]

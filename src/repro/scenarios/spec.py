@@ -677,10 +677,6 @@ class ScenarioSpec:
             name = f"{self.name}[faults={label}]"
         return replace(self, name=name, faults=faults)
 
-    def to_text(self) -> str:
-        """The canonical JSON document."""
-        return json.dumps(self.to_json(), indent=2) + "\n"
-
 
 def _locate_key(text: str, dotted_path: str) -> int | None:
     """Best-effort 1-based line of ``dotted_path``'s deepest key in ``text``.

@@ -61,7 +61,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -538,20 +538,6 @@ class FleetService:
                 portal.scheduled = True
         if schedule:
             self._dispatch.put(portal.key)
-
-    def ingest_round_robin(
-        self, pairs: Iterable[tuple[PortalKey, ReadBatch]]
-    ) -> int:
-        """Ingest an interleaved ``(key, batch)`` stream; returns batches routed.
-
-        Convenience for load generators and tests that replay mixed portal
-        traffic — equivalent to calling :meth:`ingest` per pair.
-        """
-        count = 0
-        for key, batch in pairs:
-            self.ingest(key, batch)
-            count += 1
-        return count
 
     def provisional(self, key: PortalKey) -> StreamingUpdate:
         """Compute a provisional ordering over what the portal ingested so far.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,11 +239,6 @@ class LocalizationSession:
         """Ingest one decoded reply."""
         self._check_open()
         self.collector.ingest_read(read)
-
-    def ingest_reads(self, reads) -> None:
-        """Ingest an iterable of reads (arrival order preserved)."""
-        self._check_open()
-        self.collector.ingest(reads)
 
     # -- incremental detection --------------------------------------------
 

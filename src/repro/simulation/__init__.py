@@ -6,7 +6,6 @@ from .presets import (
     DEFAULT_NOISE,
     DEFAULT_STANDOFF_M,
     SweepGeometry,
-    clean_channel,
     indoor_channel,
     standard_antenna_moving_scene,
     standard_reader_config,
@@ -23,7 +22,6 @@ __all__ = [
     "SweepGeometry",
     "StreamingCollector",
     "SweepResult",
-    "clean_channel",
     "collect_sweep",
     "indoor_channel",
     "profiles_from_read_log",

@@ -14,18 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..motion.scenarios import SweepScenario, antenna_moving_scenario, tag_moving_scenario
+from ..motion.scenarios import antenna_moving_scenario, tag_moving_scenario
 from ..motion.speed_profiles import ConstantSpeedProfile, jittered_speed_profile
 from ..motion.trajectory import LinearTrajectory
 from ..rf.antenna import DirectionalAntenna, ReadingZone
 from ..rf.channel import BackscatterChannel
 from ..rf.geometry import Point3D
-from ..rf.multipath import (
-    MultipathChannel,
-    tag_coupling_scatterers,
-    typical_indoor_reflectors,
-)
-from ..rf.noise import NOISELESS, NoiseModel
+from ..rf.multipath import MultipathChannel, typical_indoor_reflectors
+from ..rf.noise import NoiseModel
 from ..rfid.aloha import FrameSlottedAloha
 from ..rfid.reader import ReaderConfig
 from ..rfid.tag import TagCollection
@@ -55,31 +51,18 @@ DEFAULT_REFLECTOR_COUNT = 6
 """Number of static reflectors in the default indoor multipath preset."""
 
 
-def clean_channel(channel_index: int = 6) -> BackscatterChannel:
-    """A noise-free, multipath-free channel (reference-profile conditions)."""
-    return BackscatterChannel(
-        channel_index=channel_index,
-        multipath=MultipathChannel(),
-        noise=NOISELESS,
-        quantise=False,
-    )
-
-
 def indoor_channel(
     tag_positions: "list[Point3D]",
     seed: int | None = None,
     noise: NoiseModel = DEFAULT_NOISE,
     reflector_count: int = DEFAULT_REFLECTOR_COUNT,
     channel_index: int = 6,
-    tag_coupling: bool = False,
 ) -> BackscatterChannel:
     """A channel with indoor multipath scattered around the tag region.
 
-    With ``tag_coupling=True`` every tag also acts as a static weak scatterer.
-    The standard scene builders leave this off because the reader simulator
-    already models coupling dynamically per read (which is also correct when
-    the tags move); enable it only for channel-level experiments that bypass
-    the reader.
+    Tag-to-tag coupling is not part of the channel: the reader models it per
+    read (``ReaderConfig.tag_coupling_coefficient``), which also holds when
+    the tags move.
     """
     if not tag_positions:
         raise ValueError("at least one tag position is required")
@@ -90,13 +73,6 @@ def indoor_channel(
     reflectors = typical_indoor_reflectors(
         region_min, region_max, count=reflector_count, rng=rng
     )
-    if tag_coupling:
-        # Static scatterers only make sense when the tags themselves are
-        # static; the reader additionally models *dynamic* coupling per read
-        # (ReaderConfig.tag_coupling_coefficient), which is what the standard
-        # scene builders rely on.  Keeping this flag allows channel-only
-        # experiments to include coupling without a reader in the loop.
-        reflectors = reflectors + tag_coupling_scatterers(tag_positions)
     return BackscatterChannel(
         channel_index=channel_index,
         multipath=MultipathChannel(reflectors=reflectors),

@@ -178,21 +178,6 @@ class StreamingCollector:
             channel_index=batch.channel_index,
         )
 
-    def ingest_batches(self, batches: Iterable[ReadBatch]) -> int:
-        """Ingest a stream of read batches; returns the number ingested.
-
-        Convenience for replaying a whole per-round stream — e.g. the fused
-        sweep engine's event table
-        (:meth:`~repro.rfid.event_table.SweepEventTable.iter_round_batches`,
-        which is what ``RFIDReader.sweep_stream`` yields) or a finished log's
-        :meth:`~repro.rfid.reading.ReadLog.iter_batches` — in arrival order.
-        """
-        count = 0
-        for batch in batches:
-            self.ingest_batch(batch)
-            count += 1
-        return count
-
     def ingest_columns(
         self,
         timestamps_s: np.ndarray,

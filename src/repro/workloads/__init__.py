@@ -19,10 +19,8 @@ from .airport import (
     PAPER_PERIODS,
     TrafficPeriod,
     baggage_batch,
-    period_batches,
 )
 from .layouts import (
-    column_layout,
     grid_layout,
     paper_test_cases,
     random_spacing_row,
@@ -51,7 +49,6 @@ __all__ = [
     "PAPER_PERIODS",
     "TrafficPeriod",
     "baggage_batch",
-    "column_layout",
     "conveyor_batch",
     "conveyor_experiment",
     "conveyor_scene",
@@ -61,7 +58,6 @@ __all__ = [
     "grid_layout",
     "misplace_books",
     "paper_test_cases",
-    "period_batches",
     "random_spacing_row",
     "reference_tag_grid",
     "row_layout",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..motion.speed_profiles import DEFAULT_BELT_SPEED_MPS
 from ..rf.geometry import Point3D
 from ..rfid.tag import TagCollection, make_tags
 
@@ -31,11 +30,6 @@ class TrafficPeriod:
     min_gap_m: float
     max_gap_m: float
     """Range of gaps between adjacent bags on the belt."""
-
-    @property
-    def is_peak(self) -> bool:
-        """Peak periods have adjacent gaps typically below 20 cm."""
-        return self.max_gap_m <= 0.20
 
 
 MORNING_PEAK = TrafficPeriod(
@@ -91,63 +85,3 @@ def baggage_batch(
     labels = [f"BAG-{period.start_hour:02d}-{batch_index:03d}-{i:03d}" for i in range(bag_count)]
     tags = make_tags(positions, labels=labels, seed=seed)
     return BaggageBatch(tags=tags, period=period, batch_index=batch_index)
-
-
-def order_bags(
-    batch: BaggageBatch,
-    seed: int | None = None,
-    localizer=None,
-) -> list[str]:
-    """Recover the belt order of one baggage batch (paper §5.2, end to end).
-
-    Simulates the batch riding the conveyor past the fixed antenna, localizes
-    all bags through the batched STPP engine in one DTW pass, and returns the
-    bag labels in detected belt order (first bag past the antenna first).
-
-    Pass a shared :class:`~repro.core.localizer.BatchLocalizer` as
-    ``localizer`` when processing a stream of batches — e.g. via
-    ``BatchLocalizer.localize_many`` — so every batch reuses the cached
-    reference profile instead of rebuilding it.
-    """
-    from ..core.localizer import BatchLocalizer
-    from ..simulation.collector import collect_sweep
-    from ..simulation.presets import standard_tag_moving_scene
-
-    scene = standard_tag_moving_scene(
-        batch.tags, belt_speed_mps=DEFAULT_BELT_SPEED_MPS, seed=seed
-    )
-    sweep = collect_sweep(scene)
-    engine = localizer if localizer is not None else BatchLocalizer()
-    result = engine.localize(sweep.profiles, expected_tag_ids=batch.tags.ids())
-    label_by_id = {tag.tag_id: tag.label for tag in batch.tags}
-    return [label_by_id[tid] for tid in result.x_ordering.ordered_ids]
-
-
-def period_batches(
-    period: TrafficPeriod,
-    bags_per_batch: int = 20,
-    total_bags: int | None = None,
-    seed: int | None = None,
-) -> list[BaggageBatch]:
-    """Split a period's baggage volume into conveyor batches.
-
-    ``total_bags`` defaults to the paper's per-period count; reduce it to keep
-    benchmark runtimes manageable (the benchmarks use a scaled-down count and
-    report the scaling in EXPERIMENTS.md).
-    """
-    if bags_per_batch < 1:
-        raise ValueError("bags_per_batch must be >= 1")
-    total = period.baggage_count if total_bags is None else total_bags
-    if total < 1:
-        raise ValueError("total bag count must be >= 1")
-    batches: list[BaggageBatch] = []
-    remaining = total
-    index = 0
-    while remaining > 0:
-        count = min(bags_per_batch, remaining)
-        batches.append(
-            baggage_batch(period, count, batch_index=index, seed=seed)
-        )
-        remaining -= count
-        index += 1
-    return batches

@@ -24,15 +24,6 @@ def row_layout(count: int, spacing_m: float, y_m: float = 0.0) -> list[Point3D]:
     return [Point3D(i * spacing_m, y_m, 0.0) for i in range(count)]
 
 
-def column_layout(count: int, spacing_m: float, x_m: float = 0.0) -> list[Point3D]:
-    """``count`` tags in a single column along Y, ``spacing_m`` apart."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if spacing_m <= 0:
-        raise ValueError("spacing must be positive")
-    return [Point3D(x_m, i * spacing_m, 0.0) for i in range(count)]
-
-
 def grid_layout(
     columns: int, rows: int, x_spacing_m: float, y_spacing_m: float
 ) -> list[Point3D]:

@@ -10,7 +10,7 @@ the catalogue order reveals which books are misplaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,21 +80,6 @@ class Bookshelf:
     def physical_order(self, level: int) -> list[str]:
         """Call numbers in physical left-to-right order on ``level``."""
         return [book.call_number for book in self.books_on_level(level)]
-
-    def misplaced_books(self) -> list[str]:
-        """Books whose physical order deviates from the catalogue order.
-
-        A book is misplaced when it does not belong to the longest common
-        subsequence of the physical and catalogue orders of its level — i.e.
-        the smallest set of books one would have to move to restore order.
-        """
-        misplaced: list[str] = []
-        for level in self.levels:
-            physical = self.physical_order(level)
-            catalogue = self.catalogue_order(level)
-            keep = set(_longest_common_subsequence(physical, catalogue))
-            misplaced.extend(book for book in physical if book not in keep)
-        return misplaced
 
     def to_tags(self, seed: int | None = None) -> TagCollection:
         """Tag collection with one tag per book spine."""

@@ -108,13 +108,6 @@ class ConveyorBatch:
         """Carton order along the belt (increasing X = order of arrival)."""
         return self.tags.order_along("x")
 
-    def lane_of(self, tag_id: str) -> int:
-        """Lane index of one carton (encoded in its label at generation)."""
-        for tag in self.tags:
-            if tag.tag_id == tag_id:
-                return int(tag.label.split("-")[2])
-        raise KeyError(tag_id)
-
 
 def conveyor_batch(
     config: ConveyorConfig = ConveyorConfig(),

@@ -69,3 +69,17 @@ def backtrack_min(
         path.append((i, j))
     path.reverse()
     return tuple(path)
+
+
+def segment_range_distance(a, b) -> float:
+    """The paper's ``D_{i,j}`` for one pair of segments.
+
+    Zero when the two phase ranges overlap, otherwise the distance between the
+    closest points of the ranges: the pair-at-a-time form of
+    :func:`repro.core.segmentation.range_gap_matrix`.
+    """
+    if a.min_phase_rad > b.max_phase_rad:
+        return a.min_phase_rad - b.max_phase_rad
+    if b.min_phase_rad > a.max_phase_rad:
+        return b.min_phase_rad - a.max_phase_rad
+    return 0.0

@@ -16,10 +16,11 @@ import pytest
 
 from repro.core.dtw import (
     DTWResult,
+    _accumulate_chunk,
     _backtrack,
+    _backtracked_batch,
+    _result_from_cost,
     accumulate_cost,
-    accumulate_cost_batch,
-    dtw_align,
     segmented_dtw_align,
     segmented_dtw_align_batch,
     subsequence_dtw,
@@ -32,8 +33,10 @@ from repro.core.ordering_y import order_tags_y
 from repro.core.reference import shared_canonical_reference
 from repro.core.segmentation import segment_profile
 from repro.evaluation.runner import standard_experiment
-from repro.simulation.collector import profiles_from_read_log
-from repro.workloads.airport import MORNING_PEAK, baggage_batch, order_bags
+from repro.motion.speed_profiles import DEFAULT_BELT_SPEED_MPS
+from repro.simulation.collector import collect_sweep, profiles_from_read_log
+from repro.simulation.presets import standard_tag_moving_scene
+from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.layouts import random_spacing_row
 from repro.workloads.library import audit_shelf, generate_bookshelf, misplace_books
 
@@ -48,10 +51,8 @@ class TestVectorizedKernelEquivalence:
             cols = int(rng.integers(1, 45))
             distance = rng.random((rows, cols))
             weights = rng.random((rows, cols)) + 0.1 if trial % 2 else None
-            for free_start in (False, True):
-                expected = accumulate_python(distance, weights, free_start)
-                actual = accumulate_cost(distance, weights, free_start)
-                assert np.array_equal(expected, actual)
+            expected = accumulate_python(distance, weights, True)
+            assert np.array_equal(expected, accumulate_cost(distance, weights))
 
     def test_batch_matches_single_across_mixed_shapes_and_chunks(self):
         rng = np.random.default_rng(11)
@@ -59,15 +60,12 @@ class TestVectorizedKernelEquivalence:
             rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 60))))
             for _ in range(23)
         ]
-        for free_start in (False, True):
-            # A tiny chunk budget forces several padded chunks of mixed shapes.
-            batched = accumulate_cost_batch(
-                matrices, free_query_start=free_start, max_cells=4000
-            )
-            for matrix, cost in zip(matrices, batched):
-                assert np.array_equal(
-                    cost, accumulate_cost(matrix, None, free_start)
-                )
+        # A tiny chunk budget forces several padded chunks of mixed shapes.
+        batched = _backtracked_batch(
+            [matrix.shape for matrix in matrices], matrices.__getitem__, max_cells=4000
+        )
+        for matrix, result in zip(matrices, batched):
+            assert result == _result_from_cost(accumulate_cost(matrix))
 
     def test_subsequence_batch_equals_sequential(self):
         rng = np.random.default_rng(3)
@@ -113,36 +111,33 @@ class TestKernelMatchesOracleOnEdgeShapes:
         rng = np.random.default_rng(sum(shape))
         distance = rng.random(shape)
         weights = rng.random(shape) + 0.1
-        for free_start in (False, True):
-            for w in (None, weights):
-                expected = accumulate_python(distance, w, free_start)
-                assert np.array_equal(accumulate_cost(distance, w, free_start), expected)
-            weighted = distance * weights
-            (batched,) = accumulate_cost_batch([weighted], free_query_start=free_start)
-            assert np.array_equal(
-                batched, accumulate_python(weighted, None, free_start)
-            )
+        for w in (None, weights):
+            expected = accumulate_python(distance, w, True)
+            assert np.array_equal(accumulate_cost(distance, w), expected)
+        weighted = distance * weights
+        (batched,) = _accumulated_chunk([weighted])
+        assert np.array_equal(batched, accumulate_python(weighted, None, True))
 
     def test_tied_costs_match_oracle(self):
         # Small integer distances make every min() over predecessors a tie.
         rng = np.random.default_rng(17)
         matrices = [rng.integers(0, 3, size=(9, 14)).astype(float) for _ in range(4)]
-        for free_start in (False, True):
-            batched = accumulate_cost_batch(matrices, free_query_start=free_start)
-            for matrix, cost in zip(matrices, batched):
-                expected = accumulate_python(matrix, None, free_start)
-                assert np.array_equal(cost, expected)
-                assert np.array_equal(accumulate_cost(matrix, None, free_start), expected)
+        for matrix, cost in zip(matrices, _accumulated_chunk(matrices)):
+            expected = accumulate_python(matrix, None, True)
+            assert np.array_equal(cost, expected)
+            assert np.array_equal(accumulate_cost(matrix), expected)
+
+
+def _accumulated_chunk(matrices: list[np.ndarray]) -> list[np.ndarray]:
+    """Each matrix's accumulated cost, swept together as one padded chunk."""
+    shapes = [matrix.shape for matrix in matrices]
+    cost = _accumulate_chunk(list(range(len(matrices))), shapes, matrices.__getitem__)
+    return [cost[:rows, :cols, k] for k, (rows, cols) in enumerate(shapes)]
 
 
 class TestBacktrackDegenerateShapes:
-    def test_single_row_full_alignment_walks_all_columns(self):
-        result = dtw_align(np.array([1.0]), np.array([1.0, 2.0, 3.0]))
-        assert result.path == ((0, 0), (0, 1), (0, 2))
-        assert (result.query_start, result.query_end) == (0, 2)
-
-    def test_single_column_full_alignment_walks_all_rows(self):
-        result = dtw_align(np.array([1.0, 2.0, 3.0]), np.array([1.0]))
+    def test_single_column_alignment_walks_all_rows(self):
+        result = subsequence_dtw(np.array([1.0, 2.0, 3.0]), np.array([1.0]))
         assert result.path == ((0, 0), (1, 0), (2, 0))
         assert (result.query_start, result.query_end) == (0, 0)
 
@@ -154,13 +149,13 @@ class TestBacktrackDegenerateShapes:
         assert result.cost == pytest.approx(0.5)
 
     def test_backtrack_1x1(self):
-        path = _backtrack(np.array([[3.0]]))
+        path = _backtrack(np.array([[3.0]]), 0)
         assert path == ((0, 0),)
 
 
 class TestQueryIndicesContract:
     def _result(self) -> DTWResult:
-        return dtw_align(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+        return subsequence_dtw(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
 
     def test_inclusive_range(self):
         result = self._result()
@@ -261,28 +256,6 @@ class TestBatchLocalizerEquivalence:
         assert detector.detect_all([]) == {}
         assert detector.detect_all({}) == {}
 
-    def test_localize_many_matches_individual_calls(self):
-        engine = BatchLocalizer(STPPConfig())
-        profile_sets = []
-        expected = []
-        for seed in (31, 32):
-            positions = random_spacing_row(
-                4, 0.07, 0.2, rng=np.random.default_rng(seed)
-            )
-            experiment = standard_experiment(positions, seed=seed)
-            profile_sets.append(profiles_from_read_log(experiment.read_log))
-            expected.append(experiment.target_ids)
-        many = engine.localize_many(profile_sets, expected_tag_ids=expected)
-        for profiles, tag_ids, result in zip(profile_sets, expected, many):
-            single = engine.localize(profiles, expected_tag_ids=tag_ids)
-            assert single.x_ordering.ordered_ids == result.x_ordering.ordered_ids
-            assert single.y_ordering.ordered_ids == result.y_ordering.ordered_ids
-
-    def test_localize_many_validates_lengths(self):
-        engine = BatchLocalizer(STPPConfig())
-        with pytest.raises(ValueError, match="one entry per profile set"):
-            engine.localize_many([], expected_tag_ids=[["a"]])
-
     def test_shared_reference_is_cached(self):
         first = BatchLocalizer(STPPConfig())
         second = BatchLocalizer(STPPConfig())
@@ -298,9 +271,12 @@ class TestWorkloadEntryPoints:
         flagged = audit_shelf(shuffled, seed=42)
         assert all(book in flagged for book in misplaced)
 
-    def test_order_bags_recovers_belt_order(self):
+    def test_belt_order_is_recovered(self):
         batch = baggage_batch(MORNING_PEAK, bag_count=5, seed=13)
-        detected = order_bags(batch, seed=13)
-        label_by_id = {tag.tag_id: tag.label for tag in batch.tags}
-        true_labels = [label_by_id[tid] for tid in batch.ground_truth_order()]
-        assert detected == true_labels
+        scene = standard_tag_moving_scene(
+            batch.tags, belt_speed_mps=DEFAULT_BELT_SPEED_MPS, seed=13
+        )
+        result = BatchLocalizer().localize(
+            collect_sweep(scene).profiles, expected_tag_ids=batch.tags.ids()
+        )
+        assert list(result.x_ordering.ordered_ids) == batch.ground_truth_order()

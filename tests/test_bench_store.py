@@ -104,21 +104,6 @@ class TestMalformedHistory:
         assert len(BenchHistory(path).read()) == 1
 
 
-class TestRowsFor:
-    def test_filters_by_source_and_metric(self, tmp_path):
-        history = BenchHistory(tmp_path / "hist.jsonl")
-        history.append(
-            [
-                make_record("a", 1.0),
-                make_record("a", 2.0, source="bench_other"),
-                make_record("b", 3.0),
-            ]
-        )
-        assert [r.value for r in history.rows_for("bench_test")] == [1.0, 3.0]
-        assert [r.value for r in history.rows_for("bench_test", "a")] == [1.0]
-        assert history.rows_for("bench_missing") == []
-
-
 class TestFlattenMetrics:
     def test_nested_mappings_become_dotted_names(self):
         flat = flatten_metrics({"timings_s": {"serial": 1.5, "stages": {"sim": 0.5}}})

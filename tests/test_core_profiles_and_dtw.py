@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.dtw import (
-    dtw_align,
-    segmented_dtw_align,
-    subsequence_dtw,
-    warp_query_to_reference,
-)
+from repro.core.dtw import segmented_dtw_align, subsequence_dtw
 from repro.core.phase_profile import PhaseProfile, ProfileSet
 from repro.core.segmentation import (
     CoarseRepresentation,
     coarse_representation,
     segment_distance_matrix,
     segment_profile,
-    segment_range_distance,
 )
 from repro.rf.constants import TWO_PI
+from repro.rfid.reading import ReadLog, TagRead
+from repro.simulation.collector import profiles_from_read_log
 
 
 def make_profile(times, phases, tag_id="t"):
@@ -29,7 +25,6 @@ class TestPhaseProfile:
         profile = make_profile([0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
         assert len(profile) == 3
         assert profile.duration_s == pytest.approx(0.2)
-        assert profile.mean_sample_rate_hz() == pytest.approx(10.0)
         assert not profile.is_empty
 
     def test_validation(self):
@@ -53,9 +48,19 @@ class TestPhaseProfile:
         assert len(profile.slice_index(1, 3)) == 2
 
     def test_from_reads_sorts_and_wraps(self):
-        profile = PhaseProfile.from_reads("t", [0.2, 0.0], [7.0, 1.0])
-        assert profile.timestamps_s.tolist() == [0.0, 0.2]
-        assert profile.phases_rad[1] == pytest.approx(7.0 % TWO_PI)
+        log = ReadLog(
+            [
+                TagRead(0.2, "t", 7.0, -50.0),
+                TagRead(0.0, "t", 1.0, -51.0),
+                TagRead(0.1, "u", -1.0, -52.0),
+            ]
+        )
+        profiles = profiles_from_read_log(log)
+        assert profiles.tag_ids() == ["t", "u"]
+        assert profiles["t"].timestamps_s.tolist() == [0.0, 0.2]
+        assert profiles["t"].phases_rad[1] == pytest.approx(7.0 % TWO_PI)
+        assert profiles["t"].rssi_dbm.tolist() == [-51.0, -50.0]
+        assert profiles["u"].phases_rad[0] == pytest.approx(TWO_PI - 1.0)
 
     def test_empty_profile_properties(self):
         profile = make_profile([], [])
@@ -74,7 +79,6 @@ class TestPhaseProfile:
         profiles.add(make_profile([], [], "b"))
         assert len(profiles) == 2
         assert "a" in profiles
-        assert profiles.non_empty().tag_ids() == ["a"]
         assert profiles.min_samples() == 0
 
 
@@ -101,8 +105,8 @@ class TestSegmentation:
     def test_segment_range_distance(self):
         profile = make_profile(np.linspace(0, 1, 10), np.concatenate([np.full(5, 1.0), np.full(5, 3.0)]))
         segments = segment_profile(profile, window_size=5)
-        assert segment_range_distance(segments[0], segments[1]) == pytest.approx(2.0)
-        assert segment_range_distance(segments[0], segments[0]) == 0.0
+        matrix = segment_distance_matrix(segments[:2], segments[:2])
+        assert matrix.tolist() == [[0.0, pytest.approx(2.0)], [pytest.approx(2.0), 0.0]]
 
     def test_distance_matrix_shape(self):
         profile = make_profile(np.linspace(0, 1, 20), np.linspace(0.5, 1.5, 20))
@@ -224,7 +228,7 @@ class TestVectorizedSegmentation:
 class TestDTW:
     def test_identical_sequences_zero_cost(self):
         seq = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-        result = dtw_align(seq, seq)
+        result = subsequence_dtw(seq, seq)
         assert result.cost == pytest.approx(0.0)
         assert result.path[0] == (0, 0)
         assert result.path[-1] == (4, 4)
@@ -232,12 +236,12 @@ class TestDTW:
     def test_warping_absorbs_stretch(self):
         reference = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
         stretched = np.repeat(reference, 3)
-        result = dtw_align(reference, stretched)
+        result = subsequence_dtw(reference, stretched)
         assert result.cost == pytest.approx(0.0)
 
     def test_path_monotone(self):
         rng = np.random.default_rng(0)
-        result = dtw_align(rng.random(20), rng.random(30))
+        result = subsequence_dtw(rng.random(20), rng.random(30))
         rs = [r for r, _ in result.path]
         qs = [q for _, q in result.path]
         assert rs == sorted(rs)
@@ -253,14 +257,14 @@ class TestDTW:
     def test_query_indices_for_reference_range(self):
         reference = np.array([0.0, 1.0, 2.0, 3.0])
         query = np.array([0.0, 1.0, 2.0, 3.0])
-        result = dtw_align(reference, query)
+        result = subsequence_dtw(reference, query)
         assert result.query_indices_for_reference_range(1, 2) == (1, 2)
         with pytest.raises(ValueError):
             result.query_indices_for_reference_range(10, 12)
 
     def test_empty_sequences_rejected(self):
         with pytest.raises(ValueError):
-            dtw_align(np.array([]), np.array([1.0]))
+            subsequence_dtw(np.array([]), np.array([1.0]))
         with pytest.raises(ValueError):
             subsequence_dtw(np.array([1.0]), np.array([]))
 
@@ -269,16 +273,9 @@ class TestDTW:
         v_shape = np.abs(times - 1.0) * 3.0 + 0.5
         profile = make_profile(times, np.minimum(v_shape, 6.2))
         segments = segment_profile(profile, 5)
-        result = segmented_dtw_align(segments, segments, subsequence=False)
+        result = segmented_dtw_align(segments, segments)
         assert result.cost == pytest.approx(0.0)
 
     def test_segmented_dtw_requires_segments(self):
         with pytest.raises(ValueError):
             segmented_dtw_align([], [])
-
-    def test_warp_query_to_reference_shape(self):
-        reference = np.array([0.0, 1.0, 2.0])
-        query = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-        result = dtw_align(reference, query)
-        warped = warp_query_to_reference(result, query)
-        assert warped.shape == (3,)

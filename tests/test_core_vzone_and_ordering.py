@@ -7,14 +7,11 @@ import pytest
 
 from repro.core.fitting import fit_vzone, fit_vzone_profile
 from repro.core.localizer import STPPConfig, STPPLocalizer
-from repro.core.ordering_x import bottom_time_gaps, order_tags_x
+from repro.core.ordering_x import order_tags_x
 from repro.core.ordering_y import (
     YOrderingConfig,
     build_representations,
-    gap_metric,
-    order_metric,
     order_tags_y,
-    pairwise_gaps,
     signed_gap,
 )
 from repro.core.phase_profile import PhaseProfile
@@ -172,11 +169,6 @@ class TestQuadraticFitting:
         fit = fit_vzone(times, phases)
         assert (not fit.valid) or (times[0] <= fit.bottom_time_s <= times[-1])
 
-    def test_halfwidth_from_curvature(self):
-        profile = synthetic_profile(2.0, 0.35)
-        fit = fit_vzone(*_window(profile))
-        assert 0.3 < fit.vzone_halfwidth_s() < 3.0
-
 
 def _window(profile, halfwidth=0.7, centre=2.0):
     window = profile.slice_time(centre - halfwidth, centre + halfwidth)
@@ -293,16 +285,15 @@ class TestOrderingX:
             "c": synthetic_profile(2.0, 0.35, tag_id="c"),
         }
         ordering = order_tags_x(VZoneDetector().detect_all(profiles), all_tag_ids=list(profiles))
-        gaps = bottom_time_gaps(ordering)
-        assert gaps[("b", "c")] > gaps[("a", "b")]
+        bottoms = ordering.scores
+        assert bottoms["c"] - bottoms["b"] > bottoms["b"] - bottoms["a"]
 
     def test_missing_tags_reported(self):
         profiles = {"a": synthetic_profile(1.0, 0.35, tag_id="a")}
         vzones = VZoneDetector().detect_all(profiles)
         ordering = order_tags_x(vzones, all_tag_ids=["a", "ghost"])
         assert "ghost" in ordering.unordered_ids
-        with pytest.raises(KeyError):
-            ordering.position_of("ghost")
+        assert "ghost" not in ordering.ordered_ids
 
 
 class TestOrderingY:
@@ -332,16 +323,7 @@ class TestOrderingY:
     def test_metrics_definitions(self):
         p = coarse_representation("p", np.array([4.0, 3.0, 2.0, 1.0]), 4)
         q = coarse_representation("q", np.array([2.0, 1.5, 1.0, 0.5]), 4)
-        assert order_metric(p, q) > 0
-        assert gap_metric(p, q) == pytest.approx(5.0)
         assert signed_gap(p, q) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            order_metric(p, coarse_representation("r", np.arange(3.0), 3))
-
-    def test_pairwise_gaps_requires_valid_pivot(self):
-        p = coarse_representation("p", np.arange(4.0), 4)
-        with pytest.raises(KeyError):
-            pairwise_gaps({"p": p}, "missing")
 
     def test_all_pairs_comparison_matches_pivot_on_clean_data(self):
         distances = [0.33, 0.42, 0.52]
@@ -349,6 +331,21 @@ class TestOrderingY:
         pivot_order = order_tags_y(profiles, vzones, config=YOrderingConfig(comparison="pivot"))
         all_pairs_order = order_tags_y(profiles, vzones, config=YOrderingConfig(comparison="all_pairs"))
         assert pivot_order.ordered_ids == all_pairs_order.ordered_ids
+
+    def test_pivot_scores_are_gaps_to_the_pivot(self):
+        distances = [0.33, 0.42, 0.52]
+        profiles, vzones = self._profiles_and_vzones(distances)
+        by_pivot = {
+            pivot: order_tags_y(profiles, vzones, pivot_tag_id=pivot).scores
+            for pivot in ("t0", "t2", "missing")
+        }
+        assert by_pivot["t2"]["t2"] == 0.0
+        # Gaps to another pivot shift every score alike; the order holds.
+        shift = by_pivot["t2"]["t0"] - by_pivot["t0"]["t0"]
+        for tag_id in profiles:
+            assert by_pivot["t2"][tag_id] - by_pivot["t0"][tag_id] == pytest.approx(shift)
+        # An unknown pivot falls back to the first tag.
+        assert by_pivot["missing"] == by_pivot["t0"]
 
     def test_build_representations_segment_count(self):
         distances = [0.35, 0.45]
@@ -376,9 +373,9 @@ class TestLocalizer:
                 )
         localizer = STPPLocalizer(STPPConfig())
         result = localizer.localize(profiles)
-        x_ranks = {tid: result.x_ordering.position_of(tid) for tid in profiles}
+        x_ranks = {tid: result.x_ordering.ordered_ids.index(tid) for tid in profiles}
         assert x_ranks["t00"] < x_ranks["t10"] < x_ranks["t20"]
-        y_ranks = {tid: result.y_ordering.position_of(tid) for tid in profiles}
+        y_ranks = {tid: result.y_ordering.ordered_ids.index(tid) for tid in profiles}
         assert y_ranks["t00"] < y_ranks["t01"]
 
     def test_expected_ids_filtering(self):
@@ -401,6 +398,7 @@ class TestLocalizer:
             "b": synthetic_profile(2.0, 0.45, tag_id="b"),
         }
         result = STPPLocalizer().localize(profiles)
-        assert result.relative_position("a") == (0, 0)
-        assert result.relative_position("b") == (1, 1)
-        assert result.ordered_tag_count == 2
+        for rank, tag_id in enumerate("ab"):
+            assert result.x_ordering.ordered_ids.index(tag_id) == rank
+            assert result.y_ordering.ordered_ids.index(tag_id) == rank
+        assert len(result.x_ordering.ordered_ids) == 2

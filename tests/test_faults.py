@@ -424,15 +424,6 @@ class TestScenarioFaults:
         # The generated name satisfies the spec's own name charset.
         assert ScenarioSpec.from_json(degraded.to_json()) == degraded
 
-    def test_degraded_variants_expand_in_registration_order(self):
-        registry = default_registry()
-        profile = FaultSpec.from_json(self.FAULTS)
-        variants = registry.degraded_variants(profile)
-        assert [v.name.split("[")[0] for v in variants] == list(
-            registry.names()
-        )
-        assert all(v.faults == profile for v in variants)
-
     def test_degraded_experiment_is_deterministic_and_lossy(self):
         from repro.scenarios.builders import scenario_experiment
 

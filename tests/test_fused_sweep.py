@@ -19,7 +19,7 @@ import pytest
 from repro.motion.scenarios import StaticAntennaPosition, SweepScenario
 from repro.rf.geometry import Point3D
 from repro.rf.noise import NOISELESS, NoiseModel
-from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm, SlotOutcome
+from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm
 from repro.rfid.coupling import NeighborGrid
 from repro.rfid.reader import RFIDReader
 from repro.rfid.reading import ReadLog
@@ -37,7 +37,13 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
-from oracles.scalar_sweep import scalar_scene_log
+from oracles.scalar_sweep import (
+    SlotOutcome,
+    on_slot,
+    round_duration_s,
+    run_round,
+    scalar_scene_log,
+)
 
 
 def assert_identical(fused: ReadLog, oracle: ReadLog) -> None:
@@ -502,9 +508,6 @@ class TestEventTableContract:
         table = self._table()
         log = collect_sweep(self._scene()).read_log
         assert table.to_read_log() == log
-        assert table.event_tag_ids()[:3] == [
-            table.tag_ids[i] for i in table.tag_indices[:3]
-        ]
 
     def test_unobserved_table_refuses_replay(self):
         from repro.rfid.event_table import SweepEventTable
@@ -517,7 +520,7 @@ class TestEventTableContract:
 
 
 class TestRunRoundSchedule:
-    """The scheduling-only round is the exact twin of run_round."""
+    """The array-native round is the exact twin of the slot-by-slot oracle."""
 
     @pytest.mark.parametrize("population", [0, 1, 3, 17, 60])
     def test_matches_run_round(self, population):
@@ -526,14 +529,14 @@ class TestRunRoundSchedule:
 
         reference = FrameSlottedAloha()
         rng_a = np.random.default_rng(99)
-        events = reference.run_round(tag_ids, start, rng_a)
+        events = run_round(reference, tag_ids, start, rng_a)
         expected_ids: list[str] = []
         expected_ends: list[float] = []
         for event in events:
             if event.outcome is SlotOutcome.SUCCESS and event.tag_id is not None:
                 expected_ids.append(event.tag_id)
                 expected_ends.append(event.end_time_s)
-        expected_duration = reference.round_duration_s(events)
+        expected_duration = round_duration_s(reference, events)
 
         scheduled = FrameSlottedAloha()
         rng_b = np.random.default_rng(99)
@@ -558,8 +561,8 @@ class TestRunRoundSchedule:
         rng_b = np.random.default_rng(5)
         clock_a = clock_b = 0.0
         for _ in range(12):
-            events = via_events.run_round(tag_ids, clock_a, rng_a)
-            clock_a += via_events.round_duration_s(events)
+            events = run_round(via_events, tag_ids, clock_a, rng_a)
+            clock_a += round_duration_s(via_events, events)
             _, _, duration = via_schedule.run_round_schedule(tag_ids, clock_b, rng_b)
             clock_b += duration
             assert clock_a == clock_b
@@ -587,7 +590,7 @@ class TestRunRoundSchedule:
 
     @pytest.mark.parametrize("case", sorted(DENSE_WALKS))
     def test_dense_hall_scale_walk(self, case):
-        # run_round walks QAlgorithm.on_slot slot by slot; run_round_schedule
+        # run_round walks the Q rule slot by slot; run_round_schedule
         # steps over runs of empty slots.  Every round of both must agree
         # exactly: winners, end times, duration, q_fp and rng state.
         population, q_fp, rounds, overrides, pins_floor = self.DENSE_WALKS[case]
@@ -602,36 +605,36 @@ class TestRunRoundSchedule:
         floor_then_collision = False
         for _ in range(rounds):
             replay = dataclasses.replace(via_events._q_algorithm)
-            events = via_events.run_round(tag_ids, clock, rng_a)
+            events = run_round(via_events, tag_ids, clock, rng_a)
             success_ids, success_ends, duration = via_schedule.run_round_schedule(
                 tag_ids, clock, rng_b
             )
             successes = [e for e in events if e.outcome is SlotOutcome.SUCCESS]
             assert list(success_ids) == [e.tag_id for e in successes]
             assert success_ends.tolist() == [e.end_time_s for e in successes]
-            assert duration == via_events.round_duration_s(events)
+            assert duration == round_duration_s(via_events, events)
             expected_q = via_events.scheduling_checkpoint()
             assert via_schedule.scheduling_checkpoint().hex() == float(expected_q).hex()
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             for event in events:
                 if event.outcome is SlotOutcome.COLLISION and replay.q_fp == replay.q_min:
                     floor_then_collision = True
-                replay.on_slot(event.outcome)
+                on_slot(replay, event.outcome)
             clock += duration
         assert floor_then_collision == pins_floor
 
 
 class TestNeighborCSR:
-    """The CSR packing reproduces per-index neighbour lookups exactly."""
+    """The CSR packing reproduces per-row neighbour lookups exactly."""
 
-    def test_packed_matches_neighbors_of(self):
+    def test_packed_matches_single_row_packing(self):
         rng = np.random.default_rng(3)
         positions = rng.uniform(-0.4, 0.4, size=(40, 3))
         grid = NeighborGrid(positions, 0.15)
         counts, offsets, flat = grid.packed_neighbors()
         for index in range(len(positions)):
             packed = flat[offsets[index] : offsets[index] + counts[index]]
-            assert packed.tolist() == grid.neighbors_of(index).tolist()
+            assert packed.tolist() == grid.packed_neighbors(np.array([index]))[2].tolist()
 
     def test_neighbors_for_events(self):
         rng = np.random.default_rng(4)
@@ -642,7 +645,7 @@ class TestNeighborCSR:
         expected_events: list[int] = []
         expected_neighbors: list[int] = []
         for event, tag in enumerate(tag_indices):
-            for neighbor in grid.neighbors_of(int(tag)):
+            for neighbor in grid.packed_neighbors(np.array([tag]))[2]:
                 expected_events.append(event)
                 expected_neighbors.append(int(neighbor))
         assert event_index.tolist() == expected_events

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles.ingest import IngestOracle
 from repro.rf.constants import TWO_PI
-from repro.rfid import ReadLog
+from repro.rfid import ReadLog, TagRead
 from repro.service import LocalizationSession
 from repro.simulation import StreamingCollector
 from repro.simulation.collector import profiles_from_read_log
@@ -109,13 +109,8 @@ def test_collector_matches_batch_assembly_and_oracle(chunks, policy):
     ]
 
     kept = oracle.kept
-    log = ReadLog.from_columns(
-        [read[1] for read in kept],
-        [read[0] for read in kept],
-        [read[2] for read in kept],
-        [read[3] for read in kept],
-        [read[4] for read in kept],
-        [1] * len(kept),
+    log = ReadLog(
+        [TagRead(read[1], read[0], read[2], read[3], read[4], 1) for read in kept]
     )
     expected = profiles_from_read_log(log, channel_index=6)
     snapshot = collector.profiles()

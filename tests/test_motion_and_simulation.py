@@ -5,7 +5,6 @@ import pytest
 
 from repro.motion.scenarios import (
     antenna_moving_scenario,
-    equivalent_antenna_motion,
     tag_moving_scenario,
 )
 from repro.motion.speed_profiles import (
@@ -14,7 +13,7 @@ from repro.motion.speed_profiles import (
     jittered_speed_profile,
 )
 from repro.core.phase_profile import PhaseProfile, profiles_from_grouped_columns
-from repro.motion.trajectory import LinearTrajectory, WaypointTrajectory
+from repro.motion.trajectory import LinearTrajectory
 from repro.rf.constants import TWO_PI
 from repro.rf.geometry import Point3D
 from repro.rfid.reading import ReadLog, TagRead
@@ -22,7 +21,6 @@ from repro.rfid.tag import make_tags
 from repro.simulation.collector import collect_sweep, profiles_from_read_log
 from repro.simulation.presets import (
     SweepGeometry,
-    clean_channel,
     indoor_channel,
     standard_antenna_moving_scene,
     standard_tag_moving_scene,
@@ -76,27 +74,19 @@ class TestTrajectories:
         assert trajectory.position(10.0) == Point3D(1, 0, 0)
         assert trajectory.position(1.0).x == pytest.approx(0.5)
 
-    def test_linear_trajectory_progress_inverse(self):
+    def test_linear_trajectory_progress(self):
+        # At constant speed the fraction of the path covered grows linearly
+        # with time, and the scalar, row and vectorized forms agree.
         trajectory = LinearTrajectory(Point3D(0, 0, 0), Point3D(2, 0, 0), ConstantSpeedProfile(0.4))
-        t = trajectory.time_at_progress(0.25)
-        assert trajectory.progress(t) == pytest.approx(0.25)
+        times = [0.0, trajectory.duration_s / 4, trajectory.duration_s / 2]
+        rows = trajectory.positions_at(times)
+        for t, row, x in zip(times, rows, (0.0, 0.5, 1.0)):
+            assert trajectory.position(t).x == pytest.approx(x)
+            assert (trajectory.position_row(t) == row).all()
 
     def test_degenerate_trajectory_rejected(self):
         with pytest.raises(ValueError):
             LinearTrajectory(Point3D(0, 0, 0), Point3D(0, 0, 0))
-
-    def test_waypoint_trajectory_path_length(self):
-        trajectory = WaypointTrajectory(
-            [Point3D(0, 0, 0), Point3D(1, 0, 0), Point3D(1, 1, 0)], ConstantSpeedProfile(1.0)
-        )
-        assert trajectory.path_length_m == pytest.approx(2.0)
-        assert trajectory.position(1.5) == Point3D(1, 0.5, 0)
-
-    def test_waypoint_validation(self):
-        with pytest.raises(ValueError):
-            WaypointTrajectory([Point3D(0, 0, 0)])
-        with pytest.raises(ValueError):
-            WaypointTrajectory([Point3D(0, 0, 0), Point3D(0, 0, 0)])
 
 
 class TestScenarios:
@@ -119,11 +109,18 @@ class TestScenarios:
         # describe the sweep as antenna-moving or tag-moving (paper §1.3).
         positions = {"a": Point3D(0.4, 0.1, 0.0)}
         scenario = tag_moving_scenario(Point3D(-0.3, -0.15, 0.3), positions, (-1, 0, 0), 0.3, 5.0)
-        relative = equivalent_antenna_motion(scenario, "a")
         for t in np.linspace(0, 5, 11):
-            direct = scenario.antenna_position(t).distance_to(scenario.tag_position("a", t))
-            rel = relative(t).distance_to(positions["a"])
-            assert direct == pytest.approx(rel, abs=1e-9)
+            antenna = scenario.antenna_position(t)
+            tag = scenario.tag_position("a", t)
+            direct = antenna.distance_to(tag)
+            # The antenna in the tags' moving frame, anchored at the tag's
+            # initial position.
+            relative = Point3D(
+                antenna.x - (tag.x - positions["a"].x),
+                antenna.y - (tag.y - positions["a"].y),
+                antenna.z - (tag.z - positions["a"].z),
+            )
+            assert direct == pytest.approx(relative.distance_to(positions["a"]), abs=1e-9)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -196,13 +193,6 @@ class TestSceneAndCollector:
         tags, _scene, sweep = staircase_sweep
         assert set(sweep.read_log.tag_ids()) == set(tags.ids())
 
-    def test_clean_channel_has_no_noise(self):
-        channel = clean_channel()
-        rng = np.random.default_rng(0)
-        obs1 = channel.observe(Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng)
-        obs2 = channel.observe(Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng)
-        assert obs1.phase_rad == pytest.approx(obs2.phase_rad)
-
     def test_indoor_channel_requires_positions(self):
         with pytest.raises(ValueError):
             indoor_channel([])
@@ -237,25 +227,35 @@ def _assembly_log(seed: int, channel_index: int) -> ReadLog:
     )
 
 
+def from_reads(
+    tag_id: str, reads: list[TagRead], channel_index: int
+) -> PhaseProfile:
+    """One tag's profile built read by read: stable time sort, phases wrapped."""
+    timestamps = np.array([read.timestamp_s for read in reads])
+    order = np.argsort(timestamps, kind="stable")
+    phases = np.mod(np.array([read.phase_rad for read in reads]), TWO_PI)
+    return PhaseProfile(
+        tag_id=tag_id,
+        timestamps_s=timestamps[order],
+        phases_rad=phases[order],
+        rssi_dbm=np.array([read.rssi_dbm for read in reads])[order],
+        channel_index=channel_index,
+    )
+
+
 def _per_tag_from_reads(log: ReadLog, channel_index: int) -> dict[str, PhaseProfile]:
-    """The reference: one ``PhaseProfile.from_reads`` per tag, reads in log order."""
+    """The reference: one :func:`from_reads` per tag, reads in log order."""
     grouped: dict[str, list[TagRead]] = {}
     for read in log.reads:
         grouped.setdefault(read.tag_id, []).append(read)
     return {
-        tag_id: PhaseProfile.from_reads(
-            tag_id,
-            [read.timestamp_s for read in reads],
-            [read.phase_rad for read in reads],
-            [read.rssi_dbm for read in reads],
-            channel_index=channel_index,
-        )
+        tag_id: from_reads(tag_id, reads, channel_index)
         for tag_id, reads in grouped.items()
     }
 
 
 class TestProfileAssembly:
-    """``profiles_from_read_log`` equals per-tag ``PhaseProfile.from_reads``."""
+    """``profiles_from_read_log`` equals per-tag :func:`from_reads`."""
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     @pytest.mark.parametrize("seed", range(30))

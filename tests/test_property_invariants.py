@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.dtw import dtw_align, subsequence_dtw
+from repro.core.dtw import subsequence_dtw
 from repro.core.phase_profile import PhaseProfile
-from repro.core.segmentation import coarse_representation, segment_profile, segment_range_distance
+from repro.core.segmentation import (
+    coarse_representation,
+    segment_distance_matrix,
+    segment_profile,
+)
 from repro.evaluation.metrics import ordering_accuracy, pairwise_order_accuracy
 from repro.rf.constants import TWO_PI, channel_wavelength_m
-from repro.rf.phase_model import phase_distance, round_trip_phase, wrap_phase
+from repro.rf.phase_model import round_trip_phase, wrap_phase
+
+from oracles.dtw import accumulate_python, segment_range_distance
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_positive = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -29,23 +35,16 @@ class TestPhaseModelProperties:
         assert 0.0 <= once < TWO_PI
         assert wrap_phase(once) == pytest.approx(once)
 
-    @given(a=finite_floats, b=finite_floats)
-    def test_phase_distance_symmetric_bounded(self, a, b):
-        d_ab = phase_distance(a, b)
-        d_ba = phase_distance(b, a)
-        assert d_ab == pytest.approx(d_ba, abs=1e-9)
-        assert 0.0 <= d_ab <= np.pi + 1e-9
-
     @given(distance=small_positive, k=st.integers(min_value=-3, max_value=3))
     def test_phase_periodic_in_half_wavelength(self, distance, k):
         wavelength = channel_wavelength_m(6)
         shifted = distance + k * wavelength / 2.0
         if shifted <= 0:
             return
-        d = phase_distance(
-            round_trip_phase(distance, wavelength), round_trip_phase(shifted, wavelength)
+        diff = abs(
+            round_trip_phase(distance, wavelength) - round_trip_phase(shifted, wavelength)
         )
-        assert d < 1e-6
+        assert min(diff, TWO_PI - diff) < 1e-6
 
 
 def profile_strategy(min_size=2, max_size=60):
@@ -82,10 +81,12 @@ class TestProfileAndSegmentationProperties:
         times = np.cumsum(gaps)
         profile = PhaseProfile("t", times, phases)
         segments = segment_profile(profile, 5)
-        for a in segments[:4]:
-            for b in segments[:4]:
-                assert segment_range_distance(a, b) >= 0.0
-                assert segment_range_distance(a, b) == pytest.approx(segment_range_distance(b, a))
+        matrix = segment_distance_matrix(segments, segments)
+        assert (matrix >= 0.0).all()
+        assert np.array_equal(matrix, matrix.T)
+        for i, a in enumerate(segments[:4]):
+            for j, b in enumerate(segments[:4]):
+                assert matrix[i, j] == segment_range_distance(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -107,7 +108,7 @@ class TestDTWProperties:
         seq=arrays(np.float64, st.integers(2, 30), elements=st.floats(0, 6, allow_nan=False)),
     )
     def test_self_alignment_zero_cost(self, seq):
-        result = dtw_align(seq, seq)
+        result = subsequence_dtw(seq, seq)
         assert result.cost == pytest.approx(0.0, abs=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -116,10 +117,11 @@ class TestDTWProperties:
         query=arrays(np.float64, st.integers(2, 25), elements=st.floats(0, 6, allow_nan=False)),
     )
     def test_dtw_cost_nonnegative_and_path_valid(self, ref, query):
-        result = dtw_align(ref, query)
+        result = subsequence_dtw(ref, query)
         assert result.cost >= 0.0
-        assert result.path[0] == (0, 0)
-        assert result.path[-1] == (len(ref) - 1, len(query) - 1)
+        assert result.path[0] == (0, result.query_start)
+        assert result.path[-1] == (len(ref) - 1, result.query_end)
+        assert 0 <= result.query_start <= result.query_end < len(query)
         for (r0, q0), (r1, q1) in zip(result.path, result.path[1:]):
             assert 0 <= r1 - r0 <= 1
             assert 0 <= q1 - q0 <= 1
@@ -130,10 +132,12 @@ class TestDTWProperties:
         query=arrays(np.float64, st.integers(2, 25), elements=st.floats(0, 6, allow_nan=False)),
     )
     def test_subsequence_cost_at_most_full_cost(self, ref, query):
-        full = dtw_align(ref, query)
+        # Full DTW (both query ends pinned) is one of the alignments the
+        # subsequence search ranges over, so it can never cost less.
+        distance = np.abs(ref[:, None] - query[None, :])
+        full_cost = accumulate_python(distance, None, False)[-1, -1]
         sub = subsequence_dtw(ref, query)
-        assert sub.cost <= full.cost + 1e-9
-        assert 0 <= sub.query_start <= sub.query_end < len(query)
+        assert sub.cost <= full_cost + 1e-9
 
 
 class TestMetricProperties:

@@ -63,7 +63,7 @@ def segments(draw, min_size: int = 1, max_size: int = 6) -> list[Segment]:
 
 
 def _assert_matches_scratch(result, reference, query):
-    expected = segmented_dtw_align(reference, query, subsequence=True)
+    expected = segmented_dtw_align(reference, query)
     assert result.cost == expected.cost
     assert result.path == expected.path
     assert (result.query_start, result.query_end) == (
@@ -113,7 +113,7 @@ def _grow_and_check(data, lanes: list[_Lane]) -> None:
             # None means "all but the last": only truthful when that last
             # segment is the whole tail, or less than the real stable prefix
             # (yet no less than what is cached).  0 keeps nothing cached.
-            cached = lane.aligner.cached_columns
+            cached = lane.aligner._cached_cols
             choices = [len(lane.stable)]
             if cached <= len(query) - 1 <= len(lane.stable):
                 choices.append(None)
@@ -173,10 +173,10 @@ def test_invalid_lane_leaves_every_aligner_untouched():
     bad.align(query, 4)
     with pytest.raises(ValueError, match="stable prefix shrank"):
         align_resumable_batch([good, bad], [query, query[:2]], [5, 1])
-    assert (good.cached_columns, bad.cached_columns) == (0, 4)
+    assert (good._cached_cols, bad._cached_cols) == (0, 4)
     with pytest.raises(ValueError, match="query"):
         align_resumable_batch([good, bad], [query, []], [5, 0])
-    assert good.cached_columns == 0
+    assert good._cached_cols == 0
     with pytest.raises(ValueError, match="pair up"):
         align_resumable_batch([good], [query, query])
 
@@ -186,13 +186,10 @@ def test_invalid_lane_leaves_every_aligner_untouched():
 # ---------------------------------------------------------------------------
 
 
-def _both_modes(cost):
-    """Check the full-mode walk and a free-start walk from every end column."""
-    assert _backtrack(cost) == backtrack_min(cost)
+def _every_end_column(cost):
+    """Check the free-start walk from every end column."""
     for end_col in range(cost.shape[1]):
-        assert _backtrack(cost, start_col=end_col) == backtrack_min(
-            cost, start_col=end_col
-        )
+        assert _backtrack(cost, end_col) == backtrack_min(cost, start_col=end_col)
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,7 +203,7 @@ def _both_modes(cost):
 def test_backtrack_matches_oracle_on_tie_heavy_matrices(cost):
     """Raw integer-valued matrices: two- and three-way ties everywhere,
     1×N and N×1 shapes included."""
-    _both_modes(cost)
+    _every_end_column(cost)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,11 +213,10 @@ def test_backtrack_matches_oracle_on_tie_heavy_matrices(cost):
         st.tuples(st.integers(1, 9), st.integers(1, 9)),
         elements=st.integers(0, 3).map(float),
     ),
-    st.booleans(),
 )
-def test_backtrack_matches_oracle_on_accumulated_matrices(weighted, free_start):
+def test_backtrack_matches_oracle_on_accumulated_matrices(weighted):
     """Accumulated costs of integer weights, as the aligners produce them."""
-    _both_modes(accumulate_python(weighted, None, free_start))
+    _every_end_column(accumulate_python(weighted, None, True))
 
 
 @pytest.mark.parametrize(
@@ -239,7 +235,7 @@ def test_backtrack_matches_oracle_on_accumulated_matrices(weighted, free_start):
          "diag-eq-left", "1xN", "Nx1", "1x1"],
 )
 def test_backtrack_matches_oracle_on_hand_picked_ties(cost):
-    _both_modes(cost)
+    _every_end_column(cost)
 
 
 def test_backtrack_matches_oracle_on_full_dtw_sized_matrix(small_row_sweep):
@@ -249,11 +245,10 @@ def test_backtrack_matches_oracle_on_full_dtw_sized_matrix(small_row_sweep):
     reference = shared_canonical_reference().profile.phases_rad
     query = sweep.profiles[sweep.profiles.tag_ids()[0]].phases_rad
     distance = np.abs(reference[:, None] - query[None, :])
-    for free_start in (False, True):
-        cost = accumulate_cost(distance, free_query_start=free_start)
-        strided = np.stack([cost, cost], axis=-1)[:, :, 1]
-        end_col = int(np.argmin(cost[-1])) if free_start else None
-        assert _backtrack(strided, end_col) == backtrack_min(cost, end_col)
+    cost = accumulate_cost(distance)
+    strided = np.stack([cost, cost], axis=-1)[:, :, 1]
+    end_col = int(np.argmin(cost[-1]))
+    assert _backtrack(strided, end_col) == backtrack_min(cost, end_col)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def test_restored_session_finalizes_through_the_batch_like_uninterrupted():
     replay(uninterrupted, batches[:cut])
     interrupted = LocalizationSession(expected_tag_ids=tags.ids(), channel_index=channel)
     replay(interrupted, batches[:cut])
-    assert any(p.aligner.cached_columns for p in interrupted._pipelines.values())
+    assert any(p.aligner._cached_cols for p in interrupted._pipelines.values())
     restored = LocalizationSession.restore(interrupted.checkpoint())
     replay(uninterrupted, batches[cut:])
     replay(restored, batches[cut:])

@@ -1,17 +1,10 @@
 """Unit tests for repro.rf.constants and repro.rf.geometry."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.rf import constants
-from repro.rf.geometry import (
-    Point3D,
-    distance_point_to_segment,
-    pairwise_distances,
-    perpendicular_foot_parameter,
-)
+from repro.rf.geometry import Point3D
 
 
 class TestBandPlan:
@@ -47,55 +40,7 @@ class TestPoint3D:
         assert a.distance_to(b) == pytest.approx(5.0)
         assert b.distance_to(a) == pytest.approx(5.0)
 
-    def test_translate(self):
-        p = Point3D(1.0, 2.0, 3.0).translate(dx=1.0, dz=-3.0)
-        assert p == Point3D(2.0, 2.0, 0.0)
-
-    def test_midpoint(self):
-        mid = Point3D(0.0, 0.0, 0.0).midpoint(Point3D(2.0, 4.0, 6.0))
-        assert mid == Point3D(1.0, 2.0, 3.0)
-
-    def test_from_sequence_2d_and_3d(self):
-        assert Point3D.from_sequence([1.0, 2.0]) == Point3D(1.0, 2.0, 0.0)
-        assert Point3D.from_sequence([1.0, 2.0, 3.0]) == Point3D(1.0, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            Point3D.from_sequence([1.0])
-
     def test_as_array(self):
         arr = Point3D(1.0, 2.0, 3.0).as_array()
         assert arr.shape == (3,)
         assert np.allclose(arr, [1.0, 2.0, 3.0])
-
-
-class TestGeometryHelpers:
-    def test_pairwise_distances_matrix(self):
-        points = [Point3D(0, 0, 0), Point3D(1, 0, 0), Point3D(0, 1, 0)]
-        matrix = pairwise_distances(points)
-        assert matrix.shape == (3, 3)
-        assert np.allclose(np.diag(matrix), 0.0)
-        assert matrix[1, 2] == pytest.approx(math.sqrt(2))
-
-    def test_pairwise_distances_empty(self):
-        assert pairwise_distances([]).shape == (0, 0)
-
-    def test_distance_point_to_segment_interior(self):
-        d = distance_point_to_segment(
-            Point3D(0.5, 1.0, 0.0), Point3D(0, 0, 0), Point3D(1, 0, 0)
-        )
-        assert d == pytest.approx(1.0)
-
-    def test_distance_point_to_segment_clamps_to_endpoint(self):
-        d = distance_point_to_segment(
-            Point3D(2.0, 1.0, 0.0), Point3D(0, 0, 0), Point3D(1, 0, 0)
-        )
-        assert d == pytest.approx(math.sqrt(2))
-
-    def test_perpendicular_foot_parameter(self):
-        t = perpendicular_foot_parameter(
-            Point3D(0.25, 5.0, 0.0), Point3D(0, 0, 0), Point3D(1, 0, 0)
-        )
-        assert t == pytest.approx(0.25)
-
-    def test_perpendicular_foot_degenerate_segment(self):
-        with pytest.raises(ValueError):
-            perpendicular_foot_parameter(Point3D(0, 0, 0), Point3D(1, 1, 1), Point3D(1, 1, 1))

@@ -9,26 +9,30 @@ from repro.rf.antenna import DirectionalAntenna, ReadingZone
 from repro.rf.channel import BackscatterChannel
 from repro.rf.constants import TWO_PI, channel_wavelength_m
 from repro.rf.geometry import Point3D
-from repro.rf.multipath import (
-    MultipathChannel,
-    Reflector,
-    tag_coupling_scatterers,
-    typical_indoor_reflectors,
-)
+from repro.rf.multipath import MultipathChannel, Reflector, typical_indoor_reflectors
 from repro.rf.noise import NOISELESS, NoiseModel
 from repro.rf.phase_model import (
     DeviceOffsets,
-    phase_distance,
     quantise_phase,
     round_trip_phase,
     wrap_phase,
 )
-from repro.rf.propagation import (
-    LinkBudget,
-    dbm_to_milliwatts,
-    free_space_path_loss_db,
-    milliwatts_to_dbm,
-)
+from repro.rf.propagation import LinkBudget, free_space_path_loss_db
+
+from oracles.scalar_sweep import observe, scattering_attenuation, zone_contains
+
+
+def phase_distance(theta_a: float, theta_b: float) -> float:
+    """Smallest angular distance between two wrapped phases, in [0, pi]."""
+    diff = abs(wrap_phase(theta_a) - wrap_phase(theta_b))
+    return min(diff, TWO_PI - diff)
+
+
+def boresight_link(distances_m: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(reverse-link dBm, decodable) of tags on the default antenna's boresight."""
+    tags = np.array([[0.0, 0.0, d] for d in distances_m])
+    distances = np.array(distances_m)
+    return LinkBudget().link_observables(np.zeros(3), tags, 920e6, distances)
 
 
 class TestPhaseModel:
@@ -65,10 +69,6 @@ class TestPhaseModel:
         with pytest.raises(ValueError):
             quantise_phase(1.0, bits=0)
 
-    def test_phase_distance_symmetric_and_bounded(self):
-        assert phase_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-9)
-        assert 0 <= phase_distance(3.0, 0.5) <= math.pi
-
     def test_scalar_like_inputs_return_floats(self):
         # Regression: np.isscalar(np.array(0.3)) is False, so 0-d arrays used
         # to leak back out as 0-d ndarrays instead of Python floats.
@@ -95,36 +95,22 @@ class TestLinkBudget:
     def test_fspl_increases_with_distance(self):
         assert free_space_path_loss_db(2.0, 920e6) > free_space_path_loss_db(1.0, 920e6)
 
-    def test_dbm_conversions_roundtrip(self):
-        assert milliwatts_to_dbm(dbm_to_milliwatts(13.0)) == pytest.approx(13.0)
-        with pytest.raises(ValueError):
-            milliwatts_to_dbm(0.0)
-
     def test_rssi_decreases_with_distance(self):
-        budget = LinkBudget()
-        antenna = Point3D(0, 0, 0)
-        near = budget.reverse_power_dbm(antenna, Point3D(0, 0, 0.5), 920e6)
-        far = budget.reverse_power_dbm(antenna, Point3D(0, 0, 2.0), 920e6)
+        (near, far), _ = boresight_link([0.5, 2.0])
         assert near > far
 
     def test_read_range_is_metres_scale(self):
-        budget = LinkBudget()
-        rng = budget.max_read_range_m(920e6, resolution_m=0.05)
-        assert 1.0 < rng < 50.0
-
-    def test_tag_energised_near_not_far(self):
-        budget = LinkBudget()
-        antenna = Point3D(0, 0, 0)
-        assert budget.tag_energised(antenna, Point3D(0, 0, 0.5), 920e6)
-        assert not budget.tag_energised(antenna, Point3D(0, 0, 40.0), 920e6)
+        _, decodable = boresight_link([0.5, 1.0, 40.0, 50.0])
+        assert decodable.tolist() == [True, True, False, False]
 
 
 class TestAntennaAndZone:
     def test_boresight_gain_is_max(self):
         antenna = DirectionalAntenna(boresight=(0, 0, 1))
         origin = Point3D(0, 0, 0)
-        on_axis = antenna.gain_dbi_towards(origin, Point3D(0, 0, 1))
-        off_axis = antenna.gain_dbi_towards(origin, Point3D(1, 0, 1))
+        on_axis, off_axis = antenna.gains_dbi_towards(
+            origin.as_array(), np.array([[0.0, 0, 1], [1.0, 0, 1]])
+        )
         assert on_axis == pytest.approx(antenna.gain_dbi)
         assert off_axis < on_axis
 
@@ -133,11 +119,12 @@ class TestAntennaAndZone:
         origin = Point3D(0, 0, 0)
         angle = math.radians(35.0)
         target = Point3D(math.sin(angle), 0.0, math.cos(angle))
-        assert antenna.gain_dbi_towards(origin, target) == pytest.approx(3.0, abs=0.2)
+        gain = antenna.gains_dbi_towards(origin.as_array(), target.as_array())
+        assert gain == pytest.approx(3.0, abs=0.2)
 
     def test_behind_panel_rejected(self):
         antenna = DirectionalAntenna(boresight=(0, 0, 1))
-        gain = antenna.gain_dbi_towards(Point3D(0, 0, 0), Point3D(0, 0, -1))
+        gain = antenna.gains_dbi_towards(np.zeros(3), np.array([0.0, 0.0, -1.0]))
         assert gain <= antenna.gain_dbi - 20.0 + 1e-9
 
     def test_invalid_beamwidth(self):
@@ -146,33 +133,45 @@ class TestAntennaAndZone:
 
     def test_reading_zone_range_limit(self):
         zone = ReadingZone(max_range_m=1.0, beam_limited=False)
-        assert zone.contains(Point3D(0, 0, 0), Point3D(0, 0, 0.5))
-        assert not zone.contains(Point3D(0, 0, 0), Point3D(0, 0, 1.5))
+        assert zone_contains(zone, Point3D(0, 0, 0), Point3D(0, 0, 0.5))
+        assert not zone_contains(zone, Point3D(0, 0, 0), Point3D(0, 0, 1.5))
 
     def test_reading_zone_beam_limit(self):
         antenna = DirectionalAntenna(beamwidth_deg=60.0, boresight=(0, 0, 1))
         zone = ReadingZone(max_range_m=5.0, antenna=antenna, beam_limited=True)
-        assert zone.contains(Point3D(0, 0, 0), Point3D(0, 0, 1.0))
-        assert not zone.contains(Point3D(0, 0, 0), Point3D(5.0, 0, 0.5))
+        assert zone_contains(zone, Point3D(0, 0, 0), Point3D(0, 0, 1.0))
+        assert not zone_contains(zone, Point3D(0, 0, 0), Point3D(5.0, 0, 0.5))
 
     def test_tags_in_zone_filtering(self):
         zone = ReadingZone(max_range_m=1.0, beam_limited=False)
-        tags = {"near": Point3D(0, 0, 0.5), "far": Point3D(0, 0, 3.0)}
-        assert zone.tags_in_zone(Point3D(0, 0, 0), tags) == ["near"]
+        tags = {"near": Point3D(0, 0, 0.5), "far": Point3D(0, 0, 3.0), "side": Point3D(0.6, 0, 0.6)}
+        rows = np.array([p.as_array() for p in tags.values()])
+        mask = zone.contains_many(np.zeros(3), rows)
+        assert [tag_id for tag_id, inside in zip(tags, mask) if inside] == ["near", "side"]
+
+
+def gains(channel: MultipathChannel, tag: Point3D, **coupling) -> np.ndarray:
+    """Complex gains for one antenna at the origin and one tag."""
+    return channel.complex_gains(
+        np.zeros((1, 3)), tag.as_array()[None, :], 0.326, **coupling
+    )
 
 
 class TestMultipath:
     def test_no_reflectors_identity(self):
-        channel = MultipathChannel()
-        gain = channel.complex_gain(Point3D(0, 0, 0), Point3D(0, 0, 1), 0.326)
-        assert gain == pytest.approx(1.0 + 0.0j)
-        assert channel.amplitude_gain_db(Point3D(0, 0, 0), Point3D(0, 0, 1), 0.326) == pytest.approx(0.0)
+        gain = gains(MultipathChannel(), Point3D(0, 0, 1))
+        assert gain.tolist() == [1.0 + 0.0j]
+        fade_db, perturbation = MultipathChannel.fades_and_perturbations(gain)
+        assert fade_db.tolist() == [0.0]
+        assert perturbation.tolist() == [0.0]
 
     def test_reflector_perturbs_phase(self):
         channel = MultipathChannel(
             reflectors=(Reflector(Point3D(0.5, 0.5, 0.5), reflection_coefficient=0.5),)
         )
-        perturbation = channel.phase_perturbation_rad(Point3D(0, 0, 0), Point3D(0, 0, 1), 0.326)
+        _, (perturbation,) = MultipathChannel.fades_and_perturbations(
+            gains(channel, Point3D(0, 0, 1))
+        )
         assert perturbation != 0.0
         assert -math.pi <= perturbation <= math.pi
 
@@ -180,37 +179,49 @@ class TestMultipath:
         with pytest.raises(ValueError):
             Reflector(Point3D(0, 0, 0), reflection_coefficient=1.5)
 
+    @staticmethod
+    def coupling_attenuation(distance_m: float, decay_m: float) -> float:
+        """The coupling term of ``complex_gains`` over its undamped amplitude."""
+        tag = Point3D(0.0, 0.0, 0.3)
+        neighbour = Point3D(distance_m, 0.0, 0.3)
+        (gain,) = gains(
+            MultipathChannel(),
+            tag,
+            extra_positions=neighbour.as_array()[None, :],
+            extra_event_index=np.zeros(1, dtype=np.intp),
+            tag_coupling_coefficient=0.5,
+            tag_coupling_decay_m=decay_m,
+        )
+        direct = 2.0 * 0.3
+        reflected = 2.0 * (neighbour.distance_to(Point3D(0, 0, 0)) + distance_m)
+        return abs(gain - 1.0) / (0.5 * direct / reflected)
+
     def test_scatterer_attenuation_decays(self):
-        scatterer = Reflector(Point3D(0, 0, 0), reflection_coefficient=0.5, scattering_decay_m=0.02)
-        near = scatterer.scattering_attenuation(Point3D(0.02, 0, 0))
-        far = scatterer.scattering_attenuation(Point3D(0.10, 0, 0))
+        near = self.coupling_attenuation(0.02, 0.02)
+        far = self.coupling_attenuation(0.10, 0.02)
         assert near == pytest.approx(1.0)
         assert far < 0.1
 
     def test_scatterer_attenuation_curve_is_squared(self):
-        # The roll-off beyond the decay scale is (decay / distance) ** 2 —
-        # the squared near-field form the docstring now documents; this pins
-        # the curve so doc and code cannot drift apart again.
+        # The roll-off beyond the decay scale is (decay / distance) ** 2, the
+        # squared near-field form complex_gains documents; the coupling term
+        # follows the oracle's curve at every distance.
         decay = 0.02
-        scatterer = Reflector(
-            Point3D(0, 0, 0), reflection_coefficient=0.5, scattering_decay_m=decay
-        )
         for distance in (0.005, 0.01, 0.02):
             # At or inside the decay scale: no extra attenuation.
-            assert scatterer.scattering_attenuation(Point3D(distance, 0, 0)) == 1.0
+            assert scattering_attenuation(decay, distance) == 1.0
+        for distance in (0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.10):
+            assert self.coupling_attenuation(distance, decay) == pytest.approx(
+                scattering_attenuation(decay, distance), rel=1e-9
+            )
         for distance in (0.03, 0.04, 0.05, 0.10):
             expected = (decay / distance) ** 2
-            assert scatterer.scattering_attenuation(
-                Point3D(distance, 0, 0)
-            ) == pytest.approx(expected, rel=1e-12)
+            assert scattering_attenuation(decay, distance) == pytest.approx(
+                expected, rel=1e-12
+            )
         # Spot values: strong at 2 cm, marginal at 4 cm, negligible at 10 cm.
-        assert scatterer.scattering_attenuation(Point3D(0.04, 0, 0)) == pytest.approx(0.25)
-        assert scatterer.scattering_attenuation(Point3D(0.10, 0, 0)) == pytest.approx(0.04)
-
-    def test_tag_coupling_scatterers_one_per_tag(self):
-        positions = [Point3D(i * 0.05, 0, 0) for i in range(4)]
-        scatterers = tag_coupling_scatterers(positions)
-        assert len(scatterers) == 4
+        assert scattering_attenuation(decay, 0.04) == pytest.approx(0.25)
+        assert scattering_attenuation(decay, 0.10) == pytest.approx(0.04)
 
     def test_typical_indoor_reflectors_outside_region(self):
         rng = np.random.default_rng(0)
@@ -261,11 +272,12 @@ class TestBackscatterChannel:
         antenna = Point3D(0, 0, 0)
         tag = Point3D(0, 0, 1.0)
         expected = round_trip_phase(1.0, channel.wavelength_m, channel.device_offsets)
-        assert channel.ideal_phase(antenna, tag) == pytest.approx(expected)
+        physics = channel.sweep_physics(antenna.as_array()[None, :], tag.as_array()[None, :])
+        assert physics.wrapped_phase_rad[0] == pytest.approx(expected)
 
     def test_observation_fields(self):
         channel = BackscatterChannel(noise=NOISELESS)
-        obs = channel.observe(Point3D(0, 0, 0), Point3D(0, 0, 1.0), np.random.default_rng(0))
+        obs = observe(channel, Point3D(0, 0, 0), Point3D(0, 0, 1.0), np.random.default_rng(0))
         assert obs.readable
         assert 0 <= obs.phase_rad < TWO_PI
         assert obs.true_distance_m == pytest.approx(1.0)
@@ -273,9 +285,9 @@ class TestBackscatterChannel:
     def test_extra_reflectors_change_observation(self):
         channel = BackscatterChannel(noise=NOISELESS, quantise=False)
         rng = np.random.default_rng(0)
-        plain = channel.observe(Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng)
-        extra = (Reflector(Point3D(0.2, 0.0, 0.5), reflection_coefficient=0.6),)
-        perturbed = channel.observe(
-            Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng, extra_reflectors=extra
+        plain = observe(channel, Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng)
+        coupling = [Point3D(0.2, 0.0, 0.5)]
+        perturbed = observe(
+            channel, Point3D(0, 0, 0), Point3D(0, 0, 1.0), rng, coupling, 0.6, 1.0
         )
         assert perturbed.phase_rad != pytest.approx(plain.phase_rad)

@@ -74,6 +74,12 @@ def _assert_results_identical(streaming, batch):
 # ---------------------------------------------------------------------------
 
 
+
+def ingest_reads(session: LocalizationSession, reads) -> None:
+    """Ingest ``reads`` in arrival order, as the batches a log replays."""
+    for batch in ReadLog(reads).iter_batches():
+        session.ingest_batch(batch)
+
 class TestIncrementalSegmenter:
     @pytest.mark.parametrize("window_size", [1, 3, 5, 8])
     def test_matches_batch_under_chunked_feeding(self, small_row_sweep, window_size):
@@ -156,9 +162,7 @@ class TestResumableSegmentAligner:
                 if not segments:
                     continue
                 resumed = aligner.align(segments, segmenter.stable_count())
-                batch = segmented_dtw_align(
-                    reference_segments, segments, subsequence=True
-                )
+                batch = segmented_dtw_align(reference_segments, segments)
                 assert resumed.cost == batch.cost
                 assert resumed.path == batch.path
                 assert (resumed.query_start, resumed.query_end) == (
@@ -179,8 +183,8 @@ class TestResumableSegmentAligner:
             if not segments:
                 continue
             aligner.align(segments, segmenter.stable_count())
-            assert aligner.cached_columns >= cached
-            cached = aligner.cached_columns
+            assert aligner._cached_cols >= cached
+            cached = aligner._cached_cols
         assert cached > 0
 
     def test_rejects_shrinking_stable_prefix(self):
@@ -317,13 +321,14 @@ class TestStreamingCollector:
         )
         final = session.finalize()
 
-        log = ReadLog.from_columns(
+        log = ReadLog()
+        log.extend_columns(
             np.concatenate([times, late_times]),
             ["t"] * (7 + late_times.size),
             np.concatenate([phases, late_phases]),
-            [-60.0] * (7 + late_times.size),
-            [6] * (7 + late_times.size),
-            [1] * (7 + late_times.size),
+            np.full(7 + late_times.size, -60.0),
+            channel_index=6,
+            antenna_port=1,
         )
         batch = BatchLocalizer(STPPConfig()).localize(
             profiles_from_read_log(log, channel_index=6),
@@ -439,7 +444,7 @@ class TestReadBatches:
             streamed.extend_batch(read_batch)
             rounds += 1
         assert rounds > 1
-        assert streamed.sorted_by_time() == log
+        assert ReadLog(sorted(streamed.reads, key=lambda read: read.timestamp_s)) == log
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +514,9 @@ class TestLocalizationSession:
         session = LocalizationSession(
             expected_tag_ids=tags.ids(), channel_index=channel
         )
-        session.ingest_reads(reads[:split])
+        ingest_reads(session, reads[:split])
         session.provisional()  # forces segmentation state over the prefix
-        session.ingest_reads(reads[split:])
+        ingest_reads(session, reads[split:])
         final = session.finalize()
         batch = BatchLocalizer(STPPConfig()).localize(
             profiles_from_read_log(sweep.read_log, channel_index=channel),
@@ -530,7 +535,7 @@ class TestLocalizationSession:
         )
         chunk = max(1, len(shuffled) // 7)
         for start in range(0, len(shuffled), chunk):
-            session.ingest_reads(shuffled[start : start + chunk])
+            ingest_reads(session, shuffled[start : start + chunk])
             session.provisional()
         final = session.finalize()
         # The convergence contract is "same reads in the same arrival order":

@@ -21,19 +21,24 @@ from repro.workloads.warehouse import (
 FIVE_SCHEMES = ["G-RSSI", "OTrack", "Landmarc", "BackPos", "STPP"]
 
 
+def lane_of(tag) -> int:
+    """A carton's lane, read off its ``CART-<batch>-<lane>-<position>`` label."""
+    return int(tag.label.split("-")[2])
+
+
 class TestConveyorBatch:
     def test_carton_count_and_lanes(self):
         config = ConveyorConfig(lanes=3, cartons_per_lane=4)
         batch = conveyor_batch(config, seed=1)
         assert len(batch.tags.ids()) == 12
-        lanes = {batch.lane_of(tid) for tid in batch.tags.ids()}
+        lanes = {lane_of(tag) for tag in batch.tags}
         assert lanes == {0, 1, 2}
 
     def test_lane_geometry(self):
         config = ConveyorConfig(lanes=2, lane_pitch_m=0.2, lateral_jitter_m=0.05)
         batch = conveyor_batch(config, seed=2)
         for tag in batch.tags:
-            lane = batch.lane_of(tag.tag_id)
+            lane = lane_of(tag)
             assert abs(tag.position.y - lane * 0.2) <= 0.05 + 1e-9
 
     def test_within_lane_gaps_in_range(self):

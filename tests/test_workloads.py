@@ -8,10 +8,8 @@ from repro.workloads.airport import (
     MORNING_PEAK,
     PAPER_PERIODS,
     baggage_batch,
-    period_batches,
 )
 from repro.workloads.layouts import (
-    column_layout,
     grid_layout,
     paper_test_cases,
     random_spacing_row,
@@ -27,12 +25,10 @@ from repro.workloads.library import (
 
 
 class TestLayouts:
-    def test_row_and_column(self):
+    def test_row(self):
         row = row_layout(5, 0.1)
         assert len(row) == 5
         assert row[4].x == pytest.approx(0.4)
-        col = column_layout(3, 0.2)
-        assert col[2].y == pytest.approx(0.4)
 
     def test_grid_size(self):
         grid = grid_layout(3, 2, 0.1, 0.05)
@@ -87,13 +83,19 @@ class TestLibrary:
 
     def test_fresh_shelf_has_no_misplaced_books(self):
         shelf = generate_bookshelf(levels=2, books_per_level=8, seed=2)
-        assert shelf.misplaced_books() == []
+        for level in shelf.levels:
+            catalogue = shelf.catalogue_order(level)
+            assert detect_misplaced_books(catalogue, shelf.physical_order(level)) == []
 
     def test_misplace_books_detected_by_ground_truth(self):
         shelf = generate_bookshelf(levels=1, books_per_level=20, seed=3)
         shuffled, misplaced = misplace_books(shelf, 2, rng=np.random.default_rng(3))
         assert len(misplaced) == 2
-        assert set(misplaced) <= set(shuffled.misplaced_books())
+        (level,) = shuffled.levels
+        flagged = detect_misplaced_books(
+            shuffled.catalogue_order(level), shuffled.physical_order(level)
+        )
+        assert set(misplaced) <= set(flagged)
 
     def test_detect_misplaced_books_flags_moved_book(self):
         catalogue = [f"B{i}" for i in range(10)]
@@ -122,8 +124,6 @@ class TestLibrary:
 class TestAirport:
     def test_periods_defined(self):
         assert len(PAPER_PERIODS) == 3
-        assert MORNING_PEAK.is_peak
-        assert not MIDDAY_OFF_PEAK.is_peak
 
     def test_batch_gaps_respect_period(self):
         batch = baggage_batch(MORNING_PEAK, 15, seed=0)
@@ -135,16 +135,10 @@ class TestAirport:
     def test_batch_ground_truth_order(self):
         batch = baggage_batch(MIDDAY_OFF_PEAK, 8, seed=1)
         order = batch.ground_truth_order()
-        xs = [batch.tags.by_id(t).position.x for t in order]
+        by_id = {tag.tag_id: tag for tag in batch.tags}
+        xs = [by_id[t].position.x for t in order]
         assert xs == sorted(xs)
-
-    def test_period_batches_total(self):
-        batches = period_batches(MORNING_PEAK, bags_per_batch=7, total_bags=20, seed=2)
-        assert sum(len(b.tags) for b in batches) == 20
-        assert len(batches) == 3
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):
             baggage_batch(MORNING_PEAK, 0)
-        with pytest.raises(ValueError):
-            period_batches(MORNING_PEAK, bags_per_batch=0)

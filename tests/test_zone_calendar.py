@@ -24,7 +24,7 @@ from repro.motion.scenarios import (
     TrajectoryAntennaPosition,
 )
 from repro.motion.speed_profiles import ConstantSpeedProfile
-from repro.motion.trajectory import LinearTrajectory, WaypointTrajectory
+from repro.motion.trajectory import LinearTrajectory
 from repro.rf.antenna import DirectionalAntenna, ReadingZone
 from repro.rf.geometry import Point3D
 from repro.rfid.aloha import FrameSlottedAloha
@@ -33,6 +33,34 @@ from repro.rfid.tag import make_tags
 from repro.simulation.presets import standard_reader_config
 
 from oracles.scalar_sweep import scalar_sweep
+
+
+class CornerTrajectory:
+    """Constant-speed motion along straight legs through ``waypoints``.
+
+    A path that turns, which no ``LinearTrajectory`` gives the calendar.
+    ``position`` is a batch of one of ``positions_at``, so the oracle's
+    scalar samples and the fused engine's batched ones agree bit for bit.
+    """
+
+    def __init__(self, waypoints: list[Point3D], speed_mps: float) -> None:
+        self._points = np.array([p.as_array() for p in waypoints])
+        self._lengths = np.linalg.norm(np.diff(self._points, axis=0), axis=1)
+        self._cumulative = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self._speed = speed_mps
+        self.duration_s = float(self._cumulative[-1] / speed_mps)
+
+    def positions_at(self, times_s) -> np.ndarray:
+        total = self._cumulative[-1]
+        distances = np.clip(np.asarray(times_s, dtype=float) * self._speed, 0.0, total)
+        leg = np.searchsorted(self._cumulative, distances, side="right") - 1
+        leg = np.clip(leg, 0, self._lengths.size - 1)
+        fraction = (distances - self._cumulative[leg]) / self._lengths[leg]
+        start = self._points[leg]
+        return start + fraction[:, None] * (self._points[leg + 1] - start)
+
+    def position(self, time_s: float) -> Point3D:
+        return Point3D(*self.positions_at([time_s])[0].tolist())
 
 
 @dataclasses.dataclass
@@ -115,9 +143,8 @@ def calendar_cases(draw):
         positions = [Point3D(x, y, 0.0) for x, y in zip(xs, offsets)]
     else:
         corner = Point3D(0.5, 0.25, height)
-        trajectory = WaypointTrajectory(
-            [Point3D(-0.3, -0.2, height), corner, Point3D(1.3, -0.2, height)],
-            ConstantSpeedProfile(speed),
+        trajectory = CornerTrajectory(
+            [Point3D(-0.3, -0.2, height), corner, Point3D(1.3, -0.2, height)], speed
         )
         # Tags around the corner, plus one right under it.
         positions = [Point3D(x, corner.y - y, 0.0) for x, y in zip(xs, offsets)]
