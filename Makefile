@@ -5,23 +5,6 @@
 #   make unit         just the fast unit tests (tests/)
 #   make bench-smoke  run every benchmark once at tiny sizes (smoke check that
 #                     each figure/table regenerator still executes end to end)
-#   make bench-dtw    time the DTW kernels (python-loop vs vectorized vs
-#                     batched) and write BENCH_dtw.json
-#   make bench-experiments
-#                     time the experiment engine serial vs sharded (with a
-#                     simulate/localize/metrics stage breakdown) and write
-#                     BENCH_experiments.json
-#   make bench-sweep  time the fused sweep engine vs the scalar oracle and
-#                     write BENCH_sweep.json
-#   make bench-streaming
-#                     time streaming ingest throughput + provisional-ordering
-#                     latency and write BENCH_streaming.json
-#   make bench-service
-#                     drive the fleet service with mixed portal traffic across
-#                     a 1/8/64/256 session-count ladder and write
-#                     BENCH_service.json
-#   make check-speedups
-#                     assert floors on the speedups recorded in BENCH_*.json
 #   make bench-accuracy
 #                     score the five schemes on the three workloads and write
 #                     BENCH_accuracy.json (+ history rows)
@@ -59,10 +42,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test unit bench-smoke bench-dtw bench-experiments bench-sweep \
-	bench-streaming bench-service check-speedups bench-accuracy \
-	check-accuracy bench-robustness check-robustness check-scenarios \
-	scenario-smoke bench-report examples perfbench-selftest perfbench-ab
+.PHONY: test unit bench-smoke bench-accuracy check-accuracy \
+	bench-robustness check-robustness check-scenarios scenario-smoke \
+	bench-report examples perfbench-selftest perfbench-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,24 +57,6 @@ unit:
 # benchmarks directory is the smoke pass.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -x -q
-
-bench-dtw:
-	$(PYTHON) benchmarks/bench_dtw.py
-
-bench-experiments:
-	$(PYTHON) benchmarks/bench_experiments.py
-
-bench-sweep:
-	$(PYTHON) benchmarks/bench_sweep.py
-
-bench-streaming:
-	$(PYTHON) benchmarks/bench_streaming.py
-
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py
-
-check-speedups:
-	$(PYTHON) benchmarks/check_speedups.py
 
 bench-accuracy:
 	$(PYTHON) benchmarks/bench_accuracy.py

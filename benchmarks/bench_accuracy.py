@@ -10,12 +10,11 @@ fixed seed/scale, and records:
   snapshot (overwritten, like the timing snapshots);
 * history rows in ``BENCH_HISTORY.jsonl`` — one row per (scenario, scheme)
   combined accuracy plus the cross-scenario means, stamped with run id, git
-  sha, timestamp, and platform, so accuracy is tracked PR over PR the same
-  way timings are.
+  sha, timestamp, and platform, so accuracy is tracked change over change.
 
 ``benchmarks/check_accuracy.py`` gates the recorded values in CI: pinned
 per-scheme floors and the paper's scheme ordering.  The leaderboard is a
-deterministic function of the code (fixed seeds, serial-equals-sharded
+deterministic function of the code (fixed seeds, serial-equals-pooled
 engine), so any movement in these numbers is a code change, not noise.
 
 Run with:

@@ -1,9 +1,8 @@
 """Assert floors and the paper's scheme ordering on ``BENCH_accuracy.json``.
 
-The accuracy twin of ``check_speedups.py``: CI runs it after the accuracy
-recorder so an ordering-accuracy regression fails the build the same way an
-eroded speedup does.  Today a PR could degrade STPP from ~88% toward
-BackPos-level and every timing floor would still pass — this gate closes
+CI runs it after the accuracy recorder so an ordering-accuracy regression
+fails the build.  Without it a change could degrade STPP from ~88% toward
+BackPos-level and every timing would still look fine — this gate closes
 that hole.  Enforced, with explicit tolerances:
 
 * **schema** — the snapshot must carry the leaderboard shape (shared

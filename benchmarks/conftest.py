@@ -5,17 +5,9 @@ but representative scale, prints the regenerated rows/series (so the run log
 doubles as the paper-vs-measured record), and reports its runtime through
 pytest-benchmark.  ``run_once`` wraps ``benchmark.pedantic`` so heavyweight
 simulations execute exactly once.
-
-``record_metrics`` lets a figure benchmark feed the warehouse ledger too:
-when ``REPRO_BENCH_HISTORY`` names a JSONL path, the regenerated numbers are
-appended as history rows (run id, git sha, timestamp, platform, scale).  It
-is opt-in by environment variable on purpose — plain ``pytest`` runs must
-stay read-only, or every tier-1 run would grow the committed history.
 """
 
 from __future__ import annotations
-
-import os
 
 
 def run_once(benchmark, function, *args, **kwargs):
@@ -27,17 +19,3 @@ def emit(title: str, body: str) -> None:
     """Print a titled block; shows up in the captured benchmark output."""
     print(f"\n=== {title} ===\n{body}")
 
-
-def record_metrics(source: str, metrics: dict, scale: dict) -> None:
-    """Append ``metrics`` to the ledger named by ``REPRO_BENCH_HISTORY``.
-
-    No-op when the variable is unset (the default for local and tier-1
-    runs); nested mappings are flattened to dotted metric names.
-    """
-    history_path = os.environ.get("REPRO_BENCH_HISTORY")
-    if not history_path:
-        return
-    from repro.bench.store import record_run
-
-    rows = record_run(source=source, metrics=metrics, scale=scale, history=history_path)
-    print(f"[bench-history] appended {len(rows)} rows to {history_path}")

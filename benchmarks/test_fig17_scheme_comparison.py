@@ -1,6 +1,6 @@
 """Figure 17: ordering accuracy of the five schemes over the five layouts."""
 
-from conftest import emit, record_metrics, run_once
+from conftest import emit, run_once
 
 from repro.evaluation.experiments import fig17_scheme_comparison
 from repro.reporting.tables import format_accuracy_map
@@ -12,11 +12,6 @@ def test_fig17_scheme_comparison(benchmark):
         "Figure 17 — accuracy per scheme (X / Y / combined)",
         format_accuracy_map(result)
         + "\npaper: G-RSSI ~ Landmarc < 25% < OTrack < 50% < BackPos ~ 80% < STPP >= 88%",
-    )
-    record_metrics(
-        "fig17_scheme_comparison",
-        {scheme: values["combined"] for scheme, values in result.items()},
-        scale={"repetitions": 1},
     )
     assert result["STPP"]["combined"] >= result["G-RSSI"]["combined"]
     assert result["STPP"]["combined"] >= result["OTrack"]["combined"]

@@ -1,8 +1,8 @@
 """Accuracy-per-scheme-per-scenario leaderboard for the benchmark warehouse.
 
-``check_speedups.py`` pins *timings* across PRs; nothing pinned *ordering
+Speed is measured by ``perfbench/``; nothing there pins *ordering
 accuracy* — a refactor could quietly degrade STPP toward BackPos-level and
-every speed floor would still pass.  This module is the accuracy half of the
+every timing would still look fine.  This module is the accuracy half of the
 warehouse: it runs the paper's five schemes (STPP, BackPos, OTrack, Landmarc,
 G-RSSI) over **every scenario registered in the declarative scenario matrix**
 (:mod:`repro.scenarios` — the legacy library/airport/warehouse trio plus the

@@ -4,17 +4,17 @@ Two kinds of benchmark evidence live in this repository:
 
 * **snapshots** — the ``BENCH_*.json`` files at the repo root, overwritten by
   each ``make bench-*`` run.  They carry the latest full record of one
-  harness (timings, speedups, scale knobs, bit-identity flags).
+  harness (scores, floors, scale knobs, bit-identity flags).
 * **history rows** — append-only JSONL lines in ``BENCH_HISTORY.jsonl``.
   Every bench run appends its headline metrics as flat rows, so the
-  trajectory across PRs (1.20 s → 0.06 s sweeps, accuracy per scheme, …)
+  trajectory across commits (accuracy per scheme, robustness floors, …)
   survives outside git archaeology.
 
 This module is the single source of truth for both shapes.  The history row
 schema is :class:`BenchRecord`; the per-file snapshot requirements live in
 ``SNAPSHOT_SCHEMAS`` and are enforced by :func:`validate_snapshot`, which both
-CI checkers (``benchmarks/check_speedups.py`` and
-``benchmarks/check_accuracy.py``) call before applying any floor — a floor
+CI checkers (``benchmarks/check_accuracy.py`` and
+``benchmarks/check_robustness.py``) call before applying any floor — a floor
 check against a corrupted or truncated record proves nothing.
 """
 
@@ -67,9 +67,9 @@ class BenchRecord:
         ``platform.platform()`` of the host, so cross-host rows are never
         compared as a trend by accident.
     source:
-        The producing harness, e.g. ``"bench_sweep"`` or ``"bench_accuracy"``.
+        The producing harness, e.g. ``"bench_accuracy"`` or ``"bench_robustness"``.
     metric:
-        Dotted metric name, e.g. ``"static.speedup_fused_vs_scalar"`` or
+        Dotted metric name, e.g. ``"stpp_min_lead"`` or
         ``"library.STPP.combined"``.
     value:
         The measurement (finite float; bools are recorded as 0.0/1.0).
@@ -135,11 +135,10 @@ class SnapshotSchema:
     """Required top-level keys of one ``BENCH_*.json`` file.
 
     Only fields every version of the file carries are required — optional
-    fields introduced by later PRs (e.g. the localize-overhead ratio) stay
-    optional so the checkers keep validating pre-upgrade records.
-    ``numeric_paths`` lists dotted paths that, **when present**, must be
-    finite numbers (a timing recorded as a string or NaN is corruption, not
-    a format change).
+    fields introduced by later versions stay optional so the checkers keep
+    validating pre-upgrade records.  ``numeric_paths`` lists dotted paths
+    that, **when present**, must be finite numbers (an accuracy recorded as a
+    string or NaN is corruption, not a format change).
     """
 
     required: Mapping[str, type | tuple[type, ...]]
@@ -147,89 +146,6 @@ class SnapshotSchema:
 
 
 SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
-    "sweep": SnapshotSchema(
-        required={
-            "generated_at": str,
-            "platform": str,
-            "seed": _NUMBER,
-            "scenes": dict,
-            "speedup_fused_vs_scalar": _NUMBER,
-        },
-        numeric_paths=(
-            "speedup_fused_vs_scalar",
-            "cpu_count",
-            "scenes.static.scalar_s",
-            "scenes.static.fused_s",
-            "scenes.static.speedup_fused_vs_scalar",
-            "scenes.moving.scalar_s",
-            "scenes.moving.fused_s",
-            "scenes.moving.speedup_fused_vs_scalar",
-            "dense_hall.tag_count",
-            "dense_hall.fused_s",
-        ),
-    ),
-    "dtw": SnapshotSchema(
-        required={
-            "generated_at": str,
-            "platform": str,
-            "tag_count": _NUMBER,
-            "timings_s": dict,
-            "speedup_vs_python_loop": dict,
-        },
-        numeric_paths=(
-            "timings_s.python_loop_per_tag",
-            "timings_s.batched",
-            "speedup_vs_python_loop.batched",
-            "localize_overhead_vs_kernel",
-        ),
-    ),
-    "experiments": SnapshotSchema(
-        required={
-            "generated_at": str,
-            "platform": str,
-            "cpu_count": _NUMBER,
-            "workload": dict,
-            "timings_s": dict,
-            "results_bit_identical": bool,
-        },
-        numeric_paths=(
-            "timings_s.serial",
-            "stage_breakdown_s.simulate",
-            "speedup_simulate_vs_pr4",
-            "speedup_sharded_vs_serial",
-        ),
-    ),
-    "streaming": SnapshotSchema(
-        required={
-            "generated_at": str,
-            "platform": str,
-            "seed": _NUMBER,
-            "ingest_reads_per_s": _NUMBER,
-            "results_bit_identical": bool,
-        },
-        numeric_paths=(
-            "ingest_reads_per_s",
-            "provisional_latency_s_mean",
-        ),
-    ),
-    "service": SnapshotSchema(
-        required={
-            "generated_at": str,
-            "platform": str,
-            "seed": _NUMBER,
-            "cpu_count": _NUMBER,
-            "sessions": dict,
-            "max_sessions": _NUMBER,
-            "aggregate_reads_per_s": _NUMBER,
-            "results_bit_identical": bool,
-        },
-        numeric_paths=(
-            "cpu_count",
-            "max_sessions",
-            "aggregate_reads_per_s",
-            "provisional_latency_s_p95",
-        ),
-    ),
     "robustness": SnapshotSchema(
         required={
             "generated_at": str,
@@ -263,7 +179,7 @@ SNAPSHOT_SCHEMAS: dict[str, SnapshotSchema] = {
         ),
     ),
 }
-"""Snapshot kind (``--only`` name) → its required shape."""
+"""Snapshot kind (the ``BENCH_<kind>.json`` suffix) → its required shape."""
 
 
 def _dig(payload: Mapping[str, Any], dotted: str) -> Any:
@@ -286,8 +202,8 @@ def validate_snapshot(kind: str, payload: Any) -> list[str]:
 
     Checks the required top-level keys and their types, and that every
     *present* ``numeric_paths`` entry is a finite number.  ``None`` values on
-    numeric paths are allowed — the writers use ``null`` for "not measured on
-    this host" (e.g. the skipped sharded timing).
+    numeric paths are allowed: ``null`` records "not measured", which is not
+    corruption.
     """
     schema = SNAPSHOT_SCHEMAS[kind]
     if not isinstance(payload, Mapping):

@@ -268,9 +268,3 @@ class ProfileSet:
     def tag_ids(self) -> list[str]:
         """All tag ids with a profile, in insertion order."""
         return list(self.profiles)
-
-    def min_samples(self) -> int:
-        """The smallest sample count across profiles (0 when the set is empty)."""
-        if not self.profiles:
-            return 0
-        return min(len(p) for p in self.profiles.values())

@@ -9,11 +9,11 @@ All functions take a ``repetitions`` / scale parameter so the benchmarks can
 run at a tractable size; the defaults are chosen to finish in seconds while
 still exhibiting the paper's trends.
 
-Every repeated experiment runs through the sharded sweep engine
+Every repeated experiment runs through the parallel sweep engine
 (:mod:`repro.evaluation.sweep`): the function builds declarative
 :class:`~repro.evaluation.sweep.SweepPlan`\\ s (scene factory + schemes to
 score + explicit per-repetition seeds preserving the historical values) and
-hands them to a :class:`~repro.evaluation.sweep.SweepService`, which shards
+hands them to a :class:`~repro.evaluation.sweep.SweepService`, which spreads
 the repetitions across worker processes.  Pass ``service=`` to control
 parallelism; the results are bit-identical either way.  The repetition tasks
 below are module-level functions (combined with :func:`functools.partial`)
@@ -732,7 +732,7 @@ def _misplaced_books_task(
     Each repetition builds its own :class:`BatchLocalizer`; the reference
     profile and its segmentation are process-wide cached
     (``shared_canonical_reference``), so the engine is still shared within a
-    shard worker.
+    pool worker.
     """
     rng = np.random.default_rng(seed)
     shelf = generate_bookshelf(levels=levels, books_per_level=books_per_level, seed=seed)

@@ -1,4 +1,4 @@
-"""Declarative sweep plans and a sharded parallel execution service.
+"""Declarative sweep plans and a parallel execution service.
 
 Before this module, every figure/table generator in
 :mod:`repro.evaluation.experiments` carried its own ``for rep in
@@ -9,17 +9,16 @@ regenerating the paper's results.  This module replaces them with one engine:
 * :class:`SweepPlan` describes a sweep declaratively — how many repetitions,
   how each repetition derives its seed, and what work one repetition performs
   (build a scene, score schemes on it).
-* :class:`SweepService` executes plans.  Repetitions are split into shards and
-  run across a :class:`concurrent.futures.ProcessPoolExecutor`; the serial
-  fallback runs the very same shard function in-process, so serial and
-  sharded execution are **bit-identical** (pinned by
-  ``tests/test_sweep_service.py``).
+* :class:`SweepService` executes plans.  Repetitions run across a
+  :class:`concurrent.futures.ProcessPoolExecutor`; with one worker the very
+  same repetition function runs in-process, so serial and pooled execution
+  are **bit-identical** (pinned by ``tests/test_sweep_service.py``).
 
 Determinism is anchored in the plan, not the executor: each repetition's seed
 is fixed up front — either an explicit per-repetition ``seeds`` tuple, or
 children spawned from ``np.random.SeedSequence(base_seed)`` — so the result of
 repetition *i* is a pure function of ``(i, seed_i)`` and cannot depend on
-shard size, worker count, or scheduling order.
+worker count or scheduling order.
 
 Everything a plan carries must be picklable: tasks are module-level functions
 (or :func:`functools.partial` of them), never closures or lambdas.
@@ -31,6 +30,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ class SweepPlan:
             )
 
     def resolved_seeds(self) -> tuple[int, ...]:
-        """The seed of every repetition, fixed before any shard runs."""
+        """The seed of every repetition, fixed before any repetition runs."""
         if self.seeds is not None:
             return tuple(int(s) for s in self.seeds)
         children = np.random.SeedSequence(self.base_seed).spawn(self.repetitions)
@@ -237,24 +237,10 @@ def score_stpp(experiment: SweepExperiment, config=None) -> tuple[SchemeScore, .
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Shard:
-    """A contiguous slice of one plan's repetitions."""
-
-    plan_index: int
-    rep_indices: tuple[int, ...]
-    seeds: tuple[int, ...]
-
-
-def _run_shard(plan: SweepPlan, shard: _Shard) -> list[RepetitionResult]:
-    """Execute one shard (in-process or inside a pool worker)."""
-    results = []
-    for rep_index, seed in zip(shard.rep_indices, shard.seeds):
-        scores = tuple(plan.task(rep_index, seed))
-        results.append(
-            RepetitionResult(plan=plan.name, rep_index=rep_index, seed=seed, scores=scores)
-        )
-    return results
+def _run_repetition(plan: SweepPlan, rep_index: int, seed: int) -> RepetitionResult:
+    """Execute one repetition (in-process or inside a pool worker)."""
+    scores = tuple(plan.task(rep_index, seed))
+    return RepetitionResult(plan=plan.name, rep_index=rep_index, seed=seed, scores=scores)
 
 
 def default_worker_count() -> int:
@@ -270,29 +256,18 @@ def default_worker_count() -> int:
 
 @dataclass
 class SweepService:
-    """Executes :class:`SweepPlan`\\ s, sharded across worker processes.
+    """Executes :class:`SweepPlan`\\ s, one repetition per pool task.
 
     Parameters
     ----------
     max_workers:
-        Pool size.  ``None`` defers to :func:`default_worker_count`.
-    shard_size:
-        Repetitions per shard.  The default of 1 maximises load balance
-        (repetitions are heavyweight simulations, so per-task overhead is
-        negligible); seeds are fixed per repetition, so shard size never
-        affects results.
-    parallel:
-        ``True``/``False`` forces the pool / the serial path; ``None`` uses
-        the pool only when more than one worker is available.
+        Pool size.  ``None`` defers to :func:`default_worker_count`.  With
+        one worker every repetition runs in-process, one after another.
     """
 
     max_workers: int | None = None
-    shard_size: int = 1
-    parallel: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
@@ -300,55 +275,33 @@ class SweepService:
         """The effective pool size."""
         return self.max_workers if self.max_workers is not None else default_worker_count()
 
-    def _use_pool(self) -> bool:
-        if self.parallel is not None:
-            return self.parallel and self.worker_count() >= 1
-        return self.worker_count() > 1
-
     def run(self, plan: SweepPlan) -> SweepOutcome:
         """Execute one plan."""
         return self.run_many([plan])[0]
 
     def run_many(self, plans: Sequence[SweepPlan]) -> list[SweepOutcome]:
-        """Execute several plans, sharding across all of them at once.
+        """Execute several plans, spreading across all of them at once.
 
-        Sharding across plans (not per plan) keeps the pool saturated when
-        individual plans have fewer repetitions than there are workers — the
-        common case for the paper's sweeps.
+        Pooling the repetitions of every plan (not plan by plan) keeps the
+        pool saturated when individual plans have fewer repetitions than
+        there are workers — the common case for the paper's sweeps.
         """
         plans = list(plans)
-        shards: list[_Shard] = []
-        for plan_index, plan in enumerate(plans):
-            seeds = plan.resolved_seeds()
-            for start in range(0, plan.repetitions, self.shard_size):
-                stop = min(start + self.shard_size, plan.repetitions)
-                shards.append(
-                    _Shard(
-                        plan_index=plan_index,
-                        rep_indices=tuple(range(start, stop)),
-                        seeds=seeds[start:stop],
-                    )
-                )
-
-        per_plan: dict[int, list[RepetitionResult]] = {i: [] for i in range(len(plans))}
-        if self._use_pool() and len(shards) > 1:
+        tasks = [
+            (plan, rep_index, seed)
+            for plan in plans
+            for rep_index, seed in enumerate(plan.resolved_seeds())
+        ]
+        if self.worker_count() > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=self.worker_count()) as pool:
-                shard_results = pool.map(
-                    _run_shard, [plans[s.plan_index] for s in shards], shards
-                )
-                for shard, results in zip(shards, shard_results):
-                    per_plan[shard.plan_index].extend(results)
+                results = list(pool.map(_run_repetition, *zip(*tasks)))
         else:
-            for shard in shards:
-                per_plan[shard.plan_index].extend(
-                    _run_shard(plans[shard.plan_index], shard)
-                )
-
-        outcomes = []
-        for plan_index, plan in enumerate(plans):
-            ordered = sorted(per_plan[plan_index], key=lambda r: r.rep_index)
-            outcomes.append(SweepOutcome(plan=plan.name, results=tuple(ordered)))
-        return outcomes
+            results = [_run_repetition(*task) for task in tasks]
+        in_order = iter(results)
+        return [
+            SweepOutcome(plan=plan.name, results=tuple(islice(in_order, plan.repetitions)))
+            for plan in plans
+        ]
 
 
 _default_service: SweepService | None = None

@@ -10,8 +10,8 @@ as data: a seed plus an ordered list of injector descriptions, each a
 Being data, fault profiles compose with the rest of the repository's
 declarative machinery:
 
-* any scenario spec has **degraded variants**
-  (:meth:`repro.scenarios.spec.ScenarioSpec.degraded`),
+* any scenario spec has **degraded variants** (its optional ``faults``
+  section, :attr:`repro.scenarios.spec.ScenarioSpec.faults`),
 * the fleet service can arm a portal with a per-portal injector pipeline
   (``FleetService.open_portal(..., fault_spec=...)``),
 * and the robustness benchmark sweeps a fault-rate ladder by constructing

@@ -33,11 +33,6 @@ class EPC:
     def __str__(self) -> str:
         return f"{self.value:024x}"
 
-    @property
-    def serial(self) -> int:
-        """The low 38 bits, the per-item serial number in SGTIN-96."""
-        return self.value & ((1 << 38) - 1)
-
     @staticmethod
     def from_fields(company_prefix: int, item_reference: int, serial: int) -> "EPC":
         """Assemble an SGTIN-96-style EPC from its three payload fields."""

@@ -33,7 +33,7 @@ round-trips exactly; equality is field-by-field value equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -658,24 +658,6 @@ class ScenarioSpec:
         if self.faults is not None:
             payload["faults"] = self.faults.to_json()
         return payload
-
-    def degraded(self, faults: "FaultSpec", name: str | None = None) -> "ScenarioSpec":
-        """This deployment with a fault profile attached.
-
-        The derived spec is identical except for ``faults`` and its name,
-        which defaults to ``"<name>[faults=<label>]"`` — the label a
-        name-charset-safe rendering of the injector chain (e.g.
-        ``"read_loss.rate=0.2,duplicate.rate=0.1"``) — so degraded variants
-        sort next to their clean parent in the registry and on the
-        leaderboard.
-        """
-        if name is None:
-            label = ",".join(
-                injector.kind + "".join(f".{k}={v:g}" for k, v in injector.params)
-                for injector in faults.injectors
-            ) or "clean"
-            name = f"{self.name}[faults={label}]"
-        return replace(self, name=name, faults=faults)
 
 
 def _locate_key(text: str, dotted_path: str) -> int | None:

@@ -71,11 +71,6 @@ class ProfileCacheRegistry:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached entries."""
-        return self._capacity
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -15,7 +15,7 @@ motion (a :func:`~repro.motion.speed_profiles.jittered_speed_profile`), so
 the relative carton geometry is preserved and, in the antenna's frame, the
 sweep looks like an antenna moving at the belt's (variable) speed.
 
-The workload plugs into the sharded experiment engine: use
+The workload plugs into the parallel experiment engine: use
 :func:`conveyor_experiment` as a :class:`~repro.evaluation.sweep.SweepPlan`
 scene factory, or :func:`warehouse_sweep_plan` for the ready-made plan scored
 by all five baseline schemes.
@@ -378,7 +378,7 @@ def warehouse_sweep_plan(
 
     Seeds derive from ``np.random.SeedSequence(base_seed)`` (the engine's
     default derivation); pass the plan to a
-    :class:`~repro.evaluation.sweep.SweepService` to run it sharded.
+    :class:`~repro.evaluation.sweep.SweepService` to run it in parallel.
     """
     from functools import partial
 

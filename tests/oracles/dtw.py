@@ -13,8 +13,8 @@ def accumulate_python(
     """The seed repository's pure-Python DTW accumulation (double loop).
 
     The equivalence tests assert that :func:`repro.core.dtw.accumulate_cost`
-    and :func:`repro.core.dtw.accumulate_cost_batch` reproduce it bit for
-    bit, and ``benchmarks/bench_dtw.py`` times it as the baseline.
+    and the batched chunk sweep (``repro.core.dtw._accumulate_chunk``)
+    reproduce it bit for bit.
     """
     rows, cols = distance.shape
     if weights is None:

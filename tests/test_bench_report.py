@@ -42,6 +42,15 @@ def history(tmp_path):
             timestamp="2026-08-08T00:00:00+00:00",
             platform="test-host",
         )
+    record_run(
+        source="bench_accuracy",
+        metrics={"mean": {"STPP": {"combined": 0.72}}},
+        scale={"repetitions": 2},
+        history=path,
+        git_sha="cccc333cccc",
+        timestamp="2026-08-08T00:00:00+00:00",
+        platform="test-host",
+    )
     return BenchHistory(path)
 
 
@@ -62,8 +71,9 @@ class TestTrends:
 
     def test_headline_trends_skip_unrecorded_metrics(self, history):
         text = format_trends(history)
-        assert "bench_dtw :: speedup_vs_python_loop.batched" in text
-        assert "bench_sweep" not in text  # no rows recorded for it
+        assert "bench_accuracy :: mean.STPP.combined" in text
+        assert "fig17" not in text  # a headline with no rows recorded
+        assert "bench_dtw" not in text  # recorded, but not a headline
 
     def test_all_metrics_mode_lists_every_recorded_metric(self, history):
         assert "speedup_vs_python_loop.batched" in format_trends(history, all_metrics=True)
@@ -157,5 +167,5 @@ class TestCli:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "bench_dtw" in out and "updated" in out
+        assert "bench_accuracy" in out and "updated" in out
         assert "stale" not in doc.read_text()

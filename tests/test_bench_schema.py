@@ -63,35 +63,6 @@ class TestBenchRecord:
 # Minimal valid payload per snapshot kind — the smallest record each
 # checker must accept (optional fields absent on purpose).
 MINIMAL_SNAPSHOTS: dict[str, dict] = {
-    "sweep": {
-        "generated_at": "2026-08-08T00:00:00+00:00",
-        "platform": "test",
-        "seed": 2015,
-        "scenes": {"static": {"speedup_fused_vs_scalar": 10.0}},
-        "speedup_fused_vs_scalar": 10.0,
-    },
-    "dtw": {
-        "generated_at": "2026-08-08T00:00:00+00:00",
-        "platform": "test",
-        "tag_count": 120,
-        "timings_s": {"python_loop_per_tag": 1.0, "batched": 0.1},
-        "speedup_vs_python_loop": {"batched": 10.0},
-    },
-    "experiments": {
-        "generated_at": "2026-08-08T00:00:00+00:00",
-        "platform": "test",
-        "cpu_count": 1,
-        "workload": {"spacings_m": [0.04]},
-        "timings_s": {"serial": 5.0, "sharded": None},
-        "results_bit_identical": True,
-    },
-    "streaming": {
-        "generated_at": "2026-08-08T00:00:00+00:00",
-        "platform": "test",
-        "seed": 2015,
-        "ingest_reads_per_s": 50_000.0,
-        "results_bit_identical": True,
-    },
     "accuracy": {
         "generated_at": "2026-08-08T00:00:00+00:00",
         "platform": "test",
@@ -142,46 +113,35 @@ class TestSnapshotValidation:
         assert any("scenarios" in p for p in validate_snapshot("accuracy", payload))
 
     def test_bool_field_rejects_truthy_int(self):
-        payload = {**MINIMAL_SNAPSHOTS["experiments"], "results_bit_identical": 1}
-        problems = validate_snapshot("experiments", payload)
-        assert any("results_bit_identical" in p for p in problems)
+        payload = {**MINIMAL_SNAPSHOTS["robustness"], "zero_fault_bit_identical": 1}
+        problems = validate_snapshot("robustness", payload)
+        assert any("zero_fault_bit_identical" in p for p in problems)
 
     def test_bool_rejected_where_a_number_is_required(self):
-        payload = {**MINIMAL_SNAPSHOTS["streaming"], "ingest_reads_per_s": True}
-        problems = validate_snapshot("streaming", payload)
-        assert any("ingest_reads_per_s" in p for p in problems)
+        payload = {**MINIMAL_SNAPSHOTS["accuracy"], "seed": True}
+        problems = validate_snapshot("accuracy", payload)
+        assert any("seed" in p for p in problems)
 
     def test_numeric_path_rejects_strings_and_nan(self):
-        corrupted = {
-            **MINIMAL_SNAPSHOTS["dtw"],
-            "speedup_vs_python_loop": {"batched": "fast"},
-        }
+        corrupted = {**MINIMAL_SNAPSHOTS["accuracy"], "mean_combined": {"STPP": "high"}}
         assert any(
-            "speedup_vs_python_loop.batched" in p
-            for p in validate_snapshot("dtw", corrupted)
+            "mean_combined.STPP" in p for p in validate_snapshot("accuracy", corrupted)
         )
-        nan = {**MINIMAL_SNAPSHOTS["streaming"], "ingest_reads_per_s": float("nan")}
-        assert validate_snapshot("streaming", nan)
+        nan = {**MINIMAL_SNAPSHOTS["robustness"], "stpp_min_lead": float("nan")}
+        assert validate_snapshot("robustness", nan)
 
     def test_null_on_a_numeric_path_means_not_measured(self):
-        payload = {
-            **MINIMAL_SNAPSHOTS["experiments"],
-            "speedup_sharded_vs_serial": None,
-        }
-        assert validate_snapshot("experiments", payload) == []
+        payload = {**MINIMAL_SNAPSHOTS["robustness"], "stpp_min_lead": None}
+        assert validate_snapshot("robustness", payload) == []
 
     def test_non_object_payload_is_one_clear_problem(self):
-        problems = validate_snapshot("sweep", [1, 2, 3])
+        problems = validate_snapshot("accuracy", [1, 2, 3])
         assert len(problems) == 1 and "object" in problems[0]
 
 
 @pytest.mark.parametrize(
     "kind,filename",
     [
-        ("sweep", "BENCH_sweep.json"),
-        ("dtw", "BENCH_dtw.json"),
-        ("experiments", "BENCH_experiments.json"),
-        ("streaming", "BENCH_streaming.json"),
         ("accuracy", "BENCH_accuracy.json"),
         ("robustness", "BENCH_robustness.json"),
     ],

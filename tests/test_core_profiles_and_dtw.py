@@ -79,7 +79,6 @@ class TestPhaseProfile:
         profiles.add(make_profile([], [], "b"))
         assert len(profiles) == 2
         assert "a" in profiles
-        assert profiles.min_samples() == 0
 
 
 class TestSegmentation:

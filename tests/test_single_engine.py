@@ -76,11 +76,17 @@ class TestRemovedOptionsAreRejected:
             collect_sweep(tiny_scene(), **{option: REMOVED_SWEEP_OPTIONS[option]})
 
     @pytest.mark.parametrize(
-        "option, value", [("physics_backend", "threads"), ("pipeline", True)]
+        "option, value",
+        [
+            ("physics_backend", "threads"),
+            ("pipeline", True),
+            ("parallel", False),
+            ("shard_size", 2),
+        ],
     )
     def test_sweep_service(self, option, value):
         with pytest.raises(TypeError, match=option):
-            SweepService(parallel=False, **{option: value})
+            SweepService(**{option: value})
 
     def test_localizer_batching_switch(self):
         with pytest.raises(TypeError, match="batched"):

@@ -5,9 +5,12 @@ appear as a code token in some git-tracked ``.py`` file under ``src/``,
 ``benchmarks/``, ``perfbench/`` or ``examples/``.  These do not count as a
 use: the name's own definition body, comments and docstrings, ``__all__``
 lists and import lines (re-exports).  String constants in code do count,
-because ``perfbench`` wraps layer functions by name.  Code only the tests
-reach belongs in ``tests/oracles/`` (when a test compares production code
-against it) or nowhere.
+because ``perfbench`` wraps layer functions by name.  A method or property
+(a definition directly inside a class) is reached only through an attribute
+access (``x.name``) or a string constant: a bare name, parameter or keyword
+of the same spelling cannot call it.  Code only the tests reach belongs in
+``tests/oracles/`` (when a test compares production code against it) or
+nowhere.
 
 The scan is by name, not by object, so two definitions sharing a name keep
 each other alive; it catches what no file names at all.
@@ -76,26 +79,28 @@ def _is_all_assignment(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _token(node: ast.AST) -> str | None:
+def _token(node: ast.AST) -> tuple[str, bool] | None:
+    """The name ``node`` uses, and whether it can reach a class member."""
     if isinstance(node, ast.Name):
-        return node.id
+        return node.id, False
     if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.keyword):
-        return node.arg
+        return node.attr, True
+    if isinstance(node, ast.keyword) and node.arg is not None:
+        return node.arg, False
     if (
         isinstance(node, ast.Constant)
         and isinstance(node.value, str)
         and node.value.isidentifier()
     ):
-        return node.value
+        return node.value, True
     return None
 
 
 def scan() -> list[tuple[str, int, str]]:
     """``(file, line, name)`` of every definition no scanned file uses."""
     uses: Counter[str] = Counter()
-    definitions: list[tuple[str, int, str]] = []
+    member_uses: Counter[str] = Counter()
+    definitions: list[tuple[str, int, str, bool]] = []
 
     def walk(node: ast.AST, enclosing: tuple[str, ...], path: str, collect: bool) -> None:
         for child in ast.iter_child_nodes(node):
@@ -103,13 +108,16 @@ def scan() -> list[tuple[str, int, str]]:
                 continue
             if _is_docstring(child) or _is_all_assignment(child):
                 continue
-            name = _token(child)
-            if name is not None and name not in enclosing:
-                uses[name] += 1
+            token = _token(child)
+            if token is not None and token[0] not in enclosing:
+                uses[token[0]] += 1
+                if token[1]:
+                    member_uses[token[0]] += 1
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 dunder = child.name.startswith("__") and child.name.endswith("__")
                 if collect and not dunder:
-                    definitions.append((path, child.lineno, child.name))
+                    member = isinstance(node, ast.ClassDef)
+                    definitions.append((path, child.lineno, child.name, member))
                 walk(child, enclosing + (child.name,), path, collect)
             else:
                 walk(child, enclosing, path, collect)
@@ -118,7 +126,11 @@ def scan() -> list[tuple[str, int, str]]:
         relative = path.relative_to(REPO).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=relative)
         walk(tree, (), relative, relative.startswith("src/repro/"))
-    return [d for d in definitions if uses[d[2]] == 0]
+    return [
+        (path, line, name)
+        for path, line, name, member in definitions
+        if (member_uses if member else uses)[name] == 0
+    ]
 
 
 def test_every_src_definition_has_a_production_caller():

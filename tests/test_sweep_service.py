@@ -1,10 +1,10 @@
-"""Equivalence and determinism tests for the sharded sweep engine.
+"""Equivalence and determinism tests for the parallel sweep engine.
 
 The contract pinned here: a :class:`SweepPlan` executed through the
 :class:`SweepService` produces **bit-identical** ``OrderingEvaluation``
-results whether it runs serially in-process or sharded across a process
-pool, for any shard size — seeds are fixed per repetition before any shard
-runs, so results are a pure function of ``(rep_index, seed)``.
+results whether it runs serially in-process (one worker) or across a
+process pool — seeds are fixed per repetition before any repetition runs,
+so results are a pure function of ``(rep_index, seed)``.
 """
 
 from functools import partial
@@ -86,19 +86,9 @@ class TestSerialShardedEquivalence:
 
     def test_process_pool_matches_serial(self):
         plan = _small_plan()
-        serial = SweepService(parallel=False).run(plan)
-        sharded = SweepService(max_workers=2, parallel=True).run(plan)
+        serial = SweepService(max_workers=1).run(plan)
+        sharded = SweepService(max_workers=2).run(plan)
         assert _evaluations(serial) == _evaluations(sharded)
-
-    def test_shard_size_does_not_change_results(self):
-        plan = _small_plan(repetitions=5)
-        outcomes = [
-            SweepService(parallel=False, shard_size=size).run(plan)
-            for size in (1, 2, 5)
-        ]
-        reference = _evaluations(outcomes[0])
-        for outcome in outcomes[1:]:
-            assert _evaluations(outcome) == reference
 
     def test_five_scheme_scorer_survives_pickling(self):
         # The full five-scheme suite (closures over the scene's trajectory,
@@ -113,15 +103,15 @@ class TestSerialShardedEquivalence:
             repetitions=2,
             seeds=(5, 6),
         )
-        serial = SweepService(parallel=False).run(plan)
-        sharded = SweepService(max_workers=2, parallel=True).run(plan)
+        serial = SweepService(max_workers=1).run(plan)
+        sharded = SweepService(max_workers=2).run(plan)
         assert serial.schemes() == ["G-RSSI", "OTrack", "Landmarc", "BackPos", "STPP"]
         assert _evaluations(serial) == _evaluations(sharded)
 
     def test_run_many_preserves_plan_order_and_results(self):
         plans = [_small_plan(name=f"p{i}", repetitions=2, base_seed=i) for i in range(3)]
-        serial = SweepService(parallel=False).run_many(plans)
-        sharded = SweepService(max_workers=2, parallel=True).run_many(plans)
+        serial = SweepService(max_workers=1).run_many(plans)
+        sharded = SweepService(max_workers=2).run_many(plans)
         assert [o.plan for o in serial] == ["p0", "p1", "p2"]
         assert [o.plan for o in sharded] == ["p0", "p1", "p2"]
         for a, b in zip(serial, sharded):
@@ -131,13 +121,13 @@ class TestSerialShardedEquivalence:
 class TestOutcomeAccessors:
     def test_metric_samples_roundtrip(self):
         plan = SweepPlan(name="metrics", repetitions=3, task=_metric_task, seeds=(1, 2, 3))
-        outcome = SweepService(parallel=False).run(plan)
+        outcome = SweepService(max_workers=1).run(plan)
         assert outcome.schemes() == ["probe"]
         assert outcome.metric_samples("probe", "value") == [1.0, 2.0, 3.0]
 
     def test_results_ordered_by_repetition(self):
         plan = _small_plan(repetitions=4)
-        outcome = SweepService(max_workers=2, parallel=True, shard_size=1).run(plan)
+        outcome = SweepService(max_workers=2).run(plan)
         assert [r.rep_index for r in outcome.results] == [0, 1, 2, 3]
 
 
@@ -147,10 +137,6 @@ def _metric_task(rep_index, seed):
 
 
 class TestServiceConfiguration:
-    def test_invalid_shard_size(self):
-        with pytest.raises(ValueError):
-            SweepService(shard_size=0)
-
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError):
             SweepService(max_workers=0)
@@ -167,10 +153,10 @@ class TestServiceConfiguration:
         from repro.evaluation.experiments import fig13_spacing_tag_moving
 
         serial = fig13_spacing_tag_moving(
-            spacings_m=(0.08,), repetitions=2, service=SweepService(parallel=False)
+            spacings_m=(0.08,), repetitions=2, service=SweepService(max_workers=1)
         )
         sharded = fig13_spacing_tag_moving(
             spacings_m=(0.08,), repetitions=2,
-            service=SweepService(max_workers=2, parallel=True),
+            service=SweepService(max_workers=2),
         )
         assert serial == sharded

@@ -120,7 +120,7 @@ class TestWarehouseEndToEnd:
             config=ConveyorConfig(lanes=2, cartons_per_lane=4),
             base_seed=2015,
         )
-        return SweepService(parallel=False).run(plan)
+        return SweepService(max_workers=1).run(plan)
 
     def test_all_five_schemes_scored(self, outcome):
         assert outcome.schemes() == FIVE_SCHEMES
@@ -147,7 +147,7 @@ class TestWarehouseEndToEnd:
             config=ConveyorConfig(lanes=2, cartons_per_lane=4),
             base_seed=2015,
         )
-        sharded = SweepService(max_workers=2, parallel=True).run(plan)
+        sharded = SweepService(max_workers=2).run(plan)
         for name in FIVE_SCHEMES:
             assert sharded.evaluations(name) == outcome.evaluations(name)
 
