@@ -108,6 +108,32 @@ class TestSnapshotValidation:
         assert problems, f"{kind} without {key!r} validated clean"
         assert any(key in problem for problem in problems)
 
+    @pytest.mark.parametrize("kind,key", ALL_REQUIRED_KEYS)
+    def test_each_wrong_type_is_caught(self, kind, key):
+        # A value of a type no required field accepts (or bool's truthy int).
+        wrong = 1 if SNAPSHOT_SCHEMAS[kind].required[key] in (str, bool) else "x"
+        payload = {**MINIMAL_SNAPSHOTS[kind], key: wrong}
+        problems = validate_snapshot(kind, payload)
+        assert any(key in problem for problem in problems), problems
+
+    @pytest.mark.parametrize(
+        "kind,path",
+        [
+            (kind, path)
+            for kind in sorted(MINIMAL_SNAPSHOTS)
+            for path in SNAPSHOT_SCHEMAS[kind].numeric_paths
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["high", float("nan"), float("inf")])
+    def test_each_numeric_path_rejects_non_finite_values(self, kind, path, bad):
+        payload = json.loads(json.dumps(MINIMAL_SNAPSHOTS[kind]))
+        *parents, leaf = path.split(".")
+        node = payload
+        for part in parents:
+            node = node[part]
+        node[leaf] = bad
+        assert any(path in problem for problem in validate_snapshot(kind, payload))
+
     def test_wrong_type_is_caught(self):
         payload = {**MINIMAL_SNAPSHOTS["accuracy"], "scenarios": ["library"]}
         assert any("scenarios" in p for p in validate_snapshot("accuracy", payload))
@@ -151,3 +177,17 @@ def test_committed_snapshots_validate_clean(kind, filename):
     if not path.exists():
         pytest.skip(f"{filename} not recorded in this checkout")
     assert validate_snapshot(kind, json.loads(path.read_text())) == []
+
+
+@pytest.mark.parametrize("kind", ["sweep", "dtw", "experiments", "streaming", "service"])
+def test_retired_timing_kinds_have_no_schema(kind):
+    # The timing records moved to perfbench/; their kinds validate nothing.
+    assert kind not in SNAPSHOT_SCHEMAS
+    with pytest.raises(KeyError):
+        validate_snapshot(kind, {})
+
+
+def test_every_committed_snapshot_has_a_schema():
+    # A BENCH_<kind>.json without a schema is a record nothing checks.
+    committed = {path.stem.removeprefix("BENCH_") for path in REPO.glob("BENCH_*.json")}
+    assert committed <= set(SNAPSHOT_SCHEMAS)

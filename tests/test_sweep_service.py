@@ -7,10 +7,12 @@ process pool — seeds are fixed per repetition before any repetition runs,
 so results are a pure function of ``(rep_index, seed)``.
 """
 
+import os
 from functools import partial
 
 import pytest
 
+from repro.evaluation import sweep as sweep_module
 from repro.evaluation.experiments import _staircase_experiment
 from repro.evaluation.sweep import (
     SchemeScore,
@@ -131,6 +133,70 @@ class TestOutcomeAccessors:
         assert [r.rep_index for r in outcome.results] == [0, 1, 2, 3]
 
 
+class TestRunManyAcrossPlans:
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_each_plan_gets_exactly_its_repetitions(self, max_workers):
+        seeds = {"a": (11,), "b": (21, 22, 23), "c": (31, 32)}
+        plans = [
+            SweepPlan(name=name, repetitions=len(s), task=_metric_task, seeds=s)
+            for name, s in seeds.items()
+        ]
+        outcomes = SweepService(max_workers=max_workers).run_many(plans)
+        assert [o.plan for o in outcomes] == list(seeds)
+        for outcome, plan_seeds in zip(outcomes, seeds.values()):
+            assert [r.rep_index for r in outcome.results] == list(range(len(plan_seeds)))
+            assert [r.seed for r in outcome.results] == list(plan_seeds)
+            assert outcome.metric_samples("probe", "value") == [float(s) for s in plan_seeds]
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Replace the process pool with an in-process one; list each pool's size."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    return opened
+
+
+class TestPoolSelection:
+    """The pool runs exactly when more than one worker has work to share."""
+
+    @pytest.mark.parametrize(
+        "max_workers, repetitions, expected",
+        [(1, 3, []), (2, 3, [2]), (2, 1, [])],
+        ids=["one-worker", "two-workers", "one-repetition"],
+    )
+    def test_pool_use(self, opened_pools, max_workers, repetitions, expected):
+        plan = SweepPlan(
+            name="probe",
+            repetitions=repetitions,
+            task=_metric_task,
+            seeds=tuple(range(repetitions)),
+        )
+        outcome = SweepService(max_workers=max_workers).run(plan)
+        assert opened_pools == expected
+        assert outcome.metric_samples("probe", "value") == [float(s) for s in range(repetitions)]
+
+    def test_env_worker_count_opens_the_pool(self, opened_pools, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+        plan = SweepPlan(name="probe", repetitions=2, task=_metric_task, seeds=(1, 2))
+        SweepService().run(plan)
+        assert opened_pools == [2]
+
+
 def _metric_task(rep_index, seed):
     """Module-level (picklable) task used by the accessor tests."""
     return (SchemeScore(scheme="probe", metrics={"value": float(seed)}),)
@@ -147,6 +213,15 @@ class TestServiceConfiguration:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "junk")
         with pytest.raises(ValueError):
             default_worker_count()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_env_worker_count_is_at_least_one(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", value)
+        assert default_worker_count() == 1
+
+    def test_unset_env_uses_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+        assert default_worker_count() == (os.cpu_count() or 1)
 
     def test_ported_experiment_accepts_service(self):
         # The ported generators run identically on an explicit parallel service.
