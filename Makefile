@@ -33,11 +33,13 @@
 #                     tiny-scale self-test of the repository benchmark
 #                     (perfbench/): every workload's metrics, the traced
 #                     per-layer split and its wrapped layer functions (~75 s)
-#   make perfbench-ab [WORKLOAD=portal_cold] [BASE=HEAD] [SEEDS="2015 7"]
+#   make perfbench-ab [WORKLOAD=portal_cold] [BASE=HEAD] [SEEDS="2015 7"] [TRACE=1]
 #                     same-host A/B of one repository-benchmark workload:
 #                     checks BASE out into a temporary git worktree, runs
 #                     perfbench/run.py --trace 0 there and on the working tree
-#                     in turn for each seed, and prints the results side by side
+#                     in turn for each seed, and prints the results side by
+#                     side; TRACE=1 adds one traced run per side and prints
+#                     their per-layer split
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -96,6 +98,8 @@ perfbench-selftest:
 WORKLOAD ?= portal_cold
 BASE ?= HEAD
 SEEDS ?= 2015 7
+TRACE ?= 0
 
 perfbench-ab:
-	$(PYTHON) benchmarks/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) --seeds $(SEEDS)
+	$(PYTHON) benchmarks/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) --seeds $(SEEDS) \
+		$(if $(filter 1,$(TRACE)),--trace)

@@ -3,7 +3,7 @@
 
 Run from the root of a checkout (``make perfbench-ab`` wraps it)::
 
-    python3 benchmarks/perfbench_ab.py --workload portal_cold --base HEAD --seeds 2015 7
+    python3 benchmarks/perfbench_ab.py --workload portal_cold --base HEAD --seeds 2015 7 [--trace]
 
 It checks ``--base`` out into a temporary ``git worktree``.  For each seed it
 runs ``perfbench/run.py --trace 0`` on that checkout and on the working tree,
@@ -19,6 +19,10 @@ at least ten pairs, the working tree wins at least nine in ten, and its
 median is better than the base's by more than the base's interquartile
 range (``n/a`` with fewer pairs).  Which direction is better comes from
 ``BENCHMARK.json``.
+
+With ``--trace`` it ends with one ``--trace 1`` run per side at the first
+seed and prints their per-layer metrics (``rfid.sweep_setup_ms``,
+``rf.physics_ms``, ...) side by side.
 """
 
 from __future__ import annotations
@@ -34,11 +38,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(checkout: Path, workload: str, seed: int) -> dict:
-    """The JSON result line of one untraced 20 s benchmark run in ``checkout``."""
+def run(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
+    """The JSON result line of one 20 s benchmark run in ``checkout``.
+
+    Untraced it holds the end-to-end metrics; traced, the per-layer split.
+    """
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", "20", "--trace", "0",
+        "--seed", str(seed), "--seconds", "20", "--trace", "1" if trace else "0",
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -54,8 +61,8 @@ def table(rows: list[tuple[str, ...]]) -> str:
     )
 
 
-def side_by_side(seed: int, base_label: str, base: dict, work: dict) -> str:
-    rows = [(f"seed {seed}", base_label, "working tree", "change")]
+def side_by_side(title: str, base_label: str, base: dict, work: dict) -> str:
+    rows = [(title, base_label, "working tree", "change")]
     for key in ("attempted", "failed"):
         rows.append((key, str(base[key]), str(work[key]), ""))
     for name, metric in base["metrics"].items():
@@ -105,6 +112,10 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[2015, 7])
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="after the pairs, one traced run per side: the per-layer split",
+    )
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="perfbench-ab-") as workdir:
@@ -124,10 +135,19 @@ def main() -> int:
                     base = run(tree, args.workload, seed)
                     work = run(ROOT, args.workload, seed)
                 pairs.append((base, work))
-                print(side_by_side(seed, f"base {args.base}", base, work), flush=True)
+                print(side_by_side(f"seed {seed}", f"base {args.base}", base, work), flush=True)
                 print(flush=True)
             if len(pairs) >= 2:
                 print(summary(pairs, f"base {args.base}"), flush=True)
+            if args.trace:
+                seed = args.seeds[0]
+                base = run(tree, args.workload, seed, trace=True)
+                work = run(ROOT, args.workload, seed, trace=True)
+                print(flush=True)
+                print(
+                    side_by_side(f"traced, seed {seed}", f"base {args.base}", base, work),
+                    flush=True,
+                )
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True

@@ -14,7 +14,7 @@ from repro.baselines import (
 )
 from repro.evaluation.runner import standard_experiment
 from repro.reporting import format_accuracy_map
-from repro.rf.geometry import Point3D
+from repro.rf.geometry import Point3D, position_bounds
 from repro.workloads import reference_tag_grid, staircase_layout
 
 
@@ -23,16 +23,15 @@ def main() -> None:
     grid = reference_tag_grid(0.9, 0.4, spacing_m=0.25, origin=Point3D(-0.1, -0.1, 0.0))
     experiment = standard_experiment(positions, seed=17, reference_grid=grid)
 
-    xs = [p.x for p in positions]
-    ys = [p.y for p in positions]
+    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
     schemes = [
         GRssiScheme(),
         OTrackScheme(),
         LandmarcScheme(reference_positions=experiment.reference_positions),
         BackPosScheme(
             antenna_position_at=experiment.scene.scenario.antenna_position,
-            region_min=Point3D(min(xs) - 0.3, min(ys) - 0.3, 0.0),
-            region_max=Point3D(max(xs) + 0.3, max(ys) + 0.3, 0.0),
+            region_min=Point3D(min_x - 0.3, min_y - 0.3, 0.0),
+            region_max=Point3D(max_x + 0.3, max_y + 0.3, 0.0),
         ),
         STPPScheme(),
     ]

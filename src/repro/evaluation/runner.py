@@ -17,7 +17,7 @@ from ..baselines.base import OrderingScheme, SchemeResult
 from ..core.localizer import BatchLocalizer, STPPConfig
 from ..rf.geometry import Point3D
 from ..rfid.reading import ReadLog
-from ..rfid.tag import Tag, TagCollection, make_tags
+from ..rfid.tag import TagCollection, make_tags
 from ..simulation.collector import collect_sweep, profiles_from_read_log
 from ..simulation.presets import (
     standard_antenna_moving_scene,
@@ -80,12 +80,13 @@ def build_experiment(
     """
     sweep = collect_sweep(scene)
     targets = target_tags if target_tags is not None else scene.tags
+    ids = targets.ids()
     return SweepExperiment(
         scene=scene,
         read_log=sweep.read_log,
-        target_ids=targets.ids(),
-        true_x={tag.tag_id: tag.position.x for tag in targets},
-        true_y={tag.tag_id: tag.position.y for tag in targets},
+        target_ids=ids,
+        true_x=dict(zip(ids, targets.position_array[:, 0].tolist())),
+        true_y=dict(zip(ids, targets.position_array[:, 1].tolist())),
         reference_positions=reference_positions or {},
     )
 
@@ -95,44 +96,44 @@ REFERENCE_TAG_SEED_OFFSET = 9973
 
 
 def make_reference_tags(
-    grid: list[Point3D], seed: int | None
+    grid: np.ndarray, seed: int | None
 ) -> tuple[TagCollection, dict[str, Point3D]]:
     """Landmarc reference tags for a deployment grid.
 
+    ``grid`` is an ``(N, 3)`` array or a sequence of :class:`Point3D`.
     Returns the tags (labelled ``"ref"`` so they are recognisable in scenes
     and read logs) and the id → known-position map the Landmarc scheme needs.
     Shared by :func:`standard_experiment` and the warehouse conveyor workload
     so the seeding and labelling conventions cannot diverge.
     """
-    raw = make_tags(grid, seed=None if seed is None else seed + REFERENCE_TAG_SEED_OFFSET)
-    relabelled: list[Tag] = []
-    positions: dict[str, Point3D] = {}
-    for tag in raw:
-        relabelled.append(Tag(epc=tag.epc, position=tag.position, model=tag.model, label="ref"))
-        positions[tag.tag_id] = tag.position
-    return TagCollection(relabelled), positions
+    tags = make_tags(
+        grid,
+        labels=["ref"] * len(grid),
+        seed=None if seed is None else seed + REFERENCE_TAG_SEED_OFFSET,
+    )
+    return tags, tags.positions()
 
 
 def standard_experiment(
-    positions: list[Point3D],
+    positions: np.ndarray,
     seed: int = 0,
     tag_moving: bool = False,
     speed_mps: float = 0.3,
-    reference_grid: list[Point3D] | None = None,
+    reference_grid: np.ndarray | None = None,
     **scene_kwargs,
 ) -> SweepExperiment:
     """Build a standard sweep experiment over ``positions``.
 
-    ``reference_grid`` optionally adds Landmarc reference tags at known
-    positions; they participate in the sweep but are excluded from scoring.
+    ``positions`` (and ``reference_grid``) is an ``(N, 3)`` array or a
+    sequence of :class:`Point3D`.  ``reference_grid`` optionally adds
+    Landmarc reference tags at known positions; they participate in the sweep
+    but are excluded from scoring.
     """
-    target_tags = make_tags(positions, seed=seed)
-    all_tags = TagCollection(list(target_tags.tags))
+    all_tags = target_tags = make_tags(positions, seed=seed)
     reference_positions: dict[str, Point3D] = {}
-    if reference_grid:
+    if reference_grid is not None and len(reference_grid):
         reference_tags, reference_positions = make_reference_tags(reference_grid, seed)
-        for tag in reference_tags:
-            all_tags.add(tag)
+        all_tags = target_tags.concat(reference_tags)
     if tag_moving:
         scene = standard_tag_moving_scene(
             all_tags, belt_speed_mps=speed_mps, seed=seed, **scene_kwargs

@@ -15,8 +15,7 @@ actually moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,18 +25,18 @@ from .trajectory import LinearTrajectory
 AntennaPositionFn = Callable[[float], Point3D]
 TagPositionFn = Callable[[str, float], Point3D]
 
-_COORDINATES = (attrgetter("x"), attrgetter("y"), attrgetter("z"))
-
 
 # ---------------------------------------------------------------------------
 # Array-native position providers
 #
 # The reader simulator accepts plain callables, but its batched sweep path
-# sniffs for the richer interface below (``positions_at`` / ``is_static``) to
-# evaluate whole rounds of geometry in one NumPy pass instead of constructing
-# a ``Point3D`` per (tag, time) query.  Every provider's ``__call__`` and
-# ``positions_at`` evaluate the identical arithmetic elementwise, so the
-# scalar and batched sweeps observe bit-identical positions.
+# takes the richer interface below to evaluate whole rounds of geometry in
+# one NumPy pass instead of constructing a ``Point3D`` per (tag, time) query.
+# A tag-position provider has ``is_static``, ``rows_for``, ``positions_at``
+# (the population rows over a batch of times) and ``positions_paired`` (one
+# row at one time per pair).  Every provider's ``__call__`` and batched
+# queries evaluate the identical arithmetic elementwise, so the scalar and
+# batched sweeps observe bit-identical positions.
 # ---------------------------------------------------------------------------
 
 
@@ -83,56 +82,51 @@ class TrajectoryAntennaPosition:
 
 
 class _TagPositionsBase:
-    """Shared id-indexing for the tag-position providers."""
+    """Population storage shared by the tag-position providers.
 
-    def __init__(self, positions: Mapping[str, Point3D]) -> None:
-        self._positions = dict(positions)
-        # Single-slot cache: the hot callers (the reader's per-round queries)
-        # repeat one id tuple — usually the full population — every round.
-        # A dict keyed by id tuple would grow unboundedly when a sweep
-        # queries varying per-round subsets (the coupling-off moving case).
-        self._array_key: tuple[str, ...] | None = None
-        self._array_value: np.ndarray | None = None
+    A provider holds its population as columns: the tag :attr:`ids` and their
+    start positions :attr:`starts`, a read-only ``(N, 3)`` array whose row
+    ``i`` belongs to ``ids[i]``.  Its batched queries take population rows,
+    not id strings; the reader maps the swept collection onto those rows once
+    per sweep through :meth:`rows_for`.
+    """
 
-    def initial_array(self, tag_ids: Sequence[str]) -> np.ndarray:
-        """Initial positions of ``tag_ids`` as an ``(N, 3)`` array (cached)."""
-        key = tuple(tag_ids)
-        if key != self._array_key:
-            self._array_value = self._start_rows(key)
-            self._array_key = key
-        return self._array_value
+    def __init__(self, ids: Sequence[str], starts: np.ndarray) -> None:
+        self.ids = tuple(ids)
+        rows = np.asarray(starts, dtype=float).reshape(len(self.ids), 3)
+        if rows.flags.writeable:
+            # A caller's writable array is copied; a read-only one (a tag
+            # collection's position column) is shared.
+            rows = rows.copy()
+            rows.setflags(write=False)
+        self.starts = rows
+        self._row_of: dict[str, int] | None = None
 
-    def _start_rows(self, tag_ids: Sequence[str]) -> np.ndarray:
-        """Initial positions of ``tag_ids`` (repeats allowed) as a new ``(N, 3)``.
+    def _index(self) -> dict[str, int]:
+        """The id -> row index, built on first use."""
+        if self._row_of is None:
+            self._row_of = dict(zip(self.ids, range(len(self.ids))))
+        return self._row_of
 
-        Filled one coordinate column at a time, so a 10k-tag population
-        builds no tuple per tag.  Paired queries call this directly rather
-        than :meth:`initial_array`: their per-event id lists would evict the
-        full-population entry the per-round zone checks rely on.
+    def _start(self, tag_id: str) -> list[float]:
+        """The start position of ``tag_id`` as ``[x, y, z]``."""
+        return self.starts[self._index()[tag_id]].tolist()
+
+    def rows_for(self, tag_ids: Sequence[str]) -> np.ndarray | None:
+        """The rows of ``tag_ids``, or ``None`` when they are :attr:`ids` in order.
+
+        A provider built from the swept collection's own ``tag_ids`` is
+        recognised by identity, so its rows cost nothing to resolve.
         """
-        points = list(map(self._positions.__getitem__, tag_ids))
-        rows = np.empty((len(points), 3))
-        for axis, coordinate in enumerate(_COORDINATES):
-            rows[:, axis] = np.fromiter(map(coordinate, points), dtype=float, count=len(points))
-        return rows
+        if tag_ids is self.ids or tuple(tag_ids) == self.ids:
+            return None
+        row_of = self._index()
+        return np.fromiter(
+            map(row_of.__getitem__, tag_ids), dtype=np.intp, count=len(tag_ids)
+        )
 
-    def positions_paired(
-        self, tag_ids: Sequence[str], times_s: np.ndarray
-    ) -> np.ndarray:
-        """Position of ``tag_ids[i]`` at ``times_s[i]``, as ``(M, 3)``.
-
-        The diagonal of the :meth:`positions_at` cross product; every cell of
-        that query depends only on its own (tag, time) pair, so the paired
-        result is bitwise the same rows the full-population query would give.
-        The concrete providers override this with direct O(M) elementwise
-        evaluations of the same arithmetic — the fused sweep engine issues
-        one paired query over a whole sweep's events, where the O(M²) cross
-        product would dominate.
-        """
-        times = np.asarray(times_s, dtype=float)
-        count = len(tag_ids)
-        rows = self.positions_at(tag_ids, times)
-        return rows[np.arange(count), np.arange(count)]
+    def _starts_of(self, rows: np.ndarray | None) -> np.ndarray:
+        return self.starts if rows is None else self.starts[rows]
 
 
 class StaticTagPositions(_TagPositionsBase):
@@ -141,19 +135,21 @@ class StaticTagPositions(_TagPositionsBase):
     is_static = True
 
     def __call__(self, tag_id: str, _time_s: float) -> Point3D:
-        return self._positions[tag_id]
+        return Point3D(*self._start(tag_id))
 
-    def positions_at(self, tag_ids: Sequence[str], times_s: np.ndarray) -> np.ndarray:
-        """Positions as ``(T, N, 3)``: the static layout broadcast over time."""
-        times = np.asarray(times_s, dtype=float)
-        base = self.initial_array(tag_ids)
-        return np.broadcast_to(base[None, :, :], (times.size, len(tag_ids), 3))
-
-    def positions_paired(
-        self, tag_ids: Sequence[str], times_s: np.ndarray
+    def positions_at(
+        self, times_s: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Static layout: the paired positions are just the stored rows."""
-        return self._start_rows(tag_ids)
+        """Positions of ``rows`` (all tags by default) as ``(T, N, 3)``: the
+        static layout broadcast over time."""
+        times = np.asarray(times_s, dtype=float)
+        base = self._starts_of(rows)
+        return np.broadcast_to(base[None, :, :], (times.size, *base.shape))
+
+    def positions_paired(self, rows: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+        """Position of row ``rows[i]`` at ``times_s[i]``, as ``(M, 3)``: the
+        stored rows."""
+        return self.starts[rows]
 
 
 class ConstantVelocityTagPositions(_TagPositionsBase):
@@ -162,41 +158,39 @@ class ConstantVelocityTagPositions(_TagPositionsBase):
     is_static = False
 
     def __init__(
-        self, positions: Mapping[str, Point3D], velocity: tuple[float, float, float]
+        self,
+        ids: Sequence[str],
+        starts: np.ndarray,
+        velocity: tuple[float, float, float],
     ) -> None:
-        super().__init__(positions)
+        super().__init__(ids, starts)
         self.velocity = tuple(float(c) for c in velocity)
 
     def __call__(self, tag_id: str, time_s: float) -> Point3D:
-        start = self._positions[tag_id]
+        x, y, z = self._start(tag_id)
         vx, vy, vz = self.velocity
-        return Point3D(
-            start.x + vx * time_s,
-            start.y + vy * time_s,
-            start.z + vz * time_s,
-        )
+        return Point3D(x + vx * time_s, y + vy * time_s, z + vz * time_s)
 
-    def positions_at(self, tag_ids: Sequence[str], times_s: np.ndarray) -> np.ndarray:
-        """Positions as ``(T, N, 3)``: ``start + velocity * t`` elementwise."""
+    def _displacement(self, times_s: np.ndarray) -> np.ndarray:
         times = np.asarray(times_s, dtype=float)
-        base = self.initial_array(tag_ids)
         displacement = np.empty((times.size, 3))
         displacement[:, 0] = self.velocity[0] * times
         displacement[:, 1] = self.velocity[1] * times
         displacement[:, 2] = self.velocity[2] * times
-        return base[None, :, :] + displacement[:, None, :]
+        return displacement
 
-    def positions_paired(
-        self, tag_ids: Sequence[str], times_s: np.ndarray
+    def positions_at(
+        self, times_s: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """O(M) paired query: the same ``start + velocity * t`` per pair."""
-        times = np.asarray(times_s, dtype=float)
-        base = self._start_rows(tag_ids)
-        displacement = np.empty((times.size, 3))
-        displacement[:, 0] = self.velocity[0] * times
-        displacement[:, 1] = self.velocity[1] * times
-        displacement[:, 2] = self.velocity[2] * times
-        return base + displacement
+        """Positions of ``rows`` (all tags by default) as ``(T, N, 3)``:
+        ``start + velocity * t`` elementwise."""
+        base = self._starts_of(rows)
+        return base[None, :, :] + self._displacement(times_s)[:, None, :]
+
+    def positions_paired(self, rows: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+        """Position of row ``rows[i]`` at ``times_s[i]``, as ``(M, 3)``: the
+        same ``start + velocity * t`` per pair."""
+        return self.starts[rows] + self._displacement(times_s)
 
 
 class BeltTagPositions(_TagPositionsBase):
@@ -208,39 +202,37 @@ class BeltTagPositions(_TagPositionsBase):
 
     is_static = False
 
-    def __init__(self, positions: Mapping[str, Point3D], speed_profile) -> None:
-        super().__init__(positions)
+    def __init__(self, ids: Sequence[str], starts: np.ndarray, speed_profile) -> None:
+        super().__init__(ids, starts)
         self.speed_profile = speed_profile
 
     def __call__(self, tag_id: str, time_s: float) -> Point3D:
-        start = self._positions[tag_id]
-        return Point3D(start.x - self.speed_profile.distance_at(time_s), start.y, start.z)
+        x, y, z = self._start(tag_id)
+        return Point3D(x - self.speed_profile.distance_at(time_s), y, z)
 
-    def positions_at(self, tag_ids: Sequence[str], times_s: np.ndarray) -> np.ndarray:
-        """Positions as ``(T, N, 3)``: ``start.x - distance_at(t)`` elementwise."""
+    def _distances(self, times_s: np.ndarray) -> np.ndarray:
         times = np.asarray(times_s, dtype=float)
         profile = self.speed_profile
         if hasattr(profile, "distances_at"):
-            distances = profile.distances_at(times)
-        else:
-            distances = np.array([profile.distance_at(float(t)) for t in times])
-        base = self.initial_array(tag_ids)
-        out = np.repeat(base[None, :, :], times.size, axis=0)
+            return profile.distances_at(times)
+        return np.array([profile.distance_at(float(t)) for t in times])
+
+    def positions_at(
+        self, times_s: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Positions of ``rows`` (all tags by default) as ``(T, N, 3)``:
+        ``start.x - distance_at(t)`` elementwise."""
+        distances = self._distances(times_s)
+        base = self._starts_of(rows)
+        out = np.repeat(base[None, :, :], distances.size, axis=0)
         out[:, :, 0] = base[None, :, 0] - distances[:, None]
         return out
 
-    def positions_paired(
-        self, tag_ids: Sequence[str], times_s: np.ndarray
-    ) -> np.ndarray:
-        """O(M) paired query: ``start.x - distance_at(t)`` per pair."""
-        times = np.asarray(times_s, dtype=float)
-        profile = self.speed_profile
-        if hasattr(profile, "distances_at"):
-            distances = profile.distances_at(times)
-        else:
-            distances = np.array([profile.distance_at(float(t)) for t in times])
-        out = self._start_rows(tag_ids)
-        out[:, 0] = out[:, 0] - distances
+    def positions_paired(self, rows: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+        """Position of row ``rows[i]`` at ``times_s[i]``, as ``(M, 3)``:
+        ``start.x - distance_at(t)`` per pair."""
+        out = self.starts[rows]
+        out[:, 0] = out[:, 0] - self._distances(times_s)
         return out
 
 
@@ -260,11 +252,13 @@ class SweepScenario:
 
 def antenna_moving_scenario(
     trajectory: LinearTrajectory,
-    tag_positions: Mapping[str, Point3D],
+    tag_ids: Sequence[str],
+    tag_positions: np.ndarray,
     extra_dwell_s: float = 0.0,
 ) -> SweepScenario:
     """The librarian case: the antenna traverses ``trajectory``, tags are static.
 
+    ``tag_positions`` is ``(N, 3)``, row ``i`` the position of ``tag_ids[i]``.
     ``extra_dwell_s`` keeps the reader interrogating after the antenna reaches
     the end of the path, which pads the tail of the phase profiles.
     """
@@ -272,7 +266,7 @@ def antenna_moving_scenario(
         raise ValueError(f"extra dwell must be non-negative, got {extra_dwell_s}")
     return SweepScenario(
         antenna_position=TrajectoryAntennaPosition(trajectory),
-        tag_position=StaticTagPositions(tag_positions),
+        tag_position=StaticTagPositions(tag_ids, tag_positions),
         duration_s=trajectory.duration_s + extra_dwell_s,
         description="antenna moving",
     )
@@ -280,7 +274,8 @@ def antenna_moving_scenario(
 
 def tag_moving_scenario(
     antenna_position: Point3D,
-    initial_tag_positions: Mapping[str, Point3D],
+    tag_ids: Sequence[str],
+    initial_tag_positions: np.ndarray,
     belt_direction: tuple[float, float, float],
     belt_speed_mps: float,
     duration_s: float,
@@ -290,6 +285,7 @@ def tag_moving_scenario(
     All tags share the same velocity vector (``belt_direction`` normalised,
     scaled by ``belt_speed_mps``) so their relative geometry is preserved —
     the precondition for the equivalence with the antenna-moving case.
+    ``initial_tag_positions`` is ``(N, 3)``, row ``i`` the start of ``tag_ids[i]``.
     """
     if belt_speed_mps <= 0:
         raise ValueError(f"belt speed must be positive, got {belt_speed_mps}")
@@ -301,7 +297,7 @@ def tag_moving_scenario(
     velocity = tuple(c / norm * belt_speed_mps for c in belt_direction)
     return SweepScenario(
         antenna_position=StaticAntennaPosition(antenna_position),
-        tag_position=ConstantVelocityTagPositions(initial_tag_positions, velocity),
+        tag_position=ConstantVelocityTagPositions(tag_ids, initial_tag_positions, velocity),
         duration_s=duration_s,
         description="tag moving",
     )

@@ -47,6 +47,26 @@ class Point3D:
         return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def as_position_array(points) -> np.ndarray:
+    """``points`` as a new ``(N, 3)`` float64 array.
+
+    Takes an ``(N, 3)`` array or a sequence of :class:`Point3D`; a point
+    sequence is converted by one array call over its coordinate tuples.
+    """
+    if isinstance(points, np.ndarray):
+        rows = np.array(points, dtype=float)
+    else:
+        rows = np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"positions must have shape (N, 3), got {rows.shape}")
+    return rows
+
+
+def position_bounds(positions: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-axis ``[x, y, z]`` minimum and maximum of an ``(N, 3)`` array."""
+    return positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
+
+
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between broadcastable ``(..., 3)`` point arrays.
 

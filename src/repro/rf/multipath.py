@@ -13,7 +13,6 @@ exactly the constructive/destructive fading pattern a moving antenna observes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,22 +20,30 @@ from .constants import TWO_PI
 from .geometry import Point3D, euclidean_distances
 
 
-@lru_cache(maxsize=None)
 def _stacked_reflectors(
     reflectors: "tuple[Reflector, ...]",
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(positions (K, 3), coefficients (K,))`` for a reflector set.
 
-    Reflectors are frozen dataclasses, so the stacking is a pure function of
-    the tuple and is cached — the per-round RF kernel would otherwise rebuild
-    these arrays for every inventory round.  Callers must treat the arrays as
-    read-only.
+    Built per call, not cached: every scene draws a reflector set of its own,
+    so a cache keyed by the set would grow by one entry per scene, and the
+    fused sweep asks once per sweep.
     """
     positions = np.array(
         [[r.position.x, r.position.y, r.position.z] for r in reflectors]
     )
     coefficients = np.array([r.reflection_coefficient for r in reflectors])
     return positions, coefficients
+
+
+def _gathered_distances(
+    points: np.ndarray, rows: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Distance from ``points[p]`` to ``rows[index[p]]``, for ``(P, 3)`` points."""
+    dx = points[:, 0] - rows[:, 0].take(index)
+    dy = points[:, 1] - rows[:, 1].take(index)
+    dz = points[:, 2] - rows[:, 2].take(index)
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +136,16 @@ class MultipathChannel:
                 gain += contribution
         if extra_positions is not None and len(extra_positions):
             event_index = np.asarray(extra_event_index, dtype=np.intp)
-            ant = antenna_positions.take(event_index, axis=0)
-            tags = tag_positions.take(event_index, axis=0)
             direct = direct_round_trip.take(event_index)
-            to_tag = euclidean_distances(extra_positions, tags)
-            reflected = 2.0 * (euclidean_distances(ant, extra_positions) + to_tag)
+            # Each event's antenna and tag rows are gathered one axis at a
+            # time: the same ``sqrt(dx*dx + dy*dy + dz*dz)`` as
+            # euclidean_distances over gathered (P, 3) rows, without holding
+            # two more (P, 3) arrays.
+            to_tag = _gathered_distances(extra_positions, tag_positions, event_index)
+            reflected = 2.0 * (
+                _gathered_distances(extra_positions, antenna_positions, event_index)
+                + to_tag
+            )
             excess = reflected - direct
             amplitude_ratio = tag_coupling_coefficient * (
                 np.maximum(direct, 1e-3) / np.maximum(reflected, 1e-3)

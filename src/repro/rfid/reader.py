@@ -79,17 +79,19 @@ _CHUNK_CELLS = 262_144
 """Cell budget (rows x population) per chunk of the dense evaluations: the
 moving-tag coupling filter and the zone-calendar verification."""
 
-_PAIRED_FALLBACK_CHUNK = 512
-"""Event chunk for the cross-product diagonal of paired-query-less providers."""
+_PROVIDER_CONTRACT = ("is_static", "rows_for", "positions_at", "positions_paired")
+"""What a tag-position provider implements (see :mod:`repro.motion.scenarios`)."""
 
 
 @dataclass(slots=True)
 class _SweepSetup:
     """Per-sweep invariants shared by the scheduling and physics passes."""
 
-    ids: list[str]
+    ids: tuple[str, ...]
     mu_by_tag: np.ndarray
     provider: object
+    rows: np.ndarray | None
+    """The provider row of each population index; ``None`` when they agree."""
     static_layout: bool
     antenna_positions_at: object
     antenna_position_row: object
@@ -473,48 +475,59 @@ class ReaderConfig:
 
 
 class _CallableTagPositions:
-    """Fallback provider wrapping a plain ``(tag_id, t) -> Point3D`` callable.
+    """Provider wrapping a plain ``(tag_id, t) -> Point3D`` callable.
 
     Correct for arbitrary user-supplied motion, but evaluates positions one
     call at a time; the standard scenarios install array-native providers
-    (see :mod:`repro.motion.scenarios`) that vectorize these queries.
+    (see :mod:`repro.motion.scenarios`) that vectorize these queries.  Built
+    over the swept collection's own ids, so its rows are the population's.
     """
 
     is_static = False
 
-    def __init__(self, fn: TagPositionFn) -> None:
+    def __init__(self, fn: TagPositionFn, ids: tuple[str, ...]) -> None:
         self._fn = fn
+        self.ids = ids
 
     def __call__(self, tag_id: str, time_s: float) -> Point3D:
         return self._fn(tag_id, time_s)
 
-    def positions_at(self, tag_ids: Sequence[str], times_s: np.ndarray) -> np.ndarray:
-        times = np.asarray(times_s, dtype=float)
-        out = np.empty((times.size, len(tag_ids), 3))
-        for t_index, time_s in enumerate(times):
-            for n_index, tag_id in enumerate(tag_ids):
-                point = self._fn(tag_id, float(time_s))
-                out[t_index, n_index, 0] = point.x
-                out[t_index, n_index, 1] = point.y
-                out[t_index, n_index, 2] = point.z
-        return out
+    def rows_for(self, tag_ids: Sequence[str]) -> None:
+        """Always ``None``: the provider is built over the swept ids themselves."""
+        return None
 
-    def positions_paired(
-        self, tag_ids: Sequence[str], times_s: np.ndarray
-    ) -> np.ndarray:
-        """Position of ``tag_ids[i]`` at ``times_s[i]``, as ``(M, 3)``.
-
-        One call per pair — O(M), unlike the O(M^2) cross product
-        :meth:`positions_at` would evaluate for the same pairs.
-        """
-        times = np.asarray(times_s, dtype=float)
-        out = np.empty((len(tag_ids), 3))
-        for index, (tag_id, time_s) in enumerate(zip(tag_ids, times)):
-            point = self._fn(tag_id, float(time_s))
+    def _points(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``fn(ids[rows[i]], times[i])`` as ``(M, 3)``, one call per pair."""
+        ids = self.ids
+        out = np.empty((rows.size, 3))
+        for index, (row, time_s) in enumerate(zip(rows.tolist(), times.tolist())):
+            point = self._fn(ids[row], time_s)
             out[index, 0] = point.x
             out[index, 1] = point.y
             out[index, 2] = point.z
         return out
+
+    def positions_at(
+        self, times_s: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        times = np.asarray(times_s, dtype=float)
+        if rows is None:
+            rows = np.arange(len(self.ids))
+        pairs = self._points(np.tile(rows, times.size), np.repeat(times, rows.size))
+        return pairs.reshape(times.size, rows.size, 3)
+
+    def positions_paired(self, rows: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+        """Position of row ``rows[i]`` at ``times_s[i]``, as ``(M, 3)``.
+
+        One call per pair — O(M), unlike the O(M^2) cross product
+        :meth:`positions_at` would evaluate for the same pairs.
+        """
+        return self._points(rows, np.asarray(times_s, dtype=float))
+
+
+def _provider_rows(setup: _SweepSetup, indices: np.ndarray) -> np.ndarray:
+    """The provider rows of population ``indices``."""
+    return indices if setup.rows is None else setup.rows[indices]
 
 
 class RFIDReader:
@@ -544,12 +557,22 @@ class RFIDReader:
     def _resolve_tag_positions(
         self, tag_position: TagPositionFn | None, tags: TagCollection
     ):
-        """Normalise the tag-position argument into an array-native provider."""
+        """Normalise the tag-position argument into an array-native provider.
+
+        ``None`` means the collection's own static positions, and a plain
+        callable is wrapped.  An object implementing only part of the
+        provider contract (:data:`_PROVIDER_CONTRACT`) is rejected.
+        """
         if tag_position is None:
-            return StaticTagPositions(tags.positions())
-        if hasattr(tag_position, "positions_at") and hasattr(tag_position, "is_static"):
+            return StaticTagPositions(tags.tag_ids, tags.position_array)
+        missing = [name for name in _PROVIDER_CONTRACT if not hasattr(tag_position, name)]
+        if not missing:
             return tag_position
-        return _CallableTagPositions(tag_position)
+        if len(missing) == len(_PROVIDER_CONTRACT):
+            return _CallableTagPositions(tag_position, tags.tag_ids)
+        raise TypeError(
+            f"tag-position provider {type(tag_position).__name__} lacks {', '.join(missing)}"
+        )
 
     def sweep(
         self,
@@ -590,29 +613,25 @@ class RFIDReader:
         tag_position: TagPositionFn | None,
         antenna_position: AntennaPositionFn,
     ) -> "_SweepSetup":
-        """Resolve the per-sweep invariants of the scheduling and physics passes."""
+        """Resolve the per-sweep invariants of the scheduling and physics passes.
+
+        Reads the collection's columns and builds no per-tag object; only the
+        coupling :class:`NeighborGrid` costs time in the population size.
+        """
         config = self.config
-        tag_list = list(tags)
-        ids = [tag.tag_id for tag in tag_list]
+        ids = tags.tag_ids
         population = len(ids)
         # Hoist the per-tag Eq. (1) offsets: theta_TAG varies per tag model,
         # everything else about the channel is shared, so ``mu`` is worked
-        # out once per distinct model and scattered back by index.  Models
-        # are told apart by identity: hashing the frozen model costs more
-        # than it saves.
-        models = [tag.model for tag in tag_list]
-        model_keys = np.fromiter(map(id, models), dtype=np.intp, count=population)
-        _, first_of_model, model_of_tag = np.unique(
-            model_keys, return_index=True, return_inverse=True
-        )
+        # out once per distinct model and gathered by the model codes.
         mu_by_model = np.array(
-            [self._device_offsets_for(models[i]).total for i in first_of_model.tolist()],
-            dtype=float,
+            [self._device_offsets_for(model).total for model in tags.models], dtype=float
         )
-        mu_by_tag = mu_by_model[model_of_tag]
+        mu_by_tag = mu_by_model[tags.model_codes]
 
         provider = self._resolve_tag_positions(tag_position, tags)
-        static_layout = bool(getattr(provider, "is_static", False))
+        rows = provider.rows_for(ids)
+        static_layout = bool(provider.is_static)
         antenna_positions_at = getattr(antenna_position, "positions_at", None)
         antenna_position_row = getattr(antenna_position, "position_row", None)
 
@@ -621,9 +640,9 @@ class RFIDReader:
         base_positions: np.ndarray | None = None
         grid: NeighborGrid | None = None
         if static_layout:
-            base_positions = provider.positions_at(ids, np.zeros(1))[0]
-            # Copy: the provider may hand out a broadcast view of its cache.
-            base_positions = np.array(base_positions, dtype=float)
+            base_positions = np.ascontiguousarray(
+                provider.positions_at(np.zeros(1), rows)[0], dtype=float
+            )
             if coupling_on:
                 grid = NeighborGrid(base_positions, radius)
 
@@ -631,6 +650,7 @@ class RFIDReader:
             ids=ids,
             mu_by_tag=mu_by_tag,
             provider=provider,
+            rows=rows,
             static_layout=static_layout,
             antenna_positions_at=antenna_positions_at,
             antenna_position_row=antenna_position_row,
@@ -675,7 +695,7 @@ class RFIDReader:
             if setup.static_layout:
                 positions = setup.base_positions
             else:
-                positions = setup.provider.positions_at(setup.ids, times)
+                positions = setup.provider.positions_at(times, setup.rows)
             members[start : start + times.size] = zone.contains_many(
                 antenna_rows[:, None, :], positions
             )
@@ -690,10 +710,9 @@ class RFIDReader:
     ) -> np.ndarray:
         """Exact membership at one clock: of every tag, or of ``subset``.
 
-        Uses the providers' row-level queries where they exist (identical
-        arithmetic to their batched forms).  A partial check of moving tags
-        goes through the paired query, so it leaves the provider's
-        full-population cache in place.
+        Uses the antenna's row-level query where it exists (identical
+        arithmetic to its batched form).  A partial check of moving tags goes
+        through the provider's paired query.
         """
         if setup.antenna_position_row is not None:
             antenna_row = setup.antenna_position_row(clock)
@@ -704,14 +723,11 @@ class RFIDReader:
             if subset is not None:
                 positions = positions[subset]
         elif subset is None:
-            positions = setup.provider.positions_at(setup.ids, np.full(1, clock))[0]
+            positions = setup.provider.positions_at(np.full(1, clock), setup.rows)[0]
         else:
-            times = np.full(subset.size, clock)
-            paired = getattr(setup.provider, "positions_paired", None)
-            if paired is not None:
-                positions = paired([setup.ids[i] for i in subset.tolist()], times)
-            else:
-                positions = setup.provider.positions_at(setup.ids, times[:1])[0][subset]
+            positions = setup.provider.positions_paired(
+                _provider_rows(setup, subset), np.full(subset.size, clock)
+            )
         return self.config.reading_zone.contains_many(antenna_row, positions)
 
     def sweep_stream(
@@ -890,22 +906,9 @@ class RFIDReader:
                     extra_index = event_index
                     extra_positions = setup.base_positions.take(flat_neighbors, axis=0)
         elif not setup.coupling_on:
-            event_ids = [setup.ids[i] for i in tag_indices]
-            paired = getattr(setup.provider, "positions_paired", None)
-            if paired is not None:
-                event_tag_positions = paired(event_ids, times)
-            else:
-                # Exotic provider without a paired query: fall back to the
-                # cross-product diagonal in bounded chunks (each cell depends
-                # only on its own pair, so chunking preserves bit-identity).
-                event_tag_positions = np.empty((count, 3))
-                for start in range(0, count, _PAIRED_FALLBACK_CHUNK):
-                    stop = min(start + _PAIRED_FALLBACK_CHUNK, count)
-                    rows = setup.provider.positions_at(
-                        event_ids[start:stop], times[start:stop]
-                    )
-                    indices = np.arange(stop - start)
-                    event_tag_positions[start:stop] = rows[indices, indices]
+            event_tag_positions = setup.provider.positions_paired(
+                _provider_rows(setup, tag_indices), times
+            )
         else:
             # Moving tags with coupling: the dense per-event radius filter,
             # evaluated in event-count chunks sized to bound the (events x
@@ -917,9 +920,7 @@ class RFIDReader:
             position_chunks: list[np.ndarray] = []
             for start in range(0, count, chunk):
                 stop = min(start + chunk, count)
-                all_positions = setup.provider.positions_at(
-                    setup.ids, times[start:stop]
-                )
+                all_positions = setup.provider.positions_at(times[start:stop], setup.rows)
                 indices = np.arange(stop - start)
                 chunk_tags = tag_indices[start:stop]
                 chunk_positions = all_positions[indices, chunk_tags]

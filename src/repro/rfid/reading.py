@@ -183,13 +183,15 @@ class ReadLog:
             )
         self._flush()
         self._tag_ids.extend(tag_ids)
+        # The batch's one channel and port as zero-stride columns: a log
+        # held for its numbers keeps 24 bytes a read, not 40.
         self._chunks.append(
             (
                 timestamps,
                 phases,
                 rssis,
-                np.full(count, int(channel_index), dtype=np.int64),
-                np.full(count, int(antenna_port), dtype=np.int64),
+                np.broadcast_to(np.int64(channel_index), (count,)),
+                np.broadcast_to(np.int64(antenna_port), (count,)),
             )
         )
         self._invalidate()

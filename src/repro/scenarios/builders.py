@@ -31,10 +31,10 @@ from ..motion.scenarios import (
     SweepScenario,
 )
 from ..motion.speed_profiles import jittered_speed_profile
-from ..rf.geometry import Point3D
+from ..rf.geometry import Point3D, as_position_array, position_bounds
 from ..rf.noise import NoiseModel
 from ..rfid.aloha import FrameSlottedAloha
-from ..rfid.tag import TagCollection, make_tags
+from ..rfid.tag import make_tags
 from ..simulation.presets import SweepGeometry, standard_reader_config
 from ..simulation.scene import Scene
 from ..workloads.airport import TrafficPeriod, baggage_batch
@@ -71,9 +71,7 @@ def sweep_geometry(spec: ScenarioSpec) -> SweepGeometry:
     )
 
 
-def reference_grid_for(
-    positions: list[Point3D], spec: ScenarioSpec
-) -> list[Point3D]:
+def reference_grid_for(positions: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     """The Landmarc reference-tag grid around the target footprint.
 
     With ``placement.reference_spacing_m = None`` the grid is deliberately
@@ -81,10 +79,9 @@ def reference_grid_for(
     note: a dense anchor grid starves the targets of reads); a number pins
     the spacing explicitly.
     """
-    xs = [p.x for p in positions]
-    ys = [p.y for p in positions]
-    span_x = max(xs) - min(xs) + 0.2
-    span_y = max(ys) - min(ys) + 0.2
+    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
+    span_x = max_x - min_x + 0.2
+    span_y = max_y - min_y + 0.2
     spacing = spec.placement.reference_spacing_m
     if spacing is None:
         spacing = max(0.25, span_x / 4.0)
@@ -92,7 +89,7 @@ def reference_grid_for(
         span_x,
         span_y,
         spacing_m=spacing,
-        origin=Point3D(min(xs) - 0.1, min(ys) - 0.1, 0.0),
+        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
     )
 
 
@@ -101,8 +98,8 @@ def reference_grid_for(
 # --------------------------------------------------------------------------
 
 
-def scenario_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
-    """One repetition's tag positions for the position-list layout kinds.
+def scenario_positions(spec: ScenarioSpec, seed: int) -> np.ndarray:
+    """One repetition's tag positions, as ``(N, 3)``, for the position-list layout kinds.
 
     Public wrapper of the internal layout dispatch so benchmarks (e.g. the
     dense-hall backend-scaling scene) can materialise a registered spec's
@@ -111,7 +108,7 @@ def scenario_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
     return _layout_positions(spec, seed)
 
 
-def _layout_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
+def _layout_positions(spec: ScenarioSpec, seed: int) -> np.ndarray:
     """Tag positions of one repetition for the position-list layout kinds."""
     layout = spec.layout
     population = spec.population
@@ -152,11 +149,12 @@ def _layout_positions(spec: ScenarioSpec, seed: int) -> list[Point3D]:
             seed=seed,
         )
         shelf = Bookshelf(books=shelf.books, level_height_m=layout.param("level_height_m"))
-        return [shelf.spine_positions()[book.call_number] for book in shelf.books]
+        spines = shelf.spine_positions()
+        return as_position_array([spines[book.call_number] for book in shelf.books])
     raise ValueError(f"layout kind {layout.kind!r} has no static position generator")
 
 
-def _baggage_positions(spec: ScenarioSpec, rep_index: int, seed: int) -> list[Point3D]:
+def _baggage_positions(spec: ScenarioSpec, rep_index: int, seed: int) -> np.ndarray:
     """Bag positions of one airport-belt repetition.
 
     ``gap_ranges_m`` plays the role of the paper's Table 3 traffic periods:
@@ -180,7 +178,7 @@ def _baggage_positions(spec: ScenarioSpec, rep_index: int, seed: int) -> list[Po
         lateral_jitter_m=spec.layout.param("lateral_jitter_m"),
         seed=seed,
     )
-    return [tag.position for tag in batch.tags]
+    return batch.tags.position_array
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def _baggage_positions(spec: ScenarioSpec, rep_index: int, seed: int) -> list[Po
 
 
 def _jittered_belt_experiment(
-    positions: list[Point3D], spec: ScenarioSpec, seed: int
+    positions: np.ndarray, spec: ScenarioSpec, seed: int
 ) -> SweepExperiment:
     """A surging/crawling belt carrying a generic layout past a fixed antenna.
 
@@ -201,21 +199,18 @@ def _jittered_belt_experiment(
     geometry = sweep_geometry(spec)
     motion = spec.motion
     target_tags = make_tags(positions, seed=seed)
-    all_tags = TagCollection(list(target_tags.tags))
     reference_tags, reference_positions = make_reference_tags(
         reference_grid_for(positions, spec), seed
     )
-    for tag in reference_tags:
-        all_tags.add(tag)
+    all_tags = target_tags.concat(reference_tags)
 
-    xs = [tag.position.x for tag in all_tags]
-    ys = [tag.position.y for tag in all_tags]
+    (min_x, min_y, _), (max_x, _, _) = position_bounds(all_tags.position_array)
     antenna_pos = Point3D(
-        min(xs) - geometry.sweep_margin_m,
-        min(ys) - geometry.antenna_clearance_m,
+        min_x - geometry.sweep_margin_m,
+        min_y - geometry.antenna_clearance_m,
         geometry.standoff_m,
     )
-    span = (max(xs) - min(xs)) + 2.0 * geometry.sweep_margin_m
+    span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
     nominal_duration = span / motion.speed_mps + 1.0
     # The jittered profile's speed is bounded below at 0.3x nominal, so
     # stretching the schedule by the reciprocal guarantees the slowest
@@ -227,10 +222,9 @@ def _jittered_belt_experiment(
         rng=np.random.default_rng(seed),
     )
     duration = profile.time_to_cover(span) + 1.0
-    starts = {tag.tag_id: tag.position for tag in all_tags}
     scenario = SweepScenario(
         antenna_position=StaticAntennaPosition(antenna_pos),
-        tag_position=BeltTagPositions(starts, profile),
+        tag_position=BeltTagPositions(all_tags.tag_ids, all_tags.position_array, profile),
         duration_s=duration,
         description=f"scenario {spec.name}: jittered belt",
     )

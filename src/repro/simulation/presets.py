@@ -19,7 +19,7 @@ from ..motion.speed_profiles import ConstantSpeedProfile, jittered_speed_profile
 from ..motion.trajectory import LinearTrajectory
 from ..rf.antenna import DirectionalAntenna, ReadingZone
 from ..rf.channel import BackscatterChannel
-from ..rf.geometry import Point3D
+from ..rf.geometry import Point3D, as_position_array, position_bounds
 from ..rf.multipath import MultipathChannel, typical_indoor_reflectors
 from ..rf.noise import NoiseModel
 from ..rfid.aloha import FrameSlottedAloha
@@ -52,7 +52,7 @@ DEFAULT_REFLECTOR_COUNT = 6
 
 
 def indoor_channel(
-    tag_positions: "list[Point3D]",
+    tag_positions: np.ndarray,
     seed: int | None = None,
     noise: NoiseModel = DEFAULT_NOISE,
     reflector_count: int = DEFAULT_REFLECTOR_COUNT,
@@ -60,14 +60,15 @@ def indoor_channel(
 ) -> BackscatterChannel:
     """A channel with indoor multipath scattered around the tag region.
 
-    Tag-to-tag coupling is not part of the channel: the reader models it per
-    read (``ReaderConfig.tag_coupling_coefficient``), which also holds when
-    the tags move.
+    ``tag_positions`` is an ``(N, 3)`` array or a sequence of
+    :class:`Point3D`.  Tag-to-tag coupling is not part of the channel: the
+    reader models it per read (``ReaderConfig.tag_coupling_coefficient``),
+    which also holds when the tags move.
     """
-    if not tag_positions:
+    coords = as_position_array(tag_positions)
+    if not len(coords):
         raise ValueError("at least one tag position is required")
     rng = np.random.default_rng(seed)
-    coords = np.array([p.as_array() for p in tag_positions])
     region_min = Point3D(*coords.min(axis=0))
     region_max = Point3D(*coords.max(axis=0))
     reflectors = typical_indoor_reflectors(
@@ -103,11 +104,10 @@ class SweepGeometry:
 
     def trajectory_endpoints(self, tags: TagCollection) -> tuple[Point3D, Point3D]:
         """Start and end of the antenna trajectory for this tag population."""
-        xs = [tag.position.x for tag in tags]
-        ys = [tag.position.y for tag in tags]
-        antenna_y = min(ys) - self.antenna_clearance_m
-        start = Point3D(min(xs) - self.sweep_margin_m, antenna_y, self.standoff_m)
-        end = Point3D(max(xs) + self.sweep_margin_m, antenna_y, self.standoff_m)
+        (min_x, min_y, _), (max_x, _, _) = position_bounds(tags.position_array)
+        antenna_y = min_y - self.antenna_clearance_m
+        start = Point3D(min_x - self.sweep_margin_m, antenna_y, self.standoff_m)
+        end = Point3D(max_x + self.sweep_margin_m, antenna_y, self.standoff_m)
         return start, end
 
 
@@ -121,7 +121,7 @@ def standard_reader_config(
     """Reader configuration with the indoor channel preset for ``tags``."""
     antenna = DirectionalAntenna(gain_dbi=6.0, beamwidth_deg=70.0, boresight=(0.0, 0.0, -1.0))
     channel = indoor_channel(
-        [tag.position for tag in tags],
+        tags.position_array,
         seed=seed,
         noise=noise,
         reflector_count=reflector_count,
@@ -162,7 +162,9 @@ def standard_antenna_moving_scene(
     else:
         profile = ConstantSpeedProfile(speed_mps)
     trajectory = LinearTrajectory(start, end, speed_profile=profile)
-    scenario = antenna_moving_scenario(trajectory, tags.positions(), extra_dwell_s=extra_dwell_s)
+    scenario = antenna_moving_scenario(
+        trajectory, tags.tag_ids, tags.position_array, extra_dwell_s=extra_dwell_s
+    )
     reader_config = standard_reader_config(
         tags, seed=seed, noise=noise, reflector_count=reflector_count
     )
@@ -190,16 +192,16 @@ def standard_tag_moving_scene(
     carries the tags in the −X direction so that, in the antenna's frame, the
     geometry matches an antenna moving in +X.
     """
-    xs = [tag.position.x for tag in tags]
-    ys = [tag.position.y for tag in tags]
-    antenna_y = min(ys) - geometry.antenna_clearance_m
-    span = (max(xs) - min(xs)) + 2.0 * geometry.sweep_margin_m
+    (min_x, min_y, _), (max_x, _, _) = position_bounds(tags.position_array)
+    antenna_y = min_y - geometry.antenna_clearance_m
+    span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
     # Place the antenna beyond the leading tag so every tag passes it.
-    antenna_pos = Point3D(min(xs) - geometry.sweep_margin_m, antenna_y, geometry.standoff_m)
+    antenna_pos = Point3D(min_x - geometry.sweep_margin_m, antenna_y, geometry.standoff_m)
     duration = span / belt_speed_mps + 1.0
     scenario = tag_moving_scenario(
         antenna_position=antenna_pos,
-        initial_tag_positions=tags.positions(),
+        tag_ids=tags.tag_ids,
+        initial_tag_positions=tags.position_array,
         belt_direction=(-1.0, 0.0, 0.0),
         belt_speed_mps=belt_speed_mps,
         duration_s=duration,

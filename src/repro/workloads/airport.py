@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rf.geometry import Point3D
 from ..rfid.tag import TagCollection, make_tags
 
 
@@ -81,7 +80,9 @@ def baggage_batch(
     gaps = rng.uniform(period.min_gap_m, period.max_gap_m, size=bag_count - 1)
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
     ys = rng.uniform(0.0, lateral_jitter_m, size=bag_count)
-    positions = [Point3D(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
+    positions = np.zeros((bag_count, 3))
+    positions[:, 0] = xs
+    positions[:, 1] = ys
     labels = [f"BAG-{period.start_hour:02d}-{batch_index:03d}-{i:03d}" for i in range(bag_count)]
     tags = make_tags(positions, labels=labels, seed=seed)
     return BaggageBatch(tags=tags, period=period, batch_index=batch_index)

@@ -3,9 +3,9 @@
 The paper evaluates STPP over several tag arrangements: evenly spaced rows
 and grids for the micro-benchmarks (Figures 12–14, Table 1), five mixed
 layouts for the scheme comparison (Figure 16/17), and reference-tag grids for
-the Landmarc baseline.  All generators return plain lists of
-:class:`~repro.rf.geometry.Point3D` in the tag plane (z = 0) so they can be
-fed straight into :func:`repro.rfid.make_tags`.
+the Landmarc baseline.  All generators return ``(N, 3)`` float64 position
+arrays in the tag plane (z = 0), one row per tag, so they can be fed straight
+into :func:`repro.rfid.make_tags`.
 """
 
 from __future__ import annotations
@@ -15,33 +15,40 @@ import numpy as np
 from ..rf.geometry import Point3D
 
 
-def row_layout(count: int, spacing_m: float, y_m: float = 0.0) -> list[Point3D]:
+def _plane(xs: np.ndarray, ys: np.ndarray | float) -> np.ndarray:
+    """Rows ``(x, y, 0)`` in the tag plane."""
+    rows = np.zeros((xs.size, 3))
+    rows[:, 0] = xs
+    rows[:, 1] = ys
+    return rows
+
+
+def row_layout(count: int, spacing_m: float, y_m: float = 0.0) -> np.ndarray:
     """``count`` tags in a single row along X, ``spacing_m`` apart."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if spacing_m <= 0:
         raise ValueError("spacing must be positive")
-    return [Point3D(i * spacing_m, y_m, 0.0) for i in range(count)]
+    return _plane(np.arange(count) * spacing_m, y_m)
 
 
 def grid_layout(
     columns: int, rows: int, x_spacing_m: float, y_spacing_m: float
-) -> list[Point3D]:
-    """A ``columns`` x ``rows`` grid (the Figure 1 arrangement is 3 x 2)."""
+) -> np.ndarray:
+    """A ``columns`` x ``rows`` grid (the Figure 1 arrangement is 3 x 2), row by row."""
     if columns < 1 or rows < 1:
         raise ValueError("grid dimensions must be >= 1")
     if x_spacing_m <= 0 or y_spacing_m <= 0:
         raise ValueError("spacings must be positive")
-    return [
-        Point3D(ix * x_spacing_m, iy * y_spacing_m, 0.0)
-        for iy in range(rows)
-        for ix in range(columns)
-    ]
+    return _plane(
+        np.tile(np.arange(columns) * x_spacing_m, rows),
+        np.repeat(np.arange(rows) * y_spacing_m, columns),
+    )
 
 
 def staircase_layout(
     count: int, x_spacing_m: float, y_spacing_m: float, levels: int = 4
-) -> list[Point3D]:
+) -> np.ndarray:
     """Tags with strictly increasing X and cyclically increasing Y.
 
     Every tag has a distinct X *and* a distinct position within its Y level,
@@ -52,9 +59,8 @@ def staircase_layout(
         raise ValueError("count must be >= 1")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    return [
-        Point3D(i * x_spacing_m, (i % levels) * y_spacing_m, 0.0) for i in range(count)
-    ]
+    index = np.arange(count)
+    return _plane(index * x_spacing_m, (index % levels) * y_spacing_m)
 
 
 def random_spacing_row(
@@ -63,7 +69,7 @@ def random_spacing_row(
     max_spacing_m: float,
     rng: np.random.Generator | None = None,
     y_jitter_m: float = 0.0,
-) -> list[Point3D]:
+) -> np.ndarray:
     """A row whose adjacent spacings are drawn uniformly from a range.
 
     Matches the Table 1 setup, where "the distance between two adjacent tags
@@ -82,7 +88,7 @@ def random_spacing_row(
         if y_jitter_m > 0
         else np.zeros(count)
     )
-    return [Point3D(float(x), float(y), 0.0) for x, y in zip(xs, ys)]
+    return _plane(xs, ys)
 
 
 def reference_tag_grid(
@@ -90,16 +96,16 @@ def reference_tag_grid(
     y_span_m: float,
     spacing_m: float = 0.2,
     origin: Point3D = Point3D(0.0, 0.0, 0.0),
-) -> list[Point3D]:
+) -> np.ndarray:
     """A regular grid of reference-tag positions for the Landmarc baseline."""
     if spacing_m <= 0:
         raise ValueError("spacing must be positive")
     xs = np.arange(origin.x, origin.x + x_span_m + 1e-9, spacing_m)
     ys = np.arange(origin.y, origin.y + y_span_m + 1e-9, spacing_m)
-    return [Point3D(float(x), float(y), 0.0) for y in ys for x in xs]
+    return _plane(np.tile(xs, ys.size), np.repeat(ys, xs.size))
 
 
-def paper_test_cases(spacing_m: float = 0.06) -> dict[str, list[Point3D]]:
+def paper_test_cases(spacing_m: float = 0.06) -> dict[str, np.ndarray]:
     """The five layout settings of Figure 16 (approximated).
 
     The paper shows the five arrangements only as photographs; the five
@@ -107,11 +113,11 @@ def paper_test_cases(spacing_m: float = 0.06) -> dict[str, list[Point3D]]:
     dense row, a two-row grid, a staircase, and clustered pairs — with the
     adjacent-tag distance controlled by ``spacing_m``.
     """
-    clustered: list[Point3D] = []
-    for pair_index in range(5):
-        base_x = pair_index * 4.0 * spacing_m
-        clustered.append(Point3D(base_x, 0.0, 0.0))
-        clustered.append(Point3D(base_x + spacing_m / 2.0, spacing_m / 2.0, 0.0))
+    base_x = np.arange(5) * 4.0 * spacing_m
+    clustered = _plane(
+        np.stack([base_x, base_x + spacing_m / 2.0], axis=1).ravel(),
+        np.tile([0.0, spacing_m / 2.0], 5),
+    )
     return {
         "case1_sparse_row": row_layout(8, spacing_m * 2.0),
         "case2_dense_row": row_layout(12, spacing_m),

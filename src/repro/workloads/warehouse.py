@@ -37,7 +37,7 @@ from ..motion.speed_profiles import (
     ConstantSpeedProfile,
     jittered_speed_profile,
 )
-from ..rf.geometry import Point3D
+from ..rf.geometry import Point3D, position_bounds
 from ..rfid.aloha import FrameSlottedAloha
 from ..rfid.tag import TagCollection, make_tags
 from ..simulation.presets import SweepGeometry, standard_reader_config
@@ -122,7 +122,7 @@ def conveyor_batch(
     is recoverable from the label alone.
     """
     rng = np.random.default_rng(None if seed is None else seed + batch_index)
-    positions: list[Point3D] = []
+    positions = np.zeros((config.carton_count, 3))
     labels: list[str] = []
     for lane in range(config.lanes):
         gaps = rng.uniform(
@@ -134,11 +134,13 @@ def conveyor_batch(
         lateral = rng.uniform(
             -config.lateral_jitter_m, config.lateral_jitter_m, size=config.cartons_per_lane
         )
-        for position_index, (x, dy) in enumerate(zip(xs, lateral)):
-            positions.append(
-                Point3D(float(x), lane * config.lane_pitch_m + float(dy), 0.0)
-            )
-            labels.append(f"CART-{batch_index:03d}-{lane}-{position_index:03d}")
+        rows = slice(lane * config.cartons_per_lane, (lane + 1) * config.cartons_per_lane)
+        positions[rows, 0] = xs
+        positions[rows, 1] = lane * config.lane_pitch_m + lateral
+        labels.extend(
+            f"CART-{batch_index:03d}-{lane}-{position_index:03d}"
+            for position_index in range(config.cartons_per_lane)
+        )
     tags = make_tags(positions, labels=labels, seed=seed)
     return ConveyorBatch(tags=tags, config=config, batch_index=batch_index)
 
@@ -157,13 +159,10 @@ def conveyor_scenario(
     profiles get stretched/compressed over time.
     """
     config = batch.config
-    xs = [tag.position.x for tag in batch.tags]
-    ys = [tag.position.y for tag in batch.tags]
-    antenna_y = min(ys) - geometry.antenna_clearance_m
-    span = (max(xs) - min(xs)) + 2.0 * geometry.sweep_margin_m
-    antenna_pos = Point3D(
-        min(xs) - geometry.sweep_margin_m, antenna_y, geometry.standoff_m
-    )
+    (min_x, min_y, _), (max_x, _, _) = position_bounds(batch.tags.position_array)
+    antenna_y = min_y - geometry.antenna_clearance_m
+    span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
+    antenna_pos = Point3D(min_x - geometry.sweep_margin_m, antenna_y, geometry.standoff_m)
     nominal_duration = span / config.nominal_speed_mps + 1.0
     if config.speed_jitter_fraction > 0:
         # The jittered profile's speed is bounded below at 0.3x nominal, so
@@ -179,11 +178,11 @@ def conveyor_scenario(
     else:
         profile = ConstantSpeedProfile(config.nominal_speed_mps)
         duration = nominal_duration
-    starts = {tag.tag_id: tag.position for tag in batch.tags}
-
     return SweepScenario(
         antenna_position=StaticAntennaPosition(antenna_pos),
-        tag_position=BeltTagPositions(starts, profile),
+        tag_position=BeltTagPositions(
+            batch.tags.tag_ids, batch.tags.position_array, profile
+        ),
         duration_s=duration,
         description=f"warehouse conveyor, {config.lanes} lanes",
     )
@@ -206,10 +205,7 @@ def conveyor_scene(
     """
     from ..simulation.presets import DEFAULT_NOISE, DEFAULT_REFLECTOR_COUNT
 
-    all_tags = TagCollection(list(batch.tags.tags))
-    if extra_tags is not None:
-        for tag in extra_tags:
-            all_tags.add(tag)
+    all_tags = batch.tags if extra_tags is None else batch.tags.concat(extra_tags)
     rng = np.random.default_rng(seed)
     combined = ConveyorBatch(tags=all_tags, config=batch.config, batch_index=batch.batch_index)
     scenario = conveyor_scenario(combined, geometry=geometry, rng=rng)
@@ -251,13 +247,12 @@ def conveyor_experiment(
     from .layouts import reference_tag_grid
 
     batch = conveyor_batch(config, batch_index=rep_index, seed=seed)
-    xs = [tag.position.x for tag in batch.tags]
-    ys = [tag.position.y for tag in batch.tags]
+    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(batch.tags.position_array)
     grid = reference_tag_grid(
-        max(xs) - min(xs) + 0.2,
-        max(ys) - min(ys) + 0.2,
+        max_x - min_x + 0.2,
+        max_y - min_y + 0.2,
         spacing_m=reference_spacing_m,
-        origin=Point3D(min(xs) - 0.1, min(ys) - 0.1, 0.0),
+        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
     )
     reference_tags, reference_positions = make_reference_tags(grid, seed)
     scene = conveyor_scene(

@@ -437,18 +437,18 @@ class TestArrayNativeMotion:
             assert d == profile.distance_at(float(t))
 
     def test_tag_position_providers(self):
-        points = {"a": Point3D(0.0, 0.1, 0.0), "b": Point3D(0.4, -0.1, 0.0)}
         ids = ["a", "b"]
+        starts = np.array([[0.0, 0.1, 0.0], [0.4, -0.1, 0.0]])
         times = np.linspace(0.0, 4.0, 11)
         providers = [
-            StaticTagPositions(points),
-            ConstantVelocityTagPositions(points, (-0.3, 0.0, 0.01)),
+            StaticTagPositions(ids, starts),
+            ConstantVelocityTagPositions(ids, starts, (-0.3, 0.0, 0.01)),
             BeltTagPositions(
-                points, jittered_speed_profile(0.25, 5.0, rng=np.random.default_rng(9))
+                ids, starts, jittered_speed_profile(0.25, 5.0, rng=np.random.default_rng(9))
             ),
         ]
         for provider in providers:
-            rows = provider.positions_at(ids, times)
+            rows = provider.positions_at(times)
             assert rows.shape == (times.size, 2, 3)
             for t_index, t in enumerate(times):
                 for n_index, tag_id in enumerate(ids):

@@ -37,6 +37,7 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
+from oracles.positions import diagonal_positions
 from oracles.scalar_sweep import (
     SlotOutcome,
     on_slot,
@@ -668,27 +669,26 @@ class TestPairedPositionQueries:
             BeltTagPositions,
             ConstantVelocityTagPositions,
             StaticTagPositions,
-            _TagPositionsBase,
         )
         from repro.motion.speed_profiles import jittered_speed_profile
 
-        points = {
-            "a": Point3D(0.0, 0.1, 0.0),
-            "b": Point3D(0.4, -0.1, 0.0),
-            "c": Point3D(-0.2, 0.05, 0.1),
-        }
+        ids = ["a", "b", "c"]
+        starts = np.array([[0.0, 0.1, 0.0], [0.4, -0.1, 0.0], [-0.2, 0.05, 0.1]])
         providers = [
-            StaticTagPositions(points),
-            ConstantVelocityTagPositions(points, (-0.3, 0.02, 0.01)),
+            StaticTagPositions(ids, starts),
+            ConstantVelocityTagPositions(ids, starts, (-0.3, 0.02, 0.01)),
             BeltTagPositions(
-                points,
+                ids,
+                starts,
                 jittered_speed_profile(0.25, 5.0, rng=np.random.default_rng(9)),
             ),
         ]
         event_ids = ["a", "c", "c", "b", "a"]
         times = np.array([0.0, 0.7, 1.3, 2.9, 4.1])
         for provider in providers:
-            native = provider.positions_paired(event_ids, times)
-            diagonal = _TagPositionsBase.positions_paired(provider, event_ids, times)
+            rows = provider.rows_for(event_ids)
+            assert rows.tolist() == [0, 2, 2, 1, 0]
+            native = provider.positions_paired(rows, times)
+            diagonal = diagonal_positions(provider, rows, times)
             assert native.shape == (5, 3)
             assert (native == diagonal).all(), type(provider).__name__

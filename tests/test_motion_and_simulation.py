@@ -15,7 +15,7 @@ from repro.motion.speed_profiles import (
 from repro.core.phase_profile import PhaseProfile, profiles_from_grouped_columns
 from repro.motion.trajectory import LinearTrajectory
 from repro.rf.constants import TWO_PI
-from repro.rf.geometry import Point3D
+from repro.rf.geometry import Point3D, as_position_array
 from repro.rfid.reading import ReadLog, TagRead
 from repro.rfid.tag import make_tags
 from repro.simulation.collector import collect_sweep, profiles_from_read_log
@@ -92,13 +92,16 @@ class TestTrajectories:
 class TestScenarios:
     def test_antenna_moving_scenario_static_tags(self):
         trajectory = LinearTrajectory(Point3D(0, 0, 0.3), Point3D(1, 0, 0.3), ConstantSpeedProfile(0.5))
-        scenario = antenna_moving_scenario(trajectory, {"t": Point3D(0.5, 0.1, 0)})
+        scenario = antenna_moving_scenario(trajectory, ["t"], np.array([[0.5, 0.1, 0.0]]))
         assert scenario.tag_position("t", 0.0) == scenario.tag_position("t", 1.0)
         assert scenario.antenna_position(0.0) != scenario.antenna_position(1.0)
 
     def test_tag_moving_scenario_preserves_relative_geometry(self):
         positions = {"a": Point3D(0, 0, 0), "b": Point3D(0.1, 0.05, 0)}
-        scenario = tag_moving_scenario(Point3D(-0.3, -0.15, 0.3), positions, (-1, 0, 0), 0.3, 5.0)
+        scenario = tag_moving_scenario(
+            Point3D(-0.3, -0.15, 0.3), list(positions), as_position_array(list(positions.values())),
+            (-1, 0, 0), 0.3, 5.0,
+        )
         for t in (0.0, 1.0, 3.0):
             a = scenario.tag_position("a", t)
             b = scenario.tag_position("b", t)
@@ -108,7 +111,9 @@ class TestScenarios:
         # The antenna-to-tag distance over time must be identical whether we
         # describe the sweep as antenna-moving or tag-moving (paper §1.3).
         positions = {"a": Point3D(0.4, 0.1, 0.0)}
-        scenario = tag_moving_scenario(Point3D(-0.3, -0.15, 0.3), positions, (-1, 0, 0), 0.3, 5.0)
+        scenario = tag_moving_scenario(
+            Point3D(-0.3, -0.15, 0.3), ["a"], np.array([[0.4, 0.1, 0.0]]), (-1, 0, 0), 0.3, 5.0
+        )
         for t in np.linspace(0, 5, 11):
             antenna = scenario.antenna_position(t)
             tag = scenario.tag_position("a", t)
@@ -124,15 +129,15 @@ class TestScenarios:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            tag_moving_scenario(Point3D(0, 0, 0), {"a": Point3D(0, 0, 0)}, (0, 0, 0), 0.3, 1.0)
+            tag_moving_scenario(Point3D(0, 0, 0), ["a"], np.zeros((1, 3)), (0, 0, 0), 0.3, 1.0)
         with pytest.raises(ValueError):
-            tag_moving_scenario(Point3D(0, 0, 0), {"a": Point3D(0, 0, 0)}, (1, 0, 0), -0.3, 1.0)
+            tag_moving_scenario(Point3D(0, 0, 0), ["a"], np.zeros((1, 3)), (1, 0, 0), -0.3, 1.0)
 
 
 class TestSceneAndCollector:
     def test_scene_requires_tags(self):
         trajectory = LinearTrajectory(Point3D(0, 0, 0.3), Point3D(1, 0, 0.3), ConstantSpeedProfile(0.3))
-        scenario = antenna_moving_scenario(trajectory, {})
+        scenario = antenna_moving_scenario(trajectory, [], np.empty((0, 3)))
         from repro.rfid.tag import TagCollection
 
         with pytest.raises(ValueError):

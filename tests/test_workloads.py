@@ -27,33 +27,30 @@ from repro.workloads.library import (
 class TestLayouts:
     def test_row(self):
         row = row_layout(5, 0.1)
-        assert len(row) == 5
-        assert row[4].x == pytest.approx(0.4)
+        assert row.shape == (5, 3)
+        assert row[4, 0] == pytest.approx(0.4)
 
     def test_grid_size(self):
         grid = grid_layout(3, 2, 0.1, 0.05)
-        assert len(grid) == 6
-        assert grid[-1].x == pytest.approx(0.2)
-        assert grid[-1].y == pytest.approx(0.05)
+        assert grid.shape == (6, 3)
+        assert grid[-1, 0] == pytest.approx(0.2)
+        assert grid[-1, 1] == pytest.approx(0.05)
 
     def test_staircase_distinct_x(self):
         layout = staircase_layout(8, 0.05, 0.05)
-        xs = [p.x for p in layout]
-        assert len(set(xs)) == 8
+        assert len(set(layout[:, 0].tolist())) == 8
 
     def test_random_spacing_row_within_bounds(self):
         rng = np.random.default_rng(0)
         layout = random_spacing_row(10, 0.02, 0.10, rng=rng)
-        gaps = np.diff([p.x for p in layout])
+        gaps = np.diff(layout[:, 0])
         assert np.all(gaps >= 0.02 - 1e-9)
         assert np.all(gaps <= 0.10 + 1e-9)
 
     def test_reference_grid_covers_span(self):
         grid = reference_tag_grid(0.4, 0.2, spacing_m=0.2)
-        xs = {p.x for p in grid}
-        ys = {p.y for p in grid}
-        assert max(xs) == pytest.approx(0.4)
-        assert max(ys) == pytest.approx(0.2)
+        assert grid[:, 0].max() == pytest.approx(0.4)
+        assert grid[:, 1].max() == pytest.approx(0.2)
 
     def test_paper_test_cases_have_five_layouts(self):
         cases = paper_test_cases()

@@ -128,7 +128,7 @@ def calendar_cases(draw):
             zone=zone,
             antenna_position=StaticAntennaPosition(antenna),
             tag_position=lambda tags: ConstantVelocityTagPositions(
-                tags.positions(), (-speed, 0.0, 0.0)
+                tags.tag_ids, tags.position_array, (-speed, 0.0, 0.0)
             ),
             duration_s=min(2.0, 1.6 / speed),
             seed=seed,
@@ -153,7 +153,7 @@ def calendar_cases(draw):
         positions=positions,
         zone=zone,
         antenna_position=TrajectoryAntennaPosition(trajectory),
-        tag_position=lambda tags: StaticTagPositions(tags.positions()),
+        tag_position=lambda tags: StaticTagPositions(tags.tag_ids, tags.position_array),
         duration_s=min(2.0, trajectory.duration_s),
         seed=seed,
     )
