@@ -62,10 +62,12 @@ class SweepPhysics:
     """The rng-free physics of a batch of reply attempts.
 
     Everything an observation needs *except* the noise draws: geometry, link
-    budget, multipath fades, and the clean Eq. (1) phase.  The fused two-phase sweep engine evaluates this once over
-    a whole sweep's event table, then combines it with noise columns that
-    were drawn earlier, during scheduling
-    (:meth:`BackscatterChannel.observe_scheduled`).
+    budget, multipath fades, and the clean Eq. (1) phase.  The fused
+    two-phase sweep engine evaluates this once over a whole sweep's event
+    table, then combines it with noise columns that were drawn earlier,
+    during scheduling (:meth:`BackscatterChannel.observe_scheduled`); rounds
+    scheduled exactly evaluate it first, for the ``deep_fade`` booleans their
+    draws depend on.
     """
 
     true_distance_m: np.ndarray
@@ -224,36 +226,3 @@ class BackscatterChannel:
             true_distance_m=physics.true_distance_m,
             readable=readable,
         )
-
-    def observe_sweep(
-        self,
-        antenna_positions: np.ndarray,
-        tag_positions: np.ndarray,
-        *,
-        dropped: np.ndarray,
-        phase_noise: np.ndarray,
-        rssi_noise: np.ndarray,
-        device_offsets_total: "float | np.ndarray | None" = None,
-        extra_positions: np.ndarray | None = None,
-        extra_event_index: np.ndarray | None = None,
-        tag_coupling_coefficient: float | None = None,
-        tag_coupling_decay_m: float | None = None,
-    ) -> tuple[BatchObservation, np.ndarray]:
-        """Phase 2 of the fused sweep: all rounds' physics in one pass.
-
-        Takes the noise columns the scheduling phase pre-drew and returns the
-        observation plus the exact deep-fade booleans, which the reader
-        compares against the booleans the scheduler *assumed* when drawing
-        (rolling back the generator when they disagree).
-        """
-        physics = self.sweep_physics(
-            antenna_positions,
-            tag_positions,
-            device_offsets_total=device_offsets_total,
-            extra_positions=extra_positions,
-            extra_event_index=extra_event_index,
-            tag_coupling_coefficient=tag_coupling_coefficient,
-            tag_coupling_decay_m=tag_coupling_decay_m,
-        )
-        observation = self.observe_scheduled(physics, dropped, phase_noise, rssi_noise)
-        return observation, physics.deep_fade

@@ -150,9 +150,11 @@ class MultipathChannel:
             amplitude_ratio = tag_coupling_coefficient * (
                 np.maximum(direct, 1e-3) / np.maximum(reflected, 1e-3)
             )
+            # Clamping the distance at the decay scale gives exactly 1.0
+            # inside it, and never divides by a near-zero distance (a
+            # scatterer almost on top of its tag would overflow the square).
             decay = tag_coupling_decay_m
-            with np.errstate(divide="ignore"):
-                attenuation = np.where(to_tag <= decay, 1.0, (decay / to_tag) ** 2)
+            attenuation = (decay / np.maximum(to_tag, decay)) ** 2
             amplitude_ratio = amplitude_ratio * attenuation
             arg = -TWO_PI * excess / wavelength_m
             contribution = np.empty(np.shape(arg), dtype=complex)

@@ -12,14 +12,17 @@ callables mapping time to antenna position and to tag positions, so the same
 reader serves the antenna-moving case (librarian pushing a cart) and the
 tag-moving case (baggage on a conveyor belt).
 
-A sweep runs in two phases: a scheduling pass runs the sequential round loop
-(zone membership, MAC slotting, per-event noise draws) and emits the whole
-sweep as a structure-of-arrays :class:`~repro.rfid.event_table.SweepEventTable`;
-a physics pass then evaluates every round's events in one fused NumPy call
-(:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).  Because the
-dropout draw is conditional on deep multipath fades, the scheduler draws
-optimistically and the physics pass verifies, rolling the generator back on
-the (rare) mis-guess — see :meth:`RFIDReader.sweep_events`.
+A sweep runs in two phases: a scheduling pass runs the one sequential round
+loop (zone membership, MAC slotting, per-event noise draws) and emits the
+whole sweep as a structure-of-arrays
+:class:`~repro.rfid.event_table.SweepEventTable`; a physics pass then
+evaluates every round's events in one fused NumPy call
+(:meth:`RFIDReader._sweep_physics`).  Because the dropout draw is conditional
+on deep multipath fades, the scheduler draws optimistically and the physics
+pass verifies, rolling the generator back on the (rare) mis-guess.  A channel
+whose fades defeat optimism is scheduled exactly from its first mis-guessed
+round on, by the same loop: each of those rounds evaluates its physics with
+the same helper before drawing its noise — see :meth:`RFIDReader.sweep_events`.
 
 Zone membership is not re-evaluated from geometry every round.  After the
 first checkpoint block, the scheduler reads it off a **membership calendar**:
@@ -52,7 +55,7 @@ import numpy as np
 
 from ..motion.scenarios import StaticTagPositions
 from ..rf.antenna import ReadingZone
-from ..rf.channel import BackscatterChannel
+from ..rf.channel import BackscatterChannel, SweepPhysics
 from ..rf.geometry import Point3D, euclidean_distances
 from ..rf.phase_model import DeviceOffsets
 from .aloha import FrameSlottedAloha
@@ -68,12 +71,13 @@ TagPositionFn = Callable[[str, float], Point3D]
 """Maps (tag id, time in seconds) to that tag's position."""
 
 _MAX_FUSED_ATTEMPTS = 16
-"""Optimistic schedule/verify iterations before the exact per-round fallback.
+"""Optimistic schedule/verify iterations before exact per-round scheduling.
 
 Each retry replays only the schedule tail after the corrected round plus one
 fused physics pass, so attempts are cheap; the cap exists to bound the truly
-pathological channels (deep fades on more rounds than this), which drop to
-the exact per-round mode instead."""
+pathological channels (deep fades on more rounds than this), which the
+scheduler finishes in one more pass, evaluating each round's physics before
+its noise from the first mis-guessed round on."""
 
 _CHUNK_CELLS = 262_144
 """Cell budget (rows x population) per chunk of the dense evaluations: the
@@ -139,7 +143,9 @@ class _SweepScheduler:
     per-event noise draws — and emits the whole sweep as a
     :class:`~repro.rfid.event_table.SweepEventTable`.  Deep-fade booleans for
     the draws come from ``corrections`` where a prior physics pass computed
-    them, and are assumed ``False`` elsewhere.
+    them.  Elsewhere they are assumed ``False``, except from round
+    :attr:`exact_from` on: there each round's physics is evaluated before its
+    noise is drawn, so its booleans are exact.
 
     Entry state (clock, protocol Q, rng state) is checkpointed every
     :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
@@ -190,26 +196,15 @@ class _SweepScheduler:
         self._predicted: list[tuple[int, float, _Calendar, int]] = []
         # Predicted rounds below this index are verified.
         self._verified_through = 0
+        self.exact_from: int | None = None
+        """The first round scheduled exactly (physics before noise), once
+        optimism has given up; ``None`` while every round is optimistic."""
+        self.exact_physics_s = 0.0
+        """Wall time of the exact rounds' physics, across passes."""
 
     def run(self, corrections: "dict[int, np.ndarray]") -> SweepEventTable:
-        """Schedule the whole sweep from the beginning."""
-        self._parts.clear()
-        self._checkpoints.clear()
-        self._calendars.clear()
-        self._predicted.clear()
+        """Schedule the whole sweep from the beginning (once per scheduler)."""
         return self._run_from(0, 0.0, None, corrections)
-
-    def restore(self, round_index: int) -> tuple[int, float, _Calendar | None]:
-        """Restore the generator and protocol to ``round_index``'s checkpoint.
-
-        Returns the checkpointed round (the last snapshot at or before
-        ``round_index``), its clock and the calendar in force there.
-        """
-        base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
-        clock, q_fp, rng_state, calendar = self._checkpoints[base]
-        self._rng.bit_generator.state = rng_state
-        self._reader.protocol.restore_scheduling_checkpoint(q_fp)
-        return base, clock, calendar
 
     def resume(
         self, round_index: int, corrections: "dict[int, np.ndarray]"
@@ -219,9 +214,13 @@ class _SweepScheduler:
         Restores the generator and protocol state captured at the last
         snapshot at or before the corrected round; the replayed rounds
         consume the generator exactly as before (corrections included), so
-        only the corrected round's draws actually change.
+        only the corrected round's draws actually change — or, when
+        :attr:`exact_from` was just set, the draws from that round on.
         """
-        base, clock, calendar = self.restore(round_index)
+        base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
+        clock, q_fp, rng_state, calendar = self._checkpoints[base]
+        self._rng.bit_generator.state = rng_state
+        self._reader.protocol.restore_scheduling_checkpoint(q_fp)
         for stale in [key for key in self._checkpoints if key >= base]:
             del self._checkpoints[stale]
         while self._parts and self._parts[-1][0] >= base:
@@ -323,6 +322,7 @@ class _SweepScheduler:
         checkpoints = self._checkpoints
         predicted_rounds = self._predicted
         zone_members_at = reader._zone_members_at
+        exact_from = self.exact_from
 
         stride = self.CHECKPOINT_STRIDE
         while clock < duration_s:
@@ -371,7 +371,14 @@ class _SweepScheduler:
                         success_ids = success_ids[:count]
                     assumed = corrections.get(round_index)
                     if assumed is None:
-                        assumed = np.zeros(count, dtype=bool)
+                        if exact_from is not None and round_index >= exact_from:
+                            tick = time.perf_counter()
+                            assumed = reader._sweep_physics(
+                                setup, antenna_position, success_ends, success_ids
+                            ).deep_fade
+                            self.exact_physics_s += time.perf_counter() - tick
+                        else:
+                            assumed = np.zeros(count, dtype=bool)
                     dropped, phase_noise, rssi_noise = (
                         noise.draw_event_noise_scheduled(assumed, rng)
                     )
@@ -541,10 +548,14 @@ class RFIDReader:
         self.config = config if config is not None else ReaderConfig()
         self.protocol = protocol if protocol is not None else FrameSlottedAloha()
         self.last_sweep_stats: dict = {}
-        """Diagnostics of the most recent sweep: optimistic whole-sweep
-        attempts, rolled-back rounds, zone-calendar corrections, whether the
-        exact per-round fallback engaged, and the scheduling-vs-physics
-        wall-time split (fallback included)."""
+        """Diagnostics of the most recent sweep, six keys: ``attempts`` (the
+        scheduling passes, each followed by one physics pass; the exact
+        pass counts as one), ``rolled_back_rounds`` (rounds corrected by a
+        rollback), ``zone_corrections`` (zone-calendar corrections),
+        ``per_round_fallback`` (whether the scheduler ended in exact
+        per-round mode), and the wall-time split ``scheduling_s`` /
+        ``physics_s``.  The exact rounds' physics runs inside scheduling
+        passes but is booked as ``physics_s``."""
 
     def _device_offsets_for(self, model: TagModel) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for a tag of ``model`` behind this reader."""
@@ -785,7 +796,8 @@ class RFIDReader:
         (``last_sweep_stats["zone_corrections"]`` counts them).  **Phase 2
         (physics)** evaluates every event's geometry, link budget, multipath,
         Eq. (1) phase, quantisation, and RSSI in one fused NumPy pass
-        (:meth:`~repro.rf.channel.BackscatterChannel.observe_sweep`).
+        (:meth:`_sweep_physics`, then
+        :meth:`~repro.rf.channel.BackscatterChannel.observe_scheduled`).
 
         The one place physics feeds back into the rng order is the dropout
         draw, which the scalar loop skips for events in a deep multipath
@@ -794,11 +806,15 @@ class RFIDReader:
         mis-guess the generator and protocol state are rolled back to the
         nearest per-round checkpoint and only the schedule tail replays,
         with the exact booleans for the offending round (each retry fixes at
-        least one round, so the loop terminates).  Pathological
-        configurations that keep mis-guessing fall back to an exact
-        per-round mode from the first mis-guessed round's checkpoint on.
-        Either way the read log is bit-identical to the scalar reference —
-        pinned by ``tests/test_fused_sweep.py``.
+        least one round, so the loop terminates).  When more rounds are
+        mis-guessed than retries remain, optimism cannot converge: the same
+        scheduler resumes once more from the first mis-guessed round's
+        checkpoint, and from that round on evaluates each round's physics
+        before drawing its noise.  That pass's physics must agree with every
+        boolean it drew under; if it does not, a ``RuntimeError`` is raised
+        rather than a table returned.  Either way the read log is
+        bit-identical to the scalar reference — pinned by
+        ``tests/test_fused_sweep.py``.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
@@ -817,81 +833,78 @@ class RFIDReader:
         }
 
         scheduler = _SweepScheduler(self, setup, antenna_position, duration_s, rng)
-        table: SweepEventTable | None = None
         resume_round: int | None = None
-        for attempt in range(_MAX_FUSED_ATTEMPTS):
+        while True:
             tick = time.perf_counter()
             if resume_round is None:
-                candidate = scheduler.run(corrections)
+                table = scheduler.run(corrections)
             else:
                 # Everything before the corrected round consumed the
                 # generator correctly — replay only the tail from that
                 # round's checkpoint.
-                candidate = scheduler.resume(resume_round, corrections)
+                table = scheduler.resume(resume_round, corrections)
             # Verify the zone calendar before any physics runs on the
             # schedule: a wrong membership invalidates everything after it.
             while (wrong_round := scheduler.verify_calendar()) is not None:
                 stats["zone_corrections"] += 1
-                candidate = scheduler.resume(wrong_round, corrections)
+                table = scheduler.resume(wrong_round, corrections)
             tock = time.perf_counter()
             stats["scheduling_s"] += tock - tick
-            self._observe_events(setup, antenna_position, candidate)
+            self._observe_events(setup, antenna_position, table)
             stats["physics_s"] += time.perf_counter() - tock
-            stats["attempts"] = attempt + 1
+            stats["attempts"] += 1
             if noise.random_dropout_probability == 0.0:
                 # Deep fades never gate a draw when dropouts are off; the
                 # schedule cannot have diverged.
-                table = candidate
                 break
-            mistaken = candidate.deep_fade & ~candidate.assumed_deep
+            mistaken = table.deep_fade != table.assumed_deep
             if not mistaken.any():
-                table = candidate
                 break
+            if scheduler.exact_from is not None:
+                raise RuntimeError(
+                    "the exact per-round schedule disagrees with the physics pass "
+                    f"on {int(mistaken.sum())} events"
+                )
             # The first mis-guessed round: its own events are fixed by its
             # (pre-noise) slotting draw, so its exact booleans stay valid
             # across the replay — and so do its membership and everything
             # before it.
-            resume_round = int(candidate.round_ids[int(np.argmax(mistaken))])
+            resume_round = int(table.round_ids[int(np.argmax(mistaken))])
             # Each retry pins down one more round; if more rounds are wrong
-            # than retries remain, optimism cannot converge — go straight to
-            # the exact per-round mode instead of burning the attempts.
-            mistaken_rounds = np.unique(candidate.round_ids[mistaken]).size
-            if mistaken_rounds > _MAX_FUSED_ATTEMPTS - attempt - 1:
-                break
-            corrections[resume_round] = candidate.deep_fade[candidate.round_ids == resume_round]
+            # than retries remain, optimism cannot converge — schedule
+            # exactly from the first wrong round instead of burning them.
+            mistaken_rounds = np.unique(table.round_ids[mistaken]).size
+            if mistaken_rounds > _MAX_FUSED_ATTEMPTS - stats["attempts"]:
+                scheduler.exact_from = resume_round
+                stats["per_round_fallback"] = True
+            else:
+                corrections[resume_round] = table.deep_fade[table.round_ids == resume_round]
+                stats["rolled_back_rounds"] += 1
             scheduler.mark_verified(resume_round)
-            stats["rolled_back_rounds"] += 1
 
-        if table is None:
-            # Pathological channel (deep fades on most rounds): replay the
-            # tail in exact per-round mode — physics before noise, round by
-            # round — which can never mis-guess.  Rows before the first
-            # mis-guessed round's checkpoint are exact already, physics
-            # included, so they are kept.
-            base, clock, _ = scheduler.restore(resume_round)
-            stats["per_round_fallback"] = True
-            table = self._sweep_table_per_round(
-                setup, antenna_position, duration_s, rng, candidate, base, clock, stats
-            )
-
+        # The exact rounds' physics ran inside the scheduling passes.
+        stats["scheduling_s"] -= scheduler.exact_physics_s
+        stats["physics_s"] += scheduler.exact_physics_s
         self.last_sweep_stats = stats
         return table
 
-    def _event_geometry(
+    def _sweep_physics(
         self,
         setup: "_SweepSetup",
         antenna_position: AntennaPositionFn,
         times: np.ndarray,
         tag_indices: np.ndarray,
-    ):
-        """Geometry and coupling scatterers for a batch of events.
+    ) -> SweepPhysics:
+        """The rng-free physics of a batch of events, coupling included.
 
-        Returns ``(antenna_rows, event_tag_positions, extra_positions,
-        extra_event_index)``; every coupling scatterer shares the config's
-        coefficient and decay.  Shared by
-        the physics pass (one call per sweep) and the exact per-round
-        fallback (one call per round).
+        Gathers each event's antenna and tag positions and its coupling
+        scatterers (every one sharing the config's coefficient and decay),
+        then evaluates :meth:`~repro.rf.channel.BackscatterChannel.sweep_physics`.
+        Every value depends only on its own event, so the physics pass (one
+        call per sweep) and the scheduler's exact rounds (one call per round)
+        get the same bits.
         """
+        config = self.config
         count = int(times.size)
         antenna_rows = self._antenna_rows(setup, antenna_position, times)
 
@@ -938,7 +951,15 @@ class RFIDReader:
                 extra_index = np.concatenate(index_chunks)
                 extra_positions = np.concatenate(position_chunks)
 
-        return antenna_rows, event_tag_positions, extra_positions, extra_index
+        return config.channel.sweep_physics(
+            antenna_rows,
+            event_tag_positions,
+            device_offsets_total=setup.mu_by_tag[tag_indices],
+            extra_positions=extra_positions,
+            extra_event_index=extra_index,
+            tag_coupling_coefficient=config.tag_coupling_coefficient,
+            tag_coupling_decay_m=config.tag_coupling_decay_m,
+        )
 
     def _observe_events(
         self,
@@ -953,142 +974,13 @@ class RFIDReader:
             table.readable = np.empty(0, dtype=bool)
             table.deep_fade = np.empty(0, dtype=bool)
             return
-        antenna_rows, event_tag_positions, extra_positions, extra_index = (
-            self._event_geometry(
-                setup, antenna_position, table.times_s, table.tag_indices
-            )
+        physics = self._sweep_physics(
+            setup, antenna_position, table.times_s, table.tag_indices
         )
-        observation, deep_fade = self.config.channel.observe_sweep(
-            antenna_rows,
-            event_tag_positions,
-            dropped=table.dropped,
-            phase_noise=table.phase_noise_rad,
-            rssi_noise=table.rssi_noise_db,
-            device_offsets_total=setup.mu_by_tag[table.tag_indices],
-            extra_positions=extra_positions,
-            extra_event_index=extra_index,
-            tag_coupling_coefficient=self.config.tag_coupling_coefficient,
-            tag_coupling_decay_m=self.config.tag_coupling_decay_m,
+        observation = self.config.channel.observe_scheduled(
+            physics, table.dropped, table.phase_noise_rad, table.rssi_noise_db
         )
         table.phase_rad = observation.phase_rad
         table.rssi_dbm = observation.rssi_dbm
         table.readable = observation.readable
-        table.deep_fade = deep_fade
-
-    def _sweep_table_per_round(
-        self,
-        setup: "_SweepSetup",
-        antenna_position: AntennaPositionFn,
-        duration_s: float,
-        rng: np.random.Generator,
-        candidate: SweepEventTable,
-        round_index: int,
-        clock: float,
-        stats: dict,
-    ) -> SweepEventTable:
-        """Exact per-round mode from ``round_index`` on: physics before noise.
-
-        The last-resort path for channels whose deep fades keep invalidating
-        the optimistic schedule: within each round the physics runs first, so
-        the noise draws always use the exact booleans — the same draw order as
-        the scalar loop, with none of the fused pass's whole-sweep batching.
-        ``candidate``'s rows before ``round_index`` (observed, and exact) are
-        kept; the generator and protocol must already be at that round's
-        checkpoint, whose clock is ``clock``.  The time spent is added to
-        ``stats``' scheduling and physics counters.
-        """
-        tick = time.perf_counter()
-        physics_s = 0.0
-        channel = self.config.channel
-        noise = channel.noise
-        protocol = self.protocol
-
-        kept = int(np.searchsorted(candidate.round_ids, round_index, side="left"))
-        parts: list[tuple] = [
-            (
-                candidate.times_s[:kept],
-                candidate.tag_indices[:kept],
-                candidate.round_ids[:kept],
-                candidate.dropped[:kept],
-                candidate.phase_noise_rad[:kept],
-                candidate.rssi_noise_db[:kept],
-                candidate.deep_fade[:kept],
-                candidate.phase_rad[:kept],
-                candidate.rssi_dbm[:kept],
-                candidate.readable[:kept],
-            )
-        ]
-        while clock < duration_s:
-            in_zone = self._zone_members_at(setup, antenna_position, clock).nonzero()[0]
-            success_ids, success_ends, round_time = protocol.run_round_schedule(
-                in_zone, clock, rng
-            )
-            if len(success_ids):
-                count = int(success_ends.searchsorted(duration_s, side="right"))
-                if count:
-                    physics_tick = time.perf_counter()
-                    times = success_ends[:count]
-                    tag_indices = success_ids[:count]
-                    antenna_rows, event_tag_positions, extra_positions, extra_index = (
-                        self._event_geometry(setup, antenna_position, times, tag_indices)
-                    )
-                    physics = channel.sweep_physics(
-                        antenna_rows,
-                        event_tag_positions,
-                        device_offsets_total=setup.mu_by_tag[tag_indices],
-                        extra_positions=extra_positions,
-                        extra_event_index=extra_index,
-                        tag_coupling_coefficient=self.config.tag_coupling_coefficient,
-                        tag_coupling_decay_m=self.config.tag_coupling_decay_m,
-                    )
-                    physics_tock = time.perf_counter()
-                    dropped, phase_noise, rssi_noise = (
-                        noise.draw_event_noise_scheduled(physics.deep_fade, rng)
-                    )
-                    observe_tick = time.perf_counter()
-                    observation = channel.observe_scheduled(
-                        physics, dropped, phase_noise, rssi_noise
-                    )
-                    physics_s += (physics_tock - physics_tick) + (
-                        time.perf_counter() - observe_tick
-                    )
-                    parts.append(
-                        (
-                            times,
-                            tag_indices,
-                            np.full(count, round_index, dtype=np.intp),
-                            dropped,
-                            phase_noise,
-                            rssi_noise,
-                            physics.deep_fade,
-                            observation.phase_rad,
-                            observation.rssi_dbm,
-                            observation.readable,
-                        )
-                    )
-
-            if round_time <= 0:
-                raise RuntimeError("inventory round produced non-positive duration")
-            clock += round_time
-            round_index += 1
-
-        columns = [np.concatenate([part[position] for part in parts]) for position in range(10)]
-        stats["physics_s"] += physics_s
-        stats["scheduling_s"] += (time.perf_counter() - tick) - physics_s
-        return SweepEventTable(
-            tag_ids=list(setup.ids),
-            channel_index=channel.channel_index,
-            antenna_port=self.config.antenna_port,
-            round_count=round_index,
-            times_s=columns[0],
-            tag_indices=columns[1],
-            round_ids=columns[2],
-            dropped=columns[3],
-            phase_noise_rad=columns[4],
-            rssi_noise_db=columns[5],
-            assumed_deep=columns[6],
-            deep_fade=columns[6],
-            phase_rad=columns[7],
-            rssi_dbm=columns[8],
-            readable=columns[9],
-        )
+        table.deep_fade = physics.deep_fade

@@ -5,23 +5,27 @@ event table; phase 2: one fused physics pass) must be **bit-identical** to
 the read-at-a-time oracle (``tests/oracles/scalar_sweep.py``) on every
 workload — including the leaderboard scenarios at their leaderboard seeds,
 channels whose deep fades force the optimistic noise schedule to roll back,
-and pathological ones that push it into the exact per-round fallback.  A
-seeded golden trace pins the fused output independently, and a property test
-pins the ``sweep_stream`` ↔ event-table replay contract.
+and pathological ones that push the scheduler into its exact per-round mode
+(a hypothesis property draws all three kinds).  A seeded golden trace pins
+the fused output independently, and a property test pins the
+``sweep_stream`` ↔ event-table replay contract.
 """
 
 import dataclasses
+import time
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from repro.motion.scenarios import StaticAntennaPosition, SweepScenario
 from repro.rf.geometry import Point3D
 from repro.rf.noise import NOISELESS, NoiseModel
 from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm
 from repro.rfid.coupling import NeighborGrid
-from repro.rfid.reader import RFIDReader
+from repro.rfid.reader import RFIDReader, _SweepScheduler
 from repro.rfid.reading import ReadLog
 from repro.rfid.tag import make_tags
 from repro.scenarios import DEFAULT_SEED, SEED_STRIDE, default_registry
@@ -287,7 +291,9 @@ class TestFusedGoldenTrace:
         )
 
 
-def fused_reader_and_scene(threshold_db: float, dropout_p: float = 0.10):
+def fused_reader_and_scene(
+    threshold_db: float, dropout_p: float = 0.10, seed: int = 2015, tag_count: int = 8
+):
     """A seeded scene whose noise model uses the given deep-fade threshold."""
     noise = NoiseModel(
         phase_noise_std_rad=0.25,
@@ -295,9 +301,9 @@ def fused_reader_and_scene(threshold_db: float, dropout_p: float = 0.10):
         random_dropout_probability=dropout_p,
         fade_dropout_threshold_db=threshold_db,
     )
-    positions = [Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(8)]
-    tags = make_tags(positions, seed=2015)
-    scene = standard_antenna_moving_scene(tags, seed=2015, noise=noise)
+    positions = [Point3D(i * 0.08, 0.06 * (i % 2), 0.0) for i in range(tag_count)]
+    tags = make_tags(positions, seed=seed)
+    scene = standard_antenna_moving_scene(tags, seed=seed, noise=noise)
     reader = RFIDReader(config=scene.reader_config, protocol=scene.protocol)
     return reader, scene
 
@@ -329,21 +335,62 @@ def late_fades_reader_and_scene():
     return reader, scene
 
 
-def record_fallback_entry(reader: RFIDReader) -> dict:
-    """Wrap ``reader``'s per-round mode to record how it was entered."""
-    entry: dict = {}
-    per_round = reader._sweep_table_per_round
+def record_passes(monkeypatch: pytest.MonkeyPatch, reader: RFIDReader) -> list[dict]:
+    """Record every physics pass of ``reader``'s sweeps, in order.
 
-    def recording(setup, antenna_position, duration_s, rng, candidate, round_index, clock, stats):
-        entry["round"] = round_index
-        entry["kept_rows"] = int(np.searchsorted(candidate.round_ids, round_index))
-        entry["stats"] = dict(stats)
-        return per_round(
-            setup, antenna_position, duration_s, rng, candidate, round_index, clock, stats
+    Each entry holds the scheduler's exact-from round at that pass (``None``
+    while it is optimistic), the table's rows before that round, and the
+    rows whose drawn-under booleans the pass found wrong.
+    """
+    passes: list[dict] = []
+    schedulers: list[_SweepScheduler] = []
+    init = _SweepScheduler.__init__
+
+    def capturing(scheduler, *args):
+        init(scheduler, *args)
+        schedulers.append(scheduler)
+
+    observe = reader._observe_events
+
+    def recording(setup, antenna_position, table):
+        observe(setup, antenna_position, table)
+        exact_from = schedulers[-1].exact_from
+        passes.append(
+            {
+                "exact_from": exact_from,
+                "rows_before": None
+                if exact_from is None
+                else int(np.searchsorted(table.round_ids, exact_from)),
+                "mistaken": int(np.count_nonzero(table.deep_fade != table.assumed_deep)),
+            }
         )
 
-    reader._sweep_table_per_round = recording
-    return entry
+    monkeypatch.setattr(_SweepScheduler, "__init__", capturing)
+    monkeypatch.setattr(reader, "_observe_events", recording)
+    return passes
+
+
+def patch_physics(monkeypatch: pytest.MonkeyPatch, reader: RFIDReader, wrap) -> None:
+    """Route ``reader._sweep_physics(*args)`` through ``wrap(physics, in_pass, *args)``.
+
+    ``in_pass`` is true for the physics pass's own call and false for the
+    exact rounds' calls inside a scheduling pass.
+    """
+    in_pass: list[bool] = []
+    physics = reader._sweep_physics
+    observe = reader._observe_events
+
+    def flagged_observe(*args):
+        in_pass.append(True)
+        try:
+            observe(*args)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(
+        reader, "_sweep_physics", lambda *args: wrap(physics, bool(in_pass), *args)
+    )
+    monkeypatch.setattr(reader, "_observe_events", flagged_observe)
 
 
 def run_fused(reader: RFIDReader, scene: Scene) -> ReadLog:
@@ -391,26 +438,64 @@ class TestOptimisticScheduleRollback:
         scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
 
-    def test_per_round_fallback_time_is_split_into_the_counters(self):
+    def test_per_round_fallback_time_is_split_into_the_counters(self, monkeypatch):
+        # Every physics evaluation, the exact rounds' inside the scheduling
+        # passes included, is booked as physics, never as scheduling.
         reader, scene = fused_reader_and_scene(threshold_db=3.0)
-        entry = record_fallback_entry(reader)
+        timings = {"exact": [], "pass": []}
+
+        def timed(physics, in_pass, *args):
+            tick = time.perf_counter()
+            result = physics(*args)
+            timings["pass" if in_pass else "exact"].append(time.perf_counter() - tick)
+            return result
+
+        patch_physics(monkeypatch, reader, timed)
+        tick = time.perf_counter()
         run_fused(reader, scene)
+        wall = time.perf_counter() - tick
         stats = reader.last_sweep_stats
         assert stats["per_round_fallback"]
-        assert stats["scheduling_s"] > entry["stats"]["scheduling_s"]
-        assert stats["physics_s"] > entry["stats"]["physics_s"]
+        # One evaluation per exact event-bearing round, one per pass.
+        assert len(timings["exact"]) > 100
+        assert len(timings["pass"]) == stats["attempts"]
+        assert stats["physics_s"] >= sum(timings["exact"]) + sum(timings["pass"])
+        assert stats["scheduling_s"] > 0.0
+        assert stats["scheduling_s"] + stats["physics_s"] <= wall
 
-    def test_late_first_misguess_keeps_the_exact_prefix(self):
+    def test_late_first_misguess_keeps_the_exact_prefix(self, monkeypatch):
         reader, scene = late_fades_reader_and_scene()
-        entry = record_fallback_entry(reader)
+        passes = record_passes(monkeypatch, reader)
         fused = run_fused(reader, scene)
-        assert reader.last_sweep_stats["per_round_fallback"]
-        # The per-round mode starts at the first mis-guessed round's
-        # checkpoint, far into the sweep, on top of the exact rows before it.
-        assert entry["round"] >= 100
-        assert entry["kept_rows"] > 0
+        stats = reader.last_sweep_stats
+        assert stats["per_round_fallback"]
+        assert len(passes) == stats["attempts"]
+        # Only the last pass is exact.  It starts at the first mis-guessed
+        # round, far into the sweep, on top of the optimistic rows before it,
+        # and its physics agrees with every boolean it drew under.
+        assert all(entry["exact_from"] is None for entry in passes[:-1])
+        assert passes[0]["mistaken"] > 0
+        final = passes[-1]
+        assert final["exact_from"] >= 100
+        assert final["rows_before"] > 0
+        assert final["mistaken"] == 0
         _, scalar_scene = late_fades_reader_and_scene()
         assert fused.reads == scalar_scene_log(scalar_scene).reads
+
+    def test_exact_pass_that_disagrees_with_physics_raises(self, monkeypatch):
+        # The exact rounds draw under booleans the final pass must confirm;
+        # corrupt the rounds' own evaluation and no table may come back.
+        reader, scene = fused_reader_and_scene(threshold_db=3.0)
+
+        def inverted_outside_pass(physics, in_pass, *args):
+            result = physics(*args)
+            if in_pass:
+                return result
+            return dataclasses.replace(result, deep_fade=~result.deep_fade)
+
+        patch_physics(monkeypatch, reader, inverted_outside_pass)
+        with pytest.raises(RuntimeError, match="exact per-round schedule"):
+            run_fused(reader, scene)
 
     def test_deep_fades_without_dropouts_never_roll_back(self):
         # With p == 0 no dropout uniform is ever drawn, so deep fades cannot
@@ -432,6 +517,71 @@ class TestOptimisticScheduleRollback:
         assert_matches_oracle(
             lambda: standard_antenna_moving_scene(tags, seed=11, noise=NOISELESS)
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class FadeCase:
+    """One generated fade-heavy sweep: :func:`fused_reader_and_scene`'s inputs."""
+
+    threshold_db: float
+    dropout_p: float
+    seed: int
+    tag_count: int
+
+    def scene(self) -> tuple[RFIDReader, Scene]:
+        reader, scene = fused_reader_and_scene(
+            self.threshold_db, self.dropout_p, self.seed, self.tag_count
+        )
+        return reader, shortened(scene, 1.2)
+
+
+def sweep_mode(stats: dict) -> str:
+    """Which path a sweep took: clean, rolled back, or exact per-round."""
+    if stats["per_round_fallback"]:
+        return "exact"
+    return "rollback" if stats["rolled_back_rounds"] else "clean"
+
+
+FADE_EXAMPLES = {
+    "clean": FadeCase(threshold_db=-10.0, dropout_p=0.10, seed=2015, tag_count=8),
+    "rollback": FadeCase(threshold_db=-8.0, dropout_p=0.10, seed=2015, tag_count=8),
+    "exact": FadeCase(threshold_db=3.0, dropout_p=0.10, seed=2015, tag_count=8),
+}
+
+fade_cases = st.builds(
+    FadeCase,
+    # Rollbacks that converge need few deep-faded rounds: a narrow band of
+    # thresholds, drawn as often as the whole range.
+    threshold_db=st.one_of(st.floats(-7.0, -3.0), st.floats(-14.0, 4.0)),
+    # About a quarter of the draws turn dropouts off, the path that never
+    # rolls back.
+    dropout_p=st.floats(-0.1, 0.3).map(lambda p: max(p, 0.0)),
+    seed=st.integers(0, 2**16),
+    tag_count=st.integers(2, 8),
+)
+
+
+class TestFadeScenesMatchOracle:
+    """Property: fused == oracle across clean, rollback and exact-mode sweeps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=fade_cases)
+    @example(case=FADE_EXAMPLES["clean"])
+    @example(case=FADE_EXAMPLES["rollback"])
+    @example(case=FADE_EXAMPLES["exact"])
+    def test_fused_equals_oracle(self, case):
+        reader, scene = case.scene()
+        fused = run_fused(reader, scene)
+        event(sweep_mode(reader.last_sweep_stats))
+        assert fused.reads == scalar_scene_log(case.scene()[1]).reads
+
+    @pytest.mark.parametrize("mode", sorted(FADE_EXAMPLES))
+    def test_strategy_reaches_every_mode(self, mode):
+        # The explicit examples are points of the strategy's domain, one
+        # per path through the scheduler.
+        reader, scene = FADE_EXAMPLES[mode].scene()
+        run_fused(reader, scene)
+        assert sweep_mode(reader.last_sweep_stats) == mode
 
 
 class TestEventTableContract:

@@ -223,6 +223,30 @@ class TestMultipath:
         assert scattering_attenuation(decay, 0.04) == pytest.approx(0.25)
         assert scattering_attenuation(decay, 0.10) == pytest.approx(0.04)
 
+    def test_near_coincident_scatterer_does_not_overflow(self):
+        # (decay / distance) ** 2 overflows float64 for a scatterer 1.5e-156 m
+        # from its tag; inside the decay scale the attenuation is exactly 1.0
+        # however close the scatterer sits, so the gain equals a coincident
+        # scatterer's (the warning would fail the test under the suite's
+        # warnings-as-errors filter).
+        tag = Point3D(0.0, 0.0, 0.3)
+        coupling = dict(
+            extra_event_index=np.zeros(1, dtype=np.intp),
+            tag_coupling_coefficient=0.75,
+            tag_coupling_decay_m=0.022,
+        )
+        near = gains(
+            MultipathChannel(),
+            tag,
+            extra_positions=np.array([[1.4975343823607773e-156, 0.0, 0.3]]),
+            **coupling,
+        )
+        coincident = gains(
+            MultipathChannel(), tag, extra_positions=tag.as_array()[None, :], **coupling
+        )
+        assert np.isfinite(near).all()
+        assert near.tolist() == coincident.tolist()
+
     def test_typical_indoor_reflectors_outside_region(self):
         rng = np.random.default_rng(0)
         reflectors = typical_indoor_reflectors(

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.motion.scenarios import (
@@ -199,9 +199,38 @@ def hide_first_transition(monkeypatch: pytest.MonkeyPatch) -> dict[int, int]:
     return corrupted
 
 
+def near_coincident_case() -> CalendarCase:
+    """Two tags 1.5e-156 m apart on the beam edge under a straight pass.
+
+    A shrunk draw of :func:`calendar_cases`: the coupling between the two
+    overflowed ``(decay / distance) ** 2`` in the multipath model.
+    """
+    height = 0.25
+    beam_edge = height * math.tan(math.radians(25.0))
+    trajectory = LinearTrajectory(
+        Point3D(-0.3, 0.0, height), Point3D(1.3, 0.0, height), ConstantSpeedProfile(1.0)
+    )
+    return CalendarCase(
+        positions=[
+            Point3D(0.0, beam_edge, 0.0),
+            Point3D(1.4975343823607773e-156, beam_edge, 0.0),
+        ],
+        zone=ReadingZone(
+            max_range_m=0.5,
+            antenna=DirectionalAntenna(beamwidth_deg=25.0, boresight=(0.0, 0.0, -1.0)),
+            beam_limited=False,
+        ),
+        antenna_position=TrajectoryAntennaPosition(trajectory),
+        tag_position=lambda tags: StaticTagPositions(tags.tag_ids, tags.position_array),
+        duration_s=min(2.0, trajectory.duration_s),
+        seed=0,
+    )
+
+
 class TestCalendarMatchesOracle:
     @settings(max_examples=30, deadline=None)
     @given(case=calendar_cases())
+    @example(case=near_coincident_case())
     def test_fused_equals_oracle(self, case):
         reader, table, oracle = fused_and_oracle(case)
         assert table.to_read_log().reads == oracle.reads
