@@ -35,7 +35,7 @@ from ..core.localizer import BatchLocalizer, STPPConfig
 from ..core.reference import canonical_reference, reference_profile
 from ..core.segmentation import segment_profile
 from ..core.vzone import VZoneDetector
-from ..rf.geometry import Point3D, position_bounds
+from ..rf.geometry import Point3D
 from ..rfid.tag import make_tags
 from ..simulation.collector import collect_sweep, profiles_from_read_log
 from ..simulation.presets import (
@@ -45,9 +45,9 @@ from ..simulation.presets import (
 from ..workloads.airport import PAPER_PERIODS, TrafficPeriod, baggage_batch
 from ..workloads.warehouse import ConveyorConfig, warehouse_sweep_plan
 from ..workloads.layouts import (
+    footprint_reference_grid,
     paper_test_cases,
     random_spacing_row,
-    reference_tag_grid,
     row_layout,
     staircase_layout,
 )
@@ -524,12 +524,9 @@ def _fig17_experiment(
     positions = list(layouts.values())[rep_index % len(layouts)]
     if len(positions) > tag_count:
         positions = positions[:tag_count]
-    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
-    reference_grid = reference_tag_grid(
-        max_x - min_x + 0.2, max_y - min_y + 0.2, spacing_m=0.15,
-        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
+    return standard_experiment(
+        positions, seed=seed, reference_grid=footprint_reference_grid(positions, 0.15)
     )
-    return standard_experiment(positions, seed=seed, reference_grid=reference_grid)
 
 
 def fig17_scheme_comparison(
@@ -567,17 +564,12 @@ def _fig18_experiment(
 ) -> SweepExperiment:
     """One repetition of the Figure 18 spacing box plot."""
     positions = staircase_layout(tag_count, spacing_m, min(spacing_m, 0.10))
-    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
-    # Keep the Landmarc reference deployment sparse (a handful of
-    # anchors), otherwise the reference tags dominate the reading
-    # zone and starve every scheme of reads on the target tags.
-    span_x = max_x - min_x + 0.2
-    span_y = max_y - min_y + 0.2
-    reference_grid = reference_tag_grid(
-        span_x, span_y, spacing_m=max(0.25, span_x / 4.0),
-        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
+    # The sparse default grid: a handful of anchors, otherwise the reference
+    # tags dominate the reading zone and starve every scheme of reads on the
+    # target tags.
+    return standard_experiment(
+        positions, seed=seed, reference_grid=footprint_reference_grid(positions)
     )
-    return standard_experiment(positions, seed=seed, reference_grid=reference_grid)
 
 
 def fig18_spacing_boxplot(

@@ -2,13 +2,11 @@
 
 from .scenarios import (
     BeltTagPositions,
-    ConstantVelocityTagPositions,
     StaticAntennaPosition,
     StaticTagPositions,
     SweepScenario,
     TrajectoryAntennaPosition,
     antenna_moving_scenario,
-    tag_moving_scenario,
 )
 from .speed_profiles import (
     DEFAULT_BELT_SPEED_MPS,
@@ -23,7 +21,6 @@ __all__ = [
     "BeltTagPositions",
     "ConstantSpeedProfile",
     "DEFAULT_BELT_SPEED_MPS",
-    "ConstantVelocityTagPositions",
     "LinearTrajectory",
     "PiecewiseSpeedProfile",
     "SpeedProfile",
@@ -33,5 +30,4 @@ __all__ = [
     "TrajectoryAntennaPosition",
     "antenna_moving_scenario",
     "jittered_speed_profile",
-    "tag_moving_scenario",
 ]

@@ -152,47 +152,6 @@ class StaticTagPositions(_TagPositionsBase):
         return self.starts[rows]
 
 
-class ConstantVelocityTagPositions(_TagPositionsBase):
-    """Tags translating together at a constant velocity (plain belt)."""
-
-    is_static = False
-
-    def __init__(
-        self,
-        ids: Sequence[str],
-        starts: np.ndarray,
-        velocity: tuple[float, float, float],
-    ) -> None:
-        super().__init__(ids, starts)
-        self.velocity = tuple(float(c) for c in velocity)
-
-    def __call__(self, tag_id: str, time_s: float) -> Point3D:
-        x, y, z = self._start(tag_id)
-        vx, vy, vz = self.velocity
-        return Point3D(x + vx * time_s, y + vy * time_s, z + vz * time_s)
-
-    def _displacement(self, times_s: np.ndarray) -> np.ndarray:
-        times = np.asarray(times_s, dtype=float)
-        displacement = np.empty((times.size, 3))
-        displacement[:, 0] = self.velocity[0] * times
-        displacement[:, 1] = self.velocity[1] * times
-        displacement[:, 2] = self.velocity[2] * times
-        return displacement
-
-    def positions_at(
-        self, times_s: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Positions of ``rows`` (all tags by default) as ``(T, N, 3)``:
-        ``start + velocity * t`` elementwise."""
-        base = self._starts_of(rows)
-        return base[None, :, :] + self._displacement(times_s)[:, None, :]
-
-    def positions_paired(self, rows: np.ndarray, times_s: np.ndarray) -> np.ndarray:
-        """Position of row ``rows[i]`` at ``times_s[i]``, as ``(M, 3)``: the
-        same ``start + velocity * t`` per pair."""
-        return self.starts[rows] + self._displacement(times_s)
-
-
 class BeltTagPositions(_TagPositionsBase):
     """Tags translating along −X following a (possibly variable) speed profile.
 
@@ -269,35 +228,4 @@ def antenna_moving_scenario(
         tag_position=StaticTagPositions(tag_ids, tag_positions),
         duration_s=trajectory.duration_s + extra_dwell_s,
         description="antenna moving",
-    )
-
-
-def tag_moving_scenario(
-    antenna_position: Point3D,
-    tag_ids: Sequence[str],
-    initial_tag_positions: np.ndarray,
-    belt_direction: tuple[float, float, float],
-    belt_speed_mps: float,
-    duration_s: float,
-) -> SweepScenario:
-    """The conveyor-belt case: the antenna is static, tags translate together.
-
-    All tags share the same velocity vector (``belt_direction`` normalised,
-    scaled by ``belt_speed_mps``) so their relative geometry is preserved —
-    the precondition for the equivalence with the antenna-moving case.
-    ``initial_tag_positions`` is ``(N, 3)``, row ``i`` the start of ``tag_ids[i]``.
-    """
-    if belt_speed_mps <= 0:
-        raise ValueError(f"belt speed must be positive, got {belt_speed_mps}")
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    norm = sum(c * c for c in belt_direction) ** 0.5
-    if norm == 0:
-        raise ValueError("belt direction must be non-zero")
-    velocity = tuple(c / norm * belt_speed_mps for c in belt_direction)
-    return SweepScenario(
-        antenna_position=StaticAntennaPosition(antenna_position),
-        tag_position=ConstantVelocityTagPositions(tag_ids, initial_tag_positions, velocity),
-        duration_s=duration_s,
-        description="tag moving",
     )

@@ -205,7 +205,7 @@ class BackscatterChannel:
         """Combine precomputed physics with pre-drawn noise columns.
 
         ``dropped`` holds the dropout decisions the scheduler drew; events in
-        a deep fade are dropped regardless (the scalar ``read_dropped`` rule),
+        a deep fade are dropped regardless (they drew no dropout uniform),
         so the final dropout mask is ``dropped | deep_fade``.  The phase
         pipeline is: wrapped round-trip phase, + multipath perturbation,
         wrap, + noise, wrap, quantise.

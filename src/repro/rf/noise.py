@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_model import wrap_phase
-
 
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
@@ -43,53 +41,19 @@ class NoiseModel:
         if not 0.0 <= self.random_dropout_probability < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
 
-    def noisy_phase(self, phase_rad: float, rng: np.random.Generator) -> float:
-        """Return ``phase_rad`` with Gaussian noise added, wrapped to [0, 2*pi)."""
-        if self.phase_noise_std_rad == 0.0:
-            return float(wrap_phase(phase_rad))
-        return float(wrap_phase(phase_rad + rng.normal(0.0, self.phase_noise_std_rad)))
-
-    def noisy_rssi(self, rssi_dbm: float, rng: np.random.Generator) -> float:
-        """Return ``rssi_dbm`` with Gaussian noise added."""
-        if self.rssi_noise_std_db == 0.0:
-            return float(rssi_dbm)
-        return float(rssi_dbm + rng.normal(0.0, self.rssi_noise_std_db))
-
-    def read_dropped(self, fade_db: float, rng: np.random.Generator) -> bool:
-        """Decide whether a read is lost, given the multipath fade depth."""
-        if fade_db <= self.fade_dropout_threshold_db:
-            return True
-        if self.random_dropout_probability == 0.0:
-            return False
-        return bool(rng.random() < self.random_dropout_probability)
-
-    def draw_event_noise(
-        self, fade_db: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-event noise draws for a batch of reads, in event order.
-
-        Returns ``(dropped, phase_noise, rssi_noise)`` arrays of shape
-        ``(M,)``.  Delegates to :meth:`draw_event_noise_scheduled` after
-        reducing the fades to deep-fade booleans; the threshold comparison is
-        the only thing the draws need from the fades.
-        ``tests/test_batch_sweep.py`` pins the equivalence with the scalar
-        methods, so editing either side of the contract fails a test instead
-        of silently diverging the batched and scalar simulations.
-        """
-        deep_fade = np.asarray(fade_db) <= self.fade_dropout_threshold_db
-        return self.draw_event_noise_scheduled(deep_fade, rng)
-
     def draw_event_noise_scheduled(
         self, deep_fade: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-event noise draws given precomputed deep-fade booleans.
 
         This is the single production implementation of the per-event
-        draw-order contract: each event consumes the generator exactly as the
-        scalar methods would in the sequence ``read_dropped`` →
-        ``noisy_phase`` → ``noisy_rssi`` — a dropout uniform only when the
+        draw-order contract: each event consumes the generator in the
+        sequence dropout → phase → RSSI — a dropout uniform only when the
         fade is above the threshold (``deep_fade`` false) and the dropout
         probability is non-zero, then one normal per enabled noise term.
+        The read-at-a-time oracle (``tests/oracles/scalar_sweep.py``) draws
+        the same sequence through its own scalar draws, so the fused ==
+        oracle tests check this order independently.
 
         Splitting the booleans from the fade values is what enables the
         fused two-phase sweep: the scheduling phase draws noise under

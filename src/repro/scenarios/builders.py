@@ -5,7 +5,15 @@ therefore picklable) scene factory the sweep engine calls once per
 repetition.  It dispatches on the spec's layout kind, generates the tag
 positions with the exact same generators the legacy workload modules use,
 and assembles a :class:`~repro.evaluation.runner.SweepExperiment` with the
-spec's channel, placement, and Landmarc reference grid applied.
+spec's channel, placement, and Landmarc reference grid
+(:func:`~repro.workloads.layouts.footprint_reference_grid`) applied.  Every
+motion kind goes through one
+:func:`~repro.evaluation.runner.standard_experiment` call, so the scene is
+built by one of the two presets in :mod:`repro.simulation.presets`: the
+antenna-moving sweep, or the belt sweep (constant for ``belt``, surging and
+crawling for ``belt_jittered``).  The warehouse lanes go through
+:func:`~repro.workloads.warehouse.conveyor_experiment`, which uses the same
+belt preset.
 
 **Bit-identity contract.**  The three legacy leaderboard workloads (library
 shelf, airport baggage belt, warehouse conveyor) are now registered specs;
@@ -19,29 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..evaluation.runner import (
-    SweepExperiment,
-    build_experiment,
-    make_reference_tags,
-    standard_experiment,
-)
-from ..motion.scenarios import (
-    BeltTagPositions,
-    StaticAntennaPosition,
-    SweepScenario,
-)
-from ..motion.speed_profiles import jittered_speed_profile
-from ..rf.geometry import Point3D, as_position_array, position_bounds
+from ..evaluation.runner import SweepExperiment, standard_experiment
+from ..rf.geometry import as_position_array
 from ..rf.noise import NoiseModel
-from ..rfid.aloha import FrameSlottedAloha
-from ..rfid.tag import make_tags
-from ..simulation.presets import SweepGeometry, standard_reader_config
-from ..simulation.scene import Scene
+from ..simulation.presets import SweepGeometry
 from ..workloads.airport import TrafficPeriod, baggage_batch
 from ..workloads.layouts import (
+    footprint_reference_grid,
     grid_layout,
     random_spacing_row,
-    reference_tag_grid,
     row_layout,
     staircase_layout,
 )
@@ -68,28 +62,6 @@ def sweep_geometry(spec: ScenarioSpec) -> SweepGeometry:
         standoff_m=placement.standoff_m,
         antenna_clearance_m=placement.antenna_clearance_m,
         sweep_margin_m=placement.sweep_margin_m,
-    )
-
-
-def reference_grid_for(positions: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
-    """The Landmarc reference-tag grid around the target footprint.
-
-    With ``placement.reference_spacing_m = None`` the grid is deliberately
-    sparse — spacing ``max(0.25, x_span / 4)`` (cf. the Figure 18 deployment
-    note: a dense anchor grid starves the targets of reads); a number pins
-    the spacing explicitly.
-    """
-    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
-    span_x = max_x - min_x + 0.2
-    span_y = max_y - min_y + 0.2
-    spacing = spec.placement.reference_spacing_m
-    if spacing is None:
-        spacing = max(0.25, span_x / 4.0)
-    return reference_tag_grid(
-        span_x,
-        span_y,
-        spacing_m=spacing,
-        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
     )
 
 
@@ -186,67 +158,6 @@ def _baggage_positions(spec: ScenarioSpec, rep_index: int, seed: int) -> np.ndar
 # --------------------------------------------------------------------------
 
 
-def _jittered_belt_experiment(
-    positions: np.ndarray, spec: ScenarioSpec, seed: int
-) -> SweepExperiment:
-    """A surging/crawling belt carrying a generic layout past a fixed antenna.
-
-    Mirrors :func:`repro.workloads.warehouse.conveyor_scenario`: every tag
-    (targets and reference anchors alike) shares one jittered speed profile,
-    so relative geometry is preserved — the precondition of the paper's
-    tag-moving equivalence — while the phase profiles stretch and compress.
-    """
-    geometry = sweep_geometry(spec)
-    motion = spec.motion
-    target_tags = make_tags(positions, seed=seed)
-    reference_tags, reference_positions = make_reference_tags(
-        reference_grid_for(positions, spec), seed
-    )
-    all_tags = target_tags.concat(reference_tags)
-
-    (min_x, min_y, _), (max_x, _, _) = position_bounds(all_tags.position_array)
-    antenna_pos = Point3D(
-        min_x - geometry.sweep_margin_m,
-        min_y - geometry.antenna_clearance_m,
-        geometry.standoff_m,
-    )
-    span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
-    nominal_duration = span / motion.speed_mps + 1.0
-    # The jittered profile's speed is bounded below at 0.3x nominal, so
-    # stretching the schedule by the reciprocal guarantees the slowest
-    # possible belt still carries every tag past the antenna.
-    profile = jittered_speed_profile(
-        motion.speed_mps,
-        nominal_duration / 0.3,
-        jitter_fraction=motion.jitter_fraction,
-        rng=np.random.default_rng(seed),
-    )
-    duration = profile.time_to_cover(span) + 1.0
-    scenario = SweepScenario(
-        antenna_position=StaticAntennaPosition(antenna_pos),
-        tag_position=BeltTagPositions(all_tags.tag_ids, all_tags.position_array, profile),
-        duration_s=duration,
-        description=f"scenario {spec.name}: jittered belt",
-    )
-    reader_config = standard_reader_config(
-        all_tags,
-        seed=seed,
-        noise=noise_model(spec),
-        reflector_count=spec.channel.reflector_count,
-    )
-    scene = Scene(
-        tags=all_tags,
-        scenario=scenario,
-        reader_config=reader_config,
-        protocol=FrameSlottedAloha(),
-        seed=seed + 1,
-        description=scenario.description,
-    )
-    return build_experiment(
-        scene, target_tags=target_tags, reference_positions=reference_positions
-    )
-
-
 def _conveyor_lanes_experiment(
     spec: ScenarioSpec, rep_index: int, seed: int
 ) -> SweepExperiment:
@@ -308,25 +219,14 @@ def _clean_scenario_experiment(
         positions = _layout_positions(spec, seed)
 
     motion = spec.motion
-    if motion.is_belt:
-        if motion.jitter_fraction > 0:
-            return _jittered_belt_experiment(positions, spec, seed)
-        return standard_experiment(
-            positions,
-            seed=seed,
-            tag_moving=True,
-            speed_mps=motion.speed_mps,
-            reference_grid=reference_grid_for(positions, spec),
-            geometry=sweep_geometry(spec),
-            noise=noise_model(spec),
-            reflector_count=spec.channel.reflector_count,
-        )
     return standard_experiment(
         positions,
         seed=seed,
-        tag_moving=False,
+        tag_moving=motion.is_belt,
         speed_mps=motion.speed_mps,
-        reference_grid=reference_grid_for(positions, spec),
+        reference_grid=footprint_reference_grid(
+            positions, spec.placement.reference_spacing_m
+        ),
         jitter_fraction=motion.jitter_fraction,
         geometry=sweep_geometry(spec),
         noise=noise_model(spec),

@@ -116,6 +116,13 @@ DEFAULT_TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
 )
 """Exception types the fleet treats as transient (retry before quarantine)."""
 
+LATENCY_SAMPLES = 512
+"""Provisional-latency samples retained per portal (ring buffer)."""
+
+RETRY_SEED = 0
+"""Seed of the per-portal backoff-jitter RNG, mixed with the portal key
+(``[RETRY_SEED, crc32(key)]``), so chaos runs sleep reproducibly."""
+
 
 @dataclass(frozen=True, slots=True)
 class PortalKey:
@@ -144,12 +151,6 @@ class FleetConfig:
     idle_timeout_s: float = 300.0
     """Default idleness threshold for :meth:`FleetService.evict_idle`."""
 
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    """Capacity of the shared reference-profile cache (when fleet-built)."""
-
-    max_latency_samples: int = 512
-    """Provisional-latency samples retained per portal (ring buffer)."""
-
     block_poll_s: float = 0.1
     """Condition re-check period for blocked producers (bounds shutdown lag)."""
 
@@ -166,11 +167,8 @@ class FleetConfig:
 
     retry_backoff_s: float = 0.05
     """Base of the exponential retry backoff: attempt ``n`` sleeps
-    ``retry_backoff_s * 2**(n-1)`` scaled by a seeded jitter in [0.5, 1.5)."""
-
-    retry_seed: int = 0
-    """Seed of the per-portal backoff-jitter RNG (mixed with the portal key),
-    so chaos runs sleep reproducibly."""
+    ``retry_backoff_s * 2**(n-1)`` scaled by a seeded jitter in [0.5, 1.5)
+    (see :data:`RETRY_SEED`)."""
 
     checkpoint_every: int = 16
     """Checkpoint cadence in successfully ingested batches.  Between
@@ -193,10 +191,6 @@ class FleetConfig:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
         if self.idle_timeout_s <= 0:
             raise ValueError(f"idle_timeout_s must be positive, got {self.idle_timeout_s}")
-        if self.max_latency_samples < 1:
-            raise ValueError(
-                f"max_latency_samples must be >= 1, got {self.max_latency_samples}"
-            )
         if self.block_poll_s <= 0:
             raise ValueError(f"block_poll_s must be positive, got {self.block_poll_s}")
         if self.max_retries < 0:
@@ -284,10 +278,8 @@ class _Portal:
         session: LocalizationSession,
         shed_policy: str,
         queue_capacity: int,
-        max_latency_samples: int,
         session_kwargs: dict[str, Any] | None = None,
         fault_pipeline: FaultPipeline | None = None,
-        retry_seed: int = 0,
     ) -> None:
         self.key = key
         self.session = session
@@ -306,7 +298,7 @@ class _Portal:
         self.batches_ingested = 0
         self.shed_batches = 0
         self.shed_reads = 0
-        self.latencies: deque[float] = deque(maxlen=max_latency_samples)
+        self.latencies: deque[float] = deque(maxlen=LATENCY_SAMPLES)
         self.provisional_count = 0
         self.last_activity = time.monotonic()
         self.final_update: StreamingUpdate | None = None
@@ -319,7 +311,7 @@ class _Portal:
         self.fault_pipeline = fault_pipeline
         # Seeded per portal (key-mixed) so backoff jitter is reproducible.
         self.retry_rng = np.random.default_rng(
-            [retry_seed, zlib.crc32(str(key).encode())]
+            [RETRY_SEED, zlib.crc32(str(key).encode())]
         )
 
     def snapshot(self, now: float) -> PortalStats:
@@ -378,7 +370,7 @@ class FleetService:
         self.profile_cache = (
             profile_cache
             if profile_cache is not None
-            else ProfileCacheRegistry(self.config.cache_capacity)
+            else ProfileCacheRegistry(DEFAULT_CACHE_CAPACITY)
         )
         self._lock = threading.Lock()
         self._portals: dict[PortalKey, _Portal] = {}
@@ -465,10 +457,8 @@ class FleetService:
             session=session,
             shed_policy=policy,
             queue_capacity=capacity,
-            max_latency_samples=self.config.max_latency_samples,
             session_kwargs=session_kwargs,
             fault_pipeline=pipeline,
-            retry_seed=self.config.retry_seed,
         )
         with self._lock:
             if key in self._portals:

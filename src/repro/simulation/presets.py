@@ -1,11 +1,17 @@
-"""Preset channel configurations and a standard sweep-scene builder.
+"""Preset channel configurations and the two sweep-scene builders.
 
 Absolute accuracy numbers in the paper depend on channel conditions we cannot
 know exactly (multipath richness of a particular library aisle or baggage
 tunnel).  These presets pin a default noise/multipath/dropout configuration
-chosen so the *shape* of the paper's results is reproduced; every experiment
-in :mod:`repro.evaluation.experiments` builds its scenes through this module
-so that the calibration lives in exactly one place.
+chosen so the *shape* of the paper's results is reproduced.
+
+Every sweep scene in the package is built here, by one of two presets:
+:func:`standard_antenna_moving_scene` (the librarian case, a hand-pushed
+antenna past static tags) and :func:`standard_tag_moving_scene` (the
+conveyor case, §1.3 and §5.2: a static antenna, tags carried past it by one
+shared belt motion).  The experiments, the scenario specs and the library
+and warehouse workloads all call them, so the calibration and the sweep
+geometry live in exactly one place.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..motion.scenarios import antenna_moving_scenario, tag_moving_scenario
+from ..motion.scenarios import (
+    BeltTagPositions,
+    StaticAntennaPosition,
+    SweepScenario,
+    antenna_moving_scenario,
+)
 from ..motion.speed_profiles import ConstantSpeedProfile, jittered_speed_profile
 from ..motion.trajectory import LinearTrajectory
 from ..rf.antenna import DirectionalAntenna, ReadingZone
@@ -140,6 +151,28 @@ def standard_reader_config(
     return ReaderConfig(channel=channel, reading_zone=reading_zone)
 
 
+def _check_motion(speed_mps: float, jitter_fraction: float) -> None:
+    """Reject a motion no sweep can follow (before any arithmetic uses it)."""
+    if not speed_mps > 0:
+        raise ValueError(f"speed must be positive, got {speed_mps}")
+    if not 0.0 <= jitter_fraction < 1.0:
+        raise ValueError(f"jitter fraction must be in [0, 1), got {jitter_fraction}")
+
+
+def _speed_profile(
+    speed_mps: float, jitter_fraction: float, schedule_s: float, seed: int | None
+):
+    """Constant motion, or (with jitter) a profile drawn over ``schedule_s``."""
+    if jitter_fraction > 0:
+        return jittered_speed_profile(
+            speed_mps,
+            schedule_s,
+            jitter_fraction=jitter_fraction,
+            rng=np.random.default_rng(seed),
+        )
+    return ConstantSpeedProfile(speed_mps)
+
+
 def standard_antenna_moving_scene(
     tags: TagCollection,
     speed_mps: float = DEFAULT_ANTENNA_SPEED_MPS,
@@ -151,16 +184,10 @@ def standard_antenna_moving_scene(
     extra_dwell_s: float = 0.0,
 ) -> Scene:
     """The librarian case: a hand-pushed antenna sweeps past static tags."""
+    _check_motion(speed_mps, jitter_fraction)
     start, end = geometry.trajectory_endpoints(tags)
-    path_length = start.distance_to(end)
-    rng = np.random.default_rng(seed)
-    if jitter_fraction > 0:
-        nominal_duration = path_length / speed_mps
-        profile = jittered_speed_profile(
-            speed_mps, nominal_duration * 1.2, jitter_fraction=jitter_fraction, rng=rng
-        )
-    else:
-        profile = ConstantSpeedProfile(speed_mps)
+    nominal_duration = start.distance_to(end) / speed_mps
+    profile = _speed_profile(speed_mps, jitter_fraction, nominal_duration * 1.2, seed)
     trajectory = LinearTrajectory(start, end, speed_profile=profile)
     scenario = antenna_moving_scenario(
         trajectory, tags.tag_ids, tags.position_array, extra_dwell_s=extra_dwell_s
@@ -181,30 +208,40 @@ def standard_antenna_moving_scene(
 def standard_tag_moving_scene(
     tags: TagCollection,
     belt_speed_mps: float = DEFAULT_ANTENNA_SPEED_MPS,
+    jitter_fraction: float = 0.0,
     geometry: SweepGeometry = SweepGeometry(),
     noise: NoiseModel = DEFAULT_NOISE,
     reflector_count: int = DEFAULT_REFLECTOR_COUNT,
     seed: int | None = None,
 ) -> Scene:
-    """The conveyor-belt case: static antenna, tags translate along −X.
+    """The conveyor-belt case: a static antenna, tags carried along −X.
 
-    The antenna sits above the middle of where the tags will pass; the belt
-    carries the tags in the −X direction so that, in the antenna's frame, the
-    geometry matches an antenna moving in +X.
+    The antenna sits beyond the leading tag, ``clearance`` below the lowest
+    one; one belt motion (:class:`~repro.motion.scenarios.BeltTagPositions`)
+    carries every tag past it, so the relative geometry is preserved and, in
+    the antenna's frame, the sweep matches an antenna moving in +X (§1.3).
+    With ``jitter_fraction > 0`` the belt surges and crawls around
+    ``belt_speed_mps`` (a jittered speed profile, as a warehouse belt with
+    accumulation zones does); 0 is a constant-speed belt.
     """
+    _check_motion(belt_speed_mps, jitter_fraction)
     (min_x, min_y, _), (max_x, _, _) = position_bounds(tags.position_array)
-    antenna_y = min_y - geometry.antenna_clearance_m
+    antenna_pos = Point3D(
+        min_x - geometry.sweep_margin_m,
+        min_y - geometry.antenna_clearance_m,
+        geometry.standoff_m,
+    )
     span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
-    # Place the antenna beyond the leading tag so every tag passes it.
-    antenna_pos = Point3D(min_x - geometry.sweep_margin_m, antenna_y, geometry.standoff_m)
-    duration = span / belt_speed_mps + 1.0
-    scenario = tag_moving_scenario(
-        antenna_position=antenna_pos,
-        tag_ids=tags.tag_ids,
-        initial_tag_positions=tags.position_array,
-        belt_direction=(-1.0, 0.0, 0.0),
-        belt_speed_mps=belt_speed_mps,
-        duration_s=duration,
+    # The jittered profile's speed is bounded below at 0.3x nominal, so
+    # drawing it over the nominal schedule stretched by the reciprocal covers
+    # the slowest possible belt.
+    nominal_duration = span / belt_speed_mps + 1.0
+    profile = _speed_profile(belt_speed_mps, jitter_fraction, nominal_duration / 0.3, seed)
+    scenario = SweepScenario(
+        antenna_position=StaticAntennaPosition(antenna_pos),
+        tag_position=BeltTagPositions(tags.tag_ids, tags.position_array, profile),
+        duration_s=profile.time_to_cover(span) + 1.0,
+        description="tag moving",
     )
     reader_config = standard_reader_config(
         tags, seed=seed, noise=noise, reflector_count=reflector_count

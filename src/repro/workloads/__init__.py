@@ -8,7 +8,6 @@ from .warehouse import (
     conveyor_experiment,
     conveyor_portal,
     conveyor_scene,
-    conveyor_scenario,
     warehouse_sweep_plan,
 )
 from .airport import (
@@ -52,7 +51,6 @@ __all__ = [
     "conveyor_batch",
     "conveyor_experiment",
     "conveyor_scene",
-    "conveyor_scenario",
     "detect_misplaced_books",
     "generate_bookshelf",
     "grid_layout",

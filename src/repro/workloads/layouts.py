@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rf.geometry import Point3D
+from ..rf.geometry import Point3D, position_bounds
 
 
 def _plane(xs: np.ndarray, ys: np.ndarray | float) -> np.ndarray:
@@ -103,6 +103,29 @@ def reference_tag_grid(
     xs = np.arange(origin.x, origin.x + x_span_m + 1e-9, spacing_m)
     ys = np.arange(origin.y, origin.y + y_span_m + 1e-9, spacing_m)
     return _plane(np.tile(xs, ys.size), np.repeat(ys, xs.size))
+
+
+def footprint_reference_grid(
+    positions: np.ndarray, spacing_m: float | None = None
+) -> np.ndarray:
+    """The Landmarc reference grid around a target footprint.
+
+    The grid covers the targets' bounding box padded by 0.1 m on each side.
+    With ``spacing_m=None`` it is deliberately sparse, spacing
+    ``max(0.25, x_span / 4)`` (cf. the Figure 18 deployment note: a dense
+    anchor grid starves the targets of reads).
+    """
+    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(positions)
+    span_x = max_x - min_x + 0.2
+    span_y = max_y - min_y + 0.2
+    if spacing_m is None:
+        spacing_m = max(0.25, span_x / 4.0)
+    return reference_tag_grid(
+        span_x,
+        span_y,
+        spacing_m=spacing_m,
+        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
+    )
 
 
 def paper_test_cases(spacing_m: float = 0.06) -> dict[str, np.ndarray]:

@@ -11,9 +11,11 @@ phase profiles — the situation STPP's DTW matching is designed for.
 
 The geometry mirrors the paper's tag-moving equivalence (§1.3): the antenna
 is static, every carton translates along −X with the *same* time-varying belt
-motion (a :func:`~repro.motion.speed_profiles.jittered_speed_profile`), so
-the relative carton geometry is preserved and, in the antenna's frame, the
-sweep looks like an antenna moving at the belt's (variable) speed.
+motion, so the relative carton geometry is preserved and, in the antenna's
+frame, the sweep looks like an antenna moving at the belt's (variable)
+speed.  The scene is the standard belt sweep,
+:func:`~repro.simulation.presets.standard_tag_moving_scene`, run at the
+config's nominal speed and speed jitter.
 
 The workload plugs into the parallel experiment engine: use
 :func:`conveyor_experiment` as a :class:`~repro.evaluation.sweep.SweepPlan`
@@ -27,21 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..motion.scenarios import (
-    BeltTagPositions,
-    StaticAntennaPosition,
-    SweepScenario,
-)
-from ..motion.speed_profiles import (
-    DEFAULT_BELT_SPEED_MPS,
-    ConstantSpeedProfile,
-    jittered_speed_profile,
-)
-from ..rf.geometry import Point3D, position_bounds
-from ..rfid.aloha import FrameSlottedAloha
+from ..motion.speed_profiles import DEFAULT_BELT_SPEED_MPS
+from ..rf.noise import NoiseModel
 from ..rfid.tag import TagCollection, make_tags
-from ..simulation.presets import SweepGeometry, standard_reader_config
+from ..simulation.presets import (
+    DEFAULT_NOISE,
+    DEFAULT_REFLECTOR_COUNT,
+    SweepGeometry,
+    standard_tag_moving_scene,
+)
 from ..simulation.scene import Scene
+from .layouts import footprint_reference_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,85 +143,32 @@ def conveyor_batch(
     return ConveyorBatch(tags=tags, config=config, batch_index=batch_index)
 
 
-def conveyor_scenario(
-    batch: ConveyorBatch,
-    geometry: SweepGeometry = SweepGeometry(),
-    rng: np.random.Generator | None = None,
-) -> SweepScenario:
-    """The belt motion: static antenna, cartons translate along −X together.
-
-    With ``speed_jitter_fraction > 0`` the belt follows a
-    :func:`~repro.motion.speed_profiles.jittered_speed_profile` — all cartons
-    share the one profile, so their relative geometry is preserved (the
-    precondition of the paper's tag-moving equivalence) while the phase
-    profiles get stretched/compressed over time.
-    """
-    config = batch.config
-    (min_x, min_y, _), (max_x, _, _) = position_bounds(batch.tags.position_array)
-    antenna_y = min_y - geometry.antenna_clearance_m
-    span = (max_x - min_x) + 2.0 * geometry.sweep_margin_m
-    antenna_pos = Point3D(min_x - geometry.sweep_margin_m, antenna_y, geometry.standoff_m)
-    nominal_duration = span / config.nominal_speed_mps + 1.0
-    if config.speed_jitter_fraction > 0:
-        # The jittered profile's speed is bounded below at 0.3x nominal, so
-        # stretching the schedule by the reciprocal guarantees the slowest
-        # possible belt still carries every carton past the antenna.
-        profile = jittered_speed_profile(
-            config.nominal_speed_mps,
-            nominal_duration / 0.3,
-            jitter_fraction=config.speed_jitter_fraction,
-            rng=rng if rng is not None else np.random.default_rng(),
-        )
-        duration = profile.time_to_cover(span) + 1.0
-    else:
-        profile = ConstantSpeedProfile(config.nominal_speed_mps)
-        duration = nominal_duration
-    return SweepScenario(
-        antenna_position=StaticAntennaPosition(antenna_pos),
-        tag_position=BeltTagPositions(
-            batch.tags.tag_ids, batch.tags.position_array, profile
-        ),
-        duration_s=duration,
-        description=f"warehouse conveyor, {config.lanes} lanes",
-    )
-
-
 def conveyor_scene(
     batch: ConveyorBatch,
     seed: int | None = None,
     geometry: SweepGeometry = SweepGeometry(),
     extra_tags: TagCollection | None = None,
-    noise=None,
-    reflector_count: int | None = None,
+    noise: NoiseModel = DEFAULT_NOISE,
+    reflector_count: int = DEFAULT_REFLECTOR_COUNT,
 ) -> Scene:
-    """Simulation scene for one conveyor batch.
+    """Simulation scene for one conveyor batch: the standard belt sweep.
 
+    The belt runs at the config's nominal speed with its speed jitter, as
+    :func:`~repro.simulation.presets.standard_tag_moving_scene` builds it.
     ``extra_tags`` (e.g. Landmarc reference tags riding the belt) join the
     sweep; they move with the same belt profile as the cartons.  ``noise``
     and ``reflector_count`` override the channel preset (scenario specs pin
-    them explicitly); ``None`` keeps the calibrated defaults.
+    them explicitly).
     """
-    from ..simulation.presets import DEFAULT_NOISE, DEFAULT_REFLECTOR_COUNT
-
-    all_tags = batch.tags if extra_tags is None else batch.tags.concat(extra_tags)
-    rng = np.random.default_rng(seed)
-    combined = ConveyorBatch(tags=all_tags, config=batch.config, batch_index=batch.batch_index)
-    scenario = conveyor_scenario(combined, geometry=geometry, rng=rng)
-    reader_config = standard_reader_config(
-        all_tags,
+    config = batch.config
+    return standard_tag_moving_scene(
+        batch.tags if extra_tags is None else batch.tags.concat(extra_tags),
+        belt_speed_mps=config.nominal_speed_mps,
+        jitter_fraction=config.speed_jitter_fraction,
+        geometry=geometry,
+        noise=noise,
+        reflector_count=reflector_count,
         seed=seed,
-        noise=noise if noise is not None else DEFAULT_NOISE,
-        reflector_count=(
-            reflector_count if reflector_count is not None else DEFAULT_REFLECTOR_COUNT
-        ),
-    )
-    return Scene(
-        tags=all_tags,
-        scenario=scenario,
-        reader_config=reader_config,
-        protocol=FrameSlottedAloha(),
-        seed=None if seed is None else seed + 1,
-        description=scenario.description,
     )
 
 
@@ -233,8 +178,8 @@ def conveyor_experiment(
     config: ConveyorConfig = ConveyorConfig(),
     reference_spacing_m: float = 0.30,
     geometry: SweepGeometry = SweepGeometry(),
-    noise=None,
-    reflector_count: int | None = None,
+    noise: NoiseModel = DEFAULT_NOISE,
+    reflector_count: int = DEFAULT_REFLECTOR_COUNT,
 ):
     """Sweep-plan scene factory: one scored conveyor batch per repetition.
 
@@ -244,17 +189,11 @@ def conveyor_experiment(
     Module-level and picklable, as the sweep engine requires.
     """
     from ..evaluation.runner import build_experiment, make_reference_tags
-    from .layouts import reference_tag_grid
 
     batch = conveyor_batch(config, batch_index=rep_index, seed=seed)
-    (min_x, min_y, _), (max_x, max_y, _) = position_bounds(batch.tags.position_array)
-    grid = reference_tag_grid(
-        max_x - min_x + 0.2,
-        max_y - min_y + 0.2,
-        spacing_m=reference_spacing_m,
-        origin=Point3D(min_x - 0.1, min_y - 0.1, 0.0),
+    reference_tags, reference_positions = make_reference_tags(
+        footprint_reference_grid(batch.tags.position_array, reference_spacing_m), seed
     )
-    reference_tags, reference_positions = make_reference_tags(grid, seed)
     scene = conveyor_scene(
         batch,
         seed=seed,

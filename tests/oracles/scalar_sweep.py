@@ -10,6 +10,12 @@ every bit-identity test compares the two read logs field for field.
 :func:`run_round` is also the reference for
 :meth:`~repro.rfid.aloha.FrameSlottedAloha.run_round_schedule`, and
 :func:`observe_batch` for the channel's sweep kernels.
+
+The oracle draws each read's noise through its own scalar draws
+(:func:`read_dropped`, :func:`noisy_phase`, :func:`noisy_rssi`, batched in
+event order by :func:`draw_event_noise`), not through the production
+``NoiseModel.draw_event_noise_scheduled``, so the fused == oracle tests
+check the draw order against an independent implementation.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import numpy as np
 from repro.rf.antenna import ReadingZone
 from repro.rf.channel import BackscatterChannel, BatchObservation
 from repro.rf.geometry import Point3D
-from repro.rf.phase_model import DeviceOffsets
+from repro.rf.noise import NoiseModel
+from repro.rf.phase_model import DeviceOffsets, wrap_phase
 from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm
 from repro.rfid.reader import AntennaPositionFn, ReaderConfig, RFIDReader, TagPositionFn
 from repro.rfid.reading import ReadLog, TagRead
@@ -123,6 +130,55 @@ class ChannelObservation:
     readable: bool
 
 
+def read_dropped(noise: NoiseModel, fade_db: float, rng: np.random.Generator) -> bool:
+    """Whether one read is lost, given its multipath fade depth.
+
+    A fade at or below the threshold drops the read without a draw;
+    otherwise one uniform decides (when the dropout probability is non-zero).
+    """
+    if fade_db <= noise.fade_dropout_threshold_db:
+        return True
+    if noise.random_dropout_probability == 0.0:
+        return False
+    return bool(rng.random() < noise.random_dropout_probability)
+
+
+def noisy_phase(noise: NoiseModel, phase_rad: float, rng: np.random.Generator) -> float:
+    """``phase_rad`` with Gaussian noise added, wrapped to [0, 2*pi)."""
+    if noise.phase_noise_std_rad == 0.0:
+        return float(wrap_phase(phase_rad))
+    return float(wrap_phase(phase_rad + rng.normal(0.0, noise.phase_noise_std_rad)))
+
+
+def noisy_rssi(noise: NoiseModel, rssi_dbm: float, rng: np.random.Generator) -> float:
+    """``rssi_dbm`` with Gaussian noise added."""
+    if noise.rssi_noise_std_db == 0.0:
+        return float(rssi_dbm)
+    return float(rssi_dbm + rng.normal(0.0, noise.rssi_noise_std_db))
+
+
+def draw_event_noise(
+    noise: NoiseModel, fade_db: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each event's ``(dropped, phase_noise, rssi_noise)``, drawn in event order.
+
+    Per event, the draws :func:`read_dropped`, :func:`noisy_phase` and
+    :func:`noisy_rssi` make, in that order; the normals are kept unwrapped so
+    the channel can combine them with the physics.
+    """
+    count = len(fade_db)
+    dropped = np.zeros(count, dtype=bool)
+    phase_noise = np.zeros(count)
+    rssi_noise = np.zeros(count)
+    for i, fade in enumerate(np.asarray(fade_db, dtype=float).tolist()):
+        dropped[i] = read_dropped(noise, fade, rng)
+        if noise.phase_noise_std_rad != 0.0:
+            phase_noise[i] = rng.normal(0.0, noise.phase_noise_std_rad)
+        if noise.rssi_noise_std_db != 0.0:
+            rssi_noise[i] = rng.normal(0.0, noise.rssi_noise_std_db)
+    return dropped, phase_noise, rssi_noise
+
+
 def observe_batch(
     channel: BackscatterChannel,
     antenna_positions: np.ndarray,
@@ -149,8 +205,8 @@ def observe_batch(
         tag_coupling_coefficient=tag_coupling_coefficient,
         tag_coupling_decay_m=tag_coupling_decay_m,
     )
-    dropped, phase_noise, rssi_noise = channel.noise.draw_event_noise_scheduled(
-        physics.deep_fade, rng
+    dropped, phase_noise, rssi_noise = draw_event_noise(
+        channel.noise, physics.fade_db, rng
     )
     return channel.observe_scheduled(physics, dropped, phase_noise, rssi_noise)
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.motion.scenarios import (
     BeltTagPositions,
-    ConstantVelocityTagPositions,
     StaticAntennaPosition,
     StaticTagPositions,
 )
@@ -42,7 +41,15 @@ from repro.simulation.presets import (
 from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
-from oracles.scalar_sweep import observe, observe_batch
+from oracles.positions import ConstantVelocityTagPositions
+from oracles.scalar_sweep import (
+    draw_event_noise,
+    noisy_phase,
+    noisy_rssi,
+    observe,
+    observe_batch,
+    read_dropped,
+)
 
 
 class TestObserveBatchKernel:
@@ -106,7 +113,8 @@ class TestReaderConfigValidation:
 
 
 class TestNoiseDrawContract:
-    """draw_event_noise is the production copy of the scalar methods' draws."""
+    """The oracle's draw_event_noise batches its scalar draws in event order,
+    and production's draw_event_noise_scheduled draws the same sequence."""
 
     @pytest.mark.parametrize(
         "noise",
@@ -126,14 +134,19 @@ class TestNoiseDrawContract:
         # Fades straddling the -12 dB dropout threshold exercise both the
         # forced-drop path (no uniform draw) and the random-dropout path.
         fades = np.array([-20.0, -3.0, 0.0, -12.0, -11.9, -1.0])
-        dropped, phase_noise, rssi_noise = noise.draw_event_noise(
-            fades, np.random.default_rng(11)
+        dropped, phase_noise, rssi_noise = draw_event_noise(
+            noise, fades, np.random.default_rng(11)
         )
         rng = np.random.default_rng(11)
         for i, fade in enumerate(fades):
-            assert noise.read_dropped(float(fade), rng) == dropped[i]
-            assert noise.noisy_phase(0.3, rng) == wrap_phase(0.3 + phase_noise[i])
-            assert noise.noisy_rssi(-50.0, rng) == -50.0 + rssi_noise[i]
+            assert read_dropped(noise, float(fade), rng) == dropped[i]
+            assert noisy_phase(noise, 0.3, rng) == wrap_phase(0.3 + phase_noise[i])
+            assert noisy_rssi(noise, -50.0, rng) == -50.0 + rssi_noise[i]
+        scheduled = noise.draw_event_noise_scheduled(
+            fades <= noise.fade_dropout_threshold_db, np.random.default_rng(11)
+        )
+        for ours, theirs in zip(scheduled, (dropped, phase_noise, rssi_noise)):
+            assert np.array_equal(ours, theirs)
 
 
 def neighbors_of(grid: NeighborGrid, index: int) -> list[int]:

@@ -41,7 +41,7 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.library import generate_bookshelf
 from repro.workloads.warehouse import ConveyorConfig, conveyor_batch, conveyor_scene
 
-from oracles.positions import diagonal_positions
+from oracles.positions import ConstantVelocityTagPositions, diagonal_positions
 from oracles.scalar_sweep import (
     SlotOutcome,
     on_slot,
@@ -815,11 +815,7 @@ class TestPairedPositionQueries:
     """Native paired queries equal the cross-product diagonal bitwise."""
 
     def test_providers(self):
-        from repro.motion.scenarios import (
-            BeltTagPositions,
-            ConstantVelocityTagPositions,
-            StaticTagPositions,
-        )
+        from repro.motion.scenarios import BeltTagPositions, StaticTagPositions
         from repro.motion.speed_profiles import jittered_speed_profile
 
         ids = ["a", "b", "c"]

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.motion.scenarios import (
-    antenna_moving_scenario,
-    tag_moving_scenario,
-)
+from repro.motion.scenarios import antenna_moving_scenario
 from repro.motion.speed_profiles import (
     ConstantSpeedProfile,
     PiecewiseSpeedProfile,
@@ -26,6 +23,8 @@ from repro.simulation.presets import (
     standard_tag_moving_scene,
 )
 from repro.simulation.scene import Scene
+
+from oracles.positions import ConstantVelocityTagPositions
 
 
 class TestSpeedProfiles:
@@ -96,27 +95,29 @@ class TestScenarios:
         assert scenario.tag_position("t", 0.0) == scenario.tag_position("t", 1.0)
         assert scenario.antenna_position(0.0) != scenario.antenna_position(1.0)
 
-    def test_tag_moving_scenario_preserves_relative_geometry(self):
+    def test_tag_moving_scene_preserves_relative_geometry(self):
         positions = {"a": Point3D(0, 0, 0), "b": Point3D(0.1, 0.05, 0)}
-        scenario = tag_moving_scenario(
-            Point3D(-0.3, -0.15, 0.3), list(positions), as_position_array(list(positions.values())),
-            (-1, 0, 0), 0.3, 5.0,
-        )
-        for t in (0.0, 1.0, 3.0):
-            a = scenario.tag_position("a", t)
-            b = scenario.tag_position("b", t)
-            assert a.distance_to(b) == pytest.approx(positions["a"].distance_to(positions["b"]))
+        for jitter in (0.0, 0.2):
+            tags = make_tags(as_position_array(list(positions.values())), seed=0)
+            scenario = standard_tag_moving_scene(
+                tags, belt_speed_mps=0.3, jitter_fraction=jitter, seed=5
+            ).scenario
+            a_id, b_id = tags.ids()
+            for t in (0.0, 1.0, 3.0):
+                a = scenario.tag_position(a_id, t)
+                b = scenario.tag_position(b_id, t)
+                assert a.distance_to(b) == pytest.approx(positions["a"].distance_to(positions["b"]))
 
     def test_equivalence_of_moving_cases(self):
         # The antenna-to-tag distance over time must be identical whether we
         # describe the sweep as antenna-moving or tag-moving (paper §1.3).
         positions = {"a": Point3D(0.4, 0.1, 0.0)}
-        scenario = tag_moving_scenario(
-            Point3D(-0.3, -0.15, 0.3), ["a"], np.array([[0.4, 0.1, 0.0]]), (-1, 0, 0), 0.3, 5.0
-        )
+        tags = make_tags(np.array([[0.4, 0.1, 0.0]]), seed=0)
+        (tag_id,) = tags.ids()
+        scenario = standard_tag_moving_scene(tags, belt_speed_mps=0.3, seed=5).scenario
         for t in np.linspace(0, 5, 11):
             antenna = scenario.antenna_position(t)
-            tag = scenario.tag_position("a", t)
+            tag = scenario.tag_position(tag_id, t)
             direct = antenna.distance_to(tag)
             # The antenna in the tags' moving frame, anchored at the tag's
             # initial position.
@@ -127,11 +128,64 @@ class TestScenarios:
             )
             assert direct == pytest.approx(relative.distance_to(positions["a"]), abs=1e-9)
 
+    def test_constant_belt_matches_a_constant_velocity_along_minus_x(self):
+        # The belt at constant speed s gives the same bits as every tag
+        # translating at velocity (-s, 0, 0).
+        tags = make_tags(np.array([[0.0, 0.1, 0.0], [0.25, -0.05, 0.02]]), seed=0)
+        belt = standard_tag_moving_scene(tags, belt_speed_mps=0.35, seed=5).scenario
+        plain = ConstantVelocityTagPositions(
+            tags.tag_ids, tags.position_array, (-0.35, 0.0, 0.0)
+        )
+        times = np.linspace(0.0, belt.duration_s, 17)
+        rows = np.array([0, 1] * 8 + [1])
+        assert np.array_equal(
+            belt.tag_position.positions_at(times), plain.positions_at(times)
+        )
+        assert np.array_equal(
+            belt.tag_position.positions_paired(rows, times),
+            plain.positions_paired(rows, times),
+        )
+        for tag_id in tags.ids():
+            for t in times.tolist():
+                assert belt.tag_position(tag_id, t) == plain(tag_id, t)
+
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            tag_moving_scenario(Point3D(0, 0, 0), ["a"], np.zeros((1, 3)), (0, 0, 0), 0.3, 1.0)
-        with pytest.raises(ValueError):
-            tag_moving_scenario(Point3D(0, 0, 0), ["a"], np.zeros((1, 3)), (1, 0, 0), -0.3, 1.0)
+        tags = make_tags(np.zeros((1, 3)), seed=0)
+        # A belt that does not move, and one that runs backwards.
+        with pytest.raises(ValueError, match="speed"):
+            standard_tag_moving_scene(tags, belt_speed_mps=0.0)
+        with pytest.raises(ValueError, match="speed"):
+            standard_tag_moving_scene(tags, belt_speed_mps=-0.3)
+
+
+class TestPresetMotionValidation:
+    """Both presets reject a non-positive speed and a jitter outside [0, 1)."""
+
+    @pytest.fixture
+    def tags(self):
+        return make_tags(np.array([[0.0, 0.0, 0.0], [0.1, 0.05, 0.0]]), seed=0)
+
+    @pytest.mark.parametrize("speed", [0.0, -0.3, float("nan")])
+    def test_non_positive_speed(self, tags, speed):
+        with pytest.raises(ValueError, match="speed must be positive"):
+            standard_antenna_moving_scene(tags, speed_mps=speed, seed=1)
+        with pytest.raises(ValueError, match="speed must be positive"):
+            standard_tag_moving_scene(tags, belt_speed_mps=speed, seed=1)
+
+    @pytest.mark.parametrize("jitter", [-0.1, 1.0, 1.5, float("nan")])
+    def test_jitter_outside_unit_interval(self, tags, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            standard_antenna_moving_scene(tags, jitter_fraction=jitter, seed=1)
+        with pytest.raises(ValueError, match="jitter"):
+            standard_tag_moving_scene(tags, jitter_fraction=jitter, seed=1)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_valid_motion_builds(self, tags, jitter):
+        for scene in (
+            standard_antenna_moving_scene(tags, jitter_fraction=jitter, seed=1),
+            standard_tag_moving_scene(tags, jitter_fraction=jitter, seed=1),
+        ):
+            assert scene.scenario.duration_s > 0
 
 
 class TestSceneAndCollector:

@@ -19,7 +19,14 @@ from repro.rf.phase_model import (
 )
 from repro.rf.propagation import LinkBudget, free_space_path_loss_db
 
-from oracles.scalar_sweep import observe, scattering_attenuation, zone_contains
+from oracles.scalar_sweep import (
+    noisy_phase,
+    noisy_rssi,
+    observe,
+    read_dropped,
+    scattering_attenuation,
+    zone_contains,
+)
 
 
 def phase_distance(theta_a: float, theta_b: float) -> float:
@@ -260,27 +267,27 @@ class TestMultipath:
 class TestNoise:
     def test_noiseless_is_identity(self):
         rng = np.random.default_rng(0)
-        assert NOISELESS.noisy_phase(1.0, rng) == pytest.approx(1.0)
-        assert NOISELESS.noisy_rssi(-60.0, rng) == pytest.approx(-60.0)
-        assert not NOISELESS.read_dropped(-100.0, rng)
+        assert noisy_phase(NOISELESS, 1.0, rng) == pytest.approx(1.0)
+        assert noisy_rssi(NOISELESS, -60.0, rng) == pytest.approx(-60.0)
+        assert not read_dropped(NOISELESS, -100.0, rng)
 
     def test_noisy_phase_stays_wrapped(self):
         model = NoiseModel(phase_noise_std_rad=0.5)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            value = model.noisy_phase(0.01, rng)
+            value = noisy_phase(model, 0.01, rng)
             assert 0.0 <= value < TWO_PI
 
     def test_fade_dropout(self):
         model = NoiseModel(random_dropout_probability=0.0, fade_dropout_threshold_db=-10.0)
         rng = np.random.default_rng(2)
-        assert model.read_dropped(-15.0, rng)
-        assert not model.read_dropped(-5.0, rng)
+        assert read_dropped(model, -15.0, rng)
+        assert not read_dropped(model, -5.0, rng)
 
     def test_random_dropout_rate(self):
         model = NoiseModel(random_dropout_probability=0.3, fade_dropout_threshold_db=-100.0)
         rng = np.random.default_rng(3)
-        drops = sum(model.read_dropped(0.0, rng) for _ in range(2000))
+        drops = sum(read_dropped(model, 0.0, rng) for _ in range(2000))
         assert 0.25 < drops / 2000 < 0.35
 
     def test_invalid_parameters(self):

@@ -31,13 +31,6 @@ SCANNED_DIRS = ("src", "benchmarks", "perfbench", "examples")
 
 # Kept on purpose, each with its reason.
 ALLOWLIST = {
-    # The scalar noise draws: the sweep draws through
-    # ``draw_event_noise_scheduled``; these go together with the rng re-pin
-    # that changes the draw order (ROADMAP item 2).
-    "noisy_phase": "scalar noise draw, removed with the noise re-pin",
-    "noisy_rssi": "scalar noise draw, removed with the noise re-pin",
-    "read_dropped": "scalar noise draw, removed with the noise re-pin",
-    "draw_event_noise": "scalar noise draw, removed with the noise re-pin",
     # The fleet's operator surface for faults, driven by the fault tests.
     "pause": "fleet fault handling: stop a portal's workers",
     "evict_idle": "fleet fault handling: drop idle portals",

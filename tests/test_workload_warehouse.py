@@ -14,7 +14,7 @@ from repro.workloads.warehouse import (
     ConveyorConfig,
     conveyor_batch,
     conveyor_experiment,
-    conveyor_scenario,
+    conveyor_scene,
     warehouse_sweep_plan,
 )
 
@@ -67,11 +67,13 @@ class TestConveyorBatch:
 
 
 class TestConveyorScenario:
+    """The belt motion of ``conveyor_scene``: the standard tag-moving preset."""
+
     def test_relative_geometry_preserved(self):
         # The precondition of the paper's tag-moving equivalence (§1.3): all
         # cartons share the belt motion, so pairwise distances never change.
         batch = conveyor_batch(seed=4)
-        scenario = conveyor_scenario(batch, rng=np.random.default_rng(4))
+        scenario = conveyor_scene(batch, seed=4).scenario
         ids = batch.tags.ids()
         for t in (0.0, 2.5, scenario.duration_s):
             d = scenario.tag_position(ids[0], t).distance_to(scenario.tag_position(ids[5], t))
@@ -83,7 +85,7 @@ class TestConveyorScenario:
     def test_variable_belt_speed_is_nonuniform(self):
         config = ConveyorConfig(speed_jitter_fraction=0.3)
         batch = conveyor_batch(config, seed=5)
-        scenario = conveyor_scenario(batch, rng=np.random.default_rng(5))
+        scenario = conveyor_scene(batch, seed=5).scenario
         tag = batch.tags.ids()[0]
         times = np.linspace(0.0, scenario.duration_s, 40)
         xs = np.array([scenario.tag_position(tag, t).x for t in times])
@@ -94,7 +96,7 @@ class TestConveyorScenario:
     def test_constant_belt_when_jitter_zero(self):
         config = ConveyorConfig(speed_jitter_fraction=0.0)
         batch = conveyor_batch(config, seed=5)
-        scenario = conveyor_scenario(batch)
+        scenario = conveyor_scene(batch).scenario
         tag = batch.tags.ids()[0]
         times = np.linspace(0.0, scenario.duration_s, 20)
         xs = np.array([scenario.tag_position(tag, t).x for t in times])
@@ -103,7 +105,7 @@ class TestConveyorScenario:
 
     def test_every_carton_passes_the_antenna(self):
         batch = conveyor_batch(seed=6)
-        scenario = conveyor_scenario(batch, rng=np.random.default_rng(6))
+        scenario = conveyor_scene(batch, seed=6).scenario
         antenna_x = scenario.antenna_position(0.0).x
         for tid in batch.tags.ids():
             assert scenario.tag_position(tid, 0.0).x > antenna_x

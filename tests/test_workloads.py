@@ -9,7 +9,9 @@ from repro.workloads.airport import (
     PAPER_PERIODS,
     baggage_batch,
 )
+from repro.rf.geometry import Point3D
 from repro.workloads.layouts import (
+    footprint_reference_grid,
     grid_layout,
     paper_test_cases,
     random_spacing_row,
@@ -51,6 +53,20 @@ class TestLayouts:
         grid = reference_tag_grid(0.4, 0.2, spacing_m=0.2)
         assert grid[:, 0].max() == pytest.approx(0.4)
         assert grid[:, 1].max() == pytest.approx(0.2)
+
+    def test_footprint_grid_pads_the_targets_by_a_tenth_of_a_metre(self):
+        positions = staircase_layout(6, 0.1, 0.05, levels=3)
+        # Sparse by default: max(0.25, x_span / 4) with x_span = 0.5 + 0.2.
+        expected = reference_tag_grid(
+            0.5 + 0.2, 0.1 + 0.2, spacing_m=0.25, origin=Point3D(-0.1, -0.1, 0.0)
+        )
+        assert np.array_equal(footprint_reference_grid(positions), expected)
+        pinned = footprint_reference_grid(positions, spacing_m=0.15)
+        assert np.array_equal(
+            pinned,
+            reference_tag_grid(0.7, 0.1 + 0.2, spacing_m=0.15, origin=Point3D(-0.1, -0.1, 0.0)),
+        )
+        assert pinned[:, 0].min() == -0.1 and pinned[:, 1].min() == -0.1
 
     def test_paper_test_cases_have_five_layouts(self):
         cases = paper_test_cases()

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.motion.scenarios import (
-    ConstantVelocityTagPositions,
     StaticAntennaPosition,
     StaticTagPositions,
     TrajectoryAntennaPosition,
@@ -32,6 +31,7 @@ from repro.rfid.reader import RFIDReader, _SweepScheduler
 from repro.rfid.tag import make_tags
 from repro.simulation.presets import standard_reader_config
 
+from oracles.positions import ConstantVelocityTagPositions
 from oracles.scalar_sweep import scalar_sweep
 
 
