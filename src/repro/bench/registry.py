@@ -89,7 +89,7 @@ ARTIFACTS: tuple[Artifact, ...] = (
              "Quadratic fitting vs raw-minimum bottom picking under dropouts"),
     Artifact("case", "test_ablation_pivot_ordering.py", "§3.2.2",
              "Pivot-based Y comparison (M−1 comparisons) vs all-pairs"),
-    Artifact("extension", "experiments.warehouse_conveyor_accuracy (tests: tests/test_workload_warehouse.py)",
+    Artifact("extension", "src/repro/scenarios/specs/warehouse.json (tests: tests/test_workload_warehouse.py)",
              "Warehouse sortation conveyor",
              "Multi-lane batches of tagged cartons on a **variable-speed** belt past a fixed antenna, scored by all five schemes through the sharded sweep engine",
              accuracy_key="warehouse", status="new in PR 2"),

@@ -43,7 +43,6 @@ from ..simulation.presets import (
     standard_tag_moving_scene,
 )
 from ..workloads.airport import PAPER_PERIODS, TrafficPeriod, baggage_batch
-from ..workloads.warehouse import ConveyorConfig, warehouse_sweep_plan
 from ..workloads.layouts import (
     footprint_reference_grid,
     paper_test_cases,
@@ -1059,33 +1058,6 @@ def dtw_speedup_measurement(window_size: int = 5, seed: int = 4) -> dict[str, fl
         "speedup": full_runtime / max(segmented_runtime, 1e-9),
         "theoretical_speedup": float(window_size**2),
     }
-
-
-# --------------------------------------------------------------------------
-# Scenario extensions (beyond the paper's deployments)
-# --------------------------------------------------------------------------
-
-
-def warehouse_conveyor_accuracy(
-    repetitions: int = 3,
-    config: "ConveyorConfig | None" = None,
-    base_seed: int = 2015,
-    service: SweepService | None = None,
-) -> dict[str, dict[str, float]]:
-    """Warehouse sortation conveyor: all five schemes on multi-lane batches.
-
-    Not a paper artifact — a scenario extension: tagged cartons ride a
-    variable-speed belt past the fixed antenna in parallel lanes (see
-    :mod:`repro.workloads.warehouse`).  Seeds derive from
-    ``np.random.SeedSequence(base_seed)``; one repetition is one batch.
-    """
-    plan = warehouse_sweep_plan(
-        repetitions=repetitions,
-        config=config if config is not None else ConveyorConfig(),
-        base_seed=base_seed,
-    )
-    (outcome,) = run_plans([plan], service)
-    return {name: outcome.mean_accuracy(name) for name in outcome.schemes()}
 
 
 def summarise_boxplot(samples: dict[str, list[float]]) -> dict[str, dict[str, float]]:

@@ -8,7 +8,6 @@ from .warehouse import (
     conveyor_experiment,
     conveyor_portal,
     conveyor_scene,
-    warehouse_sweep_plan,
 )
 from .airport import (
     BaggageBatch,
@@ -60,5 +59,4 @@ __all__ = [
     "reference_tag_grid",
     "row_layout",
     "staircase_layout",
-    "warehouse_sweep_plan",
 ]

@@ -19,8 +19,8 @@ config's nominal speed and speed jitter.
 
 The workload plugs into the parallel experiment engine: use
 :func:`conveyor_experiment` as a :class:`~repro.evaluation.sweep.SweepPlan`
-scene factory, or :func:`warehouse_sweep_plan` for the ready-made plan scored
-by all five baseline schemes.
+scene factory.  The leaderboard's ``warehouse`` scenario
+(``src/repro/scenarios/specs/warehouse.json``) builds its sweeps through it.
 """
 
 from __future__ import annotations
@@ -301,28 +301,3 @@ def conveyor_portal(
         update_every_rounds=update_every_rounds,
     )
 
-
-def warehouse_sweep_plan(
-    repetitions: int = 3,
-    config: ConveyorConfig = ConveyorConfig(),
-    base_seed: int = 2015,
-    name: str = "warehouse",
-):
-    """The ready-made engine plan: conveyor batches scored by all five schemes.
-
-    Seeds derive from ``np.random.SeedSequence(base_seed)`` (the engine's
-    default derivation); pass the plan to a
-    :class:`~repro.evaluation.sweep.SweepService` to run it in parallel.
-    """
-    from functools import partial
-
-    from ..evaluation.runner import standard_scheme_suite
-    from ..evaluation.sweep import scheme_sweep_plan, score_schemes
-
-    return scheme_sweep_plan(
-        name=name,
-        scene_factory=partial(conveyor_experiment, config=config),
-        scorer=partial(score_schemes, scheme_factory=standard_scheme_suite),
-        repetitions=repetitions,
-        base_seed=base_seed,
-    )

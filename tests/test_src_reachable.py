@@ -36,9 +36,6 @@ ALLOWLIST = {
     "evict_idle": "fleet fault handling: drop idle portals",
     "portal_error": "fleet fault handling: a quarantined portal's cause",
     "portal_keys": "fleet fault handling: the live portals after evictions",
-    # Registered in bench/registry.py as the warehouse extension artifact
-    # (a descriptive string, not a code token); its tier-1 test runs it.
-    "warehouse_conveyor_accuracy": "registered extension experiment",
 }
 
 

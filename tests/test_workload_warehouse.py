@@ -5,17 +5,19 @@ conveyor batches through the full simulation and scores **all five** baseline
 schemes on them, serially and sharded.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.evaluation.sweep import SweepService
+from repro.evaluation.runner import standard_scheme_suite
+from repro.evaluation.sweep import SweepService, scheme_sweep_plan, score_schemes
 from repro.workloads.warehouse import (
     ConveyorBatch,
     ConveyorConfig,
     conveyor_batch,
     conveyor_experiment,
     conveyor_scene,
-    warehouse_sweep_plan,
 )
 
 FIVE_SCHEMES = ["G-RSSI", "OTrack", "Landmarc", "BackPos", "STPP"]
@@ -116,12 +118,19 @@ class TestWarehouseEndToEnd:
     """All five baselines score the conveyor workload through the engine."""
 
     @pytest.fixture(scope="class")
-    def outcome(self):
-        plan = warehouse_sweep_plan(
+    def plan(self):
+        return scheme_sweep_plan(
+            name="warehouse",
+            scene_factory=partial(
+                conveyor_experiment, config=ConveyorConfig(lanes=2, cartons_per_lane=4)
+            ),
+            scorer=partial(score_schemes, scheme_factory=standard_scheme_suite),
             repetitions=2,
-            config=ConveyorConfig(lanes=2, cartons_per_lane=4),
-            base_seed=2015,
+            seeds=(1853483133, 922656948),
         )
+
+    @pytest.fixture(scope="class")
+    def outcome(self, plan):
         return SweepService(max_workers=1).run(plan)
 
     def test_all_five_schemes_scored(self, outcome):
@@ -143,22 +152,8 @@ class TestWarehouseEndToEnd:
         assert stpp >= outcome.mean_accuracy("Landmarc")["x"]
         assert stpp >= outcome.mean_accuracy("BackPos")["x"]
 
-    def test_sharded_run_matches_serial(self, outcome):
-        plan = warehouse_sweep_plan(
-            repetitions=2,
-            config=ConveyorConfig(lanes=2, cartons_per_lane=4),
-            base_seed=2015,
-        )
+    def test_sharded_run_matches_serial(self, plan, outcome):
         sharded = SweepService(max_workers=2).run(plan)
         for name in FIVE_SCHEMES:
             assert sharded.evaluations(name) == outcome.evaluations(name)
 
-    def test_experiments_generator(self):
-        from repro.evaluation.experiments import warehouse_conveyor_accuracy
-
-        result = warehouse_conveyor_accuracy(
-            repetitions=1, config=ConveyorConfig(lanes=2, cartons_per_lane=3)
-        )
-        assert set(result) == set(FIVE_SCHEMES)
-        for accuracy in result.values():
-            assert set(accuracy) == {"x", "y", "combined"}
