@@ -16,6 +16,9 @@ with the measured number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+from ..evaluation import experiments
 
 
 @dataclass(frozen=True)
@@ -40,55 +43,85 @@ class Artifact:
 
     status: str = "reproduced"
 
+    generators: tuple[Callable, ...] = ()
+    """The :mod:`repro.evaluation.experiments` functions the benchmark calls
+    (every ``figure``/``table``/``case`` row names at least one;
+    ``tests/test_figure_outputs.py`` pins each one's output)."""
+
 
 ARTIFACTS: tuple[Artifact, ...] = (
     Artifact("figure", "test_fig02_rssi_limitation.py", "Figure 2",
-             "RSSI fluctuates under multipath; peak-RSSI ordering misorders adjacent tags (the motivation for using phase)"),
+             "RSSI fluctuates under multipath; peak-RSSI ordering misorders adjacent tags (the motivation for using phase)",
+             generators=(experiments.fig02_rssi_limitation,)),
     Artifact("figure", "test_fig03_reference_profiles_x.py", "Figure 3",
-             "Reference phase profiles of tags at different X: V-zone bottom time tracks tag position along the sweep"),
+             "Reference phase profiles of tags at different X: V-zone bottom time tracks tag position along the sweep",
+             generators=(experiments.fig03_reference_profiles_x,)),
     Artifact("figure", "test_fig04_reference_profiles_y.py", "Figure 4",
-             "Reference profiles of tags at different Y: closer tags have deeper/steeper V-zones"),
+             "Reference profiles of tags at different Y: closer tags have deeper/steeper V-zones",
+             generators=(experiments.fig04_reference_profiles_y,)),
     Artifact("figure", "test_fig05_measured_profiles_x.py", "Figure 5",
-             "Measured (noisy, fragmented) profiles still expose the X-ordering of bottom times"),
+             "Measured (noisy, fragmented) profiles still expose the X-ordering of bottom times",
+             generators=(experiments.fig05_measured_profiles_x,)),
     Artifact("figure", "test_fig06_measured_profiles_y.py", "Figure 6",
-             "Measured profiles preserve the Y-ordering signal"),
+             "Measured profiles preserve the Y-ordering signal",
+             generators=(experiments.fig06_measured_profiles_y,)),
     Artifact("figure", "test_fig07_dtw_vzone.py", "Figure 7",
-             "DTW warps the reference onto a measured profile to locate the V-zone (before/after-warping alignment)"),
+             "DTW warps the reference onto a measured profile to locate the V-zone (before/after-warping alignment)",
+             generators=(experiments.fig07_dtw_alignment,)),
     Artifact("figure", "test_fig08_segmentation.py", "Figure 8",
-             "Coarse w-sample segmentation with splits at 0/2π phase jumps"),
+             "Coarse w-sample segmentation with splits at 0/2π phase jumps",
+             generators=(experiments.fig08_segmentation,)),
     Artifact("figure", "test_fig09_quadratic_fitting.py", "Figure 9",
-             "Quadratic fitting separates tags 15 cm and even 2 cm apart by bottom time"),
+             "Quadratic fitting separates tags 15 cm and even 2 cm apart by bottom time",
+             generators=(experiments.fig09_quadratic_fitting,)),
     Artifact("figure", "test_fig12_window_size.py", "Figure 12",
-             "Accuracy/latency trade-off over segment window size `w`; `w = 5` is the sweet spot"),
+             "Accuracy/latency trade-off over segment window size `w`; `w = 5` is the sweet spot",
+             generators=(experiments.fig12_window_size,)),
     Artifact("figure", "test_fig13_spacing_tag_moving.py", "Figure 13",
-             "Ordering accuracy vs tag spacing, tag-moving (conveyor) setup"),
+             "Ordering accuracy vs tag spacing, tag-moving (conveyor) setup",
+             generators=(experiments.fig13_spacing_tag_moving,)),
     Artifact("figure", "test_fig14_spacing_antenna_moving.py", "Figure 14",
-             "Ordering accuracy vs tag spacing, antenna-moving (handheld) setup"),
+             "Ordering accuracy vs tag spacing, antenna-moving (handheld) setup",
+             generators=(experiments.fig14_spacing_antenna_moving,)),
     Artifact("figure", "test_fig17_scheme_comparison.py", "Figure 17",
              "STPP vs OTrack / LANDMARC / BackPos / G-RSSI on the same sweeps",
-             accuracy_key="fig17"),
+             accuracy_key="fig17",
+             generators=(experiments.fig17_scheme_comparison,)),
     Artifact("figure", "test_fig18_spacing_boxplot.py", "Figure 18",
-             "Accuracy distribution (box plot) across tag spacings"),
+             "Accuracy distribution (box plot) across tag spacings",
+             generators=(experiments.fig18_spacing_boxplot,)),
     Artifact("figure", "test_fig19_population_boxplot.py", "Figure 19",
-             "Accuracy distribution across tag population sizes"),
+             "Accuracy distribution across tag population sizes",
+             generators=(experiments.fig19_population_boxplot,)),
     Artifact("figure", "test_fig21_library_layout.py", "Figure 21",
-             "Full shelf sweep; ordering errors concentrate on thin books"),
+             "Full shelf sweep; ordering errors concentrate on thin books",
+             generators=(experiments.fig21_library_layout,)),
     Artifact("figure", "test_fig23_latency_cdf.py", "Figure 23",
-             "Ordering latency CDF of STPP vs OTrack (STPP ~1.47 s mean in the paper)"),
+             "Ordering latency CDF of STPP vs OTrack (STPP ~1.47 s mean in the paper)",
+             generators=(experiments.fig23_latency_cdf,)),
     Artifact("table", "test_table1_population.py", "Table 1",
-             "Ordering accuracy vs tag population"),
+             "Ordering accuracy vs tag population",
+             generators=(experiments.table1_population,)),
     Artifact("table", "test_table2_misplaced_books.py", "Table 2",
-             "Success rate of flagging 1/2/3 misplaced books (§5.1)"),
+             "Success rate of flagging 1/2/3 misplaced books (§5.1)",
+             generators=(experiments.table2_misplaced_books,)),
     Artifact("table", "test_table3_baggage.py", "Table 3",
-             "Baggage ordering accuracy per scheme and traffic period (§5.2)"),
+             "Baggage ordering accuracy per scheme and traffic period (§5.2)",
+             generators=(experiments.table3_baggage,)),
     Artifact("case", "test_case_library_headline.py", "§5.1 headline",
-             "Mean per-level ordering accuracy over repeated shelf sweeps"),
+             "Mean per-level ordering accuracy over repeated shelf sweeps",
+             generators=(experiments.case_library_headline,)),
     Artifact("case", "test_ablation_segmented_dtw.py", "§3.1.2",
-             "Segmented DTW vs full-sample DTW vs longest-run heuristic (accuracy + runtime, ~w² speed-up claim)"),
+             "Segmented DTW vs full-sample DTW vs longest-run heuristic (accuracy + runtime, ~w² speed-up claim)",
+             generators=(experiments.ablation_segmented_vs_full_dtw,
+                         experiments.dtw_speedup_measurement)),
     Artifact("case", "test_ablation_quadratic_fitting.py", "§3.1.2",
-             "Quadratic fitting vs raw-minimum bottom picking under dropouts"),
+             "Quadratic fitting vs raw-minimum bottom picking under dropouts",
+             generators=(experiments.ablation_quadratic_fitting,)),
     Artifact("case", "test_ablation_pivot_ordering.py", "§3.2.2",
-             "Pivot-based Y comparison (M−1 comparisons) vs all-pairs"),
+             "Pivot-based Y comparison (M−1 comparisons) vs all-pairs",
+             generators=(experiments.ablation_pivot_vs_all_pairs,
+                         experiments.ablation_y_value_mode)),
     Artifact("extension", "src/repro/scenarios/specs/warehouse.json (tests: tests/test_workload_warehouse.py)",
              "Warehouse sortation conveyor",
              "Multi-lane batches of tagged cartons on a **variable-speed** belt past a fixed antenna, scored by all five schemes through the sharded sweep engine",
