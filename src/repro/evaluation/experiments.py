@@ -1,30 +1,31 @@
-"""One function per table/figure of the paper's evaluation.
+"""The data behind every figure and table of the paper's evaluation.
 
-Every function regenerates the data behind one of the paper's results using
-the simulated deployment.  The benchmark suite (``benchmarks/``) calls these
-functions and prints the rows/series next to the paper's numbers;
-EXPERIMENTS.md records the comparison.
+Each public function regenerates one artifact (or one of an ablation's
+measurements) on the simulated deployment; ``bench/registry.py`` names the
+functions behind each artifact and ``benchmarks/`` prints their output next
+to the paper's numbers (``docs/figures.md`` lists them with their status).
+Defaults finish in seconds while still showing the paper's trends.
 
-All functions take a ``repetitions`` / scale parameter so the benchmarks can
-run at a tractable size; the defaults are chosen to finish in seconds while
-still exhibiting the paper's trends.
-
-Every repeated experiment runs through the parallel sweep engine
-(:mod:`repro.evaluation.sweep`): the function builds declarative
-:class:`~repro.evaluation.sweep.SweepPlan`\\ s (scene factory + schemes to
-score + explicit per-repetition seeds preserving the historical values) and
-hands them to a :class:`~repro.evaluation.sweep.SweepService`, which spreads
-the repetitions across worker processes.  Pass ``service=`` to control
-parallelism; the results are bit-identical either way.  The repetition tasks
-below are module-level functions (combined with :func:`functools.partial`)
-because plans must be picklable.
+The repeated figures (Figures 12–14 and 17–19, Tables 1–3, the §5.1
+headline and the ablations) are sweeps over factor grids, and they all run
+through one private runner, :func:`_run_grid`: a call names the factor axes
+(axis → values), the repetition task of one grid cell, the seed rule
+``(cell, rep) -> seed`` and the repetition count.  The runner expands the
+grid into :class:`~repro.evaluation.sweep.SweepPlan`\\ s with every seed
+resolved up front and runs them on a
+:class:`~repro.evaluation.sweep.SweepService` (``service=``); results are
+bit-identical whatever the worker count.  Tasks are module-level functions
+combined with :func:`functools.partial`, because plans must pickle.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,16 +66,17 @@ from .metrics import (
 from .runner import (
     SweepExperiment,
     build_experiment,
-    run_stpp,
     standard_experiment,
     standard_scheme_suite,
 )
 from .sweep import (
+    RepetitionTask,
     SchemeScore,
+    SweepOutcome,
     SweepPlan,
     SweepService,
     run_plans,
-    scheme_sweep_plan,
+    scene_task,
     score_schemes,
     score_stpp,
 )
@@ -202,7 +204,7 @@ class MeasuredProfileResult:
 
 def _measured_pair(
     positions: list[Point3D], seed: int, speed_mps: float = 0.1
-) -> tuple[MeasuredProfileResult, SweepExperiment]:
+) -> MeasuredProfileResult:
     experiment = standard_experiment(positions, seed=seed, speed_mps=speed_mps)
     localizer = BatchLocalizer(STPPConfig(reference_speed_mps=speed_mps))
     profiles = profiles_from_read_log(experiment.read_log)
@@ -213,13 +215,12 @@ def _measured_pair(
     expected_reads = duration * 120.0
     total_reads = len(experiment.read_log)
     dropout = max(0.0, 1.0 - total_reads / max(expected_reads, 1.0))
-    measured = MeasuredProfileResult(
+    return MeasuredProfileResult(
         spacing_m=abs(positions[1].x - positions[0].x) or abs(positions[1].y - positions[0].y),
         bottom_gap_s=abs(bottoms[1] - bottoms[0]) if len(bottoms) >= 2 else float("nan"),
         sample_counts=counts,
         dropout_fraction=float(dropout),
     )
-    return measured, experiment
 
 
 def fig05_measured_profiles_x(
@@ -229,7 +230,7 @@ def fig05_measured_profiles_x(
     results = {}
     for spacing in spacings_m:
         positions = [Point3D(0.4, 0.0, 0.0), Point3D(0.4 + spacing, 0.0, 0.0)]
-        results[spacing], _ = _measured_pair(positions, seed)
+        results[spacing] = _measured_pair(positions, seed)
     return results
 
 
@@ -242,7 +243,7 @@ def fig06_measured_profiles_y(
         positions = [Point3D(0.4, 0.0, 0.0), Point3D(0.4, spacing, 0.0)]
         # The standard micro-benchmark sweep speed keeps the profiles short
         # enough for a clean side-by-side V-zone comparison.
-        results[spacing], _ = _measured_pair(positions, seed, speed_mps=0.3)
+        results[spacing] = _measured_pair(positions, seed, speed_mps=0.3)
     return results
 
 
@@ -330,10 +331,15 @@ def fig09_quadratic_fitting(seed: int = 5) -> QuadraticFittingResult:
     # Tag 03 -- 15cm -- Tag 01 -- 2cm -- Tag 02, matching the paper's example.
     positions = [Point3D(0.15, 0.0, 0.0), Point3D(0.17, 0.0, 0.0), Point3D(0.0, 0.0, 0.0)]
     experiment = standard_experiment(positions, seed=seed, speed_mps=0.1)
-    evaluation, _ = run_stpp(experiment, STPPConfig(reference_speed_mps=0.1))
     localizer = BatchLocalizer(STPPConfig(reference_speed_mps=0.1))
     profiles = profiles_from_read_log(experiment.read_log)
     result = localizer.localize(profiles, expected_tag_ids=experiment.target_ids)
+    evaluation = evaluate_ordering(
+        experiment.true_x,
+        experiment.true_y,
+        result.x_ordering.ordered_ids,
+        result.y_ordering.ordered_ids,
+    )
     true_order = sorted(experiment.target_ids, key=lambda tid: experiment.true_x[tid])
     return QuadraticFittingResult(
         detected_order=list(result.x_ordering.ordered_ids),
@@ -344,10 +350,41 @@ def fig09_quadratic_fitting(seed: int = 5) -> QuadraticFittingResult:
 
 
 # --------------------------------------------------------------------------
-# Sweep-plan building blocks (module-level so plans stay picklable)
+# The figure runner and its repetition tasks (module-level: plans must pickle)
 # --------------------------------------------------------------------------
 
-_CASES: tuple[tuple[str, bool], ...] = (("tag_moving", True), ("antenna_moving", False))
+
+def _run_grid(
+    name: str,
+    axes: Mapping[str, Sequence],
+    task: Callable[[tuple], RepetitionTask],
+    seed: Callable[[tuple, int], int],
+    repetitions: int,
+    service: SweepService | None,
+) -> dict[tuple, SweepOutcome]:
+    """Run one repeated figure: the only place the figures build sweep plans.
+
+    Every combination of ``axes`` values is a cell, a named tuple whose
+    fields are the axis names (no axes: one empty cell).  Each cell is one
+    plan of ``repetitions`` repetitions running ``task(cell)``; repetition
+    ``rep`` of a cell gets seed ``seed(cell, rep)``, resolved before any
+    repetition runs.  Returns every cell's outcome, in grid order.
+    """
+    cell_type = namedtuple("Cell", axes)
+    cells = [cell_type(*values) for values in product(*axes.values())]
+    plans = [
+        SweepPlan(
+            name=f"{name}{tuple(cell)}",
+            repetitions=repetitions,
+            task=task(cell),
+            seeds=tuple(int(seed(cell, rep)) for rep in range(repetitions)),
+        )
+        for cell in cells
+    ]
+    return dict(zip(cells, run_plans(plans, service)))
+
+
+_CASES = {"tag_moving": True, "antenna_moving": False}
 """The paper's two deployment cases: conveyor belt vs hand-pushed antenna."""
 
 
@@ -355,13 +392,23 @@ def _staircase_experiment(
     rep_index: int,
     seed: int,
     tag_count: int,
-    spacing_x_m: float,
-    spacing_y_m: float,
+    spacing_m: float,
     tag_moving: bool,
 ) -> SweepExperiment:
     """One repetition's sweep over a staircase layout."""
-    positions = staircase_layout(tag_count, spacing_x_m, spacing_y_m)
+    positions = staircase_layout(tag_count, spacing_m, spacing_m)
     return standard_experiment(positions, seed=seed, tag_moving=tag_moving)
+
+
+def _staircase(tag_count: int, spacing_m: float, tag_moving: bool, scorer) -> RepetitionTask:
+    """The repetition task that scores ``scorer`` on a staircase sweep."""
+    return partial(
+        scene_task,
+        scene_factory=partial(
+            _staircase_experiment, tag_count=tag_count, spacing_m=spacing_m, tag_moving=tag_moving
+        ),
+        scorer=scorer,
+    )
 
 
 def _population_experiment(
@@ -370,7 +417,10 @@ def _population_experiment(
     population: int,
     tag_moving: bool,
 ) -> SweepExperiment:
-    """One repetition's sweep over a random-spacing row of ``population`` tags."""
+    """One repetition's sweep over a random-spacing row of ``population`` tags.
+
+    The layout draws from its own rng, not from the plan's ``seed``.
+    """
     rng = np.random.default_rng(1000 + population * 10 + rep_index)
     positions = random_spacing_row(population, 0.02, 0.10, rng=rng, y_jitter_m=0.05)
     return standard_experiment(positions, seed=seed, tag_moving=tag_moving)
@@ -379,10 +429,6 @@ def _population_experiment(
 def _stpp_otrack_suite(experiment: SweepExperiment) -> list:
     """The STPP-vs-OTrack pairing of Figure 19."""
     return [STPPScheme(), OTrackScheme()]
-
-
-_SCORE_FIVE_SCHEMES = partial(score_schemes, scheme_factory=standard_scheme_suite)
-_SCORE_STPP_OTRACK = partial(score_schemes, scheme_factory=_stpp_otrack_suite)
 
 
 # --------------------------------------------------------------------------
@@ -398,61 +444,26 @@ def fig12_window_size(
     service: SweepService | None = None,
 ) -> dict[str, dict[int, float]]:
     """Figure 12: coarse-segment window size vs ordering accuracy."""
-    plans = []
-    keys: list[tuple[str, int]] = []
-    for case, tag_moving in _CASES:
-        for window in window_sizes:
-            config = STPPConfig(window_size=window, detection_method="segmented_dtw")
-            plans.append(
-                scheme_sweep_plan(
-                    name=f"fig12[{case},w={window}]",
-                    scene_factory=partial(
-                        _staircase_experiment,
-                        tag_count=tag_count,
-                        spacing_x_m=spacing_m,
-                        spacing_y_m=spacing_m,
-                        tag_moving=tag_moving,
-                    ),
-                    scorer=partial(score_stpp, config=config),
-                    repetitions=repetitions,
-                    seeds=[100 * window + rep for rep in range(repetitions)],
-                )
-            )
-            keys.append((case, window))
-    results: dict[str, dict[int, float]] = {case: {} for case, _ in _CASES}
-    for (case, window), outcome in zip(keys, run_plans(plans, service)):
+    outcomes = _run_grid(
+        "fig12",
+        {"case": tuple(_CASES), "window": window_sizes},
+        task=lambda cell: _staircase(
+            tag_count,
+            spacing_m,
+            _CASES[cell.case],
+            partial(
+                score_stpp,
+                config=STPPConfig(window_size=cell.window, detection_method="segmented_dtw"),
+            ),
+        ),
+        seed=lambda cell, rep: 100 * cell.window + rep,
+        repetitions=repetitions,
+        service=service,
+    )
+    results: dict[str, dict[int, float]] = {case: {} for case in _CASES}
+    for (case, window), outcome in outcomes.items():
         results[case][window] = outcome.mean_accuracy("STPP")["combined"]
     return results
-
-
-def _spacing_sweep(
-    spacings_m: tuple[float, ...],
-    repetitions: int,
-    tag_moving: bool,
-    tag_count: int = 8,
-    service: SweepService | None = None,
-) -> dict[float, dict[str, float]]:
-    plans = [
-        scheme_sweep_plan(
-            name=f"spacing[{spacing}]",
-            scene_factory=partial(
-                _staircase_experiment,
-                tag_count=tag_count,
-                spacing_x_m=spacing,
-                spacing_y_m=spacing,
-                tag_moving=tag_moving,
-            ),
-            scorer=score_stpp,
-            repetitions=repetitions,
-            seeds=[int(spacing * 1000) * 10 + rep for rep in range(repetitions)],
-        )
-        for spacing in spacings_m
-    ]
-    outcomes = run_plans(plans, service)
-    return {
-        spacing: outcome.mean_accuracy("STPP")
-        for spacing, outcome in zip(spacings_m, outcomes)
-    }
 
 
 def fig13_spacing_tag_moving(
@@ -461,7 +472,15 @@ def fig13_spacing_tag_moving(
     service: SweepService | None = None,
 ) -> dict[float, dict[str, float]]:
     """Figure 13: tag-to-tag distance vs accuracy, tag-moving (conveyor) case."""
-    return _spacing_sweep(spacings_m, repetitions, tag_moving=True, service=service)
+    outcomes = _run_grid(
+        "fig13",
+        {"spacing": spacings_m},
+        task=lambda cell: _staircase(8, cell.spacing, True, score_stpp),
+        seed=lambda cell, rep: int(cell.spacing * 1000) * 10 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
+    return {cell.spacing: outcome.mean_accuracy("STPP") for cell, outcome in outcomes.items()}
 
 
 def fig14_spacing_antenna_moving(
@@ -470,7 +489,15 @@ def fig14_spacing_antenna_moving(
     service: SweepService | None = None,
 ) -> dict[float, dict[str, float]]:
     """Figure 14: tag-to-tag distance vs accuracy, antenna-moving case."""
-    return _spacing_sweep(spacings_m, repetitions, tag_moving=False, service=service)
+    outcomes = _run_grid(
+        "fig14",
+        {"spacing": spacings_m},
+        task=lambda cell: _staircase(8, cell.spacing, False, score_stpp),
+        seed=lambda cell, rep: int(cell.spacing * 1000) * 10 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
+    return {cell.spacing: outcome.mean_accuracy("STPP") for cell, outcome in outcomes.items()}
 
 
 def table1_population(
@@ -479,26 +506,24 @@ def table1_population(
     service: SweepService | None = None,
 ) -> dict[str, dict[int, dict[str, float]]]:
     """Table 1: tag population within the reading zone vs ordering accuracy."""
-    plans = []
-    keys: list[tuple[str, int]] = []
-    for case, tag_moving in _CASES:
-        for population in populations:
-            plans.append(
-                scheme_sweep_plan(
-                    name=f"table1[{case},n={population}]",
-                    scene_factory=partial(
-                        _population_experiment,
-                        population=population,
-                        tag_moving=tag_moving,
-                    ),
-                    scorer=score_stpp,
-                    repetitions=repetitions,
-                    seeds=[population * 100 + rep for rep in range(repetitions)],
-                )
-            )
-            keys.append((case, population))
-    results: dict[str, dict[int, dict[str, float]]] = {case: {} for case, _ in _CASES}
-    for (case, population), outcome in zip(keys, run_plans(plans, service)):
+    outcomes = _run_grid(
+        "table1",
+        {"case": tuple(_CASES), "population": populations},
+        task=lambda cell: partial(
+            scene_task,
+            scene_factory=partial(
+                _population_experiment,
+                population=cell.population,
+                tag_moving=_CASES[cell.case],
+            ),
+            scorer=score_stpp,
+        ),
+        seed=lambda cell, rep: cell.population * 100 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
+    results: dict[str, dict[int, dict[str, float]]] = {case: {} for case in _CASES}
+    for (case, population), outcome in outcomes.items():
         results[case][population] = outcome.mean_accuracy("STPP")
     return results
 
@@ -514,7 +539,7 @@ def _fig17_experiment(
     layout_spacing_m: float,
     tag_count: int,
 ) -> SweepExperiment:
-    """One (repetition, layout) cell of Figure 17.
+    """One (repetition, layout) sweep of Figure 17.
 
     The plan enumerates repetition-major, layout-minor: repetition ``r`` of
     layout ``l`` is plan repetition ``r * len(layouts) + l``.
@@ -541,20 +566,20 @@ def fig17_scheme_comparison(
     distance of the approximated layouts.
     """
     layout_count = len(paper_test_cases(spacing_m=layout_spacing_m))
-    plan = scheme_sweep_plan(
-        name="fig17",
-        scene_factory=partial(
-            _fig17_experiment, layout_spacing_m=layout_spacing_m, tag_count=tag_count
+    (outcome,) = _run_grid(
+        "fig17",
+        {},
+        task=lambda cell: partial(
+            scene_task,
+            scene_factory=partial(
+                _fig17_experiment, layout_spacing_m=layout_spacing_m, tag_count=tag_count
+            ),
+            scorer=partial(score_schemes, scheme_factory=standard_scheme_suite),
         ),
-        scorer=_SCORE_FIVE_SCHEMES,
+        seed=lambda cell, rep: 500 + 17 * (rep // layout_count) + rep % layout_count,
         repetitions=repetitions * layout_count,
-        seeds=[
-            500 + 17 * rep + layout_index
-            for rep in range(repetitions)
-            for layout_index in range(layout_count)
-        ],
-    )
-    (outcome,) = run_plans([plan], service)
+        service=service,
+    ).values()
     return {name: outcome.mean_accuracy(name) for name in outcome.schemes()}
 
 
@@ -578,20 +603,20 @@ def fig18_spacing_boxplot(
     service: SweepService | None = None,
 ) -> dict[str, list[float]]:
     """Figure 18: per-scheme accuracy distribution as spacing shrinks (20→10 tags scaled)."""
-    plans = [
-        scheme_sweep_plan(
-            name=f"fig18[{spacing}]",
-            scene_factory=partial(
-                _fig18_experiment, spacing_m=spacing, tag_count=tag_count
-            ),
-            scorer=_SCORE_FIVE_SCHEMES,
-            repetitions=repetitions,
-            seeds=[int(spacing * 100) * 10 + rep for rep in range(repetitions)],
-        )
-        for spacing in spacings_m
-    ]
+    outcomes = _run_grid(
+        "fig18",
+        {"spacing": spacings_m},
+        task=lambda cell: partial(
+            scene_task,
+            scene_factory=partial(_fig18_experiment, spacing_m=cell.spacing, tag_count=tag_count),
+            scorer=partial(score_schemes, scheme_factory=standard_scheme_suite),
+        ),
+        seed=lambda cell, rep: int(cell.spacing * 100) * 10 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
     samples: dict[str, list[float]] = {}
-    for outcome in run_plans(plans, service):
+    for outcome in outcomes.values():
         for name in outcome.schemes():
             samples.setdefault(name, []).extend(outcome.accuracy_samples(name, "combined"))
     return samples
@@ -604,24 +629,21 @@ def fig19_population_boxplot(
     service: SweepService | None = None,
 ) -> dict[str, list[float]]:
     """Figure 19: STPP vs OTrack accuracy distribution as population grows."""
-    plans = [
-        scheme_sweep_plan(
-            name=f"fig19[n={population}]",
-            scene_factory=partial(
-                _staircase_experiment,
-                tag_count=population,
-                spacing_x_m=spacing_m,
-                spacing_y_m=spacing_m,
-                tag_moving=True,
-            ),
-            scorer=_SCORE_STPP_OTRACK,
-            repetitions=repetitions,
-            seeds=[population * 13 + rep for rep in range(repetitions)],
-        )
-        for population in populations
-    ]
+    outcomes = _run_grid(
+        "fig19",
+        {"population": populations},
+        task=lambda cell: _staircase(
+            cell.population,
+            spacing_m,
+            True,
+            partial(score_schemes, scheme_factory=_stpp_otrack_suite),
+        ),
+        seed=lambda cell, rep: cell.population * 13 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
     samples: dict[str, list[float]] = {"STPP": [], "OTrack": []}
-    for outcome in run_plans(plans, service):
+    for outcome in outcomes.values():
         for name in samples:
             samples[name].extend(outcome.accuracy_samples(name, "accuracy_x"))
     return samples
@@ -701,15 +723,16 @@ def case_library_headline(
     service: SweepService | None = None,
 ) -> float:
     """§5.1 headline: mean per-level ordering accuracy over repeated sweeps."""
-    plan = SweepPlan(
-        name="library_headline",
-        repetitions=sweeps,
-        task=partial(
+    (outcome,) = _run_grid(
+        "library_headline",
+        {},
+        task=lambda cell: partial(
             _library_sweep_task, books_per_level=books_per_level, levels=levels
         ),
-        seeds=[20 + sweep_index for sweep_index in range(sweeps)],
-    )
-    (outcome,) = run_plans([plan], service)
+        seed=lambda cell, sweep_index: 20 + sweep_index,
+        repetitions=sweeps,
+        service=service,
+    ).values()
     return float(np.mean(outcome.metric_samples("library", "accuracy")))
 
 
@@ -739,25 +762,24 @@ def table2_misplaced_books(
     service: SweepService | None = None,
 ) -> dict[int, float]:
     """Table 2: success rate of detecting 1/2/3 misplaced books."""
-    plans = [
-        SweepPlan(
-            name=f"table2[{count}]",
-            repetitions=repetitions,
-            task=partial(
-                _misplaced_books_task,
-                count=count,
-                books_per_level=books_per_level,
-                levels=levels,
-            ),
-            seeds=[300 + count * 50 + rep for rep in range(repetitions)],
-        )
-        for count in counts
-    ]
+    outcomes = _run_grid(
+        "table2",
+        {"count": counts},
+        task=lambda cell: partial(
+            _misplaced_books_task,
+            count=cell.count,
+            books_per_level=books_per_level,
+            levels=levels,
+        ),
+        seed=lambda cell, rep: 300 + cell.count * 50 + rep,
+        repetitions=repetitions,
+        service=service,
+    )
     return {
-        count: detection_success_rate(
+        cell.count: detection_success_rate(
             [value > 0.5 for value in outcome.metric_samples("detection", "success")]
         )
-        for count, outcome in zip(counts, run_plans(plans, service))
+        for cell, outcome in outcomes.items()
     }
 
 
@@ -792,26 +814,25 @@ def table3_baggage(
     service: SweepService | None = None,
 ) -> dict[str, dict[str, float]]:
     """Table 3: baggage ordering accuracy per scheme and traffic period."""
-    plans = [
-        scheme_sweep_plan(
-            name=f"table3[{period.name}]",
+    outcomes = _run_grid(
+        "table3",
+        {"period": periods},
+        task=lambda cell: partial(
+            scene_task,
             scene_factory=partial(
                 _baggage_batch_experiment,
-                period=period,
+                period=cell.period,
                 bags_per_batch=bags_per_batch,
                 total_bags=bags_per_batch * batches_per_period,
             ),
             scorer=partial(score_schemes, scheme_factory=_baggage_scheme_suite),
-            repetitions=batches_per_period,
-            seeds=[
-                batch_index + period.start_hour
-                for batch_index in range(batches_per_period)
-            ],
-        )
-        for period in periods
-    ]
+        ),
+        seed=lambda cell, batch_index: batch_index + cell.period.start_hour,
+        repetitions=batches_per_period,
+        service=service,
+    )
     results: dict[str, dict[str, float]] = {}
-    for period, outcome in zip(periods, run_plans(plans, service)):
+    for (period,), outcome in outcomes.items():
         for name in outcome.schemes():
             results.setdefault(name, {})[period.name] = float(
                 np.mean(outcome.accuracy_samples(name, "accuracy_x"))
@@ -843,34 +864,6 @@ def fig23_latency_cdf(
 # --------------------------------------------------------------------------
 # Ablations (design choices called out in the paper)
 # --------------------------------------------------------------------------
-
-
-def _config_ablation_plans(
-    name: str,
-    variants: "dict[str, STPPConfig]",
-    repetitions: int,
-    tag_count: int,
-    spacing_m: float,
-    seed_base: int,
-    tag_moving: bool,
-) -> list[SweepPlan]:
-    """One plan per STPPConfig variant, same layouts and seeds for each."""
-    return [
-        scheme_sweep_plan(
-            name=f"{name}[{variant}]",
-            scene_factory=partial(
-                _staircase_experiment,
-                tag_count=tag_count,
-                spacing_x_m=spacing_m,
-                spacing_y_m=spacing_m,
-                tag_moving=tag_moving,
-            ),
-            scorer=partial(score_stpp, config=config),
-            repetitions=repetitions,
-            seeds=[seed_base + rep for rep in range(repetitions)],
-        )
-        for variant, config in variants.items()
-    ]
 
 
 def _score_interleaved(
@@ -910,6 +903,7 @@ def _score_interleaved(
     )
 
 
+
 def ablation_segmented_vs_full_dtw(
     repetitions: int = 2,
     tag_count: int = 6,
@@ -927,20 +921,16 @@ def ablation_segmented_vs_full_dtw(
         method: STPPConfig(detection_method=method)
         for method in ("segmented_dtw", "full_dtw", "longest_run")
     }
-    plan = scheme_sweep_plan(
-        name="ablation_dtw",
-        scene_factory=partial(
-            _staircase_experiment,
-            tag_count=tag_count,
-            spacing_x_m=spacing_m,
-            spacing_y_m=spacing_m,
-            tag_moving=False,
+    (outcome,) = _run_grid(
+        "ablation_dtw",
+        {},
+        task=lambda cell: _staircase(
+            tag_count, spacing_m, False, partial(_score_interleaved, variants=variants)
         ),
-        scorer=partial(_score_interleaved, variants=variants),
+        seed=lambda cell, rep: 700 + rep,
         repetitions=repetitions,
-        seeds=[700 + rep for rep in range(repetitions)],
-    )
-    (outcome,) = run_plans([plan], service)
+        service=service,
+    ).values()
     return {
         variant: {
             "accuracy": float(np.mean(outcome.accuracy_samples(variant, "combined"))),
@@ -961,13 +951,19 @@ def ablation_pivot_vs_all_pairs(
         comparison: STPPConfig(y_comparison=comparison)
         for comparison in ("pivot", "all_pairs")
     }
-    plans = _config_ablation_plans(
-        "ablation_pivot", variants, repetitions, tag_count, spacing_m,
-        seed_base=800, tag_moving=True,
-    )
+    (outcome,) = _run_grid(
+        "ablation_pivot",
+        {},
+        task=lambda cell: _staircase(
+            tag_count, spacing_m, True, partial(_score_interleaved, variants=variants)
+        ),
+        seed=lambda cell, rep: 800 + rep,
+        repetitions=repetitions,
+        service=service,
+    ).values()
     return {
-        variant: {"accuracy_y": float(np.mean(outcome.accuracy_samples("STPP", "accuracy_y")))}
-        for variant, outcome in zip(variants, run_plans(plans, service))
+        variant: {"accuracy_y": float(np.mean(outcome.accuracy_samples(variant, "accuracy_y")))}
+        for variant in variants
     }
 
 
@@ -979,22 +975,24 @@ def ablation_y_value_mode(
 ) -> dict[str, dict[str, float]]:
     """Depth-based (default) vs paper-literal raw vs curvature Y comparison."""
     variants = {mode: STPPConfig(y_value_mode=mode) for mode in ("depth", "raw", "curvature")}
-    plans = _config_ablation_plans(
-        "ablation_y_mode", variants, repetitions, tag_count, spacing_m,
-        seed_base=900, tag_moving=True,
-    )
+    (outcome,) = _run_grid(
+        "ablation_y_mode",
+        {},
+        task=lambda cell: _staircase(
+            tag_count, spacing_m, True, partial(_score_interleaved, variants=variants)
+        ),
+        seed=lambda cell, rep: 900 + rep,
+        repetitions=repetitions,
+        service=service,
+    ).values()
     return {
-        variant: {"accuracy_y": float(np.mean(outcome.accuracy_samples("STPP", "accuracy_y")))}
-        for variant, outcome in zip(variants, run_plans(plans, service))
+        variant: {"accuracy_y": float(np.mean(outcome.accuracy_samples(variant, "accuracy_y")))}
+        for variant in variants
     }
 
 
-def _quadratic_fitting_task(
-    rep_index: int, seed: int, tag_count: int, spacing_m: float
-) -> tuple[SchemeScore, ...]:
-    """One repetition of the quadratic-fit vs raw-minimum ablation."""
-    positions = staircase_layout(tag_count, spacing_m, spacing_m)
-    experiment = standard_experiment(positions, seed=seed)
+def _score_fit_vs_raw_minimum(experiment: SweepExperiment) -> tuple[SchemeScore, ...]:
+    """X accuracy from quadratic-fit bottoms vs raw-minimum bottoms on one sweep."""
     profiles = profiles_from_read_log(experiment.read_log)
     localizer = BatchLocalizer(STPPConfig())
     result = localizer.localize(profiles, expected_tag_ids=experiment.target_ids)
@@ -1021,13 +1019,14 @@ def ablation_quadratic_fitting(
     service: SweepService | None = None,
 ) -> dict[str, float]:
     """Quadratic fitting vs raw-minimum bottom picking under dropouts."""
-    plan = SweepPlan(
-        name="ablation_quadratic",
+    (outcome,) = _run_grid(
+        "ablation_quadratic",
+        {},
+        task=lambda cell: _staircase(tag_count, spacing_m, False, _score_fit_vs_raw_minimum),
+        seed=lambda cell, rep: 950 + rep,
         repetitions=repetitions,
-        task=partial(_quadratic_fitting_task, tag_count=tag_count, spacing_m=spacing_m),
-        seeds=[950 + rep for rep in range(repetitions)],
-    )
-    (outcome,) = run_plans([plan], service)
+        service=service,
+    ).values()
     return {
         variant: float(np.mean(outcome.metric_samples(variant, "accuracy")))
         for variant in ("with_quadratic_fit", "raw_minimum")
@@ -1036,22 +1035,20 @@ def ablation_quadratic_fitting(
 
 def dtw_speedup_measurement(window_size: int = 5, seed: int = 4) -> dict[str, float]:
     """Measured speed-up of segmented DTW over raw-sample DTW (paper §3.1.2)."""
-    import time as _time
-
     experiment = standard_experiment(row_layout(1, 0.1), seed=seed, speed_mps=0.1)
     profiles = profiles_from_read_log(experiment.read_log)
     profile = profiles[experiment.target_ids[0]]
     reference = canonical_reference(speed_mps=0.1)
 
-    started = _time.perf_counter()
+    started = time.perf_counter()
     subsequence_dtw(reference.profile.phases_rad, profile.phases_rad)
-    full_runtime = _time.perf_counter() - started
+    full_runtime = time.perf_counter() - started
 
     ref_segments = segment_profile(reference.profile, window_size)
     measured_segments = segment_profile(profile, window_size)
-    started = _time.perf_counter()
+    started = time.perf_counter()
     segmented_dtw_align(ref_segments, measured_segments)
-    segmented_runtime = _time.perf_counter() - started
+    segmented_runtime = time.perf_counter() - started
     return {
         "full_dtw_s": full_runtime,
         "segmented_dtw_s": segmented_runtime,

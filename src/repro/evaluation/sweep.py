@@ -7,16 +7,15 @@ core itself is batched and fast, those serial loops dominate the cost of
 regenerating the paper's results.  This module replaces them with one engine:
 
 * :class:`SweepPlan` describes a sweep declaratively — how many repetitions,
-  how each repetition derives its seed, and what work one repetition performs
-  (build a scene, score schemes on it).
+  the seed of each, and what work one repetition performs (build a scene,
+  score schemes on it).
 * :class:`SweepService` executes plans.  Repetitions run across a
   :class:`concurrent.futures.ProcessPoolExecutor`; with one worker the very
   same repetition function runs in-process, so serial and pooled execution
   are **bit-identical** (pinned by ``tests/test_sweep_service.py``).
 
 Determinism is anchored in the plan, not the executor: each repetition's seed
-is fixed up front — either an explicit per-repetition ``seeds`` tuple, or
-children spawned from ``np.random.SeedSequence(base_seed)`` — so the result of
+is fixed up front in the plan's explicit ``seeds`` tuple, so the result of
 repetition *i* is a pure function of ``(i, seed_i)`` and cannot depend on
 worker count or scheduling order.
 
@@ -32,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .metrics import OrderingEvaluation
 from .runner import SweepExperiment
@@ -148,39 +145,27 @@ class SweepPlan:
         The work of one repetition: ``task(rep_index, seed)`` returns the
         repetition's :class:`SchemeScore` entries.  Must be picklable (a
         module-level function or a partial of one).
-    base_seed:
-        Root of the deterministic seed derivation when ``seeds`` is not given:
-        repetition *i* receives the first ``uint32`` drawn from the *i*-th
-        child of ``np.random.SeedSequence(base_seed).spawn(repetitions)``.
     seeds:
-        Explicit per-repetition seeds (overrides the derivation).  Used by the
-        ported paper experiments to preserve their historical seed values.
+        The seed of every repetition, in repetition order, fixed before any
+        repetition runs.
     """
 
     name: str
     repetitions: int
     task: RepetitionTask
-    base_seed: int = 0
-    seeds: tuple[int, ...] | None = None
+    seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seeds is not None and len(self.seeds) != self.repetitions:
+        if len(self.seeds) != self.repetitions:
             raise ValueError(
                 f"plan {self.name!r}: got {len(self.seeds)} seeds "
                 f"for {self.repetitions} repetitions"
             )
 
-    def resolved_seeds(self) -> tuple[int, ...]:
-        """The seed of every repetition, fixed before any repetition runs."""
-        if self.seeds is not None:
-            return tuple(int(s) for s in self.seeds)
-        children = np.random.SeedSequence(self.base_seed).spawn(self.repetitions)
-        return tuple(int(child.generate_state(1, dtype=np.uint32)[0]) for child in children)
 
-
-def _scene_task(
+def scene_task(
     rep_index: int,
     seed: int,
     scene_factory: ExperimentFactory,
@@ -195,16 +180,14 @@ def scheme_sweep_plan(
     scene_factory: ExperimentFactory,
     scorer: ExperimentScorer,
     repetitions: int,
-    base_seed: int = 0,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
 ) -> SweepPlan:
     """Build the common plan shape: scene factory + schemes to score."""
     return SweepPlan(
         name=name,
         repetitions=repetitions,
-        task=partial(_scene_task, scene_factory=scene_factory, scorer=scorer),
-        base_seed=base_seed,
-        seeds=None if seeds is None else tuple(int(s) for s in seeds),
+        task=partial(scene_task, scene_factory=scene_factory, scorer=scorer),
+        seeds=tuple(int(s) for s in seeds),
     )
 
 
@@ -290,7 +273,7 @@ class SweepService:
         tasks = [
             (plan, rep_index, seed)
             for plan in plans
-            for rep_index, seed in enumerate(plan.resolved_seeds())
+            for rep_index, seed in enumerate(plan.seeds)
         ]
         if self.worker_count() > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=self.worker_count()) as pool:

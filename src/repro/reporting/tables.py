@@ -2,7 +2,7 @@
 
 The benchmark harness prints the regenerated rows/series of every paper table
 and figure; these helpers keep that output aligned and consistent so the
-paper-vs-measured comparison in EXPERIMENTS.md is easy to eyeball.
+paper-vs-measured comparison (``docs/figures.md``) is easy to eyeball.
 """
 
 from __future__ import annotations

@@ -113,8 +113,8 @@ class TestPayloadShape:
 
 class TestDeterminism:
     def test_plans_resolve_identical_seed_lists(self):
-        first = [plan.resolved_seeds() for plan in scenario_plans(repetitions=2)]
-        second = [plan.resolved_seeds() for plan in scenario_plans(repetitions=2)]
+        first = [plan.seeds for plan in scenario_plans(repetitions=2)]
+        second = [plan.seeds for plan in scenario_plans(repetitions=2)]
         assert first == second
         # Scenarios must not share seeds, or their sweeps would be correlated.
         flat = [seed for seeds in first for seed in seeds]

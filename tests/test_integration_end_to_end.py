@@ -82,7 +82,7 @@ class TestDefaultChannelEndToEnd:
         # Books are only 3-8 cm apart and 16 tags share the reading zone, so
         # per-level accuracy sits well below the isolated-row numbers; the
         # paper reports 0.84 on real hardware, our simulated shelf is harsher
-        # (see EXPERIMENTS.md).  The pipeline must still do far better than a
+        # (see docs/figures.md).  The pipeline must still do far better than a
         # random order (expected Eq.2 accuracy ~1/n ≈ 0.12).
         for level in shelf.levels:
             ids = [tid for tid in tags.ids() if level_by_label[label_by_id[tid]] == level]

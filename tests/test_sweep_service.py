@@ -26,21 +26,22 @@ from repro.evaluation.sweep import (
 from repro.evaluation.runner import standard_scheme_suite
 
 
-def _small_plan(name="equivalence", repetitions=4, seeds=None, base_seed=123):
+# The seeds SeedSequence(123), SeedSequence(0), (1) and (2) spawned for these
+# plans when SweepPlan still derived seeds from a base seed.
+_SEEDS = (1514383052, 2306788707, 2261827930, 3849729556)
+_RUN_MANY_SEEDS = ((3757552657, 673228719), (1641411168, 1454127163), (2001025171, 2240297063))
+
+
+def _small_plan(name="equivalence", repetitions=4, seeds=None):
     """A cheap but real plan: 3-tag staircase sweeps scored by STPP."""
     return scheme_sweep_plan(
         name=name,
         scene_factory=partial(
-            _staircase_experiment,
-            tag_count=3,
-            spacing_x_m=0.12,
-            spacing_y_m=0.12,
-            tag_moving=False,
+            _staircase_experiment, tag_count=3, spacing_m=0.12, tag_moving=False
         ),
         scorer=score_stpp,
         repetitions=repetitions,
-        base_seed=base_seed,
-        seeds=seeds,
+        seeds=_SEEDS[:repetitions] if seeds is None else seeds,
     )
 
 
@@ -58,29 +59,13 @@ def _evaluations(outcome):
 
 
 class TestSeedDerivation:
-    def test_spawned_seeds_are_deterministic(self):
-        plan = _small_plan()
-        assert plan.resolved_seeds() == plan.resolved_seeds()
-        assert len(plan.resolved_seeds()) == plan.repetitions
-
-    def test_spawned_seeds_differ_per_repetition(self):
-        seeds = _small_plan(repetitions=8).resolved_seeds()
-        assert len(set(seeds)) == len(seeds)
-
-    def test_different_base_seed_different_children(self):
-        assert _small_plan(base_seed=1).resolved_seeds() != _small_plan(base_seed=2).resolved_seeds()
-
-    def test_explicit_seeds_win(self):
-        plan = _small_plan(repetitions=3, seeds=(7, 8, 9))
-        assert plan.resolved_seeds() == (7, 8, 9)
-
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             _small_plan(repetitions=3, seeds=(1, 2))
 
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError, match="repetitions"):
-            SweepPlan(name="bad", repetitions=0, task=score_stpp)
+            SweepPlan(name="bad", repetitions=0, task=score_stpp, seeds=())
 
 
 class TestSerialShardedEquivalence:
@@ -111,7 +96,10 @@ class TestSerialShardedEquivalence:
         assert _evaluations(serial) == _evaluations(sharded)
 
     def test_run_many_preserves_plan_order_and_results(self):
-        plans = [_small_plan(name=f"p{i}", repetitions=2, base_seed=i) for i in range(3)]
+        plans = [
+            _small_plan(name=f"p{i}", repetitions=2, seeds=seeds)
+            for i, seeds in enumerate(_RUN_MANY_SEEDS)
+        ]
         serial = SweepService(max_workers=1).run_many(plans)
         sharded = SweepService(max_workers=2).run_many(plans)
         assert [o.plan for o in serial] == ["p0", "p1", "p2"]
