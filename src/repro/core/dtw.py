@@ -47,14 +47,7 @@ from .segmentation import (
 def _segmentation_columns(
     segments: "list[Segment] | SegmentArrays",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(mins, maxs, durations)`` of either segmentation representation.
-
-    :class:`SegmentArrays` already holds the columns; a ``list[Segment]``
-    gets the identical values extracted object by object.
-    """
-    if isinstance(segments, SegmentArrays):
-        mins, maxs = segments.bounds()
-        return mins, maxs, segments.durations()
+    """``(mins, maxs, durations)`` of either segmentation representation."""
     mins, maxs = segment_bounds(segments)
     return mins, maxs, segment_durations(segments)
 
@@ -73,7 +66,7 @@ class ReferenceColumns:
     durations: np.ndarray
 
     @classmethod
-    def of(cls, segments: list[Segment]) -> "ReferenceColumns":
+    def of(cls, segments: "list[Segment] | SegmentArrays") -> "ReferenceColumns":
         """The columns of ``segments``, which must be non-empty."""
         if not segments:
             raise ValueError("reference segmentation must be non-empty")
@@ -387,7 +380,8 @@ def subsequence_dtw_batch(
 
 
 def segmented_dtw_align(
-    reference_segments: list[Segment], query_segments: list[Segment]
+    reference_segments: "list[Segment] | SegmentArrays",
+    query_segments: "list[Segment] | SegmentArrays",
 ) -> DTWResult:
     """Segmented DTW (paper §3.1.2) between two segmentations.
 
@@ -447,9 +441,11 @@ class ResumableSegmentAligner:
     The accumulated-cost matrix of subsequence DTW has a crucial property:
     column ``j`` depends only on columns ``<= j``.  A growing *measured*
     segmentation therefore never invalidates the columns of segments that are
-    already **stable** (closed by the incremental segmenter — no future sample
-    can change them), so this aligner caches the accumulation prefix over the
-    stable columns and, on every refresh, computes only
+    already **stable** (closed in the columnar
+    :class:`~repro.core.segmentation.IncrementalSegmenter`, which segments
+    every stale tag of a refresh in one pass — no future sample can change
+    them), so this aligner caches the accumulation prefix over the stable
+    columns and, on every refresh, computes only
 
     * the columns of segments that became stable since the last refresh, which
       are appended to the cache, and
@@ -493,22 +489,23 @@ class ResumableSegmentAligner:
         grown[:, : self._cached_cols] = self._cost[:, : self._cached_cols]
         self._cost = grown
 
-    def _weighted(self, segments: list[Segment]) -> np.ndarray:
+    def _weighted(self, segments: "list[Segment] | SegmentArrays") -> np.ndarray:
         """Weighted distances of every reference segment against ``segments``.
 
         The same :func:`range_gap_matrix` / :func:`duration_weight_matrix`
         product the batch aligner builds, so both paths share one source of
-        truth for the paper's distance and weight formulas.
+        truth for the paper's distance and weight formulas.  The session's
+        :class:`~repro.core.segmentation.SegmentArrays` are read as columns.
         """
         reference = self._reference
-        q_min, q_max = segment_bounds(segments)
+        q_min, q_max, q_durations = _segmentation_columns(segments)
         distance = range_gap_matrix(reference.mins, reference.maxs, q_min, q_max)
-        return distance * duration_weight_matrix(
-            reference.durations, segment_durations(segments)
-        )
+        return distance * duration_weight_matrix(reference.durations, q_durations)
 
     def align(
-        self, query_segments: list[Segment], stable_count: int | None = None
+        self,
+        query_segments: "list[Segment] | SegmentArrays",
+        stable_count: int | None = None,
     ) -> DTWResult:
         """Align the reference against the current query segmentation.
 
@@ -530,7 +527,7 @@ class ResumableSegmentAligner:
 
 def align_resumable_batch(
     aligners: "list[ResumableSegmentAligner]",
-    query_segmentations: "list[list[Segment]]",
+    query_segmentations: "list[list[Segment] | SegmentArrays]",
     stable_counts: "list[int | None] | None" = None,
 ) -> list[DTWResult]:
     """Resume many :class:`ResumableSegmentAligner` states in one batch.

@@ -14,6 +14,7 @@ and each segment is summarised by its mean phase value.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,6 @@ class Segment:
         return self.end_time_s - self.start_time_s
 
 
-def _phase_jump_indices(phases: np.ndarray, jump_threshold_rad: float) -> np.ndarray:
-    """Indices ``i`` such that a 0/2π wrap occurs between samples ``i-1`` and ``i``."""
-    if phases.size < 2:
-        return np.array([], dtype=int)
-    diffs = np.abs(np.diff(phases))
-    return np.nonzero(diffs > jump_threshold_rad)[0] + 1
-
-
 class SegmentArrays:
     """Structure-of-arrays segmentation: what the batch engines consume.
 
@@ -74,7 +67,9 @@ class SegmentArrays:
     whose fields were only ever read columnwise.  ``SegmentArrays`` keeps the
     columns as NumPy arrays and materialises :class:`Segment` objects lazily,
     so the hot path (segment → distance matrix → DTW) never touches per-
-    segment objects while indexing and iteration still behave like the list.
+    segment objects while indexing and iteration still behave like the list:
+    an integer index gives a :class:`Segment`, a slice gives the
+    ``SegmentArrays`` of the sliced columns.
     """
 
     __slots__ = ("starts", "ends", "start_times", "end_times", "mins", "maxs")
@@ -95,10 +90,26 @@ class SegmentArrays:
         self.mins = mins
         self.maxs = maxs
 
+    @classmethod
+    def of_blocks(cls, indices: np.ndarray, values: np.ndarray) -> "SegmentArrays":
+        """The segmentation whose ``(2, S)`` index block holds the start and
+        end indices and whose ``(4, S)`` value block holds the start and end
+        times and the min and max phases."""
+        return cls(indices[0], indices[1], values[0], values[1], values[2], values[3])
+
     def __len__(self) -> int:
         return int(self.starts.size)
 
-    def __getitem__(self, index: int) -> Segment:
+    def __getitem__(self, index: "int | slice") -> "Segment | SegmentArrays":
+        if isinstance(index, slice):
+            return SegmentArrays(
+                self.starts[index],
+                self.ends[index],
+                self.start_times[index],
+                self.end_times[index],
+                self.mins[index],
+                self.maxs[index],
+            )
         return Segment(
             start_index=int(self.starts[index]),
             end_index=int(self.ends[index]),
@@ -124,6 +135,58 @@ class SegmentArrays:
         return [self[k] for k in range(len(self))]
 
 
+def _segment_runs(
+    times: np.ndarray,
+    phases: np.ndarray,
+    run_starts: np.ndarray,
+    window_size: int,
+    jump_threshold_rad: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment consecutive runs of samples in one vectorized pass.
+
+    ``times``/``phases`` hold the runs back to back, the run starting at
+    each of ``run_starts`` (ascending, the first 0, none empty), and each
+    run is segmented as a profile of its own.  Returns the ``(2, S)`` block
+    of segment start and end positions in the concatenation and the
+    ``(4, S)`` block of start times, end times, min and max phases, in run
+    order (see :meth:`SegmentArrays.of_blocks`).
+
+    A segment closes at the first boundary after its start: the window
+    filling, the next 0/2π jump, or the end of its run.  So the *hard*
+    boundaries (run starts and jumps) cut the samples into pieces, and each
+    piece splits into windows of ``window_size`` from its start, the last
+    one possibly shorter: a sample starts a segment exactly when its offset
+    from its piece's start is a multiple of ``window_size``.  A jump between
+    two runs falls on a run start, which is a boundary anyway.
+    ``tests/oracles/segmentation.py`` keeps the per-profile boundary walk
+    this replaced.
+    """
+    count = phases.size
+    positions = np.arange(count)
+    hard = np.empty(count, dtype=bool)
+    np.greater(np.abs(np.diff(phases)), jump_threshold_rad, out=hard[1:])
+    hard[run_starts] = True
+    piece_starts = np.maximum.accumulate(np.where(hard, positions, 0))
+    starts = np.flatnonzero((positions - piece_starts) % window_size == 0)
+    indices = np.empty((2, starts.size), dtype=np.intp)
+    indices[0] = starts
+    indices[1, :-1] = starts[1:]
+    indices[1, -1] = count
+    values = np.empty((4, starts.size))
+    values[0] = times[starts]
+    values[1] = times[indices[1] - 1]
+    # reduceat evaluates min/max over [starts[i], starts[i+1]): exactly the
+    # segments' samples.
+    values[2] = np.minimum.reduceat(phases, starts)
+    values[3] = np.maximum.reduceat(phases, starts)
+    return indices, values
+
+
+_EMPTY_INDICES = np.empty((2, 0), dtype=np.intp)
+_EMPTY_VALUES = np.empty((4, 0))
+_FIRST_RUN = np.zeros(1, dtype=np.intp)
+
+
 def segment_profile_arrays(
     profile: PhaseProfile,
     window_size: int,
@@ -132,53 +195,21 @@ def segment_profile_arrays(
     """:func:`segment_profile` as columns — the batch engines' form.
 
     Identical segmentation (same boundaries, same min/max values); only the
-    container differs.
+    container differs.  The profile is one run of the vectorized pass that
+    :meth:`IncrementalSegmenter.extend` runs over many streams at once.
     """
     if window_size < 1:
         raise ValueError(f"window size must be >= 1, got {window_size}")
-    phases = profile.phases_rad
-    times = profile.timestamps_s
-    sample_count = len(profile)
-    if sample_count == 0:
-        empty_index = np.empty(0, dtype=np.intp)
-        empty_float = np.empty(0)
-        return SegmentArrays(
-            empty_index, empty_index, empty_float, empty_float, empty_float, empty_float
+    if len(profile) == 0:
+        return SegmentArrays.of_blocks(_EMPTY_INDICES, _EMPTY_VALUES)
+    return SegmentArrays.of_blocks(
+        *_segment_runs(
+            profile.timestamps_s,
+            profile.phases_rad,
+            _FIRST_RUN,
+            window_size,
+            jump_threshold_rad,
         )
-    jumps = _phase_jump_indices(phases, jump_threshold_rad)
-
-    # Each segment closes at the first boundary after its start: the window
-    # filling, the next 0/2pi jump, or the end of the profile.  Walking
-    # boundary to boundary (O(M / w) steps) replaces the historical
-    # sample-by-sample loop; the boundary sequence is identical.
-    boundaries = [0]
-    jump_cursor = 0
-    jump_count = jumps.size
-    start = 0
-    while start < sample_count:
-        stop = start + window_size
-        while jump_cursor < jump_count and jumps[jump_cursor] <= start:
-            jump_cursor += 1
-        if jump_cursor < jump_count and jumps[jump_cursor] < stop:
-            stop = int(jumps[jump_cursor])
-        if stop > sample_count:
-            stop = sample_count
-        boundaries.append(stop)
-        start = stop
-
-    starts = np.array(boundaries[:-1], dtype=np.intp)
-    ends = np.array(boundaries[1:], dtype=np.intp)
-    # reduceat evaluates min/max over [starts[i], starts[i+1]) — exactly the
-    # per-chunk np.min/np.max values the per-sample loop computed.
-    mins = np.minimum.reduceat(phases, starts)
-    maxs = np.maximum.reduceat(phases, starts)
-    return SegmentArrays(
-        starts=starts,
-        ends=ends,
-        start_times=times[starts],
-        end_times=times[ends - 1],
-        mins=mins,
-        maxs=maxs,
     )
 
 
@@ -209,39 +240,53 @@ def segment_profile(
     return segment_profile_arrays(profile, window_size, jump_threshold_rad).to_segments()
 
 
+class _Stream:
+    """One stream's state in an :class:`IncrementalSegmenter`.
+
+    ``indices``/``values`` are its segments' blocks (see
+    :meth:`SegmentArrays.of_blocks`): the first ``closed`` are closed, and
+    a last one past them describes the open tail, whose samples
+    ``tail_times``/``tail_phases`` keep for the next pass to segment again
+    together with the new ones.  Each pass replaces the blocks rather than
+    writing into them, so a segmentation handed out stays as it was.
+    """
+
+    __slots__ = ("indices", "values", "closed", "tail_times", "tail_phases", "sample_count")
+
+    def __init__(self) -> None:
+        self.indices = _EMPTY_INDICES
+        self.values = _EMPTY_VALUES
+        self.closed = 0
+        self.tail_times = self.tail_phases = _EMPTY_VALUES[0]
+        self.sample_count = 0
+
+
 class IncrementalSegmenter:
-    """Streaming counterpart of :func:`segment_profile`.
+    """Streaming counterpart of :func:`segment_profile_arrays`, for many
+    streams at once.
 
-    Maintains the coarse segmentation of a growing phase profile with
-    amortized O(1) work per appended sample: a segment *closes* as soon as its
-    fate is sealed — it reached ``window_size`` samples, or the next sample
-    sits across a 0/2π jump — and closed segments are never touched again.
-    Only the open tail (at most ``window_size - 1`` samples) is re-described
-    when :meth:`segments` is called.
+    Keeps each stream's segmentation (streams are keyed by any hashable, e.g.
+    a tag id) as columns: the start and end index, start and end time and
+    min and max phase of its **closed** segments — a segment closes as soon
+    as its fate is sealed: it reached ``window_size`` samples, or the next
+    sample sits across a 0/2π jump — plus its **open tail**, the at most
+    ``window_size - 1`` samples after the last closed segment.  Closed
+    segments are never touched again.
 
+    :meth:`extend` segments the new samples of every stream it is given in
+    one vectorized pass: each stream's open tail and new samples, back to
+    back, each stream's start a forced boundary — no Python work per sample.
     The produced segmentation is **identical** to running
-    :func:`segment_profile` on the full profile at any point: both close a
-    segment at the first boundary where the window is full or a jump occurs,
-    and both emit the trailing partial segment.  The only streaming-specific
-    notion is :meth:`stable_count`: the number of segments that can never
-    change as more samples arrive, which is what lets the resumable DTW
-    aligner (:class:`~repro.core.dtw.ResumableSegmentAligner`) cache its
+    :func:`segment_profile_arrays` on the stream's full profile at any
+    point: both run the same kernel, and a closed segment's boundaries do
+    not depend on the samples after it.  The only streaming-specific notion
+    is :meth:`stable_count`: the number of segments that can never change as
+    more samples arrive, which is what lets the resumable DTW aligner
+    (:class:`~repro.core.dtw.ResumableSegmentAligner`) cache its
     accumulation prefix.
     """
 
-    __slots__ = (
-        "window_size",
-        "jump_threshold_rad",
-        "_closed",
-        "_count",
-        "_prev_phase",
-        "_open_start",
-        "_open_count",
-        "_open_start_time",
-        "_open_end_time",
-        "_open_min",
-        "_open_max",
-    )
+    __slots__ = ("window_size", "jump_threshold_rad", "_streams")
 
     def __init__(
         self, window_size: int, jump_threshold_rad: float = 0.75 * TWO_PI
@@ -250,104 +295,147 @@ class IncrementalSegmenter:
             raise ValueError(f"window size must be >= 1, got {window_size}")
         self.window_size = window_size
         self.jump_threshold_rad = jump_threshold_rad
-        self._closed: list[Segment] = []
-        self._count = 0
-        self._prev_phase = 0.0
-        self._reset_open(0)
+        self._streams: dict[Hashable, _Stream] = {}
 
-    def _reset_open(self, start: int) -> None:
-        self._open_start = start
-        self._open_count = 0
-        self._open_start_time = 0.0
-        self._open_end_time = 0.0
-        self._open_min = float("inf")
-        self._open_max = float("-inf")
+    def extend(
+        self,
+        timestamps_s: "np.ndarray | Sequence[np.ndarray]",
+        phases_rad: "np.ndarray | Sequence[np.ndarray]",
+        keys: "Sequence[Hashable] | None" = None,
+    ) -> None:
+        """Feed new samples, in timestamp order, to one stream or to many.
 
-    def _close_open(self) -> None:
-        self._closed.append(
-            Segment(
-                start_index=self._open_start,
-                end_index=self._open_start + self._open_count,
-                start_time_s=self._open_start_time,
-                end_time_s=self._open_end_time,
-                min_phase_rad=self._open_min,
-                max_phase_rad=self._open_max,
-            )
-        )
-        self._reset_open(self._open_start + self._open_count)
-
-    def append(self, timestamp_s: float, phase_rad: float) -> None:
-        """Feed one sample (samples must arrive in timestamp order)."""
-        timestamp_s = float(timestamp_s)
-        phase_rad = float(phase_rad)
-        if (
-            self._open_count > 0
-            and abs(phase_rad - self._prev_phase) > self.jump_threshold_rad
-        ):
-            # A 0/2π wrap sits between the previous sample and this one:
-            # the open segment closes at that boundary (paper Figure 8).
-            self._close_open()
-        if self._open_count == 0:
-            self._open_start_time = timestamp_s
-        self._open_count += 1
-        self._open_end_time = timestamp_s
-        if phase_rad < self._open_min:
-            self._open_min = phase_rad
-        if phase_rad > self._open_max:
-            self._open_max = phase_rad
-        self._prev_phase = phase_rad
-        self._count += 1
-        if self._open_count >= self.window_size:
-            self._close_open()
-
-    def extend(self, timestamps_s: np.ndarray, phases_rad: np.ndarray) -> None:
-        """Feed a batch of samples (in timestamp order)."""
-        for timestamp_s, phase_rad in zip(timestamps_s, phases_rad):
-            self.append(timestamp_s, phase_rad)
-
-    @property
-    def sample_count(self) -> int:
-        """Total samples consumed so far."""
-        return self._count
-
-    def stable_count(self) -> int:
-        """Number of leading segments that no future sample can change."""
-        return len(self._closed)
-
-    def segments(self) -> list[Segment]:
-        """The current segmentation: closed segments plus the open tail.
-
-        Equals ``segment_profile(profile_so_far, window_size)`` exactly.  The
-        returned list shares the closed-segment prefix, so callers must not
-        mutate it.
+        Without ``keys`` the arrays are the new samples of the default
+        stream (key ``None``).  With ``keys``, ``timestamps_s[k]`` and
+        ``phases_rad[k]`` are the new samples of stream ``keys[k]`` (each
+        key at most once), and every stream is segmented in the same pass.
         """
-        if self._open_count == 0:
-            return list(self._closed)
-        tail = Segment(
-            start_index=self._open_start,
-            end_index=self._open_start + self._open_count,
-            start_time_s=self._open_start_time,
-            end_time_s=self._open_end_time,
-            min_phase_rad=self._open_min,
-            max_phase_rad=self._open_max,
+        if keys is None:
+            keys, timestamps_s, phases_rad = (None,), (timestamps_s,), (phases_rad,)
+        elif len(set(keys)) != len(keys):
+            raise ValueError("a stream may appear only once per extend")
+        streams: list[_Stream] = []
+        time_parts: list[np.ndarray] = []
+        phase_parts: list[np.ndarray] = []
+        lengths: list[int] = []
+        tail_starts: list[int] = []
+        for key, times, phases in zip(keys, timestamps_s, phases_rad, strict=True):
+            new = len(phases)
+            if not new:
+                continue
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._streams[key] = _Stream()
+            tail = stream.tail_phases.size
+            streams.append(stream)
+            time_parts += (stream.tail_times, times)
+            phase_parts += (stream.tail_phases, phases)
+            lengths.append(tail + new)
+            tail_starts.append(stream.sample_count - tail)
+            stream.sample_count += new
+        if not streams:
+            return
+        times = np.concatenate(time_parts)
+        phases = np.concatenate(phase_parts)
+        run_ends = np.cumsum(lengths)
+        run_starts = run_ends - lengths
+        indices, values = _segment_runs(
+            times, phases, run_starts, self.window_size, self.jump_threshold_rad
         )
-        return [*self._closed, tail]
+        firsts = np.searchsorted(indices[0], run_starts)
+        counts = np.diff(firsts, append=indices.shape[1])
+        lasts = firsts + counts - 1
+        # A run's last segment stays open unless its window is full: the
+        # next sample may still join it.
+        last_starts = indices[0, lasts]
+        is_open = indices[1, lasts] - last_starts < self.window_size
+        tail_from = np.where(is_open, last_starts, run_ends)
+        # Positions in the concatenation become indices into each stream.
+        indices -= np.repeat(run_starts - tail_starts, counts)
+        for stream, first, count, closed, begin, end in zip(
+            streams,
+            firsts.tolist(),
+            counts.tolist(),
+            (counts - is_open).tolist(),
+            tail_from.tolist(),
+            run_ends.tolist(),
+        ):
+            stop = first + count
+            kept = stream.closed
+            stream.indices = np.concatenate(
+                (stream.indices[:, :kept], indices[:, first:stop]), axis=1
+            )
+            stream.values = np.concatenate(
+                (stream.values[:, :kept], values[:, first:stop]), axis=1
+            )
+            stream.closed = kept + closed
+            stream.tail_times = times[begin:end].copy()
+            stream.tail_phases = phases[begin:end].copy()
+
+    def discard(self, key: Hashable = None) -> None:
+        """Forget a stream (its samples were re-sorted; feed it again from 0)."""
+        self._streams.pop(key, None)
+
+    def sample_count(self, key: Hashable = None) -> int:
+        """Samples stream ``key`` has consumed so far."""
+        stream = self._streams.get(key)
+        return 0 if stream is None else stream.sample_count
+
+    def stable_count(self, key: Hashable = None) -> int:
+        """Number of leading segments of stream ``key`` that no future sample
+        can change."""
+        stream = self._streams.get(key)
+        return 0 if stream is None else stream.closed
+
+    def segments(self, key: Hashable = None) -> SegmentArrays:
+        """Stream ``key``'s current segmentation: closed segments plus the
+        open tail.
+
+        Equals ``segment_profile_arrays(profile_so_far, window_size)``
+        exactly; later passes leave it as it is.  Callers must not mutate it.
+        """
+        stream = self._streams.get(key)
+        if stream is None:
+            return SegmentArrays.of_blocks(_EMPTY_INDICES, _EMPTY_VALUES)
+        return SegmentArrays.of_blocks(stream.indices, stream.values)
+
+    def state(self) -> dict:
+        """Every stream's blocks, closed count, open tail and sample count,
+        for a checkpoint."""
+        return {
+            key: {name: getattr(stream, name) for name in _Stream.__slots__}
+            for key, stream in self._streams.items()
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Replace every stream with the ones of a :meth:`state`."""
+        self._streams = {}
+        for key, saved in state.items():
+            stream = self._streams[key] = _Stream()
+            for name in _Stream.__slots__:
+                setattr(stream, name, saved[name])
 
 
-def segment_bounds(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+def segment_bounds(
+    segments: "list[Segment] | SegmentArrays",
+) -> tuple[np.ndarray, np.ndarray]:
     """The ``(min_phase, max_phase)`` arrays of a segmentation.
 
     Extracted once per segmentation so the batched DTW engine can build many
     distance matrices against a shared reference without re-reading the
-    segment objects each time.
+    segment objects each time.  :class:`SegmentArrays` already holds them.
     """
+    if isinstance(segments, SegmentArrays):
+        return segments.bounds()
     mins = np.array([seg.min_phase_rad for seg in segments], dtype=float)
     maxs = np.array([seg.max_phase_rad for seg in segments], dtype=float)
     return mins, maxs
 
 
-def segment_durations(segments: list[Segment]) -> np.ndarray:
+def segment_durations(segments: "list[Segment] | SegmentArrays") -> np.ndarray:
     """Per-segment durations clamped away from zero (for duration weights)."""
+    if isinstance(segments, SegmentArrays):
+        return segments.durations()
     return np.array([max(seg.duration_s, 1e-6) for seg in segments], dtype=float)
 
 
@@ -377,14 +465,18 @@ def duration_weight_matrix(
     return np.minimum(left_durations[:, None], right_durations[None, :])
 
 
-def segment_distance_matrix(left: list[Segment], right: list[Segment]) -> np.ndarray:
+def segment_distance_matrix(
+    left: "list[Segment] | SegmentArrays", right: "list[Segment] | SegmentArrays"
+) -> np.ndarray:
     """Matrix of range-gap distances (``D_{i,j}``) between two segmentations."""
     left_min, left_max = segment_bounds(left)
     right_min, right_max = segment_bounds(right)
     return range_gap_matrix(left_min, left_max, right_min, right_max)
 
 
-def segment_duration_weights(left: list[Segment], right: list[Segment]) -> np.ndarray:
+def segment_duration_weights(
+    left: "list[Segment] | SegmentArrays", right: "list[Segment] | SegmentArrays"
+) -> np.ndarray:
     """Matrix of ``min(s^T_P,i, s^T_Q,j)`` weights used in the segmented DTW cost."""
     return duration_weight_matrix(segment_durations(left), segment_durations(right))
 

@@ -46,7 +46,7 @@ from .dtw import (
 from .fitting import QuadraticFit, fit_vzone, fit_windows  # noqa: F401
 from .phase_profile import PhaseProfile
 from .reference import ReferenceProfile, shared_canonical_reference
-from .segmentation import Segment, segment_profile, segment_profile_arrays
+from .segmentation import SegmentArrays, segment_profile_arrays
 
 DETECTION_METHODS = ("segmented_dtw", "full_dtw", "longest_run")
 """The supported V-zone detection strategies."""
@@ -128,7 +128,7 @@ class VZoneDetector:
             raise ValueError("min_profile_samples must be at least 3")
         if self.expand_fraction < 0:
             raise ValueError("expand fraction must be non-negative")
-        self._reference_segments: list[Segment] | None = None
+        self._reference_segments: SegmentArrays | None = None
         self._reference_columns: ReferenceColumns | None = None
         self._reference_vzone_range: tuple[int, int] | None = None
 
@@ -183,7 +183,7 @@ class VZoneDetector:
     def detect_from_segmented_alignments(
         self,
         profiles: "list[PhaseProfile]",
-        segmentations: "list[list[Segment]]",
+        segmentations: "list[SegmentArrays]",
         results: "list[DTWResult]",
     ) -> list[VZone | None]:
         """Build V-zones from externally computed segmented-DTW alignments.
@@ -367,8 +367,8 @@ class VZoneDetector:
     def _primary_window(self, profile: PhaseProfile) -> "_Window | None":
         """The configured DTW strategy's window for one profile."""
         if self.method == "segmented_dtw":
-            measured_segments = segment_profile(profile, self.window_size)
-            if not measured_segments:
+            measured_segments = segment_profile_arrays(profile, self.window_size)
+            if not len(measured_segments):
                 return None
             result = segmented_dtw_align(self.reference_segmentation(), measured_segments)
             return self._segmented_window(measured_segments, result)
@@ -388,7 +388,7 @@ class VZoneDetector:
         # Column-form segmentations: the aligner reads bounds/durations
         # straight off the arrays, with no per-segment objects built.
         segmentations = [segment_profile_arrays(p, self.window_size) for p in profiles]
-        indices = [k for k, segs in enumerate(segmentations) if segs]
+        indices = [k for k, segs in enumerate(segmentations) if len(segs)]
         windows: list[_Window | None] = [None] * len(profiles)
         if indices:
             results = segmented_dtw_align_batch(
@@ -398,14 +398,11 @@ class VZoneDetector:
                 windows[k] = self._segmented_window(segmentations[k], result)
         return windows
 
-    def reference_segmentation(self) -> list[Segment]:
-        """The reference profile's segmentation (computed once, cached).
-
-        Public because the streaming session seeds its per-tag resumable
-        aligners with it; callers must not mutate the returned list.
-        """
+    def reference_segmentation(self) -> SegmentArrays:
+        """The reference profile's segmentation as columns (computed once,
+        cached); callers must not mutate it."""
         if self._reference_segments is None:
-            self._reference_segments = segment_profile(
+            self._reference_segments = segment_profile_arrays(
                 self.reference.profile, self.window_size
             )
         return self._reference_segments
@@ -426,24 +423,19 @@ class VZoneDetector:
         if self._reference_vzone_range is None:
             start = self.reference.vzone_start_index
             end = self.reference.vzone_end_index
-            overlapping = [
-                i
-                for i, seg in enumerate(self.reference_segmentation())
-                if seg.end_index > start and seg.start_index < end
-            ]
-            if not overlapping:
+            segments = self.reference_segmentation()
+            overlapping = np.flatnonzero((segments.ends > start) & (segments.starts < end))
+            if not overlapping.size:
                 raise RuntimeError("reference segmentation does not cover its own V-zone")
-            self._reference_vzone_range = (min(overlapping), max(overlapping))
+            self._reference_vzone_range = (int(overlapping[0]), int(overlapping[-1]))
         return self._reference_vzone_range
 
     def _segmented_window(
-        self, measured_segments: "list[Segment] | object", result: DTWResult
+        self, measured_segments: SegmentArrays, result: DTWResult
     ) -> "_Window | None":
         """The V-zone window of a segmented-DTW alignment.
 
-        ``measured_segments`` may be a ``list[Segment]`` or the batched
-        detector's column-form ``SegmentArrays`` — only indexed access to the
-        matched segments' sample ranges is needed.
+        Reads the matched segments' sample ranges straight off the columns.
         """
         ref_vz_start, ref_vz_end = self._reference_vzone_segment_range()
         try:
@@ -453,8 +445,8 @@ class VZoneDetector:
         except ValueError:
             return None
         return (
-            int(measured_segments[q_start_seg].start_index),
-            int(measured_segments[q_end_seg].end_index),
+            int(measured_segments.starts[q_start_seg]),
+            int(measured_segments.ends[q_end_seg]),
             result.cost,
         )
 

@@ -11,8 +11,10 @@ engines make a refresh cheap:
 * the :class:`~repro.simulation.streaming.StreamingCollector` keeps every
   read in one columnar store with amortized O(1) appends, and snapshots it
   through the batch path's lexsort-and-slice;
-* an :class:`~repro.core.segmentation.IncrementalSegmenter` per tag extends
-  the coarse segmentation as samples arrive instead of recomputing it;
+* one columnar :class:`~repro.core.segmentation.IncrementalSegmenter`
+  keeps every tag's coarse segmentation and, per refresh, segments the new
+  samples of every stale tag in one vectorized pass instead of recomputing
+  them;
 * a :class:`~repro.core.dtw.ResumableSegmentAligner` per tag reuses the
   cached DTW accumulation prefix over the segments that can no longer change,
   so each refresh pays only for the columns that grew — and every tag of a
@@ -48,7 +50,7 @@ from ..rfid.reading import ReadBatch, TagRead
 from ..simulation.streaming import StreamingCollector
 from .cache import ProfileCacheRegistry
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 """Format version stamped into every :meth:`LocalizationSession.checkpoint`."""
 
 GAP_FACTOR = 16.0
@@ -110,11 +112,10 @@ class StreamingUpdate:
 
 @dataclass
 class _TagPipeline:
-    """Incremental per-tag state: segmentation + resumable DTW alignment."""
+    """Incremental per-tag state beside the session's segmenter: resumable
+    DTW alignment and the latest detection."""
 
-    segmenter: IncrementalSegmenter
     aligner: ResumableSegmentAligner
-    consumed: int = 0
     generation: int = 0
     vzone: VZone | None = None
     vzone_sample_count: int = -1
@@ -192,6 +193,7 @@ class LocalizationSession:
         self.collector = StreamingCollector(
             channel_index=channel_index, out_of_order=out_of_order
         )
+        self._segmenter = IncrementalSegmenter(config.window_size)
         self._pipelines: dict[str, _TagPipeline] = {}
         self._batches = 0
         self._updates = 0
@@ -246,36 +248,9 @@ class LocalizationSession:
         pipeline = self._pipelines.get(tag_id)
         if pipeline is None:
             pipeline = _TagPipeline(
-                segmenter=IncrementalSegmenter(self.config.window_size),
                 aligner=ResumableSegmentAligner(self._detector.reference_columns()),
             )
             self._pipelines[tag_id] = pipeline
-        return pipeline
-
-    def _advance(
-        self, tag_id: str, profile: PhaseProfile, generation: int
-    ) -> _TagPipeline:
-        """Feed one tag's new samples to its segmenter; return its pipeline.
-
-        ``generation`` is the tag's reorder count in the collector.
-        """
-        pipeline = self._pipeline_for(tag_id)
-        if pipeline.generation != generation:
-            # A late read re-sorted this tag's samples: the incremental
-            # prefix is void, rebuild it from the (deterministically
-            # re-sorted) stream.
-            pipeline.segmenter = IncrementalSegmenter(self.config.window_size)
-            pipeline.aligner.reset()
-            pipeline.consumed = 0
-            pipeline.generation = generation
-            pipeline.vzone_sample_count = -1
-        total = len(profile)
-        if pipeline.consumed < total:
-            pipeline.segmenter.extend(
-                profile.timestamps_s[pipeline.consumed :],
-                profile.phases_rad[pipeline.consumed :],
-            )
-            pipeline.consumed = total
         return pipeline
 
     def _detect_all(
@@ -284,32 +259,49 @@ class LocalizationSession:
         """Incremental V-zone detection for every usable profile.
 
         Every tag whose sample count moved since its last detection is
-        re-aligned, and all of them resume in one
-        :func:`~repro.core.dtw.align_resumable_batch` call and are fitted in
-        one staged :meth:`~repro.core.vzone.VZoneDetector.detect_from_segmented_alignments`
+        stale: one :meth:`~repro.core.segmentation.IncrementalSegmenter.extend`
+        call segments the new samples of all of them, all of them resume in
+        one :func:`~repro.core.dtw.align_resumable_batch` call and are fitted
+        in one staged
+        :meth:`~repro.core.vzone.VZoneDetector.detect_from_segmented_alignments`
         call — provisionals and finalize alike; the others keep their
-        detection.
+        detection.  ``generations`` holds each tag's reorder count in the
+        collector.
         """
+        segmenter = self._segmenter
         usable: list[tuple[str, _TagPipeline]] = []
-        stale: list[tuple[_TagPipeline, PhaseProfile, list]] = []
+        stale: list[tuple[str, _TagPipeline, PhaseProfile]] = []
         for tag_id, profile in profile_map.items():
             if len(profile) < self.config.min_profile_samples:
                 continue
-            pipeline = self._advance(tag_id, profile, generations[tag_id])
+            pipeline = self._pipeline_for(tag_id)
+            if pipeline.generation != generations[tag_id]:
+                # A late read re-sorted this tag's samples: the incremental
+                # prefix is void, rebuild it from the (deterministically
+                # re-sorted) stream.
+                segmenter.discard(tag_id)
+                pipeline.aligner.reset()
+                pipeline.generation = generations[tag_id]
+                pipeline.vzone_sample_count = -1
             usable.append((tag_id, pipeline))
             if pipeline.vzone_sample_count != len(profile):
-                stale.append((pipeline, profile, pipeline.segmenter.segments()))
+                stale.append((tag_id, pipeline, profile))
+        seen = [segmenter.sample_count(tag_id) for tag_id, _, _ in stale]
+        segmenter.extend(
+            [profile.timestamps_s[s:] for (_, _, profile), s in zip(stale, seen)],
+            [profile.phases_rad[s:] for (_, _, profile), s in zip(stale, seen)],
+            keys=[tag_id for tag_id, _, _ in stale],
+        )
+        segmentations = [segmenter.segments(tag_id) for tag_id, _, _ in stale]
         results = align_resumable_batch(
-            [pipeline.aligner for pipeline, _, _ in stale],
-            [segments for _, _, segments in stale],
-            [pipeline.segmenter.stable_count() for pipeline, _, _ in stale],
+            [pipeline.aligner for _, pipeline, _ in stale],
+            segmentations,
+            [segmenter.stable_count(tag_id) for tag_id, _, _ in stale],
         )
         vzones = self._detector.detect_from_segmented_alignments(
-            [profile for _, profile, _ in stale],
-            [segments for _, _, segments in stale],
-            results,
+            [profile for _, _, profile in stale], segmentations, results
         )
-        for (pipeline, profile, _), vzone in zip(stale, vzones):
+        for (_, pipeline, profile), vzone in zip(stale, vzones):
             pipeline.vzone = vzone
             pipeline.vzone_sample_count = len(profile)
         return {
@@ -485,8 +477,8 @@ class LocalizationSession:
         """Serialize the session's resumable state to bytes.
 
         The payload captures everything the incremental engines have built —
-        the collector's read columns and per-tag counters, segmenter state
-        (closed segments and the open tail), the resumable aligner's cached
+        the collector's read columns and per-tag counters, the segmenter's
+        columns (each tag's segments and open tail), the resumable aligner's cached
         DTW accumulation prefix, and the session's update history — but *not*
         the localizer or reference profile, which :meth:`restore` rebuilds
         deterministically from the config.  **Contract** (pinned by ``tests/test_checkpoint.py``): a
@@ -501,27 +493,12 @@ class LocalizationSession:
         collector = self.collector
         pipelines = {}
         for tag_id, pipeline in self._pipelines.items():
-            segmenter = pipeline.segmenter
             aligner = pipeline.aligner
             pipelines[tag_id] = {
-                "segmenter": {
-                    "window_size": segmenter.window_size,
-                    "jump_threshold_rad": segmenter.jump_threshold_rad,
-                    "closed": list(segmenter._closed),
-                    "count": segmenter._count,
-                    "prev_phase": segmenter._prev_phase,
-                    "open_start": segmenter._open_start,
-                    "open_count": segmenter._open_count,
-                    "open_start_time": segmenter._open_start_time,
-                    "open_end_time": segmenter._open_end_time,
-                    "open_min": segmenter._open_min,
-                    "open_max": segmenter._open_max,
-                },
                 "aligner": {
                     "cached_cols": aligner._cached_cols,
                     "cost_prefix": aligner._cost[:, : aligner._cached_cols].copy(),
                 },
-                "consumed": pipeline.consumed,
                 "generation": pipeline.generation,
             }
         state = {
@@ -533,6 +510,7 @@ class LocalizationSession:
             "out_of_order": collector.out_of_order,
             "facility_id": self.facility_id,
             "collector": collector.state(),
+            "segmenter": self._segmenter.state(),
             "pipelines": pipelines,
             "batches": self._batches,
             "updates": self._updates,
@@ -576,22 +554,9 @@ class LocalizationSession:
             facility_id=state["facility_id"],
         )
         session.collector.load_state(state["collector"])
+        session._segmenter.load_state(state["segmenter"])
         for tag_id, saved in state["pipelines"].items():
             pipeline = session._pipeline_for(tag_id)
-            seg_state = saved["segmenter"]
-            segmenter = IncrementalSegmenter(
-                seg_state["window_size"], seg_state["jump_threshold_rad"]
-            )
-            segmenter._closed = list(seg_state["closed"])
-            segmenter._count = seg_state["count"]
-            segmenter._prev_phase = seg_state["prev_phase"]
-            segmenter._open_start = seg_state["open_start"]
-            segmenter._open_count = seg_state["open_count"]
-            segmenter._open_start_time = seg_state["open_start_time"]
-            segmenter._open_end_time = seg_state["open_end_time"]
-            segmenter._open_min = seg_state["open_min"]
-            segmenter._open_max = seg_state["open_max"]
-            pipeline.segmenter = segmenter
             aligner_state = saved["aligner"]
             cached = aligner_state["cached_cols"]
             aligner = pipeline.aligner
@@ -599,7 +564,6 @@ class LocalizationSession:
             if cached:
                 aligner._cost[:, :cached] = aligner_state["cost_prefix"]
             aligner._cached_cols = cached
-            pipeline.consumed = saved["consumed"]
             pipeline.generation = saved["generation"]
             pipeline.vzone = None
             pipeline.vzone_sample_count = -1

@@ -246,9 +246,48 @@ class TestCheckpointEdges:
             "updates": 0,
             "previous_x": None,
         }
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         with pytest.raises(ValueError, match="unsupported checkpoint version 1 "):
             LocalizationSession.restore(pickle.dumps(payload))
+
+    def test_version_two_payload_is_refused(self):
+        """A version-2 checkpoint kept one segmenter per tag, its closed
+        segments pickled as ``Segment`` objects, and the tag's consumed
+        sample count; version 3 keeps the session segmenter's columns.
+        Restore names the version and refuses it whole."""
+        import pickle
+
+        from repro.core import Segment
+
+        session = LocalizationSession(channel_index=6)
+        session.ingest_read(TagRead(0.1, "t", 1.0, -60.0))
+        session.ingest_read(TagRead(0.2, "t", 1.1, -60.0))
+        state = pickle.loads(session.checkpoint())
+        del state["segmenter"]
+        state["version"] = 2
+        closed = Segment(0, 1, 0.1, 0.1, 1.0, 1.0)
+        state["pipelines"] = {
+            "t": {
+                "segmenter": {
+                    "window_size": 5,
+                    "jump_threshold_rad": 0.75 * 2 * np.pi,
+                    "closed": [closed],
+                    "count": 2,
+                    "prev_phase": 1.1,
+                    "open_start": 1,
+                    "open_count": 1,
+                    "open_start_time": 0.2,
+                    "open_end_time": 0.2,
+                    "open_min": 1.1,
+                    "open_max": 1.1,
+                },
+                "aligner": {"cached_cols": 0, "cost_prefix": np.empty((0, 0))},
+                "consumed": 2,
+                "generation": 0,
+            }
+        }
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2 "):
+            LocalizationSession.restore(pickle.dumps(state))
 
     def test_restore_flattens_subclasses(self):
         class Wrapper(LocalizationSession):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.segmentation import segment_profile_per_sample
 from repro.core.dtw import segmented_dtw_align, subsequence_dtw
 from repro.core.phase_profile import PhaseProfile, ProfileSet
 from repro.core.segmentation import (
@@ -132,39 +133,6 @@ class TestSegmentation:
             CoarseRepresentation("t", np.arange(3.0), 4)
 
 
-def segment_profile_per_sample(profile, window_size, jump_threshold_rad=0.75 * TWO_PI):
-    """The historical sample-by-sample segmentation loop, kept as the oracle
-    for the vectorized (boundary-walk + reduceat) implementation."""
-    from repro.core.segmentation import Segment, _phase_jump_indices
-
-    if profile.is_empty:
-        return []
-    phases = profile.phases_rad
-    times = profile.timestamps_s
-    jump_set = set(int(i) for i in _phase_jump_indices(phases, jump_threshold_rad))
-    segments = []
-    start = 0
-    for index in range(1, len(profile) + 1):
-        window_full = (index - start) >= window_size
-        if not (window_full or index in jump_set or index == len(profile)):
-            continue
-        chunk = phases[start:index]
-        segments.append(
-            Segment(
-                start_index=start,
-                end_index=index,
-                start_time_s=float(times[start]),
-                end_time_s=float(times[index - 1]),
-                min_phase_rad=float(np.min(chunk)),
-                max_phase_rad=float(np.max(chunk)),
-            )
-        )
-        start = index
-        if index == len(profile):
-            break
-    return segments
-
-
 class TestVectorizedSegmentation:
     """The vectorized segment_profile equals the per-sample loop exactly."""
 
@@ -199,6 +167,20 @@ class TestVectorizedSegmentation:
         assert arrays.durations().tolist() == [
             max(s.duration_s, 1e-6) for s in segments
         ]
+
+    def test_slice_gives_the_sliced_columns(self):
+        from repro.core.segmentation import SegmentArrays, segment_profile_arrays
+
+        phases = np.array([0.2, 0.1, 0.05, 0.02, 6.2, 6.1, 6.0, 5.9, 0.3, 0.4])
+        times = np.arange(phases.size, dtype=float) * 0.1
+        arrays = segment_profile_arrays(make_profile(times, phases), 3)
+        segments = arrays.to_segments()
+        assert isinstance(arrays[0:2], SegmentArrays)
+        assert arrays[0:2].to_segments() == segments[0:2]
+        assert arrays[1:].to_segments() == segments[1:]
+        assert arrays[::2].to_segments() == segments[::2]
+        assert len(arrays[5:5]) == 0
+        assert arrays[-1] == segments[-1]
 
     def test_empty_profile(self):
         from repro.core.segmentation import segment_profile_arrays

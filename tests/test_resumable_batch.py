@@ -286,7 +286,7 @@ def test_restored_session_finalizes_through_the_batch_like_uninterrupted():
         profiles_from_read_log(sweep.read_log, channel_index=channel),
         expected_tag_ids=tags.ids(),
     )
-    assert CHECKPOINT_VERSION == 2
+    assert CHECKPOINT_VERSION == 3
     assert final.result.vzones.keys() == expected.result.vzones.keys()
     for tag_id, vzone in expected.result.vzones.items():
         other = final.result.vzones[tag_id]

@@ -13,17 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.segmentation import assert_same_columns
 from repro.core import (
     BatchLocalizer,
     IncrementalSegmenter,
     PhaseProfile,
     ResumableSegmentAligner,
+    Segment,
     STPPConfig,
     segment_profile,
     segmented_dtw_align,
 )
 from repro.core.dtw import ReferenceColumns
 from repro.core.reference import shared_canonical_reference
+from repro.core.segmentation import segment_profile_arrays
 from repro.evaluation.metrics import ordering_agreement
 from repro.rf.geometry import Point3D
 from repro.rfid import FrameSlottedAloha, ReadLog, RFIDReader, TagRead, make_tags
@@ -103,35 +106,92 @@ class TestIncrementalSegmenter:
                     timestamps_s=profile.timestamps_s[:index],
                     phases_rad=profile.phases_rad[:index],
                 )
-                assert segmenter.segments() == segment_profile(partial, window_size)
+                assert_same_columns(
+                    segmenter.segments(), segment_profile_arrays(partial, window_size)
+                )
                 assert segmenter.stable_count() <= len(segmenter.segments())
 
     def test_jump_splits_match_batch(self):
-        # A profile with explicit 0/2π wraps between samples 3-4 and 7-8.
+        # A profile with explicit 0/2π wraps between samples 3-4 and 7-8,
+        # fed one sample per extend.
         phases = np.array([0.2, 0.1, 0.05, 0.02, 6.2, 6.1, 6.0, 5.9, 0.3, 0.4])
         times = np.arange(phases.size, dtype=float) * 0.1
         profile = PhaseProfile(tag_id="t", timestamps_s=times, phases_rad=phases)
         for window in (2, 3, 5):
             segmenter = IncrementalSegmenter(window)
-            for t, p in zip(times, phases):
-                segmenter.append(t, p)
-            assert segmenter.segments() == segment_profile(profile, window)
+            for index in range(phases.size):
+                segmenter.extend(times[index : index + 1], phases[index : index + 1])
+            assert_same_columns(
+                segmenter.segments(), segment_profile_arrays(profile, window)
+            )
+            assert segmenter.segments().to_segments() == segment_profile(profile, window)
 
     def test_stable_prefix_never_changes(self, small_row_sweep):
         _, _, sweep = small_row_sweep
         profile = next(iter(sweep.profiles))
         segmenter = IncrementalSegmenter(5)
-        seen: list = []
+        seen = segmenter.segments()
         for index in range(len(profile)):
-            segmenter.append(profile.timestamps_s[index], profile.phases_rad[index])
+            segmenter.extend(
+                profile.timestamps_s[index : index + 1],
+                profile.phases_rad[index : index + 1],
+            )
             stable = segmenter.stable_count()
             current = segmenter.segments()[:stable]
-            assert current[: len(seen)] == seen
+            assert_same_columns(current[: len(seen)], seen)
             seen = current
+        assert len(seen) > 0
+
+    def test_streams_in_one_pass_match_each_alone(self, small_row_sweep):
+        # One extend call over every tag equals a segmenter per tag, and a
+        # discarded stream starts again from its first sample.
+        _, _, sweep = small_row_sweep
+        profiles = [sweep.profiles[tag_id] for tag_id in sweep.profiles.tag_ids()]
+        shared = IncrementalSegmenter(5)
+        alone = {p.tag_id: IncrementalSegmenter(5) for p in profiles}
+        for stop in (7, 40, 41, None):
+            shared.extend(
+                [p.timestamps_s[shared.sample_count(p.tag_id) : stop] for p in profiles],
+                [p.phases_rad[shared.sample_count(p.tag_id) : stop] for p in profiles],
+                keys=[p.tag_id for p in profiles],
+            )
+            for p in profiles:
+                own = alone[p.tag_id]
+                own.extend(
+                    p.timestamps_s[own.sample_count() : stop],
+                    p.phases_rad[own.sample_count() : stop],
+                )
+                assert_same_columns(shared.segments(p.tag_id), own.segments())
+                assert shared.stable_count(p.tag_id) == own.stable_count()
+        first = profiles[0]
+        shared.discard(first.tag_id)
+        assert (shared.sample_count(first.tag_id), len(shared.segments(first.tag_id))) == (0, 0)
+        shared.extend([first.timestamps_s], [first.phases_rad], keys=[first.tag_id])
+        assert_same_columns(
+            shared.segments(first.tag_id), segment_profile_arrays(first, 5)
+        )
+        with pytest.raises(ValueError, match="once per extend"):
+            shared.extend([first.timestamps_s] * 2, [first.phases_rad] * 2, keys=[0, 0])
 
     def test_rejects_invalid_window(self):
         with pytest.raises(ValueError, match="window size"):
             IncrementalSegmenter(0)
+
+    def test_session_refresh_builds_no_segment_objects(self, small_row_sweep, monkeypatch):
+        # Provisionals and finalize read the segmenter's columns end to end.
+        _, scene, sweep = small_row_sweep
+        built = []
+        original = Segment.__post_init__
+        monkeypatch.setattr(
+            Segment, "__post_init__", lambda self: built.append(1) or original(self)
+        )
+        session = LocalizationSession(channel_index=scene.reader_config.channel.channel_index)
+        for index, batch in enumerate(sweep.read_log.iter_batches(64)):
+            session.ingest_batch(batch)
+            if index % 3 == 2:
+                session.provisional()
+        assert len(session.finalize().result.vzones) > 1
+        assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +238,10 @@ class TestResumableSegmentAligner:
         segmenter = IncrementalSegmenter(5)
         cached = 0
         for index in range(len(profile)):
-            segmenter.append(profile.timestamps_s[index], profile.phases_rad[index])
+            segmenter.extend(
+                profile.timestamps_s[index : index + 1],
+                profile.phases_rad[index : index + 1],
+            )
             segments = segmenter.segments()
             if not segments:
                 continue
