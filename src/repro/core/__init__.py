@@ -7,13 +7,9 @@ substrates) or to compare it against prior schemes (the baselines).
 
 from .dtw import (
     DTWResult,
-    ReferenceColumns,
     ResumableSegmentAligner,
-    accumulate_cost,
     align_resumable_batch,
-    segmented_dtw_align,
     segmented_dtw_align_batch,
-    subsequence_dtw,
     subsequence_dtw_batch,
 )
 from .fitting import QuadraticFit, fit_vzone, fit_vzone_profile
@@ -38,10 +34,9 @@ from .result import AxisOrdering, LocalizationResult
 from .segmentation import (
     CoarseRepresentation,
     IncrementalSegmenter,
-    Segment,
+    SegmentArrays,
     coarse_representation,
-    segment_distance_matrix,
-    segment_profile,
+    segment_profile_arrays,
 )
 from .vzone import DETECTION_METHODS, VZone, VZoneDetector
 
@@ -59,30 +54,25 @@ __all__ = [
     "ReferenceProfile",
     "STPPConfig",
     "STPPLocalizer",
-    "Segment",
+    "SegmentArrays",
     "VALUE_MODES",
     "VZone",
     "VZoneDetector",
     "YOrderingConfig",
-    "accumulate_cost",
     "align_resumable_batch",
     "build_representations",
     "canonical_reference",
     "coarse_representation",
     "IncrementalSegmenter",
-    "ReferenceColumns",
     "ResumableSegmentAligner",
     "fit_vzone",
     "fit_vzone_profile",
     "order_tags_x",
     "order_tags_y",
     "reference_profile",
-    "segment_distance_matrix",
-    "segment_profile",
-    "segmented_dtw_align",
+    "segment_profile_arrays",
     "segmented_dtw_align_batch",
     "shared_canonical_reference",
     "signed_gap",
-    "subsequence_dtw",
     "subsequence_dtw_batch",
 ]

@@ -32,49 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segmentation import (
-    Segment,
-    SegmentArrays,
-    duration_weight_matrix,
-    range_gap_matrix,
-    segment_bounds,
-    segment_distance_matrix,
-    segment_durations,
-    segment_duration_weights,
-)
-
-
-def _segmentation_columns(
-    segments: "list[Segment] | SegmentArrays",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(mins, maxs, durations)`` of either segmentation representation."""
-    mins, maxs = segment_bounds(segments)
-    return mins, maxs, segment_durations(segments)
-
-
-@dataclass(frozen=True, slots=True)
-class ReferenceColumns:
-    """A reference segmentation's ``(mins, maxs, durations)``, read-only.
-
-    Extracted once and shared by every :class:`ResumableSegmentAligner` of a
-    detector (see :meth:`~repro.core.vzone.VZoneDetector.reference_columns`),
-    instead of once per tag.
-    """
-
-    mins: np.ndarray
-    maxs: np.ndarray
-    durations: np.ndarray
-
-    @classmethod
-    def of(cls, segments: "list[Segment] | SegmentArrays") -> "ReferenceColumns":
-        """The columns of ``segments``, which must be non-empty."""
-        if not segments:
-            raise ValueError("reference segmentation must be non-empty")
-        mins, maxs = segment_bounds(segments)
-        columns = (mins, maxs, segment_durations(segments))
-        for column in columns:
-            column.setflags(write=False)
-        return cls(*columns)
+from .segmentation import SegmentArrays, duration_weight_matrix, range_gap_matrix
 
 
 MAX_BATCH_CELLS = 250_000
@@ -240,23 +198,9 @@ def _accumulate_stack(
     return cost
 
 
-def accumulate_cost(
-    distance: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Accumulated cost matrix of one (optionally weighted) alignment.
-
-    :func:`_accumulate_stack` on a batch of one.  Produces the same matrix as
-    the seed's pure-Python double loop, evaluated along anti-diagonals.
-    """
-    weighted = distance if weights is None else distance * weights
-    weighted = np.ascontiguousarray(weighted, dtype=float)
-    return _accumulate_stack(weighted[:, :, None])[:, :, 0]
-
-
-def _plan_chunks(
-    shapes: list[tuple[int, int]], max_cells: int
-) -> list[list[int]]:
-    """Group matrix indices into padded chunks of at most ``max_cells`` cells.
+def _plan_chunks(shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """Group matrix indices into padded chunks of at most
+    :data:`MAX_BATCH_CELLS` cells.
 
     Indices are sorted by shape first so similarly sized matrices share a
     chunk and padding waste stays low.
@@ -268,7 +212,7 @@ def _plan_chunks(
     for k in order:
         rows, cols = shapes[k]
         new_rows, new_cols = max(chunk_rows, rows), max(chunk_cols, cols)
-        if chunk and (len(chunk) + 1) * new_rows * new_cols > max_cells:
+        if chunk and (len(chunk) + 1) * new_rows * new_cols > MAX_BATCH_CELLS:
             chunks.append(chunk)
             chunk = []
             new_rows, new_cols = rows, cols
@@ -308,11 +252,7 @@ def _accumulate_chunk(
     return _accumulate_stack(stack, first_column)
 
 
-def _backtracked_batch(
-    shapes: list[tuple[int, int]],
-    make_weighted,
-    max_cells: int = MAX_BATCH_CELLS,
-) -> list[DTWResult]:
+def _backtracked_batch(shapes: list[tuple[int, int]], make_weighted) -> list[DTWResult]:
     """Accumulate-and-backtrack many alignments, one padded chunk at a time.
 
     ``make_weighted(k)`` builds the weighted distance matrix of item ``k`` on
@@ -320,7 +260,7 @@ def _backtracked_batch(
     independent of fleet size.
     """
     results: list[DTWResult | None] = [None] * len(shapes)
-    for chunk in _plan_chunks(shapes, max_cells):
+    for chunk in _plan_chunks(shapes):
         cost = _accumulate_chunk(chunk, shapes, make_weighted)
         for slot, k in enumerate(chunk):
             r, c = shapes[k]
@@ -348,24 +288,14 @@ def _as_nonempty_sequence(values: np.ndarray, label: str) -> np.ndarray:
     return array
 
 
-def subsequence_dtw(reference: np.ndarray, query: np.ndarray) -> DTWResult:
-    """Match the whole ``reference`` to the best subrange of ``query``.
-
-    The query start and end are left free (classic subsequence DTW): the
-    returned ``query_start``/``query_end`` delimit the matched subrange.
-    """
-    reference = _as_nonempty_sequence(reference, "reference")
-    query = _as_nonempty_sequence(query, "query")
-    distance = np.abs(reference[:, None] - query[None, :])
-    return _result_from_cost(accumulate_cost(distance))
-
-
 def subsequence_dtw_batch(
     reference: np.ndarray, queries: list[np.ndarray]
 ) -> list[DTWResult]:
-    """Subsequence-align one reference against many queries in one batch.
+    """Match the whole ``reference`` to the best subrange of each query.
 
-    Equivalent to ``[subsequence_dtw(reference, q) for q in queries]`` but the
+    Raw-sample subsequence DTW (paper §3.1.1): the per-cell distance is the
+    absolute phase difference, and each query's start and end are free, so
+    ``query_start``/``query_end`` delimit the matched subrange.  The
     accumulation sweeps whole chunks of cost matrices at once, building each
     chunk's distance matrices on demand and discarding them after
     backtracking.
@@ -379,60 +309,47 @@ def subsequence_dtw_batch(
     )
 
 
-def segmented_dtw_align(
-    reference_segments: "list[Segment] | SegmentArrays",
-    query_segments: "list[Segment] | SegmentArrays",
-) -> DTWResult:
-    """Segmented DTW (paper §3.1.2) between two segmentations.
+def _weighted_distances(
+    reference: SegmentArrays, reference_durations: np.ndarray, query: SegmentArrays
+) -> np.ndarray:
+    """The segmented DTW cost matrix (paper §3.1.2) of two segmentations.
 
-    The per-cell distance is the gap between segment phase ranges; the cost of
-    matching two segments is that distance weighted by the shorter of the two
-    segment durations — both exactly as defined in the paper.  The query's
-    start and end are free, which is how the V-zone of a short reference is
-    located inside a long measured profile.
+    The per-cell distance is the gap between the two segments' phase ranges,
+    weighted by the shorter of the two segment durations — both exactly as
+    defined in the paper.  Every aligner builds its matrices here.
     """
-    if not reference_segments or not query_segments:
-        raise ValueError("both segmentations must be non-empty")
-    distance = segment_distance_matrix(reference_segments, query_segments)
-    weights = segment_duration_weights(reference_segments, query_segments)
-    return _result_from_cost(accumulate_cost(distance, weights))
+    distance = range_gap_matrix(reference.mins, reference.maxs, query.mins, query.maxs)
+    return distance * duration_weight_matrix(reference_durations, query.durations())
 
 
 def segmented_dtw_align_batch(
-    reference_segments: "list[Segment] | SegmentArrays",
-    query_segmentations: "list[list[Segment] | SegmentArrays]",
+    reference_segments: SegmentArrays,
+    query_segmentations: "list[SegmentArrays]",
 ) -> list[DTWResult]:
     """Segmented DTW of one reference segmentation against many queries.
 
-    The reference's bounds and durations are extracted once and reused across
-    every query's distance/weight matrices, and the accumulations sweep whole
-    padded chunks at a time (each chunk's matrices are built on demand and
-    freed after backtracking).  Results are identical (costs and paths) to
-    calling :func:`segmented_dtw_align` per query.  Segmentations may be
-    given as ``list[Segment]`` or column-form
-    :class:`~repro.core.segmentation.SegmentArrays` (the batched detector's
-    representation) interchangeably.
+    Each query's start and end are free, which is how the V-zone of a short
+    reference is located inside a long measured profile.  The reference's
+    durations are computed once and reused across every query's matrix, and
+    the accumulations sweep whole padded chunks at a time (each chunk's
+    matrices are built on demand and freed after backtracking).  An
+    alignment does not depend on the other queries of the batch.
     """
     if not len(reference_segments):
         raise ValueError("reference segmentation must be non-empty")
     if any(not len(query_segments) for query_segments in query_segmentations):
         raise ValueError("query segmentations must be non-empty")
-    ref_min, ref_max, ref_durations = _segmentation_columns(reference_segments)
-    query_arrays = [
-        _segmentation_columns(query_segments)
-        for query_segments in query_segmentations
-    ]
+    reference_durations = reference_segments.durations()
     shapes = [
         (len(reference_segments), len(query_segments))
         for query_segments in query_segmentations
     ]
-
-    def make_weighted(k: int) -> np.ndarray:
-        q_min, q_max, q_durations = query_arrays[k]
-        distance = range_gap_matrix(ref_min, ref_max, q_min, q_max)
-        return distance * duration_weight_matrix(ref_durations, q_durations)
-
-    return _backtracked_batch(shapes, make_weighted)
+    return _backtracked_batch(
+        shapes,
+        lambda k: _weighted_distances(
+            reference_segments, reference_durations, query_segmentations[k]
+        ),
+    )
 
 
 class ResumableSegmentAligner:
@@ -460,18 +377,24 @@ class ResumableSegmentAligner:
     is a batch of one.
 
     **Bit-identity contract**: the new columns come from the same kernel as
-    :func:`accumulate_cost`, seeded with the last cached column, and the path
-    from the shared :func:`_backtrack`.  The result of :meth:`align` is
-    therefore bit-identical to
-    ``segmented_dtw_align(reference_segments, query_segments)`` — pinned by
-    ``tests/test_streaming.py``.
+    :func:`segmented_dtw_align_batch`'s, seeded with the last cached column,
+    and the path from the shared :func:`_backtrack`.  The result of
+    :meth:`align` is therefore bit-identical to
+    ``segmented_dtw_align_batch(reference, [query_segments])[0]`` — pinned
+    by ``tests/test_streaming.py``, and against the pure-Python oracle of
+    ``tests/oracles/dtw.py`` by ``tests/test_resumable_batch.py``.
+
+    ``reference`` is not copied: a detector shares its read-only
+    :meth:`~repro.core.vzone.VZoneDetector.reference_segmentation` among
+    every tag's aligner.
     """
 
-    def __init__(self, reference: "list[Segment] | ReferenceColumns") -> None:
-        if not isinstance(reference, ReferenceColumns):
-            reference = ReferenceColumns.of(reference)
+    def __init__(self, reference: SegmentArrays) -> None:
+        if not len(reference):
+            raise ValueError("reference segmentation must be non-empty")
         self._reference = reference
-        self._rows = len(reference.mins)
+        self._reference_durations = reference.durations()
+        self._rows = len(reference)
         self._cost = np.empty((self._rows, 8), dtype=float)
         self._cached_cols = 0
 
@@ -489,22 +412,9 @@ class ResumableSegmentAligner:
         grown[:, : self._cached_cols] = self._cost[:, : self._cached_cols]
         self._cost = grown
 
-    def _weighted(self, segments: "list[Segment] | SegmentArrays") -> np.ndarray:
-        """Weighted distances of every reference segment against ``segments``.
-
-        The same :func:`range_gap_matrix` / :func:`duration_weight_matrix`
-        product the batch aligner builds, so both paths share one source of
-        truth for the paper's distance and weight formulas.  The session's
-        :class:`~repro.core.segmentation.SegmentArrays` are read as columns.
-        """
-        reference = self._reference
-        q_min, q_max, q_durations = _segmentation_columns(segments)
-        distance = range_gap_matrix(reference.mins, reference.maxs, q_min, q_max)
-        return distance * duration_weight_matrix(reference.durations, q_durations)
-
     def align(
         self,
-        query_segments: "list[Segment] | SegmentArrays",
+        query_segments: SegmentArrays,
         stable_count: int | None = None,
     ) -> DTWResult:
         """Align the reference against the current query segmentation.
@@ -527,7 +437,7 @@ class ResumableSegmentAligner:
 
 def align_resumable_batch(
     aligners: "list[ResumableSegmentAligner]",
-    query_segmentations: "list[list[Segment] | SegmentArrays]",
+    query_segmentations: "list[SegmentArrays]",
     stable_counts: "list[int | None] | None" = None,
 ) -> list[DTWResult]:
     """Resume many :class:`ResumableSegmentAligner` states in one batch.
@@ -585,9 +495,11 @@ def align_resumable_batch(
 
     def make_weighted(k: int) -> np.ndarray:
         aligner, segments, columns, _ = growing[k]
-        return aligner._weighted(segments[starts[k] : columns])
+        return _weighted_distances(
+            aligner._reference, aligner._reference_durations, segments[starts[k] : columns]
+        )
 
-    for chunk in _plan_chunks(shapes, MAX_BATCH_CELLS):
+    for chunk in _plan_chunks(shapes):
         cost = _accumulate_chunk(chunk, shapes, make_weighted, seeds)
         for slot, k in enumerate(chunk):
             aligner, _, columns, _ = growing[k]

@@ -35,6 +35,9 @@ FIT_FAILURES = (
 
 _TOO_FEW, _RANK_DEFICIENT, _NOT_CONVEX, _OUTSIDE = 1, 2, 3, 4
 
+MIN_FIT_SAMPLES = 5
+"""A window with fewer samples than this gets no fit (``too_few_samples``)."""
+
 
 @dataclass(frozen=True, slots=True)
 class QuadraticFit:
@@ -104,7 +107,6 @@ def fit_windows(
     phases_rad: np.ndarray,
     starts: np.ndarray,
     stops: np.ndarray,
-    min_samples: int = 5,
 ) -> WindowFits:
     """Fit a quadratic to each window ``[starts[k], stops[k])`` of the columns.
 
@@ -117,7 +119,7 @@ def fit_windows(
     mean(s)``), which needs no matrix solve; the bottom is the vertex.
 
     Checks, first failing one wins (see :data:`FIT_FAILURES`): fewer than
-    ``max(3, min_samples)`` samples; fewer than three distinct timestamps (no
+    :data:`MIN_FIT_SAMPLES` samples; fewer than three distinct timestamps (no
     unique parabola); curvature ``a <= 0``; a vertex outside the window's
     time span, where the bottom time is clamped to the span.  The first two
     report curvature 0 and an infinite residual; every invalid fit except the
@@ -211,7 +213,7 @@ def fit_windows(
     b = c1 - c2 * alpha
     c = c0 - c1 * mean_u + c2 * (alpha * mean_u - beta)
 
-    enough = n >= max(3, min_samples)
+    enough = n >= MIN_FIT_SAMPLES
     fitted = enough & (step_sum >= 2)
     convex = fitted & (a > 0)
     a_safe = np.where(convex, a, 1.0)
@@ -254,11 +256,7 @@ def _empty_fits(counts: np.ndarray) -> WindowFits:
     )
 
 
-def fit_vzone(
-    times_s: np.ndarray,
-    phases_rad: np.ndarray,
-    min_samples: int = 5,
-) -> QuadraticFit:
+def fit_vzone(times_s: np.ndarray, phases_rad: np.ndarray) -> QuadraticFit:
     """Fit a quadratic to V-zone samples: :func:`fit_windows` over one window.
 
     The phases are locally unwrapped before fitting so a nadir that dips below
@@ -270,9 +268,9 @@ def fit_vzone(
     phases = np.asarray(phases_rad, dtype=float)
     if times.shape != phases.shape:
         raise ValueError("times and phases must have the same shape")
-    return fit_windows(times, phases, [0], [times.size], min_samples).fit(0)
+    return fit_windows(times, phases, [0], [times.size]).fit(0)
 
 
-def fit_vzone_profile(profile: PhaseProfile, min_samples: int = 5) -> QuadraticFit:
+def fit_vzone_profile(profile: PhaseProfile) -> QuadraticFit:
     """Convenience wrapper: fit the quadratic to an entire (V-zone) profile."""
-    return fit_vzone(profile.timestamps_s, profile.phases_rad, min_samples=min_samples)
+    return fit_vzone(profile.timestamps_s, profile.phases_rad)

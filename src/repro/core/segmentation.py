@@ -23,53 +23,23 @@ from ..rf.constants import TWO_PI
 from .phase_profile import PhaseProfile
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One coarse segment of a phase profile."""
+JUMP_THRESHOLD_RAD = 0.75 * TWO_PI
+"""A sample-to-sample phase step larger than this is a 0/2π wrap.
 
-    start_index: int
-    """Index of the first sample of the segment in the original profile."""
-
-    end_index: int
-    """Index one past the last sample of the segment."""
-
-    start_time_s: float
-    end_time_s: float
-    min_phase_rad: float
-    """``s^L`` in the paper: the smallest phase value within the segment."""
-
-    max_phase_rad: float
-    """``s^U`` in the paper: the largest phase value within the segment."""
-
-    def __post_init__(self) -> None:
-        if self.end_index <= self.start_index:
-            raise ValueError("segment must contain at least one sample")
-        if self.max_phase_rad < self.min_phase_rad:
-            raise ValueError("segment max phase must be >= min phase")
-
-    @property
-    def sample_count(self) -> int:
-        """Number of samples the segment covers."""
-        return self.end_index - self.start_index
-
-    @property
-    def duration_s(self) -> float:
-        """Time interval ``s^T`` of the segment, in seconds."""
-        return self.end_time_s - self.start_time_s
+1.5π triggers only on genuine wraps, not on noise.  Segmentation splits at
+every such step, and the longest-run V-zone heuristic ends its runs there.
+"""
 
 
 class SegmentArrays:
-    """Structure-of-arrays segmentation: what the batch engines consume.
+    """A segmentation as columns: what the DTW engines consume.
 
-    :func:`segment_profile` historically returned a ``list[Segment]``, which
-    the batched DTW aligner immediately unpacked back into bounds/duration
-    arrays — tens of thousands of dataclass constructions per localization
-    whose fields were only ever read columnwise.  ``SegmentArrays`` keeps the
-    columns as NumPy arrays and materialises :class:`Segment` objects lazily,
-    so the hot path (segment → distance matrix → DTW) never touches per-
-    segment objects while indexing and iteration still behave like the list:
-    an integer index gives a :class:`Segment`, a slice gives the
-    ``SegmentArrays`` of the sliced columns.
+    Segment ``k`` covers samples ``[starts[k], ends[k])`` of its profile,
+    from ``start_times[k]`` to ``end_times[k]``, with phase range
+    ``[mins[k], maxs[k]]`` (``s^L`` and ``s^U`` in the paper).  The aligners
+    read the columns whole (segment → distance matrix → DTW) and never a
+    segment on its own; a slice gives the ``SegmentArrays`` of the sliced
+    columns.
     """
 
     __slots__ = ("starts", "ends", "start_times", "end_times", "mins", "maxs")
@@ -100,39 +70,19 @@ class SegmentArrays:
     def __len__(self) -> int:
         return int(self.starts.size)
 
-    def __getitem__(self, index: "int | slice") -> "Segment | SegmentArrays":
-        if isinstance(index, slice):
-            return SegmentArrays(
-                self.starts[index],
-                self.ends[index],
-                self.start_times[index],
-                self.end_times[index],
-                self.mins[index],
-                self.maxs[index],
-            )
-        return Segment(
-            start_index=int(self.starts[index]),
-            end_index=int(self.ends[index]),
-            start_time_s=float(self.start_times[index]),
-            end_time_s=float(self.end_times[index]),
-            min_phase_rad=float(self.mins[index]),
-            max_phase_rad=float(self.maxs[index]),
+    def __getitem__(self, index: slice) -> "SegmentArrays":
+        return SegmentArrays(
+            self.starts[index],
+            self.ends[index],
+            self.start_times[index],
+            self.end_times[index],
+            self.mins[index],
+            self.maxs[index],
         )
 
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(min_phase, max_phase)`` arrays (no per-object extraction)."""
-        return self.mins, self.maxs
-
     def durations(self) -> np.ndarray:
-        """Per-segment durations clamped away from zero, as an array."""
+        """Per-segment durations (``s^T``) clamped away from zero."""
         return np.maximum(self.end_times - self.start_times, 1e-6)
-
-    def to_segments(self) -> list[Segment]:
-        """Materialise the equivalent ``list[Segment]``."""
-        return [self[k] for k in range(len(self))]
 
 
 def _segment_runs(
@@ -140,7 +90,6 @@ def _segment_runs(
     phases: np.ndarray,
     run_starts: np.ndarray,
     window_size: int,
-    jump_threshold_rad: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Segment consecutive runs of samples in one vectorized pass.
 
@@ -164,7 +113,7 @@ def _segment_runs(
     count = phases.size
     positions = np.arange(count)
     hard = np.empty(count, dtype=bool)
-    np.greater(np.abs(np.diff(phases)), jump_threshold_rad, out=hard[1:])
+    np.greater(np.abs(np.diff(phases)), JUMP_THRESHOLD_RAD, out=hard[1:])
     hard[run_starts] = True
     piece_starts = np.maximum.accumulate(np.where(hard, positions, 0))
     starts = np.flatnonzero((positions - piece_starts) % window_size == 0)
@@ -187,15 +136,13 @@ _EMPTY_VALUES = np.empty((4, 0))
 _FIRST_RUN = np.zeros(1, dtype=np.intp)
 
 
-def segment_profile_arrays(
-    profile: PhaseProfile,
-    window_size: int,
-    jump_threshold_rad: float = 0.75 * TWO_PI,
-) -> SegmentArrays:
-    """:func:`segment_profile` as columns — the batch engines' form.
+def segment_profile_arrays(profile: PhaseProfile, window_size: int) -> SegmentArrays:
+    """Split ``profile`` into segments of ``window_size`` samples (``w``).
 
-    Identical segmentation (same boundaries, same min/max values); only the
-    container differs.  The profile is one run of the vectorized pass that
+    Segments are split additionally at every 0/2π phase jump (a step larger
+    than :data:`JUMP_THRESHOLD_RAD`) so that no segment contains a wrap
+    (paper §3.1.2); the last segment of a piece may be shorter than
+    ``window_size``.  The profile is one run of the vectorized pass that
     :meth:`IncrementalSegmenter.extend` runs over many streams at once.
     """
     if window_size < 1:
@@ -203,41 +150,8 @@ def segment_profile_arrays(
     if len(profile) == 0:
         return SegmentArrays.of_blocks(_EMPTY_INDICES, _EMPTY_VALUES)
     return SegmentArrays.of_blocks(
-        *_segment_runs(
-            profile.timestamps_s,
-            profile.phases_rad,
-            _FIRST_RUN,
-            window_size,
-            jump_threshold_rad,
-        )
+        *_segment_runs(profile.timestamps_s, profile.phases_rad, _FIRST_RUN, window_size)
     )
-
-
-def segment_profile(
-    profile: PhaseProfile,
-    window_size: int,
-    jump_threshold_rad: float = 0.75 * TWO_PI,
-) -> list[Segment]:
-    """Split ``profile`` into segments of ``window_size`` samples.
-
-    Segments are split additionally at every 0/2π phase jump so that no
-    segment contains a wrap (paper §3.1.2).  The last segment may be shorter
-    than ``window_size``.
-
-    Parameters
-    ----------
-    profile:
-        The phase profile to segment.
-    window_size:
-        Target number of samples per segment (``w`` in the paper); must be
-        at least 1.
-    jump_threshold_rad:
-        A sample-to-sample phase difference larger than this is treated as a
-        wrap.  The default (1.5π) only triggers on genuine wraps, not on noise.
-    """
-    if profile.is_empty and window_size >= 1:
-        return []
-    return segment_profile_arrays(profile, window_size, jump_threshold_rad).to_segments()
 
 
 class _Stream:
@@ -286,15 +200,12 @@ class IncrementalSegmenter:
     accumulation prefix.
     """
 
-    __slots__ = ("window_size", "jump_threshold_rad", "_streams")
+    __slots__ = ("window_size", "_streams")
 
-    def __init__(
-        self, window_size: int, jump_threshold_rad: float = 0.75 * TWO_PI
-    ) -> None:
+    def __init__(self, window_size: int) -> None:
         if window_size < 1:
             raise ValueError(f"window size must be >= 1, got {window_size}")
         self.window_size = window_size
-        self.jump_threshold_rad = jump_threshold_rad
         self._streams: dict[Hashable, _Stream] = {}
 
     def extend(
@@ -339,9 +250,7 @@ class IncrementalSegmenter:
         phases = np.concatenate(phase_parts)
         run_ends = np.cumsum(lengths)
         run_starts = run_ends - lengths
-        indices, values = _segment_runs(
-            times, phases, run_starts, self.window_size, self.jump_threshold_rad
-        )
+        indices, values = _segment_runs(times, phases, run_starts, self.window_size)
         firsts = np.searchsorted(indices[0], run_starts)
         counts = np.diff(firsts, append=indices.shape[1])
         lasts = firsts + counts - 1
@@ -416,29 +325,6 @@ class IncrementalSegmenter:
                 setattr(stream, name, saved[name])
 
 
-def segment_bounds(
-    segments: "list[Segment] | SegmentArrays",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(min_phase, max_phase)`` arrays of a segmentation.
-
-    Extracted once per segmentation so the batched DTW engine can build many
-    distance matrices against a shared reference without re-reading the
-    segment objects each time.  :class:`SegmentArrays` already holds them.
-    """
-    if isinstance(segments, SegmentArrays):
-        return segments.bounds()
-    mins = np.array([seg.min_phase_rad for seg in segments], dtype=float)
-    maxs = np.array([seg.max_phase_rad for seg in segments], dtype=float)
-    return mins, maxs
-
-
-def segment_durations(segments: "list[Segment] | SegmentArrays") -> np.ndarray:
-    """Per-segment durations clamped away from zero (for duration weights)."""
-    if isinstance(segments, SegmentArrays):
-        return segments.durations()
-    return np.array([max(seg.duration_s, 1e-6) for seg in segments], dtype=float)
-
-
 def range_gap_matrix(
     left_min: np.ndarray,
     left_max: np.ndarray,
@@ -463,22 +349,6 @@ def duration_weight_matrix(
 ) -> np.ndarray:
     """Pairwise ``min(s^T_P,i, s^T_Q,j)`` weights from per-side duration arrays."""
     return np.minimum(left_durations[:, None], right_durations[None, :])
-
-
-def segment_distance_matrix(
-    left: "list[Segment] | SegmentArrays", right: "list[Segment] | SegmentArrays"
-) -> np.ndarray:
-    """Matrix of range-gap distances (``D_{i,j}``) between two segmentations."""
-    left_min, left_max = segment_bounds(left)
-    right_min, right_max = segment_bounds(right)
-    return range_gap_matrix(left_min, left_max, right_min, right_max)
-
-
-def segment_duration_weights(
-    left: "list[Segment] | SegmentArrays", right: "list[Segment] | SegmentArrays"
-) -> np.ndarray:
-    """Matrix of ``min(s^T_P,i, s^T_Q,j)`` weights used in the segmented DTW cost."""
-    return duration_weight_matrix(segment_durations(left), segment_durations(right))
 
 
 @dataclass(frozen=True, slots=True)

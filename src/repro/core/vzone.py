@@ -33,23 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rf.constants import TWO_PI
-from .dtw import (
-    DTWResult,
-    ReferenceColumns,
-    segmented_dtw_align,
-    segmented_dtw_align_batch,
-    subsequence_dtw,
-    subsequence_dtw_batch,
-)
+from .dtw import DTWResult, segmented_dtw_align_batch, subsequence_dtw_batch
 # ``fit_vzone`` stays bound here, although detection fits through
 # ``fit_windows``: perfbench's traced run looks it up in this module by name.
 from .fitting import QuadraticFit, fit_vzone, fit_windows  # noqa: F401
 from .phase_profile import PhaseProfile
 from .reference import ReferenceProfile, shared_canonical_reference
-from .segmentation import SegmentArrays, segment_profile_arrays
+from .segmentation import JUMP_THRESHOLD_RAD, SegmentArrays, segment_profile_arrays
 
 DETECTION_METHODS = ("segmented_dtw", "full_dtw", "longest_run")
 """The supported V-zone detection strategies."""
+
+EXPAND_FRACTION = 0.15
+"""Each detected window is expanded symmetrically by this fraction of its
+length before fitting, which recovers samples lost to segmentation
+granularity at the window edges."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,17 +102,12 @@ class VZoneDetector:
     min_profile_samples:
         Profiles with fewer samples than this are rejected (detection returns
         ``None``); such tags are reported as unordered by the localizer.
-    expand_fraction:
-        The detected window is symmetrically expanded by this fraction of its
-        length before fitting, which recovers samples lost to segmentation
-        granularity at the window edges.
     """
 
     reference: ReferenceProfile = field(default_factory=shared_canonical_reference)
     window_size: int = 5
     method: str = "segmented_dtw"
     min_profile_samples: int = 12
-    expand_fraction: float = 0.15
     fallback_to_longest_run: bool = True
 
     def __post_init__(self) -> None:
@@ -126,10 +119,7 @@ class VZoneDetector:
             raise ValueError("window size must be >= 1")
         if self.min_profile_samples < 3:
             raise ValueError("min_profile_samples must be at least 3")
-        if self.expand_fraction < 0:
-            raise ValueError("expand fraction must be non-negative")
         self._reference_segments: SegmentArrays | None = None
-        self._reference_columns: ReferenceColumns | None = None
         self._reference_vzone_range: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ API
@@ -138,7 +128,7 @@ class VZoneDetector:
         """Locate the V-zone of ``profile``; returns None for unusable profiles."""
         if len(profile) < self.min_profile_samples:
             return None
-        return self._detect_windows([profile], [self._primary_window(profile)])[0]
+        return self._detect_windows([profile], self._primary_windows([profile]))[0]
 
     @staticmethod
     def _better_of(primary: VZone | None, secondary: VZone | None) -> VZone | None:
@@ -164,20 +154,14 @@ class VZoneDetector:
         """Detect V-zones for many profiles; tags without a detection are omitted.
 
         The DTW strategies align every usable profile against the reference
-        in one batched alignment
-        (:func:`~repro.core.dtw.segmented_dtw_align_batch` or
-        :func:`~repro.core.dtw.subsequence_dtw_batch`), and every strategy
-        fits all the windows in the staged batch of :meth:`_detect_windows`;
-        the detections are bit-identical to calling :meth:`detect` per
-        profile.
+        in one batched alignment (see :meth:`_primary_windows`), and every
+        strategy fits all the windows in the staged batch of
+        :meth:`_detect_windows`; the detections are bit-identical to calling
+        :meth:`detect` per profile.
         """
         items = list(profiles.values()) if isinstance(profiles, dict) else list(profiles)
         usable = [p for p in items if len(p) >= self.min_profile_samples]
-        if self.method != "longest_run" and len(usable) > 1:
-            windows = self._primary_windows_batched(usable)
-        else:
-            windows = [self._primary_window(p) for p in usable]
-        vzones = self._detect_windows(usable, windows)
+        vzones = self._detect_windows(usable, self._primary_windows(usable))
         return {p.tag_id: vz for p, vz in zip(usable, vzones) if vz is not None}
 
     def detect_from_segmented_alignments(
@@ -261,7 +245,7 @@ class VZoneDetector:
         ends = np.minimum(ends, lengths)
         kept = np.flatnonzero(ends - starts >= 3)
         owners, starts, ends, lengths = owners[kept], starts[kept], ends[kept], lengths[kept]
-        expansion = np.rint((ends - starts) * self.expand_fraction).astype(np.intp)
+        expansion = np.rint((ends - starts) * EXPAND_FRACTION).astype(np.intp)
         starts = np.maximum(starts - expansion, 0)
         ends = np.minimum(ends + expansion, lengths)
         base = columns.offsets[owners]
@@ -364,56 +348,35 @@ class VZoneDetector:
 
     # ------------------------------------------------------- DTW strategies
 
-    def _primary_window(self, profile: PhaseProfile) -> "_Window | None":
-        """The configured DTW strategy's window for one profile."""
-        if self.method == "segmented_dtw":
-            measured_segments = segment_profile_arrays(profile, self.window_size)
-            if not len(measured_segments):
-                return None
-            result = segmented_dtw_align(self.reference_segmentation(), measured_segments)
-            return self._segmented_window(measured_segments, result)
-        if self.method == "full_dtw":
-            return self._full_window(
-                subsequence_dtw(self.reference.profile.phases_rad, profile.phases_rad)
-            )
-        return None
-
-    def _primary_windows_batched(self, profiles: "list[PhaseProfile]") -> "list[_Window | None]":
-        """Batched DTW alignment of every profile at once."""
+    def _primary_windows(self, profiles: "list[PhaseProfile]") -> "list[_Window | None]":
+        """The configured strategy's window for every profile, aligned in one
+        batch (:func:`~repro.core.dtw.segmented_dtw_align_batch` or
+        :func:`~repro.core.dtw.subsequence_dtw_batch`); ``longest_run`` has
+        no primary window."""
+        if self.method == "longest_run":
+            return [None] * len(profiles)
         if self.method == "full_dtw":
             results = subsequence_dtw_batch(
                 self.reference.profile.phases_rad, [p.phases_rad for p in profiles]
             )
             return [self._full_window(result) for result in results]
-        # Column-form segmentations: the aligner reads bounds/durations
-        # straight off the arrays, with no per-segment objects built.
         segmentations = [segment_profile_arrays(p, self.window_size) for p in profiles]
-        indices = [k for k, segs in enumerate(segmentations) if len(segs)]
-        windows: list[_Window | None] = [None] * len(profiles)
-        if indices:
-            results = segmented_dtw_align_batch(
-                self.reference_segmentation(), [segmentations[k] for k in indices]
-            )
-            for k, result in zip(indices, results):
-                windows[k] = self._segmented_window(segmentations[k], result)
-        return windows
+        results = segmented_dtw_align_batch(self.reference_segmentation(), segmentations)
+        return [
+            self._segmented_window(segments, result)
+            for segments, result in zip(segmentations, results)
+        ]
 
     def reference_segmentation(self) -> SegmentArrays:
-        """The reference profile's segmentation as columns (computed once,
-        cached); callers must not mutate it."""
+        """The reference profile's segmentation (computed once, cached, its
+        columns read-only), shared by the batch alignment and the streaming
+        session's per-tag resumable aligners."""
         if self._reference_segments is None:
-            self._reference_segments = segment_profile_arrays(
-                self.reference.profile, self.window_size
-            )
+            segments = segment_profile_arrays(self.reference.profile, self.window_size)
+            for name in SegmentArrays.__slots__:
+                getattr(segments, name).setflags(write=False)
+            self._reference_segments = segments
         return self._reference_segments
-
-    def reference_columns(self) -> ReferenceColumns:
-        """:meth:`reference_segmentation`'s bounds and durations (computed
-        once, cached, read-only), shared by the streaming session's per-tag
-        resumable aligners."""
-        if self._reference_columns is None:
-            self._reference_columns = ReferenceColumns.of(self.reference_segmentation())
-        return self._reference_columns
 
     def _reference_vzone_segment_range(self) -> tuple[int, int]:
         """Indices of the reference segments overlapping the reference V-zone.
@@ -500,7 +463,8 @@ def longest_run_candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three longest wrap-free runs of each profile ``[starts[i], stops[i])``.
 
-    A run ends where the phase jumps by more than 0.75·2π; runs of fewer than
+    A run ends where the phase jumps by more than
+    :data:`~repro.core.segmentation.JUMP_THRESHOLD_RAD`; runs of fewer than
     three samples are dropped.  Returns ``(owner, run_start, run_end)`` as
     indices into the columns, grouped by owner ``i`` in ascending order and,
     within a profile, by descending duration ``times[run_end − 1] −
@@ -516,7 +480,7 @@ def longest_run_candidates(
     source = np.arange(total) + np.repeat(starts - first, lengths)
     phases = phases_rad[source]
     opens = np.zeros(total, dtype=bool)
-    opens[1:] = np.abs(np.diff(phases)) > 0.75 * TWO_PI
+    opens[1:] = np.abs(np.diff(phases)) > JUMP_THRESHOLD_RAD
     opens[first[lengths > 0]] = True
     run_start = np.flatnonzero(opens)
     run_end = np.append(run_start[1:], total)

@@ -30,11 +30,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..baselines import OTrackScheme, STPPScheme
-from ..core.dtw import segmented_dtw_align, subsequence_dtw
+from ..core.dtw import segmented_dtw_align_batch, subsequence_dtw_batch
 from ..core.fitting import fit_vzone_profile
 from ..core.localizer import BatchLocalizer, STPPConfig
 from ..core.reference import canonical_reference, reference_profile
-from ..core.segmentation import segment_profile
+from ..core.segmentation import segment_profile_arrays
 from ..core.vzone import VZoneDetector
 from ..rf.geometry import Point3D
 from ..rfid.tag import make_tags
@@ -305,7 +305,7 @@ def fig08_segmentation(seed: int = 2, window_size: int = 5) -> SegmentationResul
     experiment = standard_experiment(row_layout(1, 0.1), seed=seed, speed_mps=0.1)
     profiles = profiles_from_read_log(experiment.read_log)
     profile = profiles[experiment.target_ids[0]]
-    segments = segment_profile(profile, window_size)
+    segments = segment_profile_arrays(profile, window_size)
     plain_segment_count = int(np.ceil(len(profile) / window_size))
     return SegmentationResult(
         sample_count=len(profile),
@@ -476,7 +476,7 @@ def fig13_spacing_tag_moving(
         "fig13",
         {"spacing": spacings_m},
         task=lambda cell: _staircase(8, cell.spacing, True, score_stpp),
-        seed=lambda cell, rep: int(cell.spacing * 1000) * 10 + rep,
+        seed=lambda cell, rep: round(cell.spacing * 1000) * 10 + rep,
         repetitions=repetitions,
         service=service,
     )
@@ -493,7 +493,7 @@ def fig14_spacing_antenna_moving(
         "fig14",
         {"spacing": spacings_m},
         task=lambda cell: _staircase(8, cell.spacing, False, score_stpp),
-        seed=lambda cell, rep: int(cell.spacing * 1000) * 10 + rep,
+        seed=lambda cell, rep: round(cell.spacing * 1000) * 10 + rep,
         repetitions=repetitions,
         service=service,
     )
@@ -611,7 +611,7 @@ def fig18_spacing_boxplot(
             scene_factory=partial(_fig18_experiment, spacing_m=cell.spacing, tag_count=tag_count),
             scorer=partial(score_schemes, scheme_factory=standard_scheme_suite),
         ),
-        seed=lambda cell, rep: int(cell.spacing * 100) * 10 + rep,
+        seed=lambda cell, rep: round(cell.spacing * 100) * 10 + rep,
         repetitions=repetitions,
         service=service,
     )
@@ -1041,13 +1041,13 @@ def dtw_speedup_measurement(window_size: int = 5, seed: int = 4) -> dict[str, fl
     reference = canonical_reference(speed_mps=0.1)
 
     started = time.perf_counter()
-    subsequence_dtw(reference.profile.phases_rad, profile.phases_rad)
+    subsequence_dtw_batch(reference.profile.phases_rad, [profile.phases_rad])
     full_runtime = time.perf_counter() - started
 
-    ref_segments = segment_profile(reference.profile, window_size)
-    measured_segments = segment_profile(profile, window_size)
+    ref_segments = segment_profile_arrays(reference.profile, window_size)
+    measured_segments = segment_profile_arrays(profile, window_size)
     started = time.perf_counter()
-    segmented_dtw_align(ref_segments, measured_segments)
+    segmented_dtw_align_batch(ref_segments, [measured_segments])
     segmented_runtime = time.perf_counter() - started
     return {
         "full_dtw_s": full_runtime,

@@ -248,7 +248,7 @@ class LocalizationSession:
         pipeline = self._pipelines.get(tag_id)
         if pipeline is None:
             pipeline = _TagPipeline(
-                aligner=ResumableSegmentAligner(self._detector.reference_columns()),
+                aligner=ResumableSegmentAligner(self._detector.reference_segmentation()),
             )
             self._pipelines[tag_id] = pipeline
         return pipeline

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.dtw import DTWResult
+
 
 def accumulate_python(
     distance: np.ndarray,
@@ -12,9 +14,9 @@ def accumulate_python(
 ) -> np.ndarray:
     """The seed repository's pure-Python DTW accumulation (double loop).
 
-    The equivalence tests assert that :func:`repro.core.dtw.accumulate_cost`
-    and the batched chunk sweep (``repro.core.dtw._accumulate_chunk``)
-    reproduce it bit for bit.
+    The equivalence tests assert that the batched chunk sweep
+    (``repro.core.dtw._accumulate_chunk``), a batch of one included,
+    reproduces it bit for bit.
     """
     rows, cols = distance.shape
     if weights is None:
@@ -71,15 +73,66 @@ def backtrack_min(
     return tuple(path)
 
 
-def segment_range_distance(a, b) -> float:
-    """The paper's ``D_{i,j}`` for one pair of segments.
+def segment_range_distance(
+    a_min: float, a_max: float, b_min: float, b_max: float
+) -> float:
+    """The paper's ``D_{i,j}`` for one pair of segment phase ranges.
 
     Zero when the two phase ranges overlap, otherwise the distance between the
     closest points of the ranges: the pair-at-a-time form of
     :func:`repro.core.segmentation.range_gap_matrix`.
     """
-    if a.min_phase_rad > b.max_phase_rad:
-        return a.min_phase_rad - b.max_phase_rad
-    if b.min_phase_rad > a.max_phase_rad:
-        return b.min_phase_rad - a.max_phase_rad
+    if a_min > b_max:
+        return a_min - b_max
+    if b_min > a_max:
+        return b_min - a_max
     return 0.0
+
+
+def align_python(weighted: np.ndarray) -> DTWResult:
+    """Subsequence alignment of one weighted cost matrix, cell by cell.
+
+    The query start is free (:func:`accumulate_python` with a free first
+    row) and so is its end: the path ends at the cheapest column of the last
+    row (the first one on a tie) and is walked back by :func:`backtrack_min`.
+    """
+    cost = accumulate_python(weighted, None, True)
+    end_col = int(np.argmin(cost[-1]))
+    path = backtrack_min(cost, start_col=end_col)
+    return DTWResult(
+        cost=float(cost[-1, end_col]),
+        path=path,
+        query_start=path[0][1],
+        query_end=path[-1][1],
+    )
+
+
+def subsequence_align_python(reference: np.ndarray, query: np.ndarray) -> DTWResult:
+    """Raw-sample subsequence DTW: ``|reference[i] - query[j]|`` per cell."""
+    distance = np.empty((reference.size, query.size))
+    for i, r in enumerate(reference.tolist()):
+        for j, q in enumerate(query.tolist()):
+            distance[i, j] = abs(r - q)
+    return align_python(distance)
+
+
+def segmented_align_python(reference, query) -> DTWResult:
+    """Segmented subsequence DTW (paper §3.1.2) of two column segmentations.
+
+    Each cell is the range gap of the two segments weighted by the shorter of
+    their durations, each duration clamped to at least 1 µs, computed one
+    pair at a time.
+    """
+    def durations(segments) -> list[float]:
+        return [
+            max(end - start, 1e-6)
+            for start, end in zip(segments.start_times.tolist(), segments.end_times.tolist())
+        ]
+
+    ref_durations, query_durations = durations(reference), durations(query)
+    weighted = np.empty((len(ref_durations), len(query_durations)))
+    for i, (r_min, r_max) in enumerate(zip(reference.mins.tolist(), reference.maxs.tolist())):
+        for j, (q_min, q_max) in enumerate(zip(query.mins.tolist(), query.maxs.tolist())):
+            gap = segment_range_distance(r_min, r_max, q_min, q_max)
+            weighted[i, j] = gap * min(ref_durations[i], query_durations[j])
+    return align_python(weighted)

@@ -11,10 +11,38 @@ from ``np.min``/``np.max`` over each segment's slice, not from ``reduceat``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.segmentation import Segment
+from repro.core.segmentation import SegmentArrays
 from repro.rf.constants import TWO_PI
+
+
+@dataclass(frozen=True, slots=True)
+class Segment:
+    """One coarse segment, as the oracles build them one at a time."""
+
+    start_index: int
+    end_index: int
+    """Index one past the last sample of the segment."""
+
+    start_time_s: float
+    end_time_s: float
+    min_phase_rad: float
+    max_phase_rad: float
+
+
+def columns_of(segments: list[Segment]) -> SegmentArrays:
+    """The column form of a list of segments (what the library produces)."""
+    return SegmentArrays(
+        np.array([s.start_index for s in segments], dtype=np.intp),
+        np.array([s.end_index for s in segments], dtype=np.intp),
+        np.array([s.start_time_s for s in segments], dtype=float),
+        np.array([s.end_time_s for s in segments], dtype=float),
+        np.array([s.min_phase_rad for s in segments], dtype=float),
+        np.array([s.max_phase_rad for s in segments], dtype=float),
+    )
 
 
 def _jump_indices(phases: np.ndarray, jump_threshold_rad: float) -> list[int]:

@@ -1,11 +1,12 @@
-"""Batched localization engine: equivalence with the sequential path.
+"""Batched localization engine: equivalence with the pure-Python oracle.
 
 The vectorized/batched DTW kernels are required to be *bit-identical* to the
-seed's pure-Python double loop — batching is a throughput optimisation, never
-a behavioural one.  These tests pin that contract at every level: the raw
-accumulation kernel, the batch aligners, and the end-to-end localizer on a
-seeded scene.  They also cover the degenerate-shape behaviour of the
-backtracker and the error contract of
+seed's pure-Python double loop and backtrack (``tests/oracles/dtw.py``) —
+batching is a throughput optimisation, never a behavioural one.  These tests
+pin that contract at every level: the raw accumulation kernel, the batch
+aligners, and the end-to-end localizer on a seeded scene (a profile detected
+alone equals the same profile detected among others).  They also cover the
+degenerate-shape behaviour of the backtracker and the error contract of
 :meth:`DTWResult.query_indices_for_reference_range`.
 """
 
@@ -14,16 +15,13 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import dtw
 from repro.core.dtw import (
     DTWResult,
     _accumulate_chunk,
     _backtrack,
     _backtracked_batch,
-    _result_from_cost,
-    accumulate_cost,
-    segmented_dtw_align,
     segmented_dtw_align_batch,
-    subsequence_dtw,
     subsequence_dtw_batch,
 )
 from repro.core.localizer import BatchLocalizer, STPPConfig, STPPLocalizer
@@ -31,7 +29,7 @@ from repro.core.vzone import DETECTION_METHODS
 from repro.core.ordering_x import order_tags_x
 from repro.core.ordering_y import order_tags_y
 from repro.core.reference import shared_canonical_reference
-from repro.core.segmentation import segment_profile
+from repro.core.segmentation import segment_profile_arrays
 from repro.evaluation.runner import standard_experiment
 from repro.motion.speed_profiles import DEFAULT_BELT_SPEED_MPS
 from repro.simulation.collector import collect_sweep, profiles_from_read_log
@@ -40,65 +38,86 @@ from repro.workloads.airport import MORNING_PEAK, baggage_batch
 from repro.workloads.layouts import random_spacing_row
 from repro.workloads.library import audit_shelf, generate_bookshelf, misplace_books
 
-from oracles.dtw import accumulate_python
+from oracles.dtw import (
+    accumulate_python,
+    align_python,
+    segmented_align_python,
+    subsequence_align_python,
+)
+
+
+def subsequence_dtw(reference: np.ndarray, query: np.ndarray) -> DTWResult:
+    """Raw-sample subsequence DTW of one query: a batch of one."""
+    (result,) = subsequence_dtw_batch(reference, [query])
+    return result
 
 
 class TestVectorizedKernelEquivalence:
     def test_matches_python_loop_bit_for_bit(self):
+        # Each matrix alone (a batch of one) and all of them in one padded
+        # chunk of mixed shapes.
         rng = np.random.default_rng(7)
+        weighted, expected = [], []
         for trial in range(60):
             rows = int(rng.integers(1, 30))
             cols = int(rng.integers(1, 45))
             distance = rng.random((rows, cols))
             weights = rng.random((rows, cols)) + 0.1 if trial % 2 else None
-            expected = accumulate_python(distance, weights, True)
-            assert np.array_equal(expected, accumulate_cost(distance, weights))
+            expected.append(accumulate_python(distance, weights, True))
+            weighted.append(distance if weights is None else distance * weights)
+            (alone,) = _accumulated_chunk(weighted[-1:])
+            assert np.array_equal(expected[-1], alone)
+        for cost, oracle in zip(_accumulated_chunk(weighted), expected):
+            assert np.array_equal(cost, oracle)
 
-    def test_batch_matches_single_across_mixed_shapes_and_chunks(self):
+    def test_batch_matches_oracle_across_mixed_shapes_and_chunks(self, monkeypatch):
         rng = np.random.default_rng(11)
         matrices = [
             rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 60))))
             for _ in range(23)
         ]
         # A tiny chunk budget forces several padded chunks of mixed shapes.
+        monkeypatch.setattr(dtw, "MAX_BATCH_CELLS", 4000)
         batched = _backtracked_batch(
-            [matrix.shape for matrix in matrices], matrices.__getitem__, max_cells=4000
+            [matrix.shape for matrix in matrices], matrices.__getitem__
         )
         for matrix, result in zip(matrices, batched):
-            assert result == _result_from_cost(accumulate_cost(matrix))
+            assert result == align_python(matrix)
 
-    def test_subsequence_batch_equals_sequential(self):
+    def test_subsequence_batch_matches_oracle(self):
         rng = np.random.default_rng(3)
         reference = rng.random(25)
         queries = [rng.random(int(rng.integers(5, 90))) for _ in range(15)]
         batched = subsequence_dtw_batch(reference, queries)
         for query, result in zip(queries, batched):
+            assert result == subsequence_align_python(reference, query)
             assert result == subsequence_dtw(reference, query)
 
-    def test_segmented_batch_equals_sequential(self):
+    def test_segmented_batch_matches_oracle(self):
         reference = shared_canonical_reference()
-        ref_segments = segment_profile(reference.profile, 5)
+        ref_segments = segment_profile_arrays(reference.profile, 5)
         rng = np.random.default_rng(5)
         positions = random_spacing_row(6, 0.06, 0.18, rng=rng)
         experiment = standard_experiment(positions, seed=21)
         profiles = profiles_from_read_log(experiment.read_log)
         segmentations = [
-            segment_profile(profile, 5)
+            segment_profile_arrays(profile, 5)
             for profile in profiles.profiles.values()
             if len(profile) >= 12
         ]
         assert len(segmentations) >= 2
         batched = segmented_dtw_align_batch(ref_segments, segmentations)
         for segments, result in zip(segmentations, batched):
-            assert result == segmented_dtw_align(ref_segments, segments)
+            assert result == segmented_align_python(ref_segments, segments)
+            assert result == segmented_dtw_align_batch(ref_segments, [segments])[0]
 
     def test_batch_rejects_empty_segmentations(self):
         reference = shared_canonical_reference()
-        ref_segments = segment_profile(reference.profile, 5)
+        ref_segments = segment_profile_arrays(reference.profile, 5)
         with pytest.raises(ValueError):
-            segmented_dtw_align_batch(ref_segments, [[]])
+            segmented_dtw_align_batch(ref_segments, [ref_segments[:0]])
         with pytest.raises(ValueError):
-            segmented_dtw_align_batch([], [ref_segments])
+            segmented_dtw_align_batch(ref_segments[:0], [ref_segments])
 
 
 class TestKernelMatchesOracleOnEdgeShapes:
@@ -111,12 +130,16 @@ class TestKernelMatchesOracleOnEdgeShapes:
         rng = np.random.default_rng(sum(shape))
         distance = rng.random(shape)
         weights = rng.random(shape) + 0.1
-        for w in (None, weights):
-            expected = accumulate_python(distance, w, True)
-            assert np.array_equal(accumulate_cost(distance, w), expected)
         weighted = distance * weights
-        (batched,) = _accumulated_chunk([weighted])
-        assert np.array_equal(batched, accumulate_python(weighted, None, True))
+        for matrix in (distance, weighted):
+            (alone,) = _accumulated_chunk([matrix])
+            assert np.array_equal(alone, accumulate_python(matrix, None, True))
+        assert np.array_equal(
+            _accumulated_chunk([weighted])[0], accumulate_python(distance, weights, True)
+        )
+        # Next to a larger matrix, so this one sits in a padded lane.
+        _, padded = _accumulated_chunk([np.ones((20, 40)), weighted])
+        assert np.array_equal(padded, accumulate_python(weighted, None, True))
 
     def test_tied_costs_match_oracle(self):
         # Small integer distances make every min() over predecessors a tie.
@@ -125,7 +148,7 @@ class TestKernelMatchesOracleOnEdgeShapes:
         for matrix, cost in zip(matrices, _accumulated_chunk(matrices)):
             expected = accumulate_python(matrix, None, True)
             assert np.array_equal(cost, expected)
-            assert np.array_equal(accumulate_cost(matrix), expected)
+            assert np.array_equal(_accumulated_chunk([matrix])[0], expected)
 
 
 def _accumulated_chunk(matrices: list[np.ndarray]) -> list[np.ndarray]:

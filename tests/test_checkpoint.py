@@ -252,12 +252,13 @@ class TestCheckpointEdges:
 
     def test_version_two_payload_is_refused(self):
         """A version-2 checkpoint kept one segmenter per tag, its closed
-        segments pickled as ``Segment`` objects, and the tag's consumed
-        sample count; version 3 keeps the session segmenter's columns.
-        Restore names the version and refuses it whole."""
+        segments pickled as segment objects (here the oracle's record type
+        stands in for the class the library no longer has), and the tag's
+        consumed sample count; version 3 keeps the session segmenter's
+        columns.  Restore names the version and refuses it whole."""
         import pickle
 
-        from repro.core import Segment
+        from oracles.segmentation import Segment
 
         session = LocalizationSession(channel_index=6)
         session.ingest_read(TagRead(0.1, "t", 1.0, -60.0))

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles.segmentation import segment_profile_per_sample
-from repro.core.dtw import segmented_dtw_align, subsequence_dtw
+from oracles.segmentation import assert_same_columns, columns_of, segment_profile_per_sample
+from repro.core.dtw import segmented_dtw_align_batch, subsequence_dtw_batch
 from repro.core.phase_profile import PhaseProfile, ProfileSet
 from repro.core.segmentation import (
     CoarseRepresentation,
+    SegmentArrays,
     coarse_representation,
-    segment_distance_matrix,
-    segment_profile,
+    range_gap_matrix,
+    segment_profile_arrays,
 )
 from repro.rf.constants import TWO_PI
 from repro.rfid.reading import ReadLog, TagRead
@@ -19,6 +20,15 @@ from repro.simulation.collector import profiles_from_read_log
 
 def make_profile(times, phases, tag_id="t"):
     return PhaseProfile(tag_id=tag_id, timestamps_s=np.asarray(times, float), phases_rad=np.asarray(phases, float))
+
+
+def subsequence_dtw(reference, query):
+    """Raw-sample subsequence DTW of one query: a batch of one."""
+    return subsequence_dtw_batch(reference, [query])[0]
+
+
+def distance_matrix(left: SegmentArrays, right: SegmentArrays) -> np.ndarray:
+    return range_gap_matrix(left.mins, left.maxs, right.mins, right.maxs)
 
 
 class TestPhaseProfile:
@@ -85,40 +95,40 @@ class TestPhaseProfile:
 class TestSegmentation:
     def test_segment_count_and_coverage(self):
         profile = make_profile(np.linspace(0, 1, 20), np.linspace(0.5, 1.5, 20))
-        segments = segment_profile(profile, window_size=5)
-        assert sum(s.sample_count for s in segments) == 20
+        segments = segment_profile_arrays(profile, window_size=5)
+        assert int(np.sum(segments.ends - segments.starts)) == 20
         assert len(segments) == 4
 
     def test_segments_split_at_phase_jumps(self):
         phases = [0.2, 0.1, 6.2, 6.1, 6.0]
         profile = make_profile(np.linspace(0, 1, 5), phases)
-        segments = segment_profile(profile, window_size=5)
+        segments = segment_profile_arrays(profile, window_size=5)
         assert len(segments) == 2
-        assert segments[0].sample_count == 2
+        assert segments.ends[0] - segments.starts[0] == 2
 
     def test_segment_ranges(self):
         profile = make_profile(np.linspace(0, 1, 10), np.linspace(1.0, 2.0, 10))
-        segments = segment_profile(profile, window_size=10)
-        assert segments[0].min_phase_rad == pytest.approx(1.0)
-        assert segments[0].max_phase_rad == pytest.approx(2.0)
+        segments = segment_profile_arrays(profile, window_size=10)
+        assert segments.mins[0] == pytest.approx(1.0)
+        assert segments.maxs[0] == pytest.approx(2.0)
 
     def test_segment_range_distance(self):
         profile = make_profile(np.linspace(0, 1, 10), np.concatenate([np.full(5, 1.0), np.full(5, 3.0)]))
-        segments = segment_profile(profile, window_size=5)
-        matrix = segment_distance_matrix(segments[:2], segments[:2])
+        segments = segment_profile_arrays(profile, window_size=5)
+        matrix = distance_matrix(segments[:2], segments[:2])
         assert matrix.tolist() == [[0.0, pytest.approx(2.0)], [pytest.approx(2.0), 0.0]]
 
     def test_distance_matrix_shape(self):
         profile = make_profile(np.linspace(0, 1, 20), np.linspace(0.5, 1.5, 20))
-        segments = segment_profile(profile, window_size=4)
-        matrix = segment_distance_matrix(segments, segments)
+        segments = segment_profile_arrays(profile, window_size=4)
+        matrix = distance_matrix(segments, segments)
         assert matrix.shape == (len(segments), len(segments))
         assert np.allclose(np.diag(matrix), 0.0)
 
     def test_invalid_window_size(self):
         profile = make_profile([0.0], [1.0])
         with pytest.raises(ValueError):
-            segment_profile(profile, 0)
+            segment_profile_arrays(profile, 0)
 
     def test_coarse_representation_means(self):
         values = np.arange(20, dtype=float)
@@ -134,7 +144,7 @@ class TestSegmentation:
 
 
 class TestVectorizedSegmentation:
-    """The vectorized segment_profile equals the per-sample loop exactly."""
+    """The vectorized segmentation equals the per-sample loop exactly."""
 
     def test_randomised_equivalence(self):
         rng = np.random.default_rng(7)
@@ -144,49 +154,31 @@ class TestVectorizedSegmentation:
             times = np.sort(rng.uniform(0, 10, count))
             phases = np.mod(rng.uniform(-10, 10, count), TWO_PI)
             profile = make_profile(times, phases)
-            assert segment_profile(profile, window) == segment_profile_per_sample(
-                profile, window
+            assert_same_columns(
+                segment_profile_arrays(profile, window),
+                columns_of(segment_profile_per_sample(profile, window)),
             )
 
-    def test_arrays_form_matches_object_form(self):
-        from repro.core.segmentation import segment_profile_arrays
-
-        rng = np.random.default_rng(8)
-        times = np.sort(rng.uniform(0, 10, 45))
-        phases = np.mod(rng.uniform(-10, 10, 45), TWO_PI)
-        profile = make_profile(times, phases)
-        segments = segment_profile(profile, 5)
-        arrays = segment_profile_arrays(profile, 5)
-        assert arrays.to_segments() == segments
-        assert len(arrays) == len(segments)
-        assert arrays[0] == segments[0]
-        assert list(arrays) == segments
-        mins, maxs = arrays.bounds()
-        assert mins.tolist() == [s.min_phase_rad for s in segments]
-        assert maxs.tolist() == [s.max_phase_rad for s in segments]
-        assert arrays.durations().tolist() == [
-            max(s.duration_s, 1e-6) for s in segments
-        ]
+    def test_durations_are_clamped_away_from_zero(self):
+        times = np.array([0.0, 0.0, 0.0, 0.5, 0.7, 0.7])
+        profile = make_profile(times, np.linspace(1.0, 2.0, 6))
+        arrays = segment_profile_arrays(profile, 2)
+        assert arrays.durations().tolist() == [1e-6, 0.5, 1e-6]
 
     def test_slice_gives_the_sliced_columns(self):
-        from repro.core.segmentation import SegmentArrays, segment_profile_arrays
-
         phases = np.array([0.2, 0.1, 0.05, 0.02, 6.2, 6.1, 6.0, 5.9, 0.3, 0.4])
         times = np.arange(phases.size, dtype=float) * 0.1
-        arrays = segment_profile_arrays(make_profile(times, phases), 3)
-        segments = arrays.to_segments()
+        profile = make_profile(times, phases)
+        arrays = segment_profile_arrays(profile, 3)
+        segments = segment_profile_per_sample(profile, 3)
         assert isinstance(arrays[0:2], SegmentArrays)
-        assert arrays[0:2].to_segments() == segments[0:2]
-        assert arrays[1:].to_segments() == segments[1:]
-        assert arrays[::2].to_segments() == segments[::2]
+        assert_same_columns(arrays[0:2], columns_of(segments[0:2]))
+        assert_same_columns(arrays[1:], columns_of(segments[1:]))
+        assert_same_columns(arrays[::2], columns_of(segments[::2]))
         assert len(arrays[5:5]) == 0
-        assert arrays[-1] == segments[-1]
 
     def test_empty_profile(self):
-        from repro.core.segmentation import segment_profile_arrays
-
         profile = PhaseProfile("t", np.empty(0), np.empty(0))
-        assert segment_profile(profile, 5) == []
         assert len(segment_profile_arrays(profile, 5)) == 0
 
     def test_slice_views_match_masked_slicing(self):
@@ -253,10 +245,11 @@ class TestDTW:
         times = np.linspace(0, 2, 100)
         v_shape = np.abs(times - 1.0) * 3.0 + 0.5
         profile = make_profile(times, np.minimum(v_shape, 6.2))
-        segments = segment_profile(profile, 5)
-        result = segmented_dtw_align(segments, segments)
+        segments = segment_profile_arrays(profile, 5)
+        (result,) = segmented_dtw_align_batch(segments, [segments])
         assert result.cost == pytest.approx(0.0)
 
     def test_segmented_dtw_requires_segments(self):
+        empty = segment_profile_arrays(make_profile([], []), 5)
         with pytest.raises(ValueError):
-            segmented_dtw_align([], [])
+            segmented_dtw_align_batch(empty, [empty])

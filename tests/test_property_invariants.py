@@ -6,18 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.dtw import subsequence_dtw
+from repro.core.dtw import subsequence_dtw_batch
 from repro.core.phase_profile import PhaseProfile
 from repro.core.segmentation import (
+    JUMP_THRESHOLD_RAD,
     coarse_representation,
-    segment_distance_matrix,
-    segment_profile,
+    range_gap_matrix,
+    segment_profile_arrays,
 )
 from repro.evaluation.metrics import ordering_accuracy, pairwise_order_accuracy
 from repro.rf.constants import TWO_PI, channel_wavelength_m
 from repro.rf.phase_model import round_trip_phase, wrap_phase
 
 from oracles.dtw import accumulate_python, segment_range_distance
+
+
+def subsequence_dtw(reference, query):
+    """Raw-sample subsequence DTW of one query: a batch of one."""
+    return subsequence_dtw_batch(reference, [query])[0]
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_positive = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -64,15 +70,16 @@ class TestProfileAndSegmentationProperties:
         gaps, phases = data
         times = np.cumsum(gaps)
         profile = PhaseProfile("t", times, phases)
-        segments = segment_profile(profile, window)
-        assert sum(s.sample_count for s in segments) == len(profile)
+        segments = segment_profile_arrays(profile, window)
+        assert int(np.sum(segments.ends - segments.starts)) == len(profile)
         # Segments are contiguous and ordered.
-        boundaries = [s.start_index for s in segments] + [segments[-1].end_index]
-        assert boundaries == sorted(boundaries)
+        assert segments.starts[0] == 0 and segments.ends[-1] == len(profile)
+        assert np.array_equal(segments.starts[1:], segments.ends[:-1])
+        assert np.all(segments.ends > segments.starts)
         # No segment contains a wrap larger than the threshold.
-        for segment in segments:
-            chunk = profile.phases_rad[segment.start_index:segment.end_index]
-            assert np.all(np.abs(np.diff(chunk)) <= 0.75 * TWO_PI + 1e-9)
+        for start, end in zip(segments.starts.tolist(), segments.ends.tolist()):
+            chunk = profile.phases_rad[start:end]
+            assert np.all(np.abs(np.diff(chunk)) <= JUMP_THRESHOLD_RAD + 1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(data=profile_strategy())
@@ -80,13 +87,14 @@ class TestProfileAndSegmentationProperties:
         gaps, phases = data
         times = np.cumsum(gaps)
         profile = PhaseProfile("t", times, phases)
-        segments = segment_profile(profile, 5)
-        matrix = segment_distance_matrix(segments, segments)
+        segments = segment_profile_arrays(profile, 5)
+        matrix = range_gap_matrix(segments.mins, segments.maxs, segments.mins, segments.maxs)
         assert (matrix >= 0.0).all()
         assert np.array_equal(matrix, matrix.T)
-        for i, a in enumerate(segments[:4]):
-            for j, b in enumerate(segments[:4]):
-                assert matrix[i, j] == segment_range_distance(a, b)
+        ranges = list(zip(segments.mins.tolist(), segments.maxs.tolist()))[:4]
+        for i, a in enumerate(ranges):
+            for j, b in enumerate(ranges):
+                assert matrix[i, j] == segment_range_distance(*a, *b)
 
     @settings(max_examples=30, deadline=None)
     @given(

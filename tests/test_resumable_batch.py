@@ -4,10 +4,12 @@
 accumulated: every lane either starts fresh or is seeded with its aligner's
 last cached column, and all lanes share one chunked anti-diagonal sweep.
 The differential tests here drive random growth schedules through it and
-hold every lane, at every step, bit-identical to ``segmented_dtw_align`` run
-from scratch.  ``_backtrack`` is checked against the ``min(..., key=...)``
-walk it replaced (``tests/oracles/dtw.py``), on tie-heavy matrices in
-particular, since a tie is where two walks could part.
+hold every lane, at every step, bit-identical to the pure-Python segmented
+alignment of ``tests/oracles/dtw.py`` (random lanes) or to a from-scratch
+``segmented_dtw_align_batch`` (real profiles).  ``_backtrack`` is checked
+against the ``min(..., key=...)`` walk it replaced (``tests/oracles/dtw.py``),
+on tie-heavy matrices in particular, since a tie is where two walks could
+part.
 """
 
 from __future__ import annotations
@@ -18,17 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles.dtw import accumulate_python, backtrack_min
+from oracles.dtw import accumulate_python, backtrack_min, segmented_align_python
+from oracles.segmentation import Segment, columns_of
 from repro.core import BatchLocalizer, STPPConfig, dtw
 from repro.core.dtw import (
     ResumableSegmentAligner,
+    _accumulate_chunk,
     _backtrack,
-    accumulate_cost,
     align_resumable_batch,
-    segmented_dtw_align,
+    segmented_dtw_align_batch,
 )
 from repro.core.reference import shared_canonical_reference
-from repro.core.segmentation import IncrementalSegmenter, Segment, segment_profile
+from repro.core.segmentation import IncrementalSegmenter, segment_profile_arrays
 from repro.service import CHECKPOINT_VERSION, LocalizationSession
 from repro.simulation import collect_sweep, standard_antenna_moving_scene
 from repro.simulation.collector import profiles_from_read_log
@@ -62,8 +65,7 @@ def segments(draw, min_size: int = 1, max_size: int = 6) -> list[Segment]:
     return result
 
 
-def _assert_matches_scratch(result, reference, query):
-    expected = segmented_dtw_align(reference, query)
+def _assert_matches_scratch(result, expected):
     assert result.cost == expected.cost
     assert result.path == expected.path
     assert (result.query_start, result.query_end) == (
@@ -76,8 +78,8 @@ class _Lane:
     """One growing stream: a stable prefix plus a volatile tail."""
 
     def __init__(self, reference: list[Segment]) -> None:
-        self.reference = reference
-        self.aligner = ResumableSegmentAligner(reference)
+        self.reference = columns_of(reference)
+        self.aligner = ResumableSegmentAligner(self.reference)
         self.stable: list[Segment] = []
 
 
@@ -121,14 +123,14 @@ def _grow_and_check(data, lanes: list[_Lane]) -> None:
                 choices.append(0)
             stable_count = data.draw(st.sampled_from(choices))
             active.append(lane)
-            queries.append(query)
+            queries.append(columns_of(query))
             stable_counts.append(stable_count)
         results = align_resumable_batch(
             [lane.aligner for lane in active], queries, stable_counts
         )
         assert len(results) == len(active)
         for lane, query, result in zip(active, queries, results):
-            _assert_matches_scratch(result, lane.reference, query)
+            _assert_matches_scratch(result, segmented_align_python(lane.reference, query))
 
 
 def test_batched_resume_matches_scratch_on_real_profiles(small_row_sweep, monkeypatch):
@@ -136,7 +138,7 @@ def test_batched_resume_matches_scratch_on_real_profiles(small_row_sweep, monkey
     growing in uneven rounds, every tag resumed in one call per round."""
     monkeypatch.setattr(dtw, "MAX_BATCH_CELLS", 20_000)
     _, _, sweep = small_row_sweep
-    reference = segment_profile(shared_canonical_reference().profile, 5)
+    reference = segment_profile_arrays(shared_canonical_reference().profile, 5)
     profiles = [sweep.profiles[tag_id] for tag_id in sweep.profiles.tag_ids()]
     aligners = [ResumableSegmentAligner(reference) for _ in profiles]
     segmenters = [IncrementalSegmenter(5) for _ in profiles]
@@ -158,8 +160,11 @@ def test_batched_resume_matches_scratch_on_real_profiles(small_row_sweep, monkey
             [segmenters[k].segments() for k in lanes],
             [segmenters[k].stable_count() for k in lanes],
         )
-        for k, result in zip(lanes, results):
-            _assert_matches_scratch(result, reference, segmenters[k].segments())
+        scratch = segmented_dtw_align_batch(
+            reference, [segmenters[k].segments() for k in lanes]
+        )
+        for result, expected in zip(results, scratch):
+            _assert_matches_scratch(result, expected)
 
 
 def test_empty_batch_is_empty():
@@ -167,7 +172,7 @@ def test_empty_batch_is_empty():
 
 
 def test_invalid_lane_leaves_every_aligner_untouched():
-    reference = segment_profile(shared_canonical_reference().profile, 5)
+    reference = segment_profile_arrays(shared_canonical_reference().profile, 5)
     query = reference[:6]
     good, bad = ResumableSegmentAligner(reference), ResumableSegmentAligner(reference)
     bad.align(query, 4)
@@ -175,7 +180,7 @@ def test_invalid_lane_leaves_every_aligner_untouched():
         align_resumable_batch([good, bad], [query, query[:2]], [5, 1])
     assert (good._cached_cols, bad._cached_cols) == (0, 4)
     with pytest.raises(ValueError, match="query"):
-        align_resumable_batch([good, bad], [query, []], [5, 0])
+        align_resumable_batch([good, bad], [query, query[:0]], [5, 0])
     assert good._cached_cols == 0
     with pytest.raises(ValueError, match="pair up"):
         align_resumable_batch([good], [query, query])
@@ -245,10 +250,12 @@ def test_backtrack_matches_oracle_on_full_dtw_sized_matrix(small_row_sweep):
     reference = shared_canonical_reference().profile.phases_rad
     query = sweep.profiles[sweep.profiles.tag_ids()[0]].phases_rad
     distance = np.abs(reference[:, None] - query[None, :])
-    cost = accumulate_cost(distance)
-    strided = np.stack([cost, cost], axis=-1)[:, :, 1]
-    end_col = int(np.argmin(cost[-1]))
-    assert _backtrack(strided, end_col) == backtrack_min(cost, end_col)
+    matrices = [np.ones((2, 2)), distance]
+    shapes = [matrix.shape for matrix in matrices]
+    strided = _accumulate_chunk([0, 1], shapes, matrices.__getitem__)[:, :, 1]
+    assert not strided.flags.c_contiguous
+    end_col = int(np.argmin(strided[-1]))
+    assert _backtrack(strided, end_col) == backtrack_min(strided, end_col)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.segmentation import assert_same_columns, segment_walk
+from oracles.segmentation import assert_same_columns, columns_of, segment_walk
 from repro.core import PhaseProfile
 from repro.core.segmentation import IncrementalSegmenter, segment_profile_arrays
 from repro.rf.constants import TWO_PI
@@ -84,8 +84,8 @@ def test_streaming_segmentation_matches_batch_and_oracle(data):
             columnar = segmenter.segments(key)
             batch = segment_profile_arrays(prefix, window_size)
             assert_same_columns(columnar, batch)
-            assert batch.to_segments() == segment_walk(
-                times[: fed[key]], phases[: fed[key]], window_size
+            assert_same_columns(
+                batch, columns_of(segment_walk(times[: fed[key]], phases[: fed[key]], window_size))
             )
             # The stable prefix only ever grows; a segment stays open while
             # the next sample could still join it.
@@ -105,5 +105,5 @@ def test_whole_profile_segmentation_matches_oracle(profile, window_size):
     arrays = segment_profile_arrays(
         PhaseProfile(tag_id="t", timestamps_s=times, phases_rad=phases), window_size
     )
-    assert arrays.to_segments() == segment_walk(times, phases, window_size)
+    assert_same_columns(arrays, columns_of(segment_walk(times, phases, window_size)))
     assert arrays.starts.dtype == arrays.ends.dtype == np.intp

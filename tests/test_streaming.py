@@ -13,18 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles.segmentation import assert_same_columns
+from oracles.segmentation import assert_same_columns, columns_of, segment_walk
 from repro.core import (
     BatchLocalizer,
     IncrementalSegmenter,
     PhaseProfile,
     ResumableSegmentAligner,
-    Segment,
     STPPConfig,
-    segment_profile,
-    segmented_dtw_align,
+    segmented_dtw_align_batch,
 )
-from repro.core.dtw import ReferenceColumns
 from repro.core.reference import shared_canonical_reference
 from repro.core.segmentation import segment_profile_arrays
 from repro.evaluation.metrics import ordering_agreement
@@ -124,7 +121,9 @@ class TestIncrementalSegmenter:
             assert_same_columns(
                 segmenter.segments(), segment_profile_arrays(profile, window)
             )
-            assert segmenter.segments().to_segments() == segment_profile(profile, window)
+            assert_same_columns(
+                segmenter.segments(), columns_of(segment_walk(times, phases, window))
+            )
 
     def test_stable_prefix_never_changes(self, small_row_sweep):
         _, _, sweep = small_row_sweep
@@ -177,22 +176,6 @@ class TestIncrementalSegmenter:
         with pytest.raises(ValueError, match="window size"):
             IncrementalSegmenter(0)
 
-    def test_session_refresh_builds_no_segment_objects(self, small_row_sweep, monkeypatch):
-        # Provisionals and finalize read the segmenter's columns end to end.
-        _, scene, sweep = small_row_sweep
-        built = []
-        original = Segment.__post_init__
-        monkeypatch.setattr(
-            Segment, "__post_init__", lambda self: built.append(1) or original(self)
-        )
-        session = LocalizationSession(channel_index=scene.reader_config.channel.channel_index)
-        for index, batch in enumerate(sweep.read_log.iter_batches(64)):
-            session.ingest_batch(batch)
-            if index % 3 == 2:
-                session.provisional()
-        assert len(session.finalize().result.vzones) > 1
-        assert built == []
-
 
 # ---------------------------------------------------------------------------
 # Resumable DTW
@@ -200,11 +183,9 @@ class TestIncrementalSegmenter:
 
 
 class TestResumableSegmentAligner:
-    @pytest.mark.parametrize("shared", [False, True], ids=["segments", "shared-columns"])
-    def test_matches_batch_at_every_growth_step(self, small_row_sweep, shared):
+    def test_matches_batch_at_every_growth_step(self, small_row_sweep):
         _, _, sweep = small_row_sweep
-        reference_segments = segment_profile(shared_canonical_reference().profile, 5)
-        reference = ReferenceColumns.of(reference_segments) if shared else reference_segments
+        reference = segment_profile_arrays(shared_canonical_reference().profile, 5)
         rng = np.random.default_rng(11)
         for tag_id in sweep.profiles.tag_ids():
             profile = sweep.profiles[tag_id]
@@ -222,7 +203,7 @@ class TestResumableSegmentAligner:
                 if not segments:
                     continue
                 resumed = aligner.align(segments, segmenter.stable_count())
-                batch = segmented_dtw_align(reference_segments, segments)
+                (batch,) = segmented_dtw_align_batch(reference, [segments])
                 assert resumed.cost == batch.cost
                 assert resumed.path == batch.path
                 assert (resumed.query_start, resumed.query_end) == (
@@ -233,7 +214,7 @@ class TestResumableSegmentAligner:
     def test_cache_grows_monotonically(self, small_row_sweep):
         _, _, sweep = small_row_sweep
         profile = next(iter(sweep.profiles))
-        reference_segments = segment_profile(shared_canonical_reference().profile, 5)
+        reference_segments = segment_profile_arrays(shared_canonical_reference().profile, 5)
         aligner = ResumableSegmentAligner(reference_segments)
         segmenter = IncrementalSegmenter(5)
         cached = 0
@@ -251,7 +232,7 @@ class TestResumableSegmentAligner:
         assert cached > 0
 
     def test_rejects_shrinking_stable_prefix(self):
-        reference_segments = segment_profile(shared_canonical_reference().profile, 5)
+        reference_segments = segment_profile_arrays(shared_canonical_reference().profile, 5)
         aligner = ResumableSegmentAligner(reference_segments)
         segmenter = IncrementalSegmenter(2)
         times = np.arange(20, dtype=float)
@@ -274,20 +255,21 @@ class TestResumableSegmentAligner:
         restored = LocalizationSession.restore(session.checkpoint())
         restored.provisional()
         for live in (session, restored):
-            shared = live._detector.reference_columns()
-            assert shared is live._detector.reference_columns()
+            shared = live._detector.reference_segmentation()
+            assert shared is live._detector.reference_segmentation()
             assert len(live._pipelines) > 1
             assert all(p.aligner._reference is shared for p in live._pipelines.values())
-            for column in (shared.mins, shared.maxs, shared.durations):
+            for column in (shared.starts, shared.ends, shared.start_times,
+                           shared.end_times, shared.mins, shared.maxs):
                 assert not column.flags.writeable
 
     def test_rejects_empty_inputs(self):
-        reference_segments = segment_profile(shared_canonical_reference().profile, 5)
+        reference_segments = segment_profile_arrays(shared_canonical_reference().profile, 5)
         with pytest.raises(ValueError, match="reference"):
-            ResumableSegmentAligner([])
+            ResumableSegmentAligner(reference_segments[:0])
         aligner = ResumableSegmentAligner(reference_segments)
         with pytest.raises(ValueError, match="query"):
-            aligner.align([], 0)
+            aligner.align(reference_segments[:0], 0)
 
 
 # ---------------------------------------------------------------------------
