@@ -16,8 +16,10 @@ below STPP for closely spaced tags.
 
 The grid is scored in two passes (:func:`hologram_peak`): a float32 screen of
 every cell, then the exact float64 scorer on only the cells whose screened
-score is within a derived error bound of the screened maximum.  The pick is
-bit-identical to scoring every cell exactly.
+score is within a derived error bound of the screened maximum.  A static
+antenna's flat hologram skips the screen; each distinct wrapped phase of the
+grid is scored once instead of every cell.  The pick is bit-identical to
+scoring every cell exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .base import OrderingScheme, SchemeResult
 Measurement = tuple[Point3D, float]
 """One virtual antenna: its position and the tag's phase measured there."""
 
+FlatGrid = tuple[np.ndarray, np.ndarray, np.ndarray]
+"""A grid's distinct wrapped phases from one antenna position: see :func:`distinct_phases`."""
+
 SCREEN_ROUNDING_SLACK = 64.0
 """``C`` of :func:`hologram_screen`'s error bound, in float32 unit roundoffs."""
 
@@ -42,6 +47,53 @@ _FLOAT32_UNIT_ROUNDOFF = 2.0**-24
 
 SCREEN_COUNTERS = ("flat_hologram_tags", "cells_screened", "cells_rescored", "screen_misses")
 """The counts :meth:`BackPosScheme.order` reports in its result's metadata."""
+
+
+def wrapped_phase(
+    cell_x: np.ndarray,
+    cell_y: np.ndarray,
+    antenna_pos: Point3D,
+    wavelength: float,
+) -> np.ndarray:
+    """Predicted phase ``(4 pi d / wavelength) mod 2 pi`` at the cells ``(cell_x, cell_y)``.
+
+    ``d`` is the distance from ``antenna_pos`` to the cell, which lies on
+    the ``z = 0`` plane.  The coordinates broadcast against each other as in
+    :func:`hologram_exact`, and every step is elementwise.
+    """
+    dx = cell_x - antenna_pos.x
+    dx *= dx
+    dy = cell_y - antenna_pos.y
+    dy *= dy
+    dz = -antenna_pos.z
+    predicted = np.add(dx, dy)
+    predicted += dz * dz
+    np.sqrt(predicted, out=predicted)
+    predicted *= TWO_PI * 2.0
+    predicted /= wavelength
+    return np.mod(predicted, TWO_PI, out=predicted)
+
+
+def hologram_magnitude(terms: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """``|sum_j exp(i (predicted_j - phi_j))|`` elementwise, in float64: the one exact scorer.
+
+    ``terms`` pairs each snapshot's predicted phases (arrays of one shape)
+    with its measured phase ``phi_j``; the snapshots are summed in order.
+    The coherent sum is maximal where one constant offset (the unknown
+    device offset mu) explains every residual, i.e. where only phase
+    *differences* are matched: exactly the hyperbolic constraint BackPos
+    uses.  Every step is elementwise, so equal predicted phases score equal
+    bits wherever they sit in the arrays.
+    """
+    shape = terms[0][0].shape
+    residual = np.empty(shape)
+    term = np.empty(shape, dtype=complex)
+    score = np.zeros(shape, dtype=complex)
+    for predicted, phase in terms:
+        np.subtract(predicted, phase, out=residual)
+        np.multiply(1j, residual, out=term)
+        score += np.exp(term, out=term)
+    return np.abs(score)
 
 
 def hologram_exact(
@@ -54,41 +106,37 @@ def hologram_exact(
 
     The coordinates broadcast against each other: ``xs[:, None]`` and
     ``ys[None, :]`` score the whole grid, ``xs[ix]`` and ``ys[iy]`` a
-    gathered subset.  Every step is elementwise and the snapshots are summed
-    in order, so a cell gets the same bits either way.  The wrapped predicted
-    phase of a cell depends only on the antenna position, so it is computed
-    once per distinct position, not once per snapshot.
+    gathered subset; a cell gets the same bits either way.  The wrapped
+    predicted phase of a cell depends only on the antenna position, so it is
+    computed once per distinct position, not once per snapshot.
     """
-    four_pi = TWO_PI * 2.0
-    shape = np.broadcast_shapes(np.shape(cell_x), np.shape(cell_y))
-    residual = np.empty(shape)
-    term = np.empty(shape, dtype=complex)
-    score = np.zeros(shape, dtype=complex)
     predicted_at: dict[Point3D, np.ndarray] = {}
-    # Coherent sum of per-snapshot residuals: its magnitude is maximal when
-    # one constant offset (the unknown device offset mu) explains every
-    # residual, i.e. when only phase *differences* are matched — exactly the
-    # hyperbolic constraint BackPos uses.
-    for antenna_pos, phase in measurements:
-        predicted = predicted_at.get(antenna_pos)
-        if predicted is None:
-            dx = cell_x - antenna_pos.x
-            dx *= dx
-            dy = cell_y - antenna_pos.y
-            dy *= dy
-            dz = -antenna_pos.z
-            predicted = np.add(dx, dy)
-            predicted += dz * dz
-            np.sqrt(predicted, out=predicted)
-            # predicted = (4 pi d / wavelength) mod 2 pi.
-            predicted *= four_pi
-            predicted /= wavelength
-            np.mod(predicted, TWO_PI, out=predicted)
-            predicted_at[antenna_pos] = predicted
-        np.subtract(predicted, phase, out=residual)
-        np.multiply(1j, residual, out=term)
-        score += np.exp(term, out=term)
-    return np.abs(score)
+    for antenna_pos, _ in measurements:
+        if antenna_pos not in predicted_at:
+            predicted_at[antenna_pos] = wrapped_phase(cell_x, cell_y, antenna_pos, wavelength)
+    return hologram_magnitude([(predicted_at[pos], phase) for pos, phase in measurements])
+
+
+def distinct_phases(
+    xs: np.ndarray, ys: np.ndarray, antenna_pos: Point3D, wavelength: float
+) -> FlatGrid:
+    """The grid's distinct wrapped phases seen from ``antenna_pos``, and where each first occurs.
+
+    Returns the distinct values in ascending order, their first flat indices
+    into ``(xs.size, ys.size)`` in ascending order, and the permutation
+    ``by_index`` that takes the values' scores to the order of those indices.
+    ``argmax`` over the permuted scores then finds the same cell as ``argmax``
+    over the whole grid's: the smallest first index among the values that
+    reach the maximum, or the first NaN.  (NaN never equals itself, so each
+    NaN cell is its own value; the first of them still comes first.)
+    """
+    predicted = wrapped_phase(xs[:, None], ys[None, :], antenna_pos, wavelength).ravel()
+    by_value = np.argsort(predicted)
+    ascending = predicted[by_value]
+    starts = np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1]])
+    first = np.minimum.reduceat(by_value, starts)
+    by_index = np.argsort(first)
+    return ascending[starts], first[by_index], by_index
 
 
 def hologram_screen(
@@ -174,29 +222,41 @@ def hologram_peak(
     measurements: list[Measurement],
     wavelength: float,
     counts: dict[str, int],
+    flat_grids: dict[Point3D, FlatGrid] | None = None,
 ) -> int:
     """Flat index into ``(xs.size, ys.size)`` of the hologram's exact maximum.
 
     Bit-identical to ``argmax`` over :func:`hologram_exact` on the whole
     grid, first index on ties.  Snapshots all taken at one antenna position
     give a flat hologram (every cell ties mathematically; rounding picks the
-    peak), so those tags skip the screen and every cell is scored exactly.
-    Otherwise only :func:`screen_survivors` are, and if any of them breaks
-    the screen's bound the whole grid is re-scored and counted as a
-    ``screen_miss``.  ``counts`` accumulates :data:`SCREEN_COUNTERS`.
+    peak).  Such a tag skips the screen: each of the grid's
+    :func:`distinct_phases` from that position is scored exactly once, and
+    ``flat_grids`` keeps them by position for the next tag on the same grid.
+    Otherwise only :func:`screen_survivors` are scored, and if any of them
+    breaks the screen's bound the whole grid is re-scored and counted as a
+    ``screen_miss``.  ``counts`` accumulates :data:`SCREEN_COUNTERS`;
+    ``cells_rescored`` counts the cells (or distinct phases) scored exactly.
     """
-    if len({antenna_pos for antenna_pos, _ in measurements}) > 1:
-        screened, epsilon = hologram_screen(xs, ys, measurements, wavelength)
-        counts["cells_screened"] += screened.size
-        survivors = screen_survivors(screened, epsilon)
-        ix, iy = np.divmod(survivors, ys.size)
-        exact = hologram_exact(xs[ix], ys[iy], measurements, wavelength)
-        counts["cells_rescored"] += survivors.size
-        if np.all(np.abs(exact - screened.ravel()[survivors]) <= epsilon):
-            return int(survivors[np.argmax(exact)])
-        counts["screen_misses"] += 1
-    else:
+    positions = {antenna_pos for antenna_pos, _ in measurements}
+    if len(positions) == 1:
         counts["flat_hologram_tags"] += 1
+        (antenna_pos,) = positions
+        grids = {} if flat_grids is None else flat_grids
+        if antenna_pos not in grids:
+            grids[antenna_pos] = distinct_phases(xs, ys, antenna_pos, wavelength)
+        values, first, by_index = grids[antenna_pos]
+        magnitude = hologram_magnitude([(values, phase) for _, phase in measurements])
+        counts["cells_rescored"] += values.size
+        return int(first[np.argmax(magnitude[by_index])])
+    screened, epsilon = hologram_screen(xs, ys, measurements, wavelength)
+    counts["cells_screened"] += screened.size
+    survivors = screen_survivors(screened, epsilon)
+    ix, iy = np.divmod(survivors, ys.size)
+    exact = hologram_exact(xs[ix], ys[iy], measurements, wavelength)
+    counts["cells_rescored"] += survivors.size
+    if np.all(np.abs(exact - screened.ravel()[survivors]) <= epsilon):
+        return int(survivors[np.argmax(exact)])
+    counts["screen_misses"] += 1
     magnitude = hologram_exact(xs[:, None], ys[None, :], measurements, wavelength)
     counts["cells_rescored"] += magnitude.size
     return int(np.argmax(magnitude))
@@ -232,13 +292,15 @@ class BackPosScheme(OrderingScheme):
             raise ValueError("empty candidate region")
 
         counts = dict.fromkeys(SCREEN_COUNTERS, 0)
+        flat_grids: dict[Point3D, FlatGrid] = {}
         estimated_x: dict[str, float] = {}
         estimated_y: dict[str, float] = {}
         for tag_id in expected_tag_ids:
             measurements = self._snapshots(read_log, tag_id)
             if len(measurements) < 3:
                 continue
-            ix, iy = divmod(hologram_peak(xs, ys, measurements, wavelength, counts), ys.size)
+            peak = hologram_peak(xs, ys, measurements, wavelength, counts, flat_grids)
+            ix, iy = divmod(peak, ys.size)
             estimated_x[tag_id] = float(xs[ix])
             estimated_y[tag_id] = float(ys[iy])
 

@@ -31,6 +31,7 @@ same reads — pinned across the library, airport, and warehouse workloads by
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
 from dataclasses import dataclass
@@ -108,6 +109,37 @@ class StreamingUpdate:
 
     final: bool = False
     """True for the update returned by :meth:`LocalizationSession.finalize`."""
+
+
+class _MissingClass:
+    """Stands in for a class or function a checkpoint names but this build
+    lacks, so that the payload's version can be read and reported."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+def _resolve_or_stand_in(unpickler: "_CheckpointUnpickler", module: str, name: str):
+    try:
+        return pickle.Unpickler.find_class(unpickler, module, name)
+    except (AttributeError, ImportError):
+        unpickler.missing.append(f"{module}.{name}")
+        return _MissingClass
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Unpickles a checkpoint whatever classes it names, listing those this
+    build lacks in ``missing``: an older payload's version is read before
+    any of its classes has to exist."""
+
+    find_class = _resolve_or_stand_in
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(io.BytesIO(data))
+        self.missing: list[str] = []
 
 
 @dataclass
@@ -536,13 +568,26 @@ class LocalizationSession:
         class the checkpoint was taken from — subclass wrappers (e.g. fleet
         ``session_factory`` test doubles) do not survive a restart, which is
         exactly the semantics a crash-recovery path wants.
+
+        Raises ``ValueError`` naming the payload's version when it is not
+        :data:`CHECKPOINT_VERSION`.  The version is read before any class the
+        payload names has to exist, so an older payload that pickled a class
+        this build deleted is refused by its version too.  A payload of this
+        version naming a class this build lacks raises ``ValueError`` naming
+        the class.
         """
-        state = pickle.loads(data)
+        unpickler = _CheckpointUnpickler(data)
+        state = unpickler.load()
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads version {CHECKPOINT_VERSION})"
+            )
+        if unpickler.missing:
+            raise ValueError(
+                f"checkpoint names {', '.join(unpickler.missing)}, "
+                "missing from this build"
             )
         session = LocalizationSession(
             config=state["config"],

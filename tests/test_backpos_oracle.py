@@ -12,7 +12,7 @@ from a static antenna.
 import numpy as np
 import pytest
 
-from repro.baselines import BackPosScheme
+from repro.baselines import BackPosScheme, backpos
 from repro.evaluation.runner import standard_scheme_suite
 from repro.motion.scenarios import StaticAntennaPosition, TrajectoryAntennaPosition
 from repro.motion.trajectory import LinearTrajectory
@@ -96,3 +96,38 @@ def test_random_snapshots_static_antenna(seed):
     metadata = assert_matches_oracle(scheme, log, tag_ids)
     assert metadata["flat_hologram_tags"] == len(tag_ids)
     assert metadata["cells_screened"] == 0
+
+
+
+def test_flat_geometry_is_built_once_per_antenna_position_per_order(monkeypatch):
+    # Tags 0 and 1 are read while the antenna is parked at one position,
+    # tags 2 and 3 while it is parked at another: four flat holograms on
+    # two distinct grids of predicted phase.
+    rng = np.random.default_rng(11)
+    tag_ids = [f"tag-{i}" for i in range(4)]
+    log = ReadLog()
+    for offset, pair in ((0.0, tag_ids[:2]), (5.0, tag_ids[2:])):
+        count = 120
+        log.extend_columns(
+            offset + np.sort(rng.uniform(0.0, 4.0, count)),
+            [pair[i] for i in rng.integers(0, 2, count)],
+            rng.uniform(0.0, 2.0 * np.pi, count),
+            rng.uniform(-70.0, -40.0, count),
+            channel_index=6,
+            antenna_port=1,
+        )
+    parked = (Point3D(0.1, 0.0, 0.4), Point3D(0.7, 0.1, 0.4))
+    scheme = random_scheme(rng, lambda t: parked[int(t > 4.5)])
+    built = []
+    distinct_phases = backpos.distinct_phases
+
+    def counted(xs, ys, antenna_pos, wavelength):
+        built.append(antenna_pos)
+        return distinct_phases(xs, ys, antenna_pos, wavelength)
+
+    monkeypatch.setattr(backpos, "distinct_phases", counted)
+    metadata = assert_matches_oracle(scheme, log, tag_ids)
+    assert metadata["flat_hologram_tags"] == len(tag_ids)
+    assert built == list(parked)
+    scheme.order(log, tag_ids)
+    assert built == list(parked) * 2

@@ -10,12 +10,17 @@ coherent with a true tag position plus noise), and checks:
 * the exact scorer gives the oracle's values bit for bit on the full grid,
   and a gathered subset of cells gets the same bits as in the full grid;
 * ``hologram_peak`` picks the oracle's argmax, and a screen that breaks its
-  bound is caught, counted and answered by a full-grid re-score.
+  bound is caught, counted and answered by a full-grid re-score;
+* a flat hologram (every snapshot at one antenna position, here on a grid
+  line or a grid midpoint, so many cells share a predicted phase) is scored
+  once per distinct phase and still picks the oracle's argmax, the first
+  of several tied cells included.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +29,11 @@ from repro.baselines import backpos
 from repro.baselines.backpos import (
     SCREEN_COUNTERS,
     hologram_exact,
+    hologram_magnitude,
     hologram_peak,
     hologram_screen,
     screen_survivors,
+    wrapped_phase,
 )
 from repro.rf.constants import TWO_PI, channel_wavelength_m
 from repro.rf.geometry import Point3D
@@ -136,3 +143,103 @@ def test_a_screen_that_breaks_its_bound_is_counted_and_rescored(monkeypatch):
     assert peak == int(np.argmax(oracle))
     assert counts["screen_misses"] == 1
     assert counts["cells_rescored"] == 2 * oracle.size
+
+
+@st.composite
+def flat_holograms(draw):
+    """A static antenna on a grid line or at a grid midpoint of both axes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    resolution = draw(st.sampled_from([0.01, 0.013, 0.02, 0.05]))
+    x0, y0 = draw(st.floats(-1.5, 1.0)), draw(st.floats(-1.0, 1.0))
+    xs = np.arange(x0, x0 + draw(st.floats(0.1, 1.6)), resolution)
+    ys = np.arange(y0, y0 + draw(st.floats(0.1, 1.0)) + 1e-9, resolution)
+    ix = draw(st.integers(0, xs.size - 2))
+    iy = draw(st.integers(0, ys.size - 2))
+    midpoint = draw(st.booleans())
+    x = (xs[ix] + xs[ix + 1]) / 2.0 if midpoint else xs[ix]
+    y = (ys[iy] + ys[iy + 1]) / 2.0 if midpoint else ys[iy]
+    antenna = Point3D(float(x), float(y), draw(st.sampled_from([0.0, 0.3, 0.45])))
+    count = draw(st.integers(3, 8))
+    phases = rng.uniform(0.0, TWO_PI, count)
+    wavelength = channel_wavelength_m(draw(st.integers(0, 15)))
+    return xs, ys, [(antenna, float(phase)) for phase in phases], wavelength
+
+
+def assert_distinct_phases_cover_the_grid(xs, ys, antenna, wavelength, grid):
+    """``grid`` holds each distinct phase once, ascending, with its first cell."""
+    values, first, by_index = grid
+    wrapped = wrapped_phase(xs[:, None], ys[None, :], antenna, wavelength).ravel()
+    assert np.all(np.diff(values) > 0)
+    assert np.all(np.diff(first) > 0)
+    assert values[by_index].tobytes() == wrapped[first].tobytes()
+    assert set(wrapped.tolist()) == set(values.tolist())
+    seen = {}
+    for index, value in enumerate(wrapped.tolist()):
+        seen.setdefault(value, index)
+    assert sorted(seen.values()) == first.tolist()
+
+
+def assert_flat_peak_is_the_oracle_argmax(xs, ys, measurements, wavelength):
+    counts = dict.fromkeys(SCREEN_COUNTERS, 0)
+    grids = {}
+    peak = hologram_peak(xs, ys, measurements, wavelength, counts, grids)
+    oracle = meshgrid_magnitude(xs, ys, measurements, wavelength).ravel()
+    assert peak == int(np.argmax(oracle))
+    assert peak == int(np.flatnonzero(oracle == oracle.max())[0])
+    ((antenna, grid),) = grids.items()
+    assert antenna == measurements[0][0]
+    assert_distinct_phases_cover_the_grid(xs, ys, antenna, wavelength, grid)
+    # Equal phases score equal bits: each distinct phase's score is the
+    # oracle's score of every cell holding it, the first one included.
+    values, first, by_index = grid
+    scored = hologram_magnitude([(values, phase) for _, phase in measurements])
+    assert scored[by_index].tobytes() == oracle[first].tobytes()
+    assert counts == {
+        "flat_hologram_tags": 1,
+        "cells_screened": 0,
+        "cells_rescored": values.size,
+        "screen_misses": 0,
+    }
+    return oracle, values
+
+
+@SETTINGS
+@given(flat_holograms())
+def test_flat_peak_is_the_oracle_argmax_on_repeated_phases(problem):
+    assert_flat_peak_is_the_oracle_argmax(*problem)
+
+
+def test_flat_peak_takes_the_first_of_tied_cells():
+    # A grid symmetric about the antenna: mirrored cells have bit-equal
+    # distances, so the maximum is reached at several cells.
+    xs = np.arange(-30, 31) * 0.01
+    ys = np.arange(-12, 13) * 0.01
+    antenna = Point3D(0.0, 0.0, 0.4)
+    measurements = [(antenna, phase) for phase in (0.3, 2.0, 4.1, 5.5)]
+    wavelength = channel_wavelength_m(6)
+    oracle, values = assert_flat_peak_is_the_oracle_argmax(xs, ys, measurements, wavelength)
+    assert np.count_nonzero(oracle == oracle.max()) > 1
+    assert values.size < oracle.size // 3
+
+
+@pytest.mark.parametrize(
+    "antenna, phases",
+    [
+        # A NaN measured phase makes every magnitude NaN.
+        (Point3D(0.05, 0.0, 0.3), (0.3, float("nan"), 4.1)),
+        # A NaN antenna coordinate makes every predicted phase NaN, and NaN
+        # equals no value, so each cell is a distinct phase of its own.
+        (Point3D(float("nan"), 0.0, 0.3), (0.3, 2.0, 4.1)),
+    ],
+    ids=["nan-phase", "nan-antenna"],
+)
+def test_flat_nan_follows_argmax(antenna, phases):
+    # argmax takes the first NaN, cell 0, and so must the distinct-phase pick.
+    xs = np.arange(-0.2, 0.2, 0.01)
+    ys = np.arange(-0.1, 0.1 + 1e-9, 0.01)
+    measurements = [(antenna, phase) for phase in phases]
+    counts = dict.fromkeys(SCREEN_COUNTERS, 0)
+    peak = hologram_peak(xs, ys, measurements, channel_wavelength_m(6), counts)
+    oracle = meshgrid_magnitude(xs, ys, measurements, channel_wavelength_m(6))
+    assert np.all(np.isnan(oracle))
+    assert peak == int(np.argmax(oracle)) == 0

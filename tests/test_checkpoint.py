@@ -290,6 +290,44 @@ class TestCheckpointEdges:
         with pytest.raises(ValueError, match="unsupported checkpoint version 2 "):
             LocalizationSession.restore(pickle.dumps(state))
 
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (2, "unsupported checkpoint version 2 "),
+            (CHECKPOINT_VERSION, "repro.core.segmentation.Segment, missing from this build"),
+        ],
+    )
+    def test_payload_naming_a_class_absent_from_this_build(self, monkeypatch, version, message):
+        """A genuine version-2 checkpoint pickled its closed segments as
+        ``repro.core.segmentation.Segment``, a class this build no longer
+        has.  Restore reads the version before it resolves the payload's
+        classes, so such a payload is refused by its version, not with an
+        ``AttributeError``; a current-version payload naming a missing class
+        is refused by that class's name."""
+        import pickle
+        from dataclasses import dataclass
+
+        from repro.core import segmentation
+
+        @dataclass(frozen=True, slots=True)
+        class Segment:
+            start_index: int
+            end_index: int
+
+        Segment.__module__ = segmentation.__name__
+        Segment.__qualname__ = "Segment"
+        assert not hasattr(segmentation, "Segment")
+        monkeypatch.setattr(segmentation, "Segment", Segment, raising=False)
+        state = pickle.loads(LocalizationSession(channel_index=6).checkpoint())
+        state["version"] = version
+        state["pipelines"] = {"t": {"segmenter": {"closed": [Segment(0, 1)]}}}
+        data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.delattr(segmentation, "Segment")
+        with pytest.raises(AttributeError, match="Segment"):
+            pickle.loads(data)
+        with pytest.raises(ValueError, match=message):
+            LocalizationSession.restore(data)
+
     def test_restore_flattens_subclasses(self):
         class Wrapper(LocalizationSession):
             pass
