@@ -65,9 +65,9 @@ class SweepPhysics:
     budget, multipath fades, and the clean Eq. (1) phase.  The fused
     two-phase sweep engine evaluates this once over a whole sweep's event
     table, then combines it with noise columns that were drawn earlier,
-    during scheduling (:meth:`BackscatterChannel.observe_scheduled`); rounds
-    scheduled exactly evaluate it first, for the ``deep_fade`` booleans their
-    draws depend on.
+    during scheduling (:meth:`BackscatterChannel.observe_scheduled`); the
+    scheduler's verified blocks evaluate it on a few rounds' events, to
+    check the ``deep_fade`` booleans their draws depended on.
     """
 
     true_distance_m: np.ndarray

@@ -186,7 +186,7 @@ class FrameSlottedAloha:
         # In-place left-to-right accumulate == the scalar loop's sequential
         # ``clock += duration`` float-for-float.
         ends[0] = first_slot_start
-        np.take(self._duration_lut, classes, out=slot_ends)
+        self._duration_lut.take(classes, out=slot_ends)
         np.add.accumulate(ends, out=ends)
 
         if self.adaptive:

@@ -19,10 +19,11 @@ whole sweep as a structure-of-arrays
 evaluates every round's events in one fused NumPy call
 (:meth:`RFIDReader._sweep_physics`).  Because the dropout draw is conditional
 on deep multipath fades, the scheduler draws optimistically and the physics
-pass verifies, rolling the generator back on the (rare) mis-guess.  A channel
-whose fades defeat optimism is scheduled exactly from its first mis-guessed
-round on, by the same loop: each of those rounds evaluates its physics with
-the same helper before drawing its noise — see :meth:`RFIDReader.sweep_events`.
+pass verifies.  After a mis-guess the same loop resumes from the first
+mis-guessed round in verified blocks of :data:`VERIFY_BLOCK_ROUNDS` rounds:
+each block's events are evaluated with the same helper before the schedule
+runs past it, and a closing physics pass confirms the whole table — see
+:meth:`RFIDReader.sweep_events`.
 
 Zone membership is not re-evaluated from geometry every round.  After the
 first checkpoint block, the scheduler reads it off a **membership calendar**:
@@ -31,10 +32,11 @@ elapsed round, over a look-ahead as long as the sweep so far, and the
 calendar is extended whenever the round clock runs past its end.  Between
 two samples, a tag with the same membership at both is predicted to keep it;
 a tag whose membership differs is evaluated exactly at the round's clock.
-After each scheduling attempt one batched exact evaluation verifies every
-predicted (round, tag) cell; a wrong cell is demoted to exact evaluation and
-the schedule resumes from that round's checkpoint, as for a deep-fade
-mis-guess.  ``last_sweep_stats["zone_corrections"]`` counts these
+Before any physics runs on scheduled rounds (the optimistic pass's whole
+table, or a verified block) one batched exact evaluation verifies every
+predicted (round, tag) cell among them; a wrong cell is demoted to exact
+evaluation and the schedule resumes from that round's checkpoint, as for a
+deep-fade mis-guess.  ``last_sweep_stats["zone_corrections"]`` counts these
 membership corrections.
 
 The read log is **bit-identical** to the read-at-a-time reference loop kept
@@ -69,15 +71,6 @@ AntennaPositionFn = Callable[[float], Point3D]
 
 TagPositionFn = Callable[[str, float], Point3D]
 """Maps (tag id, time in seconds) to that tag's position."""
-
-_MAX_FUSED_ATTEMPTS = 16
-"""Optimistic schedule/verify iterations before exact per-round scheduling.
-
-Each retry replays only the schedule tail after the corrected round plus one
-fused physics pass, so attempts are cheap; the cap exists to bound the truly
-pathological channels (deep fades on more rounds than this), which the
-scheduler finishes in one more pass, evaluating each round's physics before
-its noise from the first mis-guessed round on."""
 
 _CHUNK_CELLS = 262_144
 """Cell budget (rows x population) per chunk of the dense evaluations: the
@@ -142,15 +135,17 @@ class _SweepScheduler:
     :meth:`~repro.rfid.aloha.FrameSlottedAloha.run_round_schedule`), the
     per-event noise draws — and emits the whole sweep as a
     :class:`~repro.rfid.event_table.SweepEventTable`.  Deep-fade booleans for
-    the draws come from ``corrections`` where a prior physics pass computed
-    them.  Elsewhere they are assumed ``False``, except from round
-    :attr:`exact_from` on: there each round's physics is evaluated before its
-    noise is drawn, so its booleans are exact.
+    the draws come from :attr:`corrections` where a physics evaluation
+    computed them, and are assumed ``False`` elsewhere.
 
     Entry state (clock, protocol Q, rng state) is checkpointed every
-    :attr:`CHECKPOINT_STRIDE` rounds, so when the physics pass finds a
-    mis-guessed round the schedule is :meth:`resume`-d from the nearest
-    snapshot — the long unchanged prefix is kept, not replayed.
+    :attr:`CHECKPOINT_STRIDE` rounds.  :meth:`run` schedules the whole sweep
+    optimistically.  When the physics pass finds a mis-guessed round,
+    :meth:`resume_verified` replays from that round's checkpoint — the long
+    unchanged prefix is kept, not replayed — in verified mode: each block of
+    :data:`VERIFY_BLOCK_ROUNDS` rounds has its calendar and then its physics
+    checked before the schedule runs past it, and a mis-guessed round in it
+    is corrected and the block replayed from that round's checkpoint.
 
     Zone membership comes from a calendar (:class:`_Calendar`) rather than a
     geometry evaluation per round.  The first checkpoint block is evaluated
@@ -196,26 +191,49 @@ class _SweepScheduler:
         self._predicted: list[tuple[int, float, _Calendar, int]] = []
         # Predicted rounds below this index are verified.
         self._verified_through = 0
-        self.exact_from: int | None = None
-        """The first round scheduled exactly (physics before noise), once
-        optimism has given up; ``None`` while every round is optimistic."""
-        self.exact_physics_s = 0.0
-        """Wall time of the exact rounds' physics, across passes."""
+        # Verified mode: rounds below this index drew their noise under
+        # booleans a physics evaluation confirmed.  None in the optimistic
+        # pass.
+        self._confirmed: int | None = None
+        self.corrections: dict[int, np.ndarray] = {}
+        """Exact deep-fade booleans of the corrected rounds, by round index."""
+        self.zone_corrections = 0
+        """Zone-calendar corrections, across passes."""
+        self.physics_s = 0.0
+        """Wall time of the verified blocks' physics."""
 
-    def run(self, corrections: "dict[int, np.ndarray]") -> SweepEventTable:
-        """Schedule the whole sweep from the beginning (once per scheduler)."""
-        return self._run_from(0, 0.0, None, corrections)
+    def run(self) -> SweepEventTable:
+        """Pass 1: schedule the whole sweep optimistically, calendar verified."""
+        table = self._run_from(0, 0.0, None)
+        while (wrong_round := self.verify_calendar()) is not None:
+            self.zone_corrections += 1
+            table = self._run_from(*self._rewind(wrong_round))
+        return table
 
-    def resume(
-        self, round_index: int, corrections: "dict[int, np.ndarray]"
-    ) -> SweepEventTable:
-        """Replay the schedule from ``round_index``'s nearest checkpoint.
+    def resume_verified(self, round_index: int, exact: np.ndarray) -> SweepEventTable:
+        """Pass 2: correct ``round_index`` and finish the sweep in verified mode.
+
+        ``round_index`` is the first mis-guessed round and ``exact`` its
+        events' deep-fade booleans.  Its events are fixed by its pre-noise
+        slotting draw, so everything up to it replays identically from its
+        checkpoint; from it on, every block of :data:`VERIFY_BLOCK_ROUNDS`
+        rounds (ends aligned to multiples of it) is checked before the
+        schedule runs past it (:meth:`_check_block`).
+        """
+        self.corrections[round_index] = exact
+        self._confirmed = round_index + 1
+        self.mark_verified(round_index)
+        return self._run_from(*self._rewind(round_index))
+
+    def _rewind(self, round_index: int) -> tuple[int, float, _Calendar | None]:
+        """Restore the state of ``round_index``'s nearest checkpoint.
 
         Restores the generator and protocol state captured at the last
-        snapshot at or before the corrected round; the replayed rounds
-        consume the generator exactly as before (corrections included), so
-        only the corrected round's draws actually change — or, when
-        :attr:`exact_from` was just set, the draws from that round on.
+        snapshot at or before ``round_index`` and drops what was scheduled
+        from it on; returns the snapshot's (round, clock, calendar) for
+        :meth:`_run_from`.  The replayed rounds consume the generator exactly
+        as before (corrections included), so only the corrected round's
+        draws actually change.
         """
         base = (round_index // self.CHECKPOINT_STRIDE) * self.CHECKPOINT_STRIDE
         clock, q_fp, rng_state, calendar = self._checkpoints[base]
@@ -227,7 +245,50 @@ class _SweepScheduler:
             self._parts.pop()
         while self._predicted and self._predicted[-1][0] >= base:
             self._predicted.pop()
-        return self._run_from(base, clock, calendar, corrections)
+        return base, clock, calendar
+
+    def _check_block(self, round_index: int) -> int | None:
+        """Verify the rounds from the confirmed mark up to ``round_index``.
+
+        First the zone calendar, so membership is checked before any
+        physics; then one physics evaluation of the unconfirmed rounds'
+        events.  Returns the first wrong round, whose correction is already
+        applied (demoted calendar cells, or exact booleans in
+        :attr:`corrections`), or ``None`` once every round before
+        ``round_index`` is confirmed.
+        """
+        wrong_round = self.verify_calendar()
+        if wrong_round is not None:
+            self.zone_corrections += 1
+            return wrong_round
+        parts = self._parts
+        start = len(parts)
+        while start and parts[start - 1][0] >= self._confirmed:
+            start -= 1
+        pending = parts[start:]
+        self._confirmed = round_index
+        if not pending:
+            return None
+        tick = time.perf_counter()
+        deep = self._reader._sweep_physics(
+            self._setup,
+            self._antenna_position,
+            np.concatenate([part[1] for part in pending]),
+            np.concatenate([part[2] for part in pending]),
+        ).deep_fade
+        self.physics_s += time.perf_counter() - tick
+        misguess = _first_misguess(
+            np.repeat([part[0] for part in pending], [part[1].size for part in pending]),
+            deep,
+            np.concatenate([part[6] for part in pending]),
+        )
+        if misguess is None:
+            return None
+        wrong_round, exact = misguess
+        self.corrections[wrong_round] = exact
+        self._confirmed = wrong_round + 1
+        self.mark_verified(wrong_round)
+        return wrong_round
 
     def verify_calendar(self) -> int | None:
         """Check every unverified predicted cell; the first wrong round, or None.
@@ -305,11 +366,7 @@ class _SweepScheduler:
         return calendar
 
     def _run_from(
-        self,
-        round_index: int,
-        clock: float,
-        calendar: _Calendar | None,
-        corrections: "dict[int, np.ndarray]",
+        self, round_index: int, clock: float, calendar: _Calendar | None
     ) -> SweepEventTable:
         reader = self._reader
         setup = self._setup
@@ -322,10 +379,22 @@ class _SweepScheduler:
         checkpoints = self._checkpoints
         predicted_rounds = self._predicted
         zone_members_at = reader._zone_members_at
-        exact_from = self.exact_from
+        corrections = self.corrections
+        verifying = self._confirmed is not None
 
         stride = self.CHECKPOINT_STRIDE
-        while clock < duration_s:
+        while True:
+            if (
+                verifying
+                and (round_index % VERIFY_BLOCK_ROUNDS == 0 or clock >= duration_s)
+                and round_index > self._confirmed
+            ):
+                wrong_round = self._check_block(round_index)
+                if wrong_round is not None:
+                    round_index, clock, calendar = self._rewind(wrong_round)
+                    continue
+            if clock >= duration_s:
+                break
             if round_index % stride == 0:
                 checkpoints[round_index] = (
                     clock,
@@ -371,14 +440,7 @@ class _SweepScheduler:
                         success_ids = success_ids[:count]
                     assumed = corrections.get(round_index)
                     if assumed is None:
-                        if exact_from is not None and round_index >= exact_from:
-                            tick = time.perf_counter()
-                            assumed = reader._sweep_physics(
-                                setup, antenna_position, success_ends, success_ids
-                            ).deep_fade
-                            self.exact_physics_s += time.perf_counter() - tick
-                        else:
-                            assumed = np.zeros(count, dtype=bool)
+                        assumed = np.zeros(count, dtype=bool)
                     dropped, phase_noise, rssi_noise = (
                         noise.draw_event_noise_scheduled(assumed, rng)
                     )
@@ -436,6 +498,31 @@ class _SweepScheduler:
             rssi_noise_db=columns[4],
             assumed_deep=columns[5],
         )
+
+
+def _first_misguess(
+    round_ids: np.ndarray, deep_fade: np.ndarray, assumed_deep: np.ndarray
+) -> tuple[int, np.ndarray] | None:
+    """The first round whose events drew under wrong deep-fade booleans.
+
+    Returns that round and its events' exact booleans, or ``None`` when
+    ``assumed_deep`` agrees with ``deep_fade`` everywhere.
+    """
+    mistaken = deep_fade != assumed_deep
+    if not mistaken.any():
+        return None
+    round_index = int(round_ids[int(np.argmax(mistaken))])
+    return round_index, deep_fade[round_ids == round_index]
+
+
+VERIFY_BLOCK_ROUNDS = 2 * _SweepScheduler.CHECKPOINT_STRIDE
+"""Rounds per verified block, once a sweep has mis-guessed a deep fade.
+
+Each block costs one zone-calendar check and one physics evaluation of its
+events, and a correction inside it replays at most the block.  On the first
+48 scenario-matrix operations at seed 2015 the scheduler runs 1.20x the rounds
+it keeps at 16; 8 runs 1.18x at twice the physics calls, 32 and 64 run 1.23x
+and 1.29x."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -549,13 +636,15 @@ class RFIDReader:
         self.protocol = protocol if protocol is not None else FrameSlottedAloha()
         self.last_sweep_stats: dict = {}
         """Diagnostics of the most recent sweep, six keys: ``attempts`` (the
-        scheduling passes, each followed by one physics pass; the exact
-        pass counts as one), ``rolled_back_rounds`` (rounds corrected by a
-        rollback), ``zone_corrections`` (zone-calendar corrections),
-        ``per_round_fallback`` (whether the scheduler ended in exact
-        per-round mode), and the wall-time split ``scheduling_s`` /
-        ``physics_s``.  The exact rounds' physics runs inside scheduling
-        passes but is booked as ``physics_s``."""
+        whole-table physics passes: 1 for a clean sweep, 2 once a deep fade
+        was mis-guessed), ``rolled_back_rounds`` (every round corrected with
+        exact deep-fade booleans, the first mis-guessed one included),
+        ``zone_corrections`` (zone-calendar corrections),
+        ``per_round_fallback`` (always ``False``: there is no per-round
+        mode any more; the key stays for readers of the old stats), and the
+        wall-time split ``scheduling_s`` / ``physics_s``.  The verified
+        blocks' physics runs inside the second scheduling pass but is booked
+        as ``physics_s``."""
 
     def _device_offsets_for(self, model: TagModel) -> DeviceOffsets:
         """Eq. (1) ``mu`` components for a tag of ``model`` behind this reader."""
@@ -802,27 +891,25 @@ class RFIDReader:
         The one place physics feeds back into the rng order is the dropout
         draw, which the scalar loop skips for events in a deep multipath
         fade.  Phase 1 therefore draws *optimistically* (assuming no deep
-        fades — overwhelmingly the common case) and phase 2 verifies; on a
-        mis-guess the generator and protocol state are rolled back to the
-        nearest per-round checkpoint and only the schedule tail replays,
-        with the exact booleans for the offending round (each retry fixes at
-        least one round, so the loop terminates).  When more rounds are
-        mis-guessed than retries remain, optimism cannot converge: the same
-        scheduler resumes once more from the first mis-guessed round's
-        checkpoint, and from that round on evaluates each round's physics
-        before drawing its noise.  That pass's physics must agree with every
-        boolean it drew under; if it does not, a ``RuntimeError`` is raised
-        rather than a table returned.  Either way the read log is
-        bit-identical to the scalar reference — pinned by
-        ``tests/test_fused_sweep.py``.
+        fades — overwhelmingly the common case) and phase 2 verifies; a clean
+        sweep stops there.  On a mis-guess the first mis-guessed round gets
+        its exact booleans, and the same scheduler resumes from that round's
+        checkpoint in verified mode (:meth:`_SweepScheduler.resume_verified`):
+        each block of :data:`VERIFY_BLOCK_ROUNDS` rounds is checked — zone
+        calendar, then one physics evaluation of its events — before the
+        schedule runs past it, and a mis-guessed round is corrected and only
+        the block replayed.  A round's noise thus stands only once a physics
+        evaluation of its own events confirms the booleans it drew under.
+        One closing whole-table pass then evaluates the physics again; it
+        must agree with every boolean drawn, or a ``RuntimeError`` is raised
+        rather than a table returned.  So a sweep takes at most two
+        whole-table passes, and its read log is bit-identical to the scalar
+        reference — pinned by ``tests/test_fused_sweep.py``.
         """
         if duration_s <= 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
         rng = rng if rng is not None else np.random.default_rng()
         setup = self._sweep_setup(tags, tag_position, antenna_position)
-        noise = self.config.channel.noise
-
-        corrections: dict[int, np.ndarray] = {}
         stats = {
             "attempts": 0,
             "rolled_back_rounds": 0,
@@ -832,59 +919,36 @@ class RFIDReader:
             "physics_s": 0.0,
         }
 
-        scheduler = _SweepScheduler(self, setup, antenna_position, duration_s, rng)
-        resume_round: int | None = None
-        while True:
+        def whole_table_pass(schedule, *args) -> SweepEventTable:
             tick = time.perf_counter()
-            if resume_round is None:
-                table = scheduler.run(corrections)
-            else:
-                # Everything before the corrected round consumed the
-                # generator correctly — replay only the tail from that
-                # round's checkpoint.
-                table = scheduler.resume(resume_round, corrections)
-            # Verify the zone calendar before any physics runs on the
-            # schedule: a wrong membership invalidates everything after it.
-            while (wrong_round := scheduler.verify_calendar()) is not None:
-                stats["zone_corrections"] += 1
-                table = scheduler.resume(wrong_round, corrections)
+            table = schedule(*args)
             tock = time.perf_counter()
             stats["scheduling_s"] += tock - tick
             self._observe_events(setup, antenna_position, table)
             stats["physics_s"] += time.perf_counter() - tock
             stats["attempts"] += 1
-            if noise.random_dropout_probability == 0.0:
-                # Deep fades never gate a draw when dropouts are off; the
-                # schedule cannot have diverged.
-                break
-            mistaken = table.deep_fade != table.assumed_deep
-            if not mistaken.any():
-                break
-            if scheduler.exact_from is not None:
-                raise RuntimeError(
-                    "the exact per-round schedule disagrees with the physics pass "
-                    f"on {int(mistaken.sum())} events"
-                )
-            # The first mis-guessed round: its own events are fixed by its
-            # (pre-noise) slotting draw, so its exact booleans stay valid
-            # across the replay — and so do its membership and everything
-            # before it.
-            resume_round = int(table.round_ids[int(np.argmax(mistaken))])
-            # Each retry pins down one more round; if more rounds are wrong
-            # than retries remain, optimism cannot converge — schedule
-            # exactly from the first wrong round instead of burning them.
-            mistaken_rounds = np.unique(table.round_ids[mistaken]).size
-            if mistaken_rounds > _MAX_FUSED_ATTEMPTS - stats["attempts"]:
-                scheduler.exact_from = resume_round
-                stats["per_round_fallback"] = True
-            else:
-                corrections[resume_round] = table.deep_fade[table.round_ids == resume_round]
-                stats["rolled_back_rounds"] += 1
-            scheduler.mark_verified(resume_round)
+            return table
 
-        # The exact rounds' physics ran inside the scheduling passes.
-        stats["scheduling_s"] -= scheduler.exact_physics_s
-        stats["physics_s"] += scheduler.exact_physics_s
+        scheduler = _SweepScheduler(self, setup, antenna_position, duration_s, rng)
+        table = whole_table_pass(scheduler.run)
+        # Deep fades never gate a draw when dropouts are off; the schedule
+        # cannot have diverged.
+        if self.config.channel.noise.random_dropout_probability > 0.0:
+            misguess = _first_misguess(table.round_ids, table.deep_fade, table.assumed_deep)
+            if misguess is not None:
+                table = whole_table_pass(scheduler.resume_verified, *misguess)
+                mistaken = table.deep_fade != table.assumed_deep
+                if mistaken.any():
+                    raise RuntimeError(
+                        "the verified schedule disagrees with the closing physics "
+                        f"pass on {int(mistaken.sum())} events"
+                    )
+
+        # The verified blocks' physics ran inside the scheduling pass.
+        stats["scheduling_s"] -= scheduler.physics_s
+        stats["physics_s"] += scheduler.physics_s
+        stats["rolled_back_rounds"] = len(scheduler.corrections)
+        stats["zone_corrections"] = scheduler.zone_corrections
         self.last_sweep_stats = stats
         return table
 
@@ -901,8 +965,8 @@ class RFIDReader:
         scatterers (every one sharing the config's coefficient and decay),
         then evaluates :meth:`~repro.rf.channel.BackscatterChannel.sweep_physics`.
         Every value depends only on its own event, so the physics pass (one
-        call per sweep) and the scheduler's exact rounds (one call per round)
-        get the same bits.
+        call per sweep) and the scheduler's verified blocks (one call per
+        block of rounds) get the same bits.
         """
         config = self.config
         count = int(times.size)

@@ -570,20 +570,31 @@ class LocalizationSession:
         exactly the semantics a crash-recovery path wants.
 
         Raises ``ValueError`` naming the payload's version when it is not
-        :data:`CHECKPOINT_VERSION`.  The version is read before any class the
-        payload names has to exist, so an older payload that pickled a class
-        this build deleted is refused by its version too.  A payload of this
-        version naming a class this build lacks raises ``ValueError`` naming
-        the class.
+        :data:`CHECKPOINT_VERSION`, and so does a payload without one:
+        bytes that are no pickle, empty bytes, or a pickle of anything but a
+        checkpoint's dict (its version reads ``None``).  The version is read
+        before any class the payload names has to exist, so an older payload
+        that pickled a class this build deleted is refused by its version
+        too.  A payload of this version naming a class this build lacks
+        raises ``ValueError`` naming the class.
         """
         unpickler = _CheckpointUnpickler(data)
-        state = unpickler.load()
-        version = state.get("version")
+        cause = None
+        try:
+            state = unpickler.load()
+        except Exception as error:
+            # Bytes that are no pickle at all (empty ones included) carry no
+            # version: the gate below refuses them.  Unpickling garbage can
+            # raise nearly any exception type (the pickle docs name
+            # AttributeError, EOFError, ImportError and IndexError besides
+            # UnpicklingError), so none narrower is caught.
+            state, cause = None, error
+        version = state.get("version") if isinstance(state, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads version {CHECKPOINT_VERSION})"
-            )
+            ) from cause
         if unpickler.missing:
             raise ValueError(
                 f"checkpoint names {', '.join(unpickler.missing)}, "

@@ -212,6 +212,22 @@ class TestCheckpointEdges:
         with pytest.raises(ValueError, match="checkpoint version"):
             LocalizationSession.restore(pickle.dumps(state))
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"not a checkpoint", b"\x80\x05\x95"],
+        ids=["empty", "text", "truncated-pickle"],
+    )
+    def test_bytes_that_are_no_checkpoint_are_refused(self, data):
+        with pytest.raises(ValueError, match="unsupported checkpoint version None "):
+            LocalizationSession.restore(data)
+
+    @pytest.mark.parametrize("payload", [None, 3, [("version", 3)], "version"])
+    def test_pickle_of_no_dict_is_refused(self, payload):
+        import pickle
+
+        with pytest.raises(ValueError, match="unsupported checkpoint version None "):
+            LocalizationSession.restore(pickle.dumps(payload))
+
     def test_version_one_payload_is_refused(self):
         """A version-1 checkpoint kept one dict of buffer fields per tag
         instead of the collector's columns; restore names the version and

@@ -4,11 +4,13 @@ The fused engine (phase 1: rng-owning scheduling loop emitting a whole-sweep
 event table; phase 2: one fused physics pass) must be **bit-identical** to
 the read-at-a-time oracle (``tests/oracles/scalar_sweep.py``) on every
 workload — including the leaderboard scenarios at their leaderboard seeds,
-channels whose deep fades force the optimistic noise schedule to roll back,
-and pathological ones that push the scheduler into its exact per-round mode
-(a hypothesis property draws all three kinds).  A seeded golden trace pins
-the fused output independently, and a property test pins the
-``sweep_stream`` ↔ event-table replay contract.
+and channels whose deep fades defeat the optimistic noise schedule, so the
+scheduler finishes the sweep in verified blocks (a hypothesis property draws
+clean and verified sweeps, pathological channels included).  A seeded golden
+trace pins the fused output independently, a property test pins the
+``sweep_stream`` ↔ event-table replay contract, and another pins that the
+physics of contiguous event blocks concatenates to the whole table's, which
+the verified blocks rely on.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from repro.rf.geometry import Point3D
 from repro.rf.noise import NOISELESS, NoiseModel
 from repro.rfid.aloha import FrameSlottedAloha, QAlgorithm
 from repro.rfid.coupling import NeighborGrid
-from repro.rfid.reader import RFIDReader, _SweepScheduler
+from repro.rfid.reader import VERIFY_BLOCK_ROUNDS, RFIDReader
 from repro.rfid.reading import ReadLog
 from repro.rfid.tag import make_tags
 from repro.scenarios import DEFAULT_SEED, SEED_STRIDE, default_registry
@@ -336,45 +338,51 @@ def late_fades_reader_and_scene():
 
 
 def record_passes(monkeypatch: pytest.MonkeyPatch, reader: RFIDReader) -> list[dict]:
-    """Record every physics pass of ``reader``'s sweeps, in order.
+    """Record every whole-table physics pass of ``reader``'s sweeps, in order.
 
-    Each entry holds the scheduler's exact-from round at that pass (``None``
-    while it is optimistic), the table's rows before that round, and the
-    rows whose drawn-under booleans the pass found wrong.
+    Each entry holds copies of the pass's event-table columns and its round
+    count.
     """
     passes: list[dict] = []
-    schedulers: list[_SweepScheduler] = []
-    init = _SweepScheduler.__init__
-
-    def capturing(scheduler, *args):
-        init(scheduler, *args)
-        schedulers.append(scheduler)
-
     observe = reader._observe_events
 
     def recording(setup, antenna_position, table):
         observe(setup, antenna_position, table)
-        exact_from = schedulers[-1].exact_from
-        passes.append(
-            {
-                "exact_from": exact_from,
-                "rows_before": None
-                if exact_from is None
-                else int(np.searchsorted(table.round_ids, exact_from)),
-                "mistaken": int(np.count_nonzero(table.deep_fade != table.assumed_deep)),
-            }
-        )
+        entry = {name: getattr(table, name).copy() for name in TABLE_COLUMNS}
+        entry["round_count"] = table.round_count
+        passes.append(entry)
 
-    monkeypatch.setattr(_SweepScheduler, "__init__", capturing)
     monkeypatch.setattr(reader, "_observe_events", recording)
     return passes
+
+
+TABLE_COLUMNS = (
+    "round_ids",
+    "times_s",
+    "tag_indices",
+    "dropped",
+    "phase_noise_rad",
+    "rssi_noise_db",
+    "assumed_deep",
+    "deep_fade",
+    "phase_rad",
+    "rssi_dbm",
+    "readable",
+)
+
+
+def first_mistaken_round(entry: dict) -> int:
+    """The first round whose drawn-under booleans a pass found wrong."""
+    mistaken = entry["deep_fade"] != entry["assumed_deep"]
+    assert mistaken.any()
+    return int(entry["round_ids"][int(np.argmax(mistaken))])
 
 
 def patch_physics(monkeypatch: pytest.MonkeyPatch, reader: RFIDReader, wrap) -> None:
     """Route ``reader._sweep_physics(*args)`` through ``wrap(physics, in_pass, *args)``.
 
-    ``in_pass`` is true for the physics pass's own call and false for the
-    exact rounds' calls inside a scheduling pass.
+    ``in_pass`` is true for the whole-table pass's own call and false for
+    the verified blocks' calls inside a scheduling pass.
     """
     in_pass: list[bool] = []
     physics = reader._sweep_physics
@@ -404,7 +412,7 @@ def run_fused(reader: RFIDReader, scene: Scene) -> ReadLog:
 
 
 class TestOptimisticScheduleRollback:
-    """The schedule/verify/rollback machinery stays exact under deep fades."""
+    """The optimistic schedule and its verified blocks stay exact under deep fades."""
 
     def test_default_channel_needs_one_attempt(self):
         reader, scene = fused_reader_and_scene(threshold_db=-10.0)
@@ -427,27 +435,34 @@ class TestOptimisticScheduleRollback:
         # The thresholds are deep enough into the fade distribution that the
         # optimistic first attempt cannot have been clean.
         stats = reader.last_sweep_stats
-        assert stats["attempts"] >= 1
-        assert stats["rolled_back_rounds"] > 0 or stats["per_round_fallback"]
+        assert stats["attempts"] == 2
+        assert stats["rolled_back_rounds"] > 0
+        assert stats["per_round_fallback"] is False
 
-    def test_pathological_channel_uses_per_round_fallback(self):
+    def test_pathological_channel_is_verified_in_blocks(self):
+        # Deep fades on many rounds: one optimistic pass, then one verified
+        # pass that corrects every mis-guessed round, never a third.
         reader, scene = fused_reader_and_scene(threshold_db=3.0)
         fused = run_fused(reader, scene)
-        assert reader.last_sweep_stats["per_round_fallback"]
+        stats = reader.last_sweep_stats
+        assert stats["attempts"] == 2
+        assert stats["rolled_back_rounds"] > VERIFY_BLOCK_ROUNDS
+        assert stats["per_round_fallback"] is False
         _, scalar_scene = fused_reader_and_scene(threshold_db=3.0)
         scalar = scalar_scene_log(scalar_scene)
         assert fused.reads == scalar.reads
 
-    def test_per_round_fallback_time_is_split_into_the_counters(self, monkeypatch):
-        # Every physics evaluation, the exact rounds' inside the scheduling
-        # passes included, is booked as physics, never as scheduling.
+    def test_block_physics_time_is_split_into_the_counters(self, monkeypatch):
+        # Every physics evaluation, the verified blocks' inside the
+        # scheduling pass included, is booked as physics, never as
+        # scheduling.
         reader, scene = fused_reader_and_scene(threshold_db=3.0)
-        timings = {"exact": [], "pass": []}
+        timings = {"block": [], "pass": []}
 
         def timed(physics, in_pass, *args):
             tick = time.perf_counter()
             result = physics(*args)
-            timings["pass" if in_pass else "exact"].append(time.perf_counter() - tick)
+            timings["pass" if in_pass else "block"].append(time.perf_counter() - tick)
             return result
 
         patch_physics(monkeypatch, reader, timed)
@@ -455,36 +470,41 @@ class TestOptimisticScheduleRollback:
         run_fused(reader, scene)
         wall = time.perf_counter() - tick
         stats = reader.last_sweep_stats
-        assert stats["per_round_fallback"]
-        # One evaluation per exact event-bearing round, one per pass.
-        assert len(timings["exact"]) > 100
+        assert stats["attempts"] == 2
+        # One evaluation per checked block or correction, one per pass.
+        assert len(timings["block"]) > VERIFY_BLOCK_ROUNDS
         assert len(timings["pass"]) == stats["attempts"]
-        assert stats["physics_s"] >= sum(timings["exact"]) + sum(timings["pass"])
+        assert stats["physics_s"] >= sum(timings["block"]) + sum(timings["pass"])
         assert stats["scheduling_s"] > 0.0
         assert stats["scheduling_s"] + stats["physics_s"] <= wall
 
-    def test_late_first_misguess_keeps_the_exact_prefix(self, monkeypatch):
+    def test_late_first_misguess_keeps_the_optimistic_prefix(self, monkeypatch):
         reader, scene = late_fades_reader_and_scene()
         passes = record_passes(monkeypatch, reader)
         fused = run_fused(reader, scene)
         stats = reader.last_sweep_stats
-        assert stats["per_round_fallback"]
-        assert len(passes) == stats["attempts"]
-        # Only the last pass is exact.  It starts at the first mis-guessed
-        # round, far into the sweep, on top of the optimistic rows before it,
-        # and its physics agrees with every boolean it drew under.
-        assert all(entry["exact_from"] is None for entry in passes[:-1])
-        assert passes[0]["mistaken"] > 0
-        final = passes[-1]
-        assert final["exact_from"] >= 100
-        assert final["rows_before"] > 0
-        assert final["mistaken"] == 0
+        assert stats["attempts"] == len(passes) == 2
+        # The verified pass starts at the first mis-guessed round, far into
+        # the sweep.  The optimistic rows before it stand, column for
+        # column, and the closing pass agrees with every boolean drawn.
+        optimistic, verified = passes
+        first = first_mistaken_round(optimistic)
+        assert first >= 100
+        before = int(np.searchsorted(optimistic["round_ids"], first))
+        assert before > 0
+        assert int(np.searchsorted(verified["round_ids"], first)) == before
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(verified[name][:before], optimistic[name][:before]), name
+        assert np.array_equal(verified["deep_fade"], verified["assumed_deep"])
         _, scalar_scene = late_fades_reader_and_scene()
         assert fused.reads == scalar_scene_log(scalar_scene).reads
 
-    def test_exact_pass_that_disagrees_with_physics_raises(self, monkeypatch):
-        # The exact rounds draw under booleans the final pass must confirm;
-        # corrupt the rounds' own evaluation and no table may come back.
+    def test_block_evaluation_that_disagrees_with_the_closing_pass_raises(
+        self, monkeypatch
+    ):
+        # The verified blocks correct their rounds to the booleans their own
+        # evaluation gives, which the closing pass must confirm; corrupt the
+        # blocks' evaluation and no table may come back.
         reader, scene = fused_reader_and_scene(threshold_db=3.0)
 
         def inverted_outside_pass(physics, in_pass, *args):
@@ -494,8 +514,45 @@ class TestOptimisticScheduleRollback:
             return dataclasses.replace(result, deep_fade=~result.deep_fade)
 
         patch_physics(monkeypatch, reader, inverted_outside_pass)
-        with pytest.raises(RuntimeError, match="exact per-round schedule"):
+        with pytest.raises(RuntimeError, match="closing physics pass"):
             run_fused(reader, scene)
+
+    def test_verified_blocks_bound_the_replay(self, monkeypatch):
+        # After the optimistic pass, the schedule replays the tail from the
+        # first mis-guessed round once, plus at most one block per
+        # correction, and evaluates physics once per block and correction
+        # besides the two whole-table passes.
+        reader, scene = fused_reader_and_scene(threshold_db=3.0)
+        passes = record_passes(monkeypatch, reader)
+        schedule = reader.protocol.run_round_schedule
+        physics = reader._sweep_physics
+        rounds_after_pass: list[int] = []
+        physics_calls: list[int] = []
+
+        def counting_schedule(*args):
+            rounds_after_pass.append(len(passes))
+            return schedule(*args)
+
+        def counting_physics(*args):
+            physics_calls.append(len(passes))
+            return physics(*args)
+
+        monkeypatch.setattr(reader.protocol, "run_round_schedule", counting_schedule)
+        monkeypatch.setattr(reader, "_sweep_physics", counting_physics)
+        fused = run_fused(reader, scene)
+        stats = reader.last_sweep_stats
+        assert stats["attempts"] == len(passes) == 2
+        assert stats["zone_corrections"] == 0
+        corrections = stats["rolled_back_rounds"]
+        round_count = passes[-1]["round_count"]
+        first = first_mistaken_round(passes[0])
+        blocks = (round_count - 1) // VERIFY_BLOCK_ROUNDS - first // VERIFY_BLOCK_ROUNDS + 1
+        replayed = rounds_after_pass.count(1)
+        assert replayed >= round_count - first
+        assert replayed <= round_count - first + VERIFY_BLOCK_ROUNDS * corrections
+        assert len(physics_calls) <= blocks + corrections + 2
+        _, scalar_scene = fused_reader_and_scene(threshold_db=3.0)
+        assert fused.reads == scalar_scene_log(scalar_scene).reads
 
     def test_deep_fades_without_dropouts_never_roll_back(self):
         # With p == 0 no dropout uniform is ever drawn, so deep fades cannot
@@ -536,22 +593,22 @@ class FadeCase:
 
 
 def sweep_mode(stats: dict) -> str:
-    """Which path a sweep took: clean, rolled back, or exact per-round."""
-    if stats["per_round_fallback"]:
-        return "exact"
-    return "rollback" if stats["rolled_back_rounds"] else "clean"
+    """Which path a sweep took: clean, or finished in verified blocks."""
+    return "verified" if stats["rolled_back_rounds"] else "clean"
 
 
 FADE_EXAMPLES = {
     "clean": FadeCase(threshold_db=-10.0, dropout_p=0.10, seed=2015, tag_count=8),
-    "rollback": FadeCase(threshold_db=-8.0, dropout_p=0.10, seed=2015, tag_count=8),
-    "exact": FadeCase(threshold_db=3.0, dropout_p=0.10, seed=2015, tag_count=8),
+    "verified": FadeCase(threshold_db=-8.0, dropout_p=0.10, seed=2015, tag_count=8),
 }
+
+PATHOLOGICAL_FADES = FadeCase(threshold_db=3.0, dropout_p=0.10, seed=2015, tag_count=8)
+"""Deep fades on most rounds: the verified blocks correct many of them."""
 
 fade_cases = st.builds(
     FadeCase,
-    # Rollbacks that converge need few deep-faded rounds: a narrow band of
-    # thresholds, drawn as often as the whole range.
+    # Sweeps with few mis-guessed rounds need a narrow band of thresholds,
+    # drawn as often as the whole range.
     threshold_db=st.one_of(st.floats(-7.0, -3.0), st.floats(-14.0, 4.0)),
     # About a quarter of the draws turn dropouts off, the path that never
     # rolls back.
@@ -562,13 +619,13 @@ fade_cases = st.builds(
 
 
 class TestFadeScenesMatchOracle:
-    """Property: fused == oracle across clean, rollback and exact-mode sweeps."""
+    """Property: fused == oracle across clean and verified sweeps."""
 
     @settings(max_examples=25, deadline=None)
     @given(case=fade_cases)
     @example(case=FADE_EXAMPLES["clean"])
-    @example(case=FADE_EXAMPLES["rollback"])
-    @example(case=FADE_EXAMPLES["exact"])
+    @example(case=FADE_EXAMPLES["verified"])
+    @example(case=PATHOLOGICAL_FADES)
     def test_fused_equals_oracle(self, case):
         reader, scene = case.scene()
         fused = run_fused(reader, scene)
@@ -582,6 +639,65 @@ class TestFadeScenesMatchOracle:
         reader, scene = FADE_EXAMPLES[mode].scene()
         run_fused(reader, scene)
         assert sweep_mode(reader.last_sweep_stats) == mode
+        assert reader.last_sweep_stats["attempts"] == (2 if mode == "verified" else 1)
+
+
+def _moving_with_coupling() -> Scene:
+    """The airport scene's bags on an oblique constant-velocity track."""
+    scene = _matrix_airport()
+    provider = ConstantVelocityTagPositions(
+        scene.tags.tag_ids, scene.tags.position_array, (-0.3, 0.02, 0.01)
+    )
+    scenario = dataclasses.replace(scene.scenario, tag_position=provider)
+    return dataclasses.replace(scene, scenario=scenario)
+
+
+BLOCK_LAYOUTS = {
+    "static_coupled": _matrix_library,
+    "moving_coupled": _moving_with_coupling,
+    "belt": _matrix_warehouse,
+}
+
+
+@lru_cache(maxsize=None)
+def layout_events(name: str) -> tuple:
+    """A layout's swept events and their whole-table physics."""
+    scene = BLOCK_LAYOUTS[name]()
+    reader = _reader(scene)
+    table = reader.sweep_events(*_sweep_args(scene))
+    antenna = scene.scenario.antenna_position
+    setup = reader._sweep_setup(scene.tags, scene.scenario.tag_position, antenna)
+    assert setup.coupling_on
+    assert setup.static_layout == (name == "static_coupled")
+    whole = reader._sweep_physics(setup, antenna, table.times_s, table.tag_indices)
+    return reader, setup, antenna, table.times_s, table.tag_indices, whole
+
+
+class TestBlockPhysicsComposes:
+    """Property: the physics of contiguous event blocks is the whole table's.
+
+    The verified blocks evaluate a few rounds' events at a time and the
+    closing pass the whole table; both must give the same bits.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=st.sampled_from(sorted(BLOCK_LAYOUTS)), data=st.data())
+    def test_blocks_concatenate_to_the_whole_table(self, layout, data):
+        reader, setup, antenna, times, tag_indices, whole = layout_events(layout)
+        count = times.size
+        cuts = data.draw(
+            st.lists(st.integers(1, count - 1), unique=True, max_size=24).map(sorted)
+        )
+        bounds = [0, *cuts, count]
+        blocks = [
+            reader._sweep_physics(setup, antenna, times[start:stop], tag_indices[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        for field in dataclasses.fields(whole):
+            expected = getattr(whole, field.name)
+            joined = np.concatenate([getattr(block, field.name) for block in blocks])
+            assert joined.dtype == expected.dtype, field.name
+            assert joined.tobytes() == expected.tobytes(), field.name
 
 
 class TestEventTableContract:

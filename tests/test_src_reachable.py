@@ -33,6 +33,7 @@ SCANNED_DIRS = ("src", "benchmarks", "perfbench", "examples")
 ALLOWLIST = {
     # The fleet's operator surface for faults, driven by the fault tests.
     "pause": "fleet fault handling: stop a portal's workers",
+    "resume": "fleet fault handling: restart the workers pause stopped",
     "evict_idle": "fleet fault handling: drop idle portals",
     "portal_error": "fleet fault handling: a quarantined portal's cause",
     "portal_keys": "fleet fault handling: the live portals after evictions",

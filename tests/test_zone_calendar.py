@@ -26,10 +26,11 @@ from repro.motion.speed_profiles import ConstantSpeedProfile
 from repro.motion.trajectory import LinearTrajectory
 from repro.rf.antenna import DirectionalAntenna, ReadingZone
 from repro.rf.geometry import Point3D
+from repro.rf.noise import NoiseModel
 from repro.rfid.aloha import FrameSlottedAloha
 from repro.rfid.reader import RFIDReader, _SweepScheduler
 from repro.rfid.tag import make_tags
-from repro.simulation.presets import standard_reader_config
+from repro.simulation.presets import DEFAULT_NOISE, standard_reader_config
 
 from oracles.positions import ConstantVelocityTagPositions
 from oracles.scalar_sweep import scalar_sweep
@@ -73,10 +74,11 @@ class CalendarCase:
     tag_position: object
     duration_s: float
     seed: int
+    noise: NoiseModel = DEFAULT_NOISE
 
     def reader(self) -> RFIDReader:
         tags = make_tags(self.positions, seed=self.seed)
-        config = standard_reader_config(tags, seed=self.seed)
+        config = standard_reader_config(tags, seed=self.seed, noise=self.noise)
         config = dataclasses.replace(config, reading_zone=self.zone)
         return RFIDReader(config=config, protocol=FrameSlottedAloha())
 
@@ -166,13 +168,18 @@ def fused_and_oracle(case: CalendarCase):
     return reader, table, oracle
 
 
-def hide_first_transition(monkeypatch: pytest.MonkeyPatch) -> dict[int, int]:
+def hide_first_transition(
+    monkeypatch: pytest.MonkeyPatch, every_stretch: bool = False
+) -> dict[int, int]:
     """Corrupt the first calendar stretch in which a tag changes membership.
 
     That tag's samples are all overwritten with its first one, so the
     calendar predicts it keeps its membership past the change.  The
     corruption is deterministic, like a real misprediction: reopening the
-    same stretch corrupts it again.  Returns {opening round: corrupted tag}.
+    same stretch corrupts it again.  With ``every_stretch`` every stretch in
+    which a tag changes is corrupted, also those a replay opens at other
+    rounds or clocks, such as a verified pass's after a deep-fade
+    mis-guess.  Returns {opening round: corrupted tag}.
     """
     corrupted: dict[int, int] = {}
     members_of = RFIDReader._zone_members
@@ -182,7 +189,7 @@ def hide_first_transition(monkeypatch: pytest.MonkeyPatch) -> dict[int, int]:
         def hiding(reader, setup, antenna_position, clocks):
             members = members_of(reader, setup, antenna_position, clocks)
             changing = (members != members[0]).any(axis=0).nonzero()[0]
-            if not corrupted and changing.size:
+            if (every_stretch or not corrupted) and changing.size:
                 corrupted[round_index] = int(changing[0])
             tag = corrupted.get(round_index)
             if tag is not None:
@@ -276,4 +283,34 @@ class TestForcedMisprediction:
         table = reader.sweep_events(*case.sweep_args())
         assert corrupted, "no calendar stretch saw a membership change"
         assert reader.last_sweep_stats["zone_corrections"] >= 1
+        assert table.to_read_log().reads == oracle.reads
+
+    def test_wrong_cells_in_verified_blocks_are_corrected(self, monkeypatch):
+        # Deep fades on most rounds send the sweep into verified blocks,
+        # whose calendar check runs before each block's physics.
+        fades = NoiseModel(
+            phase_noise_std_rad=0.25,
+            rssi_noise_std_db=2.0,
+            random_dropout_probability=0.10,
+            fade_dropout_threshold_db=0.0,
+        )
+        case = dataclasses.replace(self.case(), noise=fades)
+        oracle = scalar_sweep(case.reader(), *case.sweep_args())
+        hide_first_transition(monkeypatch, every_stretch=True)
+        in_blocks: list[int] = []
+        check_block = _SweepScheduler._check_block
+
+        def counting(scheduler, round_index):
+            before = scheduler.zone_corrections
+            wrong_round = check_block(scheduler, round_index)
+            in_blocks.append(scheduler.zone_corrections - before)
+            return wrong_round
+
+        monkeypatch.setattr(_SweepScheduler, "_check_block", counting)
+        reader = case.reader()
+        table = reader.sweep_events(*case.sweep_args())
+        stats = reader.last_sweep_stats
+        assert stats["attempts"] == 2
+        assert sum(in_blocks) > 0
+        assert stats["zone_corrections"] > sum(in_blocks)
         assert table.to_read_log().reads == oracle.reads
