@@ -257,8 +257,11 @@ class VZoneDetector:
         # us where the bottom really is, and refitting on a window centred
         # there (with the half-width implied by the curvature) symmetrises the
         # window and sharpens both the bottom-time and curvature estimates.
+        # A subnormal curvature (a near-flat window) overflows 2π / a; such a
+        # window has no finite half-width and is not recentred.
         valid = np.flatnonzero(fits.valid)
-        halfwidth = np.sqrt(TWO_PI / fits.curvature[valid])
+        with np.errstate(over="ignore"):
+            halfwidth = np.sqrt(TWO_PI / fits.curvature[valid])
         finite = np.isfinite(halfwidth)
         valid = valid[finite]
         halfwidth = np.clip(halfwidth[finite], 0.15, 3.0)

@@ -17,7 +17,7 @@ contracts are checked against independent references:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.ingest import IngestOracle
@@ -140,18 +140,35 @@ def _update_fields(update) -> tuple:
     )
 
 
+@st.composite
+def cut_streams(draw) -> tuple[list[list[tuple]], int, list[bool]]:
+    """A read stream, the chunk to checkpoint and restore before, and whether
+    to take a provisional result after each chunk."""
+    chunks = draw(read_chunks())
+    cut = draw(st.integers(0, len(chunks)))
+    refresh = draw(st.lists(st.booleans(), min_size=len(chunks), max_size=len(chunks)))
+    return chunks, cut, refresh
+
+
+SUBNORMAL_CURVATURE_READS = [
+    ("a", 0.25 * i, 2.2e-308 if i == 0 else 0.0, -60.0, 6) for i in range(23)
+]
+"""One tag, 22 reads at phase 0 and one at 2.2e-308: its V-zone fit is valid
+with a subnormal positive curvature, so ``2π / curvature`` overflows."""
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    chunks=read_chunks(),
-    policy=st.sampled_from(OUT_OF_ORDER_POLICIES),
-    data=st.data(),
+@given(case=cut_streams(), policy=st.sampled_from(OUT_OF_ORDER_POLICIES))
+@example(
+    case=(
+        [SUBNORMAL_CURVATURE_READS[:12], SUBNORMAL_CURVATURE_READS[12:]],
+        1,
+        [False, False],
+    ),
+    policy="reorder",
 )
-def test_restore_at_random_cut_finalizes_like_uninterrupted(chunks, policy, data):
-    cut = data.draw(st.integers(0, len(chunks)), label="cut")
-    refresh = data.draw(
-        st.lists(st.booleans(), min_size=len(chunks), max_size=len(chunks)),
-        label="provisional after chunk",
-    )
+def test_restore_at_random_cut_finalizes_like_uninterrupted(case, policy):
+    chunks, cut, refresh = case
 
     def run(cut_at: int | None):
         session = LocalizationSession(channel_index=6, out_of_order=policy)
