@@ -41,8 +41,9 @@ membership corrections.
 
 The read log is **bit-identical** to the read-at-a-time reference loop kept
 in ``tests/oracles/scalar_sweep.py``, which consumes the random generator in
-the same order (one ``rng.integers`` per round, then the fixed per-event
-noise-draw sequence) — pinned by ``tests/test_fused_sweep.py``.
+the same order (one ``rng.integers`` slot draw per round, which the
+scheduler reproduces through :class:`~repro.rfid.aloha.SlotSource`, then the
+fixed per-event noise-draw sequence) — pinned by ``tests/test_fused_sweep.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from ..rf.antenna import ReadingZone
 from ..rf.channel import BackscatterChannel, SweepPhysics
 from ..rf.geometry import Point3D, euclidean_distances
 from ..rf.phase_model import DeviceOffsets
-from .aloha import FrameSlottedAloha
+from .aloha import FrameSlottedAloha, SlotSource
 from .coupling import NeighborGrid
 from .event_table import SweepEventTable
 from .reading import ReadLog
@@ -368,6 +369,22 @@ class _SweepScheduler:
     def _run_from(
         self, round_index: int, clock: float, calendar: _Calendar | None
     ) -> SweepEventTable:
+        """Schedule from ``round_index`` at ``clock`` to the end of the sweep.
+
+        The pass owns the round's slot draws (:class:`SlotSource`), which keep
+        PCG64's held half-word to themselves: it goes back into the generator
+        before each checkpoint capture and when the pass ends, however it
+        ends, and is taken back after each rewind.
+        """
+        slots = SlotSource(self._rng)
+        try:
+            return self._schedule(round_index, clock, calendar, slots)
+        finally:
+            slots.sync()
+
+    def _schedule(
+        self, round_index: int, clock: float, calendar: _Calendar | None, slots: SlotSource
+    ) -> SweepEventTable:
         reader = self._reader
         setup = self._setup
         antenna_position = self._antenna_position
@@ -392,6 +409,7 @@ class _SweepScheduler:
                 wrong_round = self._check_block(round_index)
                 if wrong_round is not None:
                     round_index, clock, calendar = self._rewind(wrong_round)
+                    slots.reload()
                     continue
             if clock >= duration_s:
                 break
@@ -399,7 +417,7 @@ class _SweepScheduler:
                 checkpoints[round_index] = (
                     clock,
                     protocol.scheduling_checkpoint(),
-                    rng.bit_generator.state,
+                    slots.sync(),
                     calendar,
                 )
             if round_index < stride:
@@ -428,7 +446,7 @@ class _SweepScheduler:
             # draw depends only on the participant count, and the winners come
             # back as positions into this array.
             success_ids, success_ends, round_time = protocol.run_round_schedule(
-                in_zone, clock, rng
+                in_zone, clock, slots
             )
             if len(success_ids):
                 # Slot end times are monotone, so this prefix filter equals
