@@ -93,7 +93,7 @@ class SlotSource:
         self._uinteger = state["uinteger"]
 
     def sync(self) -> dict:
-        """Write the held half-word back into the generator; its state.
+        """Write the held half-word back into the generator and return its state.
 
         The state returned is the one set, so it doubles as a checkpoint.
         """
