@@ -7,14 +7,14 @@
 #                     each figure/table regenerator still executes end to end)
 #   make bench-accuracy
 #                     score the five schemes on the three workloads and write
-#                     BENCH_accuracy.json (+ history rows)
+#                     BENCH_accuracy.json
 #   make check-accuracy
 #                     assert the pinned accuracy floors and the paper's scheme
 #                     ordering on BENCH_accuracy.json
 #   make bench-robustness
 #                     score the five schemes on the legacy trio under the
 #                     fault ladders (loss/corruption/reorder) and write
-#                     BENCH_robustness.json (+ history rows)
+#                     BENCH_robustness.json
 #   make check-robustness
 #                     assert zero-fault pass-through and the per-rung
 #                     STPP-vs-baseline floors on BENCH_robustness.json
@@ -24,9 +24,8 @@
 #   make scenario-smoke
 #                     run the whole scenario matrix end-to-end (all five
 #                     schemes, one sweep per scenario) and print accuracies
-#   make bench-report print the recorded trends in BENCH_HISTORY.jsonl and
-#                     the accuracy leaderboard, and regenerate the status
-#                     tables in docs/figures.md
+#   make bench-report print the recorded accuracy leaderboard and regenerate
+#                     the status tables in docs/figures.md
 #   make examples     run every example under examples/ (CI runs this so
 #                     docs-adjacent code cannot rot)
 #   make perfbench-selftest

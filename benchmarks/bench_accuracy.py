@@ -1,16 +1,12 @@
-"""Accuracy recorder: the five-scheme leaderboard snapshot + history rows.
+"""Accuracy recorder: the five-scheme leaderboard snapshot.
 
 Runs the paper's five ordering schemes (STPP, BackPos, OTrack, Landmarc,
 G-RSSI) over every scenario registered in the declarative scenario matrix
 (``repro.scenarios`` — the legacy library/airport/warehouse trio plus the
 committed ``specs/*.json`` deployments) and the Figure-17 deployment at a
-fixed seed/scale, and records:
-
-* ``BENCH_accuracy.json`` — the accuracy-per-scheme-per-scenario leaderboard
-  snapshot (overwritten, like the timing snapshots);
-* history rows in ``BENCH_HISTORY.jsonl`` — one row per (scenario, scheme)
-  combined accuracy plus the cross-scenario means, stamped with run id, git
-  sha, timestamp, and platform, so accuracy is tracked change over change.
+fixed seed/scale, and overwrites ``BENCH_accuracy.json`` with the
+accuracy-per-scheme-per-scenario leaderboard, stamped with the time and
+host of the run.
 
 ``benchmarks/check_accuracy.py`` gates the recorded values in CI: pinned
 per-scheme floors and the paper's scheme ordering.  The leaderboard is a
@@ -19,14 +15,12 @@ engine), so any movement in these numbers is a code change, not noise.
 
 Run with:
   PYTHONPATH=src python benchmarks/bench_accuracy.py [--repetitions 2] \\
-      [--out BENCH_accuracy.json] [--history BENCH_HISTORY.jsonl]
+      [--out BENCH_accuracy.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 from pathlib import Path
 
@@ -38,11 +32,10 @@ from repro.bench.leaderboard import (
     DEFAULT_REPETITIONS,
     DEFAULT_SEED,
     compute_leaderboard,
-    leaderboard_history_metrics,
     scenario_names,
 )
 from repro.bench.report import format_leaderboard
-from repro.bench.store import record_run, utc_timestamp
+from repro.bench.schema import write_snapshot
 
 
 def main() -> None:
@@ -57,15 +50,6 @@ def main() -> None:
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("BENCH_accuracy.json"))
-    parser.add_argument(
-        "--history", type=Path, default=Path("BENCH_HISTORY.jsonl"),
-        help="append-only ledger to add this run's rows to "
-        "(pass a scratch path for smoke runs)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="write only the snapshot (used by throwaway experiments)",
-    )
     args = parser.parse_args()
 
     print(
@@ -77,26 +61,9 @@ def main() -> None:
         seed=args.seed,
         fig17_repetitions=args.fig17_repetitions,
     )
-    payload = {
-        "generated_at": utc_timestamp(),
-        "platform": platform.platform(),
-        **body,
-    }
+    payload = write_snapshot("accuracy", body, args.out)
     print(format_leaderboard(payload))
-
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-
-    if not args.no_history:
-        rows = record_run(
-            source="bench_accuracy",
-            metrics=leaderboard_history_metrics(payload),
-            scale=payload["scale"],
-            history=args.history,
-            timestamp=payload["generated_at"],
-            platform=payload["platform"],
-        )
-        print(f"appended {len(rows)} history rows to {args.history}")
 
 
 if __name__ == "__main__":

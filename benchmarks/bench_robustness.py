@@ -42,8 +42,6 @@ Run with:
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,7 +52,8 @@ if str(_REPO_ROOT / "src") not in sys.path:
 
 import numpy as np
 
-from repro.bench.store import record_run, utc_timestamp
+from repro.bench.leaderboard import SCHEMES
+from repro.bench.schema import write_snapshot
 from repro.evaluation.runner import standard_scheme_suite
 from repro.evaluation.sweep import score_schemes
 from repro.faults import FaultSpec, apply_to_log
@@ -67,8 +66,6 @@ DEFAULT_REPETITIONS = 3
 than the accuracy leaderboard: per-rung scores are small-population ordering
 accuracies, and the extra repetition keeps rung-to-rung noise below the
 checker's tolerances."""
-
-SCHEMES: tuple[str, ...] = ("STPP", "BackPos", "OTrack", "Landmarc", "G-RSSI")
 
 LEGACY_SCENARIOS: tuple[str, ...] = ("library", "airport", "warehouse")
 
@@ -184,20 +181,6 @@ def run_curves(
     }
 
 
-def history_metrics(payload: dict) -> dict[str, float]:
-    """Flat headline rows for the append-only ledger."""
-    metrics: dict[str, float] = {
-        "zero_fault_bit_identical": float(payload["zero_fault_bit_identical"]),
-        "stpp_min_accuracy": payload["stpp_min_accuracy"],
-        "stpp_min_lead": payload["stpp_min_lead"],
-    }
-    for ladder_name, ladder in payload["ladders"].items():
-        for scenario in payload["scenarios"]:
-            curve = ladder["curves"][scenario]["STPP"]
-            metrics[f"{ladder_name}.{scenario}.STPP.max_rate"] = curve[-1]
-    return metrics
-
-
 def format_curves(payload: dict) -> str:
     lines = ["robustness curves (combined accuracy, STPP | best baseline):"]
     for ladder_name, ladder in payload["ladders"].items():
@@ -241,15 +224,6 @@ def main() -> None:
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("BENCH_robustness.json"))
-    parser.add_argument(
-        "--history", type=Path, default=Path("BENCH_HISTORY.jsonl"),
-        help="append-only ledger to add this run's rows to "
-        "(pass a scratch path for smoke runs)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="write only the snapshot (used by throwaway experiments)",
-    )
     args = parser.parse_args()
 
     rung_count = sum(len(l["rates"]) for l in LADDERS.values())
@@ -259,26 +233,9 @@ def main() -> None:
         f"seed {args.seed}"
     )
     body = run_curves(args.scenarios, args.repetitions, args.seed)
-    payload = {
-        "generated_at": utc_timestamp(),
-        "platform": platform.platform(),
-        **body,
-    }
+    payload = write_snapshot("robustness", body, args.out)
     print(format_curves(payload))
-
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-
-    if not args.no_history:
-        rows = record_run(
-            source="bench_robustness",
-            metrics=history_metrics(payload),
-            scale=payload["scale"],
-            history=args.history,
-            timestamp=payload["generated_at"],
-            platform=payload["platform"],
-        )
-        print(f"appended {len(rows)} history rows to {args.history}")
 
 
 if __name__ == "__main__":

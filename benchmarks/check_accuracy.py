@@ -23,8 +23,8 @@ that hole.  Enforced, with explicit tolerances:
 Run with:
   python benchmarks/check_accuracy.py [--accuracy BENCH_accuracy.json] ...
 
-A missing file is skipped with a note (the record is produced by
-``make bench-accuracy``), so the check degrades gracefully on fresh clones.
+A missing record fails the gate, naming the path: a gate that passes
+without its record checks nothing.  ``make bench-accuracy`` writes it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _parse_overrides(pairs: list[str], what: str) -> dict[str, float]:
 def check_accuracy(path: Path, args: argparse.Namespace) -> None:
     print(f"accuracy leaderboard ({path}):")
     if not path.exists():
-        print(f"  skip: {path} not found")
+        _require(False, f"{path} not found (make bench-accuracy writes it)")
         return
     payload = json.loads(path.read_text())
 
@@ -208,7 +208,7 @@ def main() -> None:
     check_accuracy(args.accuracy, args)
 
     if FAILURES:
-        print(f"\n{len(FAILURES)} accuracy floor(s)/ordering constraint(s) violated")
+        print(f"\n{len(FAILURES)} accuracy check(s) failed")
         sys.exit(1)
     print("\nrecorded accuracies at or above their floors; scheme ordering preserved")
 

@@ -22,8 +22,8 @@ while every clean-accuracy floor still passes.  Enforced:
 Run with:
   python benchmarks/check_robustness.py [--robustness BENCH_robustness.json]
 
-A missing file is skipped with a note (the record is produced by
-``make bench-robustness``), so the check degrades gracefully on fresh clones.
+A missing record fails the gate, naming the path: a gate that passes
+without its record checks nothing.  ``make bench-robustness`` writes it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _require(condition: bool, message: str) -> None:
 def check_robustness(path: Path, args: argparse.Namespace) -> None:
     print(f"robustness curves ({path}):")
     if not path.exists():
-        print(f"  skip: {path} not found")
+        _require(False, f"{path} not found (make bench-robustness writes it)")
         return
     payload = json.loads(path.read_text())
 
@@ -129,7 +129,7 @@ def main() -> None:
     check_robustness(args.robustness, args)
 
     if FAILURES:
-        print(f"\n{len(FAILURES)} robustness floor(s) violated")
+        print(f"\n{len(FAILURES)} robustness check(s) failed")
         sys.exit(1)
     print("\nrecorded degradation curves at or above their floors")
 

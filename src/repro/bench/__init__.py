@@ -1,50 +1,23 @@
-"""Benchmark warehouse: append-only history, accuracy leaderboard, reports.
+"""Benchmark warehouse: one accuracy record per harness, gated, and reported.
 
-The repository's benchmark evidence used to be overwritten snapshots
-(``BENCH_*.json``) plus a speed-floor checker; this package makes regression
-tracking first-class:
-
-* :mod:`repro.bench.schema` — the history row schema and the required shape
-  of every snapshot file (shared by both CI checkers);
-* :mod:`repro.bench.store` — the append-only ``BENCH_HISTORY.jsonl`` ledger
-  every bench writer appends to (run id, git sha, timestamp, platform,
-  metric, value, scale);
+* :mod:`repro.bench.schema` — the required shape of every ``BENCH_*.json``
+  snapshot (shared by both CI checkers) and :func:`write_snapshot`, which
+  stamps, validates and writes one;
 * :mod:`repro.bench.leaderboard` — the five-scheme accuracy leaderboard over
-  the library/airport/warehouse workloads and the Figure-17 deployment;
+  every registered scenario and the Figure-17 deployment;
 * :mod:`repro.bench.registry` / :mod:`repro.bench.report` — the artifact
-  registry and the generator behind ``docs/figures.md``'s status tables and
-  the trend report (``python -m repro.bench.report``).
+  registry and the generator behind ``docs/figures.md``'s status tables
+  (``python -m repro.bench.report``).
 """
 
-from .leaderboard import (
-    SCENARIOS,
-    SCHEMES,
-    compute_leaderboard,
-    leaderboard_history_metrics,
-)
-from .schema import BenchRecord, SchemaError, SNAPSHOT_SCHEMAS, validate_snapshot
-from .store import (
-    DEFAULT_HISTORY_PATH,
-    BenchHistory,
-    HistoryError,
-    current_git_sha,
-    flatten_metrics,
-    record_run,
-)
+from .leaderboard import SCHEMES, compute_leaderboard
+from .schema import SNAPSHOT_SCHEMAS, SchemaError, validate_snapshot, write_snapshot
 
 __all__ = [
-    "BenchHistory",
-    "BenchRecord",
-    "DEFAULT_HISTORY_PATH",
-    "HistoryError",
-    "SCENARIOS",
     "SCHEMES",
     "SNAPSHOT_SCHEMAS",
     "SchemaError",
     "compute_leaderboard",
-    "current_git_sha",
-    "flatten_metrics",
-    "leaderboard_history_metrics",
-    "record_run",
     "validate_snapshot",
+    "write_snapshot",
 ]

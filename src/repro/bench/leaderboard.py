@@ -22,7 +22,7 @@ which is exactly what makes it gateable.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -42,12 +42,6 @@ AXES: tuple[str, ...] = ("x", "y", "combined")
 def scenario_names() -> tuple[str, ...]:
     """Every registered scenario, in seed-index order (legacy trio first)."""
     return default_registry().names()
-
-
-# Back-compat alias: resolved at import so existing ``SCENARIOS`` consumers
-# (bench report, tests) keep working; equals scenario_names() because the
-# built-in registry is loaded once and never mutated by the leaderboard.
-SCENARIOS: tuple[str, ...] = scenario_names()
 
 
 def scenario_plans(repetitions: int = DEFAULT_REPETITIONS, seed: int = DEFAULT_SEED):
@@ -113,15 +107,3 @@ def compute_leaderboard(
         },
     }
 
-
-def leaderboard_history_metrics(payload: Mapping[str, Any]) -> dict[str, float]:
-    """The history rows of one leaderboard run: per-scenario and mean values."""
-    metrics: dict[str, float] = {}
-    for scenario, per_scheme in payload["scenarios"].items():
-        for scheme, axes in per_scheme.items():
-            metrics[f"{scenario}.{scheme}.combined"] = axes["combined"]
-    for scheme, value in payload["mean_combined"].items():
-        metrics[f"mean.{scheme}.combined"] = value
-    for scheme, value in payload["fig17"].items():
-        metrics[f"fig17.{scheme}.combined"] = value
-    return metrics

@@ -132,7 +132,7 @@ ARTIFACTS: tuple[Artifact, ...] = (
              status="new in PR 4"),
     Artifact("extension", "benchmarks/bench_accuracy.py (gate: benchmarks/check_accuracy.py)",
              "Accuracy leaderboard",
-             "Five schemes scored on every registered scenario plus the Figure-17 deployment at a fixed seed; recorded to `BENCH_accuracy.json` + history and floor-gated in CI",
+             "Five schemes scored on every registered scenario plus the Figure-17 deployment at a fixed seed; recorded to `BENCH_accuracy.json` and floor-gated in CI",
              status="new in PR 6"),
     Artifact("extension", "src/repro/scenarios (specs/*.json; CLI: python -m repro.scenarios; tests: tests/test_scenario_*.py)",
              "Declarative scenario matrix",

@@ -1,13 +1,8 @@
-"""Warehouse reports: history trend tables and the generated figure-status doc.
+"""Warehouse report: the recorded leaderboard and the generated figure-status doc.
 
-Two consumers:
-
-* ``python -m repro.bench.report`` — prints the recorded trend of every
-  headline metric in ``BENCH_HISTORY.jsonl`` (run over run, with git sha and
-  scale), plus the latest accuracy leaderboard from ``BENCH_accuracy.json``.
-  This is the "how did the numbers move across PRs" view the overwritten
-  snapshots cannot give.
-* ``python -m repro.bench.report --write-docs`` — regenerates the status
+* ``python -m repro.bench.report`` — prints the recorded accuracy
+  leaderboard from ``BENCH_accuracy.json``.
+* ``python -m repro.bench.report --write-docs`` — also regenerates the status
   tables in ``docs/figures.md`` between the ``GENERATED STATUS TABLES``
   markers from the artifact registry and the recorded leaderboard.
   ``tests/test_bench_report.py`` re-renders the block and diffs it against
@@ -23,66 +18,11 @@ from typing import Any, Mapping, Sequence
 from ..reporting.tables import format_table
 from .registry import Artifact, artifacts_in
 from .schema import validate_snapshot
-from .store import DEFAULT_HISTORY_PATH, BenchHistory, BenchRecord
 
 DEFAULT_ACCURACY_PATH = Path("BENCH_accuracy.json")
 
 DOC_BEGIN = "<!-- BEGIN GENERATED STATUS TABLES (python -m repro.bench.report --write-docs) -->"
 DOC_END = "<!-- END GENERATED STATUS TABLES -->"
-
-HEADLINE_METRICS: tuple[tuple[str, str], ...] = (
-    ("bench_accuracy", "mean.STPP.combined"),
-    ("bench_accuracy", "fig17.STPP.combined"),
-)
-"""The (source, metric) pairs the default trend report shows."""
-
-
-# --------------------------------------------------------------------------
-# History trends
-# --------------------------------------------------------------------------
-
-
-def _scale_summary(scale: Mapping[str, Any]) -> str:
-    return ",".join(f"{key}={value}" for key, value in sorted(scale.items()))
-
-
-def trend_table(records: Sequence[BenchRecord], source: str, metric: str, last: int = 8) -> str:
-    """The last ``last`` recorded values of one metric as a text table."""
-    rows = [r for r in records if r.source == source and r.metric == metric][-last:]
-    if not rows:
-        return f"{source} :: {metric}\n  (no history rows)"
-    return format_table(
-        ("timestamp", "git_sha", "value", "scale"),
-        [
-            (row.timestamp, row.git_sha[:9], row.value, _scale_summary(row.scale))
-            for row in rows
-        ],
-        title=f"{source} :: {metric}",
-    )
-
-
-def format_trends(
-    history: BenchHistory,
-    pairs: Sequence[tuple[str, str]] | None = None,
-    last: int = 8,
-    all_metrics: bool = False,
-) -> str:
-    """Trend tables for the headline metrics (or every recorded metric)."""
-    records = history.read()
-    if all_metrics:
-        seen: dict[tuple[str, str], None] = {}
-        for record in records:
-            seen.setdefault((record.source, record.metric), None)
-        pairs = list(seen)
-    elif pairs is None:
-        pairs = [
-            (source, metric)
-            for source, metric in HEADLINE_METRICS
-            if any(r.source == source and r.metric == metric for r in records)
-        ]
-    if not pairs:
-        return f"no history rows in {history.path}"
-    return "\n\n".join(trend_table(records, source, metric, last=last) for source, metric in pairs)
 
 
 # --------------------------------------------------------------------------
@@ -266,13 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY_PATH)
     parser.add_argument("--accuracy", type=Path, default=DEFAULT_ACCURACY_PATH)
-    parser.add_argument("--last", type=int, default=8, help="trend rows per metric")
-    parser.add_argument(
-        "--all", action="store_true",
-        help="show every recorded metric, not just the headline set",
-    )
     parser.add_argument(
         "--write-docs", type=Path, nargs="?", const=Path("docs/figures.md"),
         default=None, metavar="DOC",
@@ -281,9 +215,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     accuracy = load_accuracy(args.accuracy)
-    print(format_trends(BenchHistory(args.history), last=args.last, all_metrics=args.all))
-    if accuracy is not None:
-        print()
+    if accuracy is None:
+        print(f"no recorded {args.accuracy}")
+    else:
         print(format_leaderboard(accuracy))
     if args.write_docs is not None:
         _, changed = update_figures_doc(args.write_docs, accuracy)

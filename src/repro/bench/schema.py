@@ -1,126 +1,31 @@
-"""Schemas for the benchmark warehouse: history rows and snapshot files.
+"""Benchmark snapshots: the shape of every ``BENCH_*.json`` and its writer.
 
-Two kinds of benchmark evidence live in this repository:
+Each harness keeps one record, a ``BENCH_<kind>.json`` file at the repo root
+that every ``make bench-*`` run overwrites: the latest full result of that
+harness (scores, floors, scale knobs, bit-identity flags), stamped with the
+time and host it ran on.
 
-* **snapshots** — the ``BENCH_*.json`` files at the repo root, overwritten by
-  each ``make bench-*`` run.  They carry the latest full record of one
-  harness (scores, floors, scale knobs, bit-identity flags).
-* **history rows** — append-only JSONL lines in ``BENCH_HISTORY.jsonl``.
-  Every bench run appends its headline metrics as flat rows, so the
-  trajectory across commits (accuracy per scheme, robustness floors, …)
-  survives outside git archaeology.
-
-This module is the single source of truth for both shapes.  The history row
-schema is :class:`BenchRecord`; the per-file snapshot requirements live in
-``SNAPSHOT_SCHEMAS`` and are enforced by :func:`validate_snapshot`, which both
-CI checkers (``benchmarks/check_accuracy.py`` and
-``benchmarks/check_robustness.py``) call before applying any floor — a floor
-check against a corrupted or truncated record proves nothing.
+``SNAPSHOT_SCHEMAS`` holds each kind's required shape and
+:func:`validate_snapshot` enforces it.  Both CI checkers
+(``benchmarks/check_accuracy.py`` and ``benchmarks/check_robustness.py``)
+call it before applying any floor — a floor check against a corrupted or
+truncated record proves nothing — and :func:`write_snapshot` calls it
+before a recorder writes, so a record that fails its schema is never
+written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import platform
+from dataclasses import dataclass
+from datetime import datetime, timezone
+from pathlib import Path
 from typing import Any, Mapping
 
 
 class SchemaError(ValueError):
-    """A history row or snapshot payload violates its schema."""
-
-
-# --------------------------------------------------------------------------
-# History rows
-# --------------------------------------------------------------------------
-
-HISTORY_FIELDS: tuple[str, ...] = (
-    "run_id",
-    "git_sha",
-    "timestamp",
-    "platform",
-    "source",
-    "metric",
-    "value",
-    "scale",
-)
-"""Required keys of one history row, in canonical serialization order."""
-
-
-def _require_str(name: str, value: Any) -> str:
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"history row field {name!r} must be a non-empty string, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One appended measurement: a single (run, metric, value) observation.
-
-    Parameters
-    ----------
-    run_id:
-        Groups all rows appended by one bench invocation (shared UUID).
-    git_sha:
-        The commit the run measured (``"unknown"`` outside a git checkout).
-    timestamp:
-        ISO-8601 UTC time of the run.
-    platform:
-        ``platform.platform()`` of the host, so cross-host rows are never
-        compared as a trend by accident.
-    source:
-        The producing harness, e.g. ``"bench_accuracy"`` or ``"bench_robustness"``.
-    metric:
-        Dotted metric name, e.g. ``"stpp_min_lead"`` or
-        ``"library.STPP.combined"``.
-    value:
-        The measurement (finite float; bools are recorded as 0.0/1.0).
-    scale:
-        The scale descriptor of the run (tag counts, repetitions, …) — the
-        knobs that decide whether two rows are comparable.
-    """
-
-    run_id: str
-    git_sha: str
-    timestamp: str
-    platform: str
-    source: str
-    metric: str
-    value: float
-    scale: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name in ("run_id", "git_sha", "timestamp", "platform", "source", "metric"):
-            _require_str(name, getattr(self, name))
-        value = self.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(
-                f"history row {self.metric!r}: value must be int/float, got {value!r}"
-            )
-        if value != value or value in (float("inf"), float("-inf")):
-            raise SchemaError(f"history row {self.metric!r}: value must be finite, got {value!r}")
-        if not isinstance(self.scale, Mapping):
-            raise SchemaError(
-                f"history row {self.metric!r}: scale must be a mapping, got {type(self.scale).__name__}"
-            )
-
-    def to_json(self) -> dict[str, Any]:
-        """The row as a plain dict in canonical field order."""
-        return {name: getattr(self, name) for name in HISTORY_FIELDS} | {
-            "value": float(self.value),
-            "scale": dict(self.scale),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "BenchRecord":
-        """Parse one row, rejecting missing or unknown keys loudly."""
-        if not isinstance(payload, Mapping):
-            raise SchemaError(f"history row must be an object, got {type(payload).__name__}")
-        missing = [name for name in HISTORY_FIELDS if name not in payload]
-        if missing:
-            raise SchemaError(f"history row missing required field(s): {', '.join(missing)}")
-        unknown = [name for name in payload if name not in HISTORY_FIELDS]
-        if unknown:
-            raise SchemaError(f"history row has unknown field(s): {', '.join(unknown)}")
-        return cls(**{name: payload[name] for name in HISTORY_FIELDS})
+    """A snapshot payload violates its schema."""
 
 
 # --------------------------------------------------------------------------
@@ -229,3 +134,24 @@ def validate_snapshot(kind: str, payload: Any) -> list[str]:
         if not _is_finite_number(value):
             problems.append(f"{kind}: {dotted} must be a finite number, got {value!r}")
     return problems
+
+
+def write_snapshot(kind: str, body: Mapping[str, Any], path: Path) -> dict[str, Any]:
+    """Stamp ``body`` with the time and host, validate it, write it to ``path``.
+
+    The payload is ``generated_at`` (ISO-8601 UTC, second precision) and
+    ``platform`` followed by ``body``'s keys, written as two-space-indented
+    JSON with a trailing newline.  Raises :class:`SchemaError` without
+    touching ``path`` when the payload fails ``kind``'s schema.  Returns
+    the payload.
+    """
+    payload = {
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "platform": platform.platform(),
+        **body,
+    }
+    problems = validate_snapshot(kind, payload)
+    if problems:
+        raise SchemaError(f"refusing to write {path}:\n  " + "\n  ".join(problems))
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload

@@ -1,6 +1,23 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and hypothesis profiles for the test suite."""
 
 from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same examples on every run: hypothesis seeds each test
+# from a hash of the test itself and neither reads nor writes the example
+# database, so a failure replays on the next run and a pass stays a pass.
+settings.register_profile("tier1", derandomize=True)
+# CI's exploration step (``--hypothesis-profile=explore``): fresh random
+# examples, EXPLORE_FACTOR times each test's tier-1 count, and failures
+# saved to ``.hypothesis/`` with a reproduction blob, so a find can be
+# replayed and committed as an ``@example``.
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
+
+EXPLORE_FACTOR = 5
 
 
 def pytest_configure(config):
@@ -10,8 +27,23 @@ def pytest_configure(config):
         "reduced-scale twins; deselect with -m 'not slow')",
     )
 
-import numpy as np
-import pytest
+
+def pytest_collection_modifyitems(items):
+    """Under the explore profile, scale every property test's example count.
+
+    Each test sets its own ``max_examples``, which outranks any profile, so
+    the count is raised on the test itself, the way hypothesis's own pytest
+    plugin overrides a test's settings.
+    """
+    if settings.get_current_profile_name() != "explore":
+        return
+    for item in items:
+        test = getattr(item.obj, "__func__", item.obj)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=EXPLORE_FACTOR * own.max_examples
+            )
 
 from repro.core.phase_profile import PhaseProfile
 from repro.rf.geometry import Point3D

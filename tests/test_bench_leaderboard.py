@@ -14,10 +14,9 @@ import pytest
 
 from repro.bench.leaderboard import (
     DEFAULT_SEED,
-    SCENARIOS,
     SCHEMES,
     compute_leaderboard,
-    leaderboard_history_metrics,
+    scenario_names,
     scenario_plans,
 )
 
@@ -72,7 +71,7 @@ class TestGoldenPins:
     def test_stpp_scenario_floors(self, leaderboard):
         stpp = {
             scenario: leaderboard["scenarios"][scenario]["STPP"]["combined"]
-            for scenario in SCENARIOS
+            for scenario in scenario_names()
         }
         assert stpp["library"] >= 0.85
         assert stpp["airport"] >= 0.35
@@ -84,7 +83,7 @@ class TestGoldenPins:
 class TestPayloadShape:
     def test_all_schemes_scored_on_all_scenarios(self, leaderboard):
         assert tuple(leaderboard["schemes"]) == SCHEMES
-        for scenario in SCENARIOS:
+        for scenario in scenario_names():
             per_scheme = leaderboard["scenarios"][scenario]
             assert set(per_scheme) == set(SCHEMES)
             for axes in per_scheme.values():
@@ -96,19 +95,8 @@ class TestPayloadShape:
         assert leaderboard["scale"]["fig17_repetitions"] == 1
         assert leaderboard["seed"] == DEFAULT_SEED
         # One tag count per registered scenario, straight from its spec.
-        assert set(leaderboard["scale"]["scenario_tags"]) == set(SCENARIOS)
+        assert set(leaderboard["scale"]["scenario_tags"]) == set(scenario_names())
         assert leaderboard["scale"]["scenario_tags"]["library"] == 12
-
-    def test_history_metrics_cover_scenario_mean_and_fig17(self, leaderboard):
-        metrics = leaderboard_history_metrics(leaderboard)
-        # len(SCENARIOS) scenarios x 5 schemes + 5 means + 5 fig17 values
-        assert len(metrics) == len(SCENARIOS) * 5 + 10
-        assert metrics["mean.STPP.combined"] == leaderboard["mean_combined"]["STPP"]
-        assert metrics["fig17.STPP.combined"] == leaderboard["fig17"]["STPP"]
-        assert (
-            metrics["library.STPP.combined"]
-            == leaderboard["scenarios"]["library"]["STPP"]["combined"]
-        )
 
 
 class TestDeterminism:

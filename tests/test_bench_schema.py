@@ -1,4 +1,4 @@
-"""Schema validation: history rows and every ``BENCH_*.json`` snapshot kind."""
+"""Schema validation and writing of every ``BENCH_*.json`` snapshot kind."""
 
 from __future__ import annotations
 
@@ -9,56 +9,12 @@ import pytest
 
 from repro.bench.schema import (
     SNAPSHOT_SCHEMAS,
-    BenchRecord,
     SchemaError,
     validate_snapshot,
+    write_snapshot,
 )
 
 REPO = Path(__file__).resolve().parents[1]
-
-GOOD_ROW = dict(
-    run_id="run-1",
-    git_sha="abc1234",
-    timestamp="2026-08-08T00:00:00+00:00",
-    platform="test-host",
-    source="bench_test",
-    metric="speedup",
-    value=2.0,
-    scale={"tags": 8},
-)
-
-
-class TestBenchRecord:
-    def test_json_round_trip(self):
-        record = BenchRecord(**GOOD_ROW)
-        assert BenchRecord.from_json(record.to_json()) == record
-
-    @pytest.mark.parametrize(
-        "field", ["run_id", "git_sha", "timestamp", "platform", "source", "metric"]
-    )
-    def test_empty_string_fields_rejected(self, field):
-        with pytest.raises(SchemaError, match=field):
-            BenchRecord(**{**GOOD_ROW, field: ""})
-
-    @pytest.mark.parametrize(
-        "bad", [True, "2.0", None, float("nan"), float("inf"), float("-inf")]
-    )
-    def test_non_finite_or_non_numeric_values_rejected(self, bad):
-        with pytest.raises(SchemaError):
-            BenchRecord(**{**GOOD_ROW, "value": bad})
-
-    def test_scale_must_be_a_mapping(self):
-        with pytest.raises(SchemaError, match="scale"):
-            BenchRecord(**{**GOOD_ROW, "scale": [1, 2]})
-
-    def test_from_json_rejects_missing_and_unknown_fields(self):
-        row = BenchRecord(**GOOD_ROW).to_json()
-        missing = {k: v for k, v in row.items() if k != "metric"}
-        with pytest.raises(SchemaError, match="metric"):
-            BenchRecord.from_json(missing)
-        with pytest.raises(SchemaError, match="unknown"):
-            BenchRecord.from_json({**row, "extra": 1})
-
 
 # Minimal valid payload per snapshot kind — the smallest record each
 # checker must accept (optional fields absent on purpose).
@@ -163,6 +119,29 @@ class TestSnapshotValidation:
     def test_non_object_payload_is_one_clear_problem(self):
         problems = validate_snapshot("accuracy", [1, 2, 3])
         assert len(problems) == 1 and "object" in problems[0]
+
+
+class TestWriteSnapshot:
+    @pytest.mark.parametrize("kind", sorted(MINIMAL_SNAPSHOTS))
+    def test_stamps_then_writes_indented_json(self, kind, tmp_path):
+        body = {
+            k: v
+            for k, v in MINIMAL_SNAPSHOTS[kind].items()
+            if k not in ("generated_at", "platform")
+        }
+        path = tmp_path / f"BENCH_{kind}.json"
+        payload = write_snapshot(kind, body, path)
+        assert list(payload)[:2] == ["generated_at", "platform"]
+        assert {k: payload[k] for k in body} == body
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert validate_snapshot(kind, json.loads(path.read_text())) == []
+
+    def test_refuses_a_payload_that_fails_its_schema(self, tmp_path):
+        path = tmp_path / "BENCH_accuracy.json"
+        body = {"seed": 2015, "schemes": ["STPP"]}
+        with pytest.raises(SchemaError, match="mean_combined"):
+            write_snapshot("accuracy", body, path)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(

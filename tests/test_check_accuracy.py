@@ -3,7 +3,8 @@
 Proves the two properties ``benchmarks/check_accuracy.py`` exists for: it
 passes on the pipeline's recorded leaderboard, and it demonstrably fails —
 nonzero exit — when a scheme drops through its pinned floor or the paper's
-Figure-17 ordering breaks.
+Figure-17 ordering breaks.  Both gates, this one and
+``benchmarks/check_robustness.py``, also fail when their record is missing.
 """
 
 from __future__ import annotations
@@ -65,10 +66,21 @@ def write_accuracy(tmp_path: Path, payload: dict) -> None:
     (tmp_path / "BENCH_accuracy.json").write_text(json.dumps(payload))
 
 
-def test_missing_record_is_skipped(tmp_path):
-    proc = run_gate(tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "skip" in proc.stdout
+@pytest.mark.parametrize(
+    "script,option",
+    [("check_accuracy.py", "--accuracy"), ("check_robustness.py", "--robustness")],
+)
+def test_missing_record_fails_the_gate(tmp_path, script, option):
+    missing = tmp_path / "missing.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / script), option, str(missing)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"FAIL: {missing} not found" in proc.stdout
 
 
 def test_healthy_record_passes(tmp_path):
