@@ -10,6 +10,9 @@ regression opens (e.g. STPP degrading toward BackPos-level).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.leaderboard import (
@@ -19,6 +22,7 @@ from repro.bench.leaderboard import (
     scenario_names,
     scenario_plans,
 )
+from repro.scenarios import default_registry
 
 # Recorded at repetitions=1, seed 2015 (the CI smoke scale) on the reference
 # pipeline, averaged over every scenario in the declarative matrix (legacy
@@ -97,6 +101,23 @@ class TestPayloadShape:
         # One tag count per registered scenario, straight from its spec.
         assert set(leaderboard["scale"]["scenario_tags"]) == set(scenario_names())
         assert leaderboard["scale"]["scenario_tags"]["library"] == 12
+
+
+class TestCommittedRecord:
+    def test_committed_record_scores_every_scheme_on_every_registered_scenario(self):
+        path = Path(__file__).resolve().parents[1] / "BENCH_accuracy.json"
+        if not path.exists():
+            pytest.skip("BENCH_accuracy.json not recorded in this checkout")
+        recorded = json.loads(path.read_text())
+        # A scenario registered after the last `make bench-accuracy` is one
+        # the gate never sees: the record must be re-run when the matrix grows.
+        assert tuple(recorded["schemes"]) == SCHEMES
+        assert tuple(recorded["scenarios"]) == scenario_names()
+        assert set(recorded["mean_combined"]) == set(SCHEMES)
+        assert set(recorded["fig17"]) == set(SCHEMES)
+        assert recorded["scale"]["scenario_tags"] == {
+            name: default_registry().get(name).tag_count for name in scenario_names()
+        }
 
 
 class TestDeterminism:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import platform
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -124,11 +126,7 @@ class TestSnapshotValidation:
 class TestWriteSnapshot:
     @pytest.mark.parametrize("kind", sorted(MINIMAL_SNAPSHOTS))
     def test_stamps_then_writes_indented_json(self, kind, tmp_path):
-        body = {
-            k: v
-            for k, v in MINIMAL_SNAPSHOTS[kind].items()
-            if k not in ("generated_at", "platform")
-        }
+        body = _body(kind)
         path = tmp_path / f"BENCH_{kind}.json"
         payload = write_snapshot(kind, body, path)
         assert list(payload)[:2] == ["generated_at", "platform"]
@@ -142,6 +140,59 @@ class TestWriteSnapshot:
         with pytest.raises(SchemaError, match="mean_combined"):
             write_snapshot("accuracy", body, path)
         assert not path.exists()
+
+    def test_generated_at_is_utc_to_the_second(self, tmp_path):
+        payload = write_snapshot(
+            "accuracy", _body("accuracy"), tmp_path / "BENCH_accuracy.json"
+        )
+        stamp = datetime.fromisoformat(payload["generated_at"])
+        assert stamp.utcoffset() == timedelta(0)
+        assert stamp.microsecond == 0
+        assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=5)
+
+    def test_platform_names_the_writing_host(self, tmp_path):
+        payload = write_snapshot(
+            "robustness", _body("robustness"), tmp_path / "BENCH_robustness.json"
+        )
+        assert payload["platform"] == platform.platform()
+
+    def test_refusal_leaves_an_existing_record_untouched(self, tmp_path):
+        path = tmp_path / "BENCH_robustness.json"
+        path.write_text("previous record\n")
+        body = {**_body("robustness"), "zero_fault_bit_identical": "yes"}
+        with pytest.raises(SchemaError, match="zero_fault_bit_identical"):
+            write_snapshot("robustness", body, path)
+        assert path.read_text() == "previous record\n"
+
+    @pytest.mark.parametrize(
+        "kind,path",
+        [
+            (kind, path)
+            for kind in sorted(MINIMAL_SNAPSHOTS)
+            for path in SNAPSHOT_SCHEMAS[kind].numeric_paths
+        ],
+    )
+    def test_refuses_a_non_finite_headline_number(self, kind, path, tmp_path):
+        # json.dumps would write NaN, which no strict JSON reader accepts.
+        body = json.loads(json.dumps(_body(kind)))
+        *parents, leaf = path.split(".")
+        node = body
+        for part in parents:
+            node = node[part]
+        node[leaf] = float("nan")
+        out = tmp_path / f"BENCH_{kind}.json"
+        with pytest.raises(SchemaError, match=path):
+            write_snapshot(kind, body, out)
+        assert not out.exists()
+
+
+def _body(kind: str) -> dict:
+    """A minimal snapshot without the stamps write_snapshot adds."""
+    return {
+        k: v
+        for k, v in MINIMAL_SNAPSHOTS[kind].items()
+        if k not in ("generated_at", "platform")
+    }
 
 
 @pytest.mark.parametrize(

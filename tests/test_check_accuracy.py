@@ -154,3 +154,77 @@ def test_committed_record_passes_the_default_floors():
         pytest.skip("BENCH_accuracy.json not recorded in this checkout")
     proc = run_gate(REPO)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_stpp_mean_below_a_baseline_mean_fails(tmp_path):
+    payload = healthy_payload()
+    # Both schemes above their own floors, but Landmarc now tops STPP by more
+    # than the ordering tolerance: "STPP on top" no longer holds.
+    payload["mean_combined"]["STPP"] = 0.62
+    payload["mean_combined"]["Landmarc"] = 0.70
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: STPP mean 0.620 >= Landmarc mean 0.700" in proc.stdout
+
+
+def test_scheme_missing_from_the_means_fails(tmp_path):
+    payload = healthy_payload()
+    del payload["mean_combined"]["OTrack"]
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: mean_combined is missing scheme 'OTrack'" in proc.stdout
+
+
+def test_floored_scenario_without_stpp_fails(tmp_path):
+    payload = healthy_payload()
+    del payload["scenarios"]["warehouse"]["STPP"]
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: scenario 'warehouse' has no recorded STPP accuracy" in proc.stdout
+
+
+def test_fig17_without_stpp_fails(tmp_path):
+    payload = healthy_payload()
+    del payload["fig17"]["STPP"]
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: fig17 record is missing STPP" in proc.stdout
+
+
+def test_fig17_without_a_baseline_fails(tmp_path):
+    payload = healthy_payload()
+    del payload["fig17"]["Landmarc"]
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: fig17 record is missing 'Landmarc'" in proc.stdout
+
+
+def test_fig17_stpp_below_its_floor_fails(tmp_path):
+    payload = healthy_payload()
+    payload["fig17"]["STPP"] = 0.60
+    write_accuracy(tmp_path, payload)
+    proc = run_gate(tmp_path)
+    assert proc.returncode == 1
+    assert "FAIL: fig17 STPP combined accuracy 0.600 >= floor 0.65" in proc.stdout
+
+
+def test_scenario_floor_overrides_are_respected(tmp_path):
+    payload = healthy_payload()
+    payload["scenarios"]["airport"]["STPP"]["combined"] = 0.30  # floor 0.35
+    write_accuracy(tmp_path, payload)
+    assert run_gate(tmp_path).returncode == 1
+    proc = run_gate(tmp_path, "--scenario-floor", "airport=0.25")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("option", ["--mean-floor", "--scenario-floor"])
+def test_malformed_floor_override_is_refused(tmp_path, option):
+    write_accuracy(tmp_path, healthy_payload())
+    proc = run_gate(tmp_path, option, "STPP")
+    assert proc.returncode != 0
+    assert f"bad {option} override 'STPP' (expected NAME=FLOAT)" in proc.stderr
